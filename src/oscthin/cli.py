@@ -47,15 +47,11 @@ def parse_config(path):
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"config is missing or mistypes a field: {exc}") from exc
     except ValueError as exc:
-        if "p must exceed 1" in str(exc):
-            raise ConfigError("p must exceed 1") from exc
         raise ConfigError(str(exc)) from exc
 
 
 def _apply_overrides(config, args):
     if args.p is not None:
-        if not args.p > 1.0:
-            raise ConfigError("p must exceed 1")
         config.p = args.p
     if args.resolution is not None:
         r = args.resolution
@@ -121,14 +117,7 @@ def _cmd_solve_eps(config, args):
     cell_mesh = geometry.build_cell_mesh(config.profile, config.cell_nx,
                                          config.cell_ny)
     cell = homogenize.solve_cell(cell_mesh, config.p, config.solver)
-
-    n1 = config.limit_elements
-    fhat = fem.integrate_load_fibers(config.load, config.profile, eps, n1 + 1)
-    fbar = homogenize.rescale_forcing(fhat, cell.cell_measure,
-                                      config.profile.period)
-    u0, _ = limit1d.solve_homogenized(
-        limit1d.Limit1DProblem(coeff=cell.coeff_flux, p=config.p,
-                               forcing=fbar, n=n1), config.solver)
+    u0, _ = study.solve_limit(config, cell, eps)
     du0 = limit1d.nodal_derivative(u0)
 
     stations = study.flux_stations(config.flux_stations)
@@ -154,13 +143,7 @@ def _cmd_solve_limit(config, args):
     cell_mesh = geometry.build_cell_mesh(config.profile, config.cell_nx,
                                          config.cell_ny)
     cell = homogenize.solve_cell(cell_mesh, config.p, config.solver)
-    n1 = config.limit_elements
-    fhat = fem.integrate_load_fibers(config.load, config.profile, eps, n1 + 1)
-    fbar = homogenize.rescale_forcing(fhat, cell.cell_measure,
-                                      config.profile.period)
-    u0, diag = limit1d.solve_homogenized(
-        limit1d.Limit1DProblem(coeff=cell.coeff_flux, p=config.p,
-                               forcing=fbar, n=n1), config.solver)
+    u0, diag = study.solve_limit(config, cell, eps)
     out = args.out or "."
     limit1d.write_solution(u0, _field_path(out, "u0.csv"))
     print(f"solved limit problem (coefficient {cell.coeff_flux!r}, "
@@ -222,7 +205,8 @@ def main(argv=None):
     except (ConfigError, MeshingError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (solve.SolveError, homogenize.UnconvergedCellError) as exc:
+    except (solve.SolveError, homogenize.UnconvergedCellError,
+            fem.AssemblyError) as exc:
         print(f"solver error ({args.command}): {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except OSError as exc:

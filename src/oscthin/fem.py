@@ -83,16 +83,6 @@ def element_gradients(mesh, u):
                             d1 * gy[:, 1] + d2 * gy[:, 2]])
 
 
-def element_gradient(mesh, u, t):
-    """Gradient of the interpolant of u on triangle t."""
-    tri, _, gx, gy, _ = _tri_arrays(mesh)
-    uv = np.asarray(u)[tri[t]]
-    d1 = uv[1] - uv[0]
-    d2 = uv[2] - uv[0]
-    return np.array([d1 * gx[t, 1] + d2 * gx[t, 2],
-                     d1 * gy[t, 1] + d2 * gy[t, 2]])
-
-
 def scaled_gradient(grad, params):
     """Anisotropic gradient (d1, d2/eps_weight) of a plain gradient."""
     g = np.asarray(grad, dtype=float)

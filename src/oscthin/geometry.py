@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 
 class MeshingError(RuntimeError):
@@ -97,11 +98,6 @@ class ProfileSpec:
                              self.cos_coeffs, self.sin_coeffs)
 
 
-def eval_profile(spec, y1):
-    """Evaluate the profile; thin wrapper kept as the module-level entry point."""
-    return spec.evaluate(y1)
-
-
 class Mesh:
     """Conforming triangulation of the cell or of the rescaled thin domain.
 
@@ -176,10 +172,7 @@ class Mesh:
         return float(self.node_weights @ np.asarray(u)) / float(self.areas.sum())
 
     def _validate(self):
-        p = self.nodes[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        areas = self.areas
         bad = np.flatnonzero(areas <= 0.0)
         if bad.size:
             t = int(bad[0])
@@ -299,48 +292,91 @@ def mesh_area(mesh):
     return float(mesh.areas.sum())
 
 
-def fiber_segments(mesh, axis, value, _attempt=0):
-    """Intersect the line {x[axis] == value} with every triangle.
+def fiber_matrix(mesh, axis, values):
+    """CSR operator whose entry (k, t) is the length of the line
+    {x[axis] == values[k]} inside triangle t: its product with a per-triangle
+    field integrates the field along each fiber.
 
-    Returns (tri_indices, lengths): the triangles the line passes through
-    and the length of each intersection segment measured along the other
-    axis.  If the line coincides with a mesh edge the value is nudged by a
-    relative 1e-9 (the quantities integrated along fibers are defined up to
-    sets of measure zero, so any nearby generic fiber is equivalent).
+    The column grid fixes what a fiber meets: a vertical one (axis 0) the
+    2*grid_rows triangles of one column, in closed form; a horizontal one
+    (axis 1) a band of rows per column, which alone is clipped.  A value on
+    a mesh line is shifted once by 1e-9 times the largest of |value| and the
+    coordinates of the triangles it touches (fiber integrals are defined up
+    to sets of measure zero, so the nearby generic fiber is equivalent).
     """
-    coord = mesh.nodes[:, axis][mesh.triangles]
-    other = mesh.nodes[:, 1 - axis][mesh.triangles]
-    cmin = coord.min(axis=1)
-    cmax = coord.max(axis=1)
-    cand = np.flatnonzero((cmin <= value) & (value <= cmax) & (cmin < cmax))
-    if cand.size == 0:
-        return cand, np.empty(0)
+    if mesh.grid_x is None:
+        raise MeshingError("mesh carries no column grid; cannot build fibers")
+    values = np.atleast_1d(np.asarray(values, dtype=float))
+    fibers = _vertical_fibers if axis == 0 else _horizontal_fibers
+    rows, tris, lengths = fibers(mesh, values)
+    return sparse.csr_matrix((lengths, (rows, tris)),
+                             shape=(len(values), mesh.num_triangles))
 
-    c = coord[cand]
-    o = other[cand]
-    s = c - value
-    scale = max(abs(value), float(np.abs(c).max()), 1e-30)
-    pts = np.full((len(cand), 6), np.nan)
+
+def _vertical_fibers(mesh, xv):
+    xs, hs, ny = mesh.grid_x, mesh.grid_heights, mesh.grid_rows
+    k = np.minimum(np.searchsorted(xs, xv), len(xs) - 1)
+    # abscissae are nonnegative and increasing, so line k+1 carries the
+    # largest coordinate of the columns that touch line k
+    xv = xv + (xs[k] == xv) * 1e-9 * xs[np.minimum(k + 1, len(xs) - 1)]
+    inside = np.flatnonzero((xs[0] < xv) & (xv < xs[-1]))
+    i = np.searchsorted(xs, xv[inside]) - 1
+    f = ((xv[inside] - xs[i]) / (xs[i + 1] - xs[i]))[:, None]
+    # in each quad the lower triangle holds f*h[i+1]/ny, the upper (1-f)*h[i]/ny
+    lengths = np.where(np.arange(2 * ny) % 2 == 0, f * hs[i + 1, None],
+                       (1.0 - f) * hs[i, None]) / ny
+    tris = 2 * ny * i[:, None] + np.arange(2 * ny)
+    return np.repeat(inside, 2 * ny), tris.ravel(), lengths.ravel()
+
+
+def _horizontal_fibers(mesh, levels):
+    for shifted in (False, True):
+        rows, tris, y = _level_candidates(mesh, levels)
+        s = y - levels[rows, None]
+        flat = (s == 0.0).sum(axis=1) >= 2      # an edge lies on the level
+        if not flat.any():
+            break
+        if shifted:
+            raise MeshingError(
+                f"fiber at {levels[rows[flat][0]]!r} lies on a mesh edge")
+        reach = np.maximum(np.abs(levels), 1e-30)
+        np.maximum.at(reach, rows, np.abs(y).max(axis=1))
+        levels = np.where(np.isin(np.arange(len(levels)), rows[flat]),
+                          levels + 1e-9 * reach, levels)
+    # the segment spans the points where the level meets the edges; fmin and
+    # fmax skip the NaN of the edges it does not meet
+    x = mesh.nodes[mesh.triangles[tris], 0]
+    left = right = np.full(len(tris), np.nan)
     for k in range(3):
-        k2 = (k + 1) % 3
-        s0, s1 = s[:, k], s[:, k2]
-        on_edge = (s0 == 0.0) & (s1 == 0.0)
-        if np.any(on_edge):
-            if _attempt >= 3:
-                raise MeshingError(
-                    f"fiber at {value!r} keeps hitting mesh edges")
-            nudged = value + (1e-9 * scale) * (1 + _attempt)
-            return fiber_segments(mesh, axis, nudged, _attempt + 1)
-        cross = (s0 * s1) < 0.0
-        t = np.where(cross, s0 / np.where(cross, s0 - s1, 1.0), np.nan)
-        pts[:, 2 * k] = np.where(cross, o[:, k] + t * (o[:, k2] - o[:, k]),
-                                 np.nan)
-        pts[:, 2 * k + 1] = np.where(s0 == 0.0, o[:, k], np.nan)
-    with np.errstate(invalid="ignore"):
-        lengths = np.nanmax(pts, axis=1) - np.nanmin(pts, axis=1)
-    lengths = np.nan_to_num(lengths, nan=0.0)
-    keep = lengths > 0.0
-    return cand[keep], lengths[keep]
+        s0, s1 = s[:, k], s[:, k - 1]
+        t = s0 / np.where((s0 * s1 <= 0.0) & (s0 != s1), s0 - s1, np.nan)
+        pt = x[:, k] + t * (x[:, k - 1] - x[:, k])
+        left, right = np.fmin(left, pt), np.fmax(right, pt)
+    keep = right > left
+    return rows[keep], tris[keep], (right - left)[keep]
+
+
+def _level_candidates(mesh, levels):
+    """(level, triangle) pairs whose triangle spans the level, with the
+    triangle's vertex heights.  In column i the level h meets only rows
+    floor(h*ny/max(h_i, h_i+1)) to floor(h*ny/min(h_i, h_i+1)); one row of
+    slack on each side absorbs roundoff before the exact span test."""
+    hs, ny = mesh.grid_heights, mesh.grid_rows
+    scaled = levels[:, None] * ny
+    lo = np.maximum(np.floor(scaled / np.maximum(hs[:-1], hs[1:])) - 1, 0)
+    hi = np.minimum(np.floor(scaled / np.minimum(hs[:-1], hs[1:])) + 1, ny - 1)
+    # quad q = i*ny + j holds triangles 2q and 2q+1, so a band is one range
+    first = (2 * (np.arange(len(hs) - 1) * ny + lo)).astype(np.int64).ravel()
+    count = np.maximum(2 * (hi - lo + 1), 0).astype(np.int64).ravel()
+    pair = np.repeat(np.arange(count.size), count)
+    tris = (first[pair] + np.arange(pair.size)
+            - np.repeat(np.cumsum(count) - count, count))
+    rows = pair // (len(hs) - 1)
+    y = mesh.nodes[mesh.triangles[tris], 1]
+    h = levels[rows]
+    keep = ((np.fmin(np.fmin(y[:, 0], y[:, 1]), y[:, 2]) <= h)
+            & (h <= np.fmax(np.fmax(y[:, 0], y[:, 1]), y[:, 2])))
+    return rows[keep], tris[keep], y[keep]
 
 
 def locate_points(mesh, points):

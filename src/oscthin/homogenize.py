@@ -192,21 +192,19 @@ def homogenized_flux_density(cell, grad_value, height):
     macroscopic gradient value.  Only the part of the fiber inside the cell
     contributes, so no extension beyond the oscillating boundary is needed.
     """
-    tri, lengths = geometry.fiber_segments(cell.mesh, axis=1, value=height)
-    if len(tri) == 0:
-        return np.zeros(2)
-    fiber_avg = (lengths[:, None] * cell.flux[tri]).sum(axis=0) / cell.mesh.width
+    fiber = geometry.fiber_matrix(cell.mesh, axis=1, values=[height])
+    fiber_avg = (fiber @ cell.flux)[0] / cell.mesh.width
     return fem.p_flux_scalar(grad_value, cell.p) * fiber_avg
 
 
 def flux_density_height_integral(cell, grad_value, n_levels=4096):
-    """Midpoint-rule integral over heights of the first flux component."""
+    """Midpoint-rule integral over heights of the first flux component
+    (the fiber averages do not depend on grad_value: one product serves)."""
     top = float(cell.mesh.nodes[:, 1].max())
     levels = (np.arange(n_levels) + 0.5) * (top / n_levels)
-    total = 0.0
-    for h in levels:
-        total += homogenized_flux_density(cell, grad_value, h)[0]
-    return total * (top / n_levels)
+    fiber = geometry.fiber_matrix(cell.mesh, axis=1, values=levels)
+    fiber_sum = float((fiber @ cell.flux[:, 0]).sum()) / cell.mesh.width
+    return fem.p_flux_scalar(grad_value, cell.p) * fiber_sum * (top / n_levels)
 
 
 def rescale_forcing(fhat_samples, cell_measure, period):

@@ -140,12 +140,6 @@ class Reduction:
         return np.asarray(u)[self.keep]
 
 
-def apply_constraints(a, b, constraints):
-    """Fold a full symmetric system onto the constrained subspace."""
-    red = Reduction(len(b), constraints)
-    return red.reduce_matrix(a), red.reduce_vector(b), red
-
-
 # refinement stalls at a relative residual of roughly eps * cond(a), which
 # reaches ~1e-8 for the stiffest p < 2 systems at the final regularization;
 # past this ceiling the factorization itself must be broken
@@ -267,6 +261,17 @@ def _check_initial(u, constraints):
             raise ValueError(f"initial field is {v:.3e} at the pinned node")
 
 
+def _residual_norm(r, delta, iterations):
+    """Norm of a residual; a non-finite one can never meet a tolerance."""
+    with np.errstate(over="ignore"):
+        rnorm = float(np.linalg.norm(r))
+    if not np.isfinite(rnorm):
+        raise NonConvergenceError(
+            f"stage delta={delta:.1e}: residual norm is {rnorm} after "
+            f"{iterations} Newton steps")
+    return rnorm
+
+
 def newton_solve(problem, init, constraints, opts=None):
     """Damped Newton over the continuation ladder of regularizations.
 
@@ -282,13 +287,13 @@ def newton_solve(problem, init, constraints, opts=None):
     u_red = red.restrict(u)
     diagnostics = NewtonDiagnostics()
 
+    if constraints.mean_zero_postshift and constraints.mean_weights is None:
+        raise ValueError("mean_zero_postshift requires mean_weights")
     # shift-invariant problems (mean-zero requested, nothing pinned) get the
     # mean constraint enforced inside the step computation
     mean_constrained = (constraints.mean_zero_postshift
                         and constraints.pinned_node is None)
     if mean_constrained:
-        if constraints.mean_weights is None:
-            raise ValueError("mean_zero_postshift requires mean_weights")
         w_red = red.reduce_vector(np.asarray(constraints.mean_weights, float))
 
     for delta in opts.continuation_deltas:
@@ -297,7 +302,7 @@ def newton_solve(problem, init, constraints, opts=None):
         u = red.expand(u_red)
         energy = problem.energy(u, delta)
         r = red.reduce_vector(problem.residual(u, delta))
-        rnorm = float(np.linalg.norm(r))
+        rnorm = _residual_norm(r, delta, stage.iterations)
         stage.energies.append(energy)
         stage.residual_norms.append(rnorm)
         tol = opts.residual_tol * (1.0 + rnorm)
@@ -345,7 +350,7 @@ def newton_solve(problem, init, constraints, opts=None):
             u = trial
             energy = trial_energy
             r = red.reduce_vector(problem.residual(u, delta))
-            rnorm = float(np.linalg.norm(r))
+            rnorm = _residual_norm(r, delta, stage.iterations + 1)
             stage.iterations += 1
             stage.energies.append(energy)
             stage.residual_norms.append(rnorm)
@@ -366,9 +371,6 @@ def newton_solve(problem, init, constraints, opts=None):
 
     u = red.expand(u_red)
     if constraints.mean_zero_postshift:
-        w = constraints.mean_weights
-        if w is None:
-            raise ValueError("mean_zero_postshift requires mean_weights")
-        w = np.asarray(w, dtype=float)
+        w = np.asarray(constraints.mean_weights, dtype=float)
         u = u - (w @ u) / w.sum()
     return u, diagnostics

@@ -13,7 +13,6 @@ against dual functions.
 """
 
 import csv
-import io
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -85,6 +84,9 @@ class LoadSpec:
     def __post_init__(self):
         if self.kind not in ("constant", "cos_pi", "linear"):
             raise ValueError(f"unknown load kind {self.kind!r}")
+        for name in ("value", "offset", "x2_coeff"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"load {name} must be finite")
 
     def __call__(self, x1, x2):
         x1 = np.asarray(x1, dtype=float)
@@ -169,6 +171,7 @@ class StudyConfig:
 
     @classmethod
     def from_dict(cls, data):
+        """Inverse of to_dict, which also fixes the keys it accepts."""
         prof = data["profile"]
         profile = geometry.ProfileSpec(
             period=float(prof["period"]), mean=float(prof["mean"]),
@@ -181,7 +184,7 @@ class StudyConfig:
         })
         cell = data.get("cell_mesh", {})
         thin = data.get("thin_mesh", {})
-        return cls(
+        config = cls(
             profile=profile,
             p=float(data["p"]),
             load=LoadSpec.from_dict(data["load"]),
@@ -196,6 +199,16 @@ class StudyConfig:
             solver=solver,
             max_workers=int(data.get("max_workers", 1)),
         )
+        # load and solver keys are checked by the constructors they reach
+        layout = config.to_dict()
+        for section in ("", "profile", "cell_mesh", "thin_mesh"):
+            given, known = ((data.get(section, {}), layout[section]) if section
+                            else (data, layout))
+            unknown = sorted(set(given) - set(known))
+            if unknown:
+                where = f" in {section}" if section else ""
+                raise ValueError(f"unknown config key {unknown[0]!r}{where}")
+        return config
 
 
 @dataclass
@@ -253,6 +266,17 @@ def solve_thin(mesh, p, load, opts=None):
     functional = _ThinFunctional(mesh, p, load)
     return solve.newton_solve(functional, np.zeros(mesh.num_nodes),
                               solve.ConstraintSet(), opts)
+
+
+def solve_limit(config, cell, eps):
+    """Limit problem forced by the fiber load at eps: (u0, diagnostics)."""
+    n1 = config.limit_elements
+    fhat = fem.integrate_load_fibers(config.load, config.profile, eps, n1 + 1)
+    fbar = homogenize.rescale_forcing(fhat, cell.cell_measure,
+                                      config.profile.period)
+    return limit1d.solve_homogenized(
+        limit1d.Limit1DProblem(coeff=cell.coeff_flux, p=config.p,
+                               forcing=fbar, n=n1), config.solver)
 
 
 def _cumulative_linear_integral(samples):
@@ -340,16 +364,12 @@ def flux_profile(mesh, u_eps, p, eps, n1):
 
     Integrates |grad_eps u|^(p-2) grad_eps u . (1,0) over each vertical
     fiber of the thin mesh; outside the domain the integrand extends by
-    zero, which the fiber clipping realizes automatically.
+    zero, which the fiber operator realizes automatically.
     """
     params = fem.FluxParams(p=p, delta=0.0, eps_weight=eps)
     gs = fem.scaled_gradient(fem.element_gradients(mesh, u_eps), params)
     a1 = fem.p_flux(gs, params)[:, 0]
-    out = np.empty(n1)
-    for i, station in enumerate(flux_stations(n1)):
-        tri, lengths = geometry.fiber_segments(mesh, axis=0, value=station)
-        out[i] = float((lengths * a1[tri]).sum())
-    return out
+    return geometry.fiber_matrix(mesh, axis=0, values=flux_stations(n1)) @ a1
 
 
 def flux_target(cell, du0, n1):
@@ -384,14 +404,7 @@ def _study_rows_for_eps(config, cell, eps):
     mesh = geometry.build_thin_mesh(config.profile, eps,
                                     config.thin_nx_per_period, config.thin_ny)
     u_eps, diag = solve_thin(mesh, config.p, config.load, config.solver)
-
-    n1 = config.limit_elements
-    fhat = fem.integrate_load_fibers(config.load, config.profile, eps, n1 + 1)
-    fbar = homogenize.rescale_forcing(fhat, cell.cell_measure,
-                                      config.profile.period)
-    prob = limit1d.Limit1DProblem(coeff=cell.coeff_flux, p=config.p,
-                                  forcing=fbar, n=n1)
-    u0, _ = limit1d.solve_homogenized(prob, config.solver)
+    u0, _ = solve_limit(config, cell, eps)
     du0 = limit1d.nodal_derivative(u0)
 
     e_u = error_u(mesh, u_eps, u0, config.p)
@@ -497,16 +510,3 @@ def read_report_json(path):
     config = StudyConfig.from_dict(payload["config"])
     rows = [StudyRow(**row) for row in payload["rows"]]
     return StudyReport(config=config, rows=rows)
-
-
-def format_report(report):
-    """Report as CSV text (handy for stdout)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(REPORT_COLUMNS)
-    for row in report.rows:
-        writer.writerow([repr(row.eps), row.level, row.node_count,
-                         repr(row.err_u), repr(row.err_corrector),
-                         repr(row.err_naive), repr(row.flux_discrepancy),
-                         row.newton_iterations, repr(row.wall_time), row.status])
-    return buf.getvalue()

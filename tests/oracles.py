@@ -5,6 +5,7 @@ package: dense matrices, explicit per-triangle formulas, numpy solves.
 """
 
 import numpy as np
+from scipy import sparse
 
 from oscthin import fem
 
@@ -98,3 +99,56 @@ def linear_limit_solve(coeff, forcing):
         + np.diag(np.full(n, h / 6.0), 1) + np.diag(np.full(n, h / 6.0), -1)
     mass[0, 0] = mass[-1, -1] = h / 3.0
     return np.linalg.solve(a, mass @ np.asarray(forcing))
+
+
+def fiber_segments(mesh, axis, value, _attempt=0):
+    """Intersect the line {x[axis] == value} with every triangle.
+
+    The all-triangle clipper: returns (tri_indices, lengths), the triangles
+    the line passes through and the length of each intersection segment.
+    A line on a mesh edge is nudged by a relative 1e-9 and clipped again.
+    """
+    coord = mesh.nodes[:, axis][mesh.triangles]
+    other = mesh.nodes[:, 1 - axis][mesh.triangles]
+    cmin = coord.min(axis=1)
+    cmax = coord.max(axis=1)
+    cand = np.flatnonzero((cmin <= value) & (value <= cmax) & (cmin < cmax))
+    if cand.size == 0:
+        return cand, np.empty(0)
+
+    c = coord[cand]
+    o = other[cand]
+    s = c - value
+    scale = max(abs(value), float(np.abs(c).max()), 1e-30)
+    pts = np.full((len(cand), 6), np.nan)
+    for k in range(3):
+        k2 = (k + 1) % 3
+        s0, s1 = s[:, k], s[:, k2]
+        if np.any((s0 == 0.0) & (s1 == 0.0)):
+            if _attempt >= 3:
+                raise RuntimeError(f"fiber at {value!r} keeps hitting mesh edges")
+            nudged = value + (1e-9 * scale) * (1 + _attempt)
+            return fiber_segments(mesh, axis, nudged, _attempt + 1)
+        cross = (s0 * s1) < 0.0
+        t = np.where(cross, s0 / np.where(cross, s0 - s1, 1.0), np.nan)
+        pts[:, 2 * k] = np.where(cross, o[:, k] + t * (o[:, k2] - o[:, k]),
+                                 np.nan)
+        pts[:, 2 * k + 1] = np.where(s0 == 0.0, o[:, k], np.nan)
+    with np.errstate(invalid="ignore"):
+        lengths = np.nanmax(pts, axis=1) - np.nanmin(pts, axis=1)
+    lengths = np.nan_to_num(lengths, nan=0.0)
+    keep = lengths > 0.0
+    return cand[keep], lengths[keep]
+
+
+def fiber_matrix(mesh, axis, values):
+    """Fiber operator assembled one fiber_segments call per value."""
+    rows, tris, lengths = [], [], []
+    for k, value in enumerate(values):
+        tri, seg = fiber_segments(mesh, axis, float(value))
+        rows.append(np.full(len(tri), k))
+        tris.append(tri)
+        lengths.append(seg)
+    return sparse.csr_matrix(
+        (np.concatenate(lengths), (np.concatenate(rows), np.concatenate(tris))),
+        shape=(len(values), mesh.num_triangles))

@@ -4,8 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from oscthin.cli import (EXIT_CONFIG, EXIT_OK, ConfigError, main, parse_config,
-                         read_field)
+from oscthin.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, ConfigError, main,
+                         parse_config, read_field)
 from oscthin.geometry import read_mesh
 from oscthin.limit1d import read_solution
 from oscthin.homogenize import read_cell_summary
@@ -57,6 +57,28 @@ class TestParseConfig:
                                      "cos_coeffs": [0.5], "sin_coeffs": []})
         with pytest.raises(ConfigError, match="positive"):
             parse_config(path)
+
+    @pytest.mark.parametrize("overrides, key", [
+        ({"limit_element": 8}, "'limit_element'"),
+        ({"profile": {"period": 1.0, "mean": 1.0, "cos_coef": [0.5]}},
+         "'cos_coef' in profile"),
+        ({"cell_mesh": {"nx": 16, "nY": 8}}, "'nY' in cell_mesh"),
+        ({"thin_mesh": {"nx": 8, "ny": 4}}, "'nx' in thin_mesh"),
+    ])
+    def test_unknown_key_rejected(self, tmp_path, overrides, key):
+        path = write_config(tmp_path / "typo.json", **overrides)
+        with pytest.raises(ConfigError, match=f"unknown config key {key}"):
+            parse_config(path)
+        assert main(["cell", "--config", path]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("field", ["value", "offset", "x2_coeff"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_load_rejected(self, tmp_path, field, bad):
+        load = {"kind": "linear", "value": 1.0, field: bad}
+        path = write_config(tmp_path / "bad.json", load=load)
+        with pytest.raises(ConfigError, match=f"load {field} must be finite"):
+            parse_config(path)
+        assert main(["solve-eps", "--config", path, "--eps", "0.5"]) == EXIT_CONFIG
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -137,6 +159,29 @@ class TestCommands:
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path / "cfg.json", p=1.0)
         assert main(["cell", "--config", path]) == EXIT_CONFIG
+        assert "p must exceed 1" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("load, message", [
+        # the residual norm overflows: Newton must not report convergence
+        ({"kind": "constant", "value": 1e300}, "residual norm is inf"),
+        # finite inputs whose product overflows inside assembly
+        ({"kind": "constant", "value": 1e308, "x2_coeff": 1e308},
+         "non-finite load"),
+    ])
+    def test_solver_failure_exit_code(self, tmp_path, capsys, load, message):
+        path = write_config(tmp_path / "cfg.json", load=load)
+        code = main(["solve-eps", "--config", path, "--eps", "0.5",
+                     "--resolution", "4", "--out", str(tmp_path / "out")])
+        assert code == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_bad_p_override_is_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path / "cfg.json")
+        assert main(["cell", "--config", path, "--p", "1.0"]) == EXIT_CONFIG
         assert "p must exceed 1" in capsys.readouterr().err
 
     def test_bad_eps_override_is_config_error(self, tmp_path):

@@ -3,10 +3,12 @@ import pytest
 
 from oscthin import FluxParams, build_cell_mesh
 from oscthin.fem import (AssemblyError, assemble_energy, assemble_jacobian,
-                         assemble_residual, element_gradient,
-                         element_gradients, integrate_load_fibers, lp_norm,
-                         p_flux, p_flux_inverse, p_flux_scalar,
-                         scaled_gradient, w1p_seminorm)
+                         assemble_residual, element_gradients,
+                         integrate_load_fibers, lp_norm, p_flux,
+                         p_flux_inverse, p_flux_scalar, scaled_gradient,
+                         w1p_seminorm)
+
+import oracles
 
 
 class TestElementGradient:
@@ -23,7 +25,9 @@ class TestElementGradient:
         u = 3.0 * small_cell_mesh.nodes[:, 0] + 2.0 * small_cell_mesh.nodes[:, 1]
         grads = element_gradients(small_cell_mesh, u)
         assert np.abs(grads - [3.0, 2.0]).max() < 1e-11
-        single = element_gradient(small_cell_mesh, u, 5)
+        # one triangle through the oracle's hat-function gradients
+        idx, _, b, c = oracles.tri_geometry(small_cell_mesh)
+        single = [b[5] @ u[idx[5]], c[5] @ u[idx[5]]]
         assert single == pytest.approx([3.0, 2.0], abs=1e-11)
 
 

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from oscthin import ProfileSpec, build_cell_mesh, build_thin_mesh, mesh_area
-from oscthin.geometry import (MeshingError, Mesh, eval_profile, fiber_segments,
-                              locate_points, read_mesh, write_mesh)
+from oscthin.geometry import (MeshingError, Mesh, fiber_matrix, locate_points,
+                              read_mesh, write_mesh)
+from oscthin.study import flux_stations
+
+import oracles
 
 
 def fine_profile_integral(spec, a=0.0, b=None):
@@ -16,15 +19,15 @@ def fine_profile_integral(spec, a=0.0, b=None):
 class TestProfile:
     def test_constant_profile(self):
         spec = ProfileSpec(period=1.0, mean=1.0)
-        assert eval_profile(spec, 0.37) == pytest.approx(1.0, abs=1e-15)
+        assert spec.evaluate(0.37) == pytest.approx(1.0, abs=1e-15)
 
     def test_cosine_at_zero(self):
         spec = ProfileSpec(period=1.0, mean=1.0, cos_coeffs=(0.5,))
-        assert eval_profile(spec, 0.0) == pytest.approx(1.5, abs=1e-15)
+        assert spec.evaluate(0.0) == pytest.approx(1.5, abs=1e-15)
 
     def test_cosine_at_quarter_period(self):
         spec = ProfileSpec(period=1.0, mean=1.0, cos_coeffs=(0.5,))
-        assert eval_profile(spec, 0.25) == pytest.approx(1.0, abs=1e-15)
+        assert spec.evaluate(0.25) == pytest.approx(1.0, abs=1e-15)
 
     def test_periodicity_to_machine_precision(self):
         spec = ProfileSpec(period=0.7, mean=1.2, cos_coeffs=(0.3, -0.1),
@@ -158,32 +161,77 @@ class TestThinMesh:
         assert n_at[4] - 5 == 2 * (n_at[2] - 5)
 
 
+def fiber_lengths(mesh, axis, value):
+    """Nonzero fiber lengths of one fiber, from the fiber operator."""
+    return fiber_matrix(mesh, axis, [value]).data
+
+
 class TestFiberSegments:
     def test_horizontal_fiber_spans_width(self, unit_square_mesh):
-        tri, lengths = fiber_segments(unit_square_mesh, axis=1, value=0.37)
+        lengths = fiber_lengths(unit_square_mesh, axis=1, value=0.37)
         assert lengths.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_vertical_fiber_spans_height(self, unit_square_mesh):
-        tri, lengths = fiber_segments(unit_square_mesh, axis=0, value=0.61)
+        lengths = fiber_lengths(unit_square_mesh, axis=0, value=0.61)
         assert lengths.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_fiber_above_domain_is_empty(self, unit_square_mesh):
-        tri, lengths = fiber_segments(unit_square_mesh, axis=1, value=2.0)
-        assert len(tri) == 0
+        fiber = fiber_matrix(unit_square_mesh, axis=1, values=[2.0])
+        assert fiber.shape == (1, unit_square_mesh.num_triangles)
+        assert fiber.nnz == 0
 
     def test_oscillating_fiber_length_matches_level_width(self, reference_profile):
         mesh = build_cell_mesh(reference_profile, 256, 16)
         # at height h the fiber length is the measure of {g > h}
         value = 1.2
-        _, lengths = fiber_segments(mesh, axis=1, value=value)
+        lengths = fiber_lengths(mesh, axis=1, value=value)
         ys = np.linspace(0.0, 1.0, 1 << 16)
         oracle = float(np.mean(reference_profile.evaluate(ys) > value))
         assert lengths.sum() == pytest.approx(oracle, abs=2e-3)
 
     def test_edge_aligned_fiber_is_nudged(self, unit_square_mesh):
         # node rows sit at multiples of 1/8; the fiber must not double count
-        tri, lengths = fiber_segments(unit_square_mesh, axis=1, value=0.5)
+        lengths = fiber_lengths(unit_square_mesh, axis=1, value=0.5)
         assert lengths.sum() == pytest.approx(1.0, abs=1e-6)
+
+
+class TestFiberMatrixOracle:
+    """fiber_matrix against the all-triangle clipper, row by row."""
+
+    @staticmethod
+    def assert_matches(mesh, axis, values):
+        values = np.asarray(values, dtype=float)
+        fiber = fiber_matrix(mesh, axis, values)
+        oracle = oracles.fiber_matrix(mesh, axis, values)
+        assert fiber.shape == oracle.shape == (len(values), mesh.num_triangles)
+        gap = abs(fiber - oracle).max(axis=1).toarray().ravel()
+        scale = abs(oracle).max(axis=1).toarray().ravel()
+        assert np.all(gap <= 1e-12 * scale)
+        assert np.array_equal(fiber.getnnz(axis=1), oracle.getnnz(axis=1))
+
+    @pytest.mark.parametrize("eps", [0.5, 1.0 / 64])
+    def test_thin_mesh_stations(self, reference_profile, eps):
+        mesh = build_thin_mesh(reference_profile, eps, 32, 16)
+        stations = flux_stations(250)
+        # 0.25 and 0.75 lie on column lines; so do both ends of the domain
+        assert {0.25, 0.75} <= set(stations)
+        self.assert_matches(mesh, 0, np.concatenate(
+            [stations, [0.0, 1.0, -0.5, 1.5]]))
+
+    def test_reference_cell_levels(self, reference_profile):
+        mesh = build_cell_mesh(reference_profile, 128, 32)
+        top = float(mesh.nodes[:, 1].max())
+        self.assert_matches(mesh, 1, (np.arange(4096) + 0.5) * (top / 4096))
+
+    def test_flat_profile_node_rows(self, unit_square_mesh):
+        rows = np.arange(9) / 8.0
+        self.assert_matches(unit_square_mesh, 1, rows)
+        self.assert_matches(unit_square_mesh, 0, rows)
+
+    def test_level_above_domain(self, reference_profile):
+        mesh = build_cell_mesh(reference_profile, 32, 8)
+        self.assert_matches(mesh, 1, [0.8, 1.6, 3.0])
+        assert fiber_matrix(mesh, 1, [1.6, 3.0]).nnz == 0
 
 
 class TestLocatePoints:

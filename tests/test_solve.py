@@ -6,7 +6,7 @@ from oscthin import ConstraintSet, SolveOptions, build_thin_mesh
 from oscthin.fem import FluxParams, w1p_seminorm
 from oscthin.homogenize import cell_constraints, solve_cell
 from oscthin.solve import (IndefiniteSystemError, NonConvergenceError,
-                           Reduction, apply_constraints,
+                           Reduction,
                            constrained_linear_solve, linear_solve,
                            newton_solve)
 from oscthin.study import LoadSpec, solve_thin
@@ -68,7 +68,8 @@ class TestConstraints:
         a = sp.identity(4, format="csr")
         b = np.ones(4)
         pairs = np.array([[0, 3]])
-        ar, br, red = apply_constraints(a, b, ConstraintSet(periodic_pairs=pairs))
+        red = Reduction(4, ConstraintSet(periodic_pairs=pairs))
+        ar, br = red.reduce_matrix(a), red.reduce_vector(b)
         assert ar.shape == (3, 3)
         assert br[0] == 2.0  # leader accumulates the follower's entry
 
@@ -138,6 +139,31 @@ class TestNewton:
         opts = SolveOptions(max_newton=2, continuation_deltas=(1e-8,))
         with pytest.raises(NonConvergenceError):
             solve_cell(medium_cell_mesh, 3.0, opts)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("good_calls", [0, 1])
+    def test_non_finite_residual_raises(self, bad, good_calls):
+        """A residual norm of inf or NaN, at the start of a stage or after
+        a step, is a failure and never counts as converged."""
+
+        class Quadratic:
+            # energy |u|^2/2 - sum(u); the residual turns non-finite after
+            # good_calls finite evaluations
+            calls = 0
+
+            def energy(self, u, delta):
+                return 0.5 * float(u @ u) - float(u.sum())
+
+            def residual(self, u, delta):
+                self.calls += 1
+                return u - 1.0 if self.calls <= good_calls else np.full(3, bad)
+
+            def jacobian(self, u, delta):
+                return sp.identity(3, format="csr")
+
+        with pytest.raises(NonConvergenceError, match=f"after {good_calls} "):
+            newton_solve(Quadratic(), np.zeros(3), ConstraintSet(),
+                         SolveOptions(continuation_deltas=(1e-8,)))
 
     def test_init_violating_constraints_rejected(self, small_cell_mesh):
         constraints = cell_constraints(small_cell_mesh)
