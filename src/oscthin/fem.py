@@ -43,10 +43,6 @@ class FluxParams:
         if not self.eps_weight > 0.0:
             raise ValueError(f"eps_weight must be positive, got {self.eps_weight}")
 
-    @property
-    def dual_p(self):
-        return self.p / (self.p - 1.0)
-
 
 def _tri_arrays(mesh):
     """Per-triangle P1 data, computed once and cached on the mesh."""

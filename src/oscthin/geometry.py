@@ -455,38 +455,54 @@ def write_mesh(mesh, path):
         fh.write(f"# periodic_pairs {len(mesh.periodic_pairs)}\n")
         for k, (a, b) in enumerate(mesh.periodic_pairs):
             fh.write(f"{k} {a} {b}\n")
+        xs = () if mesh.grid_x is None else mesh.grid_x
+        fh.write(f"# grid {len(xs)} {mesh.grid_rows or 0}\n")
+        for k, x in enumerate(xs):
+            fh.write(f"{k} {float(x)!r} {float(mesh.grid_heights[k])!r}\n")
 
 
 def read_mesh(path):
     """Read a mesh written by write_mesh.
 
     Format: a header line ``# oscthin mesh <kind> eps=<eps or empty>``,
-    then four sections each introduced by ``# <name> <count>`` with one
-    record per line: nodes ``index x y``, triangles ``index a b c``,
-    boundary_edges ``index a b tag``, periodic_pairs ``index a b``.
+    then sections each introduced by ``# <name> <count>`` with one record
+    per line: nodes ``index x y``, triangles ``index a b c``,
+    boundary_edges ``index a b tag``, periodic_pairs ``index a b`` and the
+    column grid, ``# grid <columns> <rows>``, ``index x height``.  A header
+    or section line out of place raises ValueError.
     """
     with open(path) as fh:
         header = fh.readline().split()
+        if header[:3] != ["#", "oscthin", "mesh"] or len(header) != 5:
+            raise ValueError(f"{path}: expected header '# oscthin mesh "
+                             f"<kind> eps=...', found {' '.join(header)!r}")
         kind = header[3]
         eps_txt = header[4].split("=", 1)[1]
         eps = float(eps_txt) if eps_txt else None
 
         def section(name):
             line = fh.readline().split()
-            assert line[1] == name, f"expected section {name}, got {line}"
-            return int(line[2])
+            if line[:2] != ["#", name]:
+                raise ValueError(f"{path}: expected section '# {name}', "
+                                 f"found {' '.join(line) or 'end of file'!r}")
+            return [int(v) for v in line[2:]]
 
         nodes = np.array([fh.readline().split()[1:3]
-                          for _ in range(section("nodes"))], dtype=float)
+                          for _ in range(section("nodes")[0])], dtype=float)
         tris = np.array([fh.readline().split()[1:4]
-                         for _ in range(section("triangles"))], dtype=np.int64)
+                         for _ in range(section("triangles")[0])], dtype=np.int64)
         edges = {"lower": [], "upper": [], "left": [], "right": []}
-        for _ in range(section("boundary_edges")):
+        for _ in range(section("boundary_edges")[0]):
             rec = fh.readline().split()
             edges[rec[3]].append((int(rec[1]), int(rec[2])))
         edges = {tag: np.array(e, dtype=np.int64).reshape(-1, 2)
                  for tag, e in edges.items()}
         pairs = np.array([fh.readline().split()[1:3]
-                          for _ in range(section("periodic_pairs"))],
+                          for _ in range(section("periodic_pairs")[0])],
                          dtype=np.int64).reshape(-1, 2)
-    return Mesh(nodes, tris, edges, pairs, kind, eps=eps)
+        columns, rows = section("grid")
+        grid = np.array([fh.readline().split()[1:3] for _ in range(columns)],
+                        dtype=float).reshape(-1, 2)
+    xs, heights = grid.T if columns else (None, None)
+    return Mesh(nodes, tris, edges, pairs, kind, eps=eps, grid_x=xs,
+                grid_heights=heights, grid_rows=rows or None)

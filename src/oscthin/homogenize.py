@@ -93,10 +93,9 @@ class _CellFunctional:
 def cell_constraints(mesh):
     """Periodic identification plus the zero-mean normalization.
 
-    With nothing pinned, the solver enforces the mean constraint inside
-    each Newton step (bordered system), which keeps the jacobian uniformly
-    definite on the admissible space; the post-shift then only mops up
-    roundoff.
+    The solver enforces the mean constraint inside each Newton step
+    (bordered system), which keeps the jacobian uniformly definite on the
+    admissible space; the post-shift then only mops up roundoff.
     """
     return solve.ConstraintSet(
         periodic_pairs=mesh.periodic_pairs,

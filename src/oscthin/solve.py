@@ -1,16 +1,17 @@
 """Damped Newton with regularization continuation on constrained systems.
 
-Constraints (periodic identification, one pinned node, mean-zero
-post-shift) are realized by eliminating follower degrees of freedom onto
-their leaders through a 0/1 prolongation matrix, so the reduced systems
-stay symmetric and no penalty parameters appear.  Convergence is measured
-by the Euclidean norm of the reduced residual.
+Constraints (periodic identification, mean-zero post-shift) are realized
+by eliminating follower degrees of freedom onto their leaders through a
+0/1 prolongation matrix, so the reduced systems stay symmetric and no
+penalty parameters appear.  Convergence is measured by the Euclidean norm
+of the reduced residual.
 """
 
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -81,20 +82,20 @@ class ConstraintSet:
     """Admissible-space description for a solve.
 
     periodic_pairs folds each follower (second column) onto its leader;
-    pinned_node fixes one node to zero to remove the constant null space;
-    mean_zero_postshift shifts the converged field by a constant so its
-    mesh-weighted mean vanishes (valid when the energy is shift invariant),
-    using mean_weights as the nodal quadrature weights.
+    mean_zero_postshift enforces a zero mesh-weighted mean inside every
+    Newton step and shifts the converged field by a constant so its mean
+    vanishes (valid when the energy is shift invariant), using mean_weights
+    as the nodal quadrature weights.
     """
 
     periodic_pairs: object = None
-    pinned_node: object = None
     mean_zero_postshift: bool = False
     mean_weights: object = None
 
 
 class Reduction:
-    """Prolongation between the reduced (constrained) and full DOF spaces."""
+    """Prolongation between the reduced (constrained) and full DOF spaces;
+    without periodic pairs it is the identity, and none is built."""
 
     def __init__(self, n, constraints):
         leader = np.arange(n)
@@ -107,33 +108,28 @@ class Reduction:
             if np.intersect1d(leaders, followers).size:
                 raise ValueError("constraint pairs form a chain (not acyclic)")
             leader[followers] = leaders
-        keep = np.ones(n, dtype=bool)
-        keep[leader != np.arange(n)] = False
-        pin = constraints.pinned_node
-        if pin is not None:
-            pin = int(pin)
-            if not keep[pin]:
-                raise ValueError(f"node {pin} is both follower and pinned")
-            keep[pin] = False
-        reduced_index = np.full(n, -1, dtype=np.int64)
-        reduced_index[keep] = np.arange(keep.sum())
-        col = reduced_index[leader]          # -1 exactly for the pinned node
-        rows = np.flatnonzero(col >= 0)
-        self.n_full = n
+        keep = leader == np.arange(n)
         self.n_reduced = int(keep.sum())
         self.keep = keep
-        self.prolongation = sp.csr_matrix(
-            (np.ones(len(rows)), (rows, col[rows])),
-            shape=(n, self.n_reduced))
+        self.prolongation = None
+        if self.n_reduced < n:
+            reduced_index = np.cumsum(keep) - 1
+            self.prolongation = sp.csr_matrix(
+                (np.ones(n), (np.arange(n), reduced_index[leader])),
+                shape=(n, self.n_reduced))
 
     def reduce_vector(self, v):
-        return self.prolongation.T @ np.asarray(v)
+        v = np.asarray(v)
+        return v if self.prolongation is None else self.prolongation.T @ v
 
     def reduce_matrix(self, a):
+        if self.prolongation is None:
+            return a
         return (self.prolongation.T @ a @ self.prolongation).tocsr()
 
     def expand(self, u_reduced):
-        return self.prolongation @ np.asarray(u_reduced)
+        u = np.asarray(u_reduced)
+        return u if self.prolongation is None else self.prolongation @ u
 
     def restrict(self, u):
         """Reduced coordinates of a full field that satisfies the constraints."""
@@ -146,35 +142,52 @@ class Reduction:
 _RESIDUAL_CEILING = 1e-6
 
 
+def _upper_band(a):
+    """LAPACK upper band storage of a square sparse matrix: row bw - (j - i)
+    of column j holds a[i, j] for the entries with 0 <= j - i <= bw."""
+    a = sp.coo_matrix(a)
+    n, offset = a.shape[0], a.col - a.row
+    bw = int(offset.max(initial=0))
+    upper = offset >= 0          # bincount sums duplicates, as a @ x does
+    return np.bincount(((bw - offset) * n + a.col)[upper],
+                       weights=a.data[upper],
+                       minlength=(bw + 1) * n).reshape(bw + 1, n)
+
+
 def linear_solve(a, b, tol):
     """Solve a sparse SPD system, driving the relative residual to tol.
 
-    Sparse LU with iterative refinement; the attainable floor is
-    eps * cond(a), so a solve that refines past tol is still accepted below
-    _RESIDUAL_CEILING.  Cheap positivity checks flag a jacobian that lost
-    definiteness (that is a bug upstream, not a condition to iterate
-    through).
+    Banded Cholesky in the given node order (a mapped grid's column-major
+    numbering keeps the band rows + 2 wide), refined against the full
+    matrix, so a non-symmetric input fails the residual test.  Refinement
+    stalls at eps * cond(a), so a residual above tol is still accepted
+    below _RESIDUAL_CEILING.  A failed Cholesky or a cheap positivity check
+    flags a jacobian that lost definiteness (a bug upstream, not a
+    condition to iterate through).
     """
     b = np.asarray(b, dtype=float)
-    if not sp.issparse(a):
-        a = sp.csc_matrix(np.asarray(a, dtype=float))
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return np.zeros_like(b)
-    diag = a.diagonal()
+    ab = _upper_band(a)
+    diag = ab[-1]
     if np.any(diag <= 0.0):
         i = int(np.argmin(diag))
         raise IndefiniteSystemError(
             f"nonpositive diagonal entry {diag[i]:.3e} at index {i}")
-    lu = spla.splu(a.tocsc())
-    x = lu.solve(b)
+    try:
+        factor = (sla.cholesky_banded(ab, overwrite_ab=True,
+                                      check_finite=False), False)
+    except np.linalg.LinAlgError as exc:
+        raise IndefiniteSystemError(f"banded Cholesky failed: {exc}") from exc
+    x = sla.cho_solve_banded(factor, b, check_finite=False)
     for _ in range(5):
         r = b - a @ x
         if np.linalg.norm(r) <= tol * bnorm:
             break
-        x = x + lu.solve(r)
+        x = x + sla.cho_solve_banded(factor, r, check_finite=False)
     rel = np.linalg.norm(b - a @ x) / bnorm
-    if rel > max(tol, _RESIDUAL_CEILING):
+    if not rel <= max(tol, _RESIDUAL_CEILING):
         raise LinearSolveError(
             f"relative residual {rel:.3e} above tol {tol:.1e} after refinement")
     if float(x @ (a @ x)) < 0.0:
@@ -188,8 +201,6 @@ def constrained_linear_solve(a, b, w, tol):
     Bordered (Lagrange multiplier) sparse LU: a only needs to be positive
     definite on the hyperplane, so this is the right step computation for
     shift-invariant energies whose jacobian is singular along constants.
-    Pinning a single node instead leaves that mode with near-zero curvature
-    (the capacity of a point in 2-D), which wrecks Newton for p far from 2.
     """
     b = np.asarray(b, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -242,24 +253,6 @@ class NewtonDiagnostics:
     def final_residual(self):
         return self.stages[-1].residual_norms[-1]
 
-    @property
-    def final_delta(self):
-        return self.stages[-1].delta
-
-
-def _check_initial(u, constraints):
-    pairs = constraints.periodic_pairs
-    scale = 1.0 + float(np.abs(u).max(initial=0.0))
-    if pairs is not None and len(pairs):
-        pairs = np.asarray(pairs, dtype=np.int64)
-        gap = np.abs(u[pairs[:, 0]] - u[pairs[:, 1]]).max()
-        if gap > 1e-10 * scale:
-            raise ValueError(f"initial field violates periodicity by {gap:.3e}")
-    if constraints.pinned_node is not None:
-        v = abs(u[int(constraints.pinned_node)])
-        if v > 1e-10 * scale:
-            raise ValueError(f"initial field is {v:.3e} at the pinned node")
-
 
 def _residual_norm(r, delta, iterations):
     """Norm of a residual; a non-finite one can never meet a tolerance."""
@@ -282,17 +275,19 @@ def newton_solve(problem, init, constraints, opts=None):
     """
     opts = opts or SolveOptions()
     u = np.asarray(init, dtype=float).copy()
-    _check_initial(u, constraints)
     red = Reduction(len(u), constraints)
     u_red = red.restrict(u)
+    gap = np.abs(red.expand(u_red) - u).max(initial=0.0)
+    if gap > 1e-10 * (1.0 + np.abs(u).max(initial=0.0)):
+        raise ValueError(f"initial field violates periodicity by {gap:.3e}")
     diagnostics = NewtonDiagnostics()
 
-    if constraints.mean_zero_postshift and constraints.mean_weights is None:
+    mean_constrained = constraints.mean_zero_postshift
+    if mean_constrained and constraints.mean_weights is None:
         raise ValueError("mean_zero_postshift requires mean_weights")
-    # shift-invariant problems (mean-zero requested, nothing pinned) get the
-    # mean constraint enforced inside the step computation
-    mean_constrained = (constraints.mean_zero_postshift
-                        and constraints.pinned_node is None)
+    if red.prolongation is not None and not mean_constrained:
+        # a periodic fold leaves no narrow band; only the bordered LU takes it
+        raise ValueError("periodic_pairs require mean_zero_postshift")
     if mean_constrained:
         w_red = red.reduce_vector(np.asarray(constraints.mean_weights, float))
 
@@ -323,29 +318,23 @@ def newton_solve(problem, init, constraints, opts=None):
             if slope > noise:
                 raise IndefiniteSystemError(
                     f"Newton step is an ascent direction (slope {slope:.3e})")
-            if -slope <= noise:
-                # predicted decrease below energy roundoff: the Armijo test
-                # cannot discriminate, so take the full step and let the
-                # residual test decide
-                t = 1.0
-                trial_red = u_red + step
+            t = 1.0
+            for _ in range(opts.max_halvings + 1):
+                trial_red = u_red + t * step
                 trial = red.expand(trial_red)
                 trial_energy = problem.energy(trial, delta)
+                # a predicted decrease below energy roundoff leaves the
+                # Armijo test blind: take the full step, the residual decides
+                if -slope <= noise or (trial_energy <= energy
+                                       + opts.ls_sufficient_decrease * t * slope):
+                    break
+                t *= opts.ls_backtrack
             else:
-                t = 1.0
-                for _ in range(opts.max_halvings + 1):
-                    trial_red = u_red + t * step
-                    trial = red.expand(trial_red)
-                    trial_energy = problem.energy(trial, delta)
-                    if trial_energy <= energy + opts.ls_sufficient_decrease * t * slope:
-                        break
-                    t *= opts.ls_backtrack
-                else:
-                    raise LineSearchStallError(
-                        f"line search stalled at stage delta={delta:.1e}, "
-                        f"iteration {stage.iterations}: energy {energy:.6e}, "
-                        f"residual {rnorm:.3e}, slope {slope:.3e}, "
-                        f"last step length {t:.3e}")
+                raise LineSearchStallError(
+                    f"line search stalled at stage delta={delta:.1e}, "
+                    f"iteration {stage.iterations}: energy {energy:.6e}, "
+                    f"residual {rnorm:.3e}, slope {slope:.3e}, "
+                    f"last step length {t:.3e}")
             u_red = trial_red
             u = trial
             energy = trial_energy

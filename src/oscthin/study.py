@@ -480,17 +480,17 @@ def read_report_csv(path):
     """Rows of a written report as a list of StudyRow."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        assert tuple(header) == REPORT_COLUMNS, f"unexpected header {header}"
-        rows = []
-        for rec in reader:
-            rows.append(StudyRow(
-                eps=float(rec[0]), level=int(rec[1]), node_count=int(rec[2]),
-                err_u=float(rec[3]), err_corrector=float(rec[4]),
-                err_naive=float(rec[5]), flux_discrepancy=float(rec[6]),
-                newton_iterations=int(rec[7]), wall_time=float(rec[8]),
-                status=rec[9]))
-    return rows
+        header = next(reader, [])
+        if tuple(header) != REPORT_COLUMNS:
+            raise ValueError(
+                f"{path}: expected header {','.join(REPORT_COLUMNS)!r}, "
+                f"found {','.join(header)!r}")
+        return [StudyRow(
+            eps=float(rec[0]), level=int(rec[1]), node_count=int(rec[2]),
+            err_u=float(rec[3]), err_corrector=float(rec[4]),
+            err_naive=float(rec[5]), flux_discrepancy=float(rec[6]),
+            newton_iterations=int(rec[7]), wall_time=float(rec[8]),
+            status=rec[9]) for rec in reader]
 
 
 def write_report_json(report, path):

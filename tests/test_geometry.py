@@ -265,3 +265,40 @@ def test_mesh_round_trip(tmp_path, reference_profile):
     assert back.eps == mesh.eps
     for tag in mesh.boundary_edges:
         assert np.array_equal(back.boundary_edges[tag], mesh.boundary_edges[tag])
+
+
+@pytest.mark.parametrize("kind", ["cell", "thin"])
+def test_mesh_round_trip_keeps_column_grid(tmp_path, reference_profile, kind):
+    """A mesh read back from disk still carries the column grid, so fiber
+    operators and point location give what they give on the original."""
+    mesh = (build_cell_mesh(reference_profile, 32, 8) if kind == "cell"
+            else build_thin_mesh(reference_profile, 0.25, 8, 4))
+    write_mesh(mesh, tmp_path / "mesh.txt")
+    back = read_mesh(tmp_path / "mesh.txt")
+    stations = np.linspace(0.0, mesh.width, 37)
+    levels = np.linspace(0.05, 1.45, 23)
+    for axis, values in ((0, stations), (1, levels)):
+        diff = fiber_matrix(back, axis, values) - fiber_matrix(mesh, axis,
+                                                                values)
+        assert diff.count_nonzero() == 0
+    points = mesh.barycenters()
+    assert np.array_equal(locate_points(back, points),
+                          locate_points(mesh, points))
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("# oscthin mesh", "# mesh", "expected header '# oscthin mesh"),
+    ("# triangles", "# tris", "expected section '# triangles', found '# tris"),
+    ("# grid", "", "expected section '# grid', found 'end of file'"),
+])
+def test_malformed_mesh_rejected(tmp_path, reference_profile, old, new,
+                                 message):
+    path = tmp_path / "mesh.txt"
+    write_mesh(build_cell_mesh(reference_profile, 4, 2), path)
+    text = path.read_text()
+    # an empty replacement cuts the file at the section (the layout written
+    # before the grid section existed)
+    text = text.replace(old, new) if new else text[:text.index(old)]
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        read_mesh(path)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from oscthin import ConstraintSet, SolveOptions, build_thin_mesh
-from oscthin.fem import FluxParams, w1p_seminorm
+from oscthin.fem import FluxParams, assemble_jacobian, w1p_seminorm
 from oscthin.homogenize import cell_constraints, solve_cell
-from oscthin.solve import (IndefiniteSystemError, NonConvergenceError,
-                           Reduction,
+from oscthin.solve import (IndefiniteSystemError, LinearSolveError,
+                           NonConvergenceError, Reduction,
                            constrained_linear_solve, linear_solve,
                            newton_solve)
 from oscthin.study import LoadSpec, solve_thin
@@ -41,6 +42,43 @@ class TestLinearSolve:
         with pytest.raises(IndefiniteSystemError):
             linear_solve(a, np.ones(2), 1e-12)
 
+    def test_positive_diagonal_indefinite_rejected(self):
+        a = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(IndefiniteSystemError):
+            linear_solve(a, np.array([1.0, 1.0]), 1e-12)
+
+    def test_non_symmetric_rejected(self):
+        """The factor sees only the upper half; refinement against the
+        full matrix diverges instead of returning the upper half's answer."""
+        a = sp.csr_matrix(np.array([[1.0, 0.5], [-2.0, 1.0]]))
+        with pytest.raises(LinearSolveError):
+            linear_solve(a, np.array([1.0, 1.0]), 1e-12)
+
+    @pytest.mark.parametrize("delta", [1e-2, 1e-8])
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_thin_jacobian_against_sparse_lu(self, reference_profile, p,
+                                             delta):
+        mesh = build_thin_mesh(reference_profile, 1.0 / 16, 32, 16)
+        x1, x2 = mesh.nodes.T
+        u = np.cos(np.pi * x1) * (1.0 + 0.3 * x2) + 0.05 * np.sin(40.0 * x1)
+        a = assemble_jacobian(mesh, u, FluxParams(p=p, delta=delta,
+                                                  eps_weight=mesh.eps))
+        b = np.random.default_rng(15).normal(size=mesh.num_nodes)
+        x = linear_solve(a, b, 1e-12)
+        ref = spla.spsolve(a.tocsc(), b)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_thin_jacobian_half_bandwidth(self, reference_profile):
+        """Column-major numbering of the mapped grid puts every coupling
+        within rows + 2 of the diagonal, and the corner-to-corner diagonal
+        of each quad reaches that distance."""
+        for ny in (2, 5, 16):
+            mesh = build_thin_mesh(reference_profile, 1.0 / 4, 8, ny)
+            a = assemble_jacobian(mesh, np.zeros(mesh.num_nodes),
+                                  FluxParams(p=2.0, eps_weight=mesh.eps))
+            coo = a.tocoo()
+            assert (coo.col - coo.row).max() == ny + 2
+
     def test_constrained_solve_matches_dense_kkt(self):
         rng = np.random.default_rng(14)
         m = rng.normal(size=(40, 40))
@@ -61,8 +99,11 @@ class TestConstraints:
     def test_no_constraints_is_identity(self):
         red = Reduction(7, ConstraintSet())
         u = np.arange(7.0)
+        a = sp.identity(7, format="csr")
         assert np.array_equal(red.expand(red.restrict(u)), u)
         assert red.n_reduced == 7
+        assert red.reduce_matrix(a) is a
+        assert red.reduce_vector(u) is u
 
     def test_apply_constraints_folds_system(self):
         a = sp.identity(4, format="csr")
@@ -75,14 +116,9 @@ class TestConstraints:
 
     def test_expand_reduce_idempotent_on_constrained_field(self):
         pairs = np.array([[0, 4], [1, 5]])
-        red = Reduction(6, ConstraintSet(periodic_pairs=pairs, pinned_node=2))
-        u = np.array([3.0, 7.0, 0.0, 2.0, 3.0, 7.0])
+        red = Reduction(6, ConstraintSet(periodic_pairs=pairs))
+        u = np.array([3.0, 7.0, 0.5, 2.0, 3.0, 7.0])
         assert np.array_equal(red.expand(red.restrict(u)), u)
-
-    def test_follower_cannot_be_pinned(self):
-        pairs = np.array([[0, 3]])
-        with pytest.raises(ValueError, match="follower"):
-            Reduction(4, ConstraintSet(periodic_pairs=pairs, pinned_node=3))
 
     def test_chained_pairs_rejected(self):
         pairs = np.array([[0, 1], [1, 2]])
@@ -177,23 +213,17 @@ class TestNewton:
         with pytest.raises(ValueError, match="periodicity"):
             newton_solve(Dummy(), bad, constraints, SolveOptions())
 
-    def test_pinned_and_mean_constrained_formulations_agree(self, medium_cell_mesh):
-        """The two realizations of the quotient space give the same field."""
-        from oscthin.homogenize import _CellFunctional
-        mesh = medium_cell_mesh
-        functional = _CellFunctional(mesh, 2.0)
-        opts = SolveOptions()
-        bordered = cell_constraints(mesh)
-        phi_a, _ = newton_solve(functional, np.zeros(mesh.num_nodes),
-                                bordered, opts)
-        pinned = ConstraintSet(
-            periodic_pairs=mesh.periodic_pairs,
-            pinned_node=int(mesh.periodic_pairs[0, 0]),
-            mean_zero_postshift=True,
-            mean_weights=mesh.node_weights)
-        phi_b, _ = newton_solve(functional, np.zeros(mesh.num_nodes),
-                                pinned, opts)
-        assert np.abs(phi_a - phi_b).max() < 1e-8
+    def test_periodic_pairs_need_mean_constraint(self, small_cell_mesh):
+        constraints = ConstraintSet(
+            periodic_pairs=small_cell_mesh.periodic_pairs)
+
+        class Dummy:
+            def energy(self, u, delta):
+                return 0.0
+
+        with pytest.raises(ValueError, match="mean_zero_postshift"):
+            newton_solve(Dummy(), np.zeros(small_cell_mesh.num_nodes),
+                         constraints, SolveOptions())
 
     def test_cell_solve_matches_dense_multiplier_oracle(self, small_cell_mesh):
         phi_oracle, _ = oracles.linear_periodic_cell(small_cell_mesh)

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import oscthin
 from oscthin import (StudyConfig, build_cell_mesh, build_thin_mesh,
                      solve_cell)
 from oscthin.fem import element_gradients
@@ -253,6 +258,40 @@ class TestReportIO:
         write_report_csv(report, path)
         rows = read_report_csv(path)
         assert rows == report.rows
+
+    @pytest.mark.parametrize("text", ["", "eps,level\n0.5,2\n"])
+    def test_csv_bad_header_rejected(self, tmp_path, text):
+        path = tmp_path / "study.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="expected header 'eps,level,"):
+            read_report_csv(path)
+
+    def test_readers_reject_malformed_files_under_optimize(self, tmp_path):
+        """The header and section checks are not asserts: python -O keeps
+        them."""
+        (tmp_path / "study.csv").write_text("eps,level\n")
+        (tmp_path / "mesh.txt").write_text("# oscthin mesh cell eps=\n"
+                                           "# triangles 0\n")
+        script = (
+            "import sys\n"
+            "from oscthin.geometry import read_mesh\n"
+            "from oscthin.study import read_report_csv\n"
+            "for read, name in ((read_report_csv, 'study.csv'),"
+            " (read_mesh, 'mesh.txt')):\n"
+            "    try:\n"
+            "        read(name)\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n")
+        src = os.path.dirname(os.path.dirname(oscthin.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-O", "-c", script],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert len(lines) == 2
+        assert "expected header 'eps,level," in lines[0]
+        assert "expected section '# nodes', found '# triangles 0'" in lines[1]
 
     def test_json_round_trip(self, flat_profile, tmp_path):
         config = tiny_config(flat_profile, LoadSpec(kind="cos_pi"))
