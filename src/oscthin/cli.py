@@ -98,14 +98,12 @@ def _pick_eps(config, args):
 
 
 def _cmd_cell(config, args):
-    mesh = geometry.build_cell_mesh(config.profile, config.cell_nx,
-                                    config.cell_ny)
-    cell = homogenize.solve_cell(mesh, config.p, config.solver)
+    cell = study.solve_config_cell(config)
     sys.stdout.write(homogenize.format_cell_summary(cell))
     if args.out:
         homogenize.write_cell_summary(cell, _field_path(args.out, "cell_summary.txt"))
-        geometry.write_mesh(mesh, _field_path(args.out, "cell_mesh.txt"))
-        write_field(mesh, cell.phi, _field_path(args.out, "cell_phi.txt"))
+        geometry.write_mesh(cell.mesh, _field_path(args.out, "cell_mesh.txt"))
+        write_field(cell.mesh, cell.phi, _field_path(args.out, "cell_phi.txt"))
     return EXIT_OK
 
 
@@ -114,23 +112,17 @@ def _cmd_solve_eps(config, args):
     mesh = geometry.build_thin_mesh(config.profile, eps,
                                     config.thin_nx_per_period, config.thin_ny)
     u, diag = study.solve_thin(mesh, config.p, config.load, config.solver)
-    cell_mesh = geometry.build_cell_mesh(config.profile, config.cell_nx,
-                                         config.cell_ny)
-    cell = homogenize.solve_cell(cell_mesh, config.p, config.solver)
+    cell = study.solve_config_cell(config)
     u0, _ = study.solve_limit(config, cell, eps)
-    du0 = limit1d.nodal_derivative(u0)
-
+    profiles = study.flux_profiles(config, cell, mesh, u,
+                                   limit1d.nodal_derivative(u0))
     stations = study.flux_stations(config.flux_stations)
-    profile = study.flux_profile(mesh, u, config.p, eps, config.flux_stations)
-    smoothed = study.box_smooth(profile, 1.0 / config.flux_stations,
-                                eps * config.profile.period)
-    target = study.flux_target(cell, du0, config.flux_stations)
 
     out = args.out or "."
     write_field(mesh, u, _field_path(out, "u_eps.txt"))
     with open(_field_path(out, "flux_profile.csv"), "w") as fh:
         fh.write("x1,flux,smoothed,target\n")
-        for rec in zip(stations, profile, smoothed, target):
+        for rec in zip(stations, *profiles):
             fh.write(",".join(repr(float(v)) for v in rec) + "\n")
     print(f"solved eps={eps!r}: {mesh.num_nodes} nodes, "
           f"{diag.total_iterations} Newton iterations, "
@@ -140,9 +132,7 @@ def _cmd_solve_eps(config, args):
 
 def _cmd_solve_limit(config, args):
     eps = _pick_eps(config, args)
-    cell_mesh = geometry.build_cell_mesh(config.profile, config.cell_nx,
-                                         config.cell_ny)
-    cell = homogenize.solve_cell(cell_mesh, config.p, config.solver)
+    cell = study.solve_config_cell(config)
     u0, diag = study.solve_limit(config, cell, eps)
     out = args.out or "."
     limit1d.write_solution(u0, _field_path(out, "u0.csv"))

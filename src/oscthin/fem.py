@@ -44,39 +44,83 @@ class FluxParams:
             raise ValueError(f"eps_weight must be positive, got {self.eps_weight}")
 
 
-def _tri_arrays(mesh):
-    """Per-triangle P1 data, computed once and cached on the mesh."""
-    cache = getattr(mesh, "_fem_arrays", None)
-    if cache is not None:
-        return cache
-    tri = mesh.triangles
-    v = mesh.nodes[tri]                  # (T, 3, 2)
-    area = mesh.areas
-    nxt = [1, 2, 0]
-    prv = [2, 0, 1]
-    # gradient of hat function k on each triangle
-    gx = (v[:, nxt, 1] - v[:, prv, 1]) / (2.0 * area)[:, None]
-    gy = (v[:, prv, 0] - v[:, nxt, 0]) / (2.0 * area)[:, None]
-    # edge midpoints, midpoint k opposite vertex k
-    mid = 0.5 * (v[:, nxt] + v[:, prv])  # (T, 3, 2)
-    cache = (tri, area, gx, gy, mid)
-    mesh._fem_arrays = cache
-    return cache
+# vertex pairs of the six distinct blocks of a symmetric element matrix,
+# then the mirrors of the three off-diagonal ones: the jacobian's scatter order
+_ROWS = (0, 1, 2, 0, 0, 1, 1, 2, 2)
+_COLS = (0, 1, 2, 1, 2, 2, 0, 0, 1)
+
+
+class _Plan:
+    """Everything assembly needs of a mesh that no field changes.
+
+    tri, gx, gy are (3, T): node index and hat-function gradient of each
+    triangle vertex; area is (T,).  indptr and indices are the sorted CSR
+    pattern of the jacobian and slots (9, T) the position in it of each
+    element-block entry, in _ROWS/_COLS order.  The index arrays are
+    read-only because every jacobian shares them.
+    """
+
+    def __init__(self, mesh):
+        self.tri = tri = np.ascontiguousarray(mesh.triangles.T)
+        self.area = area = mesh.areas
+        x, y = mesh.nodes[tri, 0], mesh.nodes[tri, 1]
+        nxt, prv = [1, 2, 0], [2, 0, 1]
+        self.gx = (y[nxt] - y[prv]) / (2.0 * area)
+        self.gy = (x[prv] - x[nxt]) / (2.0 * area)
+
+        n = mesh.num_nodes
+        tri32 = tri.astype(np.int32)
+        rows, cols = tri32[list(_ROWS)], tri32[list(_COLS)]
+        pattern = sp.csr_matrix(
+            (np.ones(rows.size, dtype=np.int8), (rows.ravel(), cols.ravel())),
+            shape=(n, n))           # sums duplicates and sorts each row
+        self.indptr, self.indices = pattern.indptr, pattern.indices
+        # a row holds a few sorted columns (7 on a mapped grid): step each
+        # entry from its row start to its own column
+        slots = self.indptr[rows]
+        for _ in range(int(np.diff(self.indptr).max()) - 1):
+            slots += self.indices[slots] < cols
+        self.slots = slots
+        for arr in (self.tri, self.indptr, self.indices, self.slots):
+            arr.flags.writeable = False
+
+
+def _plan(mesh):
+    """The mesh's assembly plan, built on first use.  It is attached in one
+    assignment, so concurrent callers see none or all of it (two may build
+    it; the results are identical)."""
+    plan = getattr(mesh, "_fem_plan", None)
+    if plan is None:
+        plan = _Plan(mesh)
+        mesh._fem_plan = plan
+    return plan
+
+
+def _gather(mesh, u, eps_weight=None):
+    """Checked field, plan, field values at the triangle vertices (3, T)
+    and, given eps_weight, the scaled element gradient (2, T): the one
+    gather of a call.
+
+    The gradient is written in difference form (the hat gradients sum to
+    zero), so constant fields give an exactly zero gradient; the sublinear
+    flux at p < 2 would otherwise amplify roundoff-level gradients to
+    visible size.
+    """
+    u = _check_field(mesh, u)
+    plan = _plan(mesh)
+    uv = u[plan.tri]
+    gs = None
+    if eps_weight is not None:
+        d1, d2 = uv[1] - uv[0], uv[2] - uv[0]
+        gx, gy = plan.gx, plan.gy
+        gs = np.stack([d1 * gx[1] + d2 * gx[2],
+                       (d1 * gy[1] + d2 * gy[2]) / eps_weight])
+    return u, plan, uv, gs
 
 
 def element_gradients(mesh, u):
-    """Constant gradient of the P1 interpolant on every triangle, (T, 2).
-
-    Written in difference form (the hat gradients sum to zero), so constant
-    fields give an exactly zero gradient; the sublinear flux at p < 2 would
-    otherwise amplify roundoff-level gradients to visible size.
-    """
-    tri, _, gx, gy, _ = _tri_arrays(mesh)
-    uv = np.asarray(u)[tri]
-    d1 = uv[:, 1] - uv[:, 0]
-    d2 = uv[:, 2] - uv[:, 0]
-    return np.column_stack([d1 * gx[:, 1] + d2 * gx[:, 2],
-                            d1 * gy[:, 1] + d2 * gy[:, 2]])
+    """Constant gradient of the P1 interpolant on every triangle, (T, 2)."""
+    return np.ascontiguousarray(_gather(mesh, u, 1.0)[3].T)
 
 
 def scaled_gradient(grad, params):
@@ -122,24 +166,36 @@ def p_flux_scalar(x, p):
     return np.sign(x) * np.abs(x) ** (p - 1.0)
 
 
-def _midpoint_values(mesh, u):
-    """P1 interpolant at the three edge midpoints of every triangle."""
-    tri = _tri_arrays(mesh)[0]
-    uv = np.asarray(u)[tri]
-    return 0.5 * (uv.sum(axis=1, keepdims=True) - uv)
+def _midpoint_values(uv):
+    """P1 interpolant at the three edge midpoints of every triangle (3, T);
+    midpoint k lies opposite vertex k."""
+    return 0.5 * (uv.sum(axis=0) - uv)
 
 
-def _load_at_midpoints(mesh, load):
-    if load is None:
-        return None
+def load_vector(mesh, load):
+    """Load functional b_i = int f phi_i by the edge-midpoint rule: the load
+    term of the energy is -b @ u and of the residual -b.
+
+    ``load`` is a broadcasting callable of (x1, x2) or a nodal field, which
+    enters through its P1 interpolant.
+    """
+    plan = _plan(mesh)
     if callable(load):
-        mid = _tri_arrays(mesh)[4]
-        return np.asarray(load(mid[..., 0], mid[..., 1]), dtype=float)
-    load = np.asarray(load, dtype=float)
-    if load.shape != (mesh.num_nodes,):
-        raise AssemblyError(
-            f"load field has {load.shape} entries, mesh has {mesh.num_nodes} nodes")
-    return _midpoint_values(mesh, load)
+        v = mesh.nodes[plan.tri]                 # (3, T, 2)
+        mid = 0.5 * (v[[1, 2, 0]] + v[[2, 0, 1]])
+        fm = np.asarray(load(mid[..., 0], mid[..., 1]), dtype=float)
+    else:
+        load = np.asarray(load, dtype=float)
+        if load.shape != (mesh.num_nodes,):
+            raise AssemblyError(
+                f"load field has {load.shape} entries, mesh has "
+                f"{mesh.num_nodes} nodes")
+        fm = _midpoint_values(load[plan.tri])
+    _check_finite(fm, "load")
+    # hat function k is 1/2 at the two midpoints not opposite to k
+    contrib = plan.area / 3.0 * 0.5 * (fm.sum(axis=0) - fm)
+    return np.bincount(plan.tri.ravel(), weights=contrib.ravel(),
+                       minlength=mesh.num_nodes)
 
 
 def _check_field(mesh, u):
@@ -153,36 +209,32 @@ def _check_field(mesh, u):
 
 
 def _check_finite(values, what):
-    v = np.atleast_1d(values)
-    ok = np.isfinite(v).reshape(v.shape[0], -1).all(axis=1)
+    """Raise naming the first triangle (last axis) with a non-finite value."""
+    ok = np.isfinite(values)
     if not ok.all():
-        t = int(np.flatnonzero(~ok)[0])
-        raise AssemblyError(f"non-finite {what} on triangle {t}")
+        bad = ~ok.reshape(-1, ok.shape[-1]).all(axis=0)
+        raise AssemblyError(
+            f"non-finite {what} on triangle {int(np.flatnonzero(bad)[0])}")
 
 
 def assemble_energy(mesh, u, params, load=None, include_mass=True):
     """Convex energy whose Euler-Lagrange system is the weighted p-Laplace
     problem:  int (1/p)(d^2+|grad_w u|^2)^(p/2) [+ (1/p)(d^2+u^2)^(p/2) - f u].
     """
-    u = _check_field(mesh, u)
+    u, plan, uv, gs = _gather(mesh, u, params.eps_weight)
     p, delta = params.p, params.delta
-    area = _tri_arrays(mesh)[1]
-    gs = scaled_gradient(element_gradients(mesh, u), params)
-    sq = (gs * gs).sum(axis=1)
+    area = plan.area
+    sq = gs[0] * gs[0] + gs[1] * gs[1]
     flux = area * ((delta * delta + sq) ** (p / 2.0)) / p
     _check_finite(flux, "flux energy")
     total = flux.sum()
     if include_mass:
-        um = _midpoint_values(mesh, u)
-        mass = (area / 3.0) * ((delta * delta + um * um) ** (p / 2.0)).sum(axis=1) / p
+        um = _midpoint_values(uv)
+        mass = (area / 3.0) * ((delta * delta + um * um) ** (p / 2.0)).sum(axis=0) / p
         _check_finite(mass, "mass energy")
         total += mass.sum()
-    fm = _load_at_midpoints(mesh, load)
-    if fm is not None:
-        um = _midpoint_values(mesh, u)
-        work = (area / 3.0) * (fm * um).sum(axis=1)
-        _check_finite(work, "load energy")
-        total -= work.sum()
+    if load is not None:
+        total -= load_vector(mesh, load) @ u
     return float(total)
 
 
@@ -192,37 +244,22 @@ def assemble_residual(mesh, u, params, load=None, include_mass=True):
     A field solves the discrete Neumann problem iff this vanishes; the
     boundary condition is natural so no boundary terms appear.
     """
-    u = _check_field(mesh, u)
+    u, plan, uv, gs = _gather(mesh, u, params.eps_weight)
     p, delta = params.p, params.delta
-    tri, area, gx, gy, _ = _tri_arrays(mesh)
-    n = mesh.num_nodes
-    w = params.eps_weight
-
-    gs = scaled_gradient(element_gradients(mesh, u), params)
-    a = p_flux(gs, params)
+    area = plan.area
+    a = _power_weight(gs[0] * gs[0] + gs[1] * gs[1], p, delta) * gs
     _check_finite(a, "flux")
-    res = np.zeros(n)
-    for k in range(3):
-        contrib = area * (a[:, 0] * gx[:, k] + a[:, 1] * gy[:, k] / w)
-        res += np.bincount(tri[:, k], weights=contrib, minlength=n)
-
-    um = _midpoint_values(mesh, u)
-    fm = _load_at_midpoints(mesh, load)
-    third = area / 3.0
+    contrib = area * (a[0] * plan.gx + a[1] * plan.gy / params.eps_weight)
     if include_mass:
+        um = _midpoint_values(uv)
         s = _power_weight(um * um, p, delta) * um
         _check_finite(s, "mass term")
-        s_sum = s.sum(axis=1)
-        for k in range(3):
-            # hat function k is 1/2 at the two midpoints not opposite to k
-            contrib = third * 0.5 * (s_sum - s[:, k])
-            res += np.bincount(tri[:, k], weights=contrib, minlength=n)
-    if fm is not None:
-        _check_finite(fm, "load")
-        f_sum = fm.sum(axis=1)
-        for k in range(3):
-            contrib = third * 0.5 * (f_sum - fm[:, k])
-            res -= np.bincount(tri[:, k], weights=contrib, minlength=n)
+        # hat function k is 1/2 at the two midpoints not opposite to k
+        contrib += area / 3.0 * 0.5 * (s.sum(axis=0) - s)
+    res = np.bincount(plan.tri.ravel(), weights=contrib.ravel(),
+                      minlength=mesh.num_nodes)
+    if load is not None:
+        res -= load_vector(mesh, load)
     return res
 
 
@@ -231,73 +268,68 @@ def assemble_jacobian(mesh, u, params, include_mass=True):
 
     Per triangle the flux block is (d^2+|xi|^2)^((p-2)/2)
     (I + (p-2) xi xi^T / (d^2+|xi|^2)) in the scaled gradient xi, which is
-    positive definite for p > 1 whenever delta > 0.
+    positive definite for p > 1 whenever delta > 0.  The six distinct
+    entries of each symmetric element matrix are scattered into the
+    mesh's cached CSR pattern.
     """
-    u = _check_field(mesh, u)
     p, delta = params.p, params.delta
     if p < 2.0 and delta == 0.0:
         raise ValueError("jacobian with p < 2 requires delta > 0")
-    tri, area, gx, gy, _ = _tri_arrays(mesh)
-    n = mesh.num_nodes
-    w = params.eps_weight
+    u, plan, uv, gs = _gather(mesh, u, params.eps_weight)
+    area = plan.area
 
-    gs = scaled_gradient(element_gradients(mesh, u), params)
-    sq = (gs * gs).sum(axis=1)
+    sq = gs[0] * gs[0] + gs[1] * gs[1]
     den = delta * delta + sq
     sigma = _power_weight(sq, p, delta)
     ratio = np.divide(p - 2.0, den, out=np.zeros_like(den), where=den > 0.0)
-    m11 = sigma * (1.0 + ratio * gs[:, 0] * gs[:, 0])
-    m12 = sigma * ratio * gs[:, 0] * gs[:, 1]
-    m22 = sigma * (1.0 + ratio * gs[:, 1] * gs[:, 1])
+    m11 = sigma * (1.0 + ratio * gs[0] * gs[0])
+    m12 = sigma * ratio * gs[0] * gs[1]
+    m22 = sigma * (1.0 + ratio * gs[1] * gs[1])
     _check_finite(m11, "flux tensor")
 
     if include_mass:
-        um = _midpoint_values(mesh, u)
+        um = _midpoint_values(uv)
         mden = delta * delta + um * um
         mratio = np.divide(p - 2.0, mden, out=np.zeros_like(mden),
                            where=mden > 0.0)
         mprime = _power_weight(um * um, p, delta) * (1.0 + mratio * um * um)
         _check_finite(mprime, "mass tensor")
+        # phi_k(m_j) = (1 - delta_kj)/2, so midpoint j feeds the blocks of
+        # the two vertices other than j
+        mass = (area / 3.0) * 0.25 * mprime
 
-    rows, cols, vals = [], [], []
-    for k in range(3):
-        bxk, byk = gx[:, k], gy[:, k] / w
-        for l in range(3):
-            bxl, byl = gx[:, l], gy[:, l] / w
-            e = area * (bxk * (m11 * bxl + m12 * byl)
-                        + byk * (m12 * bxl + m22 * byl))
-            if include_mass:
-                # phi_k(m_j) = (1 - delta_kj)/2
-                for j in range(3):
-                    if j != k and j != l:
-                        e = e + (area / 3.0) * 0.25 * mprime[:, j]
-            rows.append(tri[:, k])
-            cols.append(tri[:, l])
-            vals.append(e)
-    jac = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n))
-    return jac.tocsr()
+    bx, by = plan.gx, plan.gy / params.eps_weight
+    tx = m11 * bx + m12 * by             # flux tensor times each hat gradient
+    ty = m12 * bx + m22 * by
+    blocks = np.empty((9, len(area)))
+    for b, (k, l) in enumerate(zip(_ROWS[:6], _COLS[:6])):
+        blocks[b] = area * (bx[k] * tx[l] + by[k] * ty[l])
+        if include_mass:
+            for j in range(3):
+                if j != k and j != l:
+                    blocks[b] += mass[j]
+    blocks[6:] = blocks[3:6]
+    data = np.bincount(plan.slots.ravel(), weights=blocks.ravel(),
+                       minlength=len(plan.indices))
+    n = mesh.num_nodes
+    return sp.csr_matrix((data, plan.indices, plan.indptr), shape=(n, n))
 
 
 def lp_norm(mesh, u, p):
     """L^p norm by the order-2 midpoint rule."""
     if p < 1.0:
         raise ValueError(f"lp_norm needs p >= 1, got {p}")
-    u = _check_field(mesh, u)
-    area = _tri_arrays(mesh)[1]
-    um = _midpoint_values(mesh, u)
-    total = ((area / 3.0) * (np.abs(um) ** p).sum(axis=1)).sum()
+    _, plan, uv, _ = _gather(mesh, u)
+    um = _midpoint_values(uv)
+    total = ((plan.area / 3.0) * (np.abs(um) ** p).sum(axis=0)).sum()
     return float(total ** (1.0 / p))
 
 
 def w1p_seminorm(mesh, u, params):
     """L^p norm of the scaled gradient (exact: gradients are elementwise constant)."""
-    u = _check_field(mesh, u)
-    area = _tri_arrays(mesh)[1]
-    gs = scaled_gradient(element_gradients(mesh, u), params)
-    mag = np.sqrt((gs * gs).sum(axis=1))
-    return float((area * mag ** params.p).sum() ** (1.0 / params.p))
+    _, plan, _, gs = _gather(mesh, u, params.eps_weight)
+    mag = np.sqrt(gs[0] * gs[0] + gs[1] * gs[1])
+    return float((plan.area * mag ** params.p).sum() ** (1.0 / params.p))
 
 
 # Gauss-Legendre rule used on every vertical fiber of the load integral

@@ -198,7 +198,8 @@ def homogenized_flux_density(cell, grad_value, height):
 
 def flux_density_height_integral(cell, grad_value, n_levels=4096):
     """Midpoint-rule integral over heights of the first flux component
-    (the fiber averages do not depend on grad_value: one product serves)."""
+    (the fiber averages do not depend on grad_value: pass an array of
+    values, and one operator serves them all)."""
     top = float(cell.mesh.nodes[:, 1].max())
     levels = (np.arange(n_levels) + 0.5) * (top / n_levels)
     fiber = geometry.fiber_matrix(cell.mesh, axis=1, values=levels)

@@ -212,7 +212,10 @@ def constrained_linear_solve(a, b, w, tol):
     n = len(b)
     bordered = sp.bmat([[a, w[:, None]], [w[None, :], None]], format="csc")
     rhs = np.concatenate([b, [0.0]])
-    lu = spla.splu(bordered)
+    try:
+        lu = spla.splu(bordered)
+    except RuntimeError as exc:   # singular: a is not definite there
+        raise IndefiniteSystemError(f"bordered LU failed: {exc}") from exc
     sol = lu.solve(rhs)
     for _ in range(5):
         r = rhs - bordered @ sol

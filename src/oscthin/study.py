@@ -237,22 +237,25 @@ class StudyReport:
 
 
 class _ThinFunctional:
-    """Anisotropic thin-problem callbacks for the Newton driver."""
+    """Anisotropic thin-problem callbacks for the Newton driver; the load
+    term is linear in u, so its vector is built once."""
 
     def __init__(self, mesh, p, load):
         self.mesh = mesh
         self.p = p
-        self.load = load
+        self.load_vector = fem.load_vector(mesh, load)
         self.eps = mesh.eps
 
     def _params(self, delta):
         return fem.FluxParams(p=self.p, delta=delta, eps_weight=self.eps)
 
     def energy(self, u, delta):
-        return fem.assemble_energy(self.mesh, u, self._params(delta), self.load)
+        return (fem.assemble_energy(self.mesh, u, self._params(delta))
+                - float(self.load_vector @ u))
 
     def residual(self, u, delta):
-        return fem.assemble_residual(self.mesh, u, self._params(delta), self.load)
+        return (fem.assemble_residual(self.mesh, u, self._params(delta))
+                - self.load_vector)
 
     def jacobian(self, u, delta):
         return fem.assemble_jacobian(self.mesh, u, self._params(delta))
@@ -266,6 +269,13 @@ def solve_thin(mesh, p, load, opts=None):
     functional = _ThinFunctional(mesh, p, load)
     return solve.newton_solve(functional, np.zeros(mesh.num_nodes),
                               solve.ConstraintSet(), opts)
+
+
+def solve_config_cell(config):
+    """Cell problem of a config, on its cell mesh."""
+    mesh = geometry.build_cell_mesh(config.profile, config.cell_nx,
+                                    config.cell_ny)
+    return homogenize.solve_cell(mesh, config.p, config.solver)
 
 
 def solve_limit(config, cell, eps):
@@ -380,6 +390,15 @@ def flux_target(cell, du0, n1):
     return scale * fem.p_flux_scalar(du_at, cell.p)
 
 
+def flux_profiles(config, cell, mesh, u_eps, du0):
+    """Raw, smoothed (moving average over one oscillation period) and
+    homogenized target flux profiles at the config's stations."""
+    n1 = config.flux_stations
+    profile = flux_profile(mesh, u_eps, config.p, mesh.eps, n1)
+    smoothed = box_smooth(profile, 1.0 / n1, mesh.eps * config.profile.period)
+    return profile, smoothed, flux_target(cell, du0, n1)
+
+
 def box_smooth(values, spacing, window):
     """Moving average with a box kernel, truncated and renormalized at the ends."""
     values = np.asarray(values, dtype=float)
@@ -411,11 +430,9 @@ def _study_rows_for_eps(config, cell, eps):
     e_naive = error_corrector(mesh, u_eps, naive_gradient_field(du0, mesh),
                               config.p, eps)
 
-    profile = flux_profile(mesh, u_eps, config.p, eps, config.flux_stations)
-    target = flux_target(cell, du0, config.flux_stations)
-    spacing = 1.0 / config.flux_stations
-    smoothed = box_smooth(profile, spacing, eps * config.profile.period)
-    discrepancy = _dual_norm(smoothed - target, spacing, config.p)
+    _, smoothed, target = flux_profiles(config, cell, mesh, u_eps, du0)
+    discrepancy = _dual_norm(smoothed - target, 1.0 / config.flux_stations,
+                             config.p)
 
     corrector_errors = []
     for level in config.partition_levels:
@@ -439,9 +456,7 @@ def run_study(config):
     continues; rows are merged back in ladder order regardless of how the
     entries were scheduled.
     """
-    cell_mesh = geometry.build_cell_mesh(config.profile, config.cell_nx,
-                                         config.cell_ny)
-    cell = homogenize.solve_cell(cell_mesh, config.p, config.solver)
+    cell = solve_config_cell(config)
 
     def job(eps):
         try:

@@ -152,3 +152,95 @@ def fiber_matrix(mesh, axis, values):
     return sparse.csr_matrix(
         (np.concatenate(lengths), (np.concatenate(rows), np.concatenate(tris))),
         shape=(len(values), mesh.num_triangles))
+
+
+def _p1_fields(mesh, u, params):
+    """Triangles, areas, hat gradients, scaled element gradients (T, 2) and
+    midpoint values (T, 3) of a field; midpoint k lies opposite vertex k."""
+    idx, area, b, c = tri_geometry(mesh)
+    uv = np.asarray(u, dtype=float)[idx]
+    d1 = uv[:, 1] - uv[:, 0]
+    d2 = uv[:, 2] - uv[:, 0]
+    grad = np.column_stack([d1 * b[:, 1] + d2 * b[:, 2],
+                            (d1 * c[:, 1] + d2 * c[:, 2]) / params.eps_weight])
+    um = 0.5 * (uv.sum(axis=1, keepdims=True) - uv)
+    return idx, area, b, c, grad, um
+
+
+def load_at_midpoints(mesh, load):
+    """The load at the three edge midpoints of every triangle, (T, 3):
+    a callable of (x1, x2) evaluated there, or a nodal field interpolated."""
+    idx = mesh.triangles
+    if callable(load):
+        v = mesh.nodes[idx]
+        mid = 0.5 * (v[:, [1, 2, 0]] + v[:, [2, 0, 1]])
+        return np.asarray(load(mid[..., 0], mid[..., 1]), dtype=float)
+    fv = np.asarray(load, dtype=float)[idx]
+    return 0.5 * (fv.sum(axis=1, keepdims=True) - fv)
+
+
+def energy(mesh, u, params, load=None, include_mass=True):
+    """Discrete energy with the load evaluated at the midpoints on every
+    call, triangle by triangle (delta > 0)."""
+    p, d2 = params.p, params.delta ** 2
+    _, area, _, _, grad, um = _p1_fields(mesh, u, params)
+    total = (area * (d2 + (grad * grad).sum(axis=1)) ** (p / 2.0) / p).sum()
+    if include_mass:
+        total += ((area / 3.0) * ((d2 + um * um) ** (p / 2.0)).sum(axis=1)
+                  / p).sum()
+    if load is not None:
+        fm = load_at_midpoints(mesh, load)
+        total -= ((area / 3.0) * (fm * um).sum(axis=1)).sum()
+    return float(total)
+
+
+def residual(mesh, u, params, load=None, include_mass=True):
+    """Gradient of energy, accumulated vertex by vertex (delta > 0)."""
+    p, d2 = params.p, params.delta ** 2
+    idx, area, b, c, grad, um = _p1_fields(mesh, u, params)
+    a = fem.p_flux(grad, params)
+    # hat function k is 1/2 at the two midpoints not opposite to k
+    mid = np.zeros_like(um)
+    if include_mass:
+        mid += (d2 + um * um) ** ((p - 2.0) / 2.0) * um
+    if load is not None:
+        mid -= load_at_midpoints(mesh, load)
+    res = np.zeros(mesh.num_nodes)
+    for k in range(3):
+        flux = area * (a[:, 0] * b[:, k] + a[:, 1] * c[:, k] / params.eps_weight)
+        mass = area / 3.0 * 0.5 * (mid.sum(axis=1) - mid[:, k])
+        np.add.at(res, idx[:, k], flux + mass)
+    return res
+
+
+def coo_jacobian(mesh, u, params, include_mass=True):
+    """Derivative of residual from all nine blocks of every element matrix,
+    summed by a COO-to-CSR conversion (delta > 0)."""
+    p, d2 = params.p, params.delta ** 2
+    idx, area, b, c, grad, um = _p1_fields(mesh, u, params)
+    w = params.eps_weight
+    den = d2 + (grad * grad).sum(axis=1)
+    sigma = den ** ((p - 2.0) / 2.0)
+    ratio = (p - 2.0) / den
+    m11 = sigma * (1.0 + ratio * grad[:, 0] ** 2)
+    m12 = sigma * ratio * grad[:, 0] * grad[:, 1]
+    m22 = sigma * (1.0 + ratio * grad[:, 1] ** 2)
+    mden = d2 + um * um
+    mprime = mden ** ((p - 2.0) / 2.0) * (1.0 + (p - 2.0) * um * um / mden)
+    rows, cols, vals = [], [], []
+    for k in range(3):
+        for l in range(3):
+            e = area * (b[:, k] * (m11 * b[:, l] + m12 * c[:, l] / w)
+                        + c[:, k] / w * (m12 * b[:, l] + m22 * c[:, l] / w))
+            if include_mass:
+                # phi_k(m_j) = (1 - delta_kj)/2
+                for j in range(3):
+                    if j != k and j != l:
+                        e = e + (area / 3.0) * 0.25 * mprime[:, j]
+            rows.append(idx[:, k])
+            cols.append(idx[:, l])
+            vals.append(e)
+    n = mesh.num_nodes
+    return sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n)).tocsr()

@@ -1,12 +1,19 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from oscthin import FluxParams, build_cell_mesh
+from oscthin import FluxParams, build_cell_mesh, build_thin_mesh, fem
 from oscthin.fem import (AssemblyError, assemble_energy, assemble_jacobian,
                          assemble_residual, element_gradients,
                          integrate_load_fibers, lp_norm, p_flux,
                          p_flux_inverse, p_flux_scalar, scaled_gradient,
                          w1p_seminorm)
+from oscthin.geometry import read_mesh, write_mesh
+from oscthin.homogenize import cell_constraints
+from oscthin.solve import Reduction
+from oscthin.study import LoadSpec, _ThinFunctional, solve_thin
 
 import oracles
 
@@ -205,6 +212,148 @@ class TestAssembly:
         bad[0] = np.nan
         with pytest.raises(AssemblyError):
             assemble_energy(small_cell_mesh, bad, params)
+
+
+def _assert_rel_close(new, ref, rtol=1e-13):
+    assert np.abs(new - ref).max() <= rtol * np.abs(ref).max()
+
+
+def _assert_same_jacobian(new, ref, rtol=1e-13):
+    assert np.array_equal(new.indptr, ref.indptr)
+    assert np.array_equal(new.indices, ref.indices)
+    _assert_rel_close(new.data, ref.data, rtol)
+
+
+def _thin_case(profile):
+    mesh = build_thin_mesh(profile, 1.0 / 8, 16, 6)
+    x1, x2 = mesh.nodes.T
+    u = np.cos(np.pi * x1) * (1.0 + 0.3 * x2) + 0.05 * np.sin(40.0 * x1)
+    return mesh, u, LoadSpec(kind="cos_pi", x2_coeff=0.3)
+
+
+class TestAssemblyPlan:
+    """The per-mesh plan against the per-call load form and the nine-block
+    COO jacobian kept in tests/oracles.py."""
+
+    @pytest.mark.parametrize("delta", [1e-2, 1e-8])
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_cell_flux_only_matches_oracle(self, reference_profile, p, delta):
+        mesh = build_cell_mesh(reference_profile, 32, 8)
+        red = Reduction(mesh.num_nodes, cell_constraints(mesh))
+        phi = np.random.default_rng(41).normal(size=red.n_reduced)
+        u = mesh.nodes[:, 0] + 0.2 * red.expand(phi)
+        params = FluxParams(p=p, delta=delta)
+        e = assemble_energy(mesh, u, params, include_mass=False)
+        assert e == pytest.approx(
+            oracles.energy(mesh, u, params, include_mass=False), rel=1e-13)
+        _assert_rel_close(
+            red.reduce_vector(assemble_residual(mesh, u, params,
+                                                include_mass=False)),
+            red.reduce_vector(oracles.residual(mesh, u, params,
+                                               include_mass=False)))
+        jac = assemble_jacobian(mesh, u, params, include_mass=False)
+        ref = oracles.coo_jacobian(mesh, u, params, include_mass=False)
+        _assert_same_jacobian(jac, ref)
+        _assert_rel_close(red.reduce_matrix(jac).toarray(),
+                          red.reduce_matrix(ref).toarray())
+
+    @pytest.mark.parametrize("delta", [1e-2, 1e-8])
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_thin_mass_and_load_match_oracle(self, reference_profile, p,
+                                             delta):
+        mesh, u, load = _thin_case(reference_profile)
+        params = FluxParams(p=p, delta=delta, eps_weight=mesh.eps)
+        e_ref = oracles.energy(mesh, u, params, load)
+        r_ref = oracles.residual(mesh, u, params, load)
+        functional = _ThinFunctional(mesh, p, load)
+        for e in (assemble_energy(mesh, u, params, load),
+                  functional.energy(u, delta)):
+            assert e == pytest.approx(e_ref, rel=1e-13)
+        for r in (assemble_residual(mesh, u, params, load),
+                  functional.residual(u, delta)):
+            _assert_rel_close(r, r_ref)
+        _assert_same_jacobian(assemble_jacobian(mesh, u, params),
+                              oracles.coo_jacobian(mesh, u, params))
+
+    def test_nodal_load_matches_oracle(self, small_cell_mesh):
+        """At u = 0 and without the mass term the residual is -b."""
+        mesh = small_cell_mesh
+        rng = np.random.default_rng(43)
+        load = 0.5 + 0.1 * rng.normal(size=mesh.num_nodes)
+        u = rng.normal(size=mesh.num_nodes)
+        _assert_rel_close(fem.load_vector(mesh, load),
+                          -oracles.residual(mesh, np.zeros_like(u),
+                                            FluxParams(p=2.0, delta=1.0),
+                                            load, include_mass=False))
+
+    def test_solve_thin_builds_plan_and_load_once(self, reference_profile,
+                                                  monkeypatch):
+        built = []
+        plan_class = fem._Plan
+
+        def counting_plan(mesh):
+            built.append(mesh)
+            return plan_class(mesh)
+
+        monkeypatch.setattr(fem, "_Plan", counting_plan)
+        evaluations = []
+
+        def load(x1, x2):
+            evaluations.append(x1.shape)
+            return np.cos(np.pi * x1)
+
+        mesh = build_thin_mesh(reference_profile, 0.25, 8, 4)
+        _, diag = solve_thin(mesh, 3.0, load)
+        assert diag.total_iterations > 1
+        assert built == [mesh]
+        assert len(evaluations) == 1
+
+    def test_round_tripped_mesh_assembles_identically(self, reference_profile,
+                                                      tmp_path):
+        mesh, u, load = _thin_case(reference_profile)
+        write_mesh(mesh, tmp_path / "thin.txt")
+        back = read_mesh(tmp_path / "thin.txt")
+        params = FluxParams(p=3.0, delta=1e-2, eps_weight=mesh.eps)
+        assert (assemble_energy(back, u, params, load)
+                == assemble_energy(mesh, u, params, load))
+        assert np.array_equal(assemble_residual(back, u, params, load),
+                              assemble_residual(mesh, u, params, load))
+        _assert_same_jacobian(assemble_jacobian(back, u, params),
+                              assemble_jacobian(mesh, u, params), rtol=0.0)
+
+    def test_threads_building_one_plan_agree(self, reference_profile):
+        mesh, u, load = _thin_case(reference_profile)   # fresh: no plan yet
+        params = FluxParams(p=1.5, delta=1e-2, eps_weight=mesh.eps)
+        workers = 4
+        barrier = threading.Barrier(workers)
+        results = [None] * workers
+
+        def work(i):
+            barrier.wait(timeout=30)
+            results[i] = (assemble_energy(mesh, u, params, load),
+                          assemble_residual(mesh, u, params, load),
+                          assemble_jacobian(mesh, u, params))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        e, r, j = (assemble_energy(mesh, u, params, load),
+                   assemble_residual(mesh, u, params, load),
+                   assemble_jacobian(mesh, u, params))
+        for got in results:
+            assert got is not None
+            assert got[0] == e
+            assert np.array_equal(got[1], r)
+            _assert_same_jacobian(got[2], j, rtol=0.0)
 
 
 class TestNorms:

@@ -94,6 +94,13 @@ class TestLinearSolve:
         assert np.linalg.norm(x - ref) < 1e-8
         assert abs(w @ x) < 1e-10
 
+    def test_constrained_singular_system_is_solve_error(self):
+        """SuperLU's failure on a singular bordered matrix is a solver error
+        (exit 3 from the command line), not a bare RuntimeError."""
+        with pytest.raises(IndefiniteSystemError, match="bordered LU failed"):
+            constrained_linear_solve(sp.csr_matrix((3, 3)), np.array(
+                [1.0, 0.0, -1.0]), np.ones(3), 1e-12)
+
 
 class TestConstraints:
     def test_no_constraints_is_identity(self):
