@@ -109,13 +109,9 @@ def _cmd_cell(config, args):
 
 def _cmd_solve_eps(config, args):
     eps = _pick_eps(config, args)
-    mesh = geometry.build_thin_mesh(config.profile, eps,
-                                    config.thin_nx_per_period, config.thin_ny)
-    u, diag = study.solve_thin(mesh, config.p, config.load, config.solver)
     cell = study.solve_config_cell(config)
-    u0, _ = study.solve_limit(config, cell, eps)
-    profiles = study.flux_profiles(config, cell, mesh, u,
-                                   limit1d.nodal_derivative(u0))
+    mesh, u, diag, _, du0 = study.solve_eps(config, cell, eps)
+    profiles = study.flux_profiles(config, cell, mesh, u, du0)
     stations = study.flux_stations(config.flux_stations)
 
     out = args.out or "."

@@ -94,8 +94,9 @@ def cell_constraints(mesh):
     """Periodic identification plus the zero-mean normalization.
 
     The solver enforces the mean constraint inside each Newton step
-    (bordered system), which keeps the jacobian uniformly definite on the
-    admissible space; the post-shift then only mops up roundoff.
+    (bordered system, solved through a grounded band), which keeps the
+    jacobian uniformly definite on the admissible space; the post-shift
+    then only mops up roundoff.
     """
     return solve.ConstraintSet(
         periodic_pairs=mesh.periodic_pairs,
@@ -107,6 +108,14 @@ def cell_constraints(mesh):
 def solve_cell(mesh, p, opts=None):
     """Solve the periodic cell problem and package the scalar outputs."""
     opts = opts or solve.SolveOptions()
+    # the cell step factors a band as wide as the folded numbering; a mesh
+    # not in ring order (a cell mesh written in column order) would need
+    # one about nx/2 times wider, so it is refused before that is allocated
+    bw = geometry.folded_half_bandwidth(mesh)
+    if mesh.grid_rows and bw > 2 * mesh.grid_rows + 3:
+        raise solve.LinearSolveError(
+            f"folded half-bandwidth {bw} is wider than the ring order's "
+            f"{2 * mesh.grid_rows + 3}: rebuild the mesh with build_cell_mesh")
     functional = _CellFunctional(mesh, p)
     phi, diagnostics = solve.newton_solve(
         functional, np.zeros(mesh.num_nodes), cell_constraints(mesh), opts)

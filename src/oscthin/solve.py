@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+# kept importable as solve.spla: bench/spans.py wraps solve.spla.splu
+import scipy.sparse.linalg as spla  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -154,32 +155,40 @@ def _upper_band(a):
                        minlength=(bw + 1) * n).reshape(bw + 1, n)
 
 
-def linear_solve(a, b, tol):
-    """Solve a sparse SPD system, driving the relative residual to tol.
+def _band_factor(a, ground=0.0):
+    """Banded Cholesky factor of a + ground * e0 e0^T, for cho_solve_banded.
 
-    Banded Cholesky in the given node order (a mapped grid's column-major
-    numbering keeps the band rows + 2 wide), refined against the full
-    matrix, so a non-symmetric input fails the residual test.  Refinement
-    stalls at eps * cond(a), so a residual above tol is still accepted
-    below _RESIDUAL_CEILING.  A failed Cholesky or a cheap positivity check
-    flags a jacobian that lost definiteness (a bug upstream, not a
-    condition to iterate through).
+    A nonpositive diagonal entry or a failed Cholesky flags a matrix that
+    lost definiteness (a bug upstream, not a condition to iterate through).
     """
-    b = np.asarray(b, dtype=float)
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros_like(b)
     ab = _upper_band(a)
+    ab[-1, 0] += ground
     diag = ab[-1]
     if np.any(diag <= 0.0):
         i = int(np.argmin(diag))
         raise IndefiniteSystemError(
             f"nonpositive diagonal entry {diag[i]:.3e} at index {i}")
     try:
-        factor = (sla.cholesky_banded(ab, overwrite_ab=True,
-                                      check_finite=False), False)
+        return (sla.cholesky_banded(ab, overwrite_ab=True,
+                                    check_finite=False), False)
     except np.linalg.LinAlgError as exc:
         raise IndefiniteSystemError(f"banded Cholesky failed: {exc}") from exc
+
+
+def linear_solve(a, b, tol):
+    """Solve a sparse SPD system, driving the relative residual to tol.
+
+    Banded Cholesky in the given node order (a thin mesh's column-major
+    numbering keeps the band rows + 2 wide), refined against the full
+    matrix, so a non-symmetric input fails the residual test.  Refinement
+    stalls at eps * cond(a), so a residual above tol is still accepted
+    below _RESIDUAL_CEILING.
+    """
+    b = np.asarray(b, dtype=float)
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0.0:
+        return np.zeros_like(b)
+    factor = _band_factor(a)
     x = sla.cho_solve_banded(factor, b, check_finite=False)
     for _ in range(5):
         r = b - a @ x
@@ -198,35 +207,57 @@ def linear_solve(a, b, tol):
 def constrained_linear_solve(a, b, w, tol):
     """Solve a x = b restricted to the hyperplane w . x = 0.
 
-    Bordered (Lagrange multiplier) sparse LU: a only needs to be positive
-    definite on the hyperplane, so this is the right step computation for
-    shift-invariant energies whose jacobian is singular along constants.
+    This is the bordered (Lagrange multiplier) system a x + lam w = b,
+    w . x = 0: the right step for shift-invariant energies, whose jacobian
+    is singular along constants.  It is solved through the band of the
+    grounded matrix B = a + c e0 e0^T with c = a[0, 0], one positive entry
+    more on the diagonal that makes such a jacobian definite without
+    widening the band; B must be SPD.  Since a = B - c e0 e0^T,
+    x = B^-1 (b - lam w) + mu B^-1 e0 with mu = c x[0], and the constraint
+    plus the definition of mu leave a 2x2 system in (mu, lam), singular
+    exactly when the bordered system is.  Refinement runs against the
+    bordered residual.
     """
     b = np.asarray(b, dtype=float)
     w = np.asarray(w, dtype=float)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return np.zeros_like(b)
-    if not sp.issparse(a):
-        a = sp.csc_matrix(np.asarray(a, dtype=float))
-    n = len(b)
-    bordered = sp.bmat([[a, w[:, None]], [w[None, :], None]], format="csc")
-    rhs = np.concatenate([b, [0.0]])
-    try:
-        lu = spla.splu(bordered)
-    except RuntimeError as exc:   # singular: a is not definite there
-        raise IndefiniteSystemError(f"bordered LU failed: {exc}") from exc
-    sol = lu.solve(rhs)
-    for _ in range(5):
-        r = rhs - bordered @ sol
-        if np.linalg.norm(r) <= tol * bnorm:
+    c = float(a.diagonal()[0])
+    factor = _band_factor(a, ground=c)
+    basis = np.column_stack([np.zeros_like(w), w])
+    basis[0, 0] = 1.0
+    xe, xw = sla.cho_solve_banded(factor, basis, check_finite=False).T
+    schur = np.array([[w @ xe, -(w @ xw)], [1.0 - c * xe[0], c * xw[0]]])
+    wn = np.linalg.norm(w)
+    size = np.array([[wn * np.linalg.norm(xe), wn * np.linalg.norm(xw)],
+                     [max(1.0, abs(c * xe[0])), abs(c * xw[0])]])
+    det = np.linalg.det(schur)
+    # a determinant at rounding level of its terms: the bordered system is
+    # singular, a is not definite on w . x = 0.  Cell steps measure 1e-4
+    # to 0.4 against this floor, a singular one about 1e-16
+    if not abs(det) > 1e-10 * (size[0, 0] * size[1, 1]
+                               + size[0, 1] * size[1, 0]):
+        raise IndefiniteSystemError(
+            f"singular bordered system (Schur determinant {det:.3e})")
+
+    def bordered_solve(r, g):
+        """(x, lam) with a x + lam w = r and w . x = g."""
+        y = sla.cho_solve_banded(factor, r, check_finite=False)
+        mu, lam = np.linalg.solve(schur, [g - w @ y, c * y[0]])
+        return y + mu * xe - lam * xw, lam
+
+    x, lam = bordered_solve(b, 0.0)
+    for step in range(6):           # up to five refinement steps
+        r, g = b - a @ x - lam * w, -float(w @ x)
+        rel = np.hypot(np.linalg.norm(r), g) / bnorm
+        if rel <= tol or step == 5:
             break
-        sol = sol + lu.solve(r)
-    rel = np.linalg.norm(rhs - bordered @ sol) / bnorm
-    if rel > max(tol, _RESIDUAL_CEILING):
+        dx, dlam = bordered_solve(r, g)
+        x, lam = x + dx, lam + dlam
+    if not rel <= max(tol, _RESIDUAL_CEILING):
         raise LinearSolveError(
             f"constrained solve stalled at relative residual {rel:.3e}")
-    x = sol[:n]
     if float(x @ b) < 0.0:   # x.b = x.Ax on the hyperplane
         raise IndefiniteSystemError(
             "negative curvature on the constrained subspace")
@@ -289,7 +320,8 @@ def newton_solve(problem, init, constraints, opts=None):
     if mean_constrained and constraints.mean_weights is None:
         raise ValueError("mean_zero_postshift requires mean_weights")
     if red.prolongation is not None and not mean_constrained:
-        # a periodic fold leaves no narrow band; only the bordered LU takes it
+        # a folded periodic energy is shift invariant, so its jacobian is
+        # singular along constants; only the mean-constrained step grounds it
         raise ValueError("periodic_pairs require mean_zero_postshift")
     if mean_constrained:
         w_red = red.reduce_vector(np.asarray(constraints.mean_weights, float))

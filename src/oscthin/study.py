@@ -314,25 +314,30 @@ def partition_average(samples, part):
     return (upper - lower) / part.widths
 
 
-def corrector_field(cell, du0, part, eps, mesh):
-    """Two-scale corrector gradient, one 2-vector per thin-mesh triangle.
-
-    Each triangle (evaluated at its barycenter) gets the partition average
-    of the limit derivative times the cell response (1,0) + grad(phi)
-    looked up at the periodically wrapped barycenter.
-    """
-    coeffs = partition_average(du0, part)
+def cell_response(cell, mesh):
+    """Cell response (1, 0) + grad(phi) at the periodically wrapped
+    barycenter of each thin-mesh triangle, (T, 2).  It does not depend on
+    the partition, so one lookup serves every level."""
     bary = mesh.barycenters()
-    cell_idx = np.clip(
-        np.searchsorted(part.edges, bary[:, 0], side="right") - 1,
-        0, len(part) - 1)
     period = cell.mesh.width
-    wrapped_x = np.mod(bary[:, 0] / eps, period)
+    wrapped_x = np.mod(bary[:, 0] / mesh.eps, period)
     wrapped_x = np.minimum(wrapped_x, np.nextafter(period, 0.0))
     wrapped = np.column_stack([wrapped_x, bary[:, 1]])
     tri = geometry.locate_points(cell.mesh, wrapped)
     gphi = fem.element_gradients(cell.mesh, cell.phi)[tri]
-    response = gphi + np.array([1.0, 0.0])
+    return gphi + np.array([1.0, 0.0])
+
+
+def corrector_field(du0, part, mesh, response):
+    """Two-scale corrector gradient, one 2-vector per thin-mesh triangle.
+
+    Each triangle (evaluated at its barycenter) gets the partition average
+    of the limit derivative times its cell response (see cell_response).
+    """
+    coeffs = partition_average(du0, part)
+    cell_idx = np.clip(
+        np.searchsorted(part.edges, mesh.barycenters()[:, 0], side="right")
+        - 1, 0, len(part) - 1)
     return coeffs[cell_idx][:, None] * response
 
 
@@ -347,10 +352,15 @@ def error_u(mesh, u_eps, u0, p):
     return fem.lp_norm(mesh, np.asarray(u_eps) - u0_nodes, p)
 
 
-def error_corrector(mesh, u_eps, c_field, p, eps):
-    """L^p distance between the scaled gradient and a per-triangle field."""
-    params = fem.FluxParams(p=p, delta=0.0, eps_weight=eps)
-    gs = fem.scaled_gradient(fem.element_gradients(mesh, u_eps), params)
+def thin_gradient(mesh, u_eps):
+    """Scaled gradient (d1, d2/eps) of a thin-mesh field, (T, 2)."""
+    return fem.scaled_gradient(fem.element_gradients(mesh, u_eps),
+                               fem.FluxParams(p=2.0, eps_weight=mesh.eps))
+
+
+def error_corrector(mesh, gs, c_field, p):
+    """L^p distance between the scaled thin gradient gs (thin_gradient) and
+    a per-triangle field."""
     diff = gs - np.asarray(c_field, dtype=float)
     mag = np.sqrt((diff * diff).sum(axis=1))
     return float((mesh.areas * mag ** p).sum() ** (1.0 / p))
@@ -418,28 +428,35 @@ def _dual_norm(values, spacing, p):
     return float((spacing * np.abs(values) ** q).sum() ** (1.0 / q))
 
 
-def _study_rows_for_eps(config, cell, eps):
-    start = time.perf_counter()
+def solve_eps(config, cell, eps):
+    """The thin chain at eps: thin mesh, thin solution and its diagnostics,
+    limit solution and its nodal derivative."""
     mesh = geometry.build_thin_mesh(config.profile, eps,
                                     config.thin_nx_per_period, config.thin_ny)
     u_eps, diag = solve_thin(mesh, config.p, config.load, config.solver)
     u0, _ = solve_limit(config, cell, eps)
-    du0 = limit1d.nodal_derivative(u0)
+    return mesh, u_eps, diag, u0, limit1d.nodal_derivative(u0)
+
+
+def _study_rows_for_eps(config, cell, eps):
+    start = time.perf_counter()
+    mesh, u_eps, diag, u0, du0 = solve_eps(config, cell, eps)
 
     e_u = error_u(mesh, u_eps, u0, config.p)
-    e_naive = error_corrector(mesh, u_eps, naive_gradient_field(du0, mesh),
-                              config.p, eps)
+    gs = thin_gradient(mesh, u_eps)
+    e_naive = error_corrector(mesh, gs, naive_gradient_field(du0, mesh),
+                              config.p)
 
     _, smoothed, target = flux_profiles(config, cell, mesh, u_eps, du0)
     discrepancy = _dual_norm(smoothed - target, 1.0 / config.flux_stations,
                              config.p)
 
+    response = cell_response(cell, mesh)
     corrector_errors = []
     for level in config.partition_levels:
         part = PartitionSpec.dyadic(level, config.profile.period)
-        c_field = corrector_field(cell, du0, part, eps, mesh)
-        corrector_errors.append(
-            error_corrector(mesh, u_eps, c_field, config.p, eps))
+        c_field = corrector_field(du0, part, mesh, response)
+        corrector_errors.append(error_corrector(mesh, gs, c_field, config.p))
     wall = time.perf_counter() - start
     return [StudyRow(
         eps=eps, level=level, node_count=mesh.num_nodes,

@@ -6,8 +6,9 @@ package: dense matrices, explicit per-triangle formulas, numpy solves.
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import linalg as sparse_linalg
 
-from oscthin import fem
+from oscthin import fem, geometry, study
 
 
 def tri_geometry(mesh):
@@ -244,3 +245,30 @@ def coo_jacobian(mesh, u, params, include_mass=True):
     return sparse.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n)).tocsr()
+
+
+def bordered_solve(a, b, w):
+    """x of the bordered system [[a, w], [w^T, 0]] [x, lam] = [b, 0],
+    solved by sparse LU."""
+    bordered = sparse.bmat([[a, w[:, None]], [w[None, :], None]],
+                           format="csc")
+    return sparse_linalg.spsolve(bordered, np.append(b, 0.0))[:len(b)]
+
+
+def corrector_field(cell, du0, part, eps, mesh):
+    """Corrector gradient with the cell response looked up afresh for the
+    partition: the wrapped barycenters, the point location and the cell
+    gradients, per call."""
+    coeffs = study.partition_average(du0, part)
+    bary = mesh.nodes[mesh.triangles].mean(axis=1)
+    cell_idx = np.clip(
+        np.searchsorted(part.edges, bary[:, 0], side="right") - 1,
+        0, len(part) - 1)
+    period = cell.mesh.width
+    wrapped_x = np.mod(bary[:, 0] / eps, period)
+    wrapped_x = np.minimum(wrapped_x, np.nextafter(period, 0.0))
+    wrapped = np.column_stack([wrapped_x, bary[:, 1]])
+    tri = geometry.locate_points(cell.mesh, wrapped)
+    gphi = fem.element_gradients(cell.mesh, cell.phi)[tri]
+    response = gphi + np.array([1.0, 0.0])
+    return coeffs[cell_idx][:, None] * response

@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from oscthin import ConstraintSet, SolveOptions, build_thin_mesh
+from oscthin import (ConstraintSet, Mesh, SolveOptions, build_cell_mesh,
+                     build_thin_mesh)
 from oscthin.fem import FluxParams, assemble_jacobian, w1p_seminorm
+from oscthin.geometry import folded_half_bandwidth
 from oscthin.homogenize import cell_constraints, solve_cell
 from oscthin.solve import (IndefiniteSystemError, LinearSolveError,
                            NonConvergenceError, Reduction,
@@ -79,6 +83,70 @@ class TestLinearSolve:
             coo = a.tocoo()
             assert (coo.col - coo.row).max() == ny + 2
 
+    @pytest.mark.parametrize("nx, ny", [(8, 4), (9, 4), (128, 32)])
+    def test_folded_cell_jacobian_half_bandwidth(self, reference_profile,
+                                                 nx, ny):
+        """Ring-ordered cell columns keep every coupling of the periodic
+        fold within two columns of the diagonal, for odd and even nx."""
+        mesh = build_cell_mesh(reference_profile, nx, ny)
+        a = assemble_jacobian(mesh, mesh.nodes[:, 0], FluxParams(p=2.0),
+                              include_mass=False)
+        coo = Reduction(mesh.num_nodes, cell_constraints(mesh)) \
+            .reduce_matrix(a).tocoo()
+        assert (coo.col - coo.row).max() == 2 * ny + 3
+        assert folded_half_bandwidth(mesh) == 2 * ny + 3
+
+    def test_tall_columns_keep_the_band(self, reference_profile):
+        """The band grows with the rows of a column, not with the mesh:
+        tall ring-ordered cells and tall thin meshes still solve."""
+        cell = solve_cell(build_cell_mesh(reference_profile, 8, 230), 2.0)
+        assert cell.diagnostics.stages[-1].converged
+        mesh = build_thin_mesh(reference_profile, 1.0, 4, 460)
+        a = assemble_jacobian(mesh, mesh.nodes[:, 0], FluxParams(p=2.0))
+        b = np.random.default_rng(17).normal(size=mesh.num_nodes)
+        x = linear_solve(a, b, 1e-10)
+        assert np.linalg.norm(b - a @ x) <= 1e-10 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("delta", [1e-2, 1e-8])
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_constrained_solve_matches_bordered_lu(self, medium_cell_mesh,
+                                                   p, delta):
+        mesh = medium_cell_mesh
+        red = Reduction(mesh.num_nodes, cell_constraints(mesh))
+        x1, x2 = mesh.nodes.T
+        v = x1 + 0.05 * np.sin(2.0 * np.pi * x1) * (1.0 + x2)
+        a = red.reduce_matrix(assemble_jacobian(
+            mesh, v, FluxParams(p=p, delta=delta), include_mass=False))
+        b = np.random.default_rng(16).normal(size=red.n_reduced)
+        w = red.reduce_vector(mesh.node_weights)
+        x = constrained_linear_solve(a, b, w, 1e-12)
+        ref = oracles.bordered_solve(a, b, w)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_wide_band_refused_before_allocation(self, reference_profile):
+        """A cell mesh numbered column by column (as meshes written before
+        the ring order were) folds column 0 onto column nx - 1 across the
+        whole matrix; the cell solve refuses that numbering instead of
+        allocating its band."""
+        ring = build_cell_mesh(reference_profile, 64, 16)
+        order = np.lexsort((ring.nodes[:, 1], ring.nodes[:, 0]))
+        new = np.empty_like(order)
+        new[order] = np.arange(len(order))
+        mesh = Mesh(ring.nodes[order], new[ring.triangles],
+                    {tag: new[e] for tag, e in ring.boundary_edges.items()},
+                    new[ring.periodic_pairs], "cell", grid_x=ring.grid_x,
+                    grid_heights=ring.grid_heights, grid_rows=ring.grid_rows)
+        n = mesh.num_nodes - len(mesh.periodic_pairs)
+        band_bytes = 8 * n * ((64 - 1) * (16 + 1) + 1)   # (bw + 1) * n
+        tracemalloc.start()
+        try:
+            with pytest.raises(LinearSolveError, match="half-bandwidth"):
+                solve_cell(mesh, 3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < band_bytes / 4
+
     def test_constrained_solve_matches_dense_kkt(self):
         rng = np.random.default_rng(14)
         m = rng.normal(size=(40, 40))
@@ -95,11 +163,21 @@ class TestLinearSolve:
         assert abs(w @ x) < 1e-10
 
     def test_constrained_singular_system_is_solve_error(self):
-        """SuperLU's failure on a singular bordered matrix is a solver error
-        (exit 3 from the command line), not a bare RuntimeError."""
-        with pytest.raises(IndefiniteSystemError, match="bordered LU failed"):
+        """A singular bordered system is a solver error (exit 3 from the
+        command line): its grounded band has a zero diagonal."""
+        with pytest.raises(IndefiniteSystemError,
+                           match="nonpositive diagonal entry"):
             constrained_linear_solve(sp.csr_matrix((3, 3)), np.array(
                 [1.0, 0.0, -1.0]), np.ones(3), 1e-12)
+
+    def test_constrained_singular_schur_is_solve_error(self):
+        """a = [[1, -1], [-1, 1]] grounds to an SPD band, but it is singular
+        on w . x = 0 for w = (1, -1): the 2x2 Schur step reports it."""
+        a = sp.csr_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        with pytest.raises(IndefiniteSystemError,
+                           match="singular bordered system"):
+            constrained_linear_solve(a, np.array([1.0, -1.0]),
+                                     np.array([1.0, -1.0]), 1e-12)
 
 
 class TestConstraints:

@@ -6,15 +6,17 @@ import numpy as np
 import pytest
 
 import oscthin
-from oscthin import (StudyConfig, build_cell_mesh, build_thin_mesh,
-                     solve_cell)
+from oscthin import (StudyConfig, build_cell_mesh, build_thin_mesh, geometry,
+                     solve_cell, study)
 from oscthin.fem import element_gradients
 from oscthin.limit1d import nodal_derivative
-from oscthin.study import (LoadSpec, PartitionSpec, box_smooth, corrector_field,
-                           error_corrector, error_u, flux_profile,
-                           flux_stations, flux_target, partition_average,
-                           read_report_csv, read_report_json, run_study,
-                           solve_thin, write_report_csv, write_report_json)
+from oscthin.study import (LoadSpec, PartitionSpec, box_smooth, cell_response,
+                           corrector_field, error_corrector, error_u,
+                           flux_profile, flux_stations, flux_target,
+                           partition_average, read_report_csv,
+                           read_report_json, run_study, solve_config_cell,
+                           solve_thin, thin_gradient, write_report_csv,
+                           write_report_json)
 
 import oracles
 
@@ -79,14 +81,15 @@ class TestCorrector:
         mesh = build_thin_mesh(flat_profile, 0.25, 8, 4)
         part = PartitionSpec.dyadic(2, 1.0)
         du0 = np.full(65, 0.7)
-        c = corrector_field(cell, du0, part, 0.25, mesh)
+        c = corrector_field(du0, part, mesh, cell_response(cell, mesh))
         assert np.abs(c - [0.7, 0.0]).max() < 1e-12
 
     def test_zero_derivative_gives_zero(self, reference_profile):
         cell = solve_cell(build_cell_mesh(reference_profile, 16, 8), 3.0)
         mesh = build_thin_mesh(reference_profile, 0.25, 8, 4)
         part = PartitionSpec.dyadic(2, 1.0)
-        c = corrector_field(cell, np.zeros(65), part, 0.25, mesh)
+        c = corrector_field(np.zeros(65), part, mesh,
+                            cell_response(cell, mesh))
         assert np.abs(c).max() == 0.0
 
     def test_mean_matches_cell_average(self, reference_profile):
@@ -97,12 +100,42 @@ class TestCorrector:
         mesh = build_thin_mesh(reference_profile, eps, 16, 8)
         part = PartitionSpec.dyadic(4, 1.0)
         d = 0.7
-        c = corrector_field(cell, np.full(129, d), part, eps, mesh)
+        c = corrector_field(np.full(129, d), part, mesh,
+                            cell_response(cell, mesh))
         mesh_avg = (mesh.areas[:, None] * c).sum(axis=0) / mesh.areas.sum()
         grads = element_gradients(cell.mesh, cell.phi) + [1.0, 0.0]
         cell_avg = d * (cell.mesh.areas[:, None] * grads).sum(axis=0) \
             / cell.mesh.areas.sum()
         assert np.abs(mesh_avg - cell_avg).max() < 2e-2 * abs(d)
+
+    @pytest.mark.parametrize("eps", [0.25, 1.0 / 16])
+    def test_one_lookup_matches_lookup_per_level(self, reference_profile,
+                                                 eps):
+        cell = solve_cell(build_cell_mesh(reference_profile, 32, 8), 3.0)
+        mesh = build_thin_mesh(reference_profile, eps, 16, 8)
+        du0 = np.sin(3.0 * np.linspace(0.0, 1.0, 129))
+        response = cell_response(cell, mesh)
+        for level in (2, 4, 6):
+            part = PartitionSpec.dyadic(level, reference_profile.period)
+            assert np.array_equal(
+                corrector_field(du0, part, mesh, response),
+                oracles.corrector_field(cell, du0, part, eps, mesh))
+
+    def test_study_locates_points_once_per_mesh(self, reference_profile,
+                                                monkeypatch):
+        calls = []
+        locate = geometry.locate_points
+
+        def counting(mesh, points):
+            calls.append(mesh.domain_kind)
+            return locate(mesh, points)
+
+        monkeypatch.setattr(geometry, "locate_points", counting)
+        config = tiny_config(reference_profile, LoadSpec(kind="cos_pi"),
+                             levels=(2, 4, 6))
+        cell = solve_config_cell(config)
+        rows = study._study_rows_for_eps(config, cell, 0.25)
+        assert len(rows) == 3 and calls == ["cell"]
 
 
 class TestErrors:
@@ -138,8 +171,8 @@ class TestErrors:
             Limit1DProblem(coeff=cell.coeff_flux, p=2.0, forcing=forcing, n=64))
         du0 = nodal_derivative(u0)
         part = PartitionSpec.dyadic(3, 1.0)
-        c = corrector_field(cell, du0, part, eps, mesh)
-        err = error_corrector(mesh, u_eps, c, 2.0, eps)
+        c = corrector_field(du0, part, mesh, cell_response(cell, mesh))
+        err = error_corrector(mesh, thin_gradient(mesh, u_eps), c, 2.0)
 
         # independent route: dense thin solve, dense limit solve, the flat
         # corrector is (partition-averaged du0, 0)
