@@ -2,6 +2,13 @@
 with oscillating upper boundaries: cell problem, effective coefficient,
 thin-domain and 1-D limit solves, corrector and convergence studies."""
 
+import os
+
+# Newton steps factor narrow bands, where BLAS threads only contend: one per
+# process unless set (effective only if numpy is not yet imported)
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .fem import FluxParams
 from .geometry import Mesh, ProfileSpec, build_cell_mesh, build_thin_mesh, mesh_area
 from .homogenize import CellSolution, effective_coefficient, solve_cell

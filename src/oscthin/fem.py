@@ -18,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from . import solve
+
 
 class AssemblyError(RuntimeError):
     """Raised when assembly meets a non-finite intermediate value."""
@@ -44,21 +46,17 @@ class FluxParams:
             raise ValueError(f"eps_weight must be positive, got {self.eps_weight}")
 
 
-# vertex pairs of the six distinct blocks of a symmetric element matrix,
-# then the mirrors of the three off-diagonal ones: the jacobian's scatter order
-_ROWS = (0, 1, 2, 0, 0, 1, 1, 2, 2)
-_COLS = (0, 1, 2, 1, 2, 2, 0, 0, 1)
+# vertex pairs (k, l), k <= l, of the six distinct blocks of a symmetric
+# element matrix: the jacobian's scatter order
+_ROWS = [0, 1, 2, 0, 0, 1]
+_COLS = [0, 1, 2, 1, 2, 2]
 
 
 class _Plan:
-    """Everything assembly needs of a mesh that no field changes.
-
-    tri, gx, gy are (3, T): node index and hat-function gradient of each
-    triangle vertex; area is (T,).  indptr and indices are the sorted CSR
-    pattern of the jacobian and slots (9, T) the position in it of each
-    element-block entry, in _ROWS/_COLS order.  The index arrays are
-    read-only because every jacobian shares them.
-    """
+    """Everything assembly needs of a mesh that no field changes: tri, gx,
+    gy (3, T), node index and hat-function gradient of each triangle
+    vertex, and area (T,).  The flux metric per eps_weight and the band
+    layouts are built on first use, each kept in one assignment."""
 
     def __init__(self, mesh):
         self.tri = tri = np.ascontiguousarray(mesh.triangles.T)
@@ -67,28 +65,41 @@ class _Plan:
         nxt, prv = [1, 2, 0], [2, 0, 1]
         self.gx = (y[nxt] - y[prv]) / (2.0 * area)
         self.gy = (x[prv] - x[nxt]) / (2.0 * area)
+        self.num_nodes = mesh.num_nodes
+        self._cache = {}
+        tri.flags.writeable = False
 
-        n = mesh.num_nodes
-        tri32 = tri.astype(np.int32)
-        rows, cols = tri32[list(_ROWS)], tri32[list(_COLS)]
-        pattern = sp.csr_matrix(
-            (np.ones(rows.size, dtype=np.int8), (rows.ravel(), cols.ravel())),
-            shape=(n, n))           # sums duplicates and sorts each row
-        self.indptr, self.indices = pattern.indptr, pattern.indices
-        # a row holds a few sorted columns (7 on a mapped grid): step each
-        # entry from its row start to its own column
-        slots = self.indptr[rows]
-        for _ in range(int(np.diff(self.indptr).max()) - 1):
-            slots += self.indices[slots] < cols
-        self.slots = slots
-        for arr in (self.tri, self.indptr, self.indices, self.slots):
-            arr.flags.writeable = False
+    def metric(self, eps_weight):
+        """G (6, T): area * (b_k . b_l) of the scaled hat gradients
+        b = (gx, gy/eps_weight), for the six distinct blocks."""
+        key = ("metric", eps_weight)
+        if key not in self._cache:
+            gx, gy, k, l = self.gx, self.gy / eps_weight, _ROWS, _COLS
+            self._cache[key] = self.area * (gx[k] * gx[l] + gy[k] * gy[l])
+        return self._cache[key]
+
+    def band(self, fold=None):
+        """Band layout of the jacobian in node order or folded by fold (a
+        solve.Reduction): its offsets, size m and the (6, T) int32 position
+        of each distinct block entry in the rows of a solve.Band."""
+        key = ("band", None if fold is None else fold.key)
+        if key not in self._cache:
+            index = fold.index if key[1] else np.arange(self.num_nodes)
+            i, j = index[self.tri[_ROWS]], index[self.tri[_COLS]]
+            lo, hi = np.minimum(i, j), np.maximum(i, j)
+            if np.any(lo[3:] == hi[3:]):
+                raise ValueError("a triangle joins a node to its periodic copy")
+            m = int(index.max()) + 1
+            offsets, where = solve.band_layout(hi - lo, hi, m)
+            where = where.astype(np.int32)
+            where.flags.writeable = False
+            self._cache[key] = (offsets, m, where)
+        return self._cache[key]
 
 
 def _plan(mesh):
-    """The mesh's assembly plan, built on first use.  It is attached in one
-    assignment, so concurrent callers see none or all of it (two may build
-    it; the results are identical)."""
+    """The mesh's assembly plan, built on first use and attached in one
+    assignment: concurrent callers see none or all of it."""
     plan = getattr(mesh, "_fem_plan", None)
     if plan is None:
         plan = _Plan(mesh)
@@ -144,6 +155,13 @@ def _power_weight(sq, p, delta):
     pos = base > 0.0
     out[pos] = base[pos] ** ((p - 2.0) / 2.0)
     return out
+
+
+def _ratio(p, den, delta):
+    """(p - 2) / den, read as 0 where den = delta^2 + |.|^2 vanishes."""
+    if delta > 0.0:
+        return (p - 2.0) / den
+    return np.divide(p - 2.0, den, out=np.zeros_like(den), where=den > 0.0)
 
 
 def p_flux(xi, params):
@@ -217,25 +235,97 @@ def _check_finite(values, what):
             f"non-finite {what} on triangle {int(np.flatnonzero(bad)[0])}")
 
 
+class Point:
+    """A field evaluated once for its energy, residual and jacobian: one
+    gather, the scaled element gradient xi, the midpoint values, their
+    power weights and c_k = b_k . xi for the scaled hat gradients b_k.
+    load_vector b enters as -b . u and -b."""
+
+    def __init__(self, mesh, u, params, include_mass=True, load_vector=None):
+        self.u, self.plan, uv, gs = _gather(mesh, u, params.eps_weight)
+        self.params, self.include_mass = params, include_mass
+        self.load_vector = load_vector
+        p, delta, plan = params.p, params.delta, self.plan
+        self.sq = gs[0] * gs[0] + gs[1] * gs[1]
+        self.sigma = _power_weight(self.sq, p, delta)
+        self.c = plan.gx * gs[0] + plan.gy * (gs[1] / params.eps_weight)
+        if include_mass:
+            self.um = _midpoint_values(uv)
+            self.mass_weight = _power_weight(self.um * self.um, p, delta)
+
+    def energy(self):
+        """int (1/p)(d^2+|xi|^2)^(p/2) [+ (1/p)(d^2+u^2)^(p/2)] - b . u."""
+        p, d2, area = self.params.p, self.params.delta ** 2, self.plan.area
+        flux = area * ((d2 + self.sq) * self.sigma) / p
+        _check_finite(flux, "flux energy")
+        total = flux.sum()
+        if self.include_mass:
+            um2 = self.um * self.um
+            mass = (area / 3.0) * ((d2 + um2) * self.mass_weight).sum(axis=0) / p
+            _check_finite(mass, "mass energy")
+            total += mass.sum()
+        if self.load_vector is not None:
+            total -= self.load_vector @ self.u
+        return float(total)
+
+    def residual(self):
+        """Gradient of the energy, one entry per node."""
+        plan = self.plan
+        contrib = (plan.area * self.sigma) * self.c
+        _check_finite(contrib, "flux")
+        if self.include_mass:
+            s = self.mass_weight * self.um
+            _check_finite(s, "mass term")
+            # hat function k is 1/2 at the two midpoints not opposite to k
+            contrib += plan.area / 3.0 * 0.5 * (s.sum(axis=0) - s)
+        res = np.bincount(plan.tri.ravel(), weights=contrib.ravel(),
+                          minlength=len(self.u))
+        if self.load_vector is not None:
+            res -= self.load_vector
+        return res
+
+    def blocks(self):
+        """The six distinct entries (6, T) of each element matrix: the flux
+        tensor sigma (I + r xi xi^T), r = (p-2)/(d^2+|xi|^2), positive
+        definite for p > 1 if delta > 0, gives sigma G_kl + area sigma r
+        c_k c_l with the plan's metric G."""
+        p, delta = self.params.p, self.params.delta
+        if p < 2.0 and delta == 0.0:
+            raise ValueError("jacobian with p < 2 requires delta > 0")
+        plan, sigma, c = self.plan, self.sigma, self.c
+        wc = (plan.area * sigma * _ratio(p, delta * delta + self.sq, delta)) * c
+        blocks = plan.metric(self.params.eps_weight) * sigma
+        for b, (k, l) in enumerate(zip(_ROWS, _COLS)):
+            blocks[b] += wc[k] * c[l]
+        _check_finite(blocks, "flux tensor")
+        if self.include_mass:
+            um = self.um
+            mprime = self.mass_weight * (
+                1.0 + _ratio(p, delta * delta + um * um, delta) * um * um)
+            _check_finite(mprime, "mass tensor")
+            # phi_k(m_j) = (1 - delta_kj)/2, so midpoint j feeds the blocks
+            # of the two vertices other than j (added in ascending j)
+            mass = (plan.area / 3.0) * 0.25 * mprime
+            blocks[:3] += mass[[1, 0, 0]]
+            blocks[:3] += mass[[2, 2, 1]]
+            blocks[3:] += mass[[2, 1, 0]]
+        return blocks
+
+    def jacobian(self, fold=None):
+        """The blocks scattered through the plan's band map, folded by fold
+        (a solve.Reduction) if given: a solve.Band."""
+        offsets, m, where = self.plan.band(fold)
+        rows = np.bincount(where.ravel(), weights=self.blocks().ravel(),
+                           minlength=len(offsets) * m)
+        return solve.Band(rows.reshape(len(offsets), m), offsets)
+
+
 def assemble_energy(mesh, u, params, load=None, include_mass=True):
     """Convex energy whose Euler-Lagrange system is the weighted p-Laplace
     problem:  int (1/p)(d^2+|grad_w u|^2)^(p/2) [+ (1/p)(d^2+u^2)^(p/2) - f u].
     """
-    u, plan, uv, gs = _gather(mesh, u, params.eps_weight)
-    p, delta = params.p, params.delta
-    area = plan.area
-    sq = gs[0] * gs[0] + gs[1] * gs[1]
-    flux = area * ((delta * delta + sq) ** (p / 2.0)) / p
-    _check_finite(flux, "flux energy")
-    total = flux.sum()
-    if include_mass:
-        um = _midpoint_values(uv)
-        mass = (area / 3.0) * ((delta * delta + um * um) ** (p / 2.0)).sum(axis=0) / p
-        _check_finite(mass, "mass energy")
-        total += mass.sum()
-    if load is not None:
-        total -= load_vector(mesh, load) @ u
-    return float(total)
+    b = None if load is None else load_vector(mesh, load)
+    return Point(mesh, u, params, include_mass, b).energy()
 
 
 def assemble_residual(mesh, u, params, load=None, include_mass=True):
@@ -244,75 +334,24 @@ def assemble_residual(mesh, u, params, load=None, include_mass=True):
     A field solves the discrete Neumann problem iff this vanishes; the
     boundary condition is natural so no boundary terms appear.
     """
-    u, plan, uv, gs = _gather(mesh, u, params.eps_weight)
-    p, delta = params.p, params.delta
-    area = plan.area
-    a = _power_weight(gs[0] * gs[0] + gs[1] * gs[1], p, delta) * gs
-    _check_finite(a, "flux")
-    contrib = area * (a[0] * plan.gx + a[1] * plan.gy / params.eps_weight)
-    if include_mass:
-        um = _midpoint_values(uv)
-        s = _power_weight(um * um, p, delta) * um
-        _check_finite(s, "mass term")
-        # hat function k is 1/2 at the two midpoints not opposite to k
-        contrib += area / 3.0 * 0.5 * (s.sum(axis=0) - s)
-    res = np.bincount(plan.tri.ravel(), weights=contrib.ravel(),
-                      minlength=mesh.num_nodes)
-    if load is not None:
-        res -= load_vector(mesh, load)
-    return res
+    b = None if load is None else load_vector(mesh, load)
+    return Point(mesh, u, params, include_mass, b).residual()
 
 
 def assemble_jacobian(mesh, u, params, include_mass=True):
     """Derivative of the residual; sparse symmetric positive semidefinite.
 
-    Per triangle the flux block is (d^2+|xi|^2)^((p-2)/2)
-    (I + (p-2) xi xi^T / (d^2+|xi|^2)) in the scaled gradient xi, which is
-    positive definite for p > 1 whenever delta > 0.  The six distinct
-    entries of each symmetric element matrix are scattered into the
-    mesh's cached CSR pattern.
+    The CSR form of Point.jacobian's band in node order, over the full
+    coupling pattern (entries that happen to vanish included); the Newton
+    solves take the band itself.
     """
-    p, delta = params.p, params.delta
-    if p < 2.0 and delta == 0.0:
-        raise ValueError("jacobian with p < 2 requires delta > 0")
-    u, plan, uv, gs = _gather(mesh, u, params.eps_weight)
-    area = plan.area
-
-    sq = gs[0] * gs[0] + gs[1] * gs[1]
-    den = delta * delta + sq
-    sigma = _power_weight(sq, p, delta)
-    ratio = np.divide(p - 2.0, den, out=np.zeros_like(den), where=den > 0.0)
-    m11 = sigma * (1.0 + ratio * gs[0] * gs[0])
-    m12 = sigma * ratio * gs[0] * gs[1]
-    m22 = sigma * (1.0 + ratio * gs[1] * gs[1])
-    _check_finite(m11, "flux tensor")
-
-    if include_mass:
-        um = _midpoint_values(uv)
-        mden = delta * delta + um * um
-        mratio = np.divide(p - 2.0, mden, out=np.zeros_like(mden),
-                           where=mden > 0.0)
-        mprime = _power_weight(um * um, p, delta) * (1.0 + mratio * um * um)
-        _check_finite(mprime, "mass tensor")
-        # phi_k(m_j) = (1 - delta_kj)/2, so midpoint j feeds the blocks of
-        # the two vertices other than j
-        mass = (area / 3.0) * 0.25 * mprime
-
-    bx, by = plan.gx, plan.gy / params.eps_weight
-    tx = m11 * bx + m12 * by             # flux tensor times each hat gradient
-    ty = m12 * bx + m22 * by
-    blocks = np.empty((9, len(area)))
-    for b, (k, l) in enumerate(zip(_ROWS[:6], _COLS[:6])):
-        blocks[b] = area * (bx[k] * tx[l] + by[k] * ty[l])
-        if include_mass:
-            for j in range(3):
-                if j != k and j != l:
-                    blocks[b] += mass[j]
-    blocks[6:] = blocks[3:6]
-    data = np.bincount(plan.slots.ravel(), weights=blocks.ravel(),
-                       minlength=len(plan.indices))
-    n = mesh.num_nodes
-    return sp.csr_matrix((data, plan.indices, plan.indptr), shape=(n, n))
+    point = Point(mesh, u, params, include_mass)
+    offsets, m, where = point.plan.band()
+    pos = np.unique(where)
+    d, j = offsets[pos // m], pos % m
+    values, off = point.jacobian().rows.ravel()[pos], d > 0
+    return sp.csr_matrix((np.r_[values, values[off]], (np.r_[j - d, j[off]],
+                          np.r_[j, (j - d)[off]])), shape=(m, m))
 
 
 def lp_norm(mesh, u, p):

@@ -54,15 +54,13 @@ def _refine_extremum(fun, lo, hi, rounds, mode):
 
 @dataclass(frozen=True)
 class ProfileSpec:
-    """Positive periodic height profile given as a truncated Fourier series.
-
+    """Positive periodic height profile given as a truncated Fourier series,
     evaluate(y) = mean + sum_k cos_coeffs[k-1]*cos(2 pi k y / period)
-                       + sum_k sin_coeffs[k-1]*sin(2 pi k y / period)
+                       + sum_k sin_coeffs[k-1]*sin(2 pi k y / period).
 
-    Truncated series are exactly periodic and smooth, and their positivity
-    can be certified by dense sampling; arbitrary callables are rejected so
-    profiles stay serializable.  ``minimum`` and ``maximum`` are computed at
-    construction and construction fails unless the minimum is positive.
+    Such series are exactly periodic, smooth and serializable, and dense
+    sampling certifies their positivity: ``minimum`` and ``maximum`` are
+    computed at construction, which fails unless the minimum is positive.
     """
 
     period: float
@@ -77,15 +75,13 @@ class ProfileSpec:
             raise ValueError(f"profile period must be positive, got {self.period}")
         object.__setattr__(self, "cos_coeffs", tuple(float(a) for a in self.cos_coeffs))
         object.__setattr__(self, "sin_coeffs", tuple(float(b) for b in self.sin_coeffs))
-        ys = np.arange(_EXTREMUM_SAMPLES) * (self.period / _EXTREMUM_SAMPLES)
-        vals = self.evaluate(ys)
-        imin = int(np.argmin(vals))
-        imax = int(np.argmax(vals))
         h = self.period / _EXTREMUM_SAMPLES
-        gmin = _refine_extremum(self.evaluate, ys[imin] - h, ys[imin] + h,
-                                _EXTREMUM_ROUNDS, "min")
-        gmax = _refine_extremum(self.evaluate, ys[imax] - h, ys[imax] + h,
-                                _EXTREMUM_ROUNDS, "max")
+        ys = np.arange(_EXTREMUM_SAMPLES) * h
+        vals = self.evaluate(ys)
+        gmin, gmax = (_refine_extremum(self.evaluate, ys[i] - h, ys[i] + h,
+                                       _EXTREMUM_ROUNDS, mode)
+                      for i, mode in ((int(np.argmin(vals)), "min"),
+                                      (int(np.argmax(vals)), "max")))
         object.__setattr__(self, "minimum", gmin)
         object.__setattr__(self, "maximum", gmax)
         if gmin <= 0.0:
@@ -108,10 +104,9 @@ class Mesh:
     domain_kind    "cell" or "thin"
     eps            oscillation parameter for thin meshes, None for cell meshes
 
-    Meshes are immutable after construction and safe for concurrent reads.
-    The column grid used by the mapped construction is retained
-    (``grid_x``, ``grid_heights``, ``grid_rows``) so points can be located
-    without a search structure.
+    Meshes are immutable after construction and safe for concurrent reads;
+    the column grid of the mapped construction (``grid_x``,
+    ``grid_heights``, ``grid_rows``) locates points without a search.
     """
 
     def __init__(self, nodes, triangles, boundary_edges, periodic_pairs,
@@ -164,11 +159,15 @@ class Mesh:
             np.add.at(w, self.triangles[:, k], third)
         return w
 
+    @cached_property
     def barycenters(self):
+        """Triangle barycenters (T, 2), read-only."""
         # vertex by vertex: the same sums as a mean over the (T, 3, 2)
         # gather, about four times faster on large meshes
         nodes, tri = self.nodes, self.triangles.T
-        return (nodes[tri[0]] + nodes[tri[1]] + nodes[tri[2]]) / 3.0
+        bary = (nodes[tri[0]] + nodes[tri[1]] + nodes[tri[2]]) / 3.0
+        bary.flags.writeable = False
+        return bary
 
     def weighted_mean(self, u):
         """Mesh-weighted mean of a nodal field (exact for P1 interpolants)."""
@@ -256,11 +255,9 @@ def _mapped_grid(xs, heights, ny, domain_kind, eps=None):
 
 
 def build_cell_mesh(spec, nx, ny):
-    """Mesh one period of the profile: columns in [0, period], rows up to g.
-
-    The first and last column heights are identified exactly (periodicity),
-    so the periodic node pairing matches to machine precision.
-    """
+    """Mesh one period of the profile: columns in [0, period], rows up to
+    g; the first and last column heights are identified exactly, so the
+    periodic node pairing matches to machine precision."""
     if nx < 2 or ny < 2:
         raise ValueError("cell mesh needs nx >= 2 and ny >= 2")
     xs = np.arange(nx + 1) * (spec.period / nx)
@@ -272,11 +269,8 @@ def build_cell_mesh(spec, nx, ny):
 
 def build_thin_mesh(spec, eps, nx_per_period, ny):
     """Mesh the rescaled thin domain: unit interval, height g(x1/eps).
-
-    eps must equal 1/(m*period) for an integer m, so that an integer number
-    of profile periods tiles (0, 1); the mesh is then the exact m-fold
-    concatenation of one period's column pattern.
-    """
+    eps must equal 1/(m*period) for an integer m, and the mesh is then the
+    exact m-fold concatenation of one period's column pattern."""
     if not (0.0 < eps <= 1.0):
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
     if nx_per_period < 2 or ny < 2:
@@ -298,21 +292,6 @@ def build_thin_mesh(spec, eps, nx_per_period, ny):
     heights = np.concatenate(
         [np.tile(column_heights[:-1], m), column_heights[:1]])
     return _mapped_grid(xs, heights, ny, "thin", eps=eps)
-
-
-def folded_half_bandwidth(mesh):
-    """Half-bandwidth of the P1 node coupling once each periodic copy is
-    folded onto its source and dropped from the numbering, as the periodic
-    reduction of the jacobian does.  Ring-ordered cell columns (see
-    _mapped_grid) give 2*grid_rows + 3; column order would give about
-    nx*(grid_rows + 1)."""
-    source, copy = mesh.periodic_pairs.T
-    keep = np.ones(mesh.num_nodes, dtype=bool)
-    keep[copy] = False
-    index = np.cumsum(keep) - 1
-    index[copy] = index[source]
-    t = index[mesh.triangles]
-    return int((t.max(axis=1) - t.min(axis=1)).max())
 
 
 def mesh_area(mesh):
@@ -408,13 +387,10 @@ def _level_candidates(mesh, levels):
 
 
 def locate_points(mesh, points):
-    """Containing triangle for each point of a mapped-grid mesh.
-
-    Uses the column grid for a direct lookup, then verifies containment via
-    barycentric coordinates (with a small relative slack for points on
-    shared edges).  Raises MeshingError listing the first point that falls
-    outside every candidate triangle.
-    """
+    """Containing triangle for each point of a mapped-grid mesh: a direct
+    lookup in the column grid, verified by barycentric coordinates (with a
+    small slack for points on shared edges).  A point outside every
+    candidate triangle raises MeshingError naming it."""
     if mesh.grid_x is None:
         raise MeshingError("mesh carries no column grid; cannot locate points")
     pts = np.atleast_2d(np.asarray(points, dtype=float))

@@ -32,13 +32,10 @@ COEFF_FAILURE = 1e-4
 
 @dataclass
 class CellSolution:
-    """Converged cell solve plus the derived scalar data.
-
-    phi is the mean-zero periodic perturbation; cell_measure the triangulated
-    cell area; coeff_flux and coeff_energy the two discretizations of the
-    effective coefficient, agreeing to COEFF_AGREEMENT at the solver's
-    tolerance.
-    """
+    """Converged cell solve plus the derived scalar data: phi is the
+    mean-zero periodic perturbation, cell_measure the triangulated cell
+    area, coeff_flux and coeff_energy the two discretizations of the
+    effective coefficient (agreeing to COEFF_AGREEMENT)."""
 
     mesh: geometry.Mesh
     phi: np.ndarray
@@ -67,37 +64,24 @@ class CellSolution:
 
 
 class _CellFunctional:
-    """Flux-only energy of v = y1 + phi as callbacks over phi."""
+    """Flux-only energy of v = y1 + phi as points over phi."""
 
     def __init__(self, mesh, p):
         self.mesh = mesh
         self.p = p
         self.base = mesh.nodes[:, 0].copy()
 
-    def _params(self, delta):
-        return fem.FluxParams(p=self.p, delta=delta, eps_weight=1.0)
-
-    def energy(self, phi, delta):
-        return fem.assemble_energy(self.mesh, self.base + phi,
-                                   self._params(delta), include_mass=False)
-
-    def residual(self, phi, delta):
-        return fem.assemble_residual(self.mesh, self.base + phi,
-                                     self._params(delta), include_mass=False)
-
-    def jacobian(self, phi, delta):
-        return fem.assemble_jacobian(self.mesh, self.base + phi,
-                                     self._params(delta), include_mass=False)
+    def point(self, phi, delta):
+        return fem.Point(self.mesh, self.base + phi,
+                         fem.FluxParams(p=self.p, delta=delta, eps_weight=1.0),
+                         include_mass=False)
 
 
 def cell_constraints(mesh):
-    """Periodic identification plus the zero-mean normalization.
-
-    The solver enforces the mean constraint inside each Newton step
-    (bordered system, solved through a grounded band), which keeps the
-    jacobian uniformly definite on the admissible space; the post-shift
-    then only mops up roundoff.
-    """
+    """Periodic identification plus the zero-mean normalization, which the
+    solver enforces inside each Newton step (bordered system) to keep the
+    jacobian definite on the admissible space; the post-shift only mops
+    up roundoff."""
     return solve.ConstraintSet(
         periodic_pairs=mesh.periodic_pairs,
         mean_zero_postshift=True,
@@ -108,17 +92,18 @@ def cell_constraints(mesh):
 def solve_cell(mesh, p, opts=None):
     """Solve the periodic cell problem and package the scalar outputs."""
     opts = opts or solve.SolveOptions()
-    # the cell step factors a band as wide as the folded numbering; a mesh
-    # not in ring order (a cell mesh written in column order) would need
-    # one about nx/2 times wider, so it is refused before that is allocated
-    bw = geometry.folded_half_bandwidth(mesh)
+    # a cell mesh not in ring order (column order) folds into a band about
+    # nx/2 times wider: it is refused before that band is allocated
+    constraints = cell_constraints(mesh)
+    bw = int(fem._plan(mesh).band(
+        solve.Reduction(mesh.num_nodes, constraints))[0][-1])
     if mesh.grid_rows and bw > 2 * mesh.grid_rows + 3:
         raise solve.LinearSolveError(
             f"folded half-bandwidth {bw} is wider than the ring order's "
             f"{2 * mesh.grid_rows + 3}: rebuild the mesh with build_cell_mesh")
     functional = _CellFunctional(mesh, p)
     phi, diagnostics = solve.newton_solve(
-        functional, np.zeros(mesh.num_nodes), cell_constraints(mesh), opts)
+        functional, np.zeros(mesh.num_nodes), constraints, opts)
 
     measure = geometry.mesh_area(mesh)
     mean = mesh.weighted_mean(phi)
@@ -151,11 +136,9 @@ def _coefficient_pair(cell):
 
 
 def effective_coefficient(cell):
-    """Effective coefficient of the 1-D limit problem (flux form).
-
-    Recomputes both discretizations and errors out if they disagree beyond
-    COEFF_FAILURE, which indicates an unconverged cell solve.
-    """
+    """Effective coefficient of the 1-D limit problem (flux form); both
+    discretizations disagreeing beyond COEFF_FAILURE flags an unconverged
+    cell solve and raises."""
     flux, energy = _coefficient_pair(cell)
     if abs(flux - energy) > COEFF_FAILURE * abs(energy):
         raise UnconvergedCellError(
@@ -164,11 +147,8 @@ def effective_coefficient(cell):
 
 
 def level_fraction(spec, height, n_samples=10_000):
-    """Fraction of one period where the profile exceeds the given height.
-
-    Sampled rather than root-found: profiles may touch a level
-    tangentially, and 1e4 samples resolve the fraction to 1e-4.
-    """
+    """Fraction of one period where the profile exceeds the given height,
+    sampled (a profile may touch a level tangentially) to 1/n_samples."""
     ys = (np.arange(n_samples) + 0.5) * (spec.period / n_samples)
     return float(np.mean(spec.evaluate(ys) > height))
 
@@ -193,13 +173,9 @@ def measure_identity_check(spec, n_levels=4096, n_samples=16384):
 
 
 def homogenized_flux_density(cell, grad_value, height):
-    """Averaged flux response at one height of the cell, a 2-vector.
-
-    Averages |grad v|^(p-2) grad v along the horizontal fiber through the
-    cell at the given height, weighted by the scalar flux of the
-    macroscopic gradient value.  Only the part of the fiber inside the cell
-    contributes, so no extension beyond the oscillating boundary is needed.
-    """
+    """Averaged flux response at one height of the cell, a 2-vector: the
+    mean of |grad v|^(p-2) grad v along the horizontal fiber at that height
+    (inside the cell only), times the scalar flux of the gradient value."""
     fiber = geometry.fiber_matrix(cell.mesh, axis=1, values=[height])
     fiber_avg = (fiber @ cell.flux)[0] / cell.mesh.width
     return fem.p_flux_scalar(grad_value, cell.p) * fiber_avg

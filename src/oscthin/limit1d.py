@@ -8,10 +8,9 @@ closed form) and is treated as its piecewise-linear interpolant; with the
 two-point Gauss rule per element the load integrals are then exact.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import fem, solve
 
@@ -51,73 +50,73 @@ class Limit1DProblem:
 
 
 class _LimitFunctional:
-    """Energy, residual and jacobian of the discrete 1-D problem."""
+    """Points of the discrete 1-D problem for the Newton driver."""
 
     def __init__(self, prob):
         self.prob = prob
         self.h = 1.0 / prob.n
-        f = prob.forcing
         # forcing at the Gauss points of each element (exact interpolation)
-        self.f_gauss = (f[:-1, None] * (1.0 - _GAUSS_T)[None, :]
-                        + f[1:, None] * _GAUSS_T[None, :])
+        self.f_gauss = self._gauss_values(prob.forcing)
 
     def _gauss_values(self, u):
         return (u[:-1, None] * (1.0 - _GAUSS_T)[None, :]
                 + u[1:, None] * _GAUSS_T[None, :])
 
-    def energy(self, u, delta):
-        p, q = self.prob.p, self.prob.coeff
-        slopes = np.diff(u) / self.h
-        flux = self.h * (q / p) * ((delta * delta + slopes * slopes) ** (p / 2.0))
-        ug = self._gauss_values(u)
-        dens = (delta * delta + ug * ug) ** (p / 2.0) / p - self.f_gauss * ug
-        return float(flux.sum() + (self.h * (dens @ _GAUSS_W)).sum())
+    def point(self, u, delta):
+        return _LimitPoint(self, u, delta)
 
-    def residual(self, u, delta):
-        p, q = self.prob.p, self.prob.coeff
-        n = self.prob.n
-        slopes = np.diff(u) / self.h
-        a = q * fem._power_weight(slopes * slopes, p, delta) * slopes
-        res = np.zeros(n + 1)
+
+class _LimitPoint:
+    """Energy, residual and jacobian at one field, sharing its element
+    slopes, Gauss-point values and their power weights."""
+
+    def __init__(self, functional, u, delta):
+        self.f, self.delta = functional, delta
+        p = functional.prob.p
+        self.slopes = np.diff(u) / functional.h
+        self.ug = functional._gauss_values(u)
+        self.sigma = fem._power_weight(self.slopes ** 2, p, delta)
+        self.mass_weight = fem._power_weight(self.ug ** 2, p, delta)
+
+    def energy(self):
+        f, d2 = self.f, self.delta ** 2
+        p, q = f.prob.p, f.prob.coeff
+        s, ug = self.slopes, self.ug
+        flux = f.h * (q / p) * ((d2 + s * s) * self.sigma)
+        dens = (d2 + ug * ug) * self.mass_weight / p - f.f_gauss * ug
+        return float(flux.sum() + (f.h * (dens @ _GAUSS_W)).sum())
+
+    def residual(self):
+        f = self.f
+        a = f.prob.coeff * self.sigma * self.slopes
+        res = np.zeros(f.prob.n + 1)
         res[:-1] -= a
         res[1:] += a
-        ug = self._gauss_values(u)
-        s = fem._power_weight(ug * ug, p, delta) * ug - self.f_gauss
-        res[:-1] += self.h * ((s * (1.0 - _GAUSS_T)[None, :]) @ _GAUSS_W)
-        res[1:] += self.h * ((s * _GAUSS_T[None, :]) @ _GAUSS_W)
+        s = self.mass_weight * self.ug - f.f_gauss
+        res[:-1] += f.h * ((s * (1.0 - _GAUSS_T)[None, :]) @ _GAUSS_W)
+        res[1:] += f.h * ((s * _GAUSS_T[None, :]) @ _GAUSS_W)
         return res
 
-    def jacobian(self, u, delta):
-        p, q = self.prob.p, self.prob.coeff
+    def jacobian(self, fold=None):
+        """Tridiagonal: the diagonal and the superdiagonal of a solve.Band.
+        The limit grid has no periodic fold; fold is not used."""
+        f, delta = self.f, self.delta
+        p, q = f.prob.p, f.prob.coeff
         if p < 2.0 and delta == 0.0:
             raise ValueError("jacobian with p < 2 requires delta > 0")
-        n = self.prob.n
-        slopes = np.diff(u) / self.h
-        den = delta * delta + slopes * slopes
-        ratio = np.divide(p - 2.0, den, out=np.zeros_like(den), where=den > 0.0)
-        stiff = (q / self.h) * fem._power_weight(slopes * slopes, p, delta) \
-            * (1.0 + ratio * slopes * slopes)
-        ug = self._gauss_values(u)
-        mden = delta * delta + ug * ug
-        mratio = np.divide(p - 2.0, mden, out=np.zeros_like(mden),
-                           where=mden > 0.0)
-        mprime = fem._power_weight(ug * ug, p, delta) * (1.0 + mratio * ug * ug)
+        s, ug = self.slopes, self.ug
+        stiff = (q / f.h) * self.sigma * (
+            1.0 + fem._ratio(p, delta * delta + s * s, delta) * s * s)
+        mprime = self.mass_weight * (
+            1.0 + fem._ratio(p, delta * delta + ug * ug, delta) * ug * ug)
         basis = np.stack([1.0 - _GAUSS_T, _GAUSS_T])
         mass = np.einsum("eg,ag,bg,g->eab", mprime, basis, basis,
-                         _GAUSS_W) * self.h
-
-        elems = np.arange(n)
-        rows, cols, vals = [], [], []
-        for a in range(2):
-            for b in range(2):
-                sign = 1.0 if a == b else -1.0
-                rows.append(elems + a)
-                cols.append(elems + b)
-                vals.append(sign * stiff + mass[:, a, b])
-        jac = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n + 1, n + 1))
-        return jac.tocsr()
+                         _GAUSS_W) * f.h
+        rows = np.zeros((2, f.prob.n + 1))
+        rows[0, :-1] += stiff + mass[:, 0, 0]
+        rows[0, 1:] += stiff + mass[:, 1, 1]
+        rows[1, 1:] = mass[:, 0, 1] - stiff
+        return solve.Band(rows, np.array([0, 1]))
 
 
 def solve_homogenized(prob, opts=None):
@@ -139,13 +138,9 @@ def nodal_derivative(values):
     second-order accurate at interior nodes for smooth limits.
     """
     values = np.asarray(values, dtype=float)
-    n = len(values) - 1
-    slopes = np.diff(values) * n
-    out = np.empty(n + 1)
-    out[0] = slopes[0]
-    out[-1] = slopes[-1]
-    out[1:-1] = 0.5 * (slopes[:-1] + slopes[1:])
-    return out
+    slopes = np.diff(values) * (len(values) - 1)
+    return np.concatenate(
+        [slopes[:1], 0.5 * (slopes[:-1] + slopes[1:]), slopes[-1:]])
 
 
 def scale_invariance_check(prob, c, opts=None):
@@ -158,8 +153,6 @@ def scale_invariance_check(prob, c, opts=None):
     """
     if not c > 0.0:
         raise ValueError(f"scaling factor must be positive, got {c}")
-    from dataclasses import replace
-
     base, _ = solve_homogenized(prob, opts)
     scaled, _ = solve_homogenized(replace(prob, coeff=c * prob.coeff), opts)
 

@@ -2,9 +2,9 @@
 
 Constraints (periodic identification, mean-zero post-shift) are realized
 by eliminating follower degrees of freedom onto their leaders through a
-0/1 prolongation matrix, so the reduced systems stay symmetric and no
-penalty parameters appear.  Convergence is measured by the Euclidean norm
-of the reduced residual.
+node map, so the reduced systems stay symmetric and no penalty parameters
+appear.  Convergence is measured by the Euclidean norm of the reduced
+residual.  Every jacobian reaches the linear solvers as a Band.
 """
 
 import logging
@@ -95,12 +95,15 @@ class ConstraintSet:
 
 
 class Reduction:
-    """Prolongation between the reduced (constrained) and full DOF spaces;
-    without periodic pairs it is the identity, and none is built."""
+    """The periodic fold between the full and the reduced DOF spaces as a
+    node map: index[i] is node i's reduced index, each follower (second
+    column of periodic_pairs) taking its leader's and the leaders numbered
+    in node order.  expand gathers through it and reduce_vector sums over
+    it (both return their argument without pairs); problem points fold
+    their jacobian by it, and key (None when nothing folds) names it."""
 
     def __init__(self, n, constraints):
-        leader = np.arange(n)
-        pairs = constraints.periodic_pairs
+        leader, pairs = np.arange(n), constraints.periodic_pairs
         if pairs is not None and len(pairs):
             pairs = np.asarray(pairs, dtype=np.int64)
             leaders, followers = pairs[:, 0], pairs[:, 1]
@@ -109,32 +112,88 @@ class Reduction:
             if np.intersect1d(leaders, followers).size:
                 raise ValueError("constraint pairs form a chain (not acyclic)")
             leader[followers] = leaders
-        keep = leader == np.arange(n)
-        self.n_reduced = int(keep.sum())
-        self.keep = keep
-        self.prolongation = None
-        if self.n_reduced < n:
-            reduced_index = np.cumsum(keep) - 1
-            self.prolongation = sp.csr_matrix(
-                (np.ones(n), (np.arange(n), reduced_index[leader])),
-                shape=(n, self.n_reduced))
+        self.keep = leader == np.arange(n)
+        self.index = (np.cumsum(self.keep) - 1)[leader]
+        self.n_reduced = int(self.keep.sum())
+        self.folded = self.n_reduced < n
+        self.key = self.index.tobytes() if self.folded else None
 
     def reduce_vector(self, v):
         v = np.asarray(v)
-        return v if self.prolongation is None else self.prolongation.T @ v
-
-    def reduce_matrix(self, a):
-        if self.prolongation is None:
-            return a
-        return (self.prolongation.T @ a @ self.prolongation).tocsr()
+        return (np.bincount(self.index, weights=v, minlength=self.n_reduced)
+                if self.folded else v)
 
     def expand(self, u_reduced):
         u = np.asarray(u_reduced)
-        return u if self.prolongation is None else self.prolongation @ u
+        return u[self.index] if self.folded else u
 
     def restrict(self, u):
         """Reduced coordinates of a full field that satisfies the constraints."""
         return np.asarray(u)[self.keep]
+
+
+def band_layout(offset, col, n):
+    """Where the upper entries (offset = col - row >= 0) of a symmetric
+    n x n matrix go in a Band: the ascending offsets that occur, 0 always
+    among them, and each entry's position in the band's rows."""
+    present = np.bincount(offset.ravel(), minlength=1) > 0
+    present[0] = True
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[offset] * n + col
+
+
+class Band:
+    """A symmetric matrix by its nonzero upper diagonals.
+
+    rows[k] holds the diagonal at offset offsets[k] (ascending from 0)
+    aligned as in LAPACK upper band storage: rows[k][j] = a[j - d, j] for
+    j >= d, the first d entries unused.  Products run over the stored
+    diagonals only; factor writes them into the Fortran-ordered band that
+    cholesky_banded factors in place.
+    """
+
+    def __init__(self, rows, offsets):
+        self.rows, self.offsets = rows, offsets
+
+    @classmethod
+    def from_sparse(cls, a):
+        """The band of a symmetric sparse matrix (duplicates summed); a
+        non-symmetric one is refused, as the band keeps its upper half."""
+        coo = sp.coo_matrix(a)
+        if abs(coo - coo.T).max() > 0.0:
+            raise LinearSolveError("matrix is not symmetric")
+        n, offset = coo.shape[0], coo.col - coo.row
+        upper = offset >= 0
+        offsets, where = band_layout(offset[upper], coo.col[upper], n)
+        rows = np.bincount(where, weights=coo.data[upper],
+                           minlength=len(offsets) * n)
+        return cls(rows.reshape(len(offsets), n), offsets)
+
+    def __matmul__(self, x):
+        y = self.rows[0] * x
+        for d, row in zip(self.offsets[1:], self.rows[1:]):
+            y[:-d] += row[d:] * x[d:]
+            y[d:] += row[d:] * x[:-d]
+        return y
+
+    def factor(self, ground=0.0):
+        """Banded Cholesky factor of a + ground * e0 e0^T, for
+        cho_solve_banded.  A nonpositive diagonal entry or a failed
+        Cholesky flags a matrix that lost definiteness (a bug upstream, not
+        a condition to iterate through)."""
+        bw = int(self.offsets[-1])
+        ab = np.zeros((bw + 1, self.rows.shape[1]), order="F")
+        ab[bw - self.offsets] = self.rows
+        ab[bw, 0] += ground
+        i = int(np.argmin(ab[bw]))
+        if ab[bw, i] <= 0.0:
+            raise IndefiniteSystemError(
+                f"nonpositive diagonal entry {ab[bw, i]:.3e} at index {i}")
+        try:
+            return (sla.cholesky_banded(ab, overwrite_ab=True,
+                                        check_finite=False), False)
+        except np.linalg.LinAlgError as exc:
+            raise IndefiniteSystemError(
+                f"banded Cholesky failed: {exc}") from exc
 
 
 # refinement stalls at a relative residual of roughly eps * cond(a), which
@@ -143,125 +202,94 @@ class Reduction:
 _RESIDUAL_CEILING = 1e-6
 
 
-def _upper_band(a):
-    """LAPACK upper band storage of a square sparse matrix: row bw - (j - i)
-    of column j holds a[i, j] for the entries with 0 <= j - i <= bw."""
-    a = sp.coo_matrix(a)
-    n, offset = a.shape[0], a.col - a.row
-    bw = int(offset.max(initial=0))
-    upper = offset >= 0          # bincount sums duplicates, as a @ x does
-    return np.bincount(((bw - offset) * n + a.col)[upper],
-                       weights=a.data[upper],
-                       minlength=(bw + 1) * n).reshape(bw + 1, n)
-
-
-def _band_factor(a, ground=0.0):
-    """Banded Cholesky factor of a + ground * e0 e0^T, for cho_solve_banded.
-
-    A nonpositive diagonal entry or a failed Cholesky flags a matrix that
-    lost definiteness (a bug upstream, not a condition to iterate through).
-    """
-    ab = _upper_band(a)
-    ab[-1, 0] += ground
-    diag = ab[-1]
-    if np.any(diag <= 0.0):
-        i = int(np.argmin(diag))
-        raise IndefiniteSystemError(
-            f"nonpositive diagonal entry {diag[i]:.3e} at index {i}")
-    try:
-        return (sla.cholesky_banded(ab, overwrite_ab=True,
-                                    check_finite=False), False)
-    except np.linalg.LinAlgError as exc:
-        raise IndefiniteSystemError(f"banded Cholesky failed: {exc}") from exc
-
-
 def linear_solve(a, b, tol):
-    """Solve a sparse SPD system, driving the relative residual to tol.
-
-    Banded Cholesky in the given node order (a thin mesh's column-major
-    numbering keeps the band rows + 2 wide), refined against the full
-    matrix, so a non-symmetric input fails the residual test.  Refinement
-    stalls at eps * cond(a), so a residual above tol is still accepted
-    below _RESIDUAL_CEILING.
+    """Solve an SPD system a x = b (a Band, or a symmetric sparse matrix
+    made into one) to relative residual tol: banded Cholesky in the given
+    node order, refined with the band's own product.  Refinement stops at
+    tol or at the first step that fails to halve the residual, keeping the
+    better iterate; at that floor, about eps * cond(a), a residual above
+    tol is accepted below _RESIDUAL_CEILING.
     """
-    b = np.asarray(b, dtype=float)
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros_like(b)
-    factor = _band_factor(a)
-    x = sla.cho_solve_banded(factor, b, check_finite=False)
-    for _ in range(5):
-        r = b - a @ x
-        if np.linalg.norm(r) <= tol * bnorm:
-            break
-        x = x + sla.cho_solve_banded(factor, r, check_finite=False)
-    rel = np.linalg.norm(b - a @ x) / bnorm
-    if not rel <= max(tol, _RESIDUAL_CEILING):
-        raise LinearSolveError(
-            f"relative residual {rel:.3e} above tol {tol:.1e} after refinement")
-    if float(x @ (a @ x)) < 0.0:
-        raise IndefiniteSystemError("negative curvature direction detected")
-    return x
+    return _band_solve(a, b, None, tol)
 
 
 def constrained_linear_solve(a, b, w, tol):
-    """Solve a x = b restricted to the hyperplane w . x = 0.
+    """Solve a x = b on the hyperplane w . x = 0: the bordered system
+    a x + lam w = b, w . x = 0, the step for shift-invariant energies,
+    whose jacobian is singular along constants.
 
-    This is the bordered (Lagrange multiplier) system a x + lam w = b,
-    w . x = 0: the right step for shift-invariant energies, whose jacobian
-    is singular along constants.  It is solved through the band of the
-    grounded matrix B = a + c e0 e0^T with c = a[0, 0], one positive entry
-    more on the diagonal that makes such a jacobian definite without
-    widening the band; B must be SPD.  Since a = B - c e0 e0^T,
-    x = B^-1 (b - lam w) + mu B^-1 e0 with mu = c x[0], and the constraint
-    plus the definition of mu leave a 2x2 system in (mu, lam), singular
-    exactly when the bordered system is.  Refinement runs against the
-    bordered residual.
+    Solved through the band of the grounded matrix B = a + c e0 e0^T,
+    c = a[0, 0], which must be SPD: x = B^-1 (b - lam w) + mu B^-1 e0 with
+    mu = c x[0] leaves a 2x2 system in (mu, lam) of determinant
+    c s^2 + q g, s = w . B^-1 e0, q = w . B^-1 w, g = 1 - c (B^-1)_00, both
+    terms nonnegative for a semidefinite a.  It is singular when they
+    cancel, or when s and g both vanish against their own scales (a
+    singular off w), a test free of the conditioning of B.  Refinement
+    runs on the bordered residual as in linear_solve.
     """
+    return _band_solve(a, b, np.asarray(w, dtype=float), tol)
+
+
+def _band_solve(a, b, w, tol):
+    a = a if isinstance(a, Band) else Band.from_sparse(a)
     b = np.asarray(b, dtype=float)
-    w = np.asarray(w, dtype=float)
-    bnorm = np.linalg.norm(b)
+    bnorm, n = np.linalg.norm(b), len(b)
     if bnorm == 0.0:
         return np.zeros_like(b)
-    c = float(a.diagonal()[0])
-    factor = _band_factor(a, ground=c)
-    basis = np.column_stack([np.zeros_like(w), w])
-    basis[0, 0] = 1.0
-    xe, xw = sla.cho_solve_banded(factor, basis, check_finite=False).T
-    schur = np.array([[w @ xe, -(w @ xw)], [1.0 - c * xe[0], c * xw[0]]])
-    wn = np.linalg.norm(w)
-    size = np.array([[wn * np.linalg.norm(xe), wn * np.linalg.norm(xw)],
-                     [max(1.0, abs(c * xe[0])), abs(c * xw[0])]])
-    det = np.linalg.det(schur)
-    # a determinant at rounding level of its terms: the bordered system is
-    # singular, a is not definite on w . x = 0.  Cell steps measure 1e-4
-    # to 0.4 against this floor, a singular one about 1e-16
-    if not abs(det) > 1e-10 * (size[0, 0] * size[1, 1]
-                               + size[0, 1] * size[1, 0]):
-        raise IndefiniteSystemError(
-            f"singular bordered system (Schur determinant {det:.3e})")
+    if w is None:
+        factor = a.factor()
 
-    def bordered_solve(r, g):
-        """(x, lam) with a x + lam w = r and w . x = g."""
-        y = sla.cho_solve_banded(factor, r, check_finite=False)
-        mu, lam = np.linalg.solve(schur, [g - w @ y, c * y[0]])
-        return y + mu * xe - lam * xw, lam
+        def correct(r):
+            return sla.cho_solve_banded(factor, r[:n], check_finite=False)
+    else:
+        c = float(a.rows[0, 0])
+        factor = a.factor(ground=c)
+        basis = np.column_stack([np.zeros_like(w), w])
+        basis[0, 0] = 1.0
+        xe, xw = sla.cho_solve_banded(factor, basis, check_finite=False).T
+        s, q, g = w @ xe, w @ xw, 1.0 - c * xe[0]
+        schur = np.array([[s, -q], [g, c * xw[0]]])
+        terms = (s * c * xw[0], q * g)
+        if ((abs(s) <= 1e-10 * np.linalg.norm(w) * np.linalg.norm(xe)
+             and abs(g) <= 1e-10 * max(1.0, abs(c * xe[0])))
+                or not abs(sum(terms)) > 1e-10 * np.abs(terms).sum()):
+            raise IndefiniteSystemError(
+                f"singular bordered system (Schur determinant {sum(terms):.3e})")
 
-    x, lam = bordered_solve(b, 0.0)
-    for step in range(6):           # up to five refinement steps
-        r, g = b - a @ x - lam * w, -float(w @ x)
-        rel = np.hypot(np.linalg.norm(r), g) / bnorm
-        if rel <= tol or step == 5:
+        def correct(r):
+            """(dx, dlam) with a dx + dlam w = r[:n] and w . dx = r[n]."""
+            y = sla.cho_solve_banded(factor, r[:n], check_finite=False)
+            mu, lam = np.linalg.solve(schur, [r[n] - w @ y, c * y[0]])
+            return np.append(y + mu * xe - lam * xw, lam)
+
+    def residual(z):
+        r = b - a @ z[:n]
+        if w is not None:       # z = (x, lam): the bordered residual
+            r = np.append(r - z[n] * w, -float(w @ z[:n]))
+        return r, np.linalg.norm(r)
+
+    # refinement: at most five steps, stopping at tol or at the first step
+    # that fails to halve the residual; the better of the last two iterates
+    z = correct(b if w is None else np.append(b, 0.0))
+    r, rnorm = residual(z)
+    for _ in range(5):
+        if rnorm <= tol * bnorm:
             break
-        dx, dlam = bordered_solve(r, g)
-        x, lam = x + dx, lam + dlam
-    if not rel <= max(tol, _RESIDUAL_CEILING):
+        z_new = z + correct(r)
+        r_new, rnorm_new = residual(z_new)
+        stalled = not rnorm_new <= 0.5 * rnorm
+        if rnorm_new < rnorm:
+            z, r, rnorm = z_new, r_new, rnorm_new
+        if stalled:
+            break
+    if not rnorm <= max(tol, _RESIDUAL_CEILING) * bnorm:
         raise LinearSolveError(
-            f"constrained solve stalled at relative residual {rel:.3e}")
-    if float(x @ b) < 0.0:   # x.b = x.Ax on the hyperplane
-        raise IndefiniteSystemError(
-            "negative curvature on the constrained subspace")
-    return x
+            f"relative residual {rnorm / bnorm:.3e} above tol {tol:.1e} "
+            "after refinement")
+    # x . a x, which is x . b on the hyperplane w . x = 0
+    if float(z[:n] @ (b - r[:n])) < 0.0:
+        raise IndefiniteSystemError("negative curvature direction detected")
+    return z[:n]
 
 
 @dataclass
@@ -302,10 +330,14 @@ def _residual_norm(r, delta, iterations):
 def newton_solve(problem, init, constraints, opts=None):
     """Damped Newton over the continuation ladder of regularizations.
 
-    ``problem`` exposes energy(u, delta), residual(u, delta) and
-    jacobian(u, delta) on full nodal fields.  Returns the converged full
-    field (mean-shifted if requested) and per-stage diagnostics.  Accepted
-    steps never increase the stage energy (Armijo backtracking).
+    ``problem.point(u, delta)`` evaluates a full nodal field once for
+    energy(), residual() (full length) and jacobian(fold), the Band of the
+    reduced unknowns folded by the solve's Reduction.  A trial field is
+    evaluated for its energy; the accepted one then gives the residual
+    and the next jacobian, and is dropped before the next line search.
+    Returns the converged full field (mean-shifted if requested) and
+    per-stage diagnostics.  Accepted steps never increase the stage
+    energy (Armijo backtracking).
     """
     opts = opts or SolveOptions()
     u = np.asarray(init, dtype=float).copy()
@@ -319,7 +351,7 @@ def newton_solve(problem, init, constraints, opts=None):
     mean_constrained = constraints.mean_zero_postshift
     if mean_constrained and constraints.mean_weights is None:
         raise ValueError("mean_zero_postshift requires mean_weights")
-    if red.prolongation is not None and not mean_constrained:
+    if red.folded and not mean_constrained:
         # a folded periodic energy is shift invariant, so its jacobian is
         # singular along constants; only the mean-constrained step grounds it
         raise ValueError("periodic_pairs require mean_zero_postshift")
@@ -329,9 +361,9 @@ def newton_solve(problem, init, constraints, opts=None):
     for delta in opts.continuation_deltas:
         stage = StageDiagnostics(delta=delta)
         diagnostics.stages.append(stage)
-        u = red.expand(u_red)
-        energy = problem.energy(u, delta)
-        r = red.reduce_vector(problem.residual(u, delta))
+        point = problem.point(red.expand(u_red), delta)
+        energy = point.energy()
+        r = red.reduce_vector(point.residual())
         rnorm = _residual_norm(r, delta, stage.iterations)
         stage.energies.append(energy)
         stage.residual_norms.append(rnorm)
@@ -343,11 +375,15 @@ def newton_solve(problem, init, constraints, opts=None):
                 raise NonConvergenceError(
                     f"stage delta={delta:.1e}: residual {rnorm:.3e} above "
                     f"{tol:.3e} after {opts.max_newton} Newton steps")
-            jac = red.reduce_matrix(problem.jacobian(u, delta))
+            jac, point = point.jacobian(red), None    # the point is spent
+            if jac.rows.shape[1] != red.n_reduced:
+                raise ValueError(f"jacobian has {jac.rows.shape[1]} unknowns, "
+                                 f"the constraints leave {red.n_reduced}")
             if mean_constrained:
                 step = constrained_linear_solve(jac, -r, w_red, opts.linear_tol)
             else:
                 step = linear_solve(jac, -r, opts.linear_tol)
+            del jac
             slope = float(r @ step)        # directional derivative of energy
             noise = 1e-14 * (abs(energy) + 1.0)
             if slope > noise:
@@ -356,24 +392,22 @@ def newton_solve(problem, init, constraints, opts=None):
             t = 1.0
             for _ in range(opts.max_halvings + 1):
                 trial_red = u_red + t * step
-                trial = red.expand(trial_red)
-                trial_energy = problem.energy(trial, delta)
+                point = problem.point(red.expand(trial_red), delta)
+                trial_energy = point.energy()
                 # a predicted decrease below energy roundoff leaves the
                 # Armijo test blind: take the full step, the residual decides
                 if -slope <= noise or (trial_energy <= energy
                                        + opts.ls_sufficient_decrease * t * slope):
                     break
-                t *= opts.ls_backtrack
+                t, point = t * opts.ls_backtrack, None   # drop the rejected trial
             else:
                 raise LineSearchStallError(
                     f"line search stalled at stage delta={delta:.1e}, "
                     f"iteration {stage.iterations}: energy {energy:.6e}, "
                     f"residual {rnorm:.3e}, slope {slope:.3e}, "
                     f"last step length {t:.3e}")
-            u_red = trial_red
-            u = trial
-            energy = trial_energy
-            r = red.reduce_vector(problem.residual(u, delta))
+            u_red, energy = trial_red, trial_energy
+            r = red.reduce_vector(point.residual())
             rnorm = _residual_norm(r, delta, stage.iterations + 1)
             stage.iterations += 1
             stage.energies.append(energy)
@@ -390,6 +424,7 @@ def newton_solve(problem, init, constraints, opts=None):
                 stage.stop_reason = "step"
                 break
         stage.converged = True
+        point = None            # built again at the next stage's delta
         logger.info("newton stage=%g converged: iters=%d residual=%.3e",
                     delta, stage.iterations, rnorm)
 

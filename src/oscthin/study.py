@@ -16,7 +16,7 @@ import csv
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -30,11 +30,8 @@ REPORT_COLUMNS = (
 
 @dataclass(frozen=True)
 class PartitionSpec:
-    """Partition of (0, 1) into cells of width period/2^level.
-
-    The final cell is the remainder when the width does not divide 1; all
-    averages use actual cell widths.
-    """
+    """Partition of (0, 1) into cells of width period/2^level; the final
+    cell is the remainder when the width does not divide 1."""
 
     level: int
     edges: np.ndarray
@@ -68,12 +65,9 @@ class PartitionSpec:
 
 @dataclass(frozen=True)
 class LoadSpec:
-    """Serializable closed-form load f(x1) or f(x1, x2).
-
-    kinds: "constant" -> value;  "cos_pi" -> value*cos(k*pi*x1);
-    "linear" -> offset + value*x1.  Any kind is multiplied by
-    (1 + x2_coeff*x2), which covers the x2-dependent cases.
-    """
+    """Serializable closed-form load: "constant" -> value, "cos_pi" ->
+    value*cos(k*pi*x1), "linear" -> offset + value*x1, each times
+    (1 + x2_coeff*x2)."""
 
     kind: str
     value: float = 1.0
@@ -237,28 +231,17 @@ class StudyReport:
 
 
 class _ThinFunctional:
-    """Anisotropic thin-problem callbacks for the Newton driver; the load
+    """Anisotropic thin-problem points for the Newton driver; the load
     term is linear in u, so its vector is built once."""
 
     def __init__(self, mesh, p, load):
         self.mesh = mesh
         self.p = p
         self.load_vector = fem.load_vector(mesh, load)
-        self.eps = mesh.eps
 
-    def _params(self, delta):
-        return fem.FluxParams(p=self.p, delta=delta, eps_weight=self.eps)
-
-    def energy(self, u, delta):
-        return (fem.assemble_energy(self.mesh, u, self._params(delta))
-                - float(self.load_vector @ u))
-
-    def residual(self, u, delta):
-        return (fem.assemble_residual(self.mesh, u, self._params(delta))
-                - self.load_vector)
-
-    def jacobian(self, u, delta):
-        return fem.assemble_jacobian(self.mesh, u, self._params(delta))
+    def point(self, u, delta):
+        params = fem.FluxParams(p=self.p, delta=delta, eps_weight=self.mesh.eps)
+        return fem.Point(self.mesh, u, params, load_vector=self.load_vector)
 
 
 def solve_thin(mesh, p, load, opts=None):
@@ -318,7 +301,7 @@ def cell_response(cell, mesh):
     """Cell response (1, 0) + grad(phi) at the periodically wrapped
     barycenter of each thin-mesh triangle, (T, 2).  It does not depend on
     the partition, so one lookup serves every level."""
-    bary = mesh.barycenters()
+    bary = mesh.barycenters
     period = cell.mesh.width
     wrapped_x = np.mod(bary[:, 0] / mesh.eps, period)
     wrapped_x = np.minimum(wrapped_x, np.nextafter(period, 0.0))
@@ -329,24 +312,19 @@ def cell_response(cell, mesh):
 
 
 def corrector_field(du0, part, mesh, response):
-    """Two-scale corrector gradient, one 2-vector per thin-mesh triangle.
-
-    Each triangle (evaluated at its barycenter) gets the partition average
-    of the limit derivative times its cell response (see cell_response).
-    """
+    """Two-scale corrector gradient per thin-mesh triangle: the partition
+    average of the limit derivative at its barycenter times its cell
+    response (see cell_response)."""
     coeffs = partition_average(du0, part)
     cell_idx = np.clip(
-        np.searchsorted(part.edges, mesh.barycenters()[:, 0], side="right")
+        np.searchsorted(part.edges, mesh.barycenters[:, 0], side="right")
         - 1, 0, len(part) - 1)
     return coeffs[cell_idx][:, None] * response
 
 
 def error_u(mesh, u_eps, u0, p):
-    """L^p distance between the thin solution and the limit solution.
-
-    The limit solution is interpolated onto the thin mesh through the first
-    coordinate only (it carries no vertical dependence).
-    """
+    """L^p distance between the thin solution and the limit solution,
+    interpolated onto the thin mesh through the first coordinate."""
     grid = np.linspace(0.0, 1.0, len(u0))
     u0_nodes = np.interp(mesh.nodes[:, 0], grid, np.asarray(u0, dtype=float))
     return fem.lp_norm(mesh, np.asarray(u_eps) - u0_nodes, p)
@@ -369,7 +347,7 @@ def error_corrector(mesh, gs, c_field, p):
 def naive_gradient_field(du0, mesh):
     """The no-oscillation comparison field (du0(x1), 0) per triangle."""
     grid = np.linspace(0.0, 1.0, len(du0))
-    bary = mesh.barycenters()
+    bary = mesh.barycenters
     vals = np.interp(bary[:, 0], grid, np.asarray(du0, dtype=float))
     return np.column_stack([vals, np.zeros_like(vals)])
 
@@ -379,15 +357,17 @@ def flux_stations(n1):
     return (np.arange(n1) + 0.5) / n1
 
 
-def flux_profile(mesh, u_eps, p, eps, n1):
+def flux_profile(mesh, u_eps, p, eps, n1, gs=None):
     """First component of the fiber-integrated flux at each station.
 
     Integrates |grad_eps u|^(p-2) grad_eps u . (1,0) over each vertical
     fiber of the thin mesh; outside the domain the integrand extends by
-    zero, which the fiber operator realizes automatically.
+    zero, which the fiber operator realizes automatically.  gs is the
+    scaled gradient of u_eps if the caller holds it (thin_gradient).
     """
     params = fem.FluxParams(p=p, delta=0.0, eps_weight=eps)
-    gs = fem.scaled_gradient(fem.element_gradients(mesh, u_eps), params)
+    if gs is None:
+        gs = fem.scaled_gradient(fem.element_gradients(mesh, u_eps), params)
     a1 = fem.p_flux(gs, params)[:, 0]
     return geometry.fiber_matrix(mesh, axis=0, values=flux_stations(n1)) @ a1
 
@@ -400,11 +380,11 @@ def flux_target(cell, du0, n1):
     return scale * fem.p_flux_scalar(du_at, cell.p)
 
 
-def flux_profiles(config, cell, mesh, u_eps, du0):
+def flux_profiles(config, cell, mesh, u_eps, du0, gs=None):
     """Raw, smoothed (moving average over one oscillation period) and
     homogenized target flux profiles at the config's stations."""
     n1 = config.flux_stations
-    profile = flux_profile(mesh, u_eps, config.p, mesh.eps, n1)
+    profile = flux_profile(mesh, u_eps, config.p, mesh.eps, n1, gs)
     smoothed = box_smooth(profile, 1.0 / n1, mesh.eps * config.profile.period)
     return profile, smoothed, flux_target(cell, du0, n1)
 
@@ -447,7 +427,7 @@ def _study_rows_for_eps(config, cell, eps):
     e_naive = error_corrector(mesh, gs, naive_gradient_field(du0, mesh),
                               config.p)
 
-    _, smoothed, target = flux_profiles(config, cell, mesh, u_eps, du0)
+    _, smoothed, target = flux_profiles(config, cell, mesh, u_eps, du0, gs)
     discrepancy = _dual_norm(smoothed - target, 1.0 / config.flux_stations,
                              config.p)
 
@@ -468,11 +448,8 @@ def _study_rows_for_eps(config, cell, eps):
 
 def run_study(config):
     """Walk the oscillation ladder and aggregate the per-row measurements.
-
-    A failing ladder entry is recorded in its rows' status and the study
-    continues; rows are merged back in ladder order regardless of how the
-    entries were scheduled.
-    """
+    A failing entry is recorded in its rows' status and the study goes on;
+    rows come back in ladder order however the entries were scheduled."""
     cell = solve_config_cell(config)
 
     def job(eps):
@@ -501,11 +478,8 @@ def write_report_csv(report, path):
         writer = csv.writer(fh)
         writer.writerow(REPORT_COLUMNS)
         for row in report.rows:
-            writer.writerow([repr(row.eps), row.level, row.node_count,
-                             repr(row.err_u), repr(row.err_corrector),
-                             repr(row.err_naive), repr(row.flux_discrepancy),
-                             row.newton_iterations, repr(row.wall_time),
-                             row.status])
+            writer.writerow([repr(v) if isinstance(v, float) else v
+                             for v in vars(row).values()])
 
 
 def read_report_csv(path):
@@ -517,12 +491,9 @@ def read_report_csv(path):
             raise ValueError(
                 f"{path}: expected header {','.join(REPORT_COLUMNS)!r}, "
                 f"found {','.join(header)!r}")
-        return [StudyRow(
-            eps=float(rec[0]), level=int(rec[1]), node_count=int(rec[2]),
-            err_u=float(rec[3]), err_corrector=float(rec[4]),
-            err_naive=float(rec[5]), flux_discrepancy=float(rec[6]),
-            newton_iterations=int(rec[7]), wall_time=float(rec[8]),
-            status=rec[9]) for rec in reader]
+        kinds = [f.type for f in fields(StudyRow)]   # in REPORT_COLUMNS order
+        return [StudyRow(*(kind(v) for kind, v in zip(kinds, rec)))
+                for rec in reader]
 
 
 def write_report_json(report, path):

@@ -5,6 +5,7 @@ package: dense matrices, explicit per-triangle formulas, numpy solves.
 """
 
 import numpy as np
+import scipy.linalg
 from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
 
@@ -245,6 +246,56 @@ def coo_jacobian(mesh, u, params, include_mass=True):
     return sparse.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n)).tocsr()
+
+
+def fold_matrix(a, pairs):
+    """P^T a P for the 0/1 prolongation P that copies each leader (first
+    column of pairs) onto its follower; leaders keep their node order."""
+    n = a.shape[0]
+    source = np.arange(n)
+    source[pairs[:, 1]] = pairs[:, 0]
+    kept = np.flatnonzero(source == np.arange(n))
+    column = np.full(n, -1)
+    column[kept] = np.arange(len(kept))
+    prolong = sparse.csr_matrix((np.ones(n), (np.arange(n), column[source])),
+                                shape=(n, len(kept)))
+    return (prolong.T @ a @ prolong).tocsr()
+
+
+def limit_jacobian(prob, u, delta):
+    """Dense jacobian of the 1-D limit residual, element by element: the
+    stiffness block and the two-point Gauss mass block of each element."""
+    n, p, d2 = prob.n, prob.p, delta ** 2
+    h = 1.0 / n
+    gauss = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
+    a = np.zeros((n + 1, n + 1))
+    for e in range(n):
+        s = (u[e + 1] - u[e]) / h
+        k = (prob.coeff / h) * (d2 + s * s) ** ((p - 2.0) / 2.0) \
+            * (1.0 + (p - 2.0) * s * s / (d2 + s * s))
+        a[e:e + 2, e:e + 2] += k * np.array([[1.0, -1.0], [-1.0, 1.0]])
+        for t in gauss:
+            v = u[e] * (1.0 - t) + u[e + 1] * t
+            m = (d2 + v * v) ** ((p - 2.0) / 2.0) \
+                * (1.0 + (p - 2.0) * v * v / (d2 + v * v))
+            phi = np.array([1.0 - t, t])
+            a[e:e + 2, e:e + 2] += 0.5 * h * m * np.outer(phi, phi)
+    return a
+
+
+def five_step_refinement(a, b):
+    """Banded Cholesky of the upper half of a dense SPD matrix and five
+    refinement steps whatever the residual does; the last iterate."""
+    n = len(b)
+    bw = max(j - i for i in range(n) for j in range(i, n) if a[i, j] != 0.0)
+    ab = np.zeros((bw + 1, n))
+    for d in range(bw + 1):
+        ab[bw - d, d:] = np.diagonal(a, d)
+    factor = (scipy.linalg.cholesky_banded(ab), False)
+    x = scipy.linalg.cho_solve_banded(factor, b)
+    for _ in range(5):
+        x = x + scipy.linalg.cho_solve_banded(factor, b - a @ x)
+    return x
 
 
 def bordered_solve(a, b, w):

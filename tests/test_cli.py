@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -197,6 +199,24 @@ class TestCommands:
     def test_resolution_override(self, tmp_path, capsys):
         path = write_config(tmp_path / "cfg.json")
         assert main(["cell", "--config", path, "--resolution", "8"]) == EXIT_OK
+
+    @pytest.mark.parametrize("preset", [None, "3"])
+    def test_blas_threads_default_to_one(self, preset):
+        """Importing oscthin before numpy sets one BLAS thread unless the
+        environment already names a count, which is kept."""
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in names}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        code = ("import os, sys, oscthin; assert 'numpy' in sys.modules; "
+                f"print(' '.join(os.environ[k] for k in {names!r}))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout.split()
+        assert out == [preset or "1", "1", "1"]
 
     def test_thread_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OSCTHIN_THREADS", "2")

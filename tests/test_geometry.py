@@ -281,7 +281,7 @@ def test_mesh_round_trip_keeps_column_grid(tmp_path, reference_profile, kind):
         diff = fiber_matrix(back, axis, values) - fiber_matrix(mesh, axis,
                                                                 values)
         assert diff.count_nonzero() == 0
-    points = mesh.barycenters()
+    points = mesh.barycenters
     assert np.array_equal(locate_points(back, points),
                           locate_points(mesh, points))
 

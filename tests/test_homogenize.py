@@ -46,6 +46,14 @@ class TestOscillatingCell:
         assert effective_coefficient(cell) == pytest.approx(cell.coeff_flux,
                                                             rel=1e-12)
 
+    def test_large_p_cell_solves(self, reference_profile):
+        """p = 12 on the 128x32 reference cell: the bordered step is regular
+        although its band diagonal spans up to sixteen decades, and the
+        coefficient is the one the bordered sparse LU step gave."""
+        cell = solve_cell(build_cell_mesh(reference_profile, 128, 32), 12.0)
+        assert [s.iterations for s in cell.diagnostics.stages] == [31, 18, 1]
+        assert cell.coeff_flux == pytest.approx(0.5894552498391834, rel=1e-10)
+
     def test_coefficient_self_convergence(self, reference_profile):
         coeffs = [solve_cell(build_cell_mesh(reference_profile, nx, nx // 4), 3.0).coeff_flux
                   for nx in (16, 32, 64)]

@@ -1,20 +1,21 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from oscthin import (ConstraintSet, Mesh, SolveOptions, build_cell_mesh,
-                     build_thin_mesh)
+from oscthin import (ConstraintSet, Limit1DProblem, Mesh, SolveOptions,
+                     build_cell_mesh, build_thin_mesh, fem, solve)
 from oscthin.fem import FluxParams, assemble_jacobian, w1p_seminorm
-from oscthin.geometry import folded_half_bandwidth
-from oscthin.homogenize import cell_constraints, solve_cell
+from oscthin.homogenize import _CellFunctional, cell_constraints, solve_cell
+from oscthin.limit1d import _LimitFunctional
 from oscthin.solve import (IndefiniteSystemError, LinearSolveError,
                            NonConvergenceError, Reduction,
                            constrained_linear_solve, linear_solve,
                            newton_solve)
-from oscthin.study import LoadSpec, solve_thin
+from oscthin.study import LoadSpec, _ThinFunctional, solve_thin
 
 import oracles
 
@@ -52,8 +53,8 @@ class TestLinearSolve:
             linear_solve(a, np.array([1.0, 1.0]), 1e-12)
 
     def test_non_symmetric_rejected(self):
-        """The factor sees only the upper half; refinement against the
-        full matrix diverges instead of returning the upper half's answer."""
+        """The band keeps only the upper half, so a non-symmetric matrix is
+        refused instead of being solved as its upper half."""
         a = sp.csr_matrix(np.array([[1.0, 0.5], [-2.0, 1.0]]))
         with pytest.raises(LinearSolveError):
             linear_solve(a, np.array([1.0, 1.0]), 1e-12)
@@ -91,10 +92,10 @@ class TestLinearSolve:
         mesh = build_cell_mesh(reference_profile, nx, ny)
         a = assemble_jacobian(mesh, mesh.nodes[:, 0], FluxParams(p=2.0),
                               include_mass=False)
-        coo = Reduction(mesh.num_nodes, cell_constraints(mesh)) \
-            .reduce_matrix(a).tocoo()
+        coo = oracles.fold_matrix(a, mesh.periodic_pairs).tocoo()
         assert (coo.col - coo.row).max() == 2 * ny + 3
-        assert folded_half_bandwidth(mesh) == 2 * ny + 3
+        red = Reduction(mesh.num_nodes, cell_constraints(mesh))
+        assert fem._plan(mesh).band(red)[0][-1] == 2 * ny + 3
 
     def test_tall_columns_keep_the_band(self, reference_profile):
         """The band grows with the rows of a column, not with the mesh:
@@ -115,8 +116,9 @@ class TestLinearSolve:
         red = Reduction(mesh.num_nodes, cell_constraints(mesh))
         x1, x2 = mesh.nodes.T
         v = x1 + 0.05 * np.sin(2.0 * np.pi * x1) * (1.0 + x2)
-        a = red.reduce_matrix(assemble_jacobian(
-            mesh, v, FluxParams(p=p, delta=delta), include_mass=False))
+        a = oracles.fold_matrix(assemble_jacobian(
+            mesh, v, FluxParams(p=p, delta=delta), include_mass=False),
+            mesh.periodic_pairs)
         b = np.random.default_rng(16).normal(size=red.n_reduced)
         w = red.reduce_vector(mesh.node_weights)
         x = constrained_linear_solve(a, b, w, 1e-12)
@@ -170,6 +172,46 @@ class TestLinearSolve:
             constrained_linear_solve(sp.csr_matrix((3, 3)), np.array(
                 [1.0, 0.0, -1.0]), np.ones(3), 1e-12)
 
+    @pytest.mark.parametrize("shift", [1e-8, 1e-9, 1e-10])
+    def test_stalled_refinement_stops_early(self, monkeypatch, shift):
+        """A shifted Neumann Laplacian (condition about 4/shift) leaves the
+        refinement floor far above tol: the solve stops after the first
+        refinement step fails to halve the residual, two band solves in
+        all, with a residual no worse than five steps would leave."""
+        n = 60
+        main = np.full(n, 2.0)
+        main[[0, -1]] = 1.0
+        a = np.diag(main + shift) - np.diag(np.ones(n - 1), 1) \
+            - np.diag(np.ones(n - 1), -1)
+        b = np.random.default_rng(3).normal(size=n)
+        calls = []
+        band_solve = solve.sla.cho_solve_banded
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return band_solve(*args, **kwargs)
+
+        monkeypatch.setattr(solve.sla, "cho_solve_banded", counting)
+        x = linear_solve(sp.csr_matrix(a), b, 1e-12)
+        assert len(calls) <= 2
+        residual = np.linalg.norm(b - a @ x)
+        assert residual > 1e-12 * np.linalg.norm(b)      # it did stall
+        assert residual <= np.linalg.norm(
+            b - a @ oracles.five_step_refinement(a, b))
+
+    def test_constraint_orthogonal_to_ground_direction_solves(self):
+        """w . B^-1 e0 = 0 alone is no singularity: a is definite here, so
+        the bordered system is regular and the solve matches the KKT one."""
+        a = np.diag([2.0, 1.0, 3.0])
+        b = np.array([1.0, 2.0, -1.0])
+        w = np.array([0.0, 1.0, -1.0])
+        x = constrained_linear_solve(sp.csr_matrix(a), b, w, 1e-12)
+        kkt = np.zeros((4, 4))
+        kkt[:3, :3] = a
+        kkt[:3, 3] = kkt[3, :3] = w
+        ref = np.linalg.solve(kkt, np.append(b, 0.0))[:3]
+        assert np.abs(x - ref).max() < 1e-14
+
     def test_constrained_singular_schur_is_solve_error(self):
         """a = [[1, -1], [-1, 1]] grounds to an SPD band, but it is singular
         on w . x = 0 for w = (1, -1): the 2x2 Schur step reports it."""
@@ -180,14 +222,99 @@ class TestLinearSolve:
                                      np.array([1.0, -1.0]), 1e-12)
 
 
+def _assert_band_matches(band, ref, seed):
+    """The band's own (diagonal-wise) product equals the reference
+    matrix's on random vectors, so every entry sits where it belongs."""
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        x = rng.normal(size=ref.shape[0])
+        ax = ref @ x
+        assert np.linalg.norm(band @ x - ax) <= 1e-13 * np.linalg.norm(ax)
+
+
+class TestPlanBand:
+    """Newton jacobians as scattered from the plan's band map, against the
+    nine-block COO jacobian of tests/oracles.py and a sparse LU solve."""
+
+    @pytest.mark.parametrize("delta", [1e-2, 1e-8])
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_thin_band_matches_oracle(self, reference_profile, p, delta):
+        mesh = build_thin_mesh(reference_profile, 1.0 / 16, 32, 16)
+        x1, x2 = mesh.nodes.T
+        u = np.cos(np.pi * x1) * (1.0 + 0.3 * x2) + 0.05 * np.sin(40.0 * x1)
+        load = LoadSpec(kind="cos_pi")
+        band = _ThinFunctional(mesh, p, load).point(u, delta).jacobian()
+        ref = oracles.coo_jacobian(
+            mesh, u, FluxParams(p=p, delta=delta, eps_weight=mesh.eps))
+        assert list(band.offsets) == [0, 1, 17, 18]
+        _assert_band_matches(band, ref, 51)
+        b = np.random.default_rng(52).normal(size=mesh.num_nodes)
+        x = linear_solve(band, b, 1e-12)
+        expected = spla.spsolve(ref.tocsc(), b)
+        assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("delta", [1e-2, 1e-8])
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_folded_cell_band_matches_oracle(self, medium_cell_mesh, p, delta):
+        mesh = medium_cell_mesh
+        red = Reduction(mesh.num_nodes, cell_constraints(mesh))
+        x1, x2 = mesh.nodes.T
+        phi = 0.05 * np.sin(2.0 * np.pi * x1) * (1.0 + x2)
+        band = _CellFunctional(mesh, p).point(phi, delta).jacobian(red)
+        ref = oracles.fold_matrix(oracles.coo_jacobian(
+            mesh, x1 + phi, FluxParams(p=p, delta=delta), include_mass=False),
+            mesh.periodic_pairs)
+        assert band.rows.shape[1] == red.n_reduced
+        assert band.offsets[-1] == 2 * 16 + 3
+        _assert_band_matches(band, ref, 53)
+        b = np.random.default_rng(54).normal(size=red.n_reduced)
+        w = red.reduce_vector(mesh.node_weights)
+        x = constrained_linear_solve(band, b, w, 1e-12)
+        expected = oracles.bordered_solve(ref, b, w)
+        assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("delta", [1e-2, 1e-8])
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_limit_band_matches_oracle(self, p, delta):
+        n = 64
+        grid = np.linspace(0.0, 1.0, n + 1)
+        prob = Limit1DProblem(coeff=0.7, p=p, forcing=np.cos(np.pi * grid),
+                              n=n)
+        u = np.cos(np.pi * grid) + 0.1 * np.sin(9.0 * grid)
+        band = _LimitFunctional(prob).point(u, delta).jacobian()
+        ref = oracles.limit_jacobian(prob, u, delta)
+        assert list(band.offsets) == [0, 1]
+        _assert_band_matches(band, ref, 55)
+        b = np.random.default_rng(56).normal(size=n + 1)
+        x = linear_solve(band, b, 1e-12)
+        expected = spla.spsolve(sp.csc_matrix(ref), b)
+        assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    def test_point_matches_standalone_assembly(self, reference_profile):
+        """A Newton point gives the residual and jacobian that standalone
+        assemble_residual and assemble_jacobian calls give, bit for bit,
+        whatever it evaluated first."""
+        mesh = build_thin_mesh(reference_profile, 1.0 / 8, 16, 6)
+        x1, x2 = mesh.nodes.T
+        u = np.cos(np.pi * x1) * (1.0 + 0.3 * x2) + 0.05 * np.sin(40.0 * x1)
+        load = LoadSpec(kind="cos_pi", x2_coeff=0.3)
+        params = FluxParams(p=1.5, delta=1e-2, eps_weight=mesh.eps)
+        point = _ThinFunctional(mesh, 1.5, load).point(u, 1e-2)
+        energy, band, res = point.energy(), point.jacobian(), point.residual()
+        assert energy == fem.assemble_energy(mesh, u, params, load)
+        assert np.array_equal(res, fem.assemble_residual(mesh, u, params, load))
+        ref = solve.Band.from_sparse(fem.assemble_jacobian(mesh, u, params))
+        assert np.array_equal(band.offsets, ref.offsets)
+        assert np.array_equal(band.rows, ref.rows)
+
+
 class TestConstraints:
     def test_no_constraints_is_identity(self):
         red = Reduction(7, ConstraintSet())
         u = np.arange(7.0)
-        a = sp.identity(7, format="csr")
         assert np.array_equal(red.expand(red.restrict(u)), u)
         assert red.n_reduced == 7
-        assert red.reduce_matrix(a) is a
+        assert red.expand(u) is u
         assert red.reduce_vector(u) is u
 
     def test_apply_constraints_folds_system(self):
@@ -195,7 +322,7 @@ class TestConstraints:
         b = np.ones(4)
         pairs = np.array([[0, 3]])
         red = Reduction(4, ConstraintSet(periodic_pairs=pairs))
-        ar, br = red.reduce_matrix(a), red.reduce_vector(b)
+        ar, br = oracles.fold_matrix(a, pairs), red.reduce_vector(b)
         assert ar.shape == (3, 3)
         assert br[0] == 2.0  # leader accumulates the follower's entry
 
@@ -272,15 +399,23 @@ class TestNewton:
             # good_calls finite evaluations
             calls = 0
 
-            def energy(self, u, delta):
-                return 0.5 * float(u @ u) - float(u.sum())
+            def point(self, u, delta):
+                return Point(self, u)
 
-            def residual(self, u, delta):
-                self.calls += 1
-                return u - 1.0 if self.calls <= good_calls else np.full(3, bad)
+        class Point:
+            def __init__(self, problem, u):
+                self.problem, self.u = problem, u
 
-            def jacobian(self, u, delta):
-                return sp.identity(3, format="csr")
+            def energy(self):
+                return 0.5 * float(self.u @ self.u) - float(self.u.sum())
+
+            def residual(self):
+                self.problem.calls += 1
+                return (self.u - 1.0 if self.problem.calls <= good_calls
+                        else np.full(3, bad))
+
+            def jacobian(self, fold):
+                return solve.Band(np.ones((1, 3)), np.array([0]))
 
         with pytest.raises(NonConvergenceError, match=f"after {good_calls} "):
             newton_solve(Quadratic(), np.zeros(3), ConstraintSet(),
@@ -309,6 +444,54 @@ class TestNewton:
         with pytest.raises(ValueError, match="mean_zero_postshift"):
             newton_solve(Dummy(), np.zeros(small_cell_mesh.num_nodes),
                          constraints, SolveOptions())
+
+    def test_jacobian_folded_otherwise_rejected(self, small_cell_mesh):
+        """A jacobian that ignores the fold of the constraints is refused
+        with both sizes named, before any linear solve."""
+        functional = _CellFunctional(small_cell_mesh, 2.0)
+
+        class Unfolded:
+            def point(self, phi, delta):
+                point = functional.point(phi, delta)
+                point.jacobian = lambda fold: fem.Point.jacobian(point)
+                return point
+
+        with pytest.raises(ValueError, match="jacobian has .* unknowns"):
+            newton_solve(Unfolded(), np.zeros(small_cell_mesh.num_nodes),
+                         cell_constraints(small_cell_mesh), SolveOptions())
+
+    def test_no_point_outlives_its_step(self, reference_profile, monkeypatch):
+        """A point is dropped once its jacobian is built, a rejected trial
+        before the next trial and a stage's last point before the next
+        stage: no point is alive while another is built or while the
+        linear system is solved."""
+        mesh = build_thin_mesh(reference_profile, 0.25, 8, 8)
+        functional = _ThinFunctional(mesh, 3.0, LoadSpec(kind="cos_pi"))
+        refs, alive_at_solve = [], []
+
+        def alive():
+            return sum(ref() is not None for ref in refs)
+
+        class Tracked:
+            def point(self, u, delta):
+                assert alive() == 0
+                point = functional.point(u, delta)
+                refs.append(weakref.ref(point))
+                return point
+
+        real_solve = solve.linear_solve
+
+        def counting(a, b, tol):
+            alive_at_solve.append(alive())
+            return real_solve(a, b, tol)
+
+        monkeypatch.setattr(solve, "linear_solve", counting)
+        _, diag = newton_solve(Tracked(), np.zeros(mesh.num_nodes),
+                               ConstraintSet(), SolveOptions())
+        assert alive_at_solve == [0] * diag.total_iterations
+        steps = [t for stage in diag.stages for t in stage.step_lengths]
+        assert min(steps) < 1.0              # a trial was rejected
+        assert len(refs) > diag.total_iterations + len(diag.stages)
 
     def test_cell_solve_matches_dense_multiplier_oracle(self, small_cell_mesh):
         phi_oracle, _ = oracles.linear_periodic_cell(small_cell_mesh)

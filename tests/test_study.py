@@ -181,7 +181,7 @@ class TestErrors:
         u0_oracle = oracles.linear_limit_solve(1.0, forcing)
         du_oracle = nodal_derivative(u0_oracle)
         avg = partition_average(du_oracle, part)
-        idx = np.clip(np.searchsorted(part.edges, mesh.barycenters()[:, 0],
+        idx = np.clip(np.searchsorted(part.edges, mesh.barycenters[:, 0],
                                       side="right") - 1, 0, len(part) - 1)
         grads = element_gradients(mesh, u_oracle)
         grads[:, 1] /= eps
