@@ -77,9 +77,8 @@ def write_field(mesh, values, path):
     """Nodal field export: one record per line, index then coordinates then value."""
     with open(path, "w") as fh:
         fh.write("index x1 x2 value\n")
-        for k in range(mesh.num_nodes):
-            x, y = mesh.nodes[k]
-            fh.write(f"{k} {float(x)!r} {float(y)!r} {float(values[k])!r}\n")
+        geometry.write_records(fh, "{} {!r} {!r} {!r}\n",
+                               np.column_stack([mesh.nodes, values]))
 
 
 def read_field(path):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from . import solve
+from . import geometry, solve
 
 
 class AssemblyError(RuntimeError):
@@ -46,51 +46,113 @@ class FluxParams:
             raise ValueError(f"eps_weight must be positive, got {self.eps_weight}")
 
 
-# vertex pairs (k, l), k <= l, of the six distinct blocks of a symmetric
-# element matrix: the jacobian's scatter order
-_ROWS = [0, 1, 2, 0, 0, 1]
-_COLS = [0, 1, 2, 1, 2, 2]
+def _ends(g):
+    """Both ends of the vertical, horizontal and diagonal edges, as views."""
+    return [(g[:, :-1], g[:, 1:]), (g[:-1], g[1:]), (g[:-1, :-1], g[1:, 1:])]
 
 
 class _Plan:
-    """Everything assembly needs of a mesh that no field changes: tri, gx,
-    gy (3, T), node index and hat-function gradient of each triangle
-    vertex, and area (T,).  The flux metric per eps_weight and the band
-    layouts are built on first use, each kept in one assignment."""
+    """Everything assembly needs of a mesh that no field changes, on its
+    column grid: node is Mesh.grid_nodes.  Triangle arrays are (2, nx, ny),
+    lower and upper: area, and the hat gradients gx, gy (3, 2, nx, ny) of
+    the vertices.  Edge arrays are flat, the vertical, horizontal and
+    diagonal edges in turn: weight, area/3 summed over each edge's
+    triangles, is the edge-midpoint rule's.  Metrics and band layouts are
+    cached on first use, each in one assignment."""
 
     def __init__(self, mesh):
-        self.tri = tri = np.ascontiguousarray(mesh.triangles.T)
-        self.area = area = mesh.areas
+        self.node = node = mesh.grid_nodes
+        self._cache = {}
+        self._shapes = [a.shape for a, _ in _ends(node)]
+        self._split = np.cumsum([np.prod(s) for s in self._shapes])
+        nx, ny = self._shapes[2]            # one diagonal per quad
+        self.area = area = mesh.areas.reshape(nx, ny, 2).transpose(2, 0, 1).copy()
+        tri = mesh.triangles.reshape(nx, ny, 2, 3).transpose(3, 2, 0, 1)
         x, y = mesh.nodes[tri, 0], mesh.nodes[tri, 1]
         nxt, prv = [1, 2, 0], [2, 0, 1]
         self.gx = (y[nxt] - y[prv]) / (2.0 * area)
         self.gy = (x[prv] - x[nxt]) / (2.0 * area)
-        self.num_nodes = mesh.num_nodes
-        self._cache = {}
-        tri.flags.writeable = False
+        self.weight = self.to_edges(np.broadcast_to(area / 3.0, self.gx.shape))
+
+    def edge_views(self, a):
+        """The vertical (nx+1, ny), horizontal (nx, ny+1) and diagonal
+        (nx, ny) parts of a flat edge array."""
+        return [e.reshape(s) for e, s
+                in zip(np.split(a, self._split[:-1]), self._shapes)]
+
+    def edge_mean(self, g):
+        """Grid values g (nx+1, ny+1) at every edge midpoint."""
+        return 0.5 * np.concatenate([(a + b).ravel() for a, b in _ends(g)])
+
+    def to_edges(self, k):
+        """Per-triangle values of the vertex pairs (0, 1), (0, 2), (1, 2)
+        (3, 2, nx, ny) summed onto the edges they join."""
+        out = np.zeros(self._split[-1])
+        v, h, d = self.edge_views(out)
+        # lower (ll, lr, ur): 01 horizontal, 02 diagonal, 12 vertical at i+1;
+        # upper (ll, ur, ul): 01 diagonal, 02 vertical at i, 12 horizontal at j+1
+        (l01, u01), (l02, u02), (l12, u12) = k
+        v[1:] += l12
+        v[:-1] += u02
+        h[:, :-1] += l01
+        h[:, 1:] += u12
+        np.add(l02, u01, out=d)
+        return out
+
+    def node_sum(self, corners=None, edges=None):
+        """Nodal sums of per-triangle vertex values (3, 2, nx, ny) and of
+        edge values, each edge's going to both its ends: slice-adds on the
+        grid, then the one scatter through node."""
+        g = np.zeros(self.node.shape)
+        if corners is not None:
+            ll, lr, ur, ul = geometry.quad_corners(g)
+            for view, (h, k) in zip((ll, lr, ur, ll, ur, ul), np.ndindex(2, 3)):
+                view += corners[k, h]       # vertex k of half h
+        if edges is not None:
+            for (a, b), e in zip(_ends(g), self.edge_views(edges)):
+                a += e
+                b += e
+        out = np.empty(g.size)
+        out[self.node] = g
+        return out
+
+    def gradient(self, g, eps_weight):
+        """Scaled element gradient (2, 2, nx, ny) of grid values g, in
+        difference form from vertex 0 (the hat gradients sum to zero):
+        constant fields give an exactly zero gradient, which the sublinear
+        flux at p < 2 would otherwise amplify from roundoff."""
+        ll, lr, ur, ul = geometry.quad_corners(g)
+        d = np.stack([lr - ll, ur - ll, ul - ll])
+        d1, d2 = d[:2], d[1:]         # to vertices 1 and 2, lower and upper
+        gx, gy = self.gx, self.gy
+        return np.stack([d1 * gx[1] + d2 * gx[2],
+                         (d1 * gy[1] + d2 * gy[2]) / eps_weight])
 
     def metric(self, eps_weight):
-        """G (6, T): area * (b_k . b_l) of the scaled hat gradients
-        b = (gx, gy/eps_weight), for the six distinct blocks."""
+        """area * (b_k . b_l) (3, 2, nx, ny) of the scaled hat gradients
+        b = (gx, gy/eps_weight) for the vertex pairs (0, 1), (0, 2), (1, 2)."""
         key = ("metric", eps_weight)
         if key not in self._cache:
-            gx, gy, k, l = self.gx, self.gy / eps_weight, _ROWS, _COLS
+            gx, gy, k, l = self.gx, self.gy / eps_weight, [0, 0, 1], [1, 2, 2]
             self._cache[key] = self.area * (gx[k] * gx[l] + gy[k] * gy[l])
         return self._cache[key]
 
     def band(self, fold=None):
         """Band layout of the jacobian in node order or folded by fold (a
-        solve.Reduction): its offsets, size m and the (6, T) int32 position
-        of each distinct block entry in the rows of a solve.Band."""
+        solve.Reduction): its offsets, size m and the int32 position map,
+        where in the rows of a solve.Band each node's diagonal (node order)
+        and then each edge goes."""
         key = ("band", None if fold is None else fold.key)
         if key not in self._cache:
-            index = fold.index if key[1] else np.arange(self.num_nodes)
-            i, j = index[self.tri[_ROWS]], index[self.tri[_COLS]]
-            lo, hi = np.minimum(i, j), np.maximum(i, j)
-            if np.any(lo[3:] == hi[3:]):
-                raise ValueError("a triangle joins a node to its periodic copy")
-            m = int(index.max()) + 1
-            offsets, where = solve.band_layout(hi - lo, hi, m)
+            index = fold.index if key[1] else np.arange(self.node.size)
+            a, b = (np.concatenate([e[k].ravel() for e in _ends(index[self.node])])
+                    for k in (0, 1))
+            if np.any(a == b):
+                raise ValueError("an edge joins a node to its periodic copy")
+            hi, m = np.maximum(a, b), int(index.max()) + 1
+            offsets, where = solve.band_layout(
+                np.r_[np.zeros(len(index), dtype=np.int64), hi - np.minimum(a, b)],
+                np.r_[index, hi], m)
             where = where.astype(np.int32)
             where.flags.writeable = False
             self._cache[key] = (offsets, m, where)
@@ -107,31 +169,17 @@ def _plan(mesh):
     return plan
 
 
-def _gather(mesh, u, eps_weight=None):
-    """Checked field, plan, field values at the triangle vertices (3, T)
-    and, given eps_weight, the scaled element gradient (2, T): the one
-    gather of a call.
-
-    The gradient is written in difference form (the hat gradients sum to
-    zero), so constant fields give an exactly zero gradient; the sublinear
-    flux at p < 2 would otherwise amplify roundoff-level gradients to
-    visible size.
-    """
+def _gather(mesh, u):
+    """Checked field, plan and the field on the grid: the one gather."""
     u = _check_field(mesh, u)
     plan = _plan(mesh)
-    uv = u[plan.tri]
-    gs = None
-    if eps_weight is not None:
-        d1, d2 = uv[1] - uv[0], uv[2] - uv[0]
-        gx, gy = plan.gx, plan.gy
-        gs = np.stack([d1 * gx[1] + d2 * gx[2],
-                       (d1 * gy[1] + d2 * gy[2]) / eps_weight])
-    return u, plan, uv, gs
+    return u, plan, u[plan.node]
 
 
 def element_gradients(mesh, u):
     """Constant gradient of the P1 interpolant on every triangle, (T, 2)."""
-    return np.ascontiguousarray(_gather(mesh, u, 1.0)[3].T)
+    _, plan, g = _gather(mesh, u)
+    return plan.gradient(g, 1.0).transpose(2, 3, 1, 0).reshape(-1, 2)
 
 
 def scaled_gradient(grad, params):
@@ -173,21 +221,13 @@ def p_flux(xi, params):
 
 def p_flux_inverse(xi, p):
     """Flux with the conjugate exponent p' = p/(p-1); inverts p_flux at delta=0."""
-    xi = np.asarray(xi, dtype=float)
-    sq = (xi * xi).sum(axis=-1)
-    return _power_weight(sq, p / (p - 1.0), 0.0)[..., None] * xi
+    return p_flux(xi, FluxParams(p=p / (p - 1.0)))
 
 
 def p_flux_scalar(x, p):
     """Scalar monotone flux |x|^(p-2) x = sign(x) |x|^(p-1)."""
     x = np.asarray(x, dtype=float)
     return np.sign(x) * np.abs(x) ** (p - 1.0)
-
-
-def _midpoint_values(uv):
-    """P1 interpolant at the three edge midpoints of every triangle (3, T);
-    midpoint k lies opposite vertex k."""
-    return 0.5 * (uv.sum(axis=0) - uv)
 
 
 def load_vector(mesh, load):
@@ -199,21 +239,13 @@ def load_vector(mesh, load):
     """
     plan = _plan(mesh)
     if callable(load):
-        v = mesh.nodes[plan.tri]                 # (3, T, 2)
-        mid = 0.5 * (v[[1, 2, 0]] + v[[2, 0, 1]])
-        fm = np.asarray(load(mid[..., 0], mid[..., 1]), dtype=float)
+        fm = load(*(plan.edge_mean(mesh.nodes[plan.node, k]) for k in (0, 1)))
     else:
-        load = np.asarray(load, dtype=float)
-        if load.shape != (mesh.num_nodes,):
-            raise AssemblyError(
-                f"load field has {load.shape} entries, mesh has "
-                f"{mesh.num_nodes} nodes")
-        fm = _midpoint_values(load[plan.tri])
+        fm = plan.edge_mean(_check_field(mesh, load)[plan.node])
+    fm = np.asarray(fm, dtype=float)
     _check_finite(fm, "load")
-    # hat function k is 1/2 at the two midpoints not opposite to k
-    contrib = plan.area / 3.0 * 0.5 * (fm.sum(axis=0) - fm)
-    return np.bincount(plan.tri.ravel(), weights=contrib.ravel(),
-                       minlength=mesh.num_nodes)
+    # hat function k is 1/2 at the midpoints of the edges at k
+    return plan.node_sum(edges=0.5 * plan.weight * fm)
 
 
 def _check_field(mesh, u):
@@ -227,41 +259,46 @@ def _check_field(mesh, u):
 
 
 def _check_finite(values, what):
-    """Raise naming the first triangle (last axis) with a non-finite value."""
+    """Raise on a non-finite value.  Per-triangle values (..., 2, nx, ny)
+    name the lowest-numbered triangle with one; flat edge values name
+    none."""
     ok = np.isfinite(values)
     if not ok.all():
-        bad = ~ok.reshape(-1, ok.shape[-1]).all(axis=0)
-        raise AssemblyError(
-            f"non-finite {what} on triangle {int(np.flatnonzero(bad)[0])}")
+        where = ""
+        if ok.ndim > 2:     # (i, j, h) order numbers triangle 2(i*ny + j) + h
+            bad = ~ok.reshape(-1, *ok.shape[-3:]).all(axis=0)
+            where = f" on triangle {np.flatnonzero(bad.transpose(1, 2, 0))[0]}"
+        raise AssemblyError(f"non-finite {what}{where}")
 
 
 class Point:
-    """A field evaluated once for its energy, residual and jacobian: one
-    gather, the scaled element gradient xi, the midpoint values, their
-    power weights and c_k = b_k . xi for the scaled hat gradients b_k.
+    """A field evaluated once for its energy, residual and jacobian on the
+    plan's column grid: one gather of the grid values, per triangle the
+    scaled gradient xi, its power weight and c_k = b_k . xi for the scaled
+    hat gradients b_k, per edge the midpoint value and its power weight.
     load_vector b enters as -b . u and -b."""
 
     def __init__(self, mesh, u, params, include_mass=True, load_vector=None):
-        self.u, self.plan, uv, gs = _gather(mesh, u, params.eps_weight)
+        self.u, self.plan, g = _gather(mesh, u)
         self.params, self.include_mass = params, include_mass
         self.load_vector = load_vector
-        p, delta, plan = params.p, params.delta, self.plan
+        p, delta, w, plan = params.p, params.delta, params.eps_weight, self.plan
+        gs = plan.gradient(g, w)
         self.sq = gs[0] * gs[0] + gs[1] * gs[1]
         self.sigma = _power_weight(self.sq, p, delta)
-        self.c = plan.gx * gs[0] + plan.gy * (gs[1] / params.eps_weight)
+        self.c = plan.gx * gs[0] + plan.gy * (gs[1] / w)
         if include_mass:
-            self.um = _midpoint_values(uv)
+            self.um = plan.edge_mean(g)
             self.mass_weight = _power_weight(self.um * self.um, p, delta)
 
     def energy(self):
         """int (1/p)(d^2+|xi|^2)^(p/2) [+ (1/p)(d^2+u^2)^(p/2)] - b . u."""
-        p, d2, area = self.params.p, self.params.delta ** 2, self.plan.area
-        flux = area * ((d2 + self.sq) * self.sigma) / p
+        p, d2, plan = self.params.p, self.params.delta ** 2, self.plan
+        flux = plan.area * ((d2 + self.sq) * self.sigma) / p
         _check_finite(flux, "flux energy")
         total = flux.sum()
         if self.include_mass:
-            um2 = self.um * self.um
-            mass = (area / 3.0) * ((d2 + um2) * self.mass_weight).sum(axis=0) / p
+            mass = plan.weight * ((d2 + self.um * self.um) * self.mass_weight) / p
             _check_finite(mass, "mass energy")
             total += mass.sum()
         if self.load_vector is not None:
@@ -270,53 +307,54 @@ class Point:
 
     def residual(self):
         """Gradient of the energy, one entry per node."""
-        plan = self.plan
-        contrib = (plan.area * self.sigma) * self.c
-        _check_finite(contrib, "flux")
+        plan, mass = self.plan, None
+        flux = (plan.area * self.sigma) * self.c
+        _check_finite(flux, "flux")
         if self.include_mass:
-            s = self.mass_weight * self.um
-            _check_finite(s, "mass term")
-            # hat function k is 1/2 at the two midpoints not opposite to k
-            contrib += plan.area / 3.0 * 0.5 * (s.sum(axis=0) - s)
-        res = np.bincount(plan.tri.ravel(), weights=contrib.ravel(),
-                          minlength=len(self.u))
+            mass = self.mass_weight * self.um
+            _check_finite(mass, "mass term")
+            # hat function k is 1/2 at the midpoints of the edges at k
+            mass *= 0.5 * plan.weight
+        res = plan.node_sum(flux, mass)
         if self.load_vector is not None:
             res -= self.load_vector
         return res
 
-    def blocks(self):
-        """The six distinct entries (6, T) of each element matrix: the flux
-        tensor sigma (I + r xi xi^T), r = (p-2)/(d^2+|xi|^2), positive
-        definite for p > 1 if delta > 0, gives sigma G_kl + area sigma r
-        c_k c_l with the plan's metric G."""
+    def jacobian(self, fold=None):
+        """The jacobian's stencil scattered through the plan's position
+        map, folded by fold (a solve.Reduction) if given: a solve.Band.
+
+        The flux tensor sigma (I + r xi xi^T), r = (p-2)/(d^2+|xi|^2), is
+        positive definite for p > 1 if delta > 0.  Per triangle only its
+        off-diagonal entries sigma G_kl + area sigma r c_k c_l (the plan's
+        metric G) are formed and summed onto the edges; the b_k and the c_k
+        each sum to zero over a triangle, so every diagonal entry is minus
+        its row sum.  The mass term adds W m'(u_e)/4 of each edge to its
+        entry and to the diagonal of both its ends.
+        """
         p, delta = self.params.p, self.params.delta
         if p < 2.0 and delta == 0.0:
             raise ValueError("jacobian with p < 2 requires delta > 0")
         plan, sigma, c = self.plan, self.sigma, self.c
         wc = (plan.area * sigma * _ratio(p, delta * delta + self.sq, delta)) * c
-        blocks = plan.metric(self.params.eps_weight) * sigma
-        for b, (k, l) in enumerate(zip(_ROWS, _COLS)):
-            blocks[b] += wc[k] * c[l]
-        _check_finite(blocks, "flux tensor")
+        kl = plan.metric(self.params.eps_weight) * sigma
+        kl[0] += wc[0] * c[1]
+        kl[1] += wc[0] * c[2]
+        kl[2] += wc[1] * c[2]
+        _check_finite(kl, "flux tensor")
+        off = plan.to_edges(kl)
+        diag = -off
         if self.include_mass:
             um = self.um
             mprime = self.mass_weight * (
                 1.0 + _ratio(p, delta * delta + um * um, delta) * um * um)
             _check_finite(mprime, "mass tensor")
-            # phi_k(m_j) = (1 - delta_kj)/2, so midpoint j feeds the blocks
-            # of the two vertices other than j (added in ascending j)
-            mass = (plan.area / 3.0) * 0.25 * mprime
-            blocks[:3] += mass[[1, 0, 0]]
-            blocks[:3] += mass[[2, 2, 1]]
-            blocks[3:] += mass[[2, 1, 0]]
-        return blocks
-
-    def jacobian(self, fold=None):
-        """The blocks scattered through the plan's band map, folded by fold
-        (a solve.Reduction) if given: a solve.Band."""
-        offsets, m, where = self.plan.band(fold)
-        rows = np.bincount(where.ravel(), weights=self.blocks().ravel(),
-                           minlength=len(offsets) * m)
+            mass = 0.25 * plan.weight * mprime
+            off += mass
+            diag += mass
+        offsets, m, where = plan.band(fold)
+        values = np.concatenate([plan.node_sum(edges=diag), off])
+        rows = np.bincount(where, weights=values, minlength=len(offsets) * m)
         return solve.Band(rows.reshape(len(offsets), m), offsets)
 
 
@@ -347,26 +385,26 @@ def assemble_jacobian(mesh, u, params, include_mass=True):
     """
     point = Point(mesh, u, params, include_mass)
     offsets, m, where = point.plan.band()
-    pos = np.unique(where)
-    d, j = offsets[pos // m], pos % m
-    values, off = point.jacobian().rows.ravel()[pos], d > 0
+    # in node order every stencil entry has a position of its own
+    d, j = offsets[where // m], where % m
+    values, off = point.jacobian().rows.ravel()[where], d > 0
     return sp.csr_matrix((np.r_[values, values[off]], (np.r_[j - d, j[off]],
                           np.r_[j, (j - d)[off]])), shape=(m, m))
 
 
 def lp_norm(mesh, u, p):
-    """L^p norm by the order-2 midpoint rule."""
+    """L^p norm by the order-2 edge-midpoint rule."""
     if p < 1.0:
         raise ValueError(f"lp_norm needs p >= 1, got {p}")
-    _, plan, uv, _ = _gather(mesh, u)
-    um = _midpoint_values(uv)
-    total = ((plan.area / 3.0) * (np.abs(um) ** p).sum(axis=0)).sum()
+    _, plan, g = _gather(mesh, u)
+    total = (plan.weight * np.abs(plan.edge_mean(g)) ** p).sum()
     return float(total ** (1.0 / p))
 
 
 def w1p_seminorm(mesh, u, params):
     """L^p norm of the scaled gradient (exact: gradients are elementwise constant)."""
-    _, plan, _, gs = _gather(mesh, u, params.eps_weight)
+    _, plan, g = _gather(mesh, u)
+    gs = plan.gradient(g, params.eps_weight)
     mag = np.sqrt(gs[0] * gs[0] + gs[1] * gs[1])
     return float((plan.area * mag ** params.p).sum() ** (1.0 / params.p))
 

@@ -97,7 +97,7 @@ def solve_cell(mesh, p, opts=None):
     constraints = cell_constraints(mesh)
     bw = int(fem._plan(mesh).band(
         solve.Reduction(mesh.num_nodes, constraints))[0][-1])
-    if mesh.grid_rows and bw > 2 * mesh.grid_rows + 3:
+    if bw > 2 * mesh.grid_rows + 3:
         raise solve.LinearSolveError(
             f"folded half-bandwidth {bw} is wider than the ring order's "
             f"{2 * mesh.grid_rows + 3}: rebuild the mesh with build_cell_mesh")

@@ -22,12 +22,6 @@ import numpy as np
 
 from . import fem, geometry, homogenize, limit1d, solve
 
-REPORT_COLUMNS = (
-    "eps", "level", "node_count", "err_u", "err_corrector", "err_naive",
-    "flux_discrepancy", "newton_iterations", "wall_time", "status",
-)
-
-
 @dataclass(frozen=True)
 class PartitionSpec:
     """Partition of (0, 1) into cells of width period/2^level; the final
@@ -43,10 +37,8 @@ class PartitionSpec:
         width = period * 2.0 ** (-level)
         count = int(np.floor(1.0 / width + 1e-12))
         edges = np.arange(count + 1) * width
-        if edges.size == 0 or edges[-1] < 1.0 - 1e-12:
-            edges = np.append(edges, 1.0)
-        else:
-            edges[-1] = 1.0
+        # the last edge is 1: a remainder cell, or the rounded final edge
+        edges = np.append(edges[edges < 1.0 - 1e-12], 1.0)
         return cls(level=level, edges=edges)
 
     def __post_init__(self):
@@ -217,6 +209,9 @@ class StudyRow:
     newton_iterations: int
     wall_time: float
     status: str = "ok"
+
+
+REPORT_COLUMNS = tuple(f.name for f in fields(StudyRow))
 
 
 @dataclass
@@ -491,7 +486,7 @@ def read_report_csv(path):
             raise ValueError(
                 f"{path}: expected header {','.join(REPORT_COLUMNS)!r}, "
                 f"found {','.join(header)!r}")
-        kinds = [f.type for f in fields(StudyRow)]   # in REPORT_COLUMNS order
+        kinds = [f.type for f in fields(StudyRow)]
         return [StudyRow(*(kind(v) for kind, v in zip(kinds, rec)))
                 for rec in reader]
 

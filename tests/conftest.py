@@ -1,7 +1,9 @@
+# oscthin first: it sets the BLAS thread default, which only takes effect
+# if numpy is not imported yet (see oscthin/__init__.py)
+from oscthin import ProfileSpec, build_cell_mesh
+
 import numpy as np
 import pytest
-
-from oscthin import ProfileSpec, build_cell_mesh
 
 
 @pytest.fixture(scope="session")

@@ -248,6 +248,56 @@ def coo_jacobian(mesh, u, params, include_mass=True):
         shape=(n, n)).tocsr()
 
 
+def column_numbered(ring):
+    """The same cell mesh with its nodes numbered column by column, as
+    meshes were written before the ring order: triangles in grid order,
+    column 0 folded onto column nx - 1 across the whole matrix."""
+    order = np.lexsort((ring.nodes[:, 1], ring.nodes[:, 0]))
+    new = np.empty_like(order)
+    new[order] = np.arange(len(order))
+    return geometry.Mesh(
+        ring.nodes[order], new[ring.triangles],
+        {tag: new[e] for tag, e in ring.boundary_edges.items()},
+        new[ring.periodic_pairs], "cell", grid_x=ring.grid_x,
+        grid_heights=ring.grid_heights, grid_rows=ring.grid_rows)
+
+
+def row_by_row_mesh_text(mesh):
+    """The mesh file format written one record at a time."""
+    out = [f"# oscthin mesh {mesh.domain_kind}"
+           f" eps={'' if mesh.eps is None else repr(mesh.eps)}\n",
+           f"# nodes {mesh.num_nodes}\n"]
+    for k, (x, y) in enumerate(mesh.nodes):
+        out.append(f"{k} {float(x)!r} {float(y)!r}\n")
+    out.append(f"# triangles {mesh.num_triangles}\n")
+    for k, (a, b, c) in enumerate(mesh.triangles):
+        out.append(f"{k} {a} {b} {c}\n")
+    n_edges = sum(len(e) for e in mesh.boundary_edges.values())
+    out.append(f"# boundary_edges {n_edges}\n")
+    k = 0
+    for tag in ("lower", "upper", "left", "right"):
+        for a, b in mesh.boundary_edges.get(tag, ()):
+            out.append(f"{k} {a} {b} {tag}\n")
+            k += 1
+    out.append(f"# periodic_pairs {len(mesh.periodic_pairs)}\n")
+    for k, (a, b) in enumerate(mesh.periodic_pairs):
+        out.append(f"{k} {a} {b}\n")
+    xs = () if mesh.grid_x is None else mesh.grid_x
+    out.append(f"# grid {len(xs)} {mesh.grid_rows or 0}\n")
+    for k, x in enumerate(xs):
+        out.append(f"{k} {float(x)!r} {float(mesh.grid_heights[k])!r}\n")
+    return "".join(out)
+
+
+def row_by_row_field_text(mesh, values):
+    """The nodal field file format written one record at a time."""
+    out = ["index x1 x2 value\n"]
+    for k in range(mesh.num_nodes):
+        x, y = mesh.nodes[k]
+        out.append(f"{k} {float(x)!r} {float(y)!r} {float(values[k])!r}\n")
+    return "".join(out)
+
+
 def fold_matrix(a, pairs):
     """P^T a P for the 0/1 prolongation P that copies each leader (first
     column of pairs) onto its follower; leaders keep their node order."""

@@ -6,12 +6,15 @@ import sys
 import numpy as np
 import pytest
 
+from oscthin import build_cell_mesh, build_thin_mesh
 from oscthin.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, ConfigError, main,
-                         parse_config, read_field)
-from oscthin.geometry import read_mesh
+                         parse_config, read_field, write_field)
+from oscthin.geometry import read_mesh, write_mesh
 from oscthin.limit1d import read_solution
 from oscthin.homogenize import read_cell_summary
 from oscthin.study import read_report_csv, read_report_json
+
+import oracles
 
 REFERENCE_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs",
                                 "reference.json")
@@ -33,6 +36,21 @@ def write_config(path, **overrides):
     with open(path, "w") as fh:
         json.dump(data, fh)
     return str(path)
+
+
+@pytest.mark.parametrize("kind", ["cell", "thin"])
+def test_writers_match_row_by_row_format(reference_profile, tmp_path, kind):
+    """The bulk mesh and field writers give the bytes of the row-by-row
+    format; the cell has more nodes and triangles than one written chunk."""
+    mesh = (build_cell_mesh(reference_profile, 64, 32) if kind == "cell"
+            else build_thin_mesh(reference_profile, 0.25, 8, 4))
+    values = np.sin(3.0 * mesh.nodes[:, 0]) * mesh.nodes[:, 1]
+    write_mesh(mesh, tmp_path / "mesh.txt")
+    write_field(mesh, values, tmp_path / "field.txt")
+    assert ((tmp_path / "mesh.txt").read_bytes()
+            == oracles.row_by_row_mesh_text(mesh).encode())
+    assert ((tmp_path / "field.txt").read_bytes()
+            == oracles.row_by_row_field_text(mesh, values).encode())
 
 
 class TestParseConfig:

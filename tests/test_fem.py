@@ -3,16 +3,18 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from oscthin import FluxParams, build_cell_mesh, build_thin_mesh, fem
+from oscthin import FluxParams, Mesh, build_cell_mesh, build_thin_mesh, fem
 from oscthin.fem import (AssemblyError, assemble_energy, assemble_jacobian,
                          assemble_residual, element_gradients,
                          integrate_load_fibers, lp_norm, p_flux,
                          p_flux_inverse, p_flux_scalar, scaled_gradient,
                          w1p_seminorm)
-from oscthin.geometry import read_mesh, write_mesh
-from oscthin.homogenize import cell_constraints
-from oscthin.solve import Reduction
+from oscthin.geometry import MeshingError, read_mesh, write_mesh
+from oscthin.homogenize import _CellFunctional, cell_constraints
+from oscthin.solve import (Reduction, constrained_linear_solve,
+                           linear_solve)
 from oscthin.study import LoadSpec, _ThinFunctional, solve_thin
 
 import oracles
@@ -213,6 +215,17 @@ class TestAssembly:
         with pytest.raises(AssemblyError):
             assemble_energy(small_cell_mesh, bad, params)
 
+    def test_non_finite_value_names_lowest_triangle(self):
+        """Per-triangle values (pair, half, i, j) on a 4x5 grid: triangle
+        2(i*ny + j) + h, the lowest-numbered bad one, not the first in
+        pair order."""
+        values = np.ones((3, 2, 4, 5))
+        values[0, 1, 1, 3] = np.inf     # triangle 17
+        values[2, 0, 1, 2] = np.nan     # triangle 14
+        with pytest.raises(AssemblyError,
+                           match=r"^non-finite flux tensor on triangle 14$"):
+            fem._check_finite(values, "flux tensor")
+
 
 def _assert_rel_close(new, ref, rtol=1e-13):
     assert np.abs(new - ref).max() <= rtol * np.abs(ref).max()
@@ -229,6 +242,22 @@ def _thin_case(profile):
     x1, x2 = mesh.nodes.T
     u = np.cos(np.pi * x1) * (1.0 + 0.3 * x2) + 0.05 * np.sin(40.0 * x1)
     return mesh, u, LoadSpec(kind="cos_pi", x2_coeff=0.3)
+
+
+def _grid_case(profile, case):
+    """A mesh, a field and the fold of one of the three layouts a point
+    meets: an eps 1/16 thin mesh, a ring-ordered 64x16 cell folded by its
+    Reduction and the same cell numbered column by column."""
+    if case == "thin":
+        mesh = build_thin_mesh(profile, 1.0 / 16, 16, 8)
+        x1, x2 = mesh.nodes.T
+        return mesh, np.cos(np.pi * x1) * (1.0 + 0.3 * x2), None
+    ring = build_cell_mesh(profile, 64, 16)
+    mesh = ring if case == "ring" else oracles.column_numbered(ring)
+    red = Reduction(mesh.num_nodes, cell_constraints(mesh))
+    x1, x2 = mesh.nodes.T
+    phi = red.expand(red.restrict(0.05 * np.sin(2.0 * np.pi * x1) * (1.0 + x2)))
+    return mesh, x1 + phi, red
 
 
 class TestAssemblyPlan:
@@ -355,6 +384,84 @@ class TestAssemblyPlan:
             assert got[0] == e
             assert np.array_equal(got[1], r)
             _assert_same_jacobian(got[2], j, rtol=0.0)
+
+    @pytest.mark.parametrize("delta", [1e-2, 1e-8])
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("case", ["thin", "ring", "columns"])
+    def test_grid_layouts_match_oracle(self, reference_profile, case, p,
+                                       delta):
+        """fem.Point on each layout against the oracle energy, residual and
+        COO jacobian, with and without the mass term; then the solves of
+        the problems as posed: thin with the mass term, cells flux-only on
+        the mean-zero hyperplane."""
+        mesh, u, red = _grid_case(reference_profile, case)
+        params = FluxParams(p=p, delta=delta, eps_weight=mesh.eps or 1.0)
+        load = LoadSpec(kind="cos_pi", x2_coeff=0.3)
+        b = fem.load_vector(mesh, load)
+        rng = np.random.default_rng(61)
+        for include_mass in (True, False):
+            point = fem.Point(mesh, u, params, include_mass, b)
+            assert point.energy() == pytest.approx(
+                oracles.energy(mesh, u, params, load, include_mass), rel=1e-13)
+            _assert_rel_close(point.residual(), oracles.residual(
+                mesh, u, params, load, include_mass))
+            band = point.jacobian(red)
+            matrix = oracles.coo_jacobian(mesh, u, params, include_mass)
+            if red is not None:
+                matrix = oracles.fold_matrix(matrix, mesh.periodic_pairs)
+            for _ in range(3):
+                x = rng.normal(size=matrix.shape[0])
+                ax = matrix @ x
+                assert (np.linalg.norm(band @ x - ax)
+                        <= 1e-13 * np.linalg.norm(ax))
+        rhs = rng.normal(size=matrix.shape[0])
+        if red is None:
+            x = linear_solve(fem.Point(mesh, u, params).jacobian(), rhs, 1e-12)
+            expected = spla.spsolve(
+                oracles.coo_jacobian(mesh, u, params).tocsc(), rhs)
+        else:
+            w = red.reduce_vector(mesh.node_weights)
+            x = constrained_linear_solve(band, rhs, w, 1e-12)
+            expected = oracles.bordered_solve(matrix, rhs, w)
+        assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+class TestGridPoint:
+    """Properties of fem.Point on the column grid."""
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_flux_jacobian_annihilates_constants(self, medium_cell_mesh, p):
+        """Each flux diagonal is minus its row sum, so the folded cell
+        jacobian times the ones vector vanishes to roundoff."""
+        mesh = medium_cell_mesh
+        red = Reduction(mesh.num_nodes, cell_constraints(mesh))
+        x1, x2 = mesh.nodes.T
+        phi = red.expand(red.restrict(0.05 * np.sin(2.0 * np.pi * x1) * x2))
+        band = _CellFunctional(mesh, p).point(phi, 1e-8).jacobian(red)
+        ones = band @ np.ones(red.n_reduced)
+        assert np.abs(ones).max() <= 1e-14 * np.abs(band.rows[0]).max()
+
+    @pytest.mark.parametrize("change", ["swap", "rotate", "no_grid"])
+    def test_mesh_off_the_grid_refused(self, reference_profile, change):
+        """A mesh without a column grid, or whose triangles are not in
+        grid order, has no grid node map: its point is refused with one
+        line."""
+        ring = build_cell_mesh(reference_profile, 8, 4)
+        tris, grid = ring.triangles.copy(), {"grid_x": ring.grid_x,
+                                             "grid_heights": ring.grid_heights,
+                                             "grid_rows": ring.grid_rows}
+        if change == "swap":            # two lower triangles trade places
+            tris[[0, 2]] = tris[[2, 0]]
+        elif change == "rotate":        # same triangle, vertices rotated
+            tris[5] = tris[5, [1, 2, 0]]
+        else:
+            grid = {}
+        mesh = Mesh(ring.nodes, tris, ring.boundary_edges, ring.periodic_pairs,
+                    "cell", **grid)
+        match = "no column grid" if change == "no_grid" else "column-grid order"
+        with pytest.raises(MeshingError, match=match) as info:
+            fem.Point(mesh, np.zeros(mesh.num_nodes), FluxParams(p=2.0))
+        assert "\n" not in str(info.value)
 
 
 class TestNorms:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from oscthin import ProfileSpec, build_cell_mesh, build_thin_mesh, mesh_area
-from oscthin.geometry import (MeshingError, Mesh, fiber_matrix, locate_points,
-                              read_mesh, write_mesh)
+from oscthin.geometry import (MeshingError, Mesh, fiber_matrix, grid_triangles,
+                              locate_points, read_mesh, write_mesh)
 from oscthin.study import flux_stations
 
 import oracles
@@ -284,6 +284,24 @@ def test_mesh_round_trip_keeps_column_grid(tmp_path, reference_profile, kind):
     points = mesh.barycenters
     assert np.array_equal(locate_points(back, points),
                           locate_points(mesh, points))
+
+
+@pytest.mark.parametrize("kind", ["cell", "thin"])
+def test_grid_nodes_place_each_node(tmp_path, reference_profile, kind):
+    """The grid node map puts node (i, j) at column i, row j, on a built
+    mesh and on its copy read back from disk, and the triangles are
+    grid_triangles of it."""
+    mesh = (build_cell_mesh(reference_profile, 16, 4) if kind == "cell"
+            else build_thin_mesh(reference_profile, 0.25, 8, 4))
+    write_mesh(mesh, tmp_path / "mesh.txt")
+    rows = np.arange(mesh.grid_rows + 1) / mesh.grid_rows
+    for m in (mesh, read_mesh(tmp_path / "mesh.txt")):
+        node = m.grid_nodes
+        assert not node.flags.writeable
+        assert np.array_equal(grid_triangles(node), m.triangles)
+        x, y = m.nodes[node].transpose(2, 0, 1)
+        assert np.array_equal(x, np.broadcast_to(mesh.grid_x[:, None], x.shape))
+        assert np.array_equal(y, mesh.grid_heights[:, None] * rows)
 
 
 @pytest.mark.parametrize("old, new, message", [

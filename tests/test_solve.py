@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from oscthin import (ConstraintSet, Limit1DProblem, Mesh, SolveOptions,
+from oscthin import (ConstraintSet, Limit1DProblem, SolveOptions,
                      build_cell_mesh, build_thin_mesh, fem, solve)
 from oscthin.fem import FluxParams, assemble_jacobian, w1p_seminorm
 from oscthin.homogenize import _CellFunctional, cell_constraints, solve_cell
@@ -130,14 +130,8 @@ class TestLinearSolve:
         the ring order were) folds column 0 onto column nx - 1 across the
         whole matrix; the cell solve refuses that numbering instead of
         allocating its band."""
-        ring = build_cell_mesh(reference_profile, 64, 16)
-        order = np.lexsort((ring.nodes[:, 1], ring.nodes[:, 0]))
-        new = np.empty_like(order)
-        new[order] = np.arange(len(order))
-        mesh = Mesh(ring.nodes[order], new[ring.triangles],
-                    {tag: new[e] for tag, e in ring.boundary_edges.items()},
-                    new[ring.periodic_pairs], "cell", grid_x=ring.grid_x,
-                    grid_heights=ring.grid_heights, grid_rows=ring.grid_rows)
+        mesh = oracles.column_numbered(build_cell_mesh(reference_profile,
+                                                       64, 16))
         n = mesh.num_nodes - len(mesh.periodic_pairs)
         band_bytes = 8 * n * ((64 - 1) * (16 + 1) + 1)   # (bw + 1) * n
         tracemalloc.start()
