@@ -95,38 +95,66 @@ class ProfileSpec:
 
 
 class Mesh:
-    """Conforming triangulation of the cell or of the rescaled thin domain.
+    """Conforming triangulation of the cell or of the rescaled thin domain,
+    derived from its column grid: column i at abscissa grid_x[i] holds
+    grid_rows + 1 equispaced nodes from x2 = 0 up to grid_heights[i].
 
+    grid_nodes     (nx+1, ny+1) int array, the node at column i, row j
     nodes          (n, 2) float array
-    triangles      (t, 3) int array, positively oriented
+    triangles      (t, 3) int array, positively oriented: grid_triangles
     boundary_edges dict tag -> (m, 2) int array, tags lower/upper/left/right
-    periodic_pairs (k, 2) int array of matching (left, right) node indices
+    periodic_pairs (ny+1, 2) int array of matching (left, right) node indices
     domain_kind    "cell" or "thin"
     eps            oscillation parameter for thin meshes, None for cell meshes
 
-    Meshes are immutable after construction and safe for concurrent reads;
-    the column grid of the mapped construction (``grid_x``, ``grid_heights``,
-    ``grid_rows``, ``grid_nodes``) locates points without a search.
+    Node (i, j) has index slot[i]*(ny+1) + j.  Thin meshes keep column
+    order (slot[i] = i, jacobian half-bandwidth ny + 2).  Cell meshes
+    number columns around the ring, 0, 1, nx-1, 2, nx-2, ..., the periodic
+    copy of column 0 last: after the periodic fold ring neighbours sit at
+    most two slots apart (half-bandwidth 2*(ny+1) + 1), where column order
+    would couple column 0 to column nx-1 across the whole matrix.  Meshes
+    are immutable after construction and safe for concurrent reads.
     """
 
-    def __init__(self, nodes, triangles, boundary_edges, periodic_pairs,
-                 domain_kind, eps=None, grid_x=None, grid_heights=None,
-                 grid_rows=None):
-        self.nodes = np.ascontiguousarray(nodes, dtype=float)
-        self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
-        self.boundary_edges = {
-            tag: np.ascontiguousarray(e, dtype=np.int64)
-            for tag, e in boundary_edges.items()
-        }
-        self.periodic_pairs = np.ascontiguousarray(periodic_pairs, dtype=np.int64)
-        self.domain_kind = domain_kind
-        self.eps = eps
-        self.grid_x = None if grid_x is None else np.asarray(grid_x, dtype=float)
-        self.grid_heights = (None if grid_heights is None
-                             else np.asarray(grid_heights, dtype=float))
-        self.grid_rows = grid_rows
-        self._validate()
-        for arr in (self.nodes, self.triangles, self.periodic_pairs):
+    def __init__(self, domain_kind, grid_x, grid_heights, grid_rows,
+                 eps=None):
+        xs = np.array(grid_x, dtype=float)
+        heights = np.array(grid_heights, dtype=float)
+        ny = int(grid_rows)
+        nx = len(xs) - 1
+        if domain_kind not in ("cell", "thin"):
+            raise MeshingError(
+                f"mesh kind must be 'cell' or 'thin', got {domain_kind!r}")
+        if xs.ndim != 1 or xs.shape != heights.shape or nx < 1 or ny < 1:
+            raise MeshingError("a column grid needs at least two columns, "
+                               "one height per column and one row")
+        if not (np.isfinite(xs).all() and np.all(np.diff(xs) > 0.0)):
+            raise MeshingError(
+                "column abscissae must be finite and strictly increase")
+        bad = ~(np.isfinite(heights) & (heights > 0.0))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise MeshingError(
+                f"column {i} height {heights[i]:.3e} is not finite and positive")
+        if heights[0] != heights[nx]:
+            raise MeshingError(
+                f"first and last column heights differ ({heights[0]!r}, "
+                f"{heights[nx]!r}): the periodic pairing needs them equal")
+        slot = np.arange(nx + 1)
+        if domain_kind == "cell":
+            slot = np.where(2 * slot <= nx, 2 * slot - 1, 2 * (nx - slot))
+            slot[0], slot[nx] = 0, nx
+        node = slot[:, None] * (ny + 1) + np.arange(ny + 1)
+        nodes = np.empty((node.size, 2))
+        nodes[node, 0] = xs[:, None]
+        nodes[node, 1] = heights[:, None] * (np.arange(ny + 1) / ny)
+        self.domain_kind, self.eps = domain_kind, eps
+        self.grid_x, self.grid_heights, self.grid_rows = xs, heights, ny
+        self.grid_nodes, self.nodes = node, nodes
+        self.triangles = grid_triangles(node)
+        self.periodic_pairs = np.column_stack([node[0], node[nx]])
+        for arr in (xs, heights, node, nodes, self.triangles,
+                    self.periodic_pairs):
             arr.flags.writeable = False
 
     @property
@@ -140,7 +168,18 @@ class Mesh:
     @property
     def width(self):
         """Horizontal extent of the domain (period for cells, 1 for thin)."""
-        return float(self.nodes[:, 0].max() - self.nodes[:, 0].min())
+        return float(self.grid_x[-1] - self.grid_x[0])
+
+    @cached_property
+    def boundary_edges(self):
+        """Boundary edges by tag, each oriented with the domain on its left."""
+        node, ny = self.grid_nodes, self.grid_rows
+        return {
+            "lower": np.column_stack([node[:-1, 0], node[1:, 0]]),
+            "upper": np.column_stack([node[1:, ny], node[:-1, ny]]),
+            "left": np.column_stack([node[0, 1:], node[0, :-1]]),
+            "right": np.column_stack([node[-1, :-1], node[-1, 1:]]),
+        }
 
     @cached_property
     def areas(self):
@@ -169,54 +208,9 @@ class Mesh:
         bary.flags.writeable = False
         return bary
 
-    @cached_property
-    def grid_nodes(self):
-        """Node index (nx+1, ny+1) at column i, row j of the column grid,
-        read-only: read off the triangles, which must be grid_triangles of
-        it.  A mesh without a column grid or with its triangles out of that
-        order raises MeshingError."""
-        ny, t = self.grid_rows or 0, self.num_triangles
-        if not ny or t % (2 * ny):
-            raise MeshingError("mesh has no column grid: build it with "
-                               "build_cell_mesh or build_thin_mesh")
-        tri = self.triangles.reshape(t // (2 * ny), ny, 6)
-        node = np.empty((len(tri) + 1, ny + 1), dtype=np.int64)
-        for corner, k in zip(quad_corners(node), (0, 1, 2, 5)):
-            corner[:] = tri[..., k]
-        if (node.size != self.num_nodes or np.bincount(node.ravel()).max() > 1
-                or not np.array_equal(grid_triangles(node), self.triangles)):
-            raise MeshingError(
-                "triangles are not in column-grid order: quad q = i*ny + j "
-                "must be triangles 2q (ll, lr, ur) and 2q+1 (ll, ur, ul)")
-        node.flags.writeable = False
-        return node
-
     def weighted_mean(self, u):
         """Mesh-weighted mean of a nodal field (exact for P1 interpolants)."""
         return float(self.node_weights @ np.asarray(u)) / float(self.areas.sum())
-
-    def _validate(self):
-        areas = self.areas
-        bad = np.flatnonzero(areas <= 0.0)
-        if bad.size:
-            t = int(bad[0])
-            msg = f"triangle {t} has non-positive area {areas[t]:.3e}"
-            if self.grid_rows:
-                msg += f" (column {t // (2 * self.grid_rows)})"
-            raise MeshingError(msg)
-        pairs = self.periodic_pairs
-        if pairs.size:
-            left, right = pairs[:, 0], pairs[:, 1]
-            if (len(np.unique(left)) != len(left)
-                    or len(np.unique(right)) != len(right)):
-                raise MeshingError("periodic pairing is not a bijection")
-            dy = np.abs(self.nodes[left, 1] - self.nodes[right, 1])
-            if dy.max() > 1e-12:
-                raise MeshingError(
-                    f"periodic pair x2 mismatch up to {dy.max():.3e}")
-            dx = self.nodes[right, 0] - self.nodes[left, 0]
-            if np.abs(dx - self.width).max() > 1e-12:
-                raise MeshingError("periodic pair x1 offsets differ from width")
 
 
 def quad_corners(g):
@@ -232,45 +226,6 @@ def grid_triangles(node):
     return np.stack([ll, lr, ur, ll, ur, ul], axis=-1).reshape(-1, 3)
 
 
-def _mapped_grid(xs, heights, ny, domain_kind, eps=None):
-    """Triangulate the region between x2=0 and the per-column heights.
-
-    Columns are the given abscissae; each column holds ny+1 equispaced
-    nodes up to its height.  Node (i, j) gets index slot[i]*(ny+1) + j and
-    the quads are split as grid_triangles says.  Thin meshes keep column order
-    (slot[i] = i, jacobian half-bandwidth ny + 2).  Cell meshes number
-    columns around the ring, 0, 1, nx-1, 2, nx-2, ..., the periodic copy of
-    column 0 last: after the periodic fold ring neighbours sit at most two
-    slots apart (half-bandwidth 2*(ny+1) + 1), where column order would
-    couple column 0 to column nx-1 across the whole matrix.
-    """
-    xs = np.asarray(xs, dtype=float)
-    heights = np.asarray(heights, dtype=float)
-    nx = len(xs) - 1
-    if np.any(heights <= 0.0):
-        i = int(np.argmin(heights))
-        raise MeshingError(f"column {i} has non-positive height {heights[i]:.3e}")
-
-    slot = np.arange(nx + 1)
-    if domain_kind == "cell":
-        slot = np.where(2 * slot <= nx, 2 * slot - 1, 2 * (nx - slot))
-        slot[0], slot[nx] = 0, nx
-    node = slot[:, None] * (ny + 1) + np.arange(ny + 1)
-    nodes = np.empty((node.size, 2))
-    nodes[node, 0] = xs[:, None]
-    nodes[node, 1] = heights[:, None] * (np.arange(ny + 1) / ny)
-    boundary_edges = {
-        "lower": np.column_stack([node[:-1, 0], node[1:, 0]]),
-        "upper": np.column_stack([node[1:, ny], node[:-1, ny]]),
-        "left": np.column_stack([node[0, 1:], node[0, :-1]]),
-        "right": np.column_stack([node[nx, :-1], node[nx, 1:]]),
-    }
-    periodic_pairs = np.column_stack([node[0], node[nx]])
-    return Mesh(nodes, grid_triangles(node), boundary_edges, periodic_pairs,
-                domain_kind, eps=eps, grid_x=xs, grid_heights=heights,
-                grid_rows=ny)
-
-
 def build_cell_mesh(spec, nx, ny):
     """Mesh one period of the profile: columns in [0, period], rows up to
     g; the first and last column heights are identified exactly, so the
@@ -281,17 +236,14 @@ def build_cell_mesh(spec, nx, ny):
     xs[-1] = spec.period
     heights = np.asarray(spec.evaluate(np.arange(nx + 1) * (spec.period / nx)))
     heights[-1] = heights[0]
-    return _mapped_grid(xs, heights, ny, "cell")
+    return Mesh("cell", xs, heights, ny)
 
 
-def build_thin_mesh(spec, eps, nx_per_period, ny):
-    """Mesh the rescaled thin domain: unit interval, height g(x1/eps).
-    eps must equal 1/(m*period) for an integer m, and the mesh is then the
-    exact m-fold concatenation of one period's column pattern."""
+def tiling_periods(spec, eps):
+    """Whole profile periods m in the unit interval at eps: eps in (0, 1]
+    (else ValueError) equal to 1/(m*period), m integer (else MeshingError)."""
     if not (0.0 < eps <= 1.0):
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    if nx_per_period < 2 or ny < 2:
-        raise ValueError("thin mesh needs nx_per_period >= 2 and ny >= 2")
     m_real = 1.0 / (eps * spec.period)
     m = int(round(m_real))
     if m < 1 or abs(m_real - m) > 1e-9 * max(1.0, m_real):
@@ -300,6 +252,16 @@ def build_thin_mesh(spec, eps, nx_per_period, ny):
             f"integer m >= 1 and L={spec.period!r} so that whole periods of "
             "the oscillation fit the unit interval (3.0 periods, say, would "
             "leave a partial cell at the right end)")
+    return m
+
+
+def build_thin_mesh(spec, eps, nx_per_period, ny):
+    """Mesh the rescaled thin domain: unit interval, height g(x1/eps).
+    eps must tile the unit interval (tiling_periods), and the mesh is then
+    the exact m-fold concatenation of one period's column pattern."""
+    m = tiling_periods(spec, eps)
+    if nx_per_period < 2 or ny < 2:
+        raise ValueError("thin mesh needs nx_per_period >= 2 and ny >= 2")
     phases = np.arange(nx_per_period + 1) * (spec.period / nx_per_period)
     column_heights = np.asarray(spec.evaluate(phases))
     column_heights[-1] = column_heights[0]
@@ -308,7 +270,7 @@ def build_thin_mesh(spec, eps, nx_per_period, ny):
     xs[-1] = 1.0
     heights = np.concatenate(
         [np.tile(column_heights[:-1], m), column_heights[:1]])
-    return _mapped_grid(xs, heights, ny, "thin", eps=eps)
+    return Mesh("thin", xs, heights, ny, eps=eps)
 
 
 def mesh_area(mesh):
@@ -328,8 +290,6 @@ def fiber_matrix(mesh, axis, values):
     coordinates of the triangles it touches (fiber integrals are defined up
     to sets of measure zero, so the nearby generic fiber is equivalent).
     """
-    if mesh.grid_x is None:
-        raise MeshingError("mesh carries no column grid; cannot build fibers")
     values = np.atleast_1d(np.asarray(values, dtype=float))
     fibers = _vertical_fibers if axis == 0 else _horizontal_fibers
     rows, tris, lengths = fibers(mesh, values)
@@ -404,55 +364,26 @@ def _level_candidates(mesh, levels):
 
 
 def locate_points(mesh, points):
-    """Containing triangle for each point of a mapped-grid mesh: a direct
-    lookup in the column grid, verified by barycentric coordinates (with a
-    small slack for points on shared edges).  A point outside every
-    candidate triangle raises MeshingError naming it."""
-    if mesh.grid_x is None:
-        raise MeshingError("mesh carries no column grid; cannot locate points")
+    """Containing triangle of each point in closed form: column i by
+    searchsorted, f the fraction across it, h = (1-f) h_i + f h_{i+1},
+    row j = floor(y ny / h), and the upper half of quad (i, j) iff
+    y ny - j h > f h_{i+1} (above its ll-ur diagonal).  A point outside the
+    domain (by a relative 1e-9 in height) raises MeshingError naming it."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    x, y = pts[:, 0], pts[:, 1]
     xs, hs, ny = mesh.grid_x, mesh.grid_heights, mesh.grid_rows
-    nx = len(xs) - 1
-    i = np.clip(np.searchsorted(xs, pts[:, 0], side="right") - 1, 0, nx - 1)
-    frac = (pts[:, 0] - xs[i]) / (xs[i + 1] - xs[i])
-    h_here = (1.0 - frac) * hs[i] + frac * hs[i + 1]
-    j = np.clip((pts[:, 1] * ny / h_here).astype(np.int64), 0, ny - 1)
-
-    result = np.full(len(pts), -1, dtype=np.int64)
-    tol = 1e-9
-    # diagonal-split guess first, then each neighbor quad (float roundoff can
-    # push a point across a row or column boundary)
-    for di, dj in ((0, 0), (0, 1), (0, -1), (1, 0), (-1, 0)):
-        if np.all(result >= 0):
-            break
-        for half in (0, 1):
-            still = np.flatnonzero(result < 0)
-            if still.size == 0:
-                break
-            qi = np.clip(i[still] + di, 0, nx - 1)
-            qj = np.clip(j[still] + dj, 0, ny - 1)
-            t = 2 * (qi * ny + qj) + half
-            v = mesh.nodes[mesh.triangles[t]]
-            ok = _bary_min(v, pts[still]) >= -tol
-            result[still[ok]] = t[ok]
-    bad = np.flatnonzero(result < 0)
+    i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
+    f = (x - xs[i]) / (xs[i + 1] - xs[i])
+    h = (1.0 - f) * hs[i] + f * hs[i + 1]
+    bad = np.flatnonzero(~((xs[0] <= x) & (x <= xs[-1]) & (-1e-9 * h <= y)
+                           & (y <= (1.0 + 1e-9) * h)))
     if bad.size:
-        x, y = pts[bad[0]]
         raise MeshingError(
-            f"point ({x!r}, {y!r}) lies outside every candidate cell "
-            "triangle (geometric mismatch between meshes)")
-    return result
-
-
-def _bary_min(v, p):
-    """Smallest barycentric coordinate of points p in triangles v, scaled."""
-    d1 = v[:, 1] - v[:, 0]
-    d2 = v[:, 2] - v[:, 0]
-    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    r = p - v[:, 0]
-    l1 = (r[:, 0] * d2[:, 1] - r[:, 1] * d2[:, 0]) / det
-    l2 = (d1[:, 0] * r[:, 1] - d1[:, 1] * r[:, 0]) / det
-    return np.minimum(np.minimum(l1, l2), 1.0 - l1 - l2)
+            f"point ({x[bad[0]]!r}, {y[bad[0]]!r}) lies outside the "
+            f"{mesh.domain_kind} mesh (geometric mismatch between meshes)")
+    j = np.clip(np.floor(y * ny / h), 0, ny - 1).astype(np.int64)
+    upper = y * ny - j * h > f * hs[i + 1]
+    return 2 * (i * ny + j) + upper
 
 
 # rows per formatted chunk of write_records
@@ -470,19 +401,23 @@ def write_records(fh, record, rows):
                          for k, row in enumerate(part, start)))
 
 
+def _edge_records(mesh):
+    """Boundary edges as (a, b, tag) records, tag by tag."""
+    return [(a, b, tag) for tag in ("lower", "upper", "left", "right")
+            for a, b in mesh.boundary_edges[tag].tolist()]
+
+
 def write_mesh(mesh, path):
     """Structured-text mesh export; see read_mesh for the exact format."""
-    edges = [(a, b, tag) for tag in ("lower", "upper", "left", "right")
-             for a, b in mesh.boundary_edges.get(tag, np.empty((0, 2))).tolist()]
-    grid = (np.empty((0, 2)) if mesh.grid_x is None else
-            np.column_stack([mesh.grid_x, mesh.grid_heights]))
+    edges = _edge_records(mesh)
+    grid = np.column_stack([mesh.grid_x, mesh.grid_heights])
     sections = [
         (f"nodes {mesh.num_nodes}", "{} {!r} {!r}\n", mesh.nodes),
         (f"triangles {mesh.num_triangles}", "{} {} {} {}\n", mesh.triangles),
         (f"boundary_edges {len(edges)}", "{} {} {} {}\n", edges),
         (f"periodic_pairs {len(mesh.periodic_pairs)}", "{} {} {}\n",
          mesh.periodic_pairs),
-        (f"grid {len(grid)} {mesh.grid_rows or 0}", "{} {!r} {!r}\n", grid)]
+        (f"grid {len(grid)} {mesh.grid_rows}", "{} {!r} {!r}\n", grid)]
     with open(path, "w") as fh:
         fh.write(f"# oscthin mesh {mesh.domain_kind}"
                  f" eps={'' if mesh.eps is None else repr(mesh.eps)}\n")
@@ -498,9 +433,10 @@ def read_mesh(path):
     then sections each introduced by ``# <name> <count>`` with one record
     per line: nodes ``index x y``, triangles ``index a b c``,
     boundary_edges ``index a b tag``, periodic_pairs ``index a b`` and the
-    column grid, ``# grid <columns> <rows>``, ``index x height``.  A header
-    or section line out of place raises ValueError.
-    """
+    column grid, ``# grid <columns> <rows>``, ``index x height``, from
+    which the mesh is built.  A header or section line out of place, a grid
+    Mesh refuses, or other sections that differ from the grid's raise
+    ValueError."""
     with open(path) as fh:
         header = fh.readline().split()
         if header[:3] != ["#", "oscthin", "mesh"] or len(header) != 5:
@@ -522,11 +458,19 @@ def read_mesh(path):
         tris = section("triangles", np.int64, 3)[1]
         records = section("boundary_edges", str, 3)[1]
         pairs = section("periodic_pairs", np.int64, 2)[1]
-        (columns, rows), grid = section("grid", float, 2)
-    edges = {tag: records[records[:, 2] == tag, :2].astype(np.int64)
-             for tag in ("lower", "upper", "left", "right")}
+        (_, rows), grid = section("grid", float, 2)
     eps = header[4].split("=", 1)[1]
-    xs, heights = grid.T if columns else (None, None)
-    return Mesh(nodes, tris, edges, pairs, header[3],
-                eps=float(eps) if eps else None, grid_x=xs,
-                grid_heights=heights, grid_rows=rows or None)
+    try:
+        mesh = Mesh(header[3], grid[:, 0], grid[:, 1], rows,
+                    eps=float(eps) if eps else None)
+    except MeshingError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    for name, found, grid_made in (
+            ("nodes", nodes, mesh.nodes), ("triangles", tris, mesh.triangles),
+            ("boundary edges", records,
+             np.array(_edge_records(mesh), dtype=str)),
+            ("periodic pairs", pairs, mesh.periodic_pairs)):
+        if not np.array_equal(found, grid_made):
+            raise ValueError(f"{path}: {name} differ from those of its "
+                             "column grid (see build_cell_mesh)")
+    return mesh

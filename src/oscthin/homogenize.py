@@ -92,18 +92,9 @@ def cell_constraints(mesh):
 def solve_cell(mesh, p, opts=None):
     """Solve the periodic cell problem and package the scalar outputs."""
     opts = opts or solve.SolveOptions()
-    # a cell mesh not in ring order (column order) folds into a band about
-    # nx/2 times wider: it is refused before that band is allocated
-    constraints = cell_constraints(mesh)
-    bw = int(fem._plan(mesh).band(
-        solve.Reduction(mesh.num_nodes, constraints))[0][-1])
-    if bw > 2 * mesh.grid_rows + 3:
-        raise solve.LinearSolveError(
-            f"folded half-bandwidth {bw} is wider than the ring order's "
-            f"{2 * mesh.grid_rows + 3}: rebuild the mesh with build_cell_mesh")
     functional = _CellFunctional(mesh, p)
     phi, diagnostics = solve.newton_solve(
-        functional, np.zeros(mesh.num_nodes), constraints, opts)
+        functional, np.zeros(mesh.num_nodes), cell_constraints(mesh), opts)
 
     measure = geometry.mesh_area(mesh)
     mean = mesh.weighted_mean(phi)

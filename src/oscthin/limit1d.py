@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import fem, solve
+from . import fem, geometry, solve
 
 # two-point Gauss rule on the reference element [0, 1]
 _GAUSS_T = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
@@ -181,8 +181,8 @@ def write_solution(values, path):
     grid = np.linspace(0.0, 1.0, len(values))
     with open(path, "w") as fh:
         fh.write("x u0\n")
-        for x, v in zip(grid, values):
-            fh.write(f"{float(x)!r} {float(v)!r}\n")
+        geometry.write_records(fh, "{1!r} {2!r}\n",
+                               np.column_stack([grid, values]))
 
 
 def read_solution(path):

@@ -16,7 +16,7 @@ import csv
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -146,12 +146,7 @@ class StudyConfig:
                           "ny": self.thin_ny},
             "limit_elements": self.limit_elements,
             "flux_stations": self.flux_stations,
-            "solver": {
-                "residual_tol": self.solver.residual_tol,
-                "max_newton": self.solver.max_newton,
-                "continuation_deltas": list(self.solver.continuation_deltas),
-                "linear_tol": self.solver.linear_tol,
-            },
+            "solver": asdict(self.solver),
             "max_workers": self.max_workers,
         }
 
@@ -297,10 +292,8 @@ def cell_response(cell, mesh):
     barycenter of each thin-mesh triangle, (T, 2).  It does not depend on
     the partition, so one lookup serves every level."""
     bary = mesh.barycenters
-    period = cell.mesh.width
-    wrapped_x = np.mod(bary[:, 0] / mesh.eps, period)
-    wrapped_x = np.minimum(wrapped_x, np.nextafter(period, 0.0))
-    wrapped = np.column_stack([wrapped_x, bary[:, 1]])
+    wrapped = np.column_stack(
+        [np.mod(bary[:, 0] / mesh.eps, cell.mesh.width), bary[:, 1]])
     tri = geometry.locate_points(cell.mesh, wrapped)
     gphi = fem.element_gradients(cell.mesh, cell.phi)[tri]
     return gphi + np.array([1.0, 0.0])
@@ -444,7 +437,11 @@ def _study_rows_for_eps(config, cell, eps):
 def run_study(config):
     """Walk the oscillation ladder and aggregate the per-row measurements.
     A failing entry is recorded in its rows' status and the study goes on;
-    rows come back in ladder order however the entries were scheduled."""
+    rows come back in ladder order however the entries were scheduled.
+    An eps that does not tile the unit interval is a config error, raised
+    (MeshingError) before the cell solve."""
+    for eps in config.epsilons:
+        geometry.tiling_periods(config.profile, eps)
     cell = solve_config_cell(config)
 
     def job(eps):

@@ -1,7 +1,8 @@
 """Independent reference implementations used only as test oracles.
 
 Everything here is deliberately coded along a different path from the
-package: dense matrices, explicit per-triangle formulas, numpy solves.
+package: explicit matrices, per-triangle formulas, direct solves and
+searches over every triangle.
 """
 
 import numpy as np
@@ -26,31 +27,33 @@ def tri_geometry(mesh):
     return idx, area, b, c
 
 
-def dense_laplace_matrices(mesh, eps_weight=1.0):
-    """Dense stiffness (with anisotropic weight) and P1 mass matrix."""
+def laplace_matrices(mesh, eps_weight=1.0):
+    """Sparse stiffness (with anisotropic weight) and P1 mass matrix, summed
+    from the 3x3 element matrices as COO triplets."""
     idx, area, b, c = tri_geometry(mesh)
     n = mesh.num_nodes
-    stiff = np.zeros((n, n))
-    mass = np.zeros((n, n))
     w2 = eps_weight * eps_weight
+    rows, cols, stiff, mass = [], [], [], []
     for a_ in range(3):
         for b_ in range(3):
-            np.add.at(stiff, (idx[:, a_], idx[:, b_]),
-                      area * (b[:, a_] * b[:, b_] + c[:, a_] * c[:, b_] / w2))
-            factor = 1.0 / 6.0 if a_ == b_ else 1.0 / 12.0
-            np.add.at(mass, (idx[:, a_], idx[:, b_]), area * factor)
-    return stiff, mass
+            rows.append(idx[:, a_])
+            cols.append(idx[:, b_])
+            stiff.append(area * (b[:, a_] * b[:, b_] + c[:, a_] * c[:, b_] / w2))
+            mass.append(area * (1.0 / 6.0 if a_ == b_ else 1.0 / 12.0))
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    return tuple(sparse.csr_matrix((np.concatenate(v), (rows, cols)),
+                                   shape=(n, n)) for v in (stiff, mass))
 
 
 def linear_periodic_cell(mesh):
-    """Linear (quadratic-energy) periodic cell solve by dense algebra.
+    """Linear (quadratic-energy) periodic cell solve by sparse algebra.
 
-    Periodic identification by explicit index folding, zero mean by a
-    Lagrange multiplier, dense numpy solve.  Returns the perturbation field
-    and the effective coefficient.
+    Periodic identification by an explicit 0/1 folding matrix, zero mean by
+    a Lagrange multiplier, sparse direct solve.  Returns the perturbation
+    field and the effective coefficient.
     """
     n = mesh.num_nodes
-    stiff, _ = dense_laplace_matrices(mesh)
+    stiff, _ = laplace_matrices(mesh)
     rhs = -stiff @ mesh.nodes[:, 0]
 
     fold = np.arange(n)
@@ -59,19 +62,14 @@ def linear_periodic_cell(mesh):
     keep = np.flatnonzero(fold == np.arange(n))
     pos = np.full(n, -1)
     pos[keep] = np.arange(len(keep))
-    z = np.zeros((n, len(keep)))
-    z[np.arange(n), pos[fold]] = 1.0
+    z = sparse.csr_matrix((np.ones(n), (np.arange(n), pos[fold])),
+                          shape=(n, len(keep)))
 
-    stiff_red = z.T @ stiff @ z
-    rhs_red = z.T @ rhs
     weights_red = z.T @ mesh.node_weights
-    m = len(keep)
-    bordered = np.zeros((m + 1, m + 1))
-    bordered[:m, :m] = stiff_red
-    bordered[:m, m] = weights_red
-    bordered[m, :m] = weights_red
-    sol = np.linalg.solve(bordered, np.concatenate([rhs_red, [0.0]]))
-    phi = z @ sol[:m]
+    bordered = sparse.bmat([[z.T @ stiff @ z, weights_red[:, None]],
+                            [weights_red[None, :], None]], format="csc")
+    sol = sparse_linalg.spsolve(bordered, np.append(z.T @ rhs, 0.0))
+    phi = z @ sol[:-1]
 
     grads = fem.element_gradients(mesh, mesh.nodes[:, 0] + phi)
     area = mesh.areas
@@ -80,13 +78,14 @@ def linear_periodic_cell(mesh):
 
 
 def linear_thin_solve(mesh, load_values):
-    """Linear (p=2) thin-domain solve by dense algebra.
+    """Linear (p=2) thin-domain solve by sparse algebra.
 
     load_values are nodal samples; the load functional uses the consistent
     P1 mass matrix, the flux the anisotropic weight carried by the mesh.
     """
-    stiff, mass = dense_laplace_matrices(mesh, eps_weight=mesh.eps)
-    return np.linalg.solve(stiff + mass, mass @ np.asarray(load_values))
+    stiff, mass = laplace_matrices(mesh, eps_weight=mesh.eps)
+    return sparse_linalg.spsolve((stiff + mass).tocsc(),
+                                 mass @ np.asarray(load_values))
 
 
 def linear_limit_solve(coeff, forcing):
@@ -248,18 +247,16 @@ def coo_jacobian(mesh, u, params, include_mass=True):
         shape=(n, n)).tocsr()
 
 
-def column_numbered(ring):
-    """The same cell mesh with its nodes numbered column by column, as
-    meshes were written before the ring order: triangles in grid order,
-    column 0 folded onto column nx - 1 across the whole matrix."""
-    order = np.lexsort((ring.nodes[:, 1], ring.nodes[:, 0]))
-    new = np.empty_like(order)
-    new[order] = np.arange(len(order))
-    return geometry.Mesh(
-        ring.nodes[order], new[ring.triangles],
-        {tag: new[e] for tag, e in ring.boundary_edges.items()},
-        new[ring.periodic_pairs], "cell", grid_x=ring.grid_x,
-        grid_heights=ring.grid_heights, grid_rows=ring.grid_rows)
+def containing_triangles(mesh, points, tol=1e-9):
+    """(P, T) boolean: point k lies in triangle t, by its barycentric
+    coordinates in every triangle of the mesh, each at least -tol."""
+    v = mesh.nodes[mesh.triangles]                       # (T, 3, 2)
+    d1, d2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
+    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    r = np.asarray(points, dtype=float)[:, None, :] - v[None, :, 0]
+    l1 = (r[..., 0] * d2[:, 1] - r[..., 1] * d2[:, 0]) / det
+    l2 = (d1[:, 0] * r[..., 1] - d1[:, 1] * r[..., 0]) / det
+    return np.minimum(np.minimum(l1, l2), 1.0 - l1 - l2) >= -tol
 
 
 def row_by_row_mesh_text(mesh):
@@ -282,9 +279,8 @@ def row_by_row_mesh_text(mesh):
     out.append(f"# periodic_pairs {len(mesh.periodic_pairs)}\n")
     for k, (a, b) in enumerate(mesh.periodic_pairs):
         out.append(f"{k} {a} {b}\n")
-    xs = () if mesh.grid_x is None else mesh.grid_x
-    out.append(f"# grid {len(xs)} {mesh.grid_rows or 0}\n")
-    for k, x in enumerate(xs):
+    out.append(f"# grid {len(mesh.grid_x)} {mesh.grid_rows}\n")
+    for k, x in enumerate(mesh.grid_x):
         out.append(f"{k} {float(x)!r} {float(mesh.grid_heights[k])!r}\n")
     return "".join(out)
 
@@ -295,6 +291,14 @@ def row_by_row_field_text(mesh, values):
     for k in range(mesh.num_nodes):
         x, y = mesh.nodes[k]
         out.append(f"{k} {float(x)!r} {float(y)!r} {float(values[k])!r}\n")
+    return "".join(out)
+
+
+def row_by_row_solution_text(values):
+    """The limit solution file format written one record at a time."""
+    out = ["x u0\n"]
+    for x, v in zip(np.linspace(0.0, 1.0, len(values)), values):
+        out.append(f"{float(x)!r} {float(v)!r}\n")
     return "".join(out)
 
 

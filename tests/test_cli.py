@@ -6,11 +6,11 @@ import sys
 import numpy as np
 import pytest
 
-from oscthin import build_cell_mesh, build_thin_mesh
+from oscthin import build_cell_mesh, build_thin_mesh, study
 from oscthin.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, ConfigError, main,
                          parse_config, read_field, write_field)
 from oscthin.geometry import read_mesh, write_mesh
-from oscthin.limit1d import read_solution
+from oscthin.limit1d import read_solution, write_solution
 from oscthin.homogenize import read_cell_summary
 from oscthin.study import read_report_csv, read_report_json
 
@@ -40,17 +40,21 @@ def write_config(path, **overrides):
 
 @pytest.mark.parametrize("kind", ["cell", "thin"])
 def test_writers_match_row_by_row_format(reference_profile, tmp_path, kind):
-    """The bulk mesh and field writers give the bytes of the row-by-row
-    format; the cell has more nodes and triangles than one written chunk."""
+    """The bulk mesh, field and limit-solution writers give the bytes of
+    the row-by-row format; the cell has more nodes and triangles than one
+    written chunk."""
     mesh = (build_cell_mesh(reference_profile, 64, 32) if kind == "cell"
             else build_thin_mesh(reference_profile, 0.25, 8, 4))
     values = np.sin(3.0 * mesh.nodes[:, 0]) * mesh.nodes[:, 1]
     write_mesh(mesh, tmp_path / "mesh.txt")
     write_field(mesh, values, tmp_path / "field.txt")
+    write_solution(values, tmp_path / "u0.csv")
     assert ((tmp_path / "mesh.txt").read_bytes()
             == oracles.row_by_row_mesh_text(mesh).encode())
     assert ((tmp_path / "field.txt").read_bytes()
             == oracles.row_by_row_field_text(mesh, values).encode())
+    assert ((tmp_path / "u0.csv").read_bytes()
+            == oracles.row_by_row_solution_text(values).encode())
 
 
 class TestParseConfig:
@@ -207,6 +211,21 @@ class TestCommands:
     def test_bad_eps_override_is_config_error(self, tmp_path):
         path = write_config(tmp_path / "cfg.json")
         assert main(["solve-eps", "--config", path, "--eps", "0.3"]) == EXIT_CONFIG
+
+    def test_study_non_tiling_eps_is_config_error(self, tmp_path, capsys,
+                                                  monkeypatch):
+        """An eps that does not tile the unit interval stops the study
+        with one line before the cell solve, and no report is written."""
+        cells = []
+        monkeypatch.setattr(study, "solve_config_cell", cells.append)
+        path = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "out"
+        assert main(["study", "--config", path, "--eps", "0.3",
+                     "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: eps=0.3 does not tile")
+        assert err.count("\n") == 1
+        assert cells == [] and not out.exists()
 
     def test_p_override(self, tmp_path, capsys):
         path = write_config(tmp_path / "cfg.json")

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from oscthin import FluxParams, Mesh, build_cell_mesh, build_thin_mesh, fem
+from oscthin import FluxParams, build_cell_mesh, build_thin_mesh, fem
 from oscthin.fem import (AssemblyError, assemble_energy, assemble_jacobian,
                          assemble_residual, element_gradients,
                          integrate_load_fibers, lp_norm, p_flux,
                          p_flux_inverse, p_flux_scalar, scaled_gradient,
                          w1p_seminorm)
-from oscthin.geometry import MeshingError, read_mesh, write_mesh
+from oscthin.geometry import read_mesh, write_mesh
 from oscthin.homogenize import _CellFunctional, cell_constraints
 from oscthin.solve import (Reduction, constrained_linear_solve,
                            linear_solve)
@@ -245,15 +245,14 @@ def _thin_case(profile):
 
 
 def _grid_case(profile, case):
-    """A mesh, a field and the fold of one of the three layouts a point
-    meets: an eps 1/16 thin mesh, a ring-ordered 64x16 cell folded by its
-    Reduction and the same cell numbered column by column."""
+    """A mesh, a field and the fold of one of the two layouts a point
+    meets: an eps 1/16 thin mesh and a ring-ordered 64x16 cell folded by
+    its Reduction."""
     if case == "thin":
         mesh = build_thin_mesh(profile, 1.0 / 16, 16, 8)
         x1, x2 = mesh.nodes.T
         return mesh, np.cos(np.pi * x1) * (1.0 + 0.3 * x2), None
-    ring = build_cell_mesh(profile, 64, 16)
-    mesh = ring if case == "ring" else oracles.column_numbered(ring)
+    mesh = build_cell_mesh(profile, 64, 16)
     red = Reduction(mesh.num_nodes, cell_constraints(mesh))
     x1, x2 = mesh.nodes.T
     phi = red.expand(red.restrict(0.05 * np.sin(2.0 * np.pi * x1) * (1.0 + x2)))
@@ -387,7 +386,7 @@ class TestAssemblyPlan:
 
     @pytest.mark.parametrize("delta", [1e-2, 1e-8])
     @pytest.mark.parametrize("p", [1.5, 3.0])
-    @pytest.mark.parametrize("case", ["thin", "ring", "columns"])
+    @pytest.mark.parametrize("case", ["thin", "ring"])
     def test_grid_layouts_match_oracle(self, reference_profile, case, p,
                                        delta):
         """fem.Point on each layout against the oracle energy, residual and
@@ -440,28 +439,6 @@ class TestGridPoint:
         band = _CellFunctional(mesh, p).point(phi, 1e-8).jacobian(red)
         ones = band @ np.ones(red.n_reduced)
         assert np.abs(ones).max() <= 1e-14 * np.abs(band.rows[0]).max()
-
-    @pytest.mark.parametrize("change", ["swap", "rotate", "no_grid"])
-    def test_mesh_off_the_grid_refused(self, reference_profile, change):
-        """A mesh without a column grid, or whose triangles are not in
-        grid order, has no grid node map: its point is refused with one
-        line."""
-        ring = build_cell_mesh(reference_profile, 8, 4)
-        tris, grid = ring.triangles.copy(), {"grid_x": ring.grid_x,
-                                             "grid_heights": ring.grid_heights,
-                                             "grid_rows": ring.grid_rows}
-        if change == "swap":            # two lower triangles trade places
-            tris[[0, 2]] = tris[[2, 0]]
-        elif change == "rotate":        # same triangle, vertices rotated
-            tris[5] = tris[5, [1, 2, 0]]
-        else:
-            grid = {}
-        mesh = Mesh(ring.nodes, tris, ring.boundary_edges, ring.periodic_pairs,
-                    "cell", **grid)
-        match = "no column grid" if change == "no_grid" else "column-grid order"
-        with pytest.raises(MeshingError, match=match) as info:
-            fem.Point(mesh, np.zeros(mesh.num_nodes), FluxParams(p=2.0))
-        assert "\n" not in str(info.value)
 
 
 class TestNorms:

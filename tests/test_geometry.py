@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -110,13 +112,15 @@ class TestCellMesh:
         with pytest.raises(ValueError):
             build_cell_mesh(flat_profile, 1, 4)
 
-    def test_degenerate_triangle_detected(self):
-        nodes = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
-        triangles = np.array([[0, 2, 1]])  # negative orientation
-        edges = {t: np.empty((0, 2), dtype=int)
-                 for t in ("lower", "upper", "left", "right")}
-        with pytest.raises(MeshingError, match="triangle 0"):
-            Mesh(nodes, triangles, edges, np.empty((0, 2), dtype=int), "cell")
+    @pytest.mark.parametrize("xs, heights, message", [
+        ([0.0, 0.5, 0.5, 1.0], [1.0, 1.2, 0.8, 1.0], "strictly increase"),
+        ([0.0, 0.5, 1.0], [1.0, -0.2, 1.0], "column 1 height -2.000e-01"),
+        ([0.0, 0.5, 1.0], [1.0, 1.2, 0.8], "last column heights differ"),
+    ], ids=["abscissae", "height", "ends"])
+    def test_bad_grid_refused(self, xs, heights, message):
+        with pytest.raises(MeshingError, match=message) as info:
+            Mesh("cell", xs, heights, 2)
+        assert "\n" not in str(info.value)
 
 
 class TestThinMesh:
@@ -247,6 +251,41 @@ class TestLocatePoints:
         pts = np.column_stack([x, y])
         assert np.all(pts >= lo - 1e-9) and np.all(pts <= hi + 1e-9)
 
+    def test_wrapped_barycenters_match_oracle(self, reference_profile):
+        """The barycenters of an eps 1/16 mesh wrapped into the cell, as
+        study.cell_response wraps them, each get a cell triangle that
+        contains them by the brute-force search."""
+        cell = build_cell_mesh(reference_profile, 32, 8)
+        thin = build_thin_mesh(reference_profile, 1.0 / 16, 16, 8)
+        bary = thin.barycenters
+        pts = np.column_stack([np.mod(bary[:, 0] / thin.eps, 1.0), bary[:, 1]])
+        inside = oracles.containing_triangles(cell, pts)
+        tri = locate_points(cell, pts)
+        assert np.all(inside[np.arange(len(pts)), tri])
+
+    @pytest.mark.parametrize("kind", ["cell", "thin"])
+    def test_points_on_mesh_lines_match_oracle(self, reference_profile, kind):
+        """Points on column lines, on row lines and on quad diagonals, the
+        domain's boundary included, each get a triangle that contains them
+        by the brute-force search."""
+        mesh = (build_cell_mesh(reference_profile, 16, 4) if kind == "cell"
+                else build_thin_mesh(reference_profile, 0.25, 8, 4))
+        xs, hs, ny = mesh.grid_x, mesh.grid_heights, mesh.grid_rows
+        s = np.linspace(0.0, 1.0, 7)
+        columns = np.column_stack([np.repeat(xs, 7), np.outer(hs, s).ravel()])
+        i, f, j = (a.ravel() for a in np.meshgrid(
+            np.arange(len(xs) - 1), [0.25, 0.5, 0.8], np.arange(ny + 1)))
+        x = xs[i] + f * (xs[i + 1] - xs[i])
+        h = (1.0 - f) * hs[i] + f * hs[i + 1]
+        rows = np.column_stack([x, j * h / ny])
+        below = j < ny
+        diagonals = np.column_stack(
+            [x, (j * h + f * hs[i + 1]) / ny])[below]
+        pts = np.concatenate([columns, rows, diagonals])
+        inside = oracles.containing_triangles(mesh, pts)
+        tri = locate_points(mesh, pts)
+        assert np.all(inside[np.arange(len(pts)), tri])
+
     def test_point_outside_raises_with_coordinates(self, reference_profile):
         mesh = build_cell_mesh(reference_profile, 32, 8)
         with pytest.raises(MeshingError, match="0.5"):
@@ -302,6 +341,45 @@ def test_grid_nodes_place_each_node(tmp_path, reference_profile, kind):
         x, y = m.nodes[node].transpose(2, 0, 1)
         assert np.array_equal(x, np.broadcast_to(mesh.grid_x[:, None], x.shape))
         assert np.array_equal(y, mesh.grid_heights[:, None] * rows)
+
+
+@pytest.mark.parametrize("change, message", [
+    ("swap", "triangles differ"), ("rotate", "triangles differ"),
+    ("no_grid", "at least two columns"), ("columns", "nodes differ")],
+    ids=["swap", "rotate", "no_grid", "columns"])
+def test_mesh_off_the_grid_refused_at_read(tmp_path, reference_profile,
+                                           change, message):
+    """A mesh file with two triangles swapped, a triangle's vertices
+    rotated, no column grid (as a gridless mesh was written), or a cell
+    numbered column by column (as cells were written before the ring
+    order) is refused when read, in one line naming the file."""
+    ring = build_cell_mesh(reference_profile, 8, 4)
+    mesh = SimpleNamespace(**{name: getattr(ring, name) for name in (
+        "domain_kind", "eps", "num_nodes", "nodes", "num_triangles",
+        "triangles", "boundary_edges", "periodic_pairs", "grid_x",
+        "grid_heights", "grid_rows")})
+    mesh.triangles = tris = ring.triangles.copy()
+    if change == "swap":            # two lower triangles trade places
+        tris[[0, 2]] = tris[[2, 0]]
+    elif change == "rotate":        # same triangle, vertices rotated
+        tris[5] = tris[5, [1, 2, 0]]
+    elif change == "no_grid":
+        mesh.grid_x = mesh.grid_heights = np.empty(0)
+        mesh.grid_rows = 0
+    else:
+        order = np.lexsort((ring.nodes[:, 1], ring.nodes[:, 0]))
+        new = np.empty_like(order)
+        new[order] = np.arange(len(order))
+        mesh.nodes, mesh.triangles = ring.nodes[order], new[ring.triangles]
+        mesh.boundary_edges = {tag: new[e]
+                               for tag, e in ring.boundary_edges.items()}
+        mesh.periodic_pairs = new[ring.periodic_pairs]
+    path = tmp_path / "mesh.txt"
+    path.write_text(oracles.row_by_row_mesh_text(mesh))
+    with pytest.raises(ValueError, match=message) as info:
+        read_mesh(path)
+    assert str(info.value).startswith(f"{path}: ")
+    assert "\n" not in str(info.value)
 
 
 @pytest.mark.parametrize("old, new, message", [

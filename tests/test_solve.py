@@ -1,4 +1,3 @@
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -124,24 +123,6 @@ class TestLinearSolve:
         x = constrained_linear_solve(a, b, w, 1e-12)
         ref = oracles.bordered_solve(a, b, w)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
-
-    def test_wide_band_refused_before_allocation(self, reference_profile):
-        """A cell mesh numbered column by column (as meshes written before
-        the ring order were) folds column 0 onto column nx - 1 across the
-        whole matrix; the cell solve refuses that numbering instead of
-        allocating its band."""
-        mesh = oracles.column_numbered(build_cell_mesh(reference_profile,
-                                                       64, 16))
-        n = mesh.num_nodes - len(mesh.periodic_pairs)
-        band_bytes = 8 * n * ((64 - 1) * (16 + 1) + 1)   # (bw + 1) * n
-        tracemalloc.start()
-        try:
-            with pytest.raises(LinearSolveError, match="half-bandwidth"):
-                solve_cell(mesh, 3.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < band_bytes / 4
 
     def test_constrained_solve_matches_dense_kkt(self):
         rng = np.random.default_rng(14)

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import pytest
 
 import oscthin
 from oscthin import (StudyConfig, build_cell_mesh, build_thin_mesh, geometry,
-                     solve_cell, study)
+                     solve, solve_cell, study)
 from oscthin.fem import element_gradients
 from oscthin.limit1d import nodal_derivative
 from oscthin.study import (LoadSpec, PartitionSpec, box_smooth, cell_response,
@@ -254,15 +255,22 @@ class TestStudy:
             rows = [r for r in report.rows if r.eps == eps]
             assert rows[0].err_corrector >= rows[1].err_corrector - 1e-12
 
-    def test_failed_ladder_entry_is_recorded(self, flat_profile):
+    def test_failed_ladder_entry_is_recorded(self, flat_profile, monkeypatch):
+        def solve_thin_failing_at_quarter(mesh, *args):
+            if mesh.eps == 0.25:
+                raise solve.NonConvergenceError("stalled")
+            return solve_thin(mesh, *args)
+
+        monkeypatch.setattr(study, "solve_thin", solve_thin_failing_at_quarter)
         config = tiny_config(flat_profile, LoadSpec(kind="constant", value=1.0),
-                             epsilons=(0.5, 0.3))
+                             epsilons=(0.5, 0.25))
         report = run_study(config)
         by_eps = {}
         for row in report.rows:
             by_eps.setdefault(row.eps, []).append(row)
         assert all(r.status == "ok" for r in by_eps[0.5])
-        assert all("MeshingError" in r.status for r in by_eps[0.3])
+        assert all(r.status == "NonConvergenceError: stalled"
+                   for r in by_eps[0.25])
 
     def test_parallel_matches_serial(self, flat_profile):
         config = tiny_config(flat_profile, LoadSpec(kind="cos_pi"))
@@ -334,6 +342,22 @@ class TestReportIO:
         back = read_report_json(path)
         assert back.rows == report.rows
         assert back.config.to_dict() == report.config.to_dict()
+
+
+    def test_json_keeps_every_solver_option(self, flat_profile, tmp_path):
+        """study.json reads back with the solver options the config ran
+        with, every field set away from its default."""
+        config = tiny_config(flat_profile, LoadSpec(kind="cos_pi"))
+        config.solver = solve.SolveOptions(
+            residual_tol=1e-9, max_newton=40, ls_backtrack=0.3,
+            ls_sufficient_decrease=0.2, max_halvings=40,
+            continuation_deltas=(1e-3, 1e-8), linear_tol=1e-11)
+        default = solve.SolveOptions()
+        assert all(getattr(config.solver, f.name) != getattr(default, f.name)
+                   for f in dataclasses.fields(default))
+        path = tmp_path / "study.json"
+        write_report_json(study.StudyReport(config=config, rows=[]), path)
+        assert read_report_json(path).config.solver == config.solver
 
 
 class TestLoadSpec:
