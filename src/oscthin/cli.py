@@ -77,8 +77,8 @@ def write_field(mesh, values, path):
     """Nodal field export: one record per line, index then coordinates then value."""
     with open(path, "w") as fh:
         fh.write("index x1 x2 value\n")
-        geometry.write_records(fh, "{} {!r} {!r} {!r}\n",
-                               np.column_stack([mesh.nodes, values]))
+        geometry.write_records(
+            fh, (*mesh.nodes.T, np.asarray(values, dtype=float)))
 
 
 def read_field(path):
@@ -108,6 +108,7 @@ def _cmd_cell(config, args):
 
 def _cmd_solve_eps(config, args):
     eps = _pick_eps(config, args)
+    geometry.tiling_periods(config.profile, eps)    # before the cell solve
     cell = study.solve_config_cell(config)
     mesh, u, diag, _, du0 = study.solve_eps(config, cell, eps)
     profiles = study.flux_profiles(config, cell, mesh, u, du0)

@@ -14,6 +14,7 @@ this is exactly the monotone map |xi|^(p-2) xi.  The same delta enters the
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -274,22 +275,30 @@ def _check_finite(values, what):
 class Point:
     """A field evaluated once for its energy, residual and jacobian on the
     plan's column grid: one gather of the grid values, per triangle the
-    scaled gradient xi, its power weight and c_k = b_k . xi for the scaled
-    hat gradients b_k, per edge the midpoint value and its power weight.
-    load_vector b enters as -b . u and -b."""
+    scaled gradient xi and its power weight, per edge the midpoint value
+    and its power weight.  c_k = b_k . xi for the scaled hat gradients b_k
+    is formed on first use by the residual or the jacobian, so a trial
+    that only needs its energy never builds it.  load_vector b enters as
+    -b . u and -b."""
 
     def __init__(self, mesh, u, params, include_mass=True, load_vector=None):
         self.u, self.plan, g = _gather(mesh, u)
         self.params, self.include_mass = params, include_mass
         self.load_vector = load_vector
         p, delta, w, plan = params.p, params.delta, params.eps_weight, self.plan
-        gs = plan.gradient(g, w)
+        self._gs = gs = plan.gradient(g, w)
         self.sq = gs[0] * gs[0] + gs[1] * gs[1]
         self.sigma = _power_weight(self.sq, p, delta)
-        self.c = plan.gx * gs[0] + plan.gy * (gs[1] / w)
         if include_mass:
             self.um = plan.edge_mean(g)
             self.mass_weight = _power_weight(self.um * self.um, p, delta)
+
+    @cached_property
+    def c(self):
+        """c_k = b_k . xi (3, 2, nx, ny); xi is not kept beside it."""
+        gs, plan = self._gs, self.plan
+        del self._gs
+        return plan.gx * gs[0] + plan.gy * (gs[1] / self.params.eps_weight)
 
     def energy(self):
         """int (1/p)(d^2+|xi|^2)^(p/2) [+ (1/p)(d^2+u^2)^(p/2)] - b . u."""

@@ -390,40 +390,49 @@ def locate_points(mesh, points):
 _CHUNK = 2048
 
 
-def write_records(fh, record, rows):
-    """Write rows (an array or a list) as record.format(index, *row), each
-    chunk formatted from one tolist() and written at once: the text of a
-    row-by-row writer at a fraction of its time, in bounded memory."""
-    for start in range(0, len(rows), _CHUNK):
-        part = rows[start:start + _CHUNK]
-        part = part.tolist() if isinstance(part, np.ndarray) else part
-        fh.write("".join(record.format(k, *row)
-                         for k, row in enumerate(part, start)))
+def write_records(fh, columns, index=True):
+    """Write one line per row of equal-length columns (arrays or lists),
+    space separated and led by the row index unless index is False: float
+    arrays by repr, which round-trips, everything else by str.  Each
+    column is formatted once per chunk of _CHUNK rows and the chunk's rows
+    joined and written at once, in bounded memory."""
+    n = len(columns[0])
+    formats = [repr if np.asarray(col).dtype.kind == "f" else str
+               for col in columns]
+    for start in range(0, n, _CHUNK):
+        stop = min(start + _CHUNK, n)
+        parts = [map(str, range(start, stop))] if index else []
+        for fmt, col in zip(formats, columns):
+            part = col[start:stop]
+            parts.append(map(fmt, part.tolist() if isinstance(part, np.ndarray)
+                             else part))
+        fh.write("\n".join(map(" ".join, zip(*parts))) + "\n")
 
 
-def _edge_records(mesh):
-    """Boundary edges as (a, b, tag) records, tag by tag."""
-    return [(a, b, tag) for tag in ("lower", "upper", "left", "right")
-            for a, b in mesh.boundary_edges[tag].tolist()]
+def _edge_columns(mesh):
+    """Boundary edges as the columns a, b and tag, tag by tag."""
+    tags = ("lower", "upper", "left", "right")
+    edges = np.concatenate([mesh.boundary_edges[tag] for tag in tags])
+    names = [tag for tag in tags for _ in mesh.boundary_edges[tag]]
+    return edges[:, 0], edges[:, 1], names
 
 
 def write_mesh(mesh, path):
     """Structured-text mesh export; see read_mesh for the exact format."""
-    edges = _edge_records(mesh)
-    grid = np.column_stack([mesh.grid_x, mesh.grid_heights])
+    edges = _edge_columns(mesh)
     sections = [
-        (f"nodes {mesh.num_nodes}", "{} {!r} {!r}\n", mesh.nodes),
-        (f"triangles {mesh.num_triangles}", "{} {} {} {}\n", mesh.triangles),
-        (f"boundary_edges {len(edges)}", "{} {} {} {}\n", edges),
-        (f"periodic_pairs {len(mesh.periodic_pairs)}", "{} {} {}\n",
-         mesh.periodic_pairs),
-        (f"grid {len(grid)} {mesh.grid_rows}", "{} {!r} {!r}\n", grid)]
+        (f"nodes {mesh.num_nodes}", mesh.nodes.T),
+        (f"triangles {mesh.num_triangles}", mesh.triangles.T),
+        (f"boundary_edges {len(edges[0])}", edges),
+        (f"periodic_pairs {len(mesh.periodic_pairs)}", mesh.periodic_pairs.T),
+        (f"grid {len(mesh.grid_x)} {mesh.grid_rows}",
+         (mesh.grid_x, mesh.grid_heights))]
     with open(path, "w") as fh:
         fh.write(f"# oscthin mesh {mesh.domain_kind}"
                  f" eps={'' if mesh.eps is None else repr(mesh.eps)}\n")
-        for header, record, rows in sections:
+        for header, columns in sections:
             fh.write(f"# {header}\n")
-            write_records(fh, record, rows)
+            write_records(fh, columns)
 
 
 def read_mesh(path):
@@ -468,7 +477,7 @@ def read_mesh(path):
     for name, found, grid_made in (
             ("nodes", nodes, mesh.nodes), ("triangles", tris, mesh.triangles),
             ("boundary edges", records,
-             np.array(_edge_records(mesh), dtype=str)),
+             np.column_stack(_edge_columns(mesh))),
             ("periodic pairs", pairs, mesh.periodic_pairs)):
         if not np.array_equal(found, grid_made):
             raise ValueError(f"{path}: {name} differ from those of its "

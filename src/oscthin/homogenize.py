@@ -12,12 +12,15 @@ same integral - the first-component flux average and the energy average -
 whose agreement certifies convergence of the cell solve.
 """
 
-from dataclasses import dataclass
+import logging
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from . import fem, geometry, solve
+
+logger = logging.getLogger(__name__)
 
 
 class UnconvergedCellError(RuntimeError):
@@ -90,11 +93,39 @@ def cell_constraints(mesh):
 
 
 def solve_cell(mesh, p, opts=None):
-    """Solve the periodic cell problem and package the scalar outputs."""
+    """Solve the periodic cell problem and package the scalar outputs.
+
+    The solve starts from the linear corrector: Newton on the p = 2
+    functional from zero at the target delta (the last continuation
+    delta), whose energy is quadratic, so one step solves it and at p = 2
+    it is the answer.  Any other p runs Newton from it at the target delta
+    twice: the second pass stops relative to the first's small residual,
+    not to the residual of the start.  On a SolveError the configured
+    continuation ladder from zero takes over.  The diagnostics hold every
+    stage run, abandoned ones included.
+    """
     opts = opts or solve.SolveOptions()
-    functional = _CellFunctional(mesh, p)
-    phi, diagnostics = solve.newton_solve(
-        functional, np.zeros(mesh.num_nodes), cell_constraints(mesh), opts)
+    constraints = cell_constraints(mesh)
+    target = opts.final_delta
+    diagnostics = solve.NewtonDiagnostics()
+
+    def newton(q, init, deltas):
+        phi, diag = solve.newton_solve(
+            _CellFunctional(mesh, q), init, constraints,
+            replace(opts, continuation_deltas=deltas))
+        diagnostics.stages += diag.stages
+        return phi
+
+    try:
+        phi = newton(2.0, np.zeros(mesh.num_nodes), (target,))
+        if p != 2.0:
+            phi = newton(p, phi, (target, target))
+    except solve.SolveError as exc:
+        diagnostics.stages += exc.diagnostics.stages
+        logger.info("cell p=%g: start from the linear corrector failed (%s: "
+                    "%s); falling back to the ladder %s", p,
+                    type(exc).__name__, exc, opts.continuation_deltas)
+        phi = newton(p, np.zeros(mesh.num_nodes), opts.continuation_deltas)
 
     measure = geometry.mesh_area(mesh)
     mean = mesh.weighted_mean(phi)

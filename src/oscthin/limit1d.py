@@ -181,8 +181,7 @@ def write_solution(values, path):
     grid = np.linspace(0.0, 1.0, len(values))
     with open(path, "w") as fh:
         fh.write("x u0\n")
-        geometry.write_records(fh, "{1!r} {2!r}\n",
-                               np.column_stack([grid, values]))
+        geometry.write_records(fh, (grid, values), index=False)
 
 
 def read_solution(path):

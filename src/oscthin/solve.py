@@ -20,7 +20,10 @@ logger = logging.getLogger(__name__)
 
 
 class SolveError(RuntimeError):
-    """Base class for solver failures."""
+    """Base class for solver failures; one raised by newton_solve carries
+    its NewtonDiagnostics as ``diagnostics``."""
+
+    diagnostics = None
 
 
 class NonConvergenceError(SolveError):
@@ -116,7 +119,12 @@ class Reduction:
         self.index = (np.cumsum(self.keep) - 1)[leader]
         self.n_reduced = int(self.keep.sum())
         self.folded = self.n_reduced < n
-        self.key = self.index.tobytes() if self.folded else None
+
+    @property
+    def key(self):
+        """The node map's bytes, made on each call: a solve holds no copy
+        beside the one a plan's cache keeps."""
+        return self.index.tobytes() if self.folded else None
 
     def reduce_vector(self, v):
         v = np.asarray(v)
@@ -294,6 +302,11 @@ def _band_solve(a, b, w, tol):
 
 @dataclass
 class StageDiagnostics:
+    """One continuation stage: accepted steps, their energies, residual
+    norms and step lengths, and the factorizations begun (one per step,
+    and one more for a step that failed after it).  An abandoned stage
+    keeps converged False and the failure's class name as stop_reason."""
+
     delta: float
     iterations: int = 0
     energies: list = field(default_factory=list)
@@ -301,6 +314,7 @@ class StageDiagnostics:
     step_lengths: list = field(default_factory=list)
     converged: bool = False
     stop_reason: str = ""
+    factorizations: int = 0
 
 
 @dataclass
@@ -310,6 +324,10 @@ class NewtonDiagnostics:
     @property
     def total_iterations(self):
         return sum(s.iterations for s in self.stages)
+
+    @property
+    def factorizations(self):
+        return sum(s.factorizations for s in self.stages)
 
     @property
     def final_residual(self):
@@ -337,10 +355,11 @@ def newton_solve(problem, init, constraints, opts=None):
     and the next jacobian, and is dropped before the next line search.
     Returns the converged full field (mean-shifted if requested) and
     per-stage diagnostics.  Accepted steps never increase the stage
-    energy (Armijo backtracking).
+    energy (Armijo backtracking).  A SolveError leaves with the
+    diagnostics so far as its ``diagnostics``, the failed stage last.
     """
     opts = opts or SolveOptions()
-    u = np.asarray(init, dtype=float).copy()
+    u = np.asarray(init, dtype=float)       # read only: restrict copies
     red = Reduction(len(u), constraints)
     u_red = red.restrict(u)
     gap = np.abs(red.expand(u_red) - u).max(initial=0.0)
@@ -355,81 +374,93 @@ def newton_solve(problem, init, constraints, opts=None):
         # a folded periodic energy is shift invariant, so its jacobian is
         # singular along constants; only the mean-constrained step grounds it
         raise ValueError("periodic_pairs require mean_zero_postshift")
-    if mean_constrained:
-        w_red = red.reduce_vector(np.asarray(constraints.mean_weights, float))
+    w_red = (red.reduce_vector(np.asarray(constraints.mean_weights, float))
+             if mean_constrained else None)
 
     for delta in opts.continuation_deltas:
         stage = StageDiagnostics(delta=delta)
         diagnostics.stages.append(stage)
-        point = problem.point(red.expand(u_red), delta)
-        energy = point.energy()
-        r = red.reduce_vector(point.residual())
-        rnorm = _residual_norm(r, delta, stage.iterations)
-        stage.energies.append(energy)
-        stage.residual_norms.append(rnorm)
-        tol = opts.residual_tol * (1.0 + rnorm)
-        stage.stop_reason = "residual"
-
-        while rnorm > tol:
-            if stage.iterations >= opts.max_newton:
-                raise NonConvergenceError(
-                    f"stage delta={delta:.1e}: residual {rnorm:.3e} above "
-                    f"{tol:.3e} after {opts.max_newton} Newton steps")
-            jac, point = point.jacobian(red), None    # the point is spent
-            if jac.rows.shape[1] != red.n_reduced:
-                raise ValueError(f"jacobian has {jac.rows.shape[1]} unknowns, "
-                                 f"the constraints leave {red.n_reduced}")
-            if mean_constrained:
-                step = constrained_linear_solve(jac, -r, w_red, opts.linear_tol)
-            else:
-                step = linear_solve(jac, -r, opts.linear_tol)
-            del jac
-            slope = float(r @ step)        # directional derivative of energy
-            noise = 1e-14 * (abs(energy) + 1.0)
-            if slope > noise:
-                raise IndefiniteSystemError(
-                    f"Newton step is an ascent direction (slope {slope:.3e})")
-            t = 1.0
-            for _ in range(opts.max_halvings + 1):
-                trial_red = u_red + t * step
-                point = problem.point(red.expand(trial_red), delta)
-                trial_energy = point.energy()
-                # a predicted decrease below energy roundoff leaves the
-                # Armijo test blind: take the full step, the residual decides
-                if -slope <= noise or (trial_energy <= energy
-                                       + opts.ls_sufficient_decrease * t * slope):
-                    break
-                t, point = t * opts.ls_backtrack, None   # drop the rejected trial
-            else:
-                raise LineSearchStallError(
-                    f"line search stalled at stage delta={delta:.1e}, "
-                    f"iteration {stage.iterations}: energy {energy:.6e}, "
-                    f"residual {rnorm:.3e}, slope {slope:.3e}, "
-                    f"last step length {t:.3e}")
-            u_red, energy = trial_red, trial_energy
-            r = red.reduce_vector(point.residual())
-            rnorm = _residual_norm(r, delta, stage.iterations + 1)
-            stage.iterations += 1
-            stage.energies.append(energy)
-            stage.residual_norms.append(rnorm)
-            stage.step_lengths.append(t)
-            logger.debug(
-                "newton stage=%g iter=%d energy=%.12e residual=%.3e step=%.3g",
-                delta, stage.iterations, energy, rnorm, t)
-            # residual entries can sit on a roundoff floor above tol when the
-            # jacobian is stiff (p < 2 at tiny delta); a negligible full step
-            # means the iterate itself is converged to machine precision
-            if t == 1.0 and (np.linalg.norm(step)
-                             <= 1e-12 * (1.0 + np.linalg.norm(u_red))):
-                stage.stop_reason = "step"
-                break
-        stage.converged = True
-        point = None            # built again at the next stage's delta
-        logger.info("newton stage=%g converged: iters=%d residual=%.3e",
-                    delta, stage.iterations, rnorm)
+        try:
+            u_red = _newton_stage(problem, red, w_red, u_red, stage, opts)
+        except SolveError as exc:
+            stage.stop_reason = type(exc).__name__
+            exc.diagnostics = diagnostics
+            raise
 
     u = red.expand(u_red)
     if constraints.mean_zero_postshift:
         w = np.asarray(constraints.mean_weights, dtype=float)
         u = u - (w @ u) / w.sum()
     return u, diagnostics
+
+
+def _newton_stage(problem, red, w_red, u_red, stage, opts):
+    """Newton at the stage's delta from u_red; the converged reduced field."""
+    delta = stage.delta
+    point = problem.point(red.expand(u_red), delta)
+    energy = point.energy()
+    r = red.reduce_vector(point.residual())
+    rnorm = _residual_norm(r, delta, stage.iterations)
+    stage.energies.append(energy)
+    stage.residual_norms.append(rnorm)
+    tol = opts.residual_tol * (1.0 + rnorm)
+    stage.stop_reason = "residual"
+
+    while rnorm > tol:
+        if stage.iterations >= opts.max_newton:
+            raise NonConvergenceError(
+                f"stage delta={delta:.1e}: residual {rnorm:.3e} above "
+                f"{tol:.3e} after {opts.max_newton} Newton steps")
+        jac, point = point.jacobian(red), None    # the point is spent
+        if jac.rows.shape[1] != red.n_reduced:
+            raise ValueError(f"jacobian has {jac.rows.shape[1]} unknowns, "
+                             f"the constraints leave {red.n_reduced}")
+        stage.factorizations += 1
+        if w_red is not None:
+            step = constrained_linear_solve(jac, -r, w_red, opts.linear_tol)
+        else:
+            step = linear_solve(jac, -r, opts.linear_tol)
+        del jac
+        slope = float(r @ step)        # directional derivative of energy
+        noise = 1e-14 * (abs(energy) + 1.0)
+        if slope > noise:
+            raise IndefiniteSystemError(
+                f"Newton step is an ascent direction (slope {slope:.3e})")
+        t = 1.0
+        for _ in range(opts.max_halvings + 1):
+            trial_red = u_red + t * step
+            point = problem.point(red.expand(trial_red), delta)
+            trial_energy = point.energy()
+            # a predicted decrease below energy roundoff leaves the
+            # Armijo test blind: take the full step, the residual decides
+            if -slope <= noise or (trial_energy <= energy
+                                   + opts.ls_sufficient_decrease * t * slope):
+                break
+            t, point = t * opts.ls_backtrack, None   # drop the rejected trial
+        else:
+            raise LineSearchStallError(
+                f"line search stalled at stage delta={delta:.1e}, "
+                f"iteration {stage.iterations}: energy {energy:.6e}, "
+                f"residual {rnorm:.3e}, slope {slope:.3e}, "
+                f"last step length {t:.3e}")
+        u_red, energy = trial_red, trial_energy
+        r = red.reduce_vector(point.residual())
+        rnorm = _residual_norm(r, delta, stage.iterations + 1)
+        stage.iterations += 1
+        stage.energies.append(energy)
+        stage.residual_norms.append(rnorm)
+        stage.step_lengths.append(t)
+        logger.debug(
+            "newton stage=%g iter=%d energy=%.12e residual=%.3e step=%.3g",
+            delta, stage.iterations, energy, rnorm, t)
+        # residual entries can sit on a roundoff floor above tol when the
+        # jacobian is stiff (p < 2 at tiny delta); a negligible full step
+        # means the iterate itself is converged to machine precision
+        if t == 1.0 and (np.linalg.norm(step)
+                         <= 1e-12 * (1.0 + np.linalg.norm(u_red))):
+            stage.stop_reason = "step"
+            break
+    stage.converged = True
+    logger.info("newton stage=%g converged: iters=%d residual=%.3e",
+                delta, stage.iterations, rnorm)
+    return u_red

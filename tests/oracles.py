@@ -142,14 +142,47 @@ def fiber_segments(mesh, axis, value, _attempt=0):
     return cand[keep], lengths[keep]
 
 
-def fiber_matrix(mesh, axis, values):
-    """Fiber operator assembled one fiber_segments call per value."""
+def fiber_matrix(mesh, axis, values, block=64):
+    """Fiber operator by the all-triangle clipper, a block of values at a
+    time: every value against every triangle, the clip of fiber_segments
+    on all (value, triangle) pairs whose extent holds the value at once.
+    A value whose line runs along a mesh edge goes through fiber_segments
+    alone, which nudges it."""
+    values = np.asarray(values, dtype=float)
+    coord = mesh.nodes[:, axis][mesh.triangles]
+    other = mesh.nodes[:, 1 - axis][mesh.triangles]
+    cmin, cmax = coord.min(axis=1), coord.max(axis=1)
     rows, tris, lengths = [], [], []
-    for k, value in enumerate(values):
-        tri, seg = fiber_segments(mesh, axis, float(value))
-        rows.append(np.full(len(tri), k))
-        tris.append(tri)
-        lengths.append(seg)
+    for start in range(0, len(values), block):
+        v = values[start:start + block, None]
+        k, tri = np.nonzero((cmin <= v) & (v <= cmax) & (cmin < cmax))
+        s = coord[tri] - v[k]
+        o = other[tri]
+        pts = np.full((len(tri), 6), np.nan)
+        on_edge = np.zeros(len(tri), dtype=bool)
+        for e in range(3):
+            e2 = (e + 1) % 3
+            s0, s1 = s[:, e], s[:, e2]
+            on_edge |= (s0 == 0.0) & (s1 == 0.0)
+            cross = (s0 * s1) < 0.0
+            t = np.where(cross, s0 / np.where(cross, s0 - s1, 1.0), np.nan)
+            pts[:, 2 * e] = np.where(cross, o[:, e] + t * (o[:, e2] - o[:, e]),
+                                     np.nan)
+            pts[:, 2 * e + 1] = np.where(s0 == 0.0, o[:, e], np.nan)
+        with np.errstate(invalid="ignore"):
+            seg = np.nanmax(pts, axis=1) - np.nanmin(pts, axis=1)
+        seg = np.nan_to_num(seg, nan=0.0)
+        nudged = np.zeros(len(v), dtype=bool)
+        nudged[k[on_edge]] = True
+        keep = (seg > 0.0) & ~nudged[k]
+        rows.append(k[keep] + start)
+        tris.append(tri[keep])
+        lengths.append(seg[keep])
+        for j in np.flatnonzero(nudged):
+            tri_j, seg_j = fiber_segments(mesh, axis, float(v[j, 0]))
+            rows.append(np.full(len(tri_j), start + j))
+            tris.append(tri_j)
+            lengths.append(seg_j)
     return sparse.csr_matrix(
         (np.concatenate(lengths), (np.concatenate(rows), np.concatenate(tris))),
         shape=(len(values), mesh.num_triangles))

@@ -208,9 +208,19 @@ class TestCommands:
         assert main(["cell", "--config", path, "--p", "1.0"]) == EXIT_CONFIG
         assert "p must exceed 1" in capsys.readouterr().err
 
-    def test_bad_eps_override_is_config_error(self, tmp_path):
+    def test_bad_eps_override_is_config_error(self, tmp_path, capsys,
+                                              monkeypatch):
+        """solve-eps checks that eps tiles the unit interval before it
+        solves the cell, and stops with one line."""
+        def no_cell(config):
+            raise AssertionError("the cell was solved")
+
+        monkeypatch.setattr(study, "solve_config_cell", no_cell)
         path = write_config(tmp_path / "cfg.json")
         assert main(["solve-eps", "--config", path, "--eps", "0.3"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: eps=0.3 does not tile")
+        assert err.count("\n") == 1
 
     def test_study_non_tiling_eps_is_config_error(self, tmp_path, capsys,
                                                   monkeypatch):

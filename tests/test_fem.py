@@ -440,6 +440,25 @@ class TestGridPoint:
         ones = band @ np.ones(red.n_reduced)
         assert np.abs(ones).max() <= 1e-14 * np.abs(band.rows[0]).max()
 
+    def test_energy_alone_never_forms_c(self, reference_profile):
+        """A line-search trial needs only its energy: c_k = b_k . xi is
+        formed once, on first use by the residual or the jacobian, and
+        either order gives the same bits."""
+        mesh = build_thin_mesh(reference_profile, 0.25, 8, 4)
+        u = np.cos(3.0 * mesh.nodes[:, 0]) + mesh.nodes[:, 1]
+        params = FluxParams(p=3.0, delta=1e-8, eps_weight=0.25)
+        trial = fem.Point(mesh, u, params)
+        trial.energy()
+        assert "c" not in vars(trial)
+        residual = trial.residual()
+        c = trial.c
+        band = trial.jacobian()
+        assert trial.c is c
+        other = fem.Point(mesh, u, params)
+        assert np.array_equal(other.jacobian().rows, band.rows)
+        assert np.array_equal(other.residual(), residual)
+        assert other.energy() == trial.energy()
+
 
 class TestNorms:
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from oscthin import ProfileSpec, build_cell_mesh, solve_cell
+from oscthin import ProfileSpec, build_cell_mesh, geometry, solve, solve_cell
 from oscthin.fem import lp_norm, p_flux_scalar
-from oscthin.homogenize import (effective_coefficient,
+from oscthin.homogenize import (CellSolution, _CellFunctional,
+                                _coefficient_pair, cell_constraints,
+                                effective_coefficient,
                                 flux_density_height_integral,
                                 format_cell_summary, homogenized_flux_density,
                                 level_fraction, measure_identity_check,
@@ -51,13 +53,96 @@ class TestOscillatingCell:
         although its band diagonal spans up to sixteen decades, and the
         coefficient is the one the bordered sparse LU step gave."""
         cell = solve_cell(build_cell_mesh(reference_profile, 128, 32), 12.0)
-        assert [s.iterations for s in cell.diagnostics.stages] == [31, 18, 1]
+        assert [s.iterations for s in cell.diagnostics.stages] == [1, 37, 8]
         assert cell.coeff_flux == pytest.approx(0.5894552498391834, rel=1e-10)
 
     def test_coefficient_self_convergence(self, reference_profile):
         coeffs = [solve_cell(build_cell_mesh(reference_profile, nx, nx // 4), 3.0).coeff_flux
                   for nx in (16, 32, 64)]
         assert abs(coeffs[0] - coeffs[1]) > abs(coeffs[1] - coeffs[2])
+
+
+def _ladder_cell(mesh, p):
+    """The cell by the default continuation ladder from zero."""
+    phi, diagnostics = solve.newton_solve(
+        _CellFunctional(mesh, p), np.zeros(mesh.num_nodes),
+        cell_constraints(mesh), solve.SolveOptions())
+    cell = CellSolution(mesh=mesh, phi=phi, p=p, delta=1e-8,
+                        cell_measure=geometry.mesh_area(mesh),
+                        coeff_flux=0.0, coeff_energy=0.0,
+                        diagnostics=diagnostics)
+    cell.coeff_flux, cell.coeff_energy = _coefficient_pair(cell)
+    return cell
+
+
+class TestLinearStart:
+    """solve_cell starts from the linear corrector at the target delta and
+    falls back to the continuation ladder from zero."""
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_matches_the_ladder(self, medium_cell_mesh, p):
+        cell = solve_cell(medium_cell_mesh, p)
+        ladder = _ladder_cell(medium_cell_mesh, p)
+        stages = cell.diagnostics.stages
+        assert [(s.delta, s.converged) for s in stages] == [(1e-8, True)] * 3
+        assert stages[0].iterations == 1
+        assert cell.diagnostics.factorizations == cell.diagnostics.total_iterations
+        assert (cell.diagnostics.total_iterations
+                < ladder.diagnostics.total_iterations)
+        assert cell.coeff_flux == pytest.approx(ladder.coeff_flux, rel=1e-10)
+        assert (np.abs(cell.phi - ladder.phi).max()
+                <= 1e-8 * np.abs(ladder.phi).max())
+
+    def test_linear_case_is_one_solve(self, medium_cell_mesh):
+        cell = solve_cell(medium_cell_mesh, 2.0)
+        ladder = _ladder_cell(medium_cell_mesh, 2.0)
+        assert [s.iterations for s in cell.diagnostics.stages] == [1]
+        assert cell.diagnostics.factorizations == 1
+        assert np.array_equal(cell.phi, ladder.phi)
+        assert cell.coeff_flux == ladder.coeff_flux
+        assert cell.coeff_energy == ladder.coeff_energy
+
+    def test_stall_falls_back_to_the_ladder(self, medium_cell_mesh,
+                                             monkeypatch, caplog):
+        """A line search that stalls in the target stage: the ladder's
+        result bit for bit, and every step counted."""
+        mesh, p = medium_cell_mesh, 3.0
+        ladder = _ladder_cell(mesh, p)
+        real_point = _CellFunctional.point
+        started, ladder_started = [], []
+
+        def point(self, phi, delta):
+            """Points at p from the corrector: the start and the first
+            step's trial as they are, every later energy infinite."""
+            made = real_point(self, phi, delta)
+            if self.p == p and not ladder_started:
+                if not np.any(phi):            # the fallback starts at zero
+                    ladder_started.append(True)
+                else:
+                    started.append(True)
+                    if len(started) > 2:
+                        made.energy = lambda: np.inf
+            return made
+
+        monkeypatch.setattr(_CellFunctional, "point", point)
+        with caplog.at_level("INFO", logger="oscthin.homogenize"):
+            cell = solve_cell(mesh, p)
+        assert np.array_equal(cell.phi, ladder.phi)
+        assert cell.coeff_flux == ladder.coeff_flux
+        assert cell.coeff_energy == ladder.coeff_energy
+        linear, abandoned, *rest = cell.diagnostics.stages
+        assert linear.iterations == 1 and linear.converged
+        assert abandoned.iterations == 1 and not abandoned.converged
+        assert abandoned.stop_reason == "LineSearchStallError"
+        assert abandoned.factorizations == 2
+        assert ([(s.delta, s.iterations) for s in rest]
+                == [(s.delta, s.iterations) for s in ladder.diagnostics.stages])
+        assert (cell.diagnostics.total_iterations
+                == 2 + ladder.diagnostics.total_iterations)
+        assert (cell.diagnostics.factorizations
+                == 3 + ladder.diagnostics.factorizations)
+        assert "LineSearchStallError" in caplog.text
+        assert "falling back" in caplog.text
 
 
 class TestLevelFraction:
