@@ -177,18 +177,11 @@ def _gather(mesh, u):
     return u, plan, u[plan.node]
 
 
-def element_gradients(mesh, u):
-    """Constant gradient of the P1 interpolant on every triangle, (T, 2)."""
+def element_gradients(mesh, u, eps_weight=1.0):
+    """Constant gradient of the P1 interpolant on every triangle, (T, 2),
+    scaled to (d1, d2/eps_weight)."""
     _, plan, g = _gather(mesh, u)
-    return plan.gradient(g, 1.0).transpose(2, 3, 1, 0).reshape(-1, 2)
-
-
-def scaled_gradient(grad, params):
-    """Anisotropic gradient (d1, d2/eps_weight) of a plain gradient."""
-    g = np.asarray(grad, dtype=float)
-    out = g.copy()
-    out[..., 1] /= params.eps_weight
-    return out
+    return plan.gradient(g, eps_weight).transpose(2, 3, 1, 0).reshape(-1, 2)
 
 
 def _power_weight(sq, p, delta):
@@ -408,14 +401,6 @@ def lp_norm(mesh, u, p):
     _, plan, g = _gather(mesh, u)
     total = (plan.weight * np.abs(plan.edge_mean(g)) ** p).sum()
     return float(total ** (1.0 / p))
-
-
-def w1p_seminorm(mesh, u, params):
-    """L^p norm of the scaled gradient (exact: gradients are elementwise constant)."""
-    _, plan, g = _gather(mesh, u)
-    gs = plan.gradient(g, params.eps_weight)
-    mag = np.sqrt(gs[0] * gs[0] + gs[1] * gs[1])
-    return float((plan.area * mag ** params.p).sum() ** (1.0 / params.p))
 
 
 # Gauss-Legendre rule used on every vertical fiber of the load integral

@@ -75,6 +75,8 @@ class ProfileSpec:
             raise ValueError(f"profile period must be positive, got {self.period}")
         object.__setattr__(self, "cos_coeffs", tuple(float(a) for a in self.cos_coeffs))
         object.__setattr__(self, "sin_coeffs", tuple(float(b) for b in self.sin_coeffs))
+        if not np.all(np.isfinite([self.mean, *self.cos_coeffs, *self.sin_coeffs])):
+            raise ValueError("profile mean and coefficients must be finite")
         h = self.period / _EXTREMUM_SAMPLES
         ys = np.arange(_EXTREMUM_SAMPLES) * h
         vals = self.evaluate(ys)

@@ -62,8 +62,7 @@ class CellSolution:
     @cached_property
     def flux(self):
         """Per-triangle unregularized flux of v."""
-        params = fem.FluxParams(p=self.p, delta=0.0, eps_weight=1.0)
-        return fem.p_flux(self.gradients, params)
+        return fem.p_flux(self.gradients, fem.FluxParams(p=self.p))
 
 
 class _CellFunctional:
@@ -85,11 +84,8 @@ def cell_constraints(mesh):
     solver enforces inside each Newton step (bordered system) to keep the
     jacobian definite on the admissible space; the post-shift only mops
     up roundoff."""
-    return solve.ConstraintSet(
-        periodic_pairs=mesh.periodic_pairs,
-        mean_zero_postshift=True,
-        mean_weights=mesh.node_weights,
-    )
+    return solve.ConstraintSet(periodic_pairs=mesh.periodic_pairs,
+                               mean_weights=mesh.node_weights)
 
 
 def solve_cell(mesh, p, opts=None):
@@ -146,15 +142,11 @@ def solve_cell(mesh, p, opts=None):
 
 
 def _coefficient_pair(cell):
-    grads = cell.gradients
-    area = cell.mesh.areas
-    p = cell.p
+    grads, area, p = cell.gradients, cell.mesh.areas, cell.p
     sq = (grads * grads).sum(axis=1)
-    mag = np.sqrt(sq)
-    weight = fem._power_weight(sq, p, 0.0)
-    flux = float((area * weight * grads[:, 0]).sum() / cell.cell_measure)
-    energy = float((area * mag ** p).sum() / cell.cell_measure)
-    return flux, energy
+    flux = (area * fem._power_weight(sq, p, 0.0) * grads[:, 0]).sum()
+    energy = (area * np.sqrt(sq) ** p).sum()
+    return float(flux / cell.cell_measure), float(energy / cell.cell_measure)
 
 
 def effective_coefficient(cell):
@@ -166,13 +158,6 @@ def effective_coefficient(cell):
         raise UnconvergedCellError(
             f"coefficient formulas disagree: flux={flux!r} energy={energy!r}")
     return flux
-
-
-def level_fraction(spec, height, n_samples=10_000):
-    """Fraction of one period where the profile exceeds the given height,
-    sampled (a profile may touch a level tangentially) to 1/n_samples."""
-    ys = (np.arange(n_samples) + 0.5) * (spec.period / n_samples)
-    return float(np.mean(spec.evaluate(ys) > height))
 
 
 def measure_identity_check(spec, n_levels=4096, n_samples=16384):
@@ -192,15 +177,6 @@ def measure_identity_check(spec, n_levels=4096, n_samples=16384):
     yt = np.linspace(0.0, spec.period, (1 << 14) + 1)
     area = float(np.trapezoid(spec.evaluate(yt), yt))
     return fraction_integral, area
-
-
-def homogenized_flux_density(cell, grad_value, height):
-    """Averaged flux response at one height of the cell, a 2-vector: the
-    mean of |grad v|^(p-2) grad v along the horizontal fiber at that height
-    (inside the cell only), times the scalar flux of the gradient value."""
-    fiber = geometry.fiber_matrix(cell.mesh, axis=1, values=[height])
-    fiber_avg = (fiber @ cell.flux)[0] / cell.mesh.width
-    return fem.p_flux_scalar(grad_value, cell.p) * fiber_avg
 
 
 def flux_density_height_integral(cell, grad_value, n_levels=4096):

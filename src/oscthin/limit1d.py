@@ -8,7 +8,7 @@ closed form) and is treated as its piecewise-linear interpolant; with the
 two-point Gauss rule per element the load integrals are then exact.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,10 +43,6 @@ class Limit1DProblem:
             raise ValueError(
                 f"forcing needs {self.n + 1} samples, got {forcing.shape}")
         object.__setattr__(self, "forcing", forcing)
-
-    @property
-    def grid(self):
-        return np.linspace(0.0, 1.0, self.n + 1)
 
 
 class _LimitFunctional:
@@ -141,38 +137,6 @@ def nodal_derivative(values):
     slopes = np.diff(values) * (len(values) - 1)
     return np.concatenate(
         [slopes[:1], 0.5 * (slopes[:-1] + slopes[1:]), slopes[-1:]])
-
-
-def scale_invariance_check(prob, c, opts=None):
-    """Sanity report around the limit problem's coefficient dependence.
-
-    Confirms that scaling the coefficient by c > 0 moves a non-constant
-    solution, while the constant-forcing solution is coefficient
-    independent; also reports the self-convergence gap when the grid is
-    doubled.
-    """
-    if not c > 0.0:
-        raise ValueError(f"scaling factor must be positive, got {c}")
-    base, _ = solve_homogenized(prob, opts)
-    scaled, _ = solve_homogenized(replace(prob, coeff=c * prob.coeff), opts)
-
-    ones = np.ones(prob.n + 1)
-    const_base, _ = solve_homogenized(replace(prob, forcing=ones), opts)
-    const_scaled, _ = solve_homogenized(
-        replace(prob, forcing=ones, coeff=c * prob.coeff), opts)
-
-    fine_forcing = np.interp(np.linspace(0.0, 1.0, 2 * prob.n + 1),
-                             prob.grid, prob.forcing)
-    fine, _ = solve_homogenized(
-        replace(prob, forcing=fine_forcing, n=2 * prob.n), opts)
-
-    return {
-        "coeff_sensitivity": float(np.abs(base - scaled).max()),
-        "constant_deviation": float(
-            max(np.abs(const_base - 1.0).max(), np.abs(const_scaled - 1.0).max())),
-        "constant_gap": float(np.abs(const_base - const_scaled).max()),
-        "refinement_gap": float(np.abs(base - fine[::2]).max()),
-    }
 
 
 def write_solution(values, path):

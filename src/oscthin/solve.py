@@ -1,10 +1,10 @@
 """Damped Newton with regularization continuation on constrained systems.
 
-Constraints (periodic identification, mean-zero post-shift) are realized
-by eliminating follower degrees of freedom onto their leaders through a
-node map, so the reduced systems stay symmetric and no penalty parameters
-appear.  Convergence is measured by the Euclidean norm of the reduced
-residual.  Every jacobian reaches the linear solvers as a Band.
+Periodic identification is realized by eliminating follower degrees of
+freedom onto their leaders through a node map, and a zero mean by a
+bordered step, so the reduced systems stay symmetric and no penalty
+parameters appear.  Convergence is measured by the reduced residual's
+Euclidean norm.  Every jacobian reaches the linear solvers as a Band.
 """
 
 import logging
@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 # kept importable as solve.spla: bench/spans.py wraps solve.spla.splu
 import scipy.sparse.linalg as spla  # noqa: F401
 
@@ -85,15 +84,15 @@ class SolveOptions:
 class ConstraintSet:
     """Admissible-space description for a solve.
 
-    periodic_pairs folds each follower (second column) onto its leader;
-    mean_zero_postshift enforces a zero mesh-weighted mean inside every
-    Newton step and shifts the converged field by a constant so its mean
-    vanishes (valid when the energy is shift invariant), using mean_weights
-    as the nodal quadrature weights.
+    periodic_pairs folds each follower (second column) onto its leader.
+    Given mean_weights (nodal quadrature weights), every Newton step keeps
+    the weighted mean zero and the converged field is shifted by a
+    constant so its mean vanishes (valid for a shift-invariant energy).
+    Periodic pairs need mean_weights: a folded periodic energy is shift
+    invariant, and only the mean constraint grounds its jacobian.
     """
 
     periodic_pairs: object = None
-    mean_zero_postshift: bool = False
     mean_weights: object = None
 
 
@@ -162,20 +161,6 @@ class Band:
     def __init__(self, rows, offsets):
         self.rows, self.offsets = rows, offsets
 
-    @classmethod
-    def from_sparse(cls, a):
-        """The band of a symmetric sparse matrix (duplicates summed); a
-        non-symmetric one is refused, as the band keeps its upper half."""
-        coo = sp.coo_matrix(a)
-        if abs(coo - coo.T).max() > 0.0:
-            raise LinearSolveError("matrix is not symmetric")
-        n, offset = coo.shape[0], coo.col - coo.row
-        upper = offset >= 0
-        offsets, where = band_layout(offset[upper], coo.col[upper], n)
-        rows = np.bincount(where, weights=coo.data[upper],
-                           minlength=len(offsets) * n)
-        return cls(rows.reshape(len(offsets), n), offsets)
-
     def __matmul__(self, x):
         y = self.rows[0] * x
         for d, row in zip(self.offsets[1:], self.rows[1:]):
@@ -211,12 +196,12 @@ _RESIDUAL_CEILING = 1e-6
 
 
 def linear_solve(a, b, tol):
-    """Solve an SPD system a x = b (a Band, or a symmetric sparse matrix
-    made into one) to relative residual tol: banded Cholesky in the given
-    node order, refined with the band's own product.  Refinement stops at
-    tol or at the first step that fails to halve the residual, keeping the
-    better iterate; at that floor, about eps * cond(a), a residual above
-    tol is accepted below _RESIDUAL_CEILING.
+    """Solve an SPD system a x = b (a Band) to relative residual tol:
+    banded Cholesky in the given node order, refined with the band's
+    own product.  Refinement stops at tol or at the first step that
+    fails to halve the residual, keeping the better iterate; at that
+    floor, about eps * cond(a), a residual above tol is accepted below
+    _RESIDUAL_CEILING.
     """
     return _band_solve(a, b, None, tol)
 
@@ -239,7 +224,6 @@ def constrained_linear_solve(a, b, w, tol):
 
 
 def _band_solve(a, b, w, tol):
-    a = a if isinstance(a, Band) else Band.from_sparse(a)
     b = np.asarray(b, dtype=float)
     bnorm, n = np.linalg.norm(b), len(b)
     if bnorm == 0.0:
@@ -353,9 +337,9 @@ def newton_solve(problem, init, constraints, opts=None):
     reduced unknowns folded by the solve's Reduction.  A trial field is
     evaluated for its energy; the accepted one then gives the residual
     and the next jacobian, and is dropped before the next line search.
-    Returns the converged full field (mean-shifted if requested) and
-    per-stage diagnostics.  Accepted steps never increase the stage
-    energy (Armijo backtracking).  A SolveError leaves with the
+    Returns the converged full field (mean-shifted when mean_weights are
+    given) and per-stage diagnostics.  Accepted steps never increase the
+    stage energy (Armijo backtracking).  A SolveError leaves with the
     diagnostics so far as its ``diagnostics``, the failed stage last.
     """
     opts = opts or SolveOptions()
@@ -367,15 +351,11 @@ def newton_solve(problem, init, constraints, opts=None):
         raise ValueError(f"initial field violates periodicity by {gap:.3e}")
     diagnostics = NewtonDiagnostics()
 
-    mean_constrained = constraints.mean_zero_postshift
-    if mean_constrained and constraints.mean_weights is None:
-        raise ValueError("mean_zero_postshift requires mean_weights")
-    if red.folded and not mean_constrained:
-        # a folded periodic energy is shift invariant, so its jacobian is
-        # singular along constants; only the mean-constrained step grounds it
-        raise ValueError("periodic_pairs require mean_zero_postshift")
-    w_red = (red.reduce_vector(np.asarray(constraints.mean_weights, float))
-             if mean_constrained else None)
+    w = constraints.mean_weights
+    if red.folded and w is None:      # see ConstraintSet
+        raise ValueError("periodic_pairs require mean_weights")
+    w = None if w is None else np.asarray(w, dtype=float)
+    w_red = None if w is None else red.reduce_vector(w)
 
     for delta in opts.continuation_deltas:
         stage = StageDiagnostics(delta=delta)
@@ -388,8 +368,7 @@ def newton_solve(problem, init, constraints, opts=None):
             raise
 
     u = red.expand(u_red)
-    if constraints.mean_zero_postshift:
-        w = np.asarray(constraints.mean_weights, dtype=float)
+    if w is not None:
         u = u - (w @ u) / w.sum()
     return u, diagnostics
 

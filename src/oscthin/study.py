@@ -73,6 +73,8 @@ class LoadSpec:
         for name in ("value", "offset", "x2_coeff"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"load {name} must be finite")
+        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
+            raise ValueError(f"load k must be an integer, got {self.k!r}")
 
     def __call__(self, x1, x2):
         x1 = np.asarray(x1, dtype=float)
@@ -126,6 +128,13 @@ class StudyConfig:
             raise ValueError("the partition ladder must not be empty")
         if any(v < 0 for v in levels):
             raise ValueError("partition levels must be nonnegative")
+        for key, value, least in (
+                ("thin_mesh.nx_per_period", self.thin_nx_per_period, 2),
+                ("thin_mesh.ny", self.thin_ny, 2),
+                ("limit_elements", self.limit_elements, 2),
+                ("flux_stations", self.flux_stations, 1)):
+            if value < least:
+                raise ValueError(f"{key} must be at least {least}, got {value}")
         self.epsilons = eps
         self.partition_levels = levels
 
@@ -320,8 +329,7 @@ def error_u(mesh, u_eps, u0, p):
 
 def thin_gradient(mesh, u_eps):
     """Scaled gradient (d1, d2/eps) of a thin-mesh field, (T, 2)."""
-    return fem.scaled_gradient(fem.element_gradients(mesh, u_eps),
-                               fem.FluxParams(p=2.0, eps_weight=mesh.eps))
+    return fem.element_gradients(mesh, u_eps, mesh.eps)
 
 
 def error_corrector(mesh, gs, c_field, p):
@@ -355,7 +363,7 @@ def flux_profile(mesh, u_eps, p, eps, n1, gs=None):
     """
     params = fem.FluxParams(p=p, delta=0.0, eps_weight=eps)
     if gs is None:
-        gs = fem.scaled_gradient(fem.element_gradients(mesh, u_eps), params)
+        gs = fem.element_gradients(mesh, u_eps, eps)
     a1 = fem.p_flux(gs, params)[:, 0]
     return geometry.fiber_matrix(mesh, axis=0, values=flux_stations(n1)) @ a1
 

@@ -10,7 +10,7 @@ import scipy.linalg
 from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
 
-from oscthin import fem, geometry, study
+from oscthin import fem, geometry, solve, study
 
 
 def tri_geometry(mesh):
@@ -347,6 +347,20 @@ def fold_matrix(a, pairs):
     prolong = sparse.csr_matrix((np.ones(n), (np.arange(n), column[source])),
                                 shape=(n, len(kept)))
     return (prolong.T @ a @ prolong).tocsr()
+
+
+def band(a):
+    """The solve.Band of a symmetric matrix, dense or sparse: each upper
+    diagonal of its pattern (explicit zeros included) read off by
+    diagonal(), so the band holds exactly the matrix's entries."""
+    a = sparse.csr_matrix(a)
+    coo = a.tocoo()
+    offsets = np.unique(np.r_[0, coo.col - coo.row])
+    offsets = offsets[offsets >= 0]
+    rows = np.zeros((len(offsets), a.shape[0]))
+    for k, d in enumerate(offsets):
+        rows[k, d:] = a.diagonal(d)
+    return solve.Band(rows, offsets)
 
 
 def limit_jacobian(prob, u, delta):

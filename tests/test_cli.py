@@ -104,6 +104,40 @@ class TestParseConfig:
             parse_config(path)
         assert main(["solve-eps", "--config", path, "--eps", "0.5"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"thin_mesh": {"nx_per_period": 1, "ny": 4}},
+         "thin_mesh.nx_per_period must be at least 2, got 1"),
+        ({"thin_mesh": {"nx_per_period": 8, "ny": 1}},
+         "thin_mesh.ny must be at least 2, got 1"),
+        ({"limit_elements": 1}, "limit_elements must be at least 2, got 1"),
+        ({"flux_stations": 0}, "flux_stations must be at least 1, got 0"),
+        ({"flux_stations": -3}, "flux_stations must be at least 1, got -3"),
+    ], ids=["nx_per_period", "ny", "limit_elements", "flux_stations_0",
+            "flux_stations_negative"])
+    @pytest.mark.parametrize("command", ["study", "solve-eps"])
+    def test_bad_size_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                      overrides, message, command):
+        """Sizes are checked with the config, before any solve: one line
+        and exit 2, not a failed row, a traceback or a silent 0."""
+        def no_cell(config):
+            raise AssertionError("the cell was solved")
+
+        monkeypatch.setattr(study, "solve_config_cell", no_cell)
+        path = write_config(tmp_path / "bad.json", **overrides)
+        assert main([command, "--config", path, "--out",
+                     str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("k", ["a", 1.5, 2.0, True, None])
+    def test_non_integer_load_k_rejected(self, tmp_path, capsys, k):
+        load = {"kind": "cos_pi", "value": 1.0, "k": k}
+        path = write_config(tmp_path / "bad.json", load=load)
+        assert main(["study", "--config", path, "--out",
+                     str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"config error: load k must be an integer, got {k!r}\n"
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             parse_config(str(tmp_path / "nope.json"))

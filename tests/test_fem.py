@@ -9,13 +9,13 @@ from oscthin import FluxParams, build_cell_mesh, build_thin_mesh, fem
 from oscthin.fem import (AssemblyError, assemble_energy, assemble_jacobian,
                          assemble_residual, element_gradients,
                          integrate_load_fibers, lp_norm, p_flux,
-                         p_flux_inverse, p_flux_scalar, scaled_gradient,
-                         w1p_seminorm)
+                         p_flux_inverse, p_flux_scalar)
 from oscthin.geometry import read_mesh, write_mesh
 from oscthin.homogenize import _CellFunctional, cell_constraints
 from oscthin.solve import (Reduction, constrained_linear_solve,
                            linear_solve)
-from oscthin.study import LoadSpec, _ThinFunctional, solve_thin
+from oscthin.study import (LoadSpec, _ThinFunctional, error_corrector,
+                           solve_thin)
 
 import oracles
 
@@ -41,17 +41,27 @@ class TestElementGradient:
 
 
 class TestScaledGradient:
-    def test_identity_weight(self):
-        params = FluxParams(p=2.0, eps_weight=1.0)
-        assert np.allclose(scaled_gradient([1.0, 1.0], params), [1.0, 1.0])
+    """element_gradients with eps_weight: (d1, d2/eps_weight)."""
 
-    def test_small_weight_amplifies_vertical(self):
-        params = FluxParams(p=2.0, eps_weight=0.1)
-        assert np.allclose(scaled_gradient([1.0, 1.0], params), [1.0, 10.0])
+    def test_identity_weight(self, small_cell_mesh):
+        x1, x2 = small_cell_mesh.nodes.T
+        grads = element_gradients(small_cell_mesh, x1 + x2, 1.0)
+        assert np.array_equal(grads, element_gradients(small_cell_mesh, x1 + x2))
+        assert np.allclose(grads, [1.0, 1.0])
 
-    def test_zero_vector(self):
-        params = FluxParams(p=3.0, eps_weight=0.25)
-        assert np.allclose(scaled_gradient([0.0, 0.0], params), [0.0, 0.0])
+    def test_small_weight_amplifies_vertical(self, small_cell_mesh):
+        """The second component is the plain one divided by the weight,
+        bit for bit, and the first is untouched."""
+        x1, x2 = small_cell_mesh.nodes.T
+        plain = element_gradients(small_cell_mesh, x1 + x2)
+        grads = element_gradients(small_cell_mesh, x1 + x2, 0.1)
+        assert np.allclose(grads, [1.0, 10.0])
+        assert np.array_equal(grads[:, 0], plain[:, 0])
+        assert np.array_equal(grads[:, 1], plain[:, 1] / 0.1)
+
+    def test_zero_vector(self, small_cell_mesh):
+        u = np.full(small_cell_mesh.num_nodes, 4.2)
+        assert np.all(element_gradients(small_cell_mesh, u, 0.25) == 0.0)
 
 
 class TestMonotoneFlux:
@@ -477,10 +487,13 @@ class TestNorms:
         assert lp_norm(mesh, u, 2.0) == pytest.approx(1.0 / np.sqrt(3.0), abs=1e-3)
 
     def test_seminorm_of_linear_field(self, unit_square_mesh):
-        params = FluxParams(p=3.0, eps_weight=0.5)
+        """The L^p norm of a scaled gradient as the study measures it
+        (error_corrector against a zero field)."""
         u = 3.0 * unit_square_mesh.nodes[:, 0] + 2.0 * unit_square_mesh.nodes[:, 1]
+        gs = element_gradients(unit_square_mesh, u, 0.5)
         expected = np.hypot(3.0, 4.0)   # scaled gradient (3, 2/0.5)
-        assert w1p_seminorm(unit_square_mesh, u, params) == pytest.approx(expected, rel=1e-12)
+        assert error_corrector(unit_square_mesh, gs, np.zeros(2),
+                               3.0) == pytest.approx(expected, rel=1e-12)
 
 
 class TestLoadFiberIntegrals:

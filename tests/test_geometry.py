@@ -54,6 +54,16 @@ class TestProfile:
         with pytest.raises(ValueError):
             ProfileSpec(period=0.0, mean=1.0)
 
+    @pytest.mark.parametrize("coeffs", [
+        {"mean": float("nan")}, {"mean": float("inf")},
+        {"cos_coeffs": (float("nan"),)}, {"sin_coeffs": (0.1, -float("inf"))},
+    ])
+    def test_non_finite_coefficient_rejected(self, coeffs):
+        """A NaN minimum would pass the positivity test (NaN <= 0 is
+        false), so a non-finite mean or coefficient is refused first."""
+        with pytest.raises(ValueError, match="must be finite"):
+            ProfileSpec(**{"period": 1.0, "mean": 1.0, **coeffs})
+
 
 class TestCellMesh:
     def test_flat_2x2_counts(self, flat_profile):

@@ -7,8 +7,7 @@ from oscthin.homogenize import (CellSolution, _CellFunctional,
                                 _coefficient_pair, cell_constraints,
                                 effective_coefficient,
                                 flux_density_height_integral,
-                                format_cell_summary, homogenized_flux_density,
-                                level_fraction, measure_identity_check,
+                                format_cell_summary, measure_identity_check,
                                 read_cell_summary, rescale_forcing,
                                 write_cell_summary)
 
@@ -145,17 +144,6 @@ class TestLinearStart:
         assert "falling back" in caplog.text
 
 
-class TestLevelFraction:
-    def test_below_minimum(self, reference_profile):
-        assert level_fraction(reference_profile, 0.3) == 1.0
-
-    def test_above_maximum(self, reference_profile):
-        assert level_fraction(reference_profile, 1.6) == 0.0
-
-    def test_cosine_at_mean_level(self, reference_profile):
-        assert level_fraction(reference_profile, 1.0) == pytest.approx(0.5, abs=1e-3)
-
-
 class TestMeasureIdentity:
     def test_flat_profile(self, flat_profile):
         left, right = measure_identity_check(flat_profile)
@@ -181,15 +169,16 @@ class TestMeasureIdentity:
 
 class TestFluxDensity:
     def test_flat_profile_density(self, flat_profile):
+        """On the unit flat cell the flux density is the scalar flux at
+        every height, so its height integral is that flux."""
         cell = solve_cell(build_cell_mesh(flat_profile, 16, 8), 3.0)
-        for xi in (-2.0, 0.5, 1.0):
-            b = homogenized_flux_density(cell, xi, 0.37)
-            assert b[0] == pytest.approx(p_flux_scalar(xi, 3.0), abs=1e-10)
-            assert abs(b[1]) < 1e-10
+        xi = np.array([-2.0, 0.5, 1.0])
+        assert flux_density_height_integral(cell, xi, n_levels=64) \
+            == pytest.approx(p_flux_scalar(xi, 3.0), abs=1e-10)
 
     def test_zero_gradient_gives_zero(self, flat_profile):
         cell = solve_cell(build_cell_mesh(flat_profile, 8, 4), 3.0)
-        assert np.allclose(homogenized_flux_density(cell, 0.0, 0.5), 0.0)
+        assert flux_density_height_integral(cell, 0.0, n_levels=64) == 0.0
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
     def test_height_integral_matches_coefficient(self, medium_cell_mesh, p):

@@ -7,14 +7,15 @@ import scipy.sparse.linalg as spla
 
 from oscthin import (ConstraintSet, Limit1DProblem, SolveOptions,
                      build_cell_mesh, build_thin_mesh, fem, solve)
-from oscthin.fem import FluxParams, assemble_jacobian, w1p_seminorm
+from oscthin.fem import FluxParams, assemble_jacobian, element_gradients
 from oscthin.homogenize import _CellFunctional, cell_constraints, solve_cell
 from oscthin.limit1d import _LimitFunctional
 from oscthin.solve import (IndefiniteSystemError, LinearSolveError,
                            NonConvergenceError, Reduction,
                            constrained_linear_solve, linear_solve,
                            newton_solve)
-from oscthin.study import LoadSpec, _ThinFunctional, solve_thin
+from oscthin.study import (LoadSpec, _ThinFunctional, error_corrector,
+                           solve_thin)
 
 import oracles
 
@@ -22,11 +23,11 @@ import oracles
 class TestLinearSolve:
     def test_identity(self):
         b = np.arange(1.0, 6.0)
-        x = linear_solve(sp.identity(5, format="csr"), b, 1e-12)
+        x = linear_solve(oracles.band(sp.identity(5)), b, 1e-12)
         assert np.allclose(x, b)
 
     def test_diagonal(self):
-        a = sp.diags([2.0, 4.0]).tocsr()
+        a = oracles.band(np.diag([2.0, 4.0]))
         assert np.allclose(linear_solve(a, np.array([2.0, 4.0]), 1e-12), [1.0, 1.0])
 
     def test_random_spd_against_dense_oracle(self):
@@ -34,29 +35,31 @@ class TestLinearSolve:
         m = rng.normal(size=(100, 100))
         a = m @ m.T + 100.0 * np.eye(100)
         b = rng.normal(size=100)
-        x = linear_solve(sp.csr_matrix(a), b, 1e-12)
+        x = linear_solve(oracles.band(a), b, 1e-12)
         assert np.linalg.norm(x - np.linalg.solve(a, b)) < 1e-8
 
     def test_zero_rhs(self):
-        a = sp.diags([2.0, 4.0]).tocsr()
+        a = oracles.band(np.diag([2.0, 4.0]))
         assert np.all(linear_solve(a, np.zeros(2), 1e-12) == 0.0)
 
     def test_negative_diagonal_rejected(self):
-        a = sp.diags([1.0, -2.0]).tocsr()
+        a = oracles.band(np.diag([1.0, -2.0]))
         with pytest.raises(IndefiniteSystemError):
             linear_solve(a, np.ones(2), 1e-12)
 
     def test_positive_diagonal_indefinite_rejected(self):
-        a = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        a = oracles.band(np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(IndefiniteSystemError):
             linear_solve(a, np.array([1.0, 1.0]), 1e-12)
 
-    def test_non_symmetric_rejected(self):
-        """The band keeps only the upper half, so a non-symmetric matrix is
-        refused instead of being solved as its upper half."""
-        a = sp.csr_matrix(np.array([[1.0, 0.5], [-2.0, 1.0]]))
-        with pytest.raises(LinearSolveError):
-            linear_solve(a, np.array([1.0, 1.0]), 1e-12)
+    def test_broken_factor_is_linear_solve_error(self, monkeypatch):
+        """Band solves that never reduce the residual leave it above the
+        ceiling after refinement: a LinearSolveError, not a solution."""
+        monkeypatch.setattr(solve.sla, "cho_solve_banded",
+                            lambda factor, r, **kw: np.zeros_like(r))
+        with pytest.raises(LinearSolveError, match="after refinement"):
+            linear_solve(oracles.band(np.diag([2.0, 4.0])),
+                         np.array([1.0, 1.0]), 1e-12)
 
     @pytest.mark.parametrize("delta", [1e-2, 1e-8])
     @pytest.mark.parametrize("p", [1.5, 3.0])
@@ -68,7 +71,7 @@ class TestLinearSolve:
         a = assemble_jacobian(mesh, u, FluxParams(p=p, delta=delta,
                                                   eps_weight=mesh.eps))
         b = np.random.default_rng(15).normal(size=mesh.num_nodes)
-        x = linear_solve(a, b, 1e-12)
+        x = linear_solve(oracles.band(a), b, 1e-12)
         ref = spla.spsolve(a.tocsc(), b)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
@@ -104,7 +107,7 @@ class TestLinearSolve:
         mesh = build_thin_mesh(reference_profile, 1.0, 4, 460)
         a = assemble_jacobian(mesh, mesh.nodes[:, 0], FluxParams(p=2.0))
         b = np.random.default_rng(17).normal(size=mesh.num_nodes)
-        x = linear_solve(a, b, 1e-10)
+        x = linear_solve(oracles.band(a), b, 1e-10)
         assert np.linalg.norm(b - a @ x) <= 1e-10 * np.linalg.norm(b)
 
     @pytest.mark.parametrize("delta", [1e-2, 1e-8])
@@ -120,7 +123,7 @@ class TestLinearSolve:
             mesh.periodic_pairs)
         b = np.random.default_rng(16).normal(size=red.n_reduced)
         w = red.reduce_vector(mesh.node_weights)
-        x = constrained_linear_solve(a, b, w, 1e-12)
+        x = constrained_linear_solve(oracles.band(a), b, w, 1e-12)
         ref = oracles.bordered_solve(a, b, w)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
@@ -130,7 +133,7 @@ class TestLinearSolve:
         a = m @ m.T + 40.0 * np.eye(40)
         b = rng.normal(size=40)
         w = rng.uniform(0.5, 1.5, size=40)
-        x = constrained_linear_solve(sp.csr_matrix(a), b, w, 1e-12)
+        x = constrained_linear_solve(oracles.band(a), b, w, 1e-12)
         kkt = np.zeros((41, 41))
         kkt[:40, :40] = a
         kkt[:40, 40] = w
@@ -144,7 +147,7 @@ class TestLinearSolve:
         command line): its grounded band has a zero diagonal."""
         with pytest.raises(IndefiniteSystemError,
                            match="nonpositive diagonal entry"):
-            constrained_linear_solve(sp.csr_matrix((3, 3)), np.array(
+            constrained_linear_solve(oracles.band(np.zeros((3, 3))), np.array(
                 [1.0, 0.0, -1.0]), np.ones(3), 1e-12)
 
     @pytest.mark.parametrize("shift", [1e-8, 1e-9, 1e-10])
@@ -167,7 +170,7 @@ class TestLinearSolve:
             return band_solve(*args, **kwargs)
 
         monkeypatch.setattr(solve.sla, "cho_solve_banded", counting)
-        x = linear_solve(sp.csr_matrix(a), b, 1e-12)
+        x = linear_solve(oracles.band(a), b, 1e-12)
         assert len(calls) <= 2
         residual = np.linalg.norm(b - a @ x)
         assert residual > 1e-12 * np.linalg.norm(b)      # it did stall
@@ -180,7 +183,7 @@ class TestLinearSolve:
         a = np.diag([2.0, 1.0, 3.0])
         b = np.array([1.0, 2.0, -1.0])
         w = np.array([0.0, 1.0, -1.0])
-        x = constrained_linear_solve(sp.csr_matrix(a), b, w, 1e-12)
+        x = constrained_linear_solve(oracles.band(a), b, w, 1e-12)
         kkt = np.zeros((4, 4))
         kkt[:3, :3] = a
         kkt[:3, 3] = kkt[3, :3] = w
@@ -190,7 +193,7 @@ class TestLinearSolve:
     def test_constrained_singular_schur_is_solve_error(self):
         """a = [[1, -1], [-1, 1]] grounds to an SPD band, but it is singular
         on w . x = 0 for w = (1, -1): the 2x2 Schur step reports it."""
-        a = sp.csr_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        a = oracles.band(np.array([[1.0, -1.0], [-1.0, 1.0]]))
         with pytest.raises(IndefiniteSystemError,
                            match="singular bordered system"):
             constrained_linear_solve(a, np.array([1.0, -1.0]),
@@ -278,7 +281,7 @@ class TestPlanBand:
         energy, band, res = point.energy(), point.jacobian(), point.residual()
         assert energy == fem.assemble_energy(mesh, u, params, load)
         assert np.array_equal(res, fem.assemble_residual(mesh, u, params, load))
-        ref = solve.Band.from_sparse(fem.assemble_jacobian(mesh, u, params))
+        ref = oracles.band(fem.assemble_jacobian(mesh, u, params))
         assert np.array_equal(band.offsets, ref.offsets)
         assert np.array_equal(band.rows, ref.rows)
 
@@ -355,8 +358,8 @@ class TestNewton:
         rng = np.random.default_rng(21)
         init = 0.5 * rng.normal(size=mesh.num_nodes)
         u2, _ = newton_solve(functional, init, ConstraintSet(), opts)
-        params = FluxParams(p=3.0, delta=0.0, eps_weight=mesh.eps)
-        assert w1p_seminorm(mesh, u1 - u2, params) < 1e-6
+        gs = element_gradients(mesh, u1 - u2, mesh.eps)
+        assert error_corrector(mesh, gs, np.zeros(2), 3.0) < 1e-6
 
     def test_max_newton_exceeded_raises(self, medium_cell_mesh):
         opts = SolveOptions(max_newton=2, continuation_deltas=(1e-8,))
@@ -416,7 +419,7 @@ class TestNewton:
             def energy(self, u, delta):
                 return 0.0
 
-        with pytest.raises(ValueError, match="mean_zero_postshift"):
+        with pytest.raises(ValueError, match="periodic_pairs require mean_weights"):
             newton_solve(Dummy(), np.zeros(small_cell_mesh.num_nodes),
                          constraints, SolveOptions())
 
