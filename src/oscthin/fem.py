@@ -150,10 +150,10 @@ class _Plan:
                     for k in (0, 1))
             if np.any(a == b):
                 raise ValueError("an edge joins a node to its periodic copy")
-            hi, m = np.maximum(a, b), int(index.max()) + 1
+            lo, m = np.minimum(a, b), int(index.max()) + 1
             offsets, where = solve.band_layout(
-                np.r_[np.zeros(len(index), dtype=np.int64), hi - np.minimum(a, b)],
-                np.r_[index, hi], m)
+                np.r_[np.zeros(len(index), dtype=np.int64), np.maximum(a, b) - lo],
+                np.r_[index, lo], m)
             where = where.astype(np.int32)
             where.flags.writeable = False
             self._cache[key] = (offsets, m, where)
@@ -390,8 +390,8 @@ def assemble_jacobian(mesh, u, params, include_mass=True):
     # in node order every stencil entry has a position of its own
     d, j = offsets[where // m], where % m
     values, off = point.jacobian().rows.ravel()[where], d > 0
-    return sp.csr_matrix((np.r_[values, values[off]], (np.r_[j - d, j[off]],
-                          np.r_[j, (j - d)[off]])), shape=(m, m))
+    return sp.csr_matrix((np.r_[values, values[off]], (np.r_[j + d, j[off]],
+                          np.r_[j, (j + d)[off]])), shape=(m, m))
 
 
 def lp_norm(mesh, u, p):

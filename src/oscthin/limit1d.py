@@ -94,7 +94,7 @@ class _LimitPoint:
         return res
 
     def jacobian(self, fold=None):
-        """Tridiagonal: the diagonal and the superdiagonal of a solve.Band.
+        """Tridiagonal: the diagonal and the subdiagonal of a solve.Band.
         The limit grid has no periodic fold; fold is not used."""
         f, delta = self.f, self.delta
         p, q = f.prob.p, f.prob.coeff
@@ -111,7 +111,7 @@ class _LimitPoint:
         rows = np.zeros((2, f.prob.n + 1))
         rows[0, :-1] += stiff + mass[:, 0, 0]
         rows[0, 1:] += stiff + mass[:, 1, 1]
-        rows[1, 1:] = mass[:, 0, 1] - stiff
+        rows[1, :-1] = mass[:, 0, 1] - stiff
         return solve.Band(rows, np.array([0, 1]))
 
 

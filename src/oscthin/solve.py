@@ -87,10 +87,10 @@ class ConstraintSet:
     periodic_pairs folds each follower (second column) onto its leader.
     Given mean_weights (nodal quadrature weights), every Newton step keeps
     the weighted mean zero and the converged field is shifted by a
-    constant so its mean vanishes (valid for a shift-invariant energy).
-    Periodic pairs need mean_weights: a folded periodic energy is shift
-    invariant, and only the mean constraint grounds its jacobian.
-    """
+    constant so its mean vanishes; the energy must be shift invariant, its
+    jacobian annihilating constants (constrained_linear_solve checks).
+    Periodic pairs need mean_weights: only the mean constraint grounds
+    the jacobian of a folded periodic energy."""
 
     periodic_pairs: object = None
     mean_weights: object = None
@@ -140,7 +140,7 @@ class Reduction:
 
 
 def band_layout(offset, col, n):
-    """Where the upper entries (offset = col - row >= 0) of a symmetric
+    """Where the lower entries (offset = row - col >= 0) of a symmetric
     n x n matrix go in a Band: the ascending offsets that occur, 0 always
     among them, and each entry's position in the band's rows."""
     present = np.bincount(offset.ravel(), minlength=1) > 0
@@ -149,13 +149,13 @@ def band_layout(offset, col, n):
 
 
 class Band:
-    """A symmetric matrix by its nonzero upper diagonals.
+    """A symmetric matrix by its nonzero lower diagonals.
 
     rows[k] holds the diagonal at offset offsets[k] (ascending from 0)
-    aligned as in LAPACK upper band storage: rows[k][j] = a[j - d, j] for
-    j >= d, the first d entries unused.  Products run over the stored
-    diagonals only; factor writes them into the Fortran-ordered band that
-    cholesky_banded factors in place.
+    aligned as in LAPACK lower band storage: rows[k][j] = a[j + d, j] for
+    j < n - d, the last d entries unused.  Products run over the stored
+    diagonals only; factor writes them in one assignment into the
+    Fortran-ordered band that the lower cholesky_banded factors in place.
     """
 
     def __init__(self, rows, offsets):
@@ -164,26 +164,26 @@ class Band:
     def __matmul__(self, x):
         y = self.rows[0] * x
         for d, row in zip(self.offsets[1:], self.rows[1:]):
-            y[:-d] += row[d:] * x[d:]
-            y[d:] += row[d:] * x[:-d]
+            y[:-d] += row[:-d] * x[d:]
+            y[d:] += row[:-d] * x[:-d]
         return y
 
     def factor(self, ground=0.0):
-        """Banded Cholesky factor of a + ground * e0 e0^T, for
+        """Lower banded Cholesky factor of a + ground * e0 e0^T, for
         cho_solve_banded.  A nonpositive diagonal entry or a failed
         Cholesky flags a matrix that lost definiteness (a bug upstream, not
         a condition to iterate through)."""
-        bw = int(self.offsets[-1])
-        ab = np.zeros((bw + 1, self.rows.shape[1]), order="F")
-        ab[bw - self.offsets] = self.rows
-        ab[bw, 0] += ground
-        i = int(np.argmin(ab[bw]))
-        if ab[bw, i] <= 0.0:
+        ab = np.zeros((int(self.offsets[-1]) + 1, self.rows.shape[1]),
+                      order="F")
+        ab[self.offsets] = self.rows
+        ab[0, 0] += ground
+        i = int(np.argmin(ab[0]))
+        if ab[0, i] <= 0.0:
             raise IndefiniteSystemError(
-                f"nonpositive diagonal entry {ab[bw, i]:.3e} at index {i}")
+                f"nonpositive diagonal entry {ab[0, i]:.3e} at index {i}")
         try:
-            return (sla.cholesky_banded(ab, overwrite_ab=True,
-                                        check_finite=False), False)
+            return (sla.cholesky_banded(ab, overwrite_ab=True, lower=True,
+                                        check_finite=False), True)
         except np.linalg.LinAlgError as exc:
             raise IndefiniteSystemError(
                 f"banded Cholesky failed: {exc}") from exc
@@ -193,6 +193,8 @@ class Band:
 # reaches ~1e-8 for the stiffest p < 2 systems at the final regularization;
 # past this ceiling the factorization itself must be broken
 _RESIDUAL_CEILING = 1e-6
+# cell jacobians' row sums stay below 5e-16 of their largest diagonal entry
+_ROW_SUM_TOL = 1e-12
 
 
 def linear_solve(a, b, tol):
@@ -208,18 +210,16 @@ def linear_solve(a, b, tol):
 
 def constrained_linear_solve(a, b, w, tol):
     """Solve a x = b on the hyperplane w . x = 0: the bordered system
-    a x + lam w = b, w . x = 0, the step for shift-invariant energies,
-    whose jacobian is singular along constants.
+    a x + lam w = b, w . x = 0, the step for shift-invariant energies.
 
-    Solved through the band of the grounded matrix B = a + c e0 e0^T,
-    c = a[0, 0], which must be SPD: x = B^-1 (b - lam w) + mu B^-1 e0 with
-    mu = c x[0] leaves a 2x2 system in (mu, lam) of determinant
-    c s^2 + q g, s = w . B^-1 e0, q = w . B^-1 w, g = 1 - c (B^-1)_00, both
-    terms nonnegative for a semidefinite a.  It is singular when they
-    cancel, or when s and g both vanish against their own scales (a
-    singular off w), a test free of the conditioning of B.  Refinement
-    runs on the bordered residual as in linear_solve.
-    """
+    a must annihilate constants, as a folded cell jacobian does (each
+    diagonal entry is minus its row sum), so lam = (1 . b) / (1 . w) and
+    one solve of the grounded B = a + c e0 e0^T, c = a[0, 0] (SPD when
+    constants are a's only null direction), gives the y of a y = b - lam w
+    with y[0] = 0; the shift by -(w . y) / (1 . w) meets the constraint.
+    Row sums above _ROW_SUM_TOL of the largest diagonal entry, or 1 . w = 0,
+    are an IndefiniteSystemError.  Refines as linear_solve does, on the
+    bordered residual."""
     return _band_solve(a, b, np.asarray(w, dtype=float), tol)
 
 
@@ -232,27 +232,24 @@ def _band_solve(a, b, w, tol):
         factor = a.factor()
 
         def correct(r):
-            return sla.cho_solve_banded(factor, r[:n], check_finite=False)
+            return sla.cho_solve_banded(factor, r, check_finite=False)
     else:
-        c = float(a.rows[0, 0])
-        factor = a.factor(ground=c)
-        basis = np.column_stack([np.zeros_like(w), w])
-        basis[0, 0] = 1.0
-        xe, xw = sla.cho_solve_banded(factor, basis, check_finite=False).T
-        s, q, g = w @ xe, w @ xw, 1.0 - c * xe[0]
-        schur = np.array([[s, -q], [g, c * xw[0]]])
-        terms = (s * c * xw[0], q * g)
-        if ((abs(s) <= 1e-10 * np.linalg.norm(w) * np.linalg.norm(xe)
-             and abs(g) <= 1e-10 * max(1.0, abs(c * xe[0])))
-                or not abs(sum(terms)) > 1e-10 * np.abs(terms).sum()):
+        drift, scale = np.abs(a @ np.ones(n)).max(), a.rows[0].max()
+        if not drift <= _ROW_SUM_TOL * scale:
             raise IndefiniteSystemError(
-                f"singular bordered system (Schur determinant {sum(terms):.3e})")
+                f"bordered step needs a jacobian that annihilates constants: "
+                f"row sums reach {drift:.3e}, largest diagonal {scale:.3e}")
+        total = w.sum()
+        if not abs(total) > _ROW_SUM_TOL * np.abs(w).sum():
+            raise IndefiniteSystemError("singular bordered system: 1 . w = 0")
+        factor = a.factor(ground=float(a.rows[0, 0]))
 
         def correct(r):
             """(dx, dlam) with a dx + dlam w = r[:n] and w . dx = r[n]."""
-            y = sla.cho_solve_banded(factor, r[:n], check_finite=False)
-            mu, lam = np.linalg.solve(schur, [r[n] - w @ y, c * y[0]])
-            return np.append(y + mu * xe - lam * xw, lam)
+            lam = r[:n].sum() / total
+            y = sla.cho_solve_banded(factor, r[:n] - lam * w,
+                                     check_finite=False)
+            return np.append(y + (r[n] - w @ y) / total, lam)
 
     def residual(z):
         r = b - a @ z[:n]

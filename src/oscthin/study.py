@@ -129,10 +129,13 @@ class StudyConfig:
         if any(v < 0 for v in levels):
             raise ValueError("partition levels must be nonnegative")
         for key, value, least in (
+                ("cell_mesh.nx", self.cell_nx, 2), ("cell_mesh.ny", self.cell_ny, 2),
                 ("thin_mesh.nx_per_period", self.thin_nx_per_period, 2),
-                ("thin_mesh.ny", self.thin_ny, 2),
+                ("thin_mesh.ny", self.thin_ny, 2), ("max_workers", self.max_workers, 1),
                 ("limit_elements", self.limit_elements, 2),
                 ("flux_stations", self.flux_stations, 1)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
             if value < least:
                 raise ValueError(f"{key} must be at least {least}, got {value}")
         self.epsilons = eps
@@ -180,14 +183,14 @@ class StudyConfig:
             load=LoadSpec.from_dict(data["load"]),
             epsilons=tuple(data["epsilons"]),
             partition_levels=tuple(data["partition_levels"]),
-            cell_nx=int(cell.get("nx", 128)),
-            cell_ny=int(cell.get("ny", 32)),
-            thin_nx_per_period=int(thin.get("nx_per_period", 32)),
-            thin_ny=int(thin.get("ny", 16)),
-            limit_elements=int(data.get("limit_elements", 512)),
-            flux_stations=int(data.get("flux_stations", 250)),
+            cell_nx=cell.get("nx", 128),
+            cell_ny=cell.get("ny", 32),
+            thin_nx_per_period=thin.get("nx_per_period", 32),
+            thin_ny=thin.get("ny", 16),
+            limit_elements=data.get("limit_elements", 512),
+            flux_stations=data.get("flux_stations", 250),
             solver=solver,
-            max_workers=int(data.get("max_workers", 1)),
+            max_workers=data.get("max_workers", 1),
         )
         # load and solver keys are checked by the constructors they reach
         layout = config.to_dict()

@@ -350,16 +350,17 @@ def fold_matrix(a, pairs):
 
 
 def band(a):
-    """The solve.Band of a symmetric matrix, dense or sparse: each upper
+    """The solve.Band of a symmetric matrix, dense or sparse: each lower
     diagonal of its pattern (explicit zeros included) read off by
     diagonal(), so the band holds exactly the matrix's entries."""
     a = sparse.csr_matrix(a)
     coo = a.tocoo()
-    offsets = np.unique(np.r_[0, coo.col - coo.row])
+    offsets = np.unique(np.r_[0, coo.row - coo.col])
     offsets = offsets[offsets >= 0]
-    rows = np.zeros((len(offsets), a.shape[0]))
+    n = a.shape[0]
+    rows = np.zeros((len(offsets), n))
     for k, d in enumerate(offsets):
-        rows[k, d:] = a.diagonal(d)
+        rows[k, :n - d] = a.diagonal(-d)
     return solve.Band(rows, offsets)
 
 

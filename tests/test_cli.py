@@ -112,8 +112,21 @@ class TestParseConfig:
         ({"limit_elements": 1}, "limit_elements must be at least 2, got 1"),
         ({"flux_stations": 0}, "flux_stations must be at least 1, got 0"),
         ({"flux_stations": -3}, "flux_stations must be at least 1, got -3"),
+        ({"limit_elements": 64.9},
+         "limit_elements must be an integer, got 64.9"),
+        ({"thin_mesh": {"nx_per_period": 8, "ny": "8"}},
+         "thin_mesh.ny must be an integer, got '8'"),
+        ({"flux_stations": 2.5}, "flux_stations must be an integer, got 2.5"),
+        ({"cell_mesh": {"nx": True, "ny": 8}},
+         "cell_mesh.nx must be an integer, got True"),
+        ({"cell_mesh": {"nx": 32, "ny": 8.0}},
+         "cell_mesh.ny must be an integer, got 8.0"),
+        ({"max_workers": 0}, "max_workers must be at least 1, got 0"),
+        ({"max_workers": None}, "max_workers must be an integer, got None"),
     ], ids=["nx_per_period", "ny", "limit_elements", "flux_stations_0",
-            "flux_stations_negative"])
+            "flux_stations_negative", "limit_elements_float", "ny_string",
+            "flux_stations_float", "cell_nx_bool", "cell_ny_float",
+            "max_workers_0", "max_workers_null"])
     @pytest.mark.parametrize("command", ["study", "solve-eps"])
     def test_bad_size_is_config_error(self, tmp_path, capsys, monkeypatch,
                                       overrides, message, command):

@@ -20,6 +20,14 @@ from oscthin.study import (LoadSpec, _ThinFunctional, error_corrector,
 import oracles
 
 
+def _cell_band(mesh, p):
+    """The cell's Reduction and its folded jacobian at delta 1e-8 for a
+    smooth periodic perturbation."""
+    red = Reduction(mesh.num_nodes, cell_constraints(mesh))
+    phi = 0.05 * np.sin(2.0 * np.pi * mesh.nodes[:, 0])
+    return red, _CellFunctional(mesh, p).point(phi, 1e-8).jacobian(red)
+
+
 class TestLinearSolve:
     def test_identity(self):
         b = np.arange(1.0, 6.0)
@@ -128,9 +136,12 @@ class TestLinearSolve:
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_constrained_solve_matches_dense_kkt(self):
+        """A dense semidefinite a whose null space is the constants, the
+        property of the folded cell jacobian the step relies on."""
         rng = np.random.default_rng(14)
         m = rng.normal(size=(40, 40))
-        a = m @ m.T + 40.0 * np.eye(40)
+        centre = np.eye(40) - 1.0 / 40.0
+        a = centre @ (m @ m.T + 40.0 * np.eye(40)) @ centre
         b = rng.normal(size=40)
         w = rng.uniform(0.5, 1.5, size=40)
         x = constrained_linear_solve(oracles.band(a), b, w, 1e-12)
@@ -141,6 +152,22 @@ class TestLinearSolve:
         ref = np.linalg.solve(kkt, np.concatenate([b, [0.0]]))[:40]
         assert np.linalg.norm(x - ref) < 1e-8
         assert abs(w @ x) < 1e-10
+
+    @pytest.mark.parametrize("drift, refused", [(1e-10, True), (1e-14, False)])
+    def test_constrained_needs_constant_null_space(self, drift, refused):
+        """Row sums above 1e-12 of the largest diagonal entry break the
+        step's premise: a SolveError (exit 3), not a ValueError (a config
+        error from the command line); roundoff-sized ones solve."""
+        a = np.array([[1.0, -1.0, 0.0], [-1.0, 3.0, -2.0], [0.0, -2.0, 2.0]])
+        a[1, 1] += drift * 3.0
+        b, w = np.array([1.0, 0.5, -1.5]), np.ones(3)
+        if refused:
+            with pytest.raises(IndefiniteSystemError,
+                               match="annihilates constants"):
+                constrained_linear_solve(oracles.band(a), b, w, 1e-12)
+        else:
+            x = constrained_linear_solve(oracles.band(a), b, w, 1e-12)
+            assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(b)
 
     def test_constrained_singular_system_is_solve_error(self):
         """A singular bordered system is a solver error (exit 3 from the
@@ -153,36 +180,80 @@ class TestLinearSolve:
     @pytest.mark.parametrize("shift", [1e-8, 1e-9, 1e-10])
     def test_stalled_refinement_stops_early(self, monkeypatch, shift):
         """A shifted Neumann Laplacian (condition about 4/shift) leaves the
-        refinement floor far above tol: the solve stops after the first
-        refinement step fails to halve the residual, two band solves in
-        all, with a residual no worse than five steps would leave."""
+        refinement floor far above tol.  By the solver's own residual
+        after each band solve, every refinement step halved the residual
+        but the last, which stopped the solve (or was the fifth), and the
+        result is no worse than five steps would leave."""
         n = 60
         main = np.full(n, 2.0)
         main[[0, -1]] = 1.0
         a = np.diag(main + shift) - np.diag(np.ones(n - 1), 1) \
             - np.diag(np.ones(n - 1), -1)
         b = np.random.default_rng(3).normal(size=n)
-        calls = []
-        band_solve = solve.sla.cho_solve_banded
+        residuals, solves = [], []
+        product, band_solve = solve.Band.__matmul__, solve.sla.cho_solve_banded
+
+        def recording(band, x):
+            y = product(band, x)
+            residuals.append(np.linalg.norm(b - y))
+            return y
 
         def counting(*args, **kwargs):
-            calls.append(1)
+            solves.append(1)
             return band_solve(*args, **kwargs)
 
+        monkeypatch.setattr(solve.Band, "__matmul__", recording)
         monkeypatch.setattr(solve.sla, "cho_solve_banded", counting)
         x = linear_solve(oracles.band(a), b, 1e-12)
-        assert len(calls) <= 2
+        assert len(residuals) == len(solves) and 2 <= len(solves) <= 6
+        assert all(new <= 0.5 * old
+                   for old, new in zip(residuals[:-2], residuals[1:-1]))
+        assert residuals[-1] > 0.5 * residuals[-2] or len(solves) == 6
         residual = np.linalg.norm(b - a @ x)
         assert residual > 1e-12 * np.linalg.norm(b)      # it did stall
         assert residual <= np.linalg.norm(
             b - a @ oracles.five_step_refinement(a, b))
 
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_one_band_solve_per_bordered_correction(self, monkeypatch,
+                                                    medium_cell_mesh, p):
+        """The bordered step solves no basis: one band solve of a single
+        right-hand side per correction, each checked by one bordered
+        residual (a band product; one more checks the row sums), and one
+        solve in all when the first correction meets tol."""
+        mesh = medium_cell_mesh
+        red, band = _cell_band(mesh, p)
+        b = np.random.default_rng(57).normal(size=red.n_reduced)
+        b -= b.mean()
+        w = red.reduce_vector(mesh.node_weights)
+        product, band_solve = solve.Band.__matmul__, solve.sla.cho_solve_banded
+        products, shapes = [], []
+
+        def counting_product(a, x):
+            products.append(1)
+            return product(a, x)
+
+        def counting_solve(factor, r, **kwargs):
+            shapes.append(np.shape(r))
+            return band_solve(factor, r, **kwargs)
+
+        monkeypatch.setattr(solve.Band, "__matmul__", counting_product)
+        monkeypatch.setattr(solve.sla, "cho_solve_banded", counting_solve)
+        for tol, solves in ((1e-6, [1]), (1e-12, range(1, 7))):
+            products.clear()
+            shapes.clear()
+            constrained_linear_solve(band, b, w, tol)
+            assert len(shapes) in solves
+            assert shapes == [(red.n_reduced,)] * len(shapes)
+            assert len(products) == len(shapes) + 1
+
     def test_constraint_orthogonal_to_ground_direction_solves(self):
-        """w . B^-1 e0 = 0 alone is no singularity: a is definite here, so
-        the bordered system is regular and the solve matches the KKT one."""
-        a = np.diag([2.0, 1.0, 3.0])
+        """A constraint that gives the grounded node no weight
+        (w . e0 = 0) still fixes the constant: on a path Laplacian the
+        bordered solve matches the KKT one."""
+        a = np.array([[1.0, -1.0, 0.0], [-1.0, 3.0, -2.0], [0.0, -2.0, 2.0]])
         b = np.array([1.0, 2.0, -1.0])
-        w = np.array([0.0, 1.0, -1.0])
+        w = np.array([0.0, 1.0, 2.0])
         x = constrained_linear_solve(oracles.band(a), b, w, 1e-12)
         kkt = np.zeros((4, 4))
         kkt[:3, :3] = a
@@ -190,9 +261,11 @@ class TestLinearSolve:
         ref = np.linalg.solve(kkt, np.append(b, 0.0))[:3]
         assert np.abs(x - ref).max() < 1e-14
 
+    @pytest.mark.filterwarnings("error")
     def test_constrained_singular_schur_is_solve_error(self):
-        """a = [[1, -1], [-1, 1]] grounds to an SPD band, but it is singular
-        on w . x = 0 for w = (1, -1): the 2x2 Schur step reports it."""
+        """a = [[1, -1], [-1, 1]] grounds to an SPD band, but w = (1, -1)
+        sums to zero and leaves the constants free: reported before any
+        division by 1 . w."""
         a = oracles.band(np.array([[1.0, -1.0], [-1.0, 1.0]]))
         with pytest.raises(IndefiniteSystemError,
                            match="singular bordered system"):
@@ -267,6 +340,28 @@ class TestPlanBand:
         x = linear_solve(band, b, 1e-12)
         expected = spla.spsolve(sp.csc_matrix(ref), b)
         assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    def test_factor_is_lower_and_in_place(self, monkeypatch,
+                                          medium_cell_mesh):
+        """Band.factor hands cholesky_banded the band it wrote and gets
+        the lower factor back in that memory; the factor solves the
+        grounded matrix a + c e0 e0^T."""
+        red, band = _cell_band(medium_cell_mesh, 3.0)
+        written, cholesky = [], solve.sla.cholesky_banded
+
+        def recording(ab, **kwargs):
+            written.append(ab)
+            return cholesky(ab, **kwargs)
+
+        monkeypatch.setattr(solve.sla, "cholesky_banded", recording)
+        c = band.rows[0, 0]
+        factor, lower = band.factor(ground=c)
+        assert lower is True and np.shares_memory(factor, written[0])
+        x = np.random.default_rng(58).normal(size=red.n_reduced)
+        b = band @ x
+        b[0] += c * x[0]
+        y = solve.sla.cho_solve_banded((factor, lower), b)
+        assert np.linalg.norm(y - x) <= 1e-8 * np.linalg.norm(x)
 
     def test_point_matches_standalone_assembly(self, reference_profile):
         """A Newton point gives the residual and jacobian that standalone
