@@ -63,7 +63,10 @@ def _apply_overrides(config, args):
         config.epsilons = (args.eps,)
     threads = os.environ.get(THREADS_ENV)
     if threads:
-        config.max_workers = max(1, int(threads))
+        if not threads.strip().isdecimal() or int(threads) < 1:
+            raise ConfigError(f"{THREADS_ENV} must be a positive integer, "
+                              f"got {threads!r}")
+        config.max_workers = int(threads)
     config.__post_init__()
     return config
 

@@ -80,10 +80,11 @@ class _CellFunctional:
 
 
 def cell_constraints(mesh):
-    """Periodic identification plus the zero-mean normalization, which the
-    solver enforces inside each Newton step (bordered system) to keep the
-    jacobian definite on the admissible space; the post-shift only mops
-    up roundoff."""
+    """Periodic identification plus the zero-mean normalization.  The cell
+    energy is shift invariant, so each Newton step solves its jacobian,
+    grounded at one node to make it definite, for the residual's part off
+    the constants and shifts the step onto the mean-zero hyperplane; the
+    post-shift only mops up roundoff."""
     return solve.ConstraintSet(periodic_pairs=mesh.periodic_pairs,
                                mean_weights=mesh.node_weights)
 

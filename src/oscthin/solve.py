@@ -1,10 +1,13 @@
 """Damped Newton with regularization continuation on constrained systems.
 
 Periodic identification is realized by eliminating follower degrees of
-freedom onto their leaders through a node map, and a zero mean by a
-bordered step, so the reduced systems stay symmetric and no penalty
-parameters appear.  Convergence is measured by the reduced residual's
-Euclidean norm.  Every jacobian reaches the linear solvers as a Band.
+freedom onto their leaders through a node map.  A zero mean is kept by
+each Newton step of a shift-invariant energy: its residual is projected
+off the constants, solved with one node grounded and shifted back onto
+the mean-zero hyperplane, so the reduced systems stay symmetric and no
+penalty parameters or multipliers appear.  Convergence is measured by
+the reduced residual's Euclidean norm.  Every jacobian reaches the linear
+solvers as a Band.
 """
 
 import logging
@@ -197,88 +200,66 @@ _RESIDUAL_CEILING = 1e-6
 _ROW_SUM_TOL = 1e-12
 
 
-def linear_solve(a, b, tol):
-    """Solve an SPD system a x = b (a Band) to relative residual tol:
-    banded Cholesky in the given node order, refined with the band's
-    own product.  Refinement stops at tol or at the first step that
-    fails to halve the residual, keeping the better iterate; at that
-    floor, about eps * cond(a), a residual above tol is accepted below
-    _RESIDUAL_CEILING.
+def linear_solve(a, b, tol, ground=0.0):
+    """Solve a x = b (a Band) to relative residual tol: banded Cholesky of
+    a + ground * e0 e0^T in the given node order, refined against a itself
+    with the band's own product: at most six band solves from x = 0,
+    stopping at tol or at the first one that fails to halve the residual,
+    keeping the better iterate.  At that floor, about eps * cond(a), a
+    residual above tol is accepted below _RESIDUAL_CEILING.
     """
-    return _band_solve(a, b, None, tol)
-
-
-def constrained_linear_solve(a, b, w, tol):
-    """Solve a x = b on the hyperplane w . x = 0: the bordered system
-    a x + lam w = b, w . x = 0, the step for shift-invariant energies.
-
-    a must annihilate constants, as a folded cell jacobian does (each
-    diagonal entry is minus its row sum), so lam = (1 . b) / (1 . w) and
-    one solve of the grounded B = a + c e0 e0^T, c = a[0, 0] (SPD when
-    constants are a's only null direction), gives the y of a y = b - lam w
-    with y[0] = 0; the shift by -(w . y) / (1 . w) meets the constraint.
-    Row sums above _ROW_SUM_TOL of the largest diagonal entry, or 1 . w = 0,
-    are an IndefiniteSystemError.  Refines as linear_solve does, on the
-    bordered residual."""
-    return _band_solve(a, b, np.asarray(w, dtype=float), tol)
-
-
-def _band_solve(a, b, w, tol):
     b = np.asarray(b, dtype=float)
-    bnorm, n = np.linalg.norm(b), len(b)
+    bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return np.zeros_like(b)
-    if w is None:
-        factor = a.factor()
-
-        def correct(r):
-            return sla.cho_solve_banded(factor, r, check_finite=False)
-    else:
-        drift, scale = np.abs(a @ np.ones(n)).max(), a.rows[0].max()
-        if not drift <= _ROW_SUM_TOL * scale:
-            raise IndefiniteSystemError(
-                f"bordered step needs a jacobian that annihilates constants: "
-                f"row sums reach {drift:.3e}, largest diagonal {scale:.3e}")
-        total = w.sum()
-        if not abs(total) > _ROW_SUM_TOL * np.abs(w).sum():
-            raise IndefiniteSystemError("singular bordered system: 1 . w = 0")
-        factor = a.factor(ground=float(a.rows[0, 0]))
-
-        def correct(r):
-            """(dx, dlam) with a dx + dlam w = r[:n] and w . dx = r[n]."""
-            lam = r[:n].sum() / total
-            y = sla.cho_solve_banded(factor, r[:n] - lam * w,
-                                     check_finite=False)
-            return np.append(y + (r[n] - w @ y) / total, lam)
-
-    def residual(z):
-        r = b - a @ z[:n]
-        if w is not None:       # z = (x, lam): the bordered residual
-            r = np.append(r - z[n] * w, -float(w @ z[:n]))
-        return r, np.linalg.norm(r)
-
-    # refinement: at most five steps, stopping at tol or at the first step
-    # that fails to halve the residual; the better of the last two iterates
-    z = correct(b if w is None else np.append(b, 0.0))
-    r, rnorm = residual(z)
-    for _ in range(5):
+    factor = a.factor(ground)
+    x, r, rnorm = np.zeros_like(b), b, bnorm
+    for _ in range(6):
         if rnorm <= tol * bnorm:
             break
-        z_new = z + correct(r)
-        r_new, rnorm_new = residual(z_new)
+        x_new = x + sla.cho_solve_banded(factor, r, check_finite=False)
+        r_new = b - a @ x_new
+        rnorm_new = np.linalg.norm(r_new)
         stalled = not rnorm_new <= 0.5 * rnorm
         if rnorm_new < rnorm:
-            z, r, rnorm = z_new, r_new, rnorm_new
+            x, r, rnorm = x_new, r_new, rnorm_new
         if stalled:
             break
     if not rnorm <= max(tol, _RESIDUAL_CEILING) * bnorm:
         raise LinearSolveError(
             f"relative residual {rnorm / bnorm:.3e} above tol {tol:.1e} "
             "after refinement")
-    # x . a x, which is x . b on the hyperplane w . x = 0
-    if float(z[:n] @ (b - r[:n])) < 0.0:
+    if float(x @ (b - r)) < 0.0:        # x . a x
         raise IndefiniteSystemError("negative curvature direction detected")
-    return z[:n]
+    return x
+
+
+def constrained_linear_solve(a, b, w, tol):
+    """Solve a x = b on the hyperplane w . x = 0, the step for
+    shift-invariant energies.
+
+    a must annihilate constants, as a folded cell jacobian does (each
+    diagonal entry is minus its row sum), so its range is the complement
+    of the constants: b - mean(b) projects b onto it, dropping the
+    roundoff a shift-invariant energy's residual has along the constants.
+    One linear_solve grounded at c = a[0, 0] (a + c e0 e0^T is SPD when
+    constants are a's only null direction) solves the projected system,
+    and the shift by -(w . x) / (1 . w) meets the constraint.  Row sums
+    above _ROW_SUM_TOL of the largest diagonal entry, or 1 . w = 0, are an
+    IndefiniteSystemError."""
+    w = np.asarray(w, dtype=float)
+    drift = np.abs(a @ np.ones(a.rows.shape[1])).max()
+    scale = a.rows[0].max()
+    if not drift <= _ROW_SUM_TOL * scale:
+        raise IndefiniteSystemError(
+            f"the mean-zero step needs a jacobian that annihilates constants: "
+            f"row sums reach {drift:.3e}, largest diagonal {scale:.3e}")
+    total = w.sum()
+    if not abs(total) > _ROW_SUM_TOL * np.abs(w).sum():
+        raise IndefiniteSystemError("singular constraint: 1 . w = 0")
+    b = np.asarray(b, dtype=float)
+    x = linear_solve(a, b - b.mean(), tol, ground=float(a.rows[0, 0]))
+    return x - (w @ x) / total
 
 
 @dataclass

@@ -123,17 +123,16 @@ class StudyConfig:
             raise ValueError("the oscillation ladder must not be empty")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("the oscillation ladder must be strictly decreasing")
-        levels = tuple(int(v) for v in self.partition_levels)
+        levels = tuple(self.partition_levels)
         if not levels:
             raise ValueError("the partition ladder must not be empty")
-        if any(v < 0 for v in levels):
-            raise ValueError("partition levels must be nonnegative")
         for key, value, least in (
                 ("cell_mesh.nx", self.cell_nx, 2), ("cell_mesh.ny", self.cell_ny, 2),
                 ("thin_mesh.nx_per_period", self.thin_nx_per_period, 2),
                 ("thin_mesh.ny", self.thin_ny, 2), ("max_workers", self.max_workers, 1),
                 ("limit_elements", self.limit_elements, 2),
-                ("flux_stations", self.flux_stations, 1)):
+                ("flux_stations", self.flux_stations, 1),
+                *(("partition_levels", level, 0) for level in levels)):
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{key} must be an integer, got {value!r}")
             if value < least:
@@ -175,22 +174,22 @@ class StudyConfig:
             key: (tuple(val) if key == "continuation_deltas" else val)
             for key, val in solver_data.items()
         })
-        cell = data.get("cell_mesh", {})
-        thin = data.get("thin_mesh", {})
+        # only the sizes given, so the field defaults are the one copy
+        cell, thin = data.get("cell_mesh", {}), data.get("thin_mesh", {})
+        sizes = {name: given[key] for name, given, key in (
+            ("cell_nx", cell, "nx"), ("cell_ny", cell, "ny"),
+            ("thin_nx_per_period", thin, "nx_per_period"), ("thin_ny", thin, "ny"),
+            ("limit_elements", data, "limit_elements"),
+            ("flux_stations", data, "flux_stations"),
+            ("max_workers", data, "max_workers")) if key in given}
         config = cls(
             profile=profile,
             p=float(data["p"]),
             load=LoadSpec.from_dict(data["load"]),
             epsilons=tuple(data["epsilons"]),
             partition_levels=tuple(data["partition_levels"]),
-            cell_nx=cell.get("nx", 128),
-            cell_ny=cell.get("ny", 32),
-            thin_nx_per_period=thin.get("nx_per_period", 32),
-            thin_ny=thin.get("ny", 16),
-            limit_elements=data.get("limit_elements", 512),
-            flux_stations=data.get("flux_stations", 250),
             solver=solver,
-            max_workers=data.get("max_workers", 1),
+            **sizes,
         )
         # load and solver keys are checked by the constructors they reach
         layout = config.to_dict()
@@ -301,12 +300,15 @@ def partition_average(samples, part):
 
 def cell_response(cell, mesh):
     """Cell response (1, 0) + grad(phi) at the periodically wrapped
-    barycenter of each thin-mesh triangle, (T, 2).  It does not depend on
-    the partition, so one lookup serves every level."""
+    barycenter of each thin-mesh triangle, (T, 2), its height clamped to
+    the cell's top (a coarse column's top barycenter can lie above the finer
+    cell polyline where the profile is convex).  It does not depend on the
+    partition, so one lookup serves every level."""
     bary = mesh.barycenters
-    wrapped = np.column_stack(
-        [np.mod(bary[:, 0] / mesh.eps, cell.mesh.width), bary[:, 1]])
-    tri = geometry.locate_points(cell.mesh, wrapped)
+    x = np.mod(bary[:, 0] / mesh.eps, cell.mesh.width)
+    top = np.interp(x, cell.mesh.grid_x, cell.mesh.grid_heights)
+    tri = geometry.locate_points(
+        cell.mesh, np.column_stack([x, np.minimum(bary[:, 1], top)]))
     gphi = fem.element_gradients(cell.mesh, cell.phi)[tri]
     return gphi + np.array([1.0, 0.0])
 

@@ -123,10 +123,17 @@ class TestParseConfig:
          "cell_mesh.ny must be an integer, got 8.0"),
         ({"max_workers": 0}, "max_workers must be at least 1, got 0"),
         ({"max_workers": None}, "max_workers must be an integer, got None"),
+        ({"partition_levels": [2.5]},
+         "partition_levels must be an integer, got 2.5"),
+        ({"partition_levels": [2, True]},
+         "partition_levels must be an integer, got True"),
+        ({"partition_levels": ["4"]},
+         "partition_levels must be an integer, got '4'"),
     ], ids=["nx_per_period", "ny", "limit_elements", "flux_stations_0",
             "flux_stations_negative", "limit_elements_float", "ny_string",
             "flux_stations_float", "cell_nx_bool", "cell_ny_float",
-            "max_workers_0", "max_workers_null"])
+            "max_workers_0", "max_workers_null", "level_float", "level_bool",
+            "level_string"])
     @pytest.mark.parametrize("command", ["study", "solve-eps"])
     def test_bad_size_is_config_error(self, tmp_path, capsys, monkeypatch,
                                       overrides, message, command):
@@ -227,6 +234,18 @@ class TestCommands:
 
         assert masked(out1 / "study.csv") == masked(out2 / "study.csv")
 
+    def test_study_at_coarsest_resolution(self, tmp_path):
+        """At --resolution 4 the top barycenter of a coarse thin column lies
+        above the finer cell polyline in the convex trough of the
+        reference profile; the cell lookup still finds it, so every row
+        is solved."""
+        out = tmp_path / "out"
+        assert main(["study", "--config", REFERENCE_CONFIG, "--resolution",
+                     "4", "--out", str(out)]) == EXIT_OK
+        rows = read_report_csv(out / "study.csv")
+        assert len(rows) == 12
+        assert all(row.status == "ok" for row in rows)
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path / "cfg.json", p=1.0)
         assert main(["cell", "--config", path]) == EXIT_CONFIG
@@ -311,6 +330,17 @@ class TestCommands:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout.split()
         assert out == [preset or "1", "1", "1"]
+
+    @pytest.mark.parametrize("threads", ["0", "-3", "abc", "2.5"])
+    def test_bad_thread_env_var_is_config_error(self, tmp_path, capsys,
+                                                monkeypatch, threads):
+        monkeypatch.setenv("OSCTHIN_THREADS", threads)
+        path = write_config(tmp_path / "cfg.json")
+        assert main(["study", "--config", path, "--out",
+                     str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: OSCTHIN_THREADS must be a positive integer, "
+            f"got {threads!r}\n")
 
     def test_thread_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OSCTHIN_THREADS", "2")

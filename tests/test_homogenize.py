@@ -49,14 +49,16 @@ class TestOscillatingCell:
 
     def test_large_p_cell_solves(self, reference_profile):
         """p = 12 on the 128x32 reference cell: from the linear corrector,
-        whose jacobian diagonal spans 34 decades, the one-solve bordered
-        step leaves its residual above the ceiling (a LinearSolveError),
-        and the ladder from zero, whose diagonal spans up to sixteen
-        decades, solves the cell; the coefficient is the one the bordered
-        sparse LU step gave."""
+        whose jacobian diagonal spans 34 decades, the line search of the
+        first p = 12 stage stalls, and the ladder from zero, whose diagonal
+        spans up to sixteen decades, solves the cell; the coefficient is
+        the one the bordered sparse LU step gave."""
         cell = solve_cell(build_cell_mesh(reference_profile, 128, 32), 12.0)
-        assert [s.iterations for s in cell.diagnostics.stages] == [
-            1, 0, 31, 18, 1]
+        stages = cell.diagnostics.stages
+        assert [s.iterations for s in stages] == [1, 0, 31, 18, 1]
+        assert [s.stop_reason for s in stages[:2]] == [
+            "residual", "LineSearchStallError"]
+        assert [s.converged for s in stages] == [True, False, True, True, True]
         assert cell.coeff_flux == pytest.approx(0.5894552498391834, rel=1e-10)
 
     def test_coefficient_self_convergence(self, reference_profile):

@@ -130,19 +130,34 @@ class TestLinearSolve:
             mesh, v, FluxParams(p=p, delta=delta), include_mass=False),
             mesh.periodic_pairs)
         b = np.random.default_rng(16).normal(size=red.n_reduced)
+        b -= b.mean()
         w = red.reduce_vector(mesh.node_weights)
         x = constrained_linear_solve(oracles.band(a), b, w, 1e-12)
         ref = oracles.bordered_solve(a, b, w)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
+    @pytest.mark.parametrize("c", [1e-3, -2.5, 1e3])
+    def test_constant_in_rhs_is_dropped(self, medium_cell_mesh, c):
+        """a annihilates constants, so its range misses them: b and
+        b + c 1 give the same step, the one for the mean-zero part."""
+        red, band = _cell_band(medium_cell_mesh, 3.0)
+        b = np.random.default_rng(18).normal(size=red.n_reduced)
+        b -= b.mean()
+        w = red.reduce_vector(medium_cell_mesh.node_weights)
+        x = constrained_linear_solve(band, b, w, 1e-12)
+        shifted = constrained_linear_solve(band, b + c, w, 1e-12)
+        assert np.linalg.norm(shifted - x) <= 1e-10 * np.linalg.norm(x)
+        assert abs(w @ shifted) <= 1e-12 * np.abs(w).sum() * np.abs(x).max()
+
     def test_constrained_solve_matches_dense_kkt(self):
         """A dense semidefinite a whose null space is the constants, the
-        property of the folded cell jacobian the step relies on."""
+        property of the folded cell jacobian the step relies on, and a
+        mean-zero b, the step's contract."""
         rng = np.random.default_rng(14)
         m = rng.normal(size=(40, 40))
         centre = np.eye(40) - 1.0 / 40.0
         a = centre @ (m @ m.T + 40.0 * np.eye(40)) @ centre
-        b = rng.normal(size=40)
+        b = centre @ rng.normal(size=40)
         w = rng.uniform(0.5, 1.5, size=40)
         x = constrained_linear_solve(oracles.band(a), b, w, 1e-12)
         kkt = np.zeros((41, 41))
@@ -170,7 +185,7 @@ class TestLinearSolve:
             assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(b)
 
     def test_constrained_singular_system_is_solve_error(self):
-        """A singular bordered system is a solver error (exit 3 from the
+        """A zero jacobian is a solver error (exit 3 from the
         command line): its grounded band has a zero diagonal."""
         with pytest.raises(IndefiniteSystemError,
                            match="nonpositive diagonal entry"):
@@ -217,10 +232,10 @@ class TestLinearSolve:
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_one_band_solve_per_bordered_correction(self, monkeypatch,
                                                     medium_cell_mesh, p):
-        """The bordered step solves no basis: one band solve of a single
-        right-hand side per correction, each checked by one bordered
-        residual (a band product; one more checks the row sums), and one
-        solve in all when the first correction meets tol."""
+        """The mean-zero step solves no basis: one band solve of a single
+        right-hand side per correction, each checked by one residual (a
+        band product; one more checks the row sums), and one solve in all
+        when the first correction meets tol."""
         mesh = medium_cell_mesh
         red, band = _cell_band(mesh, p)
         b = np.random.default_rng(57).normal(size=red.n_reduced)
@@ -250,9 +265,9 @@ class TestLinearSolve:
     def test_constraint_orthogonal_to_ground_direction_solves(self):
         """A constraint that gives the grounded node no weight
         (w . e0 = 0) still fixes the constant: on a path Laplacian the
-        bordered solve matches the KKT one."""
+        grounded and shifted solve matches the KKT one."""
         a = np.array([[1.0, -1.0, 0.0], [-1.0, 3.0, -2.0], [0.0, -2.0, 2.0]])
-        b = np.array([1.0, 2.0, -1.0])
+        b = np.array([1.0, 2.0, -3.0])
         w = np.array([0.0, 1.0, 2.0])
         x = constrained_linear_solve(oracles.band(a), b, w, 1e-12)
         kkt = np.zeros((4, 4))
@@ -268,7 +283,7 @@ class TestLinearSolve:
         division by 1 . w."""
         a = oracles.band(np.array([[1.0, -1.0], [-1.0, 1.0]]))
         with pytest.raises(IndefiniteSystemError,
-                           match="singular bordered system"):
+                           match="singular constraint"):
             constrained_linear_solve(a, np.array([1.0, -1.0]),
                                      np.array([1.0, -1.0]), 1e-12)
 
@@ -319,6 +334,7 @@ class TestPlanBand:
         assert band.offsets[-1] == 2 * 16 + 3
         _assert_band_matches(band, ref, 53)
         b = np.random.default_rng(54).normal(size=red.n_reduced)
+        b -= b.mean()
         w = red.reduce_vector(mesh.node_weights)
         x = constrained_linear_solve(band, b, w, 1e-12)
         expected = oracles.bordered_solve(ref, b, w)

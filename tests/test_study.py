@@ -396,3 +396,16 @@ class TestConfigValidation:
         config = tiny_config(reference_profile, LoadSpec(kind="cos_pi"))
         back = StudyConfig.from_dict(config.to_dict())
         assert back.to_dict() == config.to_dict()
+
+    def test_absent_sizes_take_field_defaults(self, reference_profile):
+        """A config that names no size gets the dataclass defaults."""
+        data = tiny_config(reference_profile, LoadSpec(kind="cos_pi")).to_dict()
+        for key in ("cell_mesh", "thin_mesh", "limit_elements",
+                    "flux_stations", "max_workers"):
+            del data[key]
+        config = StudyConfig.from_dict(data)
+        assert config == StudyConfig(
+            profile=config.profile, p=config.p, load=config.load,
+            epsilons=config.epsilons, partition_levels=config.partition_levels,
+            solver=config.solver)
+        assert (config.cell_nx, config.thin_ny, config.max_workers) == (128, 16, 1)
