@@ -11,15 +11,21 @@ suite rely on that.
 The flux is regularized as (delta^2 + |xi|^2)^((p-2)/2) xi; at delta = 0
 this is exactly the monotone map |xi|^(p-2) xi.  The same delta enters the
 |u|^(p-2) u term so the linearization stays bounded for p < 2.
+
+Assembly uses the structure of the mapped column grid: every quad of a
+column has the same two triangles, whose areas and hat gradients follow in
+closed form from the column's width and end heights (affine in the row).
+The per-mesh plan (_Plan) keeps only those per-column arrays and the band
+position map; a field's gradient, residual and jacobian are formed from
+its grid differences by broadcasting (Point).
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-from . import geometry, solve
+from . import solve
 
 
 class AssemblyError(RuntimeError):
@@ -48,113 +54,134 @@ class FluxParams:
 
 
 def _ends(g):
-    """Both ends of the vertical, horizontal and diagonal edges, as views."""
-    return [(g[:, :-1], g[:, 1:]), (g[:-1], g[1:]), (g[:-1, :-1], g[1:, 1:])]
+    """Both ends of the vertical, horizontal and diagonal edges of grid
+    values g (ny+1, nx+1), as views."""
+    return [(g[:-1], g[1:]), (g[:, :-1], g[:, 1:]), (g[:-1, :-1], g[1:, 1:])]
 
 
 class _Plan:
     """Everything assembly needs of a mesh that no field changes, on its
-    column grid: node is Mesh.grid_nodes.  Triangle arrays are (2, nx, ny),
-    lower and upper: area, and the hat gradients gx, gy (3, 2, nx, ny) of
-    the vertices.  Edge arrays are flat, the vertical, horizontal and
-    diagonal edges in turn: weight, area/3 summed over each edge's
-    triangles, is the edge-midpoint rule's.  Metrics and band layouts are
-    cached on first use, each in one assignment."""
+    column grid in per-column arrays.  Grid arrays are row by row, columns
+    last: node (ny+1, nx+1) is Mesh.grid_nodes transposed, so per-column
+    arrays broadcast along the long axis of a thin mesh.
+
+    Quad (i, j) splits into a lower triangle (ll, lr, ur) and an upper one
+    (ll, ur, ul); with the row heights a = h_i/ny and b = h_{i+1}/ny every
+    quad of column i has the same two.  Triangle arrays are (2, ny, nx),
+    lower then upper.  Per half: area (2, 1, nx) is Mesh.column_areas, c
+    (2, 1, nx) is b then a and k (2, ny, 1) is j then j + 1; the width dx
+    and the slope s = b - a are (nx,).  A half holds one horizontal grid
+    difference dh and one vertical dv (lower lr - ll and ur - lr, upper
+    ur - ul and ul - ll), and its gradient ((dh - s k dv/c)/dx, dv/c) is
+    affine in the row.
+
+    Edge arrays are flat, the vertical, horizontal and diagonal edges in
+    turn.  Band layouts are cached on first use, each in one assignment.
+    """
 
     def __init__(self, mesh):
-        self.node = node = mesh.grid_nodes
+        self.node = mesh.grid_nodes.T
         self._cache = {}
-        self._shapes = [a.shape for a, _ in _ends(node)]
+        self._shapes = [a.shape for a, _ in _ends(self.node)]
         self._split = np.cumsum([np.prod(s) for s in self._shapes])
-        nx, ny = self._shapes[2]            # one diagonal per quad
-        self.area = area = mesh.areas.reshape(nx, ny, 2).transpose(2, 0, 1).copy()
-        tri = mesh.triangles.reshape(nx, ny, 2, 3).transpose(3, 2, 0, 1)
-        x, y = mesh.nodes[tri, 0], mesh.nodes[tri, 1]
-        nxt, prv = [1, 2, 0], [2, 0, 1]
-        self.gx = (y[nxt] - y[prv]) / (2.0 * area)
-        self.gy = (x[prv] - x[nxt]) / (2.0 * area)
-        self.weight = self.to_edges(np.broadcast_to(area / 3.0, self.gx.shape))
+        self.n_edges = int(self._split[-1])
+        hs, ny = mesh.grid_heights, mesh.grid_rows
+        self.dx = np.diff(mesh.grid_x)
+        self.area = mesh.column_areas[:, None, :]
+        self.c = np.stack([hs[1:], hs[:-1]])[:, None, :] / ny
+        self.s = self.c[0, 0] - self.c[1, 0]
+        self.k = (np.arange(ny) + np.arange(2.0)[:, None])[:, :, None]
 
     def edge_views(self, a):
-        """The vertical (nx+1, ny), horizontal (nx, ny+1) and diagonal
-        (nx, ny) parts of a flat edge array."""
+        """The vertical (ny, nx+1), horizontal (ny+1, nx) and diagonal
+        (ny, nx) parts of a flat edge array."""
         return [e.reshape(s) for e, s
                 in zip(np.split(a, self._split[:-1]), self._shapes)]
 
+    def halves(self, a):
+        """The horizontal and the vertical edge of each half, lower then
+        upper (the edges of its dh and dv), as views of a flat edge array."""
+        v, h, _ = self.edge_views(a)
+        return [(h[:-1], v[:, 1:]), (h[1:], v[:, :-1])]
+
     def edge_mean(self, g):
-        """Grid values g (nx+1, ny+1) at every edge midpoint."""
+        """Grid values g (ny+1, nx+1) at every edge midpoint."""
         return 0.5 * np.concatenate([(a + b).ravel() for a, b in _ends(g)])
 
-    def to_edges(self, k):
-        """Per-triangle values of the vertex pairs (0, 1), (0, 2), (1, 2)
-        (3, 2, nx, ny) summed onto the edges they join."""
-        out = np.zeros(self._split[-1])
-        v, h, d = self.edge_views(out)
-        # lower (ll, lr, ur): 01 horizontal, 02 diagonal, 12 vertical at i+1;
-        # upper (ll, ur, ul): 01 diagonal, 02 vertical at i, 12 horizontal at j+1
-        (l01, u01), (l02, u02), (l12, u12) = k
-        v[1:] += l12
-        v[:-1] += u02
-        h[:, :-1] += l01
-        h[:, 1:] += u12
-        np.add(l02, u01, out=d)
-        return out
+    def weigh(self, e, scale=1.0):
+        """The flat edge array e times scale and the edge-midpoint rule's
+        weights, in place: area/3 summed over each edge's triangles."""
+        lower, upper = self.area[:, 0] * (scale / 3.0)
+        vertical = np.zeros(len(lower) + 1)
+        vertical[1:] += lower
+        vertical[:-1] += upper
+        v, h, d = self.edge_views(e)
+        v *= vertical
+        h[0] *= lower
+        h[1:-1] *= lower + upper
+        h[-1] *= upper
+        d *= lower + upper
+        return e
 
-    def node_sum(self, corners=None, edges=None):
-        """Nodal sums of per-triangle vertex values (3, 2, nx, ny) and of
-        edge values, each edge's going to both its ends: slice-adds on the
-        grid, then the one scatter through node."""
+    def node_sum(self, edges=None, diffs=None):
+        """Nodal sums of flat edge arrays: each value of edges goes to both
+        ends of its edge, each of diffs (the coefficient of a grid
+        difference) to its second end and, negated, to its first.
+        Slice-adds on the grid, then the one scatter through node."""
         g = np.zeros(self.node.shape)
-        if corners is not None:
-            ll, lr, ur, ul = geometry.quad_corners(g)
-            for view, (h, k) in zip((ll, lr, ur, ll, ur, ul), np.ndindex(2, 3)):
-                view += corners[k, h]       # vertex k of half h
-        if edges is not None:
-            for (a, b), e in zip(_ends(g), self.edge_views(edges)):
-                a += e
-                b += e
+        for values, first in ((edges, np.add), (diffs, np.subtract)):
+            if values is not None:
+                for (a, b), e in zip(_ends(g), self.edge_views(values)):
+                    first(a, e, out=a)
+                    b += e
         out = np.empty(g.size)
-        out[self.node] = g
+        out[self.node.T] = g.T      # column by column: out in node order
         return out
 
     def gradient(self, g, eps_weight):
-        """Scaled element gradient (2, 2, nx, ny) of grid values g, in
-        difference form from vertex 0 (the hat gradients sum to zero):
-        constant fields give an exactly zero gradient, which the sublinear
-        flux at p < 2 would otherwise amplify from roundoff."""
-        ll, lr, ur, ul = geometry.quad_corners(g)
-        d = np.stack([lr - ll, ur - ll, ul - ll])
-        d1, d2 = d[:2], d[1:]         # to vertices 1 and 2, lower and upper
-        gx, gy = self.gx, self.gy
-        return np.stack([d1 * gx[1] + d2 * gx[2],
-                         (d1 * gy[1] + d2 * gy[2]) / eps_weight])
-
-    def metric(self, eps_weight):
-        """area * (b_k . b_l) (3, 2, nx, ny) of the scaled hat gradients
-        b = (gx, gy/eps_weight) for the vertex pairs (0, 1), (0, 2), (1, 2)."""
-        key = ("metric", eps_weight)
-        if key not in self._cache:
-            gx, gy, k, l = self.gx, self.gy / eps_weight, [0, 0, 1], [1, 2, 2]
-            self._cache[key] = self.area * (gx[k] * gx[l] + gy[k] * gy[l])
-        return self._cache[key]
+        """Scaled element gradient xi (2, 2, ny, nx) of grid values g from
+        the grid differences of each half: constant fields give an exactly
+        zero gradient, which the sublinear flux at p < 2 would otherwise
+        amplify from roundoff."""
+        v, h = np.diff(g, axis=0), np.diff(g, axis=1)
+        xi = np.array([[h[:-1], h[1:]], [v[:, 1:], v[:, :-1]]])
+        del v, h
+        gx, gy = xi
+        gy /= self.c
+        gx -= self.s * self.k * gy
+        gx /= self.dx
+        gy /= eps_weight
+        return xi
 
     def band(self, fold=None):
         """Band layout of the jacobian in node order or folded by fold (a
         solve.Reduction): its offsets, size m and the int32 position map,
         where in the rows of a solve.Band each node's diagonal (node order)
-        and then each edge goes."""
+        and then each edge goes: offset rank times m plus the lower of the
+        edge's two indices, built edge family by edge family."""
         key = ("band", None if fold is None else fold.key)
         if key not in self._cache:
             index = fold.index if key[1] else np.arange(self.node.size)
-            a, b = (np.concatenate([e[k].ravel() for e in _ends(index[self.node])])
-                    for k in (0, 1))
-            if np.any(a == b):
-                raise ValueError("an edge joins a node to its periodic copy")
-            lo, m = np.minimum(a, b), int(index.max()) + 1
-            offsets, where = solve.band_layout(
-                np.r_[np.zeros(len(index), dtype=np.int64), np.maximum(a, b) - lo],
-                np.r_[index, lo], m)
-            where = where.astype(np.int32)
+            m = int(index.max()) + 1
+            grid = index[self.node].astype(np.int32)
+            present = np.zeros(m, dtype=bool)
+            present[0] = True
+            for a, b in _ends(grid):
+                gap = np.abs(a - b)
+                if not gap.all():
+                    raise ValueError(
+                        "an edge joins a node to its periodic copy")
+                present[gap] = True
+            offsets = np.flatnonzero(present)
+            if len(offsets) * m >= 2 ** 31:
+                raise ValueError("the band does not fit int32 positions")
+            rank = (np.cumsum(present, dtype=np.int32) - 1) * np.int32(m)
+            where = np.empty(index.size + self.n_edges, dtype=np.int32)
+            where[:index.size] = index
+            for (a, b), out in zip(_ends(grid),
+                                   self.edge_views(where[index.size:])):
+                np.minimum(a, b, out=out)
+                out += rank[np.abs(a - b)]
             where.flags.writeable = False
             self._cache[key] = (offsets, m, where)
         return self._cache[key]
@@ -181,7 +208,7 @@ def element_gradients(mesh, u, eps_weight=1.0):
     """Constant gradient of the P1 interpolant on every triangle, (T, 2),
     scaled to (d1, d2/eps_weight)."""
     _, plan, g = _gather(mesh, u)
-    return plan.gradient(g, eps_weight).transpose(2, 3, 1, 0).reshape(-1, 2)
+    return plan.gradient(g, eps_weight).transpose(3, 2, 1, 0).reshape(-1, 2)
 
 
 def _power_weight(sq, p, delta):
@@ -239,7 +266,8 @@ def load_vector(mesh, load):
     fm = np.asarray(fm, dtype=float)
     _check_finite(fm, "load")
     # hat function k is 1/2 at the midpoints of the edges at k
-    return plan.node_sum(edges=0.5 * plan.weight * fm)
+    return plan.node_sum(
+        edges=plan.weigh(np.broadcast_to(fm, (plan.n_edges,)) * 0.5))
 
 
 def _check_field(mesh, u):
@@ -254,8 +282,8 @@ def _check_field(mesh, u):
 
 def _check_finite(values, what):
     """Raise on a non-finite value.  Per-triangle values (..., 2, nx, ny)
-    name the lowest-numbered triangle with one; flat edge values name
-    none."""
+    (the plan's (..., 2, ny, nx) with its last two axes swapped) name the
+    lowest-numbered triangle with one; flat edge values name none."""
     ok = np.isfinite(values)
     if not ok.all():
         where = ""
@@ -268,39 +296,32 @@ def _check_finite(values, what):
 class Point:
     """A field evaluated once for its energy, residual and jacobian on the
     plan's column grid: one gather of the grid values, per triangle the
-    scaled gradient xi and its power weight, per edge the midpoint value
-    and its power weight.  c_k = b_k . xi for the scaled hat gradients b_k
-    is formed on first use by the residual or the jacobian, so a trial
-    that only needs its energy never builds it.  load_vector b enters as
-    -b . u and -b."""
+    scaled gradient xi (2, 2, ny, nx) and its power weight sigma, per edge
+    the midpoint value and its power weight.  The residual and jacobian
+    form what else they need from the plan's per-column arrays.
+    load_vector b enters as -b . u and -b."""
 
     def __init__(self, mesh, u, params, include_mass=True, load_vector=None):
         self.u, self.plan, g = _gather(mesh, u)
         self.params, self.include_mass = params, include_mass
         self.load_vector = load_vector
-        p, delta, w, plan = params.p, params.delta, params.eps_weight, self.plan
-        self._gs = gs = plan.gradient(g, w)
-        self.sq = gs[0] * gs[0] + gs[1] * gs[1]
+        p, delta, plan = params.p, params.delta, self.plan
+        self.xi = xi = plan.gradient(g, params.eps_weight)
+        self.sq = xi[0] * xi[0] + xi[1] * xi[1]
         self.sigma = _power_weight(self.sq, p, delta)
         if include_mass:
             self.um = plan.edge_mean(g)
             self.mass_weight = _power_weight(self.um * self.um, p, delta)
 
-    @cached_property
-    def c(self):
-        """c_k = b_k . xi (3, 2, nx, ny); xi is not kept beside it."""
-        gs, plan = self._gs, self.plan
-        del self._gs
-        return plan.gx * gs[0] + plan.gy * (gs[1] / self.params.eps_weight)
-
     def energy(self):
         """int (1/p)(d^2+|xi|^2)^(p/2) [+ (1/p)(d^2+u^2)^(p/2)] - b . u."""
         p, d2, plan = self.params.p, self.params.delta ** 2, self.plan
-        flux = plan.area * ((d2 + self.sq) * self.sigma) / p
-        _check_finite(flux, "flux energy")
+        flux = (plan.area / p) * ((d2 + self.sq) * self.sigma)
+        _check_finite(flux.swapaxes(-1, -2), "flux energy")
         total = flux.sum()
         if self.include_mass:
-            mass = plan.weight * ((d2 + self.um * self.um) * self.mass_weight) / p
+            mass = plan.weigh((d2 + self.um * self.um) * self.mass_weight,
+                              1.0 / p)
             _check_finite(mass, "mass energy")
             total += mass.sum()
         if self.load_vector is not None:
@@ -308,16 +329,28 @@ class Point:
         return float(total)
 
     def residual(self):
-        """Gradient of the energy, one entry per node."""
+        """Gradient of the energy, one entry per node.  In a half's grid
+        differences xi is ((dh - s k dv/c)/dx, dv/(c w)), so the energy's
+        gradient in (dh, dv) is (c xi_1, psi) sigma/2 with
+        psi = dx xi_2/w - s k xi_1; these coefficients go through the
+        adjoint of the grid differences."""
         plan, mass = self.plan, None
-        flux = (plan.area * self.sigma) * self.c
-        _check_finite(flux, "flux")
+        flux = (0.5 * self.sigma) * self.xi       # in place from here on
+        flux[1] *= plan.dx / self.params.eps_weight
+        flux[1] -= plan.s * plan.k * flux[0]
+        flux[0] *= plan.c
+        _check_finite(flux.swapaxes(-1, -2), "flux")
+        diffs = np.zeros(plan.n_edges)
+        for (h, v), fh, fv in zip(plan.halves(diffs), *flux):
+            h += fh
+            v += fv
+        del flux
         if self.include_mass:
             mass = self.mass_weight * self.um
             _check_finite(mass, "mass term")
             # hat function k is 1/2 at the midpoints of the edges at k
-            mass *= 0.5 * plan.weight
-        res = plan.node_sum(flux, mass)
+            plan.weigh(mass, 0.5)
+        res = plan.node_sum(mass, diffs)
         if self.load_vector is not None:
             res -= self.load_vector
         return res
@@ -327,36 +360,49 @@ class Point:
         map, folded by fold (a solve.Reduction) if given: a solve.Band.
 
         The flux tensor sigma (I + r xi xi^T), r = (p-2)/(d^2+|xi|^2), is
-        positive definite for p > 1 if delta > 0.  Per triangle only its
-        off-diagonal entries sigma G_kl + area sigma r c_k c_l (the plan's
-        metric G) are formed and summed onto the edges; the b_k and the c_k
-        each sum to zero over a triangle, so every diagonal entry is minus
-        its row sum.  The mass term adds W m'(u_e)/4 of each edge to its
-        entry and to the diagonal of both its ends.
+        positive definite for p > 1 if delta > 0.  In a half's grid
+        differences (dh, dv) it is, with q = sigma/(2 dx) and the
+        residual's psi,
+            K_hh = q c (1 + r xi_1^2),   K_hv = q (r xi_1 psi - s k),
+            K_vv = q ((s k)^2 + (dx/w)^2 + r psi^2) / c,
+        and its vertex pairs are K_hv - K_hh on the horizontal edge,
+        K_hv - K_vv on the vertical one and -K_hv on the diagonal; it is
+        summed onto the edges one half at a time.  The hat gradients sum to
+        zero over a triangle, so every diagonal entry is minus its row sum.
+        The mass term adds W m'(u_e)/4 of each edge to its entry and to the
+        diagonal of both its ends.
         """
         p, delta = self.params.p, self.params.delta
         if p < 2.0 and delta == 0.0:
             raise ValueError("jacobian with p < 2 requires delta > 0")
-        plan, sigma, c = self.plan, self.sigma, self.c
-        wc = (plan.area * sigma * _ratio(p, delta * delta + self.sq, delta)) * c
-        kl = plan.metric(self.params.eps_weight) * sigma
-        kl[0] += wc[0] * c[1]
-        kl[1] += wc[0] * c[2]
-        kl[2] += wc[1] * c[2]
-        _check_finite(kl, "flux tensor")
-        off = plan.to_edges(kl)
+        plan = self.plan
+        off = np.zeros(plan.n_edges)
+        diagonal = plan.edge_views(off)[2]
+        stretch = (plan.dx / self.params.eps_weight) ** 2
+        for half, (h, v) in enumerate(plan.halves(off)):
+            sk, c, (xi1, xi2) = plan.s * plan.k[half], plan.c[half], self.xi[:, half]
+            psi = plan.dx / self.params.eps_weight * xi2 - sk * xi1
+            q = self.sigma[half] * (0.5 / plan.dx)
+            qr = q * _ratio(p, delta * delta + self.sq[half], delta)
+            k_hv = qr * xi1 * psi - q * sk
+            diagonal -= k_hv
+            h += k_hv - c * (q + qr * xi1 * xi1)
+            v += k_hv - (q * (sk * sk + stretch) + qr * psi * psi) / c
+        _check_finite(off, "flux tensor")
         diag = -off
         if self.include_mass:
             um = self.um
-            mprime = self.mass_weight * (
-                1.0 + _ratio(p, delta * delta + um * um, delta) * um * um)
-            _check_finite(mprime, "mass tensor")
-            mass = 0.25 * plan.weight * mprime
+            mass = plan.weigh(self.mass_weight * (
+                1.0 + _ratio(p, delta * delta + um * um, delta) * um * um), 0.25)
+            _check_finite(mass, "mass tensor")
             off += mass
             diag += mass
+            del mass
         offsets, m, where = plan.band(fold)
-        values = np.concatenate([plan.node_sum(edges=diag), off])
-        rows = np.bincount(where, weights=values, minlength=len(offsets) * m)
+        rows, n = np.zeros(len(offsets) * m), self.u.size
+        np.add.at(rows, where[:n], plan.node_sum(edges=diag))
+        del diag
+        np.add.at(rows, where[n:], off)
         return solve.Band(rows.reshape(len(offsets), m), offsets)
 
 
@@ -399,7 +445,7 @@ def lp_norm(mesh, u, p):
     if p < 1.0:
         raise ValueError(f"lp_norm needs p >= 1, got {p}")
     _, plan, g = _gather(mesh, u)
-    total = (plan.weight * np.abs(plan.edge_mean(g)) ** p).sum()
+    total = plan.weigh(np.abs(plan.edge_mean(g)) ** p).sum()
     return float(total ** (1.0 / p))
 
 

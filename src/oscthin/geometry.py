@@ -184,12 +184,21 @@ class Mesh:
         }
 
     @cached_property
+    def column_areas(self):
+        """Lower and upper triangle area of the quads of each column, (2, nx):
+        dx h_{i+1}/(2 ny) and dx h_i/(2 ny), the same in every row."""
+        heights = np.stack([self.grid_heights[1:], self.grid_heights[:-1]])
+        areas = np.diff(self.grid_x) * heights / (2.0 * self.grid_rows)
+        areas.flags.writeable = False
+        return areas
+
+    @cached_property
     def areas(self):
-        """Signed triangle areas; positive by the orientation invariant."""
-        p = self.nodes[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        """Triangle areas in triangle order, from column_areas; positive
+        by the orientation invariant."""
+        nx, ny = self.grid_nodes.shape[0] - 1, self.grid_rows
+        return np.broadcast_to(self.column_areas.T[:, None, :],
+                               (nx, ny, 2)).reshape(-1)
 
     @cached_property
     def node_weights(self):

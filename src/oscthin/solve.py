@@ -142,15 +142,6 @@ class Reduction:
         return np.asarray(u)[self.keep]
 
 
-def band_layout(offset, col, n):
-    """Where the lower entries (offset = row - col >= 0) of a symmetric
-    n x n matrix go in a Band: the ascending offsets that occur, 0 always
-    among them, and each entry's position in the band's rows."""
-    present = np.bincount(offset.ravel(), minlength=1) > 0
-    present[0] = True
-    return np.flatnonzero(present), (np.cumsum(present) - 1)[offset] * n + col
-
-
 class Band:
     """A symmetric matrix by its nonzero lower diagonals.
 

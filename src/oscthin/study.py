@@ -22,6 +22,18 @@ import numpy as np
 
 from . import fem, geometry, homogenize, limit1d, solve
 
+
+def _number(key, value, integer=False):
+    """value if it is a number, an integer if integer is set, else
+    ValueError naming the config key: strings and bools are refused, not
+    coerced."""
+    kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ValueError(f"{key} must be {'an integer' if integer else 'a number'}"
+                         f", got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class PartitionSpec:
     """Partition of (0, 1) into cells of width period/2^level; the final
@@ -71,10 +83,9 @@ class LoadSpec:
         if self.kind not in ("constant", "cos_pi", "linear"):
             raise ValueError(f"unknown load kind {self.kind!r}")
         for name in ("value", "offset", "x2_coeff"):
-            if not np.isfinite(getattr(self, name)):
+            if not np.isfinite(_number(f"load {name}", getattr(self, name))):
                 raise ValueError(f"load {name} must be finite")
-        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
-            raise ValueError(f"load k must be an integer, got {self.k!r}")
+        _number("load k", self.k, integer=True)
 
     def __call__(self, x1, x2):
         x1 = np.asarray(x1, dtype=float)
@@ -116,9 +127,9 @@ class StudyConfig:
     max_workers: int = 1
 
     def __post_init__(self):
-        if not self.p > 1.0:
+        if not _number("p", self.p) > 1.0:
             raise ValueError(f"p must exceed 1, got {self.p}")
-        eps = tuple(float(e) for e in self.epsilons)
+        eps = tuple(float(_number("epsilons", e)) for e in self.epsilons)
         if not eps:
             raise ValueError("the oscillation ladder must not be empty")
         if any(b >= a for a, b in zip(eps, eps[1:])):
@@ -133,9 +144,7 @@ class StudyConfig:
                 ("limit_elements", self.limit_elements, 2),
                 ("flux_stations", self.flux_stations, 1),
                 *(("partition_levels", level, 0) for level in levels)):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{key} must be an integer, got {value!r}")
-            if value < least:
+            if _number(key, value, integer=True) < least:
                 raise ValueError(f"{key} must be at least {least}, got {value}")
         self.epsilons = eps
         self.partition_levels = levels
@@ -166,14 +175,19 @@ class StudyConfig:
         """Inverse of to_dict, which also fixes the keys it accepts."""
         prof = data["profile"]
         profile = geometry.ProfileSpec(
-            period=float(prof["period"]), mean=float(prof["mean"]),
-            cos_coeffs=tuple(prof.get("cos_coeffs", ())),
-            sin_coeffs=tuple(prof.get("sin_coeffs", ())))
-        solver_data = data.get("solver", {})
+            period=float(_number("profile.period", prof["period"])),
+            mean=float(_number("profile.mean", prof["mean"])),
+            **{key: tuple(_number(f"profile.{key}", a)
+                          for a in prof.get(key, ()))
+               for key in ("cos_coeffs", "sin_coeffs")})
+        # each solver option takes the type of its default
+        defaults = asdict(solve.SolveOptions())
         solver = solve.SolveOptions(**{
-            key: (tuple(val) if key == "continuation_deltas" else val)
-            for key, val in solver_data.items()
-        })
+            key: (tuple(_number(f"solver.{key}", d) for d in val)
+                  if isinstance(defaults[key], tuple)
+                  else _number(f"solver.{key}", val,
+                               isinstance(defaults[key], int)))
+            for key, val in data.get("solver", {}).items() if key in defaults})
         # only the sizes given, so the field defaults are the one copy
         cell, thin = data.get("cell_mesh", {}), data.get("thin_mesh", {})
         sizes = {name: given[key] for name, given, key in (
@@ -184,16 +198,16 @@ class StudyConfig:
             ("max_workers", data, "max_workers")) if key in given}
         config = cls(
             profile=profile,
-            p=float(data["p"]),
+            p=float(_number("p", data["p"])),
             load=LoadSpec.from_dict(data["load"]),
             epsilons=tuple(data["epsilons"]),
             partition_levels=tuple(data["partition_levels"]),
             solver=solver,
             **sizes,
         )
-        # load and solver keys are checked by the constructors they reach
+        # load keys are checked by the constructor they reach
         layout = config.to_dict()
-        for section in ("", "profile", "cell_mesh", "thin_mesh"):
+        for section in ("", "profile", "cell_mesh", "thin_mesh", "solver"):
             given, known = ((data.get(section, {}), layout[section]) if section
                             else (data, layout))
             unknown = sorted(set(given) - set(known))

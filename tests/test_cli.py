@@ -129,16 +129,39 @@ class TestParseConfig:
          "partition_levels must be an integer, got True"),
         ({"partition_levels": ["4"]},
          "partition_levels must be an integer, got '4'"),
+        ({"p": "3"}, "p must be a number, got '3'"),
+        ({"epsilons": ["0.5", "0.25"]}, "epsilons must be a number, got '0.5'"),
+        ({"epsilons": [True, 0.5]}, "epsilons must be a number, got True"),
+        ({"profile": {"period": "1.0", "mean": 1.0}},
+         "profile.period must be a number, got '1.0'"),
+        ({"profile": {"period": 1.0, "mean": 1.0, "cos_coeffs": ["0.5"]}},
+         "profile.cos_coeffs must be a number, got '0.5'"),
+        ({"solver": {"max_halvings": 2.5}},
+         "solver.max_halvings must be an integer, got 2.5"),
+        ({"solver": {"max_newton": 2.5}},
+         "solver.max_newton must be an integer, got 2.5"),
+        ({"solver": {"residual_tol": True}},
+         "solver.residual_tol must be a number, got True"),
+        ({"solver": {"continuation_deltas": ["0.01", "1e-8"]}},
+         "solver.continuation_deltas must be a number, got '0.01'"),
+        ({"solver": {"max_newtons": 3}},
+         "unknown config key 'max_newtons' in solver"),
+        ({"load": {"kind": "constant", "value": True}},
+         "load value must be a number, got True"),
     ], ids=["nx_per_period", "ny", "limit_elements", "flux_stations_0",
             "flux_stations_negative", "limit_elements_float", "ny_string",
             "flux_stations_float", "cell_nx_bool", "cell_ny_float",
             "max_workers_0", "max_workers_null", "level_float", "level_bool",
-            "level_string"])
-    @pytest.mark.parametrize("command", ["study", "solve-eps"])
+            "level_string", "p_string", "eps_string", "eps_bool",
+            "period_string", "cos_coeff_string", "max_halvings_float",
+            "max_newton_float", "residual_tol_bool", "deltas_string",
+            "solver_typo", "load_value_bool"])
+    @pytest.mark.parametrize("command", ["study", "solve-eps", "cell"])
     def test_bad_size_is_config_error(self, tmp_path, capsys, monkeypatch,
                                       overrides, message, command):
-        """Sizes are checked with the config, before any solve: one line
-        and exit 2, not a failed row, a traceback or a silent 0."""
+        """Sizes and types are checked with the config, before any solve:
+        one line and exit 2, not a failed row, a traceback, a value
+        coerced from a string or bool or a silent 0."""
         def no_cell(config):
             raise AssertionError("the cell was solved")
 

@@ -1,16 +1,17 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from oscthin import FluxParams, build_cell_mesh, build_thin_mesh, fem
+from oscthin import FluxParams, build_cell_mesh, build_thin_mesh, fem, geometry
 from oscthin.fem import (AssemblyError, assemble_energy, assemble_jacobian,
                          assemble_residual, element_gradients,
                          integrate_load_fibers, lp_norm, p_flux,
                          p_flux_inverse, p_flux_scalar)
-from oscthin.geometry import read_mesh, write_mesh
+from oscthin.geometry import ProfileSpec, read_mesh, write_mesh
 from oscthin.homogenize import _CellFunctional, cell_constraints
 from oscthin.solve import (Reduction, constrained_linear_solve,
                            linear_solve)
@@ -254,10 +255,19 @@ def _thin_case(profile):
     return mesh, u, LoadSpec(kind="cos_pi", x2_coeff=0.3)
 
 
+# columns that slope (b != a) in both directions, without the reference
+# profile's mirror symmetry: the row-dependent terms s k of the column
+# forms are exercised with either sign
+SLOPED_PROFILE = ProfileSpec(period=0.5, mean=1.0, cos_coeffs=(0.3,),
+                             sin_coeffs=(0.25, 0.1))
+
+
 def _grid_case(profile, case):
     """A mesh, a field and the fold of one of the two layouts a point
     meets: an eps 1/16 thin mesh and a ring-ordered 64x16 cell folded by
-    its Reduction."""
+    its Reduction; a case ending in _sloped takes SLOPED_PROFILE."""
+    if case.endswith("_sloped"):
+        profile, case = SLOPED_PROFILE, case[:-len("_sloped")]
     if case == "thin":
         mesh = build_thin_mesh(profile, 1.0 / 16, 16, 8)
         x1, x2 = mesh.nodes.T
@@ -396,7 +406,8 @@ class TestAssemblyPlan:
 
     @pytest.mark.parametrize("delta", [1e-2, 1e-8])
     @pytest.mark.parametrize("p", [1.5, 3.0])
-    @pytest.mark.parametrize("case", ["thin", "ring"])
+    @pytest.mark.parametrize("case", ["thin", "ring", "thin_sloped",
+                                      "ring_sloped"])
     def test_grid_layouts_match_oracle(self, reference_profile, case, p,
                                        delta):
         """fem.Point on each layout against the oracle energy, residual and
@@ -451,24 +462,106 @@ class TestGridPoint:
         ones = band @ np.ones(red.n_reduced)
         assert np.abs(ones).max() <= 1e-14 * np.abs(band.rows[0]).max()
 
-    def test_energy_alone_never_forms_c(self, reference_profile):
-        """A line-search trial needs only its energy: c_k = b_k . xi is
-        formed once, on first use by the residual or the jacobian, and
-        either order gives the same bits."""
+    def test_evaluation_order_gives_same_bits(self, reference_profile):
+        """A point keeps only xi, sigma and the edge terms: its energy,
+        residual and jacobian give the same bits whichever is asked first
+        and however often."""
         mesh = build_thin_mesh(reference_profile, 0.25, 8, 4)
         u = np.cos(3.0 * mesh.nodes[:, 0]) + mesh.nodes[:, 1]
         params = FluxParams(p=3.0, delta=1e-8, eps_weight=0.25)
         trial = fem.Point(mesh, u, params)
-        trial.energy()
-        assert "c" not in vars(trial)
+        energy = trial.energy()
         residual = trial.residual()
-        c = trial.c
         band = trial.jacobian()
-        assert trial.c is c
+        assert np.array_equal(trial.residual(), residual)
+        assert sorted(vars(trial)) == [
+            "include_mass", "load_vector", "mass_weight", "params", "plan",
+            "sigma", "sq", "u", "um", "xi"]
         other = fem.Point(mesh, u, params)
         assert np.array_equal(other.jacobian().rows, band.rows)
         assert np.array_equal(other.residual(), residual)
-        assert other.energy() == trial.energy()
+        assert other.energy() == energy
+
+
+class TestColumnForms:
+    """The per-column closed forms of the plan and the mesh against the
+    per-triangle formulas of tests/oracles.py, and the memory they save."""
+
+    @pytest.mark.parametrize("case", ["thin", "ring", "thin_sloped",
+                                      "ring_sloped"])
+    def test_gradient_and_areas_match_oracle(self, reference_profile, case):
+        mesh, u, _ = _grid_case(reference_profile, case)
+        plan = fem._plan(mesh)
+        # the columns slope both ways, and s k reaches a tenth of a row
+        assert plan.s.min() < 0.0 < plan.s.max()
+        assert np.abs(plan.s).max() * mesh.grid_rows > 0.1 * plan.c.max()
+        params = FluxParams(p=3.0, delta=1e-2, eps_weight=mesh.eps or 1.0)
+        *_, grad, _ = oracles._p1_fields(mesh, u, params)
+        _assert_rel_close(element_gradients(mesh, u, params.eps_weight), grad,
+                          rtol=1e-12)
+        area = oracles.tri_geometry(mesh)[1]
+        _assert_rel_close(mesh.areas, area, rtol=1e-14)
+        assert geometry.mesh_area(mesh) == pytest.approx(area.sum(), rel=1e-14)
+
+    def test_non_finite_flux_names_its_triangle(self, reference_profile):
+        """A huge value at node (i, j) = (2, 1) overflows the flux of the
+        triangles around it, the lowest of which is the lower half of quad
+        (1, 0): triangle 2 ny, named by the energy and the residual."""
+        mesh = build_thin_mesh(reference_profile, 0.25, 8, 4)
+        u = np.zeros(mesh.num_nodes)
+        u[mesh.grid_nodes[2, 1]] = 1e200
+        where = f"on triangle {2 * mesh.grid_rows}$"
+        with np.errstate(over="ignore", invalid="ignore"):
+            point = fem.Point(mesh, u, FluxParams(p=3.0, delta=1e-8,
+                                                  eps_weight=mesh.eps))
+            with pytest.raises(AssemblyError, match="flux energy " + where):
+                point.energy()
+            with pytest.raises(AssemblyError, match="flux " + where):
+                point.residual()
+
+    def test_plan_holds_per_column_arrays(self, reference_profile):
+        """Beside the node map (the mesh's own, transposed) a plan keeps
+        per-column and per-row arrays, 48 bytes a column and 16 a row, and
+        the int32 band position map: the bound, 64 bytes a column and a
+        row, leaves a third of margin; per-triangle tables (the hat
+        gradients alone were 48 bytes a triangle) cannot pass it."""
+        mesh = build_thin_mesh(reference_profile, 1.0 / 32, 32, 16)
+        u = np.cos(np.pi * mesh.nodes[:, 0]) * (1.0 + mesh.nodes[:, 1])
+        params = FluxParams(p=3.0, delta=1e-8, eps_weight=mesh.eps)
+        fem.Point(mesh, u, params).jacobian()
+        plan = fem._plan(mesh)
+        assert np.shares_memory(plan.node, mesh.grid_nodes)
+        nx, ny = mesh.grid_nodes.shape[0] - 1, mesh.grid_rows
+        owned = sum(value.nbytes for name, value in vars(plan).items()
+                    if isinstance(value, np.ndarray) and name != "node")
+        assert owned <= 64 * (nx + ny)
+        (key, (_, _, where)), = plan._cache.items()
+        assert key == ("band", None)
+        assert where.dtype == np.int32
+        assert where.size == mesh.num_nodes + plan.n_edges
+
+    @pytest.mark.parametrize("call", ["first", "later"])
+    def test_jacobian_peak_memory_per_triangle(self, reference_profile, call):
+        """The traced peak of one thin jacobian (eps 1/32, 32768
+        triangles, mass term on) above the memory live before it stays
+        under 100 bytes a triangle: about 81 on the first call, which also
+        builds and keeps the band map, and 73 on later ones.  Per-triangle
+        tables and edge lists took 220 and 155."""
+        mesh = build_thin_mesh(reference_profile, 1.0 / 32, 32, 16)
+        u = np.cos(np.pi * mesh.nodes[:, 0]) * (1.0 + mesh.nodes[:, 1])
+        params = FluxParams(p=3.0, delta=1e-8, eps_weight=mesh.eps)
+        if call == "later":
+            fem.Point(mesh, u, params).jacobian()
+        point = fem.Point(mesh, u, params)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            band = point.jacobian()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert band.rows.shape[1] == mesh.num_nodes
+        assert peak <= 100 * mesh.num_triangles
 
 
 class TestNorms:
