@@ -255,12 +255,13 @@ def load_vector(mesh, load):
     """Load functional b_i = int f phi_i by the edge-midpoint rule: the load
     term of the energy is -b @ u and of the residual -b.
 
-    ``load`` is a broadcasting callable of (x1, x2) or a nodal field, which
-    enters through its P1 interpolant.
+    ``load`` is a broadcasting callable of (x1, x2), evaluated at the edge
+    midpoints of the column grid (the mesh's nodes are not built), or a
+    nodal field, which enters through its P1 interpolant.
     """
     plan = _plan(mesh)
     if callable(load):
-        fm = load(*(plan.edge_mean(mesh.nodes[plan.node, k]) for k in (0, 1)))
+        fm = load(*map(plan.edge_mean, mesh.grid_coordinates()))
     else:
         fm = plan.edge_mean(_check_field(mesh, load)[plan.node])
     fm = np.asarray(fm, dtype=float)

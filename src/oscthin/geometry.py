@@ -98,16 +98,18 @@ class ProfileSpec:
 
 class Mesh:
     """Conforming triangulation of the cell or of the rescaled thin domain,
-    derived from its column grid: column i at abscissa grid_x[i] holds
+    stored as its column grid: column i at abscissa grid_x[i] holds
     grid_rows + 1 equispaced nodes from x2 = 0 up to grid_heights[i].
 
     grid_nodes     (nx+1, ny+1) int array, the node at column i, row j
-    nodes          (n, 2) float array
-    triangles      (t, 3) int array, positively oriented: grid_triangles
-    boundary_edges dict tag -> (m, 2) int array, tags lower/upper/left/right
     periodic_pairs (ny+1, 2) int array of matching (left, right) node indices
     domain_kind    "cell" or "thin"
     eps            oscillation parameter for thin meshes, None for cell meshes
+
+    Nothing per node or triangle is stored: nodes (n, 2) is built on first
+    read, triangles (t, 3) (grid_triangles, positively oriented) on every
+    read, and boundary_edges (tag -> (m, 2) int array, tags
+    lower/upper/left/right) is cached.  Every array is read-only.
 
     Node (i, j) has index slot[i]*(ny+1) + j.  Thin meshes keep column
     order (slot[i] = i, jacobian half-bandwidth ny + 2).  Cell meshes
@@ -115,7 +117,8 @@ class Mesh:
     copy of column 0 last: after the periodic fold ring neighbours sit at
     most two slots apart (half-bandwidth 2*(ny+1) + 1), where column order
     would couple column 0 to column nx-1 across the whole matrix.  Meshes
-    are immutable after construction and safe for concurrent reads.
+    are immutable after construction and safe for concurrent reads (a
+    first concurrent read of a cached array builds identical copies).
     """
 
     def __init__(self, domain_kind, grid_x, grid_heights, grid_rows,
@@ -147,25 +150,45 @@ class Mesh:
             slot = np.where(2 * slot <= nx, 2 * slot - 1, 2 * (nx - slot))
             slot[0], slot[nx] = 0, nx
         node = slot[:, None] * (ny + 1) + np.arange(ny + 1)
-        nodes = np.empty((node.size, 2))
-        nodes[node, 0] = xs[:, None]
-        nodes[node, 1] = heights[:, None] * (np.arange(ny + 1) / ny)
         self.domain_kind, self.eps = domain_kind, eps
         self.grid_x, self.grid_heights, self.grid_rows = xs, heights, ny
-        self.grid_nodes, self.nodes = node, nodes
-        self.triangles = grid_triangles(node)
+        self.grid_nodes = node
         self.periodic_pairs = np.column_stack([node[0], node[nx]])
-        for arr in (xs, heights, node, nodes, self.triangles,
-                    self.periodic_pairs):
+        for arr in (xs, heights, node, self.periodic_pairs):
             arr.flags.writeable = False
 
     @property
     def num_nodes(self):
-        return self.nodes.shape[0]
+        return self.grid_nodes.size
 
     @property
     def num_triangles(self):
-        return self.triangles.shape[0]
+        return 2 * (self.grid_nodes.shape[0] - 1) * self.grid_rows
+
+    def grid_coordinates(self):
+        """Coordinates x1 and x2 of the nodes on the grid transposed, row
+        by row with the columns last (ny+1, nx+1): at [j, i] column i's
+        abscissa and row j of ny equal rows up to the column's height."""
+        rows = (np.arange(self.grid_rows + 1) / self.grid_rows)[:, None]
+        return (np.broadcast_to(self.grid_x, (len(rows), len(self.grid_x))),
+                self.grid_heights * rows)
+
+    @cached_property
+    def nodes(self):
+        """Node coordinates (n, 2) in node order."""
+        nodes = np.empty((self.num_nodes, 2))
+        for k, coordinate in enumerate(self.grid_coordinates()):
+            nodes[self.grid_nodes.T, k] = coordinate
+        nodes.flags.writeable = False
+        return nodes
+
+    @property
+    def triangles(self):
+        """grid_triangles of the grid, made on each read: a caller that
+        needs them twice keeps its copy."""
+        triangles = grid_triangles(self.grid_nodes)
+        triangles.flags.writeable = False
+        return triangles
 
     @property
     def width(self):
@@ -204,9 +227,9 @@ class Mesh:
     def node_weights(self):
         """Lumped P1 masses: integral of each nodal hat function (exact)."""
         w = np.zeros(self.num_nodes)
-        third = self.areas / 3.0
+        third, triangles = self.areas / 3.0, self.triangles
         for k in range(3):
-            np.add.at(w, self.triangles[:, k], third)
+            np.add.at(w, triangles[:, k], third)
         return w
 
     @cached_property
@@ -325,8 +348,9 @@ def _vertical_fibers(mesh, xv):
 
 
 def _horizontal_fibers(mesh, levels):
+    triangles = mesh.triangles
     for shifted in (False, True):
-        rows, tris, y = _level_candidates(mesh, levels)
+        rows, tris, y = _level_candidates(mesh, triangles, levels)
         s = y - levels[rows, None]
         flat = (s == 0.0).sum(axis=1) >= 2      # an edge lies on the level
         if not flat.any():
@@ -340,7 +364,7 @@ def _horizontal_fibers(mesh, levels):
                           levels + 1e-9 * reach, levels)
     # the segment spans the points where the level meets the edges; fmin and
     # fmax skip the NaN of the edges it does not meet
-    x = mesh.nodes[mesh.triangles[tris], 0]
+    x = mesh.nodes[triangles[tris], 0]
     left = right = np.full(len(tris), np.nan)
     for k in range(3):
         s0, s1 = s[:, k], s[:, k - 1]
@@ -351,9 +375,10 @@ def _horizontal_fibers(mesh, levels):
     return rows[keep], tris[keep], (right - left)[keep]
 
 
-def _level_candidates(mesh, levels):
+def _level_candidates(mesh, triangles, levels):
     """(level, triangle) pairs whose triangle spans the level, with the
-    triangle's vertex heights.  In column i the level h meets only rows
+    triangle's vertex heights (triangles is mesh.triangles, read once by
+    the caller).  In column i the level h meets only rows
     floor(h*ny/max(h_i, h_i+1)) to floor(h*ny/min(h_i, h_i+1)); one row of
     slack on each side absorbs roundoff before the exact span test."""
     hs, ny = mesh.grid_heights, mesh.grid_rows
@@ -367,7 +392,7 @@ def _level_candidates(mesh, levels):
     tris = (first[pair] + np.arange(pair.size)
             - np.repeat(np.cumsum(count) - count, count))
     rows = pair // (len(hs) - 1)
-    y = mesh.nodes[mesh.triangles[tris], 1]
+    y = mesh.nodes[triangles[tris], 1]
     h = levels[rows]
     keep = ((np.fmin(np.fmin(y[:, 0], y[:, 1]), y[:, 2]) <= h)
             & (h <= np.fmax(np.fmax(y[:, 0], y[:, 1]), y[:, 2])))

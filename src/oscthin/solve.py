@@ -65,8 +65,11 @@ class SolveOptions:
     linear_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.residual_tol <= 0.0 or self.linear_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+        for name in ("residual_tol", "linear_tol"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:
+                raise ValueError(
+                    f"{name} must be positive and finite, got {value!r}")
         if self.max_newton < 1:
             raise ValueError("max_newton must be at least 1")
         if not 0.0 < self.ls_backtrack < 1.0:
@@ -75,8 +78,12 @@ class SolveOptions:
             raise ValueError("sufficient-decrease constant must lie in (0, 1/2)")
         if not self.continuation_deltas:
             raise ValueError("continuation_deltas must not be empty")
-        object.__setattr__(self, "continuation_deltas",
-                           tuple(float(d) for d in self.continuation_deltas))
+        deltas = tuple(float(d) for d in self.continuation_deltas)
+        for d in deltas:
+            if not 0.0 <= d < np.inf:
+                raise ValueError("continuation_deltas must be finite and "
+                                 f"nonnegative, got {d!r}")
+        object.__setattr__(self, "continuation_deltas", deltas)
 
     @property
     def final_delta(self):
@@ -103,24 +110,30 @@ class Reduction:
     """The periodic fold between the full and the reduced DOF spaces as a
     node map: index[i] is node i's reduced index, each follower (second
     column of periodic_pairs) taking its leader's and the leaders numbered
-    in node order.  expand gathers through it and reduce_vector sums over
-    it (both return their argument without pairs); problem points fold
-    their jacobian by it, and key (None when nothing folds) names it."""
+    in node order; keep marks the leaders.  problem points fold their
+    jacobian by it, and key (None when nothing folds) names it.
+
+    Without pairs nothing folds and no node map is built (no keep or
+    index): expand and reduce_vector return their argument and restrict
+    copies it."""
 
     def __init__(self, n, constraints):
-        leader, pairs = np.arange(n), constraints.periodic_pairs
-        if pairs is not None and len(pairs):
-            pairs = np.asarray(pairs, dtype=np.int64)
-            leaders, followers = pairs[:, 0], pairs[:, 1]
-            if len(np.unique(followers)) != len(followers):
-                raise ValueError("a node follows two different leaders")
-            if np.intersect1d(leaders, followers).size:
-                raise ValueError("constraint pairs form a chain (not acyclic)")
-            leader[followers] = leaders
+        pairs = constraints.periodic_pairs
+        self.folded = pairs is not None and len(pairs) > 0
+        self.n_reduced = n
+        if not self.folded:
+            return
+        pairs = np.asarray(pairs, dtype=np.int64)
+        leaders, followers = pairs[:, 0], pairs[:, 1]
+        if len(np.unique(followers)) != len(followers):
+            raise ValueError("a node follows two different leaders")
+        if np.intersect1d(leaders, followers).size:
+            raise ValueError("constraint pairs form a chain (not acyclic)")
+        leader = np.arange(n)
+        leader[followers] = leaders
         self.keep = leader == np.arange(n)
         self.index = (np.cumsum(self.keep) - 1)[leader]
         self.n_reduced = int(self.keep.sum())
-        self.folded = self.n_reduced < n
 
     @property
     def key(self):
@@ -138,8 +151,10 @@ class Reduction:
         return u[self.index] if self.folded else u
 
     def restrict(self, u):
-        """Reduced coordinates of a full field that satisfies the constraints."""
-        return np.asarray(u)[self.keep]
+        """Reduced coordinates of a full field that satisfies the
+        constraints, always a copy."""
+        u = np.asarray(u)
+        return u[self.keep] if self.folded else u.copy()
 
 
 class Band:
@@ -315,9 +330,11 @@ def newton_solve(problem, init, constraints, opts=None):
     u = np.asarray(init, dtype=float)       # read only: restrict copies
     red = Reduction(len(u), constraints)
     u_red = red.restrict(u)
-    gap = np.abs(red.expand(u_red) - u).max(initial=0.0)
-    if gap > 1e-10 * (1.0 + np.abs(u).max(initial=0.0)):
-        raise ValueError(f"initial field violates periodicity by {gap:.3e}")
+    if red.folded:
+        gap = np.abs(red.expand(u_red) - u).max(initial=0.0)
+        if gap > 1e-10 * (1.0 + np.abs(u).max(initial=0.0)):
+            raise ValueError(f"initial field violates periodicity by {gap:.3e}")
+    del init, u         # the solve holds only its reduced copy
     diagnostics = NewtonDiagnostics()
 
     w = constraints.mean_weights

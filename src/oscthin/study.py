@@ -132,6 +132,9 @@ class StudyConfig:
         eps = tuple(float(_number("epsilons", e)) for e in self.epsilons)
         if not eps:
             raise ValueError("the oscillation ladder must not be empty")
+        for key, value in (("p", self.p), *(("epsilons", e) for e in eps)):
+            if not np.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("the oscillation ladder must be strictly decreasing")
         levels = tuple(self.partition_levels)

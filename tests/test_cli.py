@@ -148,6 +148,15 @@ class TestParseConfig:
          "unknown config key 'max_newtons' in solver"),
         ({"load": {"kind": "constant", "value": True}},
          "load value must be a number, got True"),
+        # 1e309 overflows to inf, in the config file as here
+        ({"solver": {"residual_tol": 1e309}},
+         "residual_tol must be positive and finite, got inf"),
+        ({"solver": {"linear_tol": 1e309}},
+         "linear_tol must be positive and finite, got inf"),
+        ({"solver": {"continuation_deltas": [1e-2, 1e309]}},
+         "continuation_deltas must be finite and nonnegative, got inf"),
+        ({"p": 1e309}, "p must be finite, got inf"),
+        ({"epsilons": [1e309]}, "epsilons must be finite, got inf"),
     ], ids=["nx_per_period", "ny", "limit_elements", "flux_stations_0",
             "flux_stations_negative", "limit_elements_float", "ny_string",
             "flux_stations_float", "cell_nx_bool", "cell_ny_float",
@@ -155,7 +164,8 @@ class TestParseConfig:
             "level_string", "p_string", "eps_string", "eps_bool",
             "period_string", "cos_coeff_string", "max_halvings_float",
             "max_newton_float", "residual_tol_bool", "deltas_string",
-            "solver_typo", "load_value_bool"])
+            "solver_typo", "load_value_bool", "residual_tol_inf",
+            "linear_tol_inf", "delta_inf", "p_inf", "eps_inf"])
     @pytest.mark.parametrize("command", ["study", "solve-eps", "cell"])
     def test_bad_size_is_config_error(self, tmp_path, capsys, monkeypatch,
                                       overrides, message, command):
@@ -171,6 +181,24 @@ class TestParseConfig:
                      str(tmp_path / "out")]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--p", "p must be finite, got inf"),
+        ("--eps", "epsilons must be finite, got inf")], ids=["p", "eps"])
+    @pytest.mark.parametrize("command", ["study", "solve-eps", "cell"])
+    def test_non_finite_override_is_config_error(self, tmp_path, capsys,
+                                                 monkeypatch, flag, message,
+                                                 command):
+        """An override of inf on the command line is refused like one in
+        the config file."""
+        def no_cell(config):
+            raise AssertionError("the cell was solved")
+
+        monkeypatch.setattr(study, "solve_config_cell", no_cell)
+        path = write_config(tmp_path / "cfg.json")
+        assert main([command, "--config", path, flag, "inf", "--out",
+                     str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.parametrize("k", ["a", 1.5, 2.0, True, None])
     def test_non_integer_load_k_rejected(self, tmp_path, capsys, k):

@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -168,6 +169,18 @@ class TestThinMesh:
         with pytest.raises(ValueError):
             build_thin_mesh(reference_profile, 1.5, 8, 4)
 
+    def test_mesh_retains_only_its_grid(self, reference_profile):
+        """Building a thin mesh keeps its column grid and node map and
+        nothing per triangle: at most 16 bytes a node stay allocated."""
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            mesh = build_thin_mesh(reference_profile, 1.0 / 32, 32, 16)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained <= 16 * mesh.num_nodes
+
     def test_node_count_grows_linearly(self, reference_profile):
         n_at = {m: build_thin_mesh(reference_profile, 1.0 / m, 4, 4).num_nodes
                 for m in (2, 4)}
@@ -335,13 +348,18 @@ def test_mesh_round_trip_keeps_column_grid(tmp_path, reference_profile, kind):
                           locate_points(mesh, points))
 
 
-@pytest.mark.parametrize("kind", ["cell", "thin"])
+@pytest.mark.parametrize("kind", ["cell", "thin", "sin"])
 def test_grid_nodes_place_each_node(tmp_path, reference_profile, kind):
     """The grid node map puts node (i, j) at column i, row j, on a built
     mesh and on its copy read back from disk, and the triangles are
-    grid_triangles of it."""
-    mesh = (build_cell_mesh(reference_profile, 16, 4) if kind == "cell"
-            else build_thin_mesh(reference_profile, 0.25, 8, 4))
+    grid_triangles of it.  Both derived arrays are read-only and sized by
+    num_nodes and num_triangles; the nodes are built once, the triangles
+    on each read."""
+    sloped = ProfileSpec(period=0.5, mean=1.0, cos_coeffs=(0.1,),
+                         sin_coeffs=(0.3, -0.05))
+    mesh = {"cell": lambda: build_cell_mesh(reference_profile, 16, 4),
+            "thin": lambda: build_thin_mesh(reference_profile, 0.25, 8, 4),
+            "sin": lambda: build_thin_mesh(sloped, 0.5, 6, 3)}[kind]()
     write_mesh(mesh, tmp_path / "mesh.txt")
     rows = np.arange(mesh.grid_rows + 1) / mesh.grid_rows
     for m in (mesh, read_mesh(tmp_path / "mesh.txt")):
@@ -351,18 +369,25 @@ def test_grid_nodes_place_each_node(tmp_path, reference_profile, kind):
         x, y = m.nodes[node].transpose(2, 0, 1)
         assert np.array_equal(x, np.broadcast_to(mesh.grid_x[:, None], x.shape))
         assert np.array_equal(y, mesh.grid_heights[:, None] * rows)
+        assert m.nodes.shape == (m.num_nodes, 2)
+        assert m.triangles.shape == (m.num_triangles, 3)
+        assert m.nodes is m.nodes and m.triangles is not m.triangles
+        for derived in (m.nodes, m.triangles):
+            assert not derived.flags.writeable
 
 
 @pytest.mark.parametrize("change, message", [
     ("swap", "triangles differ"), ("rotate", "triangles differ"),
-    ("no_grid", "at least two columns"), ("columns", "nodes differ")],
-    ids=["swap", "rotate", "no_grid", "columns"])
+    ("no_grid", "at least two columns"), ("columns", "nodes differ"),
+    ("nudge", "nodes differ")],
+    ids=["swap", "rotate", "no_grid", "columns", "nudge"])
 def test_mesh_off_the_grid_refused_at_read(tmp_path, reference_profile,
                                            change, message):
     """A mesh file with two triangles swapped, a triangle's vertices
-    rotated, no column grid (as a gridless mesh was written), or a cell
+    rotated, no column grid (as a gridless mesh was written), a cell
     numbered column by column (as cells were written before the ring
-    order) is refused when read, in one line naming the file."""
+    order) or one node off its column is refused when read, in one line
+    naming the file."""
     ring = build_cell_mesh(reference_profile, 8, 4)
     mesh = SimpleNamespace(**{name: getattr(ring, name) for name in (
         "domain_kind", "eps", "num_nodes", "nodes", "num_triangles",
@@ -376,6 +401,9 @@ def test_mesh_off_the_grid_refused_at_read(tmp_path, reference_profile,
     elif change == "no_grid":
         mesh.grid_x = mesh.grid_heights = np.empty(0)
         mesh.grid_rows = 0
+    elif change == "nudge":
+        mesh.nodes = ring.nodes.copy()
+        mesh.nodes[7, 1] *= 1.0 + 1e-15
     else:
         order = np.lexsort((ring.nodes[:, 1], ring.nodes[:, 0]))
         new = np.empty_like(order)

@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -6,8 +7,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from oscthin import (ConstraintSet, Limit1DProblem, SolveOptions,
-                     build_cell_mesh, build_thin_mesh, fem, solve)
+                     build_cell_mesh, build_thin_mesh, fem, geometry, solve)
 from oscthin.fem import FluxParams, assemble_jacobian, element_gradients
+from oscthin.geometry import Mesh, grid_triangles
 from oscthin.homogenize import _CellFunctional, cell_constraints, solve_cell
 from oscthin.limit1d import _LimitFunctional
 from oscthin.solve import (IndefiniteSystemError, LinearSolveError,
@@ -402,9 +404,22 @@ class TestConstraints:
         red = Reduction(7, ConstraintSet())
         u = np.arange(7.0)
         assert np.array_equal(red.expand(red.restrict(u)), u)
-        assert red.n_reduced == 7
+        assert red.restrict(u) is not u
+        assert red.n_reduced == 7 and not red.folded and red.key is None
         assert red.expand(u) is u
         assert red.reduce_vector(u) is u
+
+    def test_no_constraints_build_no_node_map(self):
+        """Without pairs nothing of the solve's length is allocated."""
+        n = 10 ** 6
+        tracemalloc.start()
+        try:
+            red = Reduction(n, ConstraintSet())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n
+        assert not hasattr(red, "keep") and not hasattr(red, "index")
 
     def test_apply_constraints_folds_system(self):
         a = sp.identity(4, format="csr")
@@ -471,6 +486,27 @@ class TestNewton:
         u2, _ = newton_solve(functional, init, ConstraintSet(), opts)
         gs = element_gradients(mesh, u1 - u2, mesh.eps)
         assert error_corrector(mesh, gs, np.zeros(2), 3.0) < 1e-6
+
+    def test_thin_solve_builds_no_mesh_arrays(self, reference_profile,
+                                              monkeypatch):
+        """A thin solve reads the column grid only: it makes no triangle
+        table and never builds the node coordinates."""
+        mesh = build_thin_mesh(reference_profile, 1.0 / 32, 32, 16)
+        calls, build_nodes = [], Mesh.__dict__["nodes"].func
+
+        def counted(node):
+            calls.append("grid_triangles")
+            return grid_triangles(node)
+
+        def nodes(mesh):
+            calls.append("nodes")
+            return build_nodes(mesh)
+
+        monkeypatch.setattr(geometry, "grid_triangles", counted)
+        monkeypatch.setattr(Mesh, "nodes", property(nodes))
+        _, diag = solve_thin(mesh, 3.0, LoadSpec(kind="cos_pi"))
+        assert diag.total_iterations > 0
+        assert calls == []
 
     def test_max_newton_exceeded_raises(self, medium_cell_mesh):
         opts = SolveOptions(max_newton=2, continuation_deltas=(1e-8,))
@@ -553,7 +589,7 @@ class TestNewton:
         """A point is dropped once its jacobian is built, a rejected trial
         before the next trial and a stage's last point before the next
         stage: no point is alive while another is built or while the
-        linear system is solved."""
+        linear system is solved, nor is the start field."""
         mesh = build_thin_mesh(reference_profile, 0.25, 8, 8)
         functional = _ThinFunctional(mesh, 3.0, LoadSpec(kind="cos_pi"))
         refs, alive_at_solve = [], []
@@ -563,7 +599,7 @@ class TestNewton:
 
         class Tracked:
             def point(self, u, delta):
-                assert alive() == 0
+                assert alive() == 0 and start() is None
                 point = functional.point(u, delta)
                 refs.append(weakref.ref(point))
                 return point
@@ -575,8 +611,11 @@ class TestNewton:
             return real_solve(a, b, tol)
 
         monkeypatch.setattr(solve, "linear_solve", counting)
-        _, diag = newton_solve(Tracked(), np.zeros(mesh.num_nodes),
-                               ConstraintSet(), SolveOptions())
+        # the solve keeps its own copy of the start, not the caller's array
+        starts = [np.zeros(mesh.num_nodes)]
+        start = weakref.ref(starts[0])
+        _, diag = newton_solve(Tracked(), starts.pop(), ConstraintSet(),
+                               SolveOptions())
         assert alive_at_solve == [0] * diag.total_iterations
         steps = [t for stage in diag.stages for t in stage.step_lengths]
         assert min(steps) < 1.0              # a trial was rejected
