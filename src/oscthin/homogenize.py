@@ -184,7 +184,7 @@ def flux_density_height_integral(cell, grad_value, n_levels=4096):
     """Midpoint-rule integral over heights of the first flux component
     (the fiber averages do not depend on grad_value: pass an array of
     values, and one operator serves them all)."""
-    top = float(cell.mesh.nodes[:, 1].max())
+    top = float(cell.mesh.grid_heights.max())
     levels = (np.arange(n_levels) + 0.5) * (top / n_levels)
     fiber = geometry.fiber_matrix(cell.mesh, axis=1, values=levels)
     fiber_sum = float((fiber @ cell.flux[:, 0]).sum()) / cell.mesh.width

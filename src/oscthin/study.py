@@ -319,54 +319,48 @@ def cell_response(cell, mesh):
     """Cell response (1, 0) + grad(phi) at the periodically wrapped
     barycenter of each thin-mesh triangle, (T, 2), its height clamped to
     the cell's top (a coarse column's top barycenter can lie above the finer
-    cell polyline where the profile is convex).  It does not depend on the
-    partition, so one lookup serves every level."""
-    bary = mesh.barycenters
-    x = np.mod(bary[:, 0] / mesh.eps, cell.mesh.width)
+    cell polyline where the profile is convex), abscissa and top per column
+    half.  It does not depend on the partition: one lookup serves every level."""
+    x = np.mod(mesh.barycenter_abscissae() / mesh.eps, cell.mesh.width)
     top = np.interp(x, cell.mesh.grid_x, cell.mesh.grid_heights)
-    tri = geometry.locate_points(
-        cell.mesh, np.column_stack([x, np.minimum(bary[:, 1], top)]))
-    gphi = fem.element_gradients(cell.mesh, cell.phi)[tri]
-    return gphi + np.array([1.0, 0.0])
+    tri = geometry.locate_points(cell.mesh, np.column_stack(
+        [mesh.per_triangle(x), np.minimum(mesh.barycenter_heights(),
+                                          mesh.per_triangle(top))]))
+    return fem.element_gradients(cell.mesh, cell.phi)[tri] + np.array([1.0, 0.0])
 
 
 def corrector_field(du0, part, mesh, response):
     """Two-scale corrector gradient per thin-mesh triangle: the partition
-    average of the limit derivative at its barycenter times its cell
-    response (see cell_response)."""
+    average of the limit derivative at its barycenter (per column half)
+    times its cell response (see cell_response)."""
     coeffs = partition_average(du0, part)
     cell_idx = np.clip(
-        np.searchsorted(part.edges, mesh.barycenters[:, 0], side="right")
+        np.searchsorted(part.edges, mesh.barycenter_abscissae(), side="right")
         - 1, 0, len(part) - 1)
-    return coeffs[cell_idx][:, None] * response
+    return mesh.per_triangle(coeffs[cell_idx])[:, None] * response
 
 
 def error_u(mesh, u_eps, u0, p):
     """L^p distance between the thin solution and the limit solution,
     interpolated onto the thin mesh through the first coordinate."""
     grid = np.linspace(0.0, 1.0, len(u0))
-    u0_nodes = np.interp(mesh.nodes[:, 0], grid, np.asarray(u0, dtype=float))
+    u0_nodes = np.empty(mesh.num_nodes)
+    u0_nodes[mesh.grid_nodes] = np.interp(mesh.grid_x, grid, u0)[:, None]
     return fem.lp_norm(mesh, np.asarray(u_eps) - u0_nodes, p)
 
 
-def thin_gradient(mesh, u_eps):
-    """Scaled gradient (d1, d2/eps) of a thin-mesh field, (T, 2)."""
-    return fem.element_gradients(mesh, u_eps, mesh.eps)
-
-
 def error_corrector(mesh, gs, c_field, p):
-    """L^p distance between the scaled thin gradient gs (thin_gradient) and
-    a per-triangle field."""
+    """L^p distance between the scaled thin gradient gs (element_gradients
+    at eps_weight mesh.eps) and a per-triangle field."""
     diff = gs - np.asarray(c_field, dtype=float)
     mag = np.sqrt((diff * diff).sum(axis=1))
     return float((mesh.areas * mag ** p).sum() ** (1.0 / p))
 
 
 def naive_gradient_field(du0, mesh):
-    """The no-oscillation comparison field (du0(x1), 0) per triangle."""
+    """The no-oscillation field (du0(x1), 0) per triangle, by column half."""
     grid = np.linspace(0.0, 1.0, len(du0))
-    bary = mesh.barycenters
-    vals = np.interp(bary[:, 0], grid, np.asarray(du0, dtype=float))
+    vals = mesh.per_triangle(np.interp(mesh.barycenter_abscissae(), grid, du0))
     return np.column_stack([vals, np.zeros_like(vals)])
 
 
@@ -381,7 +375,7 @@ def flux_profile(mesh, u_eps, p, eps, n1, gs=None):
     Integrates |grad_eps u|^(p-2) grad_eps u . (1,0) over each vertical
     fiber of the thin mesh; outside the domain the integrand extends by
     zero, which the fiber operator realizes automatically.  gs is the
-    scaled gradient of u_eps if the caller holds it (thin_gradient).
+    scaled gradient of u_eps if the caller holds it.
     """
     params = fem.FluxParams(p=p, delta=0.0, eps_weight=eps)
     if gs is None:
@@ -441,7 +435,7 @@ def _study_rows_for_eps(config, cell, eps):
     mesh, u_eps, diag, u0, du0 = solve_eps(config, cell, eps)
 
     e_u = error_u(mesh, u_eps, u0, config.p)
-    gs = thin_gradient(mesh, u_eps)
+    gs = fem.element_gradients(mesh, u_eps, mesh.eps)
     e_naive = error_corrector(mesh, gs, naive_gradient_field(du0, mesh),
                               config.p)
 

@@ -280,6 +280,11 @@ def coo_jacobian(mesh, u, params, include_mass=True):
         shape=(n, n)).tocsr()
 
 
+def barycenters(mesh):
+    """Triangle barycenters (T, 2): the mean of each triangle's nodes."""
+    return mesh.nodes[mesh.triangles].mean(axis=1)
+
+
 def containing_triangles(mesh, points, tol=1e-9):
     """(P, T) boolean: point k lies in triangle t, by its barycentric
     coordinates in every triangle of the mesh, each at least -tol."""
@@ -413,7 +418,7 @@ def corrector_field(cell, du0, part, eps, mesh):
     partition: the wrapped barycenters, the point location and the cell
     gradients, per call."""
     coeffs = study.partition_average(du0, part)
-    bary = mesh.nodes[mesh.triangles].mean(axis=1)
+    bary = barycenters(mesh)
     cell_idx = np.clip(
         np.searchsorted(part.edges, bary[:, 0], side="right") - 1,
         0, len(part) - 1)

@@ -280,8 +280,9 @@ class TestLocatePoints:
         contains them by the brute-force search."""
         cell = build_cell_mesh(reference_profile, 32, 8)
         thin = build_thin_mesh(reference_profile, 1.0 / 16, 16, 8)
-        bary = thin.barycenters
-        pts = np.column_stack([np.mod(bary[:, 0] / thin.eps, 1.0), bary[:, 1]])
+        x = thin.per_triangle(thin.barycenter_abscissae())
+        pts = np.column_stack([np.mod(x / thin.eps, 1.0),
+                               thin.barycenter_heights()])
         inside = oracles.containing_triangles(cell, pts)
         tri = locate_points(cell, pts)
         assert np.all(inside[np.arange(len(pts)), tri])
@@ -343,9 +344,23 @@ def test_mesh_round_trip_keeps_column_grid(tmp_path, reference_profile, kind):
         diff = fiber_matrix(back, axis, values) - fiber_matrix(mesh, axis,
                                                                 values)
         assert diff.count_nonzero() == 0
-    points = mesh.barycenters
+    points = oracles.barycenters(mesh)
     assert np.array_equal(locate_points(back, points),
                           locate_points(mesh, points))
+
+
+@pytest.mark.parametrize("kind", ["cell", "thin"])
+def test_closed_form_barycenters_match_oracle(reference_profile, kind):
+    """The per-column barycenter abscissae spread to the triangles and the
+    barycenter heights equal the mean of each triangle's nodes bit for
+    bit."""
+    mesh = (build_cell_mesh(reference_profile, 32, 8) if kind == "cell"
+            else build_thin_mesh(reference_profile, 1.0 / 16, 16, 8))
+    bary = oracles.barycenters(mesh)
+    assert mesh.barycenter_abscissae().shape == (len(mesh.grid_x) - 1, 2)
+    assert np.array_equal(mesh.per_triangle(mesh.barycenter_abscissae()),
+                          bary[:, 0])
+    assert np.array_equal(mesh.barycenter_heights(), bary[:, 1])
 
 
 @pytest.mark.parametrize("kind", ["cell", "thin", "sin"])

@@ -16,8 +16,7 @@ from oscthin.study import (LoadSpec, PartitionSpec, box_smooth, cell_response,
                            flux_profile, flux_stations, flux_target,
                            partition_average, read_report_csv,
                            read_report_json, run_study, solve_config_cell,
-                           solve_thin, thin_gradient, write_report_csv,
-                           write_report_json)
+                           solve_thin, write_report_csv, write_report_json)
 
 import oracles
 
@@ -138,6 +137,32 @@ class TestCorrector:
         rows = study._study_rows_for_eps(config, cell, 0.25)
         assert len(rows) == 3 and calls == ["cell"]
 
+    def test_study_reads_only_the_thin_column_grid(self, reference_profile,
+                                                   monkeypatch):
+        """A ladder entry measures everything from the thin mesh's column
+        grid: it never builds the thin mesh's nodes or triangles."""
+        reads = []
+
+        def recording(name):
+            original = vars(geometry.Mesh)[name]
+
+            def read(mesh):
+                reads.append((name, mesh.domain_kind))
+                return original.__get__(mesh, geometry.Mesh)
+            return property(read)
+
+        config = tiny_config(reference_profile, LoadSpec(kind="cos_pi"),
+                             levels=(2, 4))
+        cell = solve_config_cell(config)
+        for name in ("nodes", "triangles"):
+            monkeypatch.setattr(geometry.Mesh, name, recording(name))
+        rows = study._study_rows_for_eps(config, cell, 0.25)
+        assert all(row.status == "ok" for row in rows)
+        assert not [read for read in reads if read[1] == "thin"]
+        # the recorder sees a read where there is one
+        build_thin_mesh(reference_profile, 0.25, 8, 4).triangles
+        assert reads[-1] == ("triangles", "thin")
+
 
 class TestErrors:
     def test_error_u_constant_offset(self, flat_profile):
@@ -173,7 +198,8 @@ class TestErrors:
         du0 = nodal_derivative(u0)
         part = PartitionSpec.dyadic(3, 1.0)
         c = corrector_field(du0, part, mesh, cell_response(cell, mesh))
-        err = error_corrector(mesh, thin_gradient(mesh, u_eps), c, 2.0)
+        err = error_corrector(mesh, element_gradients(mesh, u_eps, eps), c,
+                              2.0)
 
         # independent route: dense thin solve, dense limit solve, the flat
         # corrector is (partition-averaged du0, 0)
@@ -182,8 +208,9 @@ class TestErrors:
         u0_oracle = oracles.linear_limit_solve(1.0, forcing)
         du_oracle = nodal_derivative(u0_oracle)
         avg = partition_average(du_oracle, part)
-        idx = np.clip(np.searchsorted(part.edges, mesh.barycenters[:, 0],
-                                      side="right") - 1, 0, len(part) - 1)
+        bary_x = oracles.barycenters(mesh)[:, 0]
+        idx = np.clip(np.searchsorted(part.edges, bary_x, side="right") - 1,
+                      0, len(part) - 1)
         grads = element_gradients(mesh, u_oracle)
         grads[:, 1] /= eps
         diff = grads - np.column_stack([avg[idx], np.zeros(len(idx))])
