@@ -23,7 +23,6 @@ its grid differences by broadcasting (Point).
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import solve
 
@@ -405,40 +404,6 @@ class Point:
         del diag
         np.add.at(rows, where[n:], off)
         return solve.Band(rows.reshape(len(offsets), m), offsets)
-
-
-def assemble_energy(mesh, u, params, load=None, include_mass=True):
-    """Convex energy whose Euler-Lagrange system is the weighted p-Laplace
-    problem:  int (1/p)(d^2+|grad_w u|^2)^(p/2) [+ (1/p)(d^2+u^2)^(p/2) - f u].
-    """
-    b = None if load is None else load_vector(mesh, load)
-    return Point(mesh, u, params, include_mass, b).energy()
-
-
-def assemble_residual(mesh, u, params, load=None, include_mass=True):
-    """Gradient of the discrete energy: one entry per nodal hat function.
-
-    A field solves the discrete Neumann problem iff this vanishes; the
-    boundary condition is natural so no boundary terms appear.
-    """
-    b = None if load is None else load_vector(mesh, load)
-    return Point(mesh, u, params, include_mass, b).residual()
-
-
-def assemble_jacobian(mesh, u, params, include_mass=True):
-    """Derivative of the residual; sparse symmetric positive semidefinite.
-
-    The CSR form of Point.jacobian's band in node order, over the full
-    coupling pattern (entries that happen to vanish included); the Newton
-    solves take the band itself.
-    """
-    point = Point(mesh, u, params, include_mass)
-    offsets, m, where = point.plan.band()
-    # in node order every stencil entry has a position of its own
-    d, j = offsets[where // m], where % m
-    values, off = point.jacobian().rows.ravel()[where], d > 0
-    return sp.csr_matrix((np.r_[values, values[off]], (np.r_[j + d, j[off]],
-                          np.r_[j, (j + d)[off]])), shape=(m, m))
 
 
 def lp_norm(mesh, u, p):

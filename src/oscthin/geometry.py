@@ -108,8 +108,9 @@ class Mesh:
 
     Nothing per node or triangle is stored: nodes (n, 2) is built on first
     read, triangles (t, 3) (grid_triangles, positively oriented) on every
-    read, and boundary_edges (tag -> (m, 2) int array, tags
-    lower/upper/left/right) is cached.  Every array is read-only.
+    read; boundary_edges (tag -> (m, 2) int array, tags
+    lower/upper/left/right) and the areas are cached.  Every array is
+    read-only.
 
     Node (i, j) has index slot[i]*(ny+1) + j.  Thin meshes keep column
     order (slot[i] = i, jacobian half-bandwidth ny + 2).  Cell meshes
@@ -199,12 +200,15 @@ class Mesh:
     def boundary_edges(self):
         """Boundary edges by tag, each oriented with the domain on its left."""
         node, ny = self.grid_nodes, self.grid_rows
-        return {
+        edges = {
             "lower": np.column_stack([node[:-1, 0], node[1:, 0]]),
             "upper": np.column_stack([node[1:, ny], node[:-1, ny]]),
             "left": np.column_stack([node[0, 1:], node[0, :-1]]),
             "right": np.column_stack([node[-1, :-1], node[-1, 1:]]),
         }
+        for arr in edges.values():
+            arr.flags.writeable = False
+        return edges
 
     @cached_property
     def column_areas(self):
@@ -224,7 +228,9 @@ class Mesh:
     @cached_property
     def areas(self):
         """Triangle areas (T,) from column_areas, positive by orientation."""
-        return self.per_triangle(self.column_areas.T)
+        areas = self.per_triangle(self.column_areas.T)
+        areas.flags.writeable = False
+        return areas
 
     def barycenter_abscissae(self):
         """Barycenter abscissa of each column's lower (ll, lr, ur) and upper
@@ -238,19 +244,6 @@ class Mesh:
         the same vertex sums over the node heights of grid_coordinates."""
         ll, lr, ur, ul = quad_corners(self.grid_coordinates()[1].T)
         return np.stack([ll + lr + ur, ll + ur + ul], axis=-1).ravel() / 3.0
-
-    @cached_property
-    def node_weights(self):
-        """Lumped P1 masses: integral of each nodal hat function (exact)."""
-        w = np.zeros(self.num_nodes)
-        third, triangles = self.areas / 3.0, self.triangles
-        for k in range(3):
-            np.add.at(w, triangles[:, k], third)
-        return w
-
-    def weighted_mean(self, u):
-        """Mesh-weighted mean of a nodal field (exact for P1 interpolants)."""
-        return float(self.node_weights @ np.asarray(u)) / float(self.areas.sum())
 
 
 def quad_corners(g):

@@ -50,14 +50,9 @@ class CellSolution:
     diagnostics: solve.NewtonDiagnostics
 
     @cached_property
-    def total_field(self):
-        """Nodal values of v = y1 + phi."""
-        return self.mesh.nodes[:, 0] + self.phi
-
-    @cached_property
     def gradients(self):
-        """Per-triangle gradients of v (constant on each triangle)."""
-        return fem.element_gradients(self.mesh, self.total_field)
+        """Per-triangle gradients of v = y1 + phi (constant on each one)."""
+        return fem.element_gradients(self.mesh, _abscissae(self.mesh) + self.phi)
 
     @cached_property
     def flux(self):
@@ -71,7 +66,7 @@ class _CellFunctional:
     def __init__(self, mesh, p):
         self.mesh = mesh
         self.p = p
-        self.base = mesh.nodes[:, 0].copy()
+        self.base = _abscissae(mesh)
 
     def point(self, phi, delta):
         return fem.Point(self.mesh, self.base + phi,
@@ -79,14 +74,23 @@ class _CellFunctional:
                          include_mass=False)
 
 
+def _abscissae(mesh):
+    """y1 at every node, scattered from grid_x through grid_nodes."""
+    y1 = np.empty(mesh.num_nodes)
+    y1[mesh.grid_nodes] = mesh.grid_x[:, None]
+    return y1
+
+
 def cell_constraints(mesh):
     """Periodic identification plus the zero-mean normalization.  The cell
     energy is shift invariant, so each Newton step solves its jacobian,
     grounded at one node to make it definite, for the residual's part off
     the constants and shifts the step onto the mean-zero hyperplane; the
-    post-shift only mops up roundoff."""
+    post-shift only mops up roundoff.  The mean weights are the load vector
+    of f = 1, the hat functions' integrals (its rule is exact for P1)."""
+    ones = np.ones(mesh.num_nodes)
     return solve.ConstraintSet(periodic_pairs=mesh.periodic_pairs,
-                               mean_weights=mesh.node_weights)
+                               mean_weights=fem.load_vector(mesh, ones))
 
 
 def solve_cell(mesh, p, opts=None):
@@ -125,7 +129,7 @@ def solve_cell(mesh, p, opts=None):
         phi = newton(p, np.zeros(mesh.num_nodes), opts.continuation_deltas)
 
     measure = geometry.mesh_area(mesh)
-    mean = mesh.weighted_mean(phi)
+    mean = float(constraints.mean_weights @ phi) / measure
     if abs(mean) > 1e-10:
         raise UnconvergedCellError(
             f"cell perturbation has nonzero mean {mean:.3e}")
@@ -138,7 +142,7 @@ def solve_cell(mesh, p, opts=None):
         raise UnconvergedCellError(
             f"effective coefficient not positive: flux={cell.coeff_flux!r} "
             f"energy={cell.coeff_energy!r}")
-    effective_coefficient(cell)   # formula disagreement flags a bad solve
+    _agreed(cell.coeff_flux, cell.coeff_energy)
     return cell
 
 
@@ -150,15 +154,19 @@ def _coefficient_pair(cell):
     return float(flux / cell.cell_measure), float(energy / cell.cell_measure)
 
 
-def effective_coefficient(cell):
-    """Effective coefficient of the 1-D limit problem (flux form); both
-    discretizations disagreeing beyond COEFF_FAILURE flags an unconverged
-    cell solve and raises."""
-    flux, energy = _coefficient_pair(cell)
+def _agreed(flux, energy):
+    """flux, unless the formulas disagree beyond COEFF_FAILURE: a bad solve."""
     if abs(flux - energy) > COEFF_FAILURE * abs(energy):
         raise UnconvergedCellError(
             f"coefficient formulas disagree: flux={flux!r} energy={energy!r}")
     return flux
+
+
+def effective_coefficient(cell):
+    """Effective coefficient of the 1-D limit problem (flux form); both
+    discretizations disagreeing beyond COEFF_FAILURE flags an unconverged
+    cell solve and raises."""
+    return _agreed(*_coefficient_pair(cell))
 
 
 def measure_identity_check(spec, n_levels=4096, n_samples=16384):

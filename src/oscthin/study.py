@@ -14,6 +14,7 @@ against dual functions.
 
 import csv
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -149,6 +150,16 @@ class StudyConfig:
                 *(("partition_levels", level, 0) for level in levels)):
             if _number(key, value, integer=True) < least:
                 raise ValueError(f"{key} must be at least {least}, got {value}")
+        # no partition cell narrower than a column half of the finest thin
+        # mesh: 2^level/period cells against 2 nx_per_period/(eps period)
+        if min(eps) > 0.0:
+            most = math.floor(
+                math.log2(2 * self.thin_nx_per_period / min(eps)) + 1e-9)
+            if max(levels) > most:
+                raise ValueError(
+                    f"partition_levels must be at most {most} (cells no "
+                    "narrower than a column half of the finest thin mesh), "
+                    f"got {max(levels)}")
         self.epsilons = eps
         self.partition_levels = levels
 

@@ -65,7 +65,7 @@ def linear_periodic_cell(mesh):
     z = sparse.csr_matrix((np.ones(n), (np.arange(n), pos[fold])),
                           shape=(n, len(keep)))
 
-    weights_red = z.T @ mesh.node_weights
+    weights_red = z.T @ lumped_masses(mesh)
     bordered = sparse.bmat([[z.T @ stiff @ z, weights_red[:, None]],
                             [weights_red[None, :], None]], format="csc")
     sol = sparse_linalg.spsolve(bordered, np.append(z.T @ rhs, 0.0))
@@ -280,6 +280,16 @@ def coo_jacobian(mesh, u, params, include_mass=True):
         shape=(n, n)).tocsr()
 
 
+def lumped_masses(mesh):
+    """Integral of each nodal hat function: a third of every triangle's
+    area added to each of its vertices."""
+    w = np.zeros(mesh.num_nodes)
+    third, triangles = mesh.areas / 3.0, mesh.triangles
+    for k in range(3):
+        np.add.at(w, triangles[:, k], third)
+    return w
+
+
 def barycenters(mesh):
     """Triangle barycenters (T, 2): the mean of each triangle's nodes."""
     return mesh.nodes[mesh.triangles].mean(axis=1)
@@ -367,6 +377,15 @@ def band(a):
     for k, d in enumerate(offsets):
         rows[k, :n - d] = a.diagonal(-d)
     return solve.Band(rows, offsets)
+
+
+def band_matrix(a):
+    """The symmetric CSR matrix of a solve.Band: its stored diagonals
+    below the main one and their mirror images above it."""
+    n = a.rows.shape[1]
+    lower = sparse.diags([row[:n - d] for d, row in zip(a.offsets, a.rows)],
+                         [-int(d) for d in a.offsets], shape=(n, n))
+    return (lower + sparse.tril(lower, -1).T).tocsr()
 
 
 def limit_jacobian(prob, u, delta):

@@ -11,9 +11,8 @@ import pytest
 
 from oscthin import (Limit1DProblem, ProfileSpec, StudyConfig, build_cell_mesh,
                      build_thin_mesh, solve_cell)
-from oscthin.fem import (FluxParams, assemble_energy, assemble_jacobian,
-                         assemble_residual, p_flux, p_flux_inverse,
-                         p_flux_scalar)
+from oscthin.fem import (FluxParams, Point, load_vector, p_flux,
+                         p_flux_inverse, p_flux_scalar)
 from oscthin.homogenize import (flux_density_height_integral,
                                 measure_identity_check)
 from oscthin.limit1d import solve_homogenized
@@ -234,20 +233,20 @@ def test_criterion_11_discretization_consistency(reference_profile_):
         params = FluxParams(p=p, delta=delta)
         u = 1.0 + 0.3 * rng.normal(size=mesh.num_nodes)
         w = rng.normal(size=mesh.num_nodes)
-        load = 0.5 + 0.1 * rng.normal(size=mesh.num_nodes)
+        b = load_vector(mesh, 0.5 + 0.1 * rng.normal(size=mesh.num_nodes))
         h = 1e-5
-        directional = (assemble_energy(mesh, u + h * w, params, load)
-                       - assemble_energy(mesh, u - h * w, params, load)) / (2 * h)
-        exact = assemble_residual(mesh, u, params, load) @ w
+        energy = [Point(mesh, u + k * h * w, params, True, b).energy()
+                  for k in (1, -1)]
+        directional = (energy[0] - energy[1]) / (2 * h)
+        exact = Point(mesh, u, params, True, b).residual() @ w
         worst_res = max(worst_res,
                         abs(directional - exact) / max(abs(exact), 1.0))
         params_j = FluxParams(p=p, delta=max(delta, 1e-3))
-        jac = assemble_jacobian(mesh, u, params_j)
+        jac = Point(mesh, u, params_j).jacobian()
         h = 3e-4
-        fd = (-assemble_residual(mesh, u + 2 * h * w, params_j)
-              + 8.0 * assemble_residual(mesh, u + h * w, params_j)
-              - 8.0 * assemble_residual(mesh, u - h * w, params_j)
-              + assemble_residual(mesh, u - 2 * h * w, params_j)) / (12.0 * h)
+        res = [Point(mesh, u + k * h * w, params_j).residual()
+               for k in (2, 1, -1, -2)]
+        fd = (-res[0] + 8.0 * res[1] - 8.0 * res[2] + res[3]) / (12.0 * h)
         gap = np.linalg.norm(fd - jac @ w) / np.linalg.norm(jac @ w)
         worst_jac = max(worst_jac, float(gap))
 

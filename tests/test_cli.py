@@ -129,6 +129,12 @@ class TestParseConfig:
          "partition_levels must be an integer, got True"),
         ({"partition_levels": ["4"]},
          "partition_levels must be an integer, got '4'"),
+        ({"partition_levels": [2, 7]},
+         "partition_levels must be at most 6 (cells no narrower than a "
+         "column half of the finest thin mesh), got 7"),
+        ({"partition_levels": [40]},
+         "partition_levels must be at most 6 (cells no narrower than a "
+         "column half of the finest thin mesh), got 40"),
         ({"p": "3"}, "p must be a number, got '3'"),
         ({"epsilons": ["0.5", "0.25"]}, "epsilons must be a number, got '0.5'"),
         ({"epsilons": [True, 0.5]}, "epsilons must be a number, got True"),
@@ -161,9 +167,10 @@ class TestParseConfig:
             "flux_stations_negative", "limit_elements_float", "ny_string",
             "flux_stations_float", "cell_nx_bool", "cell_ny_float",
             "max_workers_0", "max_workers_null", "level_float", "level_bool",
-            "level_string", "p_string", "eps_string", "eps_bool",
-            "period_string", "cos_coeff_string", "max_halvings_float",
-            "max_newton_float", "residual_tol_bool", "deltas_string",
+            "level_string", "level_past_mesh", "level_huge", "p_string",
+            "eps_string", "eps_bool", "period_string", "cos_coeff_string",
+            "max_halvings_float", "max_newton_float", "residual_tol_bool",
+            "deltas_string",
             "solver_typo", "load_value_bool", "residual_tol_inf",
             "linear_tol_inf", "delta_inf", "p_inf", "eps_inf"])
     @pytest.mark.parametrize("command", ["study", "solve-eps", "cell"])

@@ -7,9 +7,8 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from oscthin import FluxParams, build_cell_mesh, build_thin_mesh, fem, geometry
-from oscthin.fem import (AssemblyError, assemble_energy, assemble_jacobian,
-                         assemble_residual, element_gradients,
-                         integrate_load_fibers, lp_norm, p_flux,
+from oscthin.fem import (AssemblyError, Point, element_gradients,
+                         integrate_load_fibers, load_vector, lp_norm, p_flux,
                          p_flux_inverse, p_flux_scalar)
 from oscthin.geometry import ProfileSpec, read_mesh, write_mesh
 from oscthin.homogenize import _CellFunctional, cell_constraints
@@ -135,23 +134,27 @@ class TestAssembly:
         mesh = small_cell_mesh
         params = FluxParams(p=p, delta=0.0)
         u = np.ones(mesh.num_nodes)
-        res = assemble_residual(mesh, u, params, load=lambda x, y: np.ones_like(x))
+        b = load_vector(mesh, lambda x, y: np.ones_like(x))
+        res = Point(mesh, u, params, True, b).residual()
         assert np.abs(res).max() < 1e-13
 
     def test_zero_solution_zero_load(self, small_cell_mesh):
         params = FluxParams(p=3.0, delta=0.0)
-        res = assemble_residual(small_cell_mesh, np.zeros(small_cell_mesh.num_nodes),
-                                params, load=lambda x, y: np.zeros_like(x))
+        mesh = small_cell_mesh
+        b = load_vector(mesh, lambda x, y: np.zeros_like(x))
+        res = Point(mesh, np.zeros(mesh.num_nodes), params, True, b).residual()
         assert np.abs(res).max() == 0.0
 
     def test_energy_of_zero_field(self, small_cell_mesh):
         params = FluxParams(p=3.0, delta=0.0)
-        e = assemble_energy(small_cell_mesh, np.zeros(small_cell_mesh.num_nodes), params)
+        e = Point(small_cell_mesh, np.zeros(small_cell_mesh.num_nodes),
+                  params).energy()
         assert e == 0.0
 
     def test_energy_of_unit_field_p2(self, unit_square_mesh):
         params = FluxParams(p=2.0, delta=0.0)
-        e = assemble_energy(unit_square_mesh, np.ones(unit_square_mesh.num_nodes), params)
+        e = Point(unit_square_mesh, np.ones(unit_square_mesh.num_nodes),
+                  params).energy()
         assert e == pytest.approx(0.5, abs=1e-13)
 
     @pytest.mark.parametrize("p,delta", [(1.5, 0.1), (2.0, 0.0), (3.0, 1e-2)])
@@ -161,12 +164,12 @@ class TestAssembly:
         rng = np.random.default_rng(5)
         u = 1.0 + 0.3 * rng.normal(size=mesh.num_nodes)
         w = rng.normal(size=mesh.num_nodes)
-        load = 0.5 + 0.1 * rng.normal(size=mesh.num_nodes)
+        b = load_vector(mesh, 0.5 + 0.1 * rng.normal(size=mesh.num_nodes))
         h = 1e-5
-        plus = assemble_energy(mesh, u + h * w, params, load)
-        minus = assemble_energy(mesh, u - h * w, params, load)
+        plus = Point(mesh, u + h * w, params, True, b).energy()
+        minus = Point(mesh, u - h * w, params, True, b).energy()
         directional = (plus - minus) / (2.0 * h)
-        exact = assemble_residual(mesh, u, params, load) @ w
+        exact = Point(mesh, u, params, True, b).residual() @ w
         assert abs(directional - exact) < 1e-6 * max(abs(exact), 1.0)
 
     @pytest.mark.parametrize("p,delta", [(1.5, 0.1), (2.0, 0.0), (3.0, 1e-2)])
@@ -176,43 +179,48 @@ class TestAssembly:
         rng = np.random.default_rng(6)
         u = 1.0 + 0.3 * rng.normal(size=mesh.num_nodes)
         w = rng.normal(size=mesh.num_nodes)
-        jac = assemble_jacobian(mesh, u, params)
+        jac = Point(mesh, u, params).jacobian()
         h = 3e-4
+        res = [Point(mesh, u + k * h * w, params).residual()
+               for k in (2, 1, -1, -2)]
         # five-point stencil, fourth order
-        fd = (-assemble_residual(mesh, u + 2 * h * w, params)
-              + 8.0 * assemble_residual(mesh, u + h * w, params)
-              - 8.0 * assemble_residual(mesh, u - h * w, params)
-              + assemble_residual(mesh, u - 2 * h * w, params)) / (12.0 * h)
+        fd = (-res[0] + 8.0 * res[1] - 8.0 * res[2] + res[3]) / (12.0 * h)
         exact = jac @ w
         assert np.linalg.norm(fd - exact) < 1e-5 * np.linalg.norm(exact)
 
     def test_jacobian_symmetric(self, small_cell_mesh):
+        """A band stores the lower half only, which holds because the full
+        jacobian (all nine blocks of every element) is symmetric; the
+        band's matrix is that jacobian."""
         rng = np.random.default_rng(7)
         u = rng.normal(size=small_cell_mesh.num_nodes)
-        jac = assemble_jacobian(small_cell_mesh, u, FluxParams(p=3.0, delta=1e-4))
-        gap = np.abs((jac - jac.T).toarray()).max()
-        assert gap < 1e-12
+        params = FluxParams(p=3.0, delta=1e-4)
+        full = oracles.coo_jacobian(small_cell_mesh, u, params).toarray()
+        assert np.abs(full - full.T).max() < 1e-12
+        jac = oracles.band_matrix(Point(small_cell_mesh, u, params).jacobian())
+        _assert_rel_close(jac.toarray(), full)
 
     def test_jacobian_independent_of_u_for_p2(self, small_cell_mesh):
         rng = np.random.default_rng(8)
         params = FluxParams(p=2.0, delta=0.0)
-        j1 = assemble_jacobian(small_cell_mesh, rng.normal(size=small_cell_mesh.num_nodes), params)
-        j2 = assemble_jacobian(small_cell_mesh, rng.normal(size=small_cell_mesh.num_nodes), params)
-        assert np.abs((j1 - j2).toarray()).max() < 1e-12
+        j1, j2 = (Point(small_cell_mesh,
+                        rng.normal(size=small_cell_mesh.num_nodes),
+                        params).jacobian().rows for _ in range(2))
+        assert np.abs(j1 - j2).max() < 1e-12
 
     def test_jacobian_rejects_singular_regime(self, small_cell_mesh):
         with pytest.raises(ValueError, match="delta"):
-            assemble_jacobian(small_cell_mesh, np.ones(small_cell_mesh.num_nodes),
-                              FluxParams(p=1.5, delta=0.0))
+            Point(small_cell_mesh, np.ones(small_cell_mesh.num_nodes),
+                  FluxParams(p=1.5, delta=0.0)).jacobian()
 
     def test_regularization_consistency(self, small_cell_mesh):
         mesh = small_cell_mesh
         rng = np.random.default_rng(9)
         u = rng.normal(size=mesh.num_nodes)
-        base = assemble_residual(mesh, u, FluxParams(p=3.0, delta=0.0))
+        base = Point(mesh, u, FluxParams(p=3.0, delta=0.0)).residual()
         gaps = []
         for delta in (1e-2, 1e-4, 1e-6, 1e-8):
-            res = assemble_residual(mesh, u, FluxParams(p=3.0, delta=delta))
+            res = Point(mesh, u, FluxParams(p=3.0, delta=delta)).residual()
             gaps.append(np.linalg.norm(res - base))
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 1e-12
@@ -220,11 +228,11 @@ class TestAssembly:
     def test_bad_field_rejected(self, small_cell_mesh):
         params = FluxParams(p=2.0)
         with pytest.raises(AssemblyError):
-            assemble_residual(small_cell_mesh, np.ones(3), params)
+            Point(small_cell_mesh, np.ones(3), params)
         bad = np.ones(small_cell_mesh.num_nodes)
         bad[0] = np.nan
         with pytest.raises(AssemblyError):
-            assemble_energy(small_cell_mesh, bad, params)
+            Point(small_cell_mesh, bad, params)
 
     def test_non_finite_value_names_lowest_triangle(self):
         """Per-triangle values (pair, half, i, j) on a 4x5 grid: triangle
@@ -243,9 +251,9 @@ def _assert_rel_close(new, ref, rtol=1e-13):
 
 
 def _assert_same_jacobian(new, ref, rtol=1e-13):
-    assert np.array_equal(new.indptr, ref.indptr)
-    assert np.array_equal(new.indices, ref.indices)
-    _assert_rel_close(new.data, ref.data, rtol)
+    """Two solve.Bands hold the same diagonals, entry for entry."""
+    assert np.array_equal(new.offsets, ref.offsets)
+    _assert_rel_close(new.rows, ref.rows, rtol)
 
 
 def _thin_case(profile):
@@ -291,20 +299,20 @@ class TestAssemblyPlan:
         phi = np.random.default_rng(41).normal(size=red.n_reduced)
         u = mesh.nodes[:, 0] + 0.2 * red.expand(phi)
         params = FluxParams(p=p, delta=delta)
-        e = assemble_energy(mesh, u, params, include_mass=False)
-        assert e == pytest.approx(
+        point = Point(mesh, u, params, include_mass=False)
+        assert point.energy() == pytest.approx(
             oracles.energy(mesh, u, params, include_mass=False), rel=1e-13)
         _assert_rel_close(
-            red.reduce_vector(assemble_residual(mesh, u, params,
-                                                include_mass=False)),
+            red.reduce_vector(point.residual()),
             red.reduce_vector(oracles.residual(mesh, u, params,
                                                include_mass=False)))
-        jac = assemble_jacobian(mesh, u, params, include_mass=False)
+        jac = point.jacobian()
         ref = oracles.coo_jacobian(mesh, u, params, include_mass=False)
-        _assert_same_jacobian(jac, ref)
+        _assert_same_jacobian(jac, oracles.band(ref))
         pairs = mesh.periodic_pairs
-        _assert_rel_close(oracles.fold_matrix(jac, pairs).toarray(),
-                          oracles.fold_matrix(ref, pairs).toarray())
+        _assert_rel_close(
+            oracles.fold_matrix(oracles.band_matrix(jac), pairs).toarray(),
+            oracles.fold_matrix(ref, pairs).toarray())
 
     @pytest.mark.parametrize("delta", [1e-2, 1e-8])
     @pytest.mark.parametrize("p", [1.5, 3.0])
@@ -315,14 +323,24 @@ class TestAssemblyPlan:
         e_ref = oracles.energy(mesh, u, params, load)
         r_ref = oracles.residual(mesh, u, params, load)
         functional = _ThinFunctional(mesh, p, load)
-        for e in (assemble_energy(mesh, u, params, load),
-                  functional.point(u, delta).energy()):
-            assert e == pytest.approx(e_ref, rel=1e-13)
-        for r in (assemble_residual(mesh, u, params, load),
-                  functional.point(u, delta).residual()):
-            _assert_rel_close(r, r_ref)
-        _assert_same_jacobian(assemble_jacobian(mesh, u, params),
-                              oracles.coo_jacobian(mesh, u, params))
+        for point in (Point(mesh, u, params, True, load_vector(mesh, load)),
+                      functional.point(u, delta)):
+            assert point.energy() == pytest.approx(e_ref, rel=1e-13)
+            _assert_rel_close(point.residual(), r_ref)
+            _assert_same_jacobian(
+                point.jacobian(),
+                oracles.band(oracles.coo_jacobian(mesh, u, params)))
+
+    @pytest.mark.parametrize("kind", ["cell", "thin"])
+    def test_unit_load_is_lumped_mass(self, reference_profile, kind):
+        """The load vector of f = 1 is the integral of each hat function:
+        the edge-midpoint rule is exact for P1, so it matches the lumped
+        masses of the triangle table and sums to the mesh area."""
+        mesh = (build_cell_mesh(reference_profile, 128, 32) if kind == "cell"
+                else build_thin_mesh(reference_profile, 1.0 / 16, 32, 16))
+        w = load_vector(mesh, np.ones(mesh.num_nodes))
+        _assert_rel_close(w, oracles.lumped_masses(mesh), rtol=1e-15)
+        assert w.sum() == pytest.approx(geometry.mesh_area(mesh), rel=1e-14)
 
     def test_nodal_load_matches_oracle(self, small_cell_mesh):
         """At u = 0 and without the mass term the residual is -b."""
@@ -363,12 +381,11 @@ class TestAssemblyPlan:
         write_mesh(mesh, tmp_path / "thin.txt")
         back = read_mesh(tmp_path / "thin.txt")
         params = FluxParams(p=3.0, delta=1e-2, eps_weight=mesh.eps)
-        assert (assemble_energy(back, u, params, load)
-                == assemble_energy(mesh, u, params, load))
-        assert np.array_equal(assemble_residual(back, u, params, load),
-                              assemble_residual(mesh, u, params, load))
-        _assert_same_jacobian(assemble_jacobian(back, u, params),
-                              assemble_jacobian(mesh, u, params), rtol=0.0)
+        new, ref = (Point(m, u, params, True, load_vector(m, load))
+                    for m in (back, mesh))
+        assert new.energy() == ref.energy()
+        assert np.array_equal(new.residual(), ref.residual())
+        _assert_same_jacobian(new.jacobian(), ref.jacobian(), rtol=0.0)
 
     def test_threads_building_one_plan_agree(self, reference_profile):
         mesh, u, load = _thin_case(reference_profile)   # fresh: no plan yet
@@ -377,11 +394,13 @@ class TestAssemblyPlan:
         barrier = threading.Barrier(workers)
         results = [None] * workers
 
+        def evaluate():
+            point = Point(mesh, u, params, True, load_vector(mesh, load))
+            return point.energy(), point.residual(), point.jacobian()
+
         def work(i):
             barrier.wait(timeout=30)
-            results[i] = (assemble_energy(mesh, u, params, load),
-                          assemble_residual(mesh, u, params, load),
-                          assemble_jacobian(mesh, u, params))
+            results[i] = evaluate()
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -395,9 +414,7 @@ class TestAssemblyPlan:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        e, r, j = (assemble_energy(mesh, u, params, load),
-                   assemble_residual(mesh, u, params, load),
-                   assemble_jacobian(mesh, u, params))
+        e, r, j = evaluate()
         for got in results:
             assert got is not None
             assert got[0] == e
@@ -440,7 +457,7 @@ class TestAssemblyPlan:
             expected = spla.spsolve(
                 oracles.coo_jacobian(mesh, u, params).tocsc(), rhs)
         else:
-            w = red.reduce_vector(mesh.node_weights)
+            w = red.reduce_vector(oracles.lumped_masses(mesh))
             rhs -= rhs.mean()
             x = constrained_linear_solve(band, rhs, w, 1e-12)
             expected = oracles.bordered_solve(matrix, rhs, w)

@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -367,9 +368,9 @@ def test_closed_form_barycenters_match_oracle(reference_profile, kind):
 def test_grid_nodes_place_each_node(tmp_path, reference_profile, kind):
     """The grid node map puts node (i, j) at column i, row j, on a built
     mesh and on its copy read back from disk, and the triangles are
-    grid_triangles of it.  Both derived arrays are read-only and sized by
-    num_nodes and num_triangles; the nodes are built once, the triangles
-    on each read."""
+    grid_triangles of it.  Both derived arrays are sized by num_nodes and
+    num_triangles; the nodes are built once, the triangles on each read.
+    Every array a mesh stores or caches is read-only."""
     sloped = ProfileSpec(period=0.5, mean=1.0, cos_coeffs=(0.1,),
                          sin_coeffs=(0.3, -0.05))
     mesh = {"cell": lambda: build_cell_mesh(reference_profile, 16, 4),
@@ -387,8 +388,14 @@ def test_grid_nodes_place_each_node(tmp_path, reference_profile, kind):
         assert m.nodes.shape == (m.num_nodes, 2)
         assert m.triangles.shape == (m.num_triangles, 3)
         assert m.nodes is m.nodes and m.triangles is not m.triangles
-        for derived in (m.nodes, m.triangles):
-            assert not derived.flags.writeable
+        cached = [getattr(m, name) for name, attr in vars(Mesh).items()
+                  if isinstance(attr, cached_property)]
+        assert len(cached) >= 4     # nodes, boundary_edges and both areas
+        arrays = [m.grid_x, m.grid_heights, m.periodic_pairs, m.triangles,
+                  *(a for c in cached
+                    for a in (c.values() if isinstance(c, dict) else [c]))]
+        for array in arrays:
+            assert not array.flags.writeable
 
 
 @pytest.mark.parametrize("change, message", [

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from oscthin import ProfileSpec, build_cell_mesh, geometry, solve, solve_cell
+from oscthin import (ProfileSpec, build_cell_mesh, geometry, homogenize,
+                     solve, solve_cell)
 from oscthin.fem import lp_norm, p_flux_scalar
 from oscthin.homogenize import (CellSolution, _CellFunctional,
                                 _coefficient_pair, cell_constraints,
@@ -37,10 +38,26 @@ class TestOscillatingCell:
         assert lp_norm(mesh, cell.phi - phi_oracle, 2.0) < 1e-6
         assert abs(cell.coeff_flux - coeff_oracle) < 1e-4
 
+    def test_solve_computes_the_coefficient_pair_once(self, monkeypatch,
+                                                      small_cell_mesh):
+        """The agreement check reads the pair the solve stored."""
+        calls = []
+
+        def counting(cell):
+            calls.append(cell)
+            return _coefficient_pair(cell)
+
+        monkeypatch.setattr(homogenize, "_coefficient_pair", counting)
+        cell = solve_cell(small_cell_mesh, 3.0)
+        assert len(calls) == 1
+        assert effective_coefficient(cell) == cell.coeff_flux
+        assert len(calls) == 2
+
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_cell_solution_invariants(self, medium_cell_mesh, p):
         cell = solve_cell(medium_cell_mesh, p)
-        assert abs(cell.mesh.weighted_mean(cell.phi)) < 1e-10
+        mean = oracles.lumped_masses(cell.mesh) @ cell.phi / cell.cell_measure
+        assert abs(mean) < 1e-10
         gap = abs(cell.coeff_flux - cell.coeff_energy) / cell.coeff_energy
         assert gap < 1e-6
         assert 0.0 < cell.coeff_flux < 1.0 - 1e-4

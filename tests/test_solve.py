@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 
 from oscthin import (ConstraintSet, Limit1DProblem, SolveOptions,
                      build_cell_mesh, build_thin_mesh, fem, geometry, solve)
-from oscthin.fem import FluxParams, assemble_jacobian, element_gradients
+from oscthin.fem import FluxParams, Point, element_gradients
 from oscthin.geometry import Mesh, grid_triangles
 from oscthin.homogenize import _CellFunctional, cell_constraints, solve_cell
 from oscthin.limit1d import _LimitFunctional
@@ -78,11 +78,11 @@ class TestLinearSolve:
         mesh = build_thin_mesh(reference_profile, 1.0 / 16, 32, 16)
         x1, x2 = mesh.nodes.T
         u = np.cos(np.pi * x1) * (1.0 + 0.3 * x2) + 0.05 * np.sin(40.0 * x1)
-        a = assemble_jacobian(mesh, u, FluxParams(p=p, delta=delta,
-                                                  eps_weight=mesh.eps))
+        band = Point(mesh, u, FluxParams(p=p, delta=delta,
+                                         eps_weight=mesh.eps)).jacobian()
         b = np.random.default_rng(15).normal(size=mesh.num_nodes)
-        x = linear_solve(oracles.band(a), b, 1e-12)
-        ref = spla.spsolve(a.tocsc(), b)
+        x = linear_solve(band, b, 1e-12)
+        ref = spla.spsolve(oracles.band_matrix(band).tocsc(), b)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_thin_jacobian_half_bandwidth(self, reference_profile):
@@ -91,10 +91,10 @@ class TestLinearSolve:
         of each quad reaches that distance."""
         for ny in (2, 5, 16):
             mesh = build_thin_mesh(reference_profile, 1.0 / 4, 8, ny)
-            a = assemble_jacobian(mesh, np.zeros(mesh.num_nodes),
-                                  FluxParams(p=2.0, eps_weight=mesh.eps))
-            coo = a.tocoo()
-            assert (coo.col - coo.row).max() == ny + 2
+            band = Point(mesh, np.zeros(mesh.num_nodes),
+                         FluxParams(p=2.0, eps_weight=mesh.eps)).jacobian()
+            assert band.offsets[-1] == ny + 2
+            assert np.abs(band.rows[-1]).max() > 0.0
 
     @pytest.mark.parametrize("nx, ny", [(8, 4), (9, 4), (128, 32)])
     def test_folded_cell_jacobian_half_bandwidth(self, reference_profile,
@@ -102,8 +102,8 @@ class TestLinearSolve:
         """Ring-ordered cell columns keep every coupling of the periodic
         fold within two columns of the diagonal, for odd and even nx."""
         mesh = build_cell_mesh(reference_profile, nx, ny)
-        a = assemble_jacobian(mesh, mesh.nodes[:, 0], FluxParams(p=2.0),
-                              include_mass=False)
+        a = oracles.band_matrix(Point(mesh, mesh.nodes[:, 0],
+                                      FluxParams(p=2.0), False).jacobian())
         coo = oracles.fold_matrix(a, mesh.periodic_pairs).tocoo()
         assert (coo.col - coo.row).max() == 2 * ny + 3
         red = Reduction(mesh.num_nodes, cell_constraints(mesh))
@@ -115,9 +115,9 @@ class TestLinearSolve:
         cell = solve_cell(build_cell_mesh(reference_profile, 8, 230), 2.0)
         assert cell.diagnostics.stages[-1].converged
         mesh = build_thin_mesh(reference_profile, 1.0, 4, 460)
-        a = assemble_jacobian(mesh, mesh.nodes[:, 0], FluxParams(p=2.0))
+        a = Point(mesh, mesh.nodes[:, 0], FluxParams(p=2.0)).jacobian()
         b = np.random.default_rng(17).normal(size=mesh.num_nodes)
-        x = linear_solve(oracles.band(a), b, 1e-10)
+        x = linear_solve(a, b, 1e-10)
         assert np.linalg.norm(b - a @ x) <= 1e-10 * np.linalg.norm(b)
 
     @pytest.mark.parametrize("delta", [1e-2, 1e-8])
@@ -128,12 +128,12 @@ class TestLinearSolve:
         red = Reduction(mesh.num_nodes, cell_constraints(mesh))
         x1, x2 = mesh.nodes.T
         v = x1 + 0.05 * np.sin(2.0 * np.pi * x1) * (1.0 + x2)
-        a = oracles.fold_matrix(assemble_jacobian(
-            mesh, v, FluxParams(p=p, delta=delta), include_mass=False),
+        a = oracles.fold_matrix(oracles.band_matrix(Point(
+            mesh, v, FluxParams(p=p, delta=delta), False).jacobian()),
             mesh.periodic_pairs)
         b = np.random.default_rng(16).normal(size=red.n_reduced)
         b -= b.mean()
-        w = red.reduce_vector(mesh.node_weights)
+        w = red.reduce_vector(oracles.lumped_masses(mesh))
         x = constrained_linear_solve(oracles.band(a), b, w, 1e-12)
         ref = oracles.bordered_solve(a, b, w)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
@@ -145,7 +145,7 @@ class TestLinearSolve:
         red, band = _cell_band(medium_cell_mesh, 3.0)
         b = np.random.default_rng(18).normal(size=red.n_reduced)
         b -= b.mean()
-        w = red.reduce_vector(medium_cell_mesh.node_weights)
+        w = red.reduce_vector(oracles.lumped_masses(medium_cell_mesh))
         x = constrained_linear_solve(band, b, w, 1e-12)
         shifted = constrained_linear_solve(band, b + c, w, 1e-12)
         assert np.linalg.norm(shifted - x) <= 1e-10 * np.linalg.norm(x)
@@ -242,7 +242,7 @@ class TestLinearSolve:
         red, band = _cell_band(mesh, p)
         b = np.random.default_rng(57).normal(size=red.n_reduced)
         b -= b.mean()
-        w = red.reduce_vector(mesh.node_weights)
+        w = red.reduce_vector(oracles.lumped_masses(mesh))
         product, band_solve = solve.Band.__matmul__, solve.sla.cho_solve_banded
         products, shapes = [], []
 
@@ -337,7 +337,7 @@ class TestPlanBand:
         _assert_band_matches(band, ref, 53)
         b = np.random.default_rng(54).normal(size=red.n_reduced)
         b -= b.mean()
-        w = red.reduce_vector(mesh.node_weights)
+        w = red.reduce_vector(oracles.lumped_masses(mesh))
         x = constrained_linear_solve(band, b, w, 1e-12)
         expected = oracles.bordered_solve(ref, b, w)
         assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
@@ -382,9 +382,8 @@ class TestPlanBand:
         assert np.linalg.norm(y - x) <= 1e-8 * np.linalg.norm(x)
 
     def test_point_matches_standalone_assembly(self, reference_profile):
-        """A Newton point gives the residual and jacobian that standalone
-        assemble_residual and assemble_jacobian calls give, bit for bit,
-        whatever it evaluated first."""
+        """A Newton point gives the energy, residual and jacobian that a
+        fresh point gives, bit for bit, whatever it evaluated first."""
         mesh = build_thin_mesh(reference_profile, 1.0 / 8, 16, 6)
         x1, x2 = mesh.nodes.T
         u = np.cos(np.pi * x1) * (1.0 + 0.3 * x2) + 0.05 * np.sin(40.0 * x1)
@@ -392,9 +391,10 @@ class TestPlanBand:
         params = FluxParams(p=1.5, delta=1e-2, eps_weight=mesh.eps)
         point = _ThinFunctional(mesh, 1.5, load).point(u, 1e-2)
         energy, band, res = point.energy(), point.jacobian(), point.residual()
-        assert energy == fem.assemble_energy(mesh, u, params, load)
-        assert np.array_equal(res, fem.assemble_residual(mesh, u, params, load))
-        ref = oracles.band(fem.assemble_jacobian(mesh, u, params))
+        b = fem.load_vector(mesh, load)
+        assert energy == Point(mesh, u, params, True, b).energy()
+        assert np.array_equal(res, Point(mesh, u, params, True, b).residual())
+        ref = Point(mesh, u, params, True, b).jacobian()
         assert np.array_equal(band.offsets, ref.offsets)
         assert np.array_equal(band.rows, ref.rows)
 
@@ -442,8 +442,10 @@ class TestConstraints:
             Reduction(3, ConstraintSet(periodic_pairs=pairs))
 
     def test_constant_field_mean_shift_gives_zero(self, small_cell_mesh):
-        u = np.full(small_cell_mesh.num_nodes, 3.7)
-        shifted = u - small_cell_mesh.weighted_mean(u)
+        mesh = small_cell_mesh
+        u = np.full(mesh.num_nodes, 3.7)
+        w = cell_constraints(mesh).mean_weights
+        shifted = u - (w @ u) / geometry.mesh_area(mesh)
         assert np.abs(shifted).max() < 1e-12
 
 

@@ -139,8 +139,8 @@ class TestCorrector:
 
     def test_study_reads_only_the_thin_column_grid(self, reference_profile,
                                                    monkeypatch):
-        """A ladder entry measures everything from the thin mesh's column
-        grid: it never builds the thin mesh's nodes or triangles."""
+        """A cell solve and a ladder entry measure everything from the
+        column grids: neither builds the nodes or triangles of any mesh."""
         reads = []
 
         def recording(name):
@@ -153,12 +153,12 @@ class TestCorrector:
 
         config = tiny_config(reference_profile, LoadSpec(kind="cos_pi"),
                              levels=(2, 4))
-        cell = solve_config_cell(config)
         for name in ("nodes", "triangles"):
             monkeypatch.setattr(geometry.Mesh, name, recording(name))
+        cell = solve_config_cell(config)
         rows = study._study_rows_for_eps(config, cell, 0.25)
         assert all(row.status == "ok" for row in rows)
-        assert not [read for read in reads if read[1] == "thin"]
+        assert reads == []
         # the recorder sees a read where there is one
         build_thin_mesh(reference_profile, 0.25, 8, 4).triangles
         assert reads[-1] == ("triangles", "thin")
