@@ -77,11 +77,19 @@ def _field_path(out_dir, name):
 
 
 def write_field(mesh, values, path):
-    """Nodal field export: one record per line, index then coordinates then value."""
+    """Nodal field export: one record per line, index then coordinates then
+    value.  Each column's abscissa is formatted once and spread to its
+    nodes.  values must hold one entry per node (else ValueError)."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (mesh.num_nodes,):
+        raise ValueError(f"a field on {mesh.num_nodes} nodes cannot take "
+                         f"values of shape {values.shape}")
+    x1 = np.empty(mesh.num_nodes, dtype=object)
+    x1[mesh.grid_nodes] = np.array(list(map(repr, mesh.grid_x.tolist())),
+                                   dtype=object)[:, None]
     with open(path, "w") as fh:
         fh.write("index x1 x2 value\n")
-        geometry.write_records(
-            fh, (*mesh.nodes.T, np.asarray(values, dtype=float)))
+        geometry.write_records(fh, (x1, mesh.nodes[:, 1], values))
 
 
 def read_field(path):

@@ -430,8 +430,12 @@ def write_records(fh, columns, index=True):
     space separated and led by the row index unless index is False: float
     arrays by repr, which round-trips, everything else by str.  Each
     column is formatted once per chunk of _CHUNK rows and the chunk's rows
-    joined and written at once, in bounded memory."""
+    joined and written at once, in bounded memory.  Columns of unequal
+    length raise ValueError before anything is written."""
     n = len(columns[0])
+    if any(len(col) != n for col in columns):
+        raise ValueError("record columns differ in length: "
+                         f"{[len(col) for col in columns]}")
     formats = [repr if np.asarray(col).dtype.kind == "f" else str
                for col in columns]
     for start in range(0, n, _CHUNK):
@@ -444,77 +448,42 @@ def write_records(fh, columns, index=True):
         fh.write("\n".join(map(" ".join, zip(*parts))) + "\n")
 
 
-def _edge_columns(mesh):
-    """Boundary edges as the columns a, b and tag, tag by tag."""
-    tags = ("lower", "upper", "left", "right")
-    edges = np.concatenate([mesh.boundary_edges[tag] for tag in tags])
-    names = [tag for tag in tags for _ in mesh.boundary_edges[tag]]
-    return edges[:, 0], edges[:, 1], names
-
-
 def write_mesh(mesh, path):
-    """Structured-text mesh export; see read_mesh for the exact format."""
-    edges = _edge_columns(mesh)
-    sections = [
-        (f"nodes {mesh.num_nodes}", mesh.nodes.T),
-        (f"triangles {mesh.num_triangles}", mesh.triangles.T),
-        (f"boundary_edges {len(edges[0])}", edges),
-        (f"periodic_pairs {len(mesh.periodic_pairs)}", mesh.periodic_pairs.T),
-        (f"grid {len(mesh.grid_x)} {mesh.grid_rows}",
-         (mesh.grid_x, mesh.grid_heights))]
+    """Structured-text mesh export of the header and the column grid; see
+    read_mesh for the exact format."""
     with open(path, "w") as fh:
         fh.write(f"# oscthin mesh {mesh.domain_kind}"
-                 f" eps={'' if mesh.eps is None else repr(mesh.eps)}\n")
-        for header, columns in sections:
-            fh.write(f"# {header}\n")
-            write_records(fh, columns)
+                 f" eps={'' if mesh.eps is None else repr(mesh.eps)}\n"
+                 f"# grid {len(mesh.grid_x)} {mesh.grid_rows}\n")
+        write_records(fh, (mesh.grid_x, mesh.grid_heights))
 
 
 def read_mesh(path):
     """Read a mesh written by write_mesh.
 
     Format: a header line ``# oscthin mesh <kind> eps=<eps or empty>``,
-    then sections each introduced by ``# <name> <count>`` with one record
-    per line: nodes ``index x y``, triangles ``index a b c``,
-    boundary_edges ``index a b tag``, periodic_pairs ``index a b`` and the
-    column grid, ``# grid <columns> <rows>``, ``index x height``, from
-    which the mesh is built.  A header or section line out of place, a grid
-    Mesh refuses, or other sections that differ from the grid's raise
-    ValueError."""
+    then the column grid, ``# grid <columns> <rows>`` followed by one
+    record ``index x height`` per column.  The mesh, with its nodes,
+    triangles, boundary edges and periodic pairs, is built from these two.
+    A header or grid line out of place (a file of the older layout, whose
+    node section comes first, among them) or a grid Mesh refuses raises a
+    one-line ValueError naming the file."""
     with open(path) as fh:
         header = fh.readline().split()
         if header[:3] != ["#", "oscthin", "mesh"] or len(header) != 5:
             raise ValueError(f"{path}: expected header '# oscthin mesh "
                              f"<kind> eps=...', found {' '.join(header)!r}")
-
-        def section(name, dtype, width):
-            """The counts on a section's line and its records (count, width)."""
-            line = fh.readline().split()
-            if line[:2] != ["#", name]:
-                raise ValueError(f"{path}: expected section '# {name}', "
-                                 f"found {' '.join(line) or 'end of file'!r}")
-            counts = [int(v) for v in line[2:]]
-            return counts, np.array([fh.readline().split()[1:width + 1]
-                                     for _ in range(counts[0])],
-                                    dtype=dtype).reshape(counts[0], width)
-
-        nodes = section("nodes", float, 2)[1]
-        tris = section("triangles", np.int64, 3)[1]
-        records = section("boundary_edges", str, 3)[1]
-        pairs = section("periodic_pairs", np.int64, 2)[1]
-        (_, rows), grid = section("grid", float, 2)
+        line = fh.readline().split()
+        if (line[:2] != ["#", "grid"] or len(line) != 4
+                or not (line[2] + line[3]).isdecimal()):
+            raise ValueError(f"{path}: expected section '# grid', found "
+                             f"{' '.join(line) or 'end of file'!r}")
+        columns, rows = int(line[2]), int(line[3])
+        grid = np.array([fh.readline().split()[1:3] for _ in range(columns)],
+                        dtype=float).reshape(columns, 2)
     eps = header[4].split("=", 1)[1]
     try:
-        mesh = Mesh(header[3], grid[:, 0], grid[:, 1], rows,
+        return Mesh(header[3], grid[:, 0], grid[:, 1], rows,
                     eps=float(eps) if eps else None)
     except MeshingError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    for name, found, grid_made in (
-            ("nodes", nodes, mesh.nodes), ("triangles", tris, mesh.triangles),
-            ("boundary edges", records,
-             np.column_stack(_edge_columns(mesh))),
-            ("periodic pairs", pairs, mesh.periodic_pairs)):
-        if not np.array_equal(found, grid_made):
-            raise ValueError(f"{path}: {name} differ from those of its "
-                             "column grid (see build_cell_mesh)")
-    return mesh

@@ -259,8 +259,9 @@ def coo_jacobian(mesh, u, params, include_mass=True):
     m11 = sigma * (1.0 + ratio * grad[:, 0] ** 2)
     m12 = sigma * ratio * grad[:, 0] * grad[:, 1]
     m22 = sigma * (1.0 + ratio * grad[:, 1] ** 2)
-    mden = d2 + um * um
-    mprime = mden ** ((p - 2.0) / 2.0) * (1.0 + (p - 2.0) * um * um / mden)
+    if include_mass:
+        mden = d2 + um * um
+        mprime = mden ** ((p - 2.0) / 2.0) * (1.0 + (p - 2.0) * um * um / mden)
     rows, cols, vals = [], [], []
     for k in range(3):
         for l in range(3):
@@ -308,7 +309,19 @@ def containing_triangles(mesh, points, tol=1e-9):
 
 
 def row_by_row_mesh_text(mesh):
-    """The mesh file format written one record at a time."""
+    """The mesh file format written one record at a time: the header and
+    the column grid."""
+    out = [f"# oscthin mesh {mesh.domain_kind}"
+           f" eps={'' if mesh.eps is None else repr(mesh.eps)}\n",
+           f"# grid {len(mesh.grid_x)} {mesh.grid_rows}\n"]
+    for k, x in enumerate(mesh.grid_x):
+        out.append(f"{k} {float(x)!r} {float(mesh.grid_heights[k])!r}\n")
+    return "".join(out)
+
+
+def old_layout_mesh_text(mesh):
+    """The mesh file of the older layout, which read_mesh refuses: nodes,
+    triangles, boundary edges and periodic pairs before the column grid."""
     out = [f"# oscthin mesh {mesh.domain_kind}"
            f" eps={'' if mesh.eps is None else repr(mesh.eps)}\n",
            f"# nodes {mesh.num_nodes}\n"]
@@ -327,10 +340,7 @@ def row_by_row_mesh_text(mesh):
     out.append(f"# periodic_pairs {len(mesh.periodic_pairs)}\n")
     for k, (a, b) in enumerate(mesh.periodic_pairs):
         out.append(f"{k} {a} {b}\n")
-    out.append(f"# grid {len(mesh.grid_x)} {mesh.grid_rows}\n")
-    for k, x in enumerate(mesh.grid_x):
-        out.append(f"{k} {float(x)!r} {float(mesh.grid_heights[k])!r}\n")
-    return "".join(out)
+    return "".join(out) + row_by_row_mesh_text(mesh).split("\n", 1)[1]
 
 
 def row_by_row_field_text(mesh, values):

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 from oscthin import build_cell_mesh, build_thin_mesh, study
 from oscthin.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, ConfigError, main,
                          parse_config, read_field, write_field)
-from oscthin.geometry import read_mesh, write_mesh
+from oscthin.geometry import read_mesh, write_mesh, write_records
 from oscthin.limit1d import read_solution, write_solution
 from oscthin.homogenize import read_cell_summary
 from oscthin.study import read_report_csv, read_report_json
@@ -55,6 +56,22 @@ def test_writers_match_row_by_row_format(reference_profile, tmp_path, kind):
             == oracles.row_by_row_field_text(mesh, values).encode())
     assert ((tmp_path / "u0.csv").read_bytes()
             == oracles.row_by_row_solution_text(values).encode())
+
+
+@pytest.mark.parametrize("change", [-3, 3], ids=["short", "long"])
+def test_field_of_wrong_length_refused(reference_profile, tmp_path, change):
+    """A field with 3 values too few or too many for the mesh's nodes is
+    refused before the file is opened, and so are record columns of
+    unequal length."""
+    mesh = build_cell_mesh(reference_profile, 8, 4)
+    values = np.zeros(mesh.num_nodes + change)
+    with pytest.raises(ValueError, match="45 nodes"):
+        write_field(mesh, values, tmp_path / "field.txt")
+    assert not (tmp_path / "field.txt").exists()
+    fh = io.StringIO()
+    with pytest.raises(ValueError, match="differ in length"):
+        write_records(fh, (mesh.nodes[:, 0], values))
+    assert fh.getvalue() == ""
 
 
 class TestParseConfig:
@@ -245,6 +262,16 @@ class TestCommands:
         nodes, phi = read_field(out / "cell_phi.txt")
         assert len(phi) == mesh.num_nodes
         assert np.abs(phi).max() < 1e-10
+        # the file holds only the grid; what read_mesh builds from it is
+        # the mesh the cell was solved on
+        solved = study.solve_config_cell(parse_config(path)).mesh
+        for name in ("grid_x", "grid_heights", "grid_rows", "grid_nodes",
+                     "nodes", "triangles", "periodic_pairs"):
+            assert np.array_equal(getattr(mesh, name), getattr(solved, name))
+        assert mesh.boundary_edges.keys() == solved.boundary_edges.keys()
+        for tag, edges in solved.boundary_edges.items():
+            assert np.array_equal(mesh.boundary_edges[tag], edges)
+        assert np.array_equal(nodes, solved.nodes)
 
     def test_solve_limit_unit_forcing(self, tmp_path):
         path = write_config(tmp_path / "cfg.json")

@@ -314,6 +314,22 @@ class TestAssemblyPlan:
             oracles.fold_matrix(oracles.band_matrix(jac), pairs).toarray(),
             oracles.fold_matrix(ref, pairs).toarray())
 
+    @pytest.mark.filterwarnings("error")
+    def test_flux_only_oracle_forms_no_mass_tensor(self, reference_profile):
+        """At p = 2, delta = 0 the field x1 is 0 on the cell's left edge,
+        where the mass tensor would divide 0 by 0: the flux-only oracle
+        jacobian forms none, so nothing warns, and it is the stiffness
+        matrix, the same for another field and zero on constants."""
+        mesh = build_cell_mesh(reference_profile, 8, 4)
+        params = FluxParams(p=2.0, delta=0.0)
+        u = mesh.nodes[:, 0]
+        ref = oracles.coo_jacobian(mesh, u, params, include_mass=False)
+        other = oracles.coo_jacobian(mesh, u * u + 1.0, params,
+                                     include_mass=False)
+        scale = abs(ref).max()
+        assert abs(ref - other).max() <= 1e-13 * scale
+        assert np.abs(ref @ np.ones(mesh.num_nodes)).max() <= 1e-13 * scale
+
     @pytest.mark.parametrize("delta", [1e-2, 1e-8])
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_thin_mass_and_load_match_oracle(self, reference_profile, p,

@@ -398,18 +398,23 @@ def test_grid_nodes_place_each_node(tmp_path, reference_profile, kind):
             assert not array.flags.writeable
 
 
+OLD_LAYOUT = "expected section '# grid', found '# nodes 45'"
+
+
 @pytest.mark.parametrize("change, message", [
-    ("swap", "triangles differ"), ("rotate", "triangles differ"),
-    ("no_grid", "at least two columns"), ("columns", "nodes differ"),
-    ("nudge", "nodes differ")],
-    ids=["swap", "rotate", "no_grid", "columns", "nudge"])
+    ("old_layout", OLD_LAYOUT), ("swap", OLD_LAYOUT), ("rotate", OLD_LAYOUT),
+    ("no_grid", "at least two columns"), ("columns", OLD_LAYOUT),
+    ("nudge", OLD_LAYOUT)],
+    ids=["old_layout", "swap", "rotate", "no_grid", "columns", "nudge"])
 def test_mesh_off_the_grid_refused_at_read(tmp_path, reference_profile,
                                            change, message):
-    """A mesh file with two triangles swapped, a triangle's vertices
-    rotated, no column grid (as a gridless mesh was written), a cell
-    numbered column by column (as cells were written before the ring
-    order) or one node off its column is refused when read, in one line
-    naming the file."""
+    """A mesh file of the older layout (nodes, triangles, boundary edges
+    and periodic pairs before the grid) is refused when read, in one line
+    naming the file, whatever those sections hold: as written, with two
+    triangles swapped, a triangle's vertices rotated, a cell numbered
+    column by column (as cells were written before the ring order) or one
+    node off its column. So is a file with no column grid (as a gridless
+    mesh was written)."""
     ring = build_cell_mesh(reference_profile, 8, 4)
     mesh = SimpleNamespace(**{name: getattr(ring, name) for name in (
         "domain_kind", "eps", "num_nodes", "nodes", "num_triangles",
@@ -420,13 +425,10 @@ def test_mesh_off_the_grid_refused_at_read(tmp_path, reference_profile,
         tris[[0, 2]] = tris[[2, 0]]
     elif change == "rotate":        # same triangle, vertices rotated
         tris[5] = tris[5, [1, 2, 0]]
-    elif change == "no_grid":
-        mesh.grid_x = mesh.grid_heights = np.empty(0)
-        mesh.grid_rows = 0
     elif change == "nudge":
         mesh.nodes = ring.nodes.copy()
         mesh.nodes[7, 1] *= 1.0 + 1e-15
-    else:
+    elif change == "columns":
         order = np.lexsort((ring.nodes[:, 1], ring.nodes[:, 0]))
         new = np.empty_like(order)
         new[order] = np.arange(len(order))
@@ -434,17 +436,45 @@ def test_mesh_off_the_grid_refused_at_read(tmp_path, reference_profile,
         mesh.boundary_edges = {tag: new[e]
                                for tag, e in ring.boundary_edges.items()}
         mesh.periodic_pairs = new[ring.periodic_pairs]
+    if change == "no_grid":
+        mesh.grid_x = mesh.grid_heights = np.empty(0)
+        mesh.grid_rows = 0
+        text = oracles.row_by_row_mesh_text(mesh)
+    else:
+        text = oracles.old_layout_mesh_text(mesh)
     path = tmp_path / "mesh.txt"
-    path.write_text(oracles.row_by_row_mesh_text(mesh))
+    path.write_text(text)
     with pytest.raises(ValueError, match=message) as info:
         read_mesh(path)
     assert str(info.value).startswith(f"{path}: ")
     assert "\n" not in str(info.value)
 
 
+def test_mesh_file_is_header_and_grid(tmp_path, reference_profile,
+                                      monkeypatch):
+    """Writing a mesh reads only its column grid: the resolution-64 cell
+    file is the header, the grid line and one line per column, written
+    with nodes, triangles and boundary edges out of reach, and it reads
+    back to the same grid."""
+    mesh = build_cell_mesh(reference_profile, 256, 64)
+
+    def unreachable(self):
+        raise AssertionError("the mesh writer read a per-node table")
+
+    for name in ("nodes", "triangles", "boundary_edges"):
+        monkeypatch.setattr(Mesh, name, property(unreachable))
+    path = tmp_path / "mesh.txt"
+    write_mesh(mesh, path)
+    assert len(path.read_text().splitlines()) == len(mesh.grid_x) + 2 == 259
+    back = read_mesh(path)
+    for name in ("grid_x", "grid_heights", "grid_nodes", "periodic_pairs"):
+        assert np.array_equal(getattr(back, name), getattr(mesh, name))
+    assert (back.domain_kind, back.eps, back.grid_rows) == ("cell", None, 64)
+
+
 @pytest.mark.parametrize("old, new, message", [
     ("# oscthin mesh", "# mesh", "expected header '# oscthin mesh"),
-    ("# triangles", "# tris", "expected section '# triangles', found '# tris"),
+    ("# grid 5 2", "# grid 5", "expected section '# grid', found '# grid 5'"),
     ("# grid", "", "expected section '# grid', found 'end of file'"),
 ])
 def test_malformed_mesh_rejected(tmp_path, reference_profile, old, new,
@@ -452,8 +482,7 @@ def test_malformed_mesh_rejected(tmp_path, reference_profile, old, new,
     path = tmp_path / "mesh.txt"
     write_mesh(build_cell_mesh(reference_profile, 4, 2), path)
     text = path.read_text()
-    # an empty replacement cuts the file at the section (the layout written
-    # before the grid section existed)
+    # an empty replacement cuts the file at the grid line, leaving the header
     text = text.replace(old, new) if new else text[:text.index(old)]
     path.write_text(text)
     with pytest.raises(ValueError, match=message):

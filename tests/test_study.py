@@ -359,7 +359,7 @@ class TestReportIO:
         lines = done.stdout.splitlines()
         assert len(lines) == 2
         assert "expected header 'eps,level," in lines[0]
-        assert "expected section '# nodes', found '# triangles 0'" in lines[1]
+        assert "expected section '# grid', found '# triangles 0'" in lines[1]
 
     def test_json_round_trip(self, flat_profile, tmp_path):
         config = tiny_config(flat_profile, LoadSpec(kind="cos_pi"))
