@@ -78,8 +78,9 @@ def _field_path(out_dir, name):
 
 def write_field(mesh, values, path):
     """Nodal field export: one record per line, index then coordinates then
-    value.  Each column's abscissa is formatted once and spread to its
-    nodes.  values must hold one entry per node (else ValueError)."""
+    value, both coordinates spread from the column grid to node order.
+    Each column's abscissa is formatted once.  values must hold one entry
+    per node (else ValueError)."""
     values = np.asarray(values, dtype=float)
     if values.shape != (mesh.num_nodes,):
         raise ValueError(f"a field on {mesh.num_nodes} nodes cannot take "
@@ -87,18 +88,21 @@ def write_field(mesh, values, path):
     x1 = np.empty(mesh.num_nodes, dtype=object)
     x1[mesh.grid_nodes] = np.array(list(map(repr, mesh.grid_x.tolist())),
                                    dtype=object)[:, None]
+    x2 = np.empty(mesh.num_nodes)
+    x2[mesh.grid_nodes.T] = mesh.grid_coordinates()[1]
     with open(path, "w") as fh:
         fh.write("index x1 x2 value\n")
-        geometry.write_records(fh, (x1, mesh.nodes[:, 1], values))
+        geometry.write_records(fh, (x1, x2, values))
 
 
 def read_field(path):
-    """Read a field written by write_field: (nodes array, values array)."""
+    """Read a field written by write_field: (nodes array, values array).
+    A file with no records or with records geometry.read_records refuses
+    raises a one-line ValueError naming the file."""
     with open(path) as fh:
         fh.readline()
-        rows = [line.split() for line in fh if line.strip()]
-    data = np.array(rows, dtype=float)
-    return data[:, 1:3], data[:, 3]
+        data = geometry.read_records(fh, path, 3)
+    return data[:, :2], data[:, 2]
 
 
 def _pick_eps(config, args):

@@ -7,7 +7,9 @@ with the same vertical-fiber mapping: equispaced columns, each column
 holding equispaced nodes between the flat bottom and the profile graph.
 This keeps the left and right boundary layers identical, so periodic node
 pairing is exact, and makes point location inside the mesh a closed-form
-computation.
+computation.  The column grid is the only form a mesh is stored or read
+in: triangle_vertices states the triangle numbering, and the fibers, the
+barycenters and the mesh file all read the grid.
 """
 
 from dataclasses import dataclass, field
@@ -106,11 +108,9 @@ class Mesh:
     domain_kind    "cell" or "thin"
     eps            oscillation parameter for thin meshes, None for cell meshes
 
-    Nothing per node or triangle is stored: nodes (n, 2) is built on first
-    read, triangles (t, 3) (grid_triangles, positively oriented) on every
-    read; boundary_edges (tag -> (m, 2) int array, tags
-    lower/upper/left/right) and the areas are cached.  Every array is
-    read-only.
+    No node or triangle table is kept (triangle_vertices states the
+    triangle numbering); column_areas and areas are cached on first read.
+    Every array is read-only.
 
     Node (i, j) has index slot[i]*(ny+1) + j.  Thin meshes keep column
     order (slot[i] = i, jacobian half-bandwidth ny + 2).  Cell meshes
@@ -118,8 +118,7 @@ class Mesh:
     copy of column 0 last: after the periodic fold ring neighbours sit at
     most two slots apart (half-bandwidth 2*(ny+1) + 1), where column order
     would couple column 0 to column nx-1 across the whole matrix.  Meshes
-    are immutable after construction and safe for concurrent reads (a
-    first concurrent read of a cached array builds identical copies).
+    are immutable after construction and safe for concurrent reads.
     """
 
     def __init__(self, domain_kind, grid_x, grid_heights, grid_rows,
@@ -174,41 +173,10 @@ class Mesh:
         return (np.broadcast_to(self.grid_x, (len(rows), len(self.grid_x))),
                 self.grid_heights * rows)
 
-    @cached_property
-    def nodes(self):
-        """Node coordinates (n, 2) in node order."""
-        nodes = np.empty((self.num_nodes, 2))
-        for k, coordinate in enumerate(self.grid_coordinates()):
-            nodes[self.grid_nodes.T, k] = coordinate
-        nodes.flags.writeable = False
-        return nodes
-
-    @property
-    def triangles(self):
-        """grid_triangles of the grid, made on each read: a caller that
-        needs them twice keeps its copy."""
-        triangles = grid_triangles(self.grid_nodes)
-        triangles.flags.writeable = False
-        return triangles
-
     @property
     def width(self):
         """Horizontal extent of the domain (period for cells, 1 for thin)."""
         return float(self.grid_x[-1] - self.grid_x[0])
-
-    @cached_property
-    def boundary_edges(self):
-        """Boundary edges by tag, each oriented with the domain on its left."""
-        node, ny = self.grid_nodes, self.grid_rows
-        edges = {
-            "lower": np.column_stack([node[:-1, 0], node[1:, 0]]),
-            "upper": np.column_stack([node[1:, ny], node[:-1, ny]]),
-            "left": np.column_stack([node[0, 1:], node[0, :-1]]),
-            "right": np.column_stack([node[-1, :-1], node[-1, 1:]]),
-        }
-        for arr in edges.values():
-            arr.flags.writeable = False
-        return edges
 
     @cached_property
     def column_areas(self):
@@ -251,12 +219,16 @@ def quad_corners(g):
     return g[:-1, :-1], g[1:, :-1], g[1:, 1:], g[:-1, 1:]
 
 
-def grid_triangles(node):
-    """Triangles (T, 3) of the grid node map node (nx+1, ny+1): quad
-    q = i*ny + j is split along its lower-left/upper-right diagonal into
-    triangles 2q (ll, lr, ur) and 2q+1 (ll, ur, ul)."""
-    ll, lr, ur, ul = quad_corners(node)
-    return np.stack([ll, lr, ur, ll, ur, ul], axis=-1).reshape(-1, 3)
+def triangle_vertices(mesh, tris, axis):
+    """Coordinate axis (0: x1, 1: x2) of the vertices of triangles tris,
+    (len(tris), 3), read from grid_coordinates: triangle 2(i*ny + j) + h
+    of quad (i, j) is its lower half ll, lr, ur for h = 0 and its upper
+    half ll, ur, ul for h = 1 (split along the ll-ur diagonal, positively
+    oriented)."""
+    g = mesh.grid_coordinates()[axis]
+    q, h = np.divmod(tris, 2)
+    i, j = np.divmod(q, mesh.grid_rows)
+    return np.stack([g[j, i], g[j + h, i + 1], g[j + 1, i + 1 - h]], axis=-1)
 
 
 def build_cell_mesh(spec, nx, ny):
@@ -318,10 +290,11 @@ def fiber_matrix(mesh, axis, values):
 
     The column grid fixes what a fiber meets: a vertical one (axis 0) the
     2*grid_rows triangles of one column, in closed form; a horizontal one
-    (axis 1) a band of rows per column, which alone is clipped.  A value on
-    a mesh line is shifted once by 1e-9 times the largest of |value| and the
-    coordinates of the triangles it touches (fiber integrals are defined up
-    to sets of measure zero, so the nearby generic fiber is equivalent).
+    (axis 1) a band of rows per column, which alone is clipped against the
+    vertices triangle_vertices reads.  A value on a mesh line is shifted
+    once by 1e-9 times the largest of |value| and the coordinates of the
+    triangles it touches (fiber integrals are defined up to sets of measure
+    zero, so the nearby generic fiber is equivalent).
     """
     values = np.atleast_1d(np.asarray(values, dtype=float))
     fibers = _vertical_fibers if axis == 0 else _horizontal_fibers
@@ -347,9 +320,8 @@ def _vertical_fibers(mesh, xv):
 
 
 def _horizontal_fibers(mesh, levels):
-    triangles = mesh.triangles
     for shifted in (False, True):
-        rows, tris, y = _level_candidates(mesh, triangles, levels)
+        rows, tris, y = _level_candidates(mesh, levels)
         s = y - levels[rows, None]
         flat = (s == 0.0).sum(axis=1) >= 2      # an edge lies on the level
         if not flat.any():
@@ -363,7 +335,7 @@ def _horizontal_fibers(mesh, levels):
                           levels + 1e-9 * reach, levels)
     # the segment spans the points where the level meets the edges; fmin and
     # fmax skip the NaN of the edges it does not meet
-    x = mesh.nodes[triangles[tris], 0]
+    x = triangle_vertices(mesh, tris, 0)
     left = right = np.full(len(tris), np.nan)
     for k in range(3):
         s0, s1 = s[:, k], s[:, k - 1]
@@ -374,10 +346,9 @@ def _horizontal_fibers(mesh, levels):
     return rows[keep], tris[keep], (right - left)[keep]
 
 
-def _level_candidates(mesh, triangles, levels):
+def _level_candidates(mesh, levels):
     """(level, triangle) pairs whose triangle spans the level, with the
-    triangle's vertex heights (triangles is mesh.triangles, read once by
-    the caller).  In column i the level h meets only rows
+    triangle's vertex heights.  In column i the level h meets only rows
     floor(h*ny/max(h_i, h_i+1)) to floor(h*ny/min(h_i, h_i+1)); one row of
     slack on each side absorbs roundoff before the exact span test."""
     hs, ny = mesh.grid_heights, mesh.grid_rows
@@ -391,7 +362,7 @@ def _level_candidates(mesh, triangles, levels):
     tris = (first[pair] + np.arange(pair.size)
             - np.repeat(np.cumsum(count) - count, count))
     rows = pair // (len(hs) - 1)
-    y = mesh.nodes[triangles[tris], 1]
+    y = triangle_vertices(mesh, tris, 1)
     h = levels[rows]
     keep = ((np.fmin(np.fmin(y[:, 0], y[:, 1]), y[:, 2]) <= h)
             & (h <= np.fmax(np.fmax(y[:, 0], y[:, 1]), y[:, 2])))
@@ -448,6 +419,33 @@ def write_records(fh, columns, index=True):
         fh.write("\n".join(map(" ".join, zip(*parts))) + "\n")
 
 
+def read_records(fh, path, width, count=None):
+    """The records left in fh, one per nonblank line, as written by
+    write_records: the row index then width numbers, returned as floats
+    (n, width) without the index.  A count other than count (or none at
+    all, when count is None), a record of another length or with a field
+    that is not a number, or an index out of sequence raises a one-line
+    ValueError naming path."""
+    rows = [line.split() for line in fh if line.strip()]
+    if (not rows) if count is None else len(rows) != count:
+        raise ValueError(f"{path}: {len(rows)} records after the header, "
+                         f"expected {'some' if count is None else count}")
+    data = np.empty((len(rows), width + 1))
+    for k, row in enumerate(rows):
+        try:
+            if len(row) != width + 1:
+                raise ValueError
+            data[k] = row
+        except ValueError:
+            raise ValueError(f"{path}: record {k} is not an index and "
+                             f"{width} numbers: {' '.join(row)!r}") from None
+    out_of_sequence = np.flatnonzero(data[:, 0] != np.arange(len(rows)))
+    if out_of_sequence.size:
+        k = int(out_of_sequence[0])
+        raise ValueError(f"{path}: record {k} has index {rows[k][0]}")
+    return data[:, 1:]
+
+
 def write_mesh(mesh, path):
     """Structured-text mesh export of the header and the column grid; see
     read_mesh for the exact format."""
@@ -463,11 +461,11 @@ def read_mesh(path):
 
     Format: a header line ``# oscthin mesh <kind> eps=<eps or empty>``,
     then the column grid, ``# grid <columns> <rows>`` followed by one
-    record ``index x height`` per column.  The mesh, with its nodes,
-    triangles, boundary edges and periodic pairs, is built from these two.
-    A header or grid line out of place (a file of the older layout, whose
-    node section comes first, among them) or a grid Mesh refuses raises a
-    one-line ValueError naming the file."""
+    record ``index x height`` per column; the mesh is built from these
+    two.  A header or grid line out of place (a file of the older layout,
+    whose node section comes first, among them), records read_records
+    refuses (cut short, not numeric, more or fewer than the columns) or a
+    grid Mesh refuses raises a one-line ValueError naming the file."""
     with open(path) as fh:
         header = fh.readline().split()
         if header[:3] != ["#", "oscthin", "mesh"] or len(header) != 5:
@@ -479,8 +477,7 @@ def read_mesh(path):
             raise ValueError(f"{path}: expected section '# grid', found "
                              f"{' '.join(line) or 'end of file'!r}")
         columns, rows = int(line[2]), int(line[3])
-        grid = np.array([fh.readline().split()[1:3] for _ in range(columns)],
-                        dtype=float).reshape(columns, 2)
+        grid = read_records(fh, path, 2, columns)
     eps = header[4].split("=", 1)[1]
     try:
         return Mesh(header[3], grid[:, 0], grid[:, 1], rows,

@@ -13,11 +13,40 @@ from scipy.sparse import linalg as sparse_linalg
 from oscthin import fem, geometry, solve, study
 
 
+def nodes(mesh):
+    """Node coordinates (n, 2) in node order, scattered from the column
+    grid."""
+    out = np.empty((mesh.num_nodes, 2))
+    for k, coordinate in enumerate(mesh.grid_coordinates()):
+        out[mesh.grid_nodes.T, k] = coordinate
+    return out
+
+
+def triangles(mesh):
+    """Triangles (T, 3) of the grid node map: quad q = i*ny + j is split
+    along its lower-left/upper-right diagonal into triangles 2q
+    (ll, lr, ur) and 2q+1 (ll, ur, ul), positively oriented."""
+    node = mesh.grid_nodes
+    ll, lr, ur, ul = node[:-1, :-1], node[1:, :-1], node[1:, 1:], node[:-1, 1:]
+    return np.stack([ll, lr, ur, ll, ur, ul], axis=-1).reshape(-1, 3)
+
+
+def boundary_edges(mesh):
+    """Boundary edges by tag (lower, upper, left, right), each (m, 2) and
+    oriented with the domain on its left."""
+    node, ny = mesh.grid_nodes, mesh.grid_rows
+    return {
+        "lower": np.column_stack([node[:-1, 0], node[1:, 0]]),
+        "upper": np.column_stack([node[1:, ny], node[:-1, ny]]),
+        "left": np.column_stack([node[0, 1:], node[0, :-1]]),
+        "right": np.column_stack([node[-1, :-1], node[-1, 1:]]),
+    }
+
+
 def tri_geometry(mesh):
     """Per-triangle hat-function gradients and areas, recomputed from scratch."""
-    idx = mesh.triangles
-    x = mesh.nodes[idx, 0]
-    y = mesh.nodes[idx, 1]
+    idx = triangles(mesh)
+    x, y = nodes(mesh)[idx].transpose(2, 0, 1)
     area = 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
                   - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0]))
     b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]],
@@ -54,7 +83,7 @@ def linear_periodic_cell(mesh):
     """
     n = mesh.num_nodes
     stiff, _ = laplace_matrices(mesh)
-    rhs = -stiff @ mesh.nodes[:, 0]
+    rhs = -stiff @ nodes(mesh)[:, 0]
 
     fold = np.arange(n)
     for left, right in mesh.periodic_pairs:
@@ -71,7 +100,7 @@ def linear_periodic_cell(mesh):
     sol = sparse_linalg.spsolve(bordered, np.append(z.T @ rhs, 0.0))
     phi = z @ sol[:-1]
 
-    grads = fem.element_gradients(mesh, mesh.nodes[:, 0] + phi)
+    grads = fem.element_gradients(mesh, nodes(mesh)[:, 0] + phi)
     area = mesh.areas
     coeff = float((area * grads[:, 0]).sum() / area.sum())
     return phi, coeff
@@ -109,8 +138,8 @@ def fiber_segments(mesh, axis, value, _attempt=0):
     the line passes through and the length of each intersection segment.
     A line on a mesh edge is nudged by a relative 1e-9 and clipped again.
     """
-    coord = mesh.nodes[:, axis][mesh.triangles]
-    other = mesh.nodes[:, 1 - axis][mesh.triangles]
+    v = nodes(mesh)[triangles(mesh)]
+    coord, other = v[..., axis], v[..., 1 - axis]
     cmin = coord.min(axis=1)
     cmax = coord.max(axis=1)
     cand = np.flatnonzero((cmin <= value) & (value <= cmax) & (cmin < cmax))
@@ -149,8 +178,8 @@ def fiber_matrix(mesh, axis, values, block=64):
     A value whose line runs along a mesh edge goes through fiber_segments
     alone, which nudges it."""
     values = np.asarray(values, dtype=float)
-    coord = mesh.nodes[:, axis][mesh.triangles]
-    other = mesh.nodes[:, 1 - axis][mesh.triangles]
+    v = nodes(mesh)[triangles(mesh)]
+    coord, other = v[..., axis], v[..., 1 - axis]
     cmin, cmax = coord.min(axis=1), coord.max(axis=1)
     rows, tris, lengths = [], [], []
     for start in range(0, len(values), block):
@@ -204,9 +233,9 @@ def _p1_fields(mesh, u, params):
 def load_at_midpoints(mesh, load):
     """The load at the three edge midpoints of every triangle, (T, 3):
     a callable of (x1, x2) evaluated there, or a nodal field interpolated."""
-    idx = mesh.triangles
+    idx = triangles(mesh)
     if callable(load):
-        v = mesh.nodes[idx]
+        v = nodes(mesh)[idx]
         mid = 0.5 * (v[:, [1, 2, 0]] + v[:, [2, 0, 1]])
         return np.asarray(load(mid[..., 0], mid[..., 1]), dtype=float)
     fv = np.asarray(load, dtype=float)[idx]
@@ -285,21 +314,21 @@ def lumped_masses(mesh):
     """Integral of each nodal hat function: a third of every triangle's
     area added to each of its vertices."""
     w = np.zeros(mesh.num_nodes)
-    third, triangles = mesh.areas / 3.0, mesh.triangles
+    third, tris = mesh.areas / 3.0, triangles(mesh)
     for k in range(3):
-        np.add.at(w, triangles[:, k], third)
+        np.add.at(w, tris[:, k], third)
     return w
 
 
 def barycenters(mesh):
     """Triangle barycenters (T, 2): the mean of each triangle's nodes."""
-    return mesh.nodes[mesh.triangles].mean(axis=1)
+    return nodes(mesh)[triangles(mesh)].mean(axis=1)
 
 
 def containing_triangles(mesh, points, tol=1e-9):
     """(P, T) boolean: point k lies in triangle t, by its barycentric
     coordinates in every triangle of the mesh, each at least -tol."""
-    v = mesh.nodes[mesh.triangles]                       # (T, 3, 2)
+    v = nodes(mesh)[triangles(mesh)]                     # (T, 3, 2)
     d1, d2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
     det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
     r = np.asarray(points, dtype=float)[:, None, :] - v[None, :, 0]
@@ -321,7 +350,9 @@ def row_by_row_mesh_text(mesh):
 
 def old_layout_mesh_text(mesh):
     """The mesh file of the older layout, which read_mesh refuses: nodes,
-    triangles, boundary edges and periodic pairs before the column grid."""
+    triangles, boundary edges and periodic pairs before the column grid.
+    mesh holds the header fields, the grid and those four tables as
+    attributes."""
     out = [f"# oscthin mesh {mesh.domain_kind}"
            f" eps={'' if mesh.eps is None else repr(mesh.eps)}\n",
            f"# nodes {mesh.num_nodes}\n"]
@@ -346,8 +377,7 @@ def old_layout_mesh_text(mesh):
 def row_by_row_field_text(mesh, values):
     """The nodal field file format written one record at a time."""
     out = ["index x1 x2 value\n"]
-    for k in range(mesh.num_nodes):
-        x, y = mesh.nodes[k]
+    for k, (x, y) in enumerate(nodes(mesh)):
         out.append(f"{k} {float(x)!r} {float(y)!r} {float(values[k])!r}\n")
     return "".join(out)
 

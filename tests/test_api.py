@@ -1,12 +1,15 @@
 """The public surface of the package: every public top-level function or
-class has a caller, an export or a stated reason to exist."""
+class, and every public method or property of a class, has a caller, an
+export or a stated reason to exist."""
 
 import ast
 import importlib
 import inspect
 import pkgutil
+from functools import cached_property
 
 import oscthin
+from oscthin import geometry
 
 # text readers and writers, called by users and by the tests
 IO_PREFIXES = ("read_", "write_", "format_", "parse_")
@@ -15,6 +18,11 @@ ACCEPTANCE_HELPERS = {
     "p_flux_inverse",                   # criterion 10
     "measure_identity_check",           # criterion 9
     "flux_density_height_integral",     # criterion 8
+}
+# public class members that no code in the package reads, by reason
+MEMBER_ALLOWLIST = {
+    # the report contract that the benchmark gate and the ROADMAP compare
+    "StudyReport.canonical",
 }
 
 
@@ -55,3 +63,41 @@ def test_acceptance_helpers_exist():
     """The allowlist names live definitions, so it cannot go stale."""
     defined = {name for module in _modules() for name in vars(module)}
     assert ACCEPTANCE_HELPERS <= defined
+
+
+def _public_members(modules):
+    """(Class.member, member) for every public method or property of a
+    class defined in the package."""
+    kinds = (property, cached_property, staticmethod, classmethod)
+    for module in modules:
+        for cname, cls in vars(module).items():
+            if (cname.startswith("_") or not inspect.isclass(cls)
+                    or cls.__module__ != module.__name__):
+                continue
+            for name, attr in vars(cls).items():
+                if not name.startswith("_") and (inspect.isfunction(attr)
+                                                 or isinstance(attr, kinds)):
+                    yield f"{cname}.{name}", name
+
+
+def test_every_public_member_is_read_or_allowlisted():
+    modules = _modules()
+    used = _referenced_names(modules)
+    unused = [qualified for qualified, name in _public_members(modules)
+              if name not in used and qualified not in MEMBER_ALLOWLIST]
+    assert unused == []
+
+
+def test_member_allowlist_names_live_members():
+    """The allowlist names live members, so it cannot go stale."""
+    members = {qualified for qualified, _ in _public_members(_modules())}
+    assert MEMBER_ALLOWLIST <= members
+
+
+def test_a_mesh_is_its_column_grid():
+    """The column grid is the only mesh form: a mesh has no node,
+    triangle or boundary-edge table, and no grid-to-triangle table is
+    built (geometry.triangle_vertices states the triangle numbering)."""
+    for name in ("nodes", "triangles", "boundary_edges"):
+        assert not hasattr(geometry.Mesh, name)
+    assert not hasattr(geometry, "grid_triangles")

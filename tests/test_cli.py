@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -46,7 +47,8 @@ def test_writers_match_row_by_row_format(reference_profile, tmp_path, kind):
     written chunk."""
     mesh = (build_cell_mesh(reference_profile, 64, 32) if kind == "cell"
             else build_thin_mesh(reference_profile, 0.25, 8, 4))
-    values = np.sin(3.0 * mesh.nodes[:, 0]) * mesh.nodes[:, 1]
+    x1, x2 = oracles.nodes(mesh).T
+    values = np.sin(3.0 * x1) * x2
     write_mesh(mesh, tmp_path / "mesh.txt")
     write_field(mesh, values, tmp_path / "field.txt")
     write_solution(values, tmp_path / "u0.csv")
@@ -70,8 +72,39 @@ def test_field_of_wrong_length_refused(reference_profile, tmp_path, change):
     assert not (tmp_path / "field.txt").exists()
     fh = io.StringIO()
     with pytest.raises(ValueError, match="differ in length"):
-        write_records(fh, (mesh.nodes[:, 0], values))
+        write_records(fh, (oracles.nodes(mesh)[:, 0], values))
     assert fh.getvalue() == ""
+
+
+@pytest.mark.parametrize("change, message", [
+    ("short", "record 14 is not an index and 3 numbers: '14 1.0 1.5'"),
+    ("non_numeric", "record 0 is not an index and 3 numbers: '0 abc 1.5 0.0'"),
+    ("extra", "record 15 has index 14"),
+    ("long", "record 3 is not an index and 3 numbers: '3 0.25 0.0 3.0 7'"),
+    ("header_only", "0 records after the header, expected some"),
+])
+def test_field_records_refused(reference_profile, tmp_path, change, message):
+    """A field file cut short in its last record, with a field that is
+    not a number, a record repeated or too long, or no record after the
+    header is refused in one line naming the file."""
+    mesh = build_cell_mesh(reference_profile, 4, 2)
+    path = tmp_path / "field.txt"
+    write_field(mesh, np.arange(float(mesh.num_nodes)), path)
+    lines = path.read_text().splitlines()
+    if change == "short":
+        lines[-1] = lines[-1].rsplit(" ", 1)[0]
+    elif change == "non_numeric":
+        lines[1] = "0 abc 1.5 0.0"
+    elif change == "extra":
+        lines.append(lines[-1])
+    elif change == "long":
+        lines[4] += " 7"
+    else:
+        lines = lines[:1]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(message)) as info:
+        read_field(path)
+    assert str(info.value) == f"{path}: {message}"
 
 
 class TestParseConfig:
@@ -266,12 +299,15 @@ class TestCommands:
         # the mesh the cell was solved on
         solved = study.solve_config_cell(parse_config(path)).mesh
         for name in ("grid_x", "grid_heights", "grid_rows", "grid_nodes",
-                     "nodes", "triangles", "periodic_pairs"):
+                     "periodic_pairs"):
             assert np.array_equal(getattr(mesh, name), getattr(solved, name))
-        assert mesh.boundary_edges.keys() == solved.boundary_edges.keys()
-        for tag, edges in solved.boundary_edges.items():
-            assert np.array_equal(mesh.boundary_edges[tag], edges)
-        assert np.array_equal(nodes, solved.nodes)
+        for table in (oracles.nodes, oracles.triangles):
+            assert np.array_equal(table(mesh), table(solved))
+        edges = oracles.boundary_edges(mesh)
+        assert edges.keys() == oracles.boundary_edges(solved).keys()
+        for tag, solved_edges in oracles.boundary_edges(solved).items():
+            assert np.array_equal(edges[tag], solved_edges)
+        assert np.array_equal(nodes, oracles.nodes(solved))
 
     def test_solve_limit_unit_forcing(self, tmp_path):
         path = write_config(tmp_path / "cfg.json")

@@ -22,7 +22,7 @@ import oracles
 
 class TestElementGradient:
     def test_reproduces_x1(self, small_cell_mesh):
-        u = small_cell_mesh.nodes[:, 0].copy()
+        u = oracles.nodes(small_cell_mesh)[:, 0].copy()
         grads = element_gradients(small_cell_mesh, u)
         assert np.abs(grads - [1.0, 0.0]).max() < 1e-12
 
@@ -31,7 +31,8 @@ class TestElementGradient:
         assert np.abs(grads).max() < 1e-12
 
     def test_reproduces_general_linear(self, small_cell_mesh):
-        u = 3.0 * small_cell_mesh.nodes[:, 0] + 2.0 * small_cell_mesh.nodes[:, 1]
+        x1, x2 = oracles.nodes(small_cell_mesh).T
+        u = 3.0 * x1 + 2.0 * x2
         grads = element_gradients(small_cell_mesh, u)
         assert np.abs(grads - [3.0, 2.0]).max() < 1e-11
         # one triangle through the oracle's hat-function gradients
@@ -44,7 +45,7 @@ class TestScaledGradient:
     """element_gradients with eps_weight: (d1, d2/eps_weight)."""
 
     def test_identity_weight(self, small_cell_mesh):
-        x1, x2 = small_cell_mesh.nodes.T
+        x1, x2 = oracles.nodes(small_cell_mesh).T
         grads = element_gradients(small_cell_mesh, x1 + x2, 1.0)
         assert np.array_equal(grads, element_gradients(small_cell_mesh, x1 + x2))
         assert np.allclose(grads, [1.0, 1.0])
@@ -52,7 +53,7 @@ class TestScaledGradient:
     def test_small_weight_amplifies_vertical(self, small_cell_mesh):
         """The second component is the plain one divided by the weight,
         bit for bit, and the first is untouched."""
-        x1, x2 = small_cell_mesh.nodes.T
+        x1, x2 = oracles.nodes(small_cell_mesh).T
         plain = element_gradients(small_cell_mesh, x1 + x2)
         grads = element_gradients(small_cell_mesh, x1 + x2, 0.1)
         assert np.allclose(grads, [1.0, 10.0])
@@ -258,7 +259,7 @@ def _assert_same_jacobian(new, ref, rtol=1e-13):
 
 def _thin_case(profile):
     mesh = build_thin_mesh(profile, 1.0 / 8, 16, 6)
-    x1, x2 = mesh.nodes.T
+    x1, x2 = oracles.nodes(mesh).T
     u = np.cos(np.pi * x1) * (1.0 + 0.3 * x2) + 0.05 * np.sin(40.0 * x1)
     return mesh, u, LoadSpec(kind="cos_pi", x2_coeff=0.3)
 
@@ -278,11 +279,11 @@ def _grid_case(profile, case):
         profile, case = SLOPED_PROFILE, case[:-len("_sloped")]
     if case == "thin":
         mesh = build_thin_mesh(profile, 1.0 / 16, 16, 8)
-        x1, x2 = mesh.nodes.T
+        x1, x2 = oracles.nodes(mesh).T
         return mesh, np.cos(np.pi * x1) * (1.0 + 0.3 * x2), None
     mesh = build_cell_mesh(profile, 64, 16)
     red = Reduction(mesh.num_nodes, cell_constraints(mesh))
-    x1, x2 = mesh.nodes.T
+    x1, x2 = oracles.nodes(mesh).T
     phi = red.expand(red.restrict(0.05 * np.sin(2.0 * np.pi * x1) * (1.0 + x2)))
     return mesh, x1 + phi, red
 
@@ -297,7 +298,7 @@ class TestAssemblyPlan:
         mesh = build_cell_mesh(reference_profile, 32, 8)
         red = Reduction(mesh.num_nodes, cell_constraints(mesh))
         phi = np.random.default_rng(41).normal(size=red.n_reduced)
-        u = mesh.nodes[:, 0] + 0.2 * red.expand(phi)
+        u = oracles.nodes(mesh)[:, 0] + 0.2 * red.expand(phi)
         params = FluxParams(p=p, delta=delta)
         point = Point(mesh, u, params, include_mass=False)
         assert point.energy() == pytest.approx(
@@ -322,7 +323,7 @@ class TestAssemblyPlan:
         matrix, the same for another field and zero on constants."""
         mesh = build_cell_mesh(reference_profile, 8, 4)
         params = FluxParams(p=2.0, delta=0.0)
-        u = mesh.nodes[:, 0]
+        u = oracles.nodes(mesh)[:, 0]
         ref = oracles.coo_jacobian(mesh, u, params, include_mass=False)
         other = oracles.coo_jacobian(mesh, u * u + 1.0, params,
                                      include_mass=False)
@@ -489,7 +490,7 @@ class TestGridPoint:
         jacobian times the ones vector vanishes to roundoff."""
         mesh = medium_cell_mesh
         red = Reduction(mesh.num_nodes, cell_constraints(mesh))
-        x1, x2 = mesh.nodes.T
+        x1, x2 = oracles.nodes(mesh).T
         phi = red.expand(red.restrict(0.05 * np.sin(2.0 * np.pi * x1) * x2))
         band = _CellFunctional(mesh, p).point(phi, 1e-8).jacobian(red)
         ones = band @ np.ones(red.n_reduced)
@@ -500,7 +501,8 @@ class TestGridPoint:
         residual and jacobian give the same bits whichever is asked first
         and however often."""
         mesh = build_thin_mesh(reference_profile, 0.25, 8, 4)
-        u = np.cos(3.0 * mesh.nodes[:, 0]) + mesh.nodes[:, 1]
+        x1, x2 = oracles.nodes(mesh).T
+        u = np.cos(3.0 * x1) + x2
         params = FluxParams(p=3.0, delta=1e-8, eps_weight=0.25)
         trial = fem.Point(mesh, u, params)
         energy = trial.energy()
@@ -559,7 +561,8 @@ class TestColumnForms:
         row, leaves a third of margin; per-triangle tables (the hat
         gradients alone were 48 bytes a triangle) cannot pass it."""
         mesh = build_thin_mesh(reference_profile, 1.0 / 32, 32, 16)
-        u = np.cos(np.pi * mesh.nodes[:, 0]) * (1.0 + mesh.nodes[:, 1])
+        x1, x2 = oracles.nodes(mesh).T
+        u = np.cos(np.pi * x1) * (1.0 + x2)
         params = FluxParams(p=3.0, delta=1e-8, eps_weight=mesh.eps)
         fem.Point(mesh, u, params).jacobian()
         plan = fem._plan(mesh)
@@ -581,7 +584,8 @@ class TestColumnForms:
         builds and keeps the band map, and 73 on later ones.  Per-triangle
         tables and edge lists took 220 and 155."""
         mesh = build_thin_mesh(reference_profile, 1.0 / 32, 32, 16)
-        u = np.cos(np.pi * mesh.nodes[:, 0]) * (1.0 + mesh.nodes[:, 1])
+        x1, x2 = oracles.nodes(mesh).T
+        u = np.cos(np.pi * x1) * (1.0 + x2)
         params = FluxParams(p=3.0, delta=1e-8, eps_weight=mesh.eps)
         if call == "later":
             fem.Point(mesh, u, params).jacobian()
@@ -609,14 +613,15 @@ class TestNorms:
 
     def test_linear_field_against_exact_integral(self, flat_profile):
         mesh = build_cell_mesh(flat_profile, 32, 32)
-        u = mesh.nodes[:, 0].copy()
+        u = oracles.nodes(mesh)[:, 0].copy()
         # integral of x1^2 over the unit square is 1/3
         assert lp_norm(mesh, u, 2.0) == pytest.approx(1.0 / np.sqrt(3.0), abs=1e-3)
 
     def test_seminorm_of_linear_field(self, unit_square_mesh):
         """The L^p norm of a scaled gradient as the study measures it
         (error_corrector against a zero field)."""
-        u = 3.0 * unit_square_mesh.nodes[:, 0] + 2.0 * unit_square_mesh.nodes[:, 1]
+        x1, x2 = oracles.nodes(unit_square_mesh).T
+        u = 3.0 * x1 + 2.0 * x2
         gs = element_gradients(unit_square_mesh, u, 0.5)
         expected = np.hypot(3.0, 4.0)   # scaled gradient (3, 2/0.5)
         assert error_corrector(unit_square_mesh, gs, np.zeros(2),

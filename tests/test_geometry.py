@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from functools import cached_property
 from types import SimpleNamespace
@@ -6,8 +7,8 @@ import numpy as np
 import pytest
 
 from oscthin import ProfileSpec, build_cell_mesh, build_thin_mesh, mesh_area
-from oscthin.geometry import (MeshingError, Mesh, fiber_matrix, grid_triangles,
-                              locate_points, read_mesh, write_mesh)
+from oscthin.geometry import (MeshingError, Mesh, fiber_matrix, locate_points,
+                              read_mesh, triangle_vertices, write_mesh)
 from oscthin.study import flux_stations
 
 import oracles
@@ -99,21 +100,22 @@ class TestCellMesh:
 
     def test_upper_boundary_on_profile_graph(self, reference_profile):
         mesh = build_cell_mesh(reference_profile, 24, 6)
-        upper_nodes = np.unique(mesh.boundary_edges["upper"])
-        x = mesh.nodes[upper_nodes]
+        upper_nodes = np.unique(oracles.boundary_edges(mesh)["upper"])
+        x = oracles.nodes(mesh)[upper_nodes]
         assert np.abs(x[:, 1] - reference_profile.evaluate(x[:, 0])).max() < 1e-12
 
     def test_periodic_pairs_match(self, reference_profile):
         mesh = build_cell_mesh(reference_profile, 24, 6)
         left, right = mesh.periodic_pairs[:, 0], mesh.periodic_pairs[:, 1]
-        assert np.abs(mesh.nodes[left, 1] - mesh.nodes[right, 1]).max() < 1e-12
-        dx = mesh.nodes[right, 0] - mesh.nodes[left, 0]
+        nodes = oracles.nodes(mesh)
+        assert np.abs(nodes[left, 1] - nodes[right, 1]).max() < 1e-12
+        dx = nodes[right, 0] - nodes[left, 0]
         assert np.abs(dx - reference_profile.period).max() < 1e-12
 
     def test_boundary_edges_close_up(self, reference_profile):
         mesh = build_cell_mesh(reference_profile, 9, 5)
         counts = np.zeros(mesh.num_nodes, dtype=int)
-        for edges in mesh.boundary_edges.values():
+        for edges in oracles.boundary_edges(mesh).values():
             for a, b in edges:
                 counts[a] += 1
                 counts[b] += 1
@@ -139,13 +141,14 @@ class TestThinMesh:
     def test_flat_is_unit_square(self, flat_profile):
         mesh = build_thin_mesh(flat_profile, 0.5, 4, 4)
         assert mesh_area(mesh) == pytest.approx(1.0, abs=1e-14)
-        assert mesh.nodes[:, 0].min() == 0.0 and mesh.nodes[:, 0].max() == 1.0
-        assert mesh.nodes[:, 1].max() == pytest.approx(1.0, abs=1e-14)
+        x1, x2 = oracles.nodes(mesh).T
+        assert x1.min() == 0.0 and x1.max() == 1.0
+        assert x2.max() == pytest.approx(1.0, abs=1e-14)
 
     def test_period_count(self, reference_profile):
         mesh = build_thin_mesh(reference_profile, 0.25, 8, 4)
-        upper_nodes = np.unique(mesh.boundary_edges["upper"])
-        heights = mesh.nodes[upper_nodes, 1]
+        upper_nodes = np.unique(oracles.boundary_edges(mesh)["upper"])
+        heights = oracles.nodes(mesh)[upper_nodes, 1]
         # four oscillations: the maximum height reappears once per period
         peaks = np.isclose(heights, reference_profile.maximum, atol=1e-12)
         assert peaks.sum() == 5   # period endpoints inclusive
@@ -248,7 +251,7 @@ class TestFiberMatrixOracle:
 
     def test_reference_cell_levels(self, reference_profile):
         mesh = build_cell_mesh(reference_profile, 128, 32)
-        top = float(mesh.nodes[:, 1].max())
+        top = float(oracles.nodes(mesh)[:, 1].max())
         self.assert_matches(mesh, 1, (np.arange(4096) + 0.5) * (top / 4096))
 
     def test_flat_profile_node_rows(self, unit_square_mesh):
@@ -269,7 +272,7 @@ class TestLocatePoints:
         x = rng.uniform(0.0, 1.0, 200)
         y = rng.uniform(0.0, 1.0, 200) * 0.95 * reference_profile.evaluate(x)
         tri = locate_points(mesh, np.column_stack([x, y]))
-        verts = mesh.nodes[mesh.triangles[tri]]
+        verts = oracles.nodes(mesh)[oracles.triangles(mesh)[tri]]
         lo = verts.min(axis=1)
         hi = verts.max(axis=1)
         pts = np.column_stack([x, y])
@@ -322,13 +325,13 @@ def test_mesh_round_trip(tmp_path, reference_profile):
     path = tmp_path / "mesh.txt"
     write_mesh(mesh, path)
     back = read_mesh(path)
-    assert np.array_equal(back.nodes, mesh.nodes)
-    assert np.array_equal(back.triangles, mesh.triangles)
+    assert np.array_equal(oracles.nodes(back), oracles.nodes(mesh))
+    assert np.array_equal(oracles.triangles(back), oracles.triangles(mesh))
     assert np.array_equal(back.periodic_pairs, mesh.periodic_pairs)
     assert back.domain_kind == mesh.domain_kind
     assert back.eps == mesh.eps
-    for tag in mesh.boundary_edges:
-        assert np.array_equal(back.boundary_edges[tag], mesh.boundary_edges[tag])
+    for tag, edges in oracles.boundary_edges(mesh).items():
+        assert np.array_equal(oracles.boundary_edges(back)[tag], edges)
 
 
 @pytest.mark.parametrize("kind", ["cell", "thin"])
@@ -367,10 +370,9 @@ def test_closed_form_barycenters_match_oracle(reference_profile, kind):
 @pytest.mark.parametrize("kind", ["cell", "thin", "sin"])
 def test_grid_nodes_place_each_node(tmp_path, reference_profile, kind):
     """The grid node map puts node (i, j) at column i, row j, on a built
-    mesh and on its copy read back from disk, and the triangles are
-    grid_triangles of it.  Both derived arrays are sized by num_nodes and
-    num_triangles; the nodes are built once, the triangles on each read.
-    Every array a mesh stores or caches is read-only."""
+    mesh and on its copy read back from disk, and triangle_vertices reads
+    the vertices of the oracle's triangles of it, sized by num_nodes and
+    num_triangles.  Every array a mesh stores or caches is read-only."""
     sloped = ProfileSpec(period=0.5, mean=1.0, cos_coeffs=(0.1,),
                          sin_coeffs=(0.3, -0.05))
     mesh = {"cell": lambda: build_cell_mesh(reference_profile, 16, 4),
@@ -381,20 +383,20 @@ def test_grid_nodes_place_each_node(tmp_path, reference_profile, kind):
     for m in (mesh, read_mesh(tmp_path / "mesh.txt")):
         node = m.grid_nodes
         assert not node.flags.writeable
-        assert np.array_equal(grid_triangles(node), m.triangles)
-        x, y = m.nodes[node].transpose(2, 0, 1)
+        nodes, triangles = oracles.nodes(m), oracles.triangles(m)
+        x, y = nodes[node].transpose(2, 0, 1)
         assert np.array_equal(x, np.broadcast_to(mesh.grid_x[:, None], x.shape))
         assert np.array_equal(y, mesh.grid_heights[:, None] * rows)
-        assert m.nodes.shape == (m.num_nodes, 2)
-        assert m.triangles.shape == (m.num_triangles, 3)
-        assert m.nodes is m.nodes and m.triangles is not m.triangles
+        assert nodes.shape == (m.num_nodes, 2)
+        assert triangles.shape == (m.num_triangles, 3)
+        every = np.arange(m.num_triangles)
+        for axis in (0, 1):
+            assert np.array_equal(triangle_vertices(m, every, axis),
+                                  nodes[triangles, axis])
         cached = [getattr(m, name) for name, attr in vars(Mesh).items()
                   if isinstance(attr, cached_property)]
-        assert len(cached) >= 4     # nodes, boundary_edges and both areas
-        arrays = [m.grid_x, m.grid_heights, m.periodic_pairs, m.triangles,
-                  *(a for c in cached
-                    for a in (c.values() if isinstance(c, dict) else [c]))]
-        for array in arrays:
+        assert len(cached) >= 2     # both areas
+        for array in (m.grid_x, m.grid_heights, m.periodic_pairs, *cached):
             assert not array.flags.writeable
 
 
@@ -416,25 +418,26 @@ def test_mesh_off_the_grid_refused_at_read(tmp_path, reference_profile,
     node off its column. So is a file with no column grid (as a gridless
     mesh was written)."""
     ring = build_cell_mesh(reference_profile, 8, 4)
-    mesh = SimpleNamespace(**{name: getattr(ring, name) for name in (
-        "domain_kind", "eps", "num_nodes", "nodes", "num_triangles",
-        "triangles", "boundary_edges", "periodic_pairs", "grid_x",
-        "grid_heights", "grid_rows")})
-    mesh.triangles = tris = ring.triangles.copy()
+    mesh = SimpleNamespace(
+        nodes=oracles.nodes(ring), triangles=oracles.triangles(ring),
+        boundary_edges=oracles.boundary_edges(ring),
+        **{name: getattr(ring, name) for name in (
+            "domain_kind", "eps", "num_nodes", "num_triangles",
+            "periodic_pairs", "grid_x", "grid_heights", "grid_rows")})
+    tris = mesh.triangles
     if change == "swap":            # two lower triangles trade places
         tris[[0, 2]] = tris[[2, 0]]
     elif change == "rotate":        # same triangle, vertices rotated
         tris[5] = tris[5, [1, 2, 0]]
     elif change == "nudge":
-        mesh.nodes = ring.nodes.copy()
         mesh.nodes[7, 1] *= 1.0 + 1e-15
     elif change == "columns":
-        order = np.lexsort((ring.nodes[:, 1], ring.nodes[:, 0]))
+        order = np.lexsort((mesh.nodes[:, 1], mesh.nodes[:, 0]))
         new = np.empty_like(order)
         new[order] = np.arange(len(order))
-        mesh.nodes, mesh.triangles = ring.nodes[order], new[ring.triangles]
+        mesh.nodes, mesh.triangles = mesh.nodes[order], new[tris]
         mesh.boundary_edges = {tag: new[e]
-                               for tag, e in ring.boundary_edges.items()}
+                               for tag, e in mesh.boundary_edges.items()}
         mesh.periodic_pairs = new[ring.periodic_pairs]
     if change == "no_grid":
         mesh.grid_x = mesh.grid_heights = np.empty(0)
@@ -450,19 +453,10 @@ def test_mesh_off_the_grid_refused_at_read(tmp_path, reference_profile,
     assert "\n" not in str(info.value)
 
 
-def test_mesh_file_is_header_and_grid(tmp_path, reference_profile,
-                                      monkeypatch):
-    """Writing a mesh reads only its column grid: the resolution-64 cell
-    file is the header, the grid line and one line per column, written
-    with nodes, triangles and boundary edges out of reach, and it reads
-    back to the same grid."""
+def test_mesh_file_is_header_and_grid(tmp_path, reference_profile):
+    """The resolution-64 cell mesh file is the header, the grid line and
+    one line per column, and it reads back to the same grid."""
     mesh = build_cell_mesh(reference_profile, 256, 64)
-
-    def unreachable(self):
-        raise AssertionError("the mesh writer read a per-node table")
-
-    for name in ("nodes", "triangles", "boundary_edges"):
-        monkeypatch.setattr(Mesh, name, property(unreachable))
     path = tmp_path / "mesh.txt"
     write_mesh(mesh, path)
     assert len(path.read_text().splitlines()) == len(mesh.grid_x) + 2 == 259
@@ -470,6 +464,39 @@ def test_mesh_file_is_header_and_grid(tmp_path, reference_profile,
     for name in ("grid_x", "grid_heights", "grid_nodes", "periodic_pairs"):
         assert np.array_equal(getattr(back, name), getattr(mesh, name))
     assert (back.domain_kind, back.eps, back.grid_rows) == ("cell", None, 64)
+
+
+@pytest.mark.parametrize("change, message", [
+    ("short", "4 records after the header, expected 5"),
+    ("cut", "record 4 is not an index and 2 numbers: '4 1.0'"),
+    ("non_numeric", "record 0 is not an index and 2 numbers: '0 abc 1.5'"),
+    ("extra", "6 records after the header, expected 5"),
+    ("index", "record 2 has index 3"),
+    ("header_only", "0 records after the header, expected 5"),
+])
+def test_mesh_records_refused(tmp_path, reference_profile, change, message):
+    """Grid records cut short (a line or a field missing), with a field
+    that is not a number, more than the declared columns, out of sequence
+    or missing altogether are refused in one line naming the file."""
+    path = tmp_path / "mesh.txt"
+    write_mesh(build_cell_mesh(reference_profile, 4, 2), path)
+    lines = path.read_text().splitlines()
+    if change == "short":
+        lines = lines[:-1]
+    elif change == "cut":
+        lines[-1] = lines[-1].rsplit(" ", 1)[0]
+    elif change == "non_numeric":
+        lines[2] = "0 abc 1.5"
+    elif change == "extra":
+        lines.append("5 1.25 1.5")
+    elif change == "index":
+        lines[4], lines[5] = lines[5], lines[4]
+    else:
+        lines = lines[:2]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(message)) as info:
+        read_mesh(path)
+    assert str(info.value) == f"{path}: {message}"
 
 
 @pytest.mark.parametrize("old, new, message", [

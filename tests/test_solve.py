@@ -9,7 +9,6 @@ import scipy.sparse.linalg as spla
 from oscthin import (ConstraintSet, Limit1DProblem, SolveOptions,
                      build_cell_mesh, build_thin_mesh, fem, geometry, solve)
 from oscthin.fem import FluxParams, Point, element_gradients
-from oscthin.geometry import Mesh, grid_triangles
 from oscthin.homogenize import _CellFunctional, cell_constraints, solve_cell
 from oscthin.limit1d import _LimitFunctional
 from oscthin.solve import (IndefiniteSystemError, LinearSolveError,
@@ -26,7 +25,7 @@ def _cell_band(mesh, p):
     """The cell's Reduction and its folded jacobian at delta 1e-8 for a
     smooth periodic perturbation."""
     red = Reduction(mesh.num_nodes, cell_constraints(mesh))
-    phi = 0.05 * np.sin(2.0 * np.pi * mesh.nodes[:, 0])
+    phi = 0.05 * np.sin(2.0 * np.pi * oracles.nodes(mesh)[:, 0])
     return red, _CellFunctional(mesh, p).point(phi, 1e-8).jacobian(red)
 
 
@@ -76,7 +75,7 @@ class TestLinearSolve:
     def test_thin_jacobian_against_sparse_lu(self, reference_profile, p,
                                              delta):
         mesh = build_thin_mesh(reference_profile, 1.0 / 16, 32, 16)
-        x1, x2 = mesh.nodes.T
+        x1, x2 = oracles.nodes(mesh).T
         u = np.cos(np.pi * x1) * (1.0 + 0.3 * x2) + 0.05 * np.sin(40.0 * x1)
         band = Point(mesh, u, FluxParams(p=p, delta=delta,
                                          eps_weight=mesh.eps)).jacobian()
@@ -102,7 +101,7 @@ class TestLinearSolve:
         """Ring-ordered cell columns keep every coupling of the periodic
         fold within two columns of the diagonal, for odd and even nx."""
         mesh = build_cell_mesh(reference_profile, nx, ny)
-        a = oracles.band_matrix(Point(mesh, mesh.nodes[:, 0],
+        a = oracles.band_matrix(Point(mesh, oracles.nodes(mesh)[:, 0],
                                       FluxParams(p=2.0), False).jacobian())
         coo = oracles.fold_matrix(a, mesh.periodic_pairs).tocoo()
         assert (coo.col - coo.row).max() == 2 * ny + 3
@@ -115,7 +114,7 @@ class TestLinearSolve:
         cell = solve_cell(build_cell_mesh(reference_profile, 8, 230), 2.0)
         assert cell.diagnostics.stages[-1].converged
         mesh = build_thin_mesh(reference_profile, 1.0, 4, 460)
-        a = Point(mesh, mesh.nodes[:, 0], FluxParams(p=2.0)).jacobian()
+        a = Point(mesh, oracles.nodes(mesh)[:, 0], FluxParams(p=2.0)).jacobian()
         b = np.random.default_rng(17).normal(size=mesh.num_nodes)
         x = linear_solve(a, b, 1e-10)
         assert np.linalg.norm(b - a @ x) <= 1e-10 * np.linalg.norm(b)
@@ -126,7 +125,7 @@ class TestLinearSolve:
                                                    p, delta):
         mesh = medium_cell_mesh
         red = Reduction(mesh.num_nodes, cell_constraints(mesh))
-        x1, x2 = mesh.nodes.T
+        x1, x2 = oracles.nodes(mesh).T
         v = x1 + 0.05 * np.sin(2.0 * np.pi * x1) * (1.0 + x2)
         a = oracles.fold_matrix(oracles.band_matrix(Point(
             mesh, v, FluxParams(p=p, delta=delta), False).jacobian()),
@@ -308,7 +307,7 @@ class TestPlanBand:
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_thin_band_matches_oracle(self, reference_profile, p, delta):
         mesh = build_thin_mesh(reference_profile, 1.0 / 16, 32, 16)
-        x1, x2 = mesh.nodes.T
+        x1, x2 = oracles.nodes(mesh).T
         u = np.cos(np.pi * x1) * (1.0 + 0.3 * x2) + 0.05 * np.sin(40.0 * x1)
         load = LoadSpec(kind="cos_pi")
         band = _ThinFunctional(mesh, p, load).point(u, delta).jacobian()
@@ -326,7 +325,7 @@ class TestPlanBand:
     def test_folded_cell_band_matches_oracle(self, medium_cell_mesh, p, delta):
         mesh = medium_cell_mesh
         red = Reduction(mesh.num_nodes, cell_constraints(mesh))
-        x1, x2 = mesh.nodes.T
+        x1, x2 = oracles.nodes(mesh).T
         phi = 0.05 * np.sin(2.0 * np.pi * x1) * (1.0 + x2)
         band = _CellFunctional(mesh, p).point(phi, delta).jacobian(red)
         ref = oracles.fold_matrix(oracles.coo_jacobian(
@@ -385,7 +384,7 @@ class TestPlanBand:
         """A Newton point gives the energy, residual and jacobian that a
         fresh point gives, bit for bit, whatever it evaluated first."""
         mesh = build_thin_mesh(reference_profile, 1.0 / 8, 16, 6)
-        x1, x2 = mesh.nodes.T
+        x1, x2 = oracles.nodes(mesh).T
         u = np.cos(np.pi * x1) * (1.0 + 0.3 * x2) + 0.05 * np.sin(40.0 * x1)
         load = LoadSpec(kind="cos_pi", x2_coeff=0.3)
         params = FluxParams(p=1.5, delta=1e-2, eps_weight=mesh.eps)
@@ -489,26 +488,12 @@ class TestNewton:
         gs = element_gradients(mesh, u1 - u2, mesh.eps)
         assert error_corrector(mesh, gs, np.zeros(2), 3.0) < 1e-6
 
-    def test_thin_solve_builds_no_mesh_arrays(self, reference_profile,
-                                              monkeypatch):
-        """A thin solve reads the column grid only: it makes no triangle
-        table and never builds the node coordinates."""
+    def test_thin_solve_builds_no_mesh_arrays(self, reference_profile):
+        """A thin solve reads the column grid only, the one form a mesh
+        has (test_api checks that no node or triangle table is left)."""
         mesh = build_thin_mesh(reference_profile, 1.0 / 32, 32, 16)
-        calls, build_nodes = [], Mesh.__dict__["nodes"].func
-
-        def counted(node):
-            calls.append("grid_triangles")
-            return grid_triangles(node)
-
-        def nodes(mesh):
-            calls.append("nodes")
-            return build_nodes(mesh)
-
-        monkeypatch.setattr(geometry, "grid_triangles", counted)
-        monkeypatch.setattr(Mesh, "nodes", property(nodes))
         _, diag = solve_thin(mesh, 3.0, LoadSpec(kind="cos_pi"))
         assert diag.total_iterations > 0
-        assert calls == []
 
     def test_max_newton_exceeded_raises(self, medium_cell_mesh):
         opts = SolveOptions(max_newton=2, continuation_deltas=(1e-8,))

@@ -137,31 +137,15 @@ class TestCorrector:
         rows = study._study_rows_for_eps(config, cell, 0.25)
         assert len(rows) == 3 and calls == ["cell"]
 
-    def test_study_reads_only_the_thin_column_grid(self, reference_profile,
-                                                   monkeypatch):
+    def test_study_reads_only_the_thin_column_grid(self, reference_profile):
         """A cell solve and a ladder entry measure everything from the
-        column grids: neither builds the nodes or triangles of any mesh."""
-        reads = []
-
-        def recording(name):
-            original = vars(geometry.Mesh)[name]
-
-            def read(mesh):
-                reads.append((name, mesh.domain_kind))
-                return original.__get__(mesh, geometry.Mesh)
-            return property(read)
-
+        column grids, the only form a mesh has (test_api checks that no
+        node or triangle table is left), and every row is ok."""
         config = tiny_config(reference_profile, LoadSpec(kind="cos_pi"),
                              levels=(2, 4))
-        for name in ("nodes", "triangles"):
-            monkeypatch.setattr(geometry.Mesh, name, recording(name))
         cell = solve_config_cell(config)
         rows = study._study_rows_for_eps(config, cell, 0.25)
         assert all(row.status == "ok" for row in rows)
-        assert reads == []
-        # the recorder sees a read where there is one
-        build_thin_mesh(reference_profile, 0.25, 8, 4).triangles
-        assert reads[-1] == ("triangles", "thin")
 
 
 class TestErrors:
@@ -175,7 +159,7 @@ class TestErrors:
     def test_error_u_zero_for_matching_fields(self, reference_profile):
         mesh = build_thin_mesh(reference_profile, 0.5, 8, 4)
         u0 = np.linspace(0.0, 1.0, 65) ** 2
-        u_eps = np.interp(mesh.nodes[:, 0], np.linspace(0.0, 1.0, 65), u0)
+        u_eps = np.interp(oracles.nodes(mesh)[:, 0], np.linspace(0.0, 1.0, 65), u0)
         assert error_u(mesh, u_eps, u0, 2.0) < 1e-12
 
     def test_error_corrector_flat_linear_matches_independent_pipeline(self, flat_profile):
@@ -188,7 +172,7 @@ class TestErrors:
         mesh = build_thin_mesh(flat_profile, eps, 8, 8)
         x = np.linspace(0.0, 1.0, 65)
 
-        u_eps, _ = solve_thin(mesh, 2.0, np.cos(np.pi * mesh.nodes[:, 0]))
+        u_eps, _ = solve_thin(mesh, 2.0, np.cos(np.pi * oracles.nodes(mesh)[:, 0]))
         cell = solve_cell(build_cell_mesh(flat_profile, 8, 8), 2.0)
         forcing = np.cos(np.pi * x)
         from oscthin.limit1d import solve_homogenized
@@ -204,7 +188,7 @@ class TestErrors:
         # independent route: dense thin solve, dense limit solve, the flat
         # corrector is (partition-averaged du0, 0)
         u_oracle = oracles.linear_thin_solve(
-            mesh, np.cos(np.pi * mesh.nodes[:, 0]))
+            mesh, np.cos(np.pi * oracles.nodes(mesh)[:, 0]))
         u0_oracle = oracles.linear_limit_solve(1.0, forcing)
         du_oracle = nodal_derivative(u0_oracle)
         avg = partition_average(du_oracle, part)
