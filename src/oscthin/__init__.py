@@ -13,14 +13,13 @@ from .fem import FluxParams
 from .geometry import Mesh, ProfileSpec, build_cell_mesh, build_thin_mesh, mesh_area
 from .homogenize import CellSolution, effective_coefficient, solve_cell
 from .limit1d import Limit1DProblem, solve_homogenized
-from .solve import ConstraintSet, SolveOptions, newton_solve
+from .solve import SolveOptions, newton_solve
 from .study import LoadSpec, PartitionSpec, StudyConfig, StudyReport, run_study
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CellSolution",
-    "ConstraintSet",
     "FluxParams",
     "Limit1DProblem",
     "LoadSpec",

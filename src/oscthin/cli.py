@@ -77,31 +77,42 @@ def _field_path(out_dir, name):
 
 
 def write_field(mesh, values, path):
-    """Nodal field export: one record per line, index then coordinates then
-    value, both coordinates spread from the column grid to node order.
-    Each column's abscissa is formatted once.  values must hold one entry
-    per node (else ValueError)."""
+    """Nodal field export: a header ``index x1 x2 value nodes=<count>``,
+    then one record per node, index then coordinates then value, both
+    coordinates spread from the column grid to node order (a cell's last
+    column is its first, so its nodes carry the first column's).  Each
+    column's abscissa is formatted once.  values must hold one entry per
+    node (else ValueError)."""
     values = np.asarray(values, dtype=float)
-    if values.shape != (mesh.num_nodes,):
-        raise ValueError(f"a field on {mesh.num_nodes} nodes cannot take "
+    n = mesh.num_nodes
+    if values.shape != (n,):
+        raise ValueError(f"a field on {n} nodes cannot take "
                          f"values of shape {values.shape}")
-    x1 = np.empty(mesh.num_nodes, dtype=object)
-    x1[mesh.grid_nodes] = np.array(list(map(repr, mesh.grid_x.tolist())),
-                                   dtype=object)[:, None]
-    x2 = np.empty(mesh.num_nodes)
-    x2[mesh.grid_nodes.T] = mesh.grid_coordinates()[1]
+    columns = n // (mesh.grid_rows + 1)     # the distinct ones
+    node = mesh.grid_nodes[:columns]
+    x1 = np.empty(n, dtype=object)
+    x1[node] = np.array(list(map(repr, mesh.grid_x[:columns].tolist())),
+                        dtype=object)[:, None]
+    x2 = np.empty(n)
+    x2[node.T] = mesh.grid_coordinates()[1][:, :columns]
     with open(path, "w") as fh:
-        fh.write("index x1 x2 value\n")
+        fh.write(f"index x1 x2 value nodes={n}\n")
         geometry.write_records(fh, (x1, x2, values))
 
 
 def read_field(path):
     """Read a field written by write_field: (nodes array, values array).
-    A file with no records or with records geometry.read_records refuses
-    raises a one-line ValueError naming the file."""
+    A header without its node count, or records geometry.read_records
+    refuses (other than that many among them), raises a one-line
+    ValueError naming the file."""
     with open(path) as fh:
-        fh.readline()
-        data = geometry.read_records(fh, path, 3)
+        header = fh.readline().split()
+        key, _, count = (header[4] if len(header) == 5 else "").partition("=")
+        if (header[:4] != ["index", "x1", "x2", "value"] or key != "nodes"
+                or not count.isdecimal()):
+            raise ValueError(f"{path}: expected header 'index x1 x2 value "
+                             f"nodes=<count>', found {' '.join(header)!r}")
+        data = geometry.read_records(fh, path, 3, int(count))
     return data[:, :2], data[:, 2]
 
 

@@ -17,7 +17,9 @@ column has the same two triangles, whose areas and hat gradients follow in
 closed form from the column's width and end heights (affine in the row).
 The per-mesh plan (_Plan) keeps only those per-column arrays and the band
 position map; a field's gradient, residual and jacobian are formed from
-its grid differences by broadcasting (Point).
+its grid differences by broadcasting (Point).  On a cell mesh the last
+column is the first, so a periodic field is gathered as it is and the
+nodal sums add the last column into the first.
 """
 
 from dataclasses import dataclass
@@ -75,12 +77,13 @@ class _Plan:
     affine in the row.
 
     Edge arrays are flat, the vertical, horizontal and diagonal edges in
-    turn.  Band layouts are cached on first use, each in one assignment.
+    turn.  The band layout is cached on first use in one assignment.
     """
 
     def __init__(self, mesh):
         self.node = mesh.grid_nodes.T
-        self._cache = {}
+        self.size = mesh.num_nodes
+        self._band = None
         self._shapes = [a.shape for a, _ in _ends(self.node)]
         self._split = np.cumsum([np.prod(s) for s in self._shapes])
         self.n_edges = int(self._split[-1])
@@ -126,15 +129,20 @@ class _Plan:
         """Nodal sums of flat edge arrays: each value of edges goes to both
         ends of its edge, each of diffs (the coefficient of a grid
         difference) to its second end and, negated, to its first.
-        Slice-adds on the grid, then the one scatter through node."""
+        Slice-adds on the grid, the last column added into the first on a
+        cell, then the one scatter through node."""
         g = np.zeros(self.node.shape)
         for values, first in ((edges, np.add), (diffs, np.subtract)):
             if values is not None:
                 for (a, b), e in zip(_ends(g), self.edge_views(values)):
                     first(a, e, out=a)
                     b += e
-        out = np.empty(g.size)
-        out[self.node.T] = g.T      # column by column: out in node order
+        if self.size < g.size:      # a cell: its last column is its first
+            g[:, 0] += g[:, -1]
+            g = g[:, :-1]
+        out = np.empty(self.size)
+        # column by column: out in node order
+        out[self.node[:, :g.shape[1]].T] = g.T
         return out
 
     def gradient(self, g, eps_weight):
@@ -152,38 +160,31 @@ class _Plan:
         gy /= eps_weight
         return xi
 
-    def band(self, fold=None):
-        """Band layout of the jacobian in node order or folded by fold (a
-        solve.Reduction): its offsets, size m and the int32 position map,
-        where in the rows of a solve.Band each node's diagonal (node order)
-        and then each edge goes: offset rank times m plus the lower of the
-        edge's two indices, built edge family by edge family."""
-        key = ("band", None if fold is None else fold.key)
-        if key not in self._cache:
-            index = fold.index if key[1] else np.arange(self.node.size)
-            m = int(index.max()) + 1
-            grid = index[self.node].astype(np.int32)
+    def band(self):
+        """Band layout of the jacobian in node order: its offsets, size m
+        and the int32 position map, where in the rows of a solve.Band each
+        node's diagonal (node order) and then each edge goes: offset rank
+        times m plus the lower of the edge's two indices, built edge family
+        by edge family."""
+        if self._band is None:
+            m = self.size
+            grid = self.node.astype(np.int32)
             present = np.zeros(m, dtype=bool)
             present[0] = True
             for a, b in _ends(grid):
-                gap = np.abs(a - b)
-                if not gap.all():
-                    raise ValueError(
-                        "an edge joins a node to its periodic copy")
-                present[gap] = True
+                present[np.abs(a - b)] = True
             offsets = np.flatnonzero(present)
             if len(offsets) * m >= 2 ** 31:
                 raise ValueError("the band does not fit int32 positions")
             rank = (np.cumsum(present, dtype=np.int32) - 1) * np.int32(m)
-            where = np.empty(index.size + self.n_edges, dtype=np.int32)
-            where[:index.size] = index
-            for (a, b), out in zip(_ends(grid),
-                                   self.edge_views(where[index.size:])):
+            where = np.empty(m + self.n_edges, dtype=np.int32)
+            where[:m] = np.arange(m)
+            for (a, b), out in zip(_ends(grid), self.edge_views(where[m:])):
                 np.minimum(a, b, out=out)
                 out += rank[np.abs(a - b)]
             where.flags.writeable = False
-            self._cache[key] = (offsets, m, where)
-        return self._cache[key]
+            self._band = (offsets, m, where)
+        return self._band
 
 
 def _plan(mesh):
@@ -299,14 +300,19 @@ class Point:
     scaled gradient xi (2, 2, ny, nx) and its power weight sigma, per edge
     the midpoint value and its power weight.  The residual and jacobian
     form what else they need from the plan's per-column arrays.
-    load_vector b enters as -b . u and -b."""
+    load_vector b enters as -b . u and -b.  slope is the gradient of a
+    linear background slope * x1 added to the field, so xi is that of
+    slope * x1 + u (the cell's unit macroscopic gradient, slope 1)."""
 
-    def __init__(self, mesh, u, params, include_mass=True, load_vector=None):
+    def __init__(self, mesh, u, params, include_mass=True, load_vector=None,
+                 slope=0.0):
         self.u, self.plan, g = _gather(mesh, u)
         self.params, self.include_mass = params, include_mass
         self.load_vector = load_vector
         p, delta, plan = params.p, params.delta, self.plan
         self.xi = xi = plan.gradient(g, params.eps_weight)
+        if slope:
+            xi[0] += slope
         self.sq = xi[0] * xi[0] + xi[1] * xi[1]
         self.sigma = _power_weight(self.sq, p, delta)
         if include_mass:
@@ -355,9 +361,9 @@ class Point:
             res -= self.load_vector
         return res
 
-    def jacobian(self, fold=None):
+    def jacobian(self):
         """The jacobian's stencil scattered through the plan's position
-        map, folded by fold (a solve.Reduction) if given: a solve.Band.
+        map: a solve.Band.
 
         The flux tensor sigma (I + r xi xi^T), r = (p-2)/(d^2+|xi|^2), is
         positive definite for p > 1 if delta > 0.  In a half's grid
@@ -398,11 +404,11 @@ class Point:
             off += mass
             diag += mass
             del mass
-        offsets, m, where = plan.band(fold)
-        rows, n = np.zeros(len(offsets) * m), self.u.size
-        np.add.at(rows, where[:n], plan.node_sum(edges=diag))
+        offsets, m, where = plan.band()
+        rows = np.zeros(len(offsets) * m)
+        np.add.at(rows, where[:m], plan.node_sum(edges=diag))
         del diag
-        np.add.at(rows, where[n:], off)
+        np.add.at(rows, where[m:], off)
         return solve.Band(rows.reshape(len(offsets), m), offsets)
 
 

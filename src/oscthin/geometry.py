@@ -5,11 +5,11 @@ The geometry is always one of two flavors: the representative cell
 (an integer number of periods tiling the unit interval).  Both are meshed
 with the same vertical-fiber mapping: equispaced columns, each column
 holding equispaced nodes between the flat bottom and the profile graph.
-This keeps the left and right boundary layers identical, so periodic node
-pairing is exact, and makes point location inside the mesh a closed-form
-computation.  The column grid is the only form a mesh is stored or read
-in: triangle_vertices states the triangle numbering, and the fibers, the
-barycenters and the mesh file all read the grid.
+This keeps the left and right boundary layers identical, so a cell's
+last column can be its first, and makes point location inside the mesh a
+closed-form computation.  The column grid is the only form a mesh is
+stored or read in: triangle_vertices states the triangle numbering, and
+the fibers, the barycenters and the mesh file all read the grid.
 """
 
 from dataclasses import dataclass, field
@@ -103,22 +103,23 @@ class Mesh:
     stored as its column grid: column i at abscissa grid_x[i] holds
     grid_rows + 1 equispaced nodes from x2 = 0 up to grid_heights[i].
 
-    grid_nodes     (nx+1, ny+1) int array, the node at column i, row j
-    periodic_pairs (ny+1, 2) int array of matching (left, right) node indices
-    domain_kind    "cell" or "thin"
-    eps            oscillation parameter for thin meshes, None for cell meshes
+    grid_nodes   (nx+1, ny+1) int array, the node at column i, row j
+    domain_kind  "cell" or "thin"
+    eps          oscillation parameter for thin meshes, None for cell meshes
 
     No node or triangle table is kept (triangle_vertices states the
     triangle numbering); column_areas and areas are cached on first read.
     Every array is read-only.
 
     Node (i, j) has index slot[i]*(ny+1) + j.  Thin meshes keep column
-    order (slot[i] = i, jacobian half-bandwidth ny + 2).  Cell meshes
-    number columns around the ring, 0, 1, nx-1, 2, nx-2, ..., the periodic
-    copy of column 0 last: after the periodic fold ring neighbours sit at
-    most two slots apart (half-bandwidth 2*(ny+1) + 1), where column order
-    would couple column 0 to column nx-1 across the whole matrix.  Meshes
-    are immutable after construction and safe for concurrent reads.
+    order (slot[i] = i, jacobian half-bandwidth ny + 2).  A cell mesh is
+    periodic: its last column is its first (slot[nx] = slot[0] = 0), so
+    it has nx*(ny+1) nodes and a periodic nodal field is an ordinary
+    one.  It numbers the other columns around the ring, 1, nx-1, 2,
+    nx-2, ...: ring neighbours sit at most two slots apart (half-bandwidth
+    2*(ny+1) + 1), where column order would couple column 0 to column
+    nx-1 across the whole matrix.  Meshes are immutable after
+    construction and safe for concurrent reads.
     """
 
     def __init__(self, domain_kind, grid_x, grid_heights, grid_rows,
@@ -144,22 +145,26 @@ class Mesh:
         if heights[0] != heights[nx]:
             raise MeshingError(
                 f"first and last column heights differ ({heights[0]!r}, "
-                f"{heights[nx]!r}): the periodic pairing needs them equal")
+                f"{heights[nx]!r}): the periodic domain needs them equal")
         slot = np.arange(nx + 1)
         if domain_kind == "cell":
+            if nx < 2:
+                raise MeshingError("a cell mesh needs at least two distinct "
+                                   "columns")
             slot = np.where(2 * slot <= nx, 2 * slot - 1, 2 * (nx - slot))
-            slot[0], slot[nx] = 0, nx
+            slot[0] = slot[nx] = 0
         node = slot[:, None] * (ny + 1) + np.arange(ny + 1)
         self.domain_kind, self.eps = domain_kind, eps
         self.grid_x, self.grid_heights, self.grid_rows = xs, heights, ny
         self.grid_nodes = node
-        self.periodic_pairs = np.column_stack([node[0], node[nx]])
-        for arr in (xs, heights, node, self.periodic_pairs):
+        for arr in (xs, heights, node):
             arr.flags.writeable = False
 
     @property
     def num_nodes(self):
-        return self.grid_nodes.size
+        """Distinct nodes: a cell's last column is not counted again."""
+        return (self.grid_nodes.size
+                - (self.domain_kind == "cell") * (self.grid_rows + 1))
 
     @property
     def num_triangles(self):
@@ -233,8 +238,8 @@ def triangle_vertices(mesh, tris, axis):
 
 def build_cell_mesh(spec, nx, ny):
     """Mesh one period of the profile: columns in [0, period], rows up to
-    g; the first and last column heights are identified exactly, so the
-    periodic node pairing matches to machine precision."""
+    g; the last column, the first one's periodic image, takes its height
+    exactly."""
     if nx < 2 or ny < 2:
         raise ValueError("cell mesh needs nx >= 2 and ny >= 2")
     xs = np.arange(nx + 1) * (spec.period / nx)
@@ -463,14 +468,23 @@ def read_mesh(path):
     then the column grid, ``# grid <columns> <rows>`` followed by one
     record ``index x height`` per column; the mesh is built from these
     two.  A header or grid line out of place (a file of the older layout,
-    whose node section comes first, among them), records read_records
-    refuses (cut short, not numeric, more or fewer than the columns) or a
-    grid Mesh refuses raises a one-line ValueError naming the file."""
+    whose node section comes first, among them), an eps that is not a
+    number in (0, 1], records read_records refuses (cut short, not
+    numeric, more or fewer than the columns) or a grid Mesh refuses raises
+    a one-line ValueError naming the file."""
     with open(path) as fh:
         header = fh.readline().split()
         if header[:3] != ["#", "oscthin", "mesh"] or len(header) != 5:
             raise ValueError(f"{path}: expected header '# oscthin mesh "
                              f"<kind> eps=...', found {' '.join(header)!r}")
+        key, sep, eps = header[4].partition("=")
+        try:
+            eps = float(eps) if eps else None
+        except ValueError:
+            eps = np.nan
+        if key != "eps" or not sep or not (eps is None or 0.0 < eps <= 1.0):
+            raise ValueError(f"{path}: expected 'eps=' and a number in "
+                             f"(0, 1] or nothing, found {header[4]!r}")
         line = fh.readline().split()
         if (line[:2] != ["#", "grid"] or len(line) != 4
                 or not (line[2] + line[3]).isdecimal()):
@@ -478,9 +492,7 @@ def read_mesh(path):
                              f"{' '.join(line) or 'end of file'!r}")
         columns, rows = int(line[2]), int(line[3])
         grid = read_records(fh, path, 2, columns)
-    eps = header[4].split("=", 1)[1]
     try:
-        return Mesh(header[3], grid[:, 0], grid[:, 1], rows,
-                    eps=float(eps) if eps else None)
+        return Mesh(header[3], grid[:, 0], grid[:, 1], rows, eps=eps)
     except MeshingError as exc:
         raise ValueError(f"{path}: {exc}") from exc

@@ -3,9 +3,9 @@
 The cell unknown is the periodic mean-zero perturbation phi of the linear
 background y1: the total field v = y1 + phi carries a unit macroscopic
 horizontal gradient and solves the flux equilibrium equation on one period
-of the oscillating geometry.  Because y1 is itself a P1 function, v is
-represented exactly on the mesh and the background never needs separate
-quadrature.
+of the oscillating geometry.  y1 is not periodic, so it is no nodal field
+of the cell mesh: its gradient (1, 0) is added to that of phi on every
+triangle, where v's gradient is all the flux needs.
 
 The effective coefficient is reported through two discretizations of the
 same integral - the first-component flux average and the energy average -
@@ -52,7 +52,8 @@ class CellSolution:
     @cached_property
     def gradients(self):
         """Per-triangle gradients of v = y1 + phi (constant on each one)."""
-        return fem.element_gradients(self.mesh, _abscissae(self.mesh) + self.phi)
+        return (fem.element_gradients(self.mesh, self.phi)
+                + np.array([1.0, 0.0]))
 
     @cached_property
     def flux(self):
@@ -66,31 +67,11 @@ class _CellFunctional:
     def __init__(self, mesh, p):
         self.mesh = mesh
         self.p = p
-        self.base = _abscissae(mesh)
 
     def point(self, phi, delta):
-        return fem.Point(self.mesh, self.base + phi,
+        return fem.Point(self.mesh, phi,
                          fem.FluxParams(p=self.p, delta=delta, eps_weight=1.0),
-                         include_mass=False)
-
-
-def _abscissae(mesh):
-    """y1 at every node, scattered from grid_x through grid_nodes."""
-    y1 = np.empty(mesh.num_nodes)
-    y1[mesh.grid_nodes] = mesh.grid_x[:, None]
-    return y1
-
-
-def cell_constraints(mesh):
-    """Periodic identification plus the zero-mean normalization.  The cell
-    energy is shift invariant, so each Newton step solves its jacobian,
-    grounded at one node to make it definite, for the residual's part off
-    the constants and shifts the step onto the mean-zero hyperplane; the
-    post-shift only mops up roundoff.  The mean weights are the load vector
-    of f = 1, the hat functions' integrals (its rule is exact for P1)."""
-    ones = np.ones(mesh.num_nodes)
-    return solve.ConstraintSet(periodic_pairs=mesh.periodic_pairs,
-                               mean_weights=fem.load_vector(mesh, ones))
+                         include_mass=False, slope=1.0)
 
 
 def solve_cell(mesh, p, opts=None):
@@ -104,15 +85,20 @@ def solve_cell(mesh, p, opts=None):
     not to the residual of the start.  On a SolveError the configured
     continuation ladder from zero takes over.  The diagnostics hold every
     stage run, abandoned ones included.
+
+    The cell energy is shift invariant, so each Newton step keeps phi's
+    mean zero (newton_solve's mean_weights).  The weights are the load
+    vector of f = 1, the hat functions' integrals (its rule is exact for
+    P1).
     """
     opts = opts or solve.SolveOptions()
-    constraints = cell_constraints(mesh)
+    weights = fem.load_vector(mesh, np.ones(mesh.num_nodes))
     target = opts.final_delta
     diagnostics = solve.NewtonDiagnostics()
 
     def newton(q, init, deltas):
         phi, diag = solve.newton_solve(
-            _CellFunctional(mesh, q), init, constraints,
+            _CellFunctional(mesh, q), init, weights,
             replace(opts, continuation_deltas=deltas))
         diagnostics.stages += diag.stages
         return phi
@@ -129,7 +115,7 @@ def solve_cell(mesh, p, opts=None):
         phi = newton(p, np.zeros(mesh.num_nodes), opts.continuation_deltas)
 
     measure = geometry.mesh_area(mesh)
-    mean = float(constraints.mean_weights @ phi) / measure
+    mean = float(weights @ phi) / measure
     if abs(mean) > 1e-10:
         raise UnconvergedCellError(
             f"cell perturbation has nonzero mean {mean:.3e}")

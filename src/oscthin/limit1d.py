@@ -93,9 +93,8 @@ class _LimitPoint:
         res[1:] += f.h * ((s * _GAUSS_T[None, :]) @ _GAUSS_W)
         return res
 
-    def jacobian(self, fold=None):
-        """Tridiagonal: the diagonal and the subdiagonal of a solve.Band.
-        The limit grid has no periodic fold; fold is not used."""
+    def jacobian(self):
+        """Tridiagonal: the diagonal and the subdiagonal of a solve.Band."""
         f, delta = self.f, self.delta
         p, q = f.prob.p, f.prob.coeff
         if p < 2.0 and delta == 0.0:
@@ -123,8 +122,7 @@ def solve_homogenized(prob, opts=None):
     """
     opts = opts or solve.SolveOptions()
     functional = _LimitFunctional(prob)
-    return solve.newton_solve(functional, np.zeros(prob.n + 1),
-                              solve.ConstraintSet(), opts)
+    return solve.newton_solve(functional, np.zeros(prob.n + 1), opts=opts)
 
 
 def nodal_derivative(values):

@@ -1,13 +1,12 @@
-"""Damped Newton with regularization continuation on constrained systems.
+"""Damped Newton with regularization continuation.
 
-Periodic identification is realized by eliminating follower degrees of
-freedom onto their leaders through a node map.  A zero mean is kept by
-each Newton step of a shift-invariant energy: its residual is projected
-off the constants, solved with one node grounded and shifted back onto
-the mean-zero hyperplane, so the reduced systems stay symmetric and no
-penalty parameters or multipliers appear.  Convergence is measured by
-the reduced residual's Euclidean norm.  Every jacobian reaches the linear
-solvers as a Band.
+A zero mean is kept by each Newton step of a shift-invariant energy: its
+residual is projected off the constants, solved with one node grounded
+and shifted back onto the mean-zero hyperplane, so the systems stay
+symmetric and no penalty parameters or multipliers appear.  Periodic
+fields need nothing here: a cell mesh numbers its last column as its
+first.  Convergence is measured by the residual's Euclidean norm.  Every
+jacobian reaches the linear solvers as a Band.
 """
 
 import logging
@@ -88,73 +87,6 @@ class SolveOptions:
     @property
     def final_delta(self):
         return self.continuation_deltas[-1]
-
-
-@dataclass(frozen=True)
-class ConstraintSet:
-    """Admissible-space description for a solve.
-
-    periodic_pairs folds each follower (second column) onto its leader.
-    Given mean_weights (nodal quadrature weights), every Newton step keeps
-    the weighted mean zero and the converged field is shifted by a
-    constant so its mean vanishes; the energy must be shift invariant, its
-    jacobian annihilating constants (constrained_linear_solve checks).
-    Periodic pairs need mean_weights: only the mean constraint grounds
-    the jacobian of a folded periodic energy."""
-
-    periodic_pairs: object = None
-    mean_weights: object = None
-
-
-class Reduction:
-    """The periodic fold between the full and the reduced DOF spaces as a
-    node map: index[i] is node i's reduced index, each follower (second
-    column of periodic_pairs) taking its leader's and the leaders numbered
-    in node order; keep marks the leaders.  problem points fold their
-    jacobian by it, and key (None when nothing folds) names it.
-
-    Without pairs nothing folds and no node map is built (no keep or
-    index): expand and reduce_vector return their argument and restrict
-    copies it."""
-
-    def __init__(self, n, constraints):
-        pairs = constraints.periodic_pairs
-        self.folded = pairs is not None and len(pairs) > 0
-        self.n_reduced = n
-        if not self.folded:
-            return
-        pairs = np.asarray(pairs, dtype=np.int64)
-        leaders, followers = pairs[:, 0], pairs[:, 1]
-        if len(np.unique(followers)) != len(followers):
-            raise ValueError("a node follows two different leaders")
-        if np.intersect1d(leaders, followers).size:
-            raise ValueError("constraint pairs form a chain (not acyclic)")
-        leader = np.arange(n)
-        leader[followers] = leaders
-        self.keep = leader == np.arange(n)
-        self.index = (np.cumsum(self.keep) - 1)[leader]
-        self.n_reduced = int(self.keep.sum())
-
-    @property
-    def key(self):
-        """The node map's bytes, made on each call: a solve holds no copy
-        beside the one a plan's cache keeps."""
-        return self.index.tobytes() if self.folded else None
-
-    def reduce_vector(self, v):
-        v = np.asarray(v)
-        return (np.bincount(self.index, weights=v, minlength=self.n_reduced)
-                if self.folded else v)
-
-    def expand(self, u_reduced):
-        u = np.asarray(u_reduced)
-        return u[self.index] if self.folded else u
-
-    def restrict(self, u):
-        """Reduced coordinates of a full field that satisfies the
-        constraints, always a copy."""
-        u = np.asarray(u)
-        return u[self.keep] if self.folded else u.copy()
 
 
 class Band:
@@ -244,7 +176,7 @@ def constrained_linear_solve(a, b, w, tol):
     """Solve a x = b on the hyperplane w . x = 0, the step for
     shift-invariant energies.
 
-    a must annihilate constants, as a folded cell jacobian does (each
+    a must annihilate constants, as a cell jacobian does (each
     diagonal entry is minus its row sum), so its range is the complement
     of the constants: b - mean(b) projects b onto it, dropping the
     roundoff a shift-invariant energy's residual has along the constants.
@@ -313,58 +245,49 @@ def _residual_norm(r, delta, iterations):
     return rnorm
 
 
-def newton_solve(problem, init, constraints, opts=None):
+def newton_solve(problem, init, mean_weights=None, opts=None):
     """Damped Newton over the continuation ladder of regularizations.
 
-    ``problem.point(u, delta)`` evaluates a full nodal field once for
-    energy(), residual() (full length) and jacobian(fold), the Band of the
-    reduced unknowns folded by the solve's Reduction.  A trial field is
+    ``problem.point(u, delta)`` evaluates a nodal field once for energy(),
+    residual() and jacobian(), a Band of the same size.  A trial field is
     evaluated for its energy; the accepted one then gives the residual
     and the next jacobian, and is dropped before the next line search.
-    Returns the converged full field (mean-shifted when mean_weights are
-    given) and per-stage diagnostics.  Accepted steps never increase the
-    stage energy (Armijo backtracking).  A SolveError leaves with the
-    diagnostics so far as its ``diagnostics``, the failed stage last.
+    Given mean_weights (nodal quadrature weights), every Newton step keeps
+    the weighted mean zero and the converged field is shifted by a
+    constant so its mean vanishes; the energy must then be shift
+    invariant, its jacobian annihilating constants
+    (constrained_linear_solve checks).  Returns the converged field and
+    per-stage diagnostics.  Accepted steps never increase the stage energy
+    (Armijo backtracking).  A SolveError leaves with the diagnostics so
+    far as its ``diagnostics``, the failed stage last.
     """
     opts = opts or SolveOptions()
-    u = np.asarray(init, dtype=float)       # read only: restrict copies
-    red = Reduction(len(u), constraints)
-    u_red = red.restrict(u)
-    if red.folded:
-        gap = np.abs(red.expand(u_red) - u).max(initial=0.0)
-        if gap > 1e-10 * (1.0 + np.abs(u).max(initial=0.0)):
-            raise ValueError(f"initial field violates periodicity by {gap:.3e}")
-    del init, u         # the solve holds only its reduced copy
+    u = np.array(init, dtype=float)     # the solve's own copy
+    del init
     diagnostics = NewtonDiagnostics()
-
-    w = constraints.mean_weights
-    if red.folded and w is None:      # see ConstraintSet
-        raise ValueError("periodic_pairs require mean_weights")
-    w = None if w is None else np.asarray(w, dtype=float)
-    w_red = None if w is None else red.reduce_vector(w)
+    w = None if mean_weights is None else np.asarray(mean_weights, dtype=float)
 
     for delta in opts.continuation_deltas:
         stage = StageDiagnostics(delta=delta)
         diagnostics.stages.append(stage)
         try:
-            u_red = _newton_stage(problem, red, w_red, u_red, stage, opts)
+            u = _newton_stage(problem, w, u, stage, opts)
         except SolveError as exc:
             stage.stop_reason = type(exc).__name__
             exc.diagnostics = diagnostics
             raise
 
-    u = red.expand(u_red)
     if w is not None:
         u = u - (w @ u) / w.sum()
     return u, diagnostics
 
 
-def _newton_stage(problem, red, w_red, u_red, stage, opts):
-    """Newton at the stage's delta from u_red; the converged reduced field."""
+def _newton_stage(problem, w, u, stage, opts):
+    """Newton at the stage's delta from u; the converged field."""
     delta = stage.delta
-    point = problem.point(red.expand(u_red), delta)
+    point = problem.point(u, delta)
     energy = point.energy()
-    r = red.reduce_vector(point.residual())
+    r = point.residual()
     rnorm = _residual_norm(r, delta, stage.iterations)
     stage.energies.append(energy)
     stage.residual_norms.append(rnorm)
@@ -376,13 +299,13 @@ def _newton_stage(problem, red, w_red, u_red, stage, opts):
             raise NonConvergenceError(
                 f"stage delta={delta:.1e}: residual {rnorm:.3e} above "
                 f"{tol:.3e} after {opts.max_newton} Newton steps")
-        jac, point = point.jacobian(red), None    # the point is spent
-        if jac.rows.shape[1] != red.n_reduced:
+        jac, point = point.jacobian(), None    # the point is spent
+        if jac.rows.shape[1] != len(u):
             raise ValueError(f"jacobian has {jac.rows.shape[1]} unknowns, "
-                             f"the constraints leave {red.n_reduced}")
+                             f"the field has {len(u)}")
         stage.factorizations += 1
-        if w_red is not None:
-            step = constrained_linear_solve(jac, -r, w_red, opts.linear_tol)
+        if w is not None:
+            step = constrained_linear_solve(jac, -r, w, opts.linear_tol)
         else:
             step = linear_solve(jac, -r, opts.linear_tol)
         del jac
@@ -393,8 +316,8 @@ def _newton_stage(problem, red, w_red, u_red, stage, opts):
                 f"Newton step is an ascent direction (slope {slope:.3e})")
         t = 1.0
         for _ in range(opts.max_halvings + 1):
-            trial_red = u_red + t * step
-            point = problem.point(red.expand(trial_red), delta)
+            trial = u + t * step
+            point = problem.point(trial, delta)
             trial_energy = point.energy()
             # a predicted decrease below energy roundoff leaves the
             # Armijo test blind: take the full step, the residual decides
@@ -408,8 +331,8 @@ def _newton_stage(problem, red, w_red, u_red, stage, opts):
                 f"iteration {stage.iterations}: energy {energy:.6e}, "
                 f"residual {rnorm:.3e}, slope {slope:.3e}, "
                 f"last step length {t:.3e}")
-        u_red, energy = trial_red, trial_energy
-        r = red.reduce_vector(point.residual())
+        u, energy = trial, trial_energy
+        r = point.residual()
         rnorm = _residual_norm(r, delta, stage.iterations + 1)
         stage.iterations += 1
         stage.energies.append(energy)
@@ -417,15 +340,15 @@ def _newton_stage(problem, red, w_red, u_red, stage, opts):
         stage.step_lengths.append(t)
         logger.debug(
             "newton stage=%g iter=%d energy=%.12e residual=%.3e step=%.3g",
-            delta, stage.iterations, energy, rnorm, t)
+        delta, stage.iterations, energy, rnorm, t)
         # residual entries can sit on a roundoff floor above tol when the
         # jacobian is stiff (p < 2 at tiny delta); a negligible full step
         # means the iterate itself is converged to machine precision
         if t == 1.0 and (np.linalg.norm(step)
-                         <= 1e-12 * (1.0 + np.linalg.norm(u_red))):
+                         <= 1e-12 * (1.0 + np.linalg.norm(u))):
             stage.stop_reason = "step"
             break
     stage.converged = True
     logger.info("newton stage=%g converged: iters=%d residual=%.3e",
                 delta, stage.iterations, rnorm)
-    return u_red
+    return u

@@ -136,6 +136,9 @@ class StudyConfig:
         for key, value in (("p", self.p), *(("epsilons", e) for e in eps)):
             if not np.isfinite(value):
                 raise ValueError(f"{key} must be finite, got {value!r}")
+        for value in eps:
+            if not 0.0 < value <= 1.0:
+                raise ValueError(f"epsilons must lie in (0, 1], got {value!r}")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("the oscillation ladder must be strictly decreasing")
         levels = tuple(self.partition_levels)
@@ -152,14 +155,13 @@ class StudyConfig:
                 raise ValueError(f"{key} must be at least {least}, got {value}")
         # no partition cell narrower than a column half of the finest thin
         # mesh: 2^level/period cells against 2 nx_per_period/(eps period)
-        if min(eps) > 0.0:
-            most = math.floor(
-                math.log2(2 * self.thin_nx_per_period / min(eps)) + 1e-9)
-            if max(levels) > most:
-                raise ValueError(
-                    f"partition_levels must be at most {most} (cells no "
-                    "narrower than a column half of the finest thin mesh), "
-                    f"got {max(levels)}")
+        most = math.floor(
+            math.log2(2 * self.thin_nx_per_period / min(eps)) + 1e-9)
+        if max(levels) > most:
+            raise ValueError(
+                f"partition_levels must be at most {most} (cells no "
+                "narrower than a column half of the finest thin mesh), "
+                f"got {max(levels)}")
         self.epsilons = eps
         self.partition_levels = levels
 
@@ -279,8 +281,7 @@ def solve_thin(mesh, p, load, opts=None):
         raise ValueError("solve_thin needs a thin mesh (eps attached)")
     opts = opts or solve.SolveOptions()
     functional = _ThinFunctional(mesh, p, load)
-    return solve.newton_solve(functional, np.zeros(mesh.num_nodes),
-                              solve.ConstraintSet(), opts)
+    return solve.newton_solve(functional, np.zeros(mesh.num_nodes), opts=opts)
 
 
 def solve_config_cell(config):
@@ -337,7 +338,7 @@ def cell_response(cell, mesh):
     tri = geometry.locate_points(cell.mesh, np.column_stack(
         [mesh.per_triangle(x), np.minimum(mesh.barycenter_heights(),
                                           mesh.per_triangle(top))]))
-    return fem.element_gradients(cell.mesh, cell.phi)[tri] + np.array([1.0, 0.0])
+    return cell.gradients[tri]
 
 
 def corrector_field(du0, part, mesh, response):

@@ -1,6 +1,6 @@
 # oscthin first: it sets the BLAS thread default, which only takes effect
 # if numpy is not imported yet (see oscthin/__init__.py)
-from oscthin import ProfileSpec, build_cell_mesh
+from oscthin import ProfileSpec, build_cell_mesh, build_thin_mesh
 
 import numpy as np
 import pytest
@@ -20,6 +20,14 @@ def reference_profile():
 @pytest.fixture(scope="session")
 def small_cell_mesh(reference_profile):
     return build_cell_mesh(reference_profile, 16, 8)
+
+
+@pytest.fixture(scope="session")
+def small_period_mesh(reference_profile):
+    """The small cell's geometry meshed as a thin domain at eps 1: its last
+    column is a column of its own, so fields that are not periodic, such
+    as x1, live on it."""
+    return build_thin_mesh(reference_profile, 1.0, 16, 8)
 
 
 @pytest.fixture(scope="session")

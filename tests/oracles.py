@@ -13,28 +13,65 @@ from scipy.sparse import linalg as sparse_linalg
 from oscthin import fem, geometry, solve, study
 
 
+def grid_nodes(mesh):
+    """The unfolded node map (nx+1, ny+1) of the oracles: the mesh's own,
+    except that a cell's last column, which the mesh numbers as its first,
+    gets numbers of its own after the mesh's nodes.  Every oracle field,
+    vector and matrix is in this numbering."""
+    node = np.array(mesh.grid_nodes)
+    if mesh.domain_kind == "cell":
+        node[-1] = mesh.num_nodes + np.arange(mesh.grid_rows + 1)
+    return node
+
+
+def periodic_pairs(mesh):
+    """(node, copy) pairs of the unfolded numbering: a cell's first column
+    against its last; none on a thin mesh."""
+    node = grid_nodes(mesh)
+    if mesh.domain_kind != "cell":
+        return np.empty((0, 2), dtype=node.dtype)
+    return np.column_stack([node[0], node[-1]])
+
+
+def unfold(mesh, u):
+    """A nodal field of the mesh in the unfolded numbering: each copy
+    takes its node's value."""
+    u = np.asarray(u)
+    return np.concatenate([u, u[periodic_pairs(mesh)[:, 0]]])
+
+
+def fold(mesh, r):
+    """A nodal vector of the unfolded numbering summed onto the mesh's
+    nodes: each copy's entry added to its node's."""
+    pairs = periodic_pairs(mesh)
+    out = np.array(r[:mesh.num_nodes], dtype=float)
+    out[pairs[:, 0]] += r[pairs[:, 1]]
+    return out
+
+
 def nodes(mesh):
-    """Node coordinates (n, 2) in node order, scattered from the column
-    grid."""
-    out = np.empty((mesh.num_nodes, 2))
+    """Node coordinates (n, 2) in the unfolded numbering, scattered from
+    the column grid."""
+    node = grid_nodes(mesh)
+    out = np.empty((node.size, 2))
     for k, coordinate in enumerate(mesh.grid_coordinates()):
-        out[mesh.grid_nodes.T, k] = coordinate
+        out[node.T, k] = coordinate
     return out
 
 
 def triangles(mesh):
-    """Triangles (T, 3) of the grid node map: quad q = i*ny + j is split
-    along its lower-left/upper-right diagonal into triangles 2q
+    """Triangles (T, 3) of the unfolded node map: quad q = i*ny + j is
+    split along its lower-left/upper-right diagonal into triangles 2q
     (ll, lr, ur) and 2q+1 (ll, ur, ul), positively oriented."""
-    node = mesh.grid_nodes
+    node = grid_nodes(mesh)
     ll, lr, ur, ul = node[:-1, :-1], node[1:, :-1], node[1:, 1:], node[:-1, 1:]
     return np.stack([ll, lr, ur, ll, ur, ul], axis=-1).reshape(-1, 3)
 
 
 def boundary_edges(mesh):
     """Boundary edges by tag (lower, upper, left, right), each (m, 2) and
-    oriented with the domain on its left."""
-    node, ny = mesh.grid_nodes, mesh.grid_rows
+    oriented with the domain on its left, in the unfolded numbering."""
+    node, ny = grid_nodes(mesh), mesh.grid_rows
     return {
         "lower": np.column_stack([node[:-1, 0], node[1:, 0]]),
         "upper": np.column_stack([node[1:, ny], node[:-1, ny]]),
@@ -60,7 +97,7 @@ def laplace_matrices(mesh, eps_weight=1.0):
     """Sparse stiffness (with anisotropic weight) and P1 mass matrix, summed
     from the 3x3 element matrices as COO triplets."""
     idx, area, b, c = tri_geometry(mesh)
-    n = mesh.num_nodes
+    n = grid_nodes(mesh).size
     w2 = eps_weight * eps_weight
     rows, cols, stiff, mass = [], [], [], []
     for a_ in range(3):
@@ -77,21 +114,23 @@ def laplace_matrices(mesh, eps_weight=1.0):
 def linear_periodic_cell(mesh):
     """Linear (quadratic-energy) periodic cell solve by sparse algebra.
 
-    Periodic identification by an explicit 0/1 folding matrix, zero mean by
-    a Lagrange multiplier, sparse direct solve.  Returns the perturbation
-    field and the effective coefficient.
+    Periodic identification by an explicit 0/1 folding matrix of the
+    unfolded numbering, zero mean by a Lagrange multiplier, sparse direct
+    solve.  Returns the perturbation field (unfolded) and the effective
+    coefficient.
     """
-    n = mesh.num_nodes
+    n = grid_nodes(mesh).size
     stiff, _ = laplace_matrices(mesh)
-    rhs = -stiff @ nodes(mesh)[:, 0]
+    x1 = nodes(mesh)[:, 0]
+    rhs = -stiff @ x1
 
-    fold = np.arange(n)
-    for left, right in mesh.periodic_pairs:
-        fold[right] = left
-    keep = np.flatnonzero(fold == np.arange(n))
+    leader = np.arange(n)
+    for left, right in periodic_pairs(mesh):
+        leader[right] = left
+    keep = np.flatnonzero(leader == np.arange(n))
     pos = np.full(n, -1)
     pos[keep] = np.arange(len(keep))
-    z = sparse.csr_matrix((np.ones(n), (np.arange(n), pos[fold])),
+    z = sparse.csr_matrix((np.ones(n), (np.arange(n), pos[leader])),
                           shape=(n, len(keep)))
 
     weights_red = z.T @ lumped_masses(mesh)
@@ -100,9 +139,9 @@ def linear_periodic_cell(mesh):
     sol = sparse_linalg.spsolve(bordered, np.append(z.T @ rhs, 0.0))
     phi = z @ sol[:-1]
 
-    grads = fem.element_gradients(mesh, nodes(mesh)[:, 0] + phi)
-    area = mesh.areas
-    coeff = float((area * grads[:, 0]).sum() / area.sum())
+    idx, area, b, _ = tri_geometry(mesh)
+    v = (x1 + phi)[idx]
+    coeff = float((area * (v * b).sum(axis=1)).sum() / area.sum())
     return phi, coeff
 
 
@@ -268,7 +307,7 @@ def residual(mesh, u, params, load=None, include_mass=True):
         mid += (d2 + um * um) ** ((p - 2.0) / 2.0) * um
     if load is not None:
         mid -= load_at_midpoints(mesh, load)
-    res = np.zeros(mesh.num_nodes)
+    res = np.zeros(grid_nodes(mesh).size)
     for k in range(3):
         flux = area * (a[:, 0] * b[:, k] + a[:, 1] * c[:, k] / params.eps_weight)
         mass = area / 3.0 * 0.5 * (mid.sum(axis=1) - mid[:, k])
@@ -304,7 +343,7 @@ def coo_jacobian(mesh, u, params, include_mass=True):
             rows.append(idx[:, k])
             cols.append(idx[:, l])
             vals.append(e)
-    n = mesh.num_nodes
+    n = grid_nodes(mesh).size
     return sparse.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n)).tocsr()
@@ -313,7 +352,7 @@ def coo_jacobian(mesh, u, params, include_mass=True):
 def lumped_masses(mesh):
     """Integral of each nodal hat function: a third of every triangle's
     area added to each of its vertices."""
-    w = np.zeros(mesh.num_nodes)
+    w = np.zeros(grid_nodes(mesh).size)
     third, tris = mesh.areas / 3.0, triangles(mesh)
     for k in range(3):
         np.add.at(w, tris[:, k], third)
@@ -375,9 +414,10 @@ def old_layout_mesh_text(mesh):
 
 
 def row_by_row_field_text(mesh, values):
-    """The nodal field file format written one record at a time."""
-    out = ["index x1 x2 value\n"]
-    for k, (x, y) in enumerate(nodes(mesh)):
+    """The nodal field file format written one record at a time: the
+    mesh's nodes only, a cell's shared ones at the first column."""
+    out = [f"index x1 x2 value nodes={mesh.num_nodes}\n"]
+    for k, (x, y) in enumerate(nodes(mesh)[:mesh.num_nodes]):
         out.append(f"{k} {float(x)!r} {float(y)!r} {float(values[k])!r}\n")
     return "".join(out)
 

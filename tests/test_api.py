@@ -9,7 +9,7 @@ import pkgutil
 from functools import cached_property
 
 import oscthin
-from oscthin import geometry
+from oscthin import geometry, solve
 
 # text readers and writers, called by users and by the tests
 IO_PREFIXES = ("read_", "write_", "format_", "parse_")
@@ -101,3 +101,14 @@ def test_a_mesh_is_its_column_grid():
     for name in ("nodes", "triangles", "boundary_edges"):
         assert not hasattr(geometry.Mesh, name)
     assert not hasattr(geometry, "grid_triangles")
+
+
+def test_a_cell_mesh_is_periodic(reference_profile):
+    """A cell mesh numbers its last column as its first, so nothing folds
+    a periodic copy back: the mesh has no periodic pairs and the solver no
+    node map or constraint set."""
+    mesh = geometry.build_cell_mesh(reference_profile, 8, 4)
+    assert not hasattr(mesh, "periodic_pairs")
+    for name in ("Reduction", "ConstraintSet"):
+        assert not hasattr(solve, name)
+        assert name not in oscthin.__all__

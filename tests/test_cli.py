@@ -47,7 +47,7 @@ def test_writers_match_row_by_row_format(reference_profile, tmp_path, kind):
     written chunk."""
     mesh = (build_cell_mesh(reference_profile, 64, 32) if kind == "cell"
             else build_thin_mesh(reference_profile, 0.25, 8, 4))
-    x1, x2 = oracles.nodes(mesh).T
+    x1, x2 = oracles.nodes(mesh)[:mesh.num_nodes].T
     values = np.sin(3.0 * x1) * x2
     write_mesh(mesh, tmp_path / "mesh.txt")
     write_field(mesh, values, tmp_path / "field.txt")
@@ -67,12 +67,12 @@ def test_field_of_wrong_length_refused(reference_profile, tmp_path, change):
     unequal length."""
     mesh = build_cell_mesh(reference_profile, 8, 4)
     values = np.zeros(mesh.num_nodes + change)
-    with pytest.raises(ValueError, match="45 nodes"):
+    with pytest.raises(ValueError, match="40 nodes"):
         write_field(mesh, values, tmp_path / "field.txt")
     assert not (tmp_path / "field.txt").exists()
     fh = io.StringIO()
     with pytest.raises(ValueError, match="differ in length"):
-        write_records(fh, (oracles.nodes(mesh)[:, 0], values))
+        write_records(fh, (oracles.nodes(mesh)[:mesh.num_nodes, 0], values))
     assert fh.getvalue() == ""
 
 
@@ -81,13 +81,17 @@ def test_field_of_wrong_length_refused(reference_profile, tmp_path, change):
     ("non_numeric", "record 0 is not an index and 3 numbers: '0 abc 1.5 0.0'"),
     ("extra", "record 15 has index 14"),
     ("long", "record 3 is not an index and 3 numbers: '3 0.25 0.0 3.0 7'"),
-    ("header_only", "0 records after the header, expected some"),
+    ("header_only", "0 records after the header, expected 15"),
+    ("cut", "14 records after the header, expected 15"),
+    ("no_count", "expected header 'index x1 x2 value nodes=<count>', "
+                 "found 'index x1 x2 value'"),
 ])
 def test_field_records_refused(reference_profile, tmp_path, change, message):
-    """A field file cut short in its last record, with a field that is
-    not a number, a record repeated or too long, or no record after the
-    header is refused in one line naming the file."""
-    mesh = build_cell_mesh(reference_profile, 4, 2)
+    """A field file cut short in its last record or at a record boundary,
+    with a field that is not a number, a record repeated (under a count
+    that admits it) or too long, no record after the header, or a header
+    without the node count is refused in one line naming the file."""
+    mesh = build_thin_mesh(reference_profile, 1.0, 4, 2)
     path = tmp_path / "field.txt"
     write_field(mesh, np.arange(float(mesh.num_nodes)), path)
     lines = path.read_text().splitlines()
@@ -96,9 +100,14 @@ def test_field_records_refused(reference_profile, tmp_path, change, message):
     elif change == "non_numeric":
         lines[1] = "0 abc 1.5 0.0"
     elif change == "extra":
+        lines[0] = "index x1 x2 value nodes=16"
         lines.append(lines[-1])
     elif change == "long":
         lines[4] += " 7"
+    elif change == "cut":
+        lines = lines[:-1]
+    elif change == "no_count":
+        lines[0] = "index x1 x2 value"
     else:
         lines = lines[:1]
     path.write_text("\n".join(lines) + "\n")
@@ -213,6 +222,8 @@ class TestParseConfig:
          "continuation_deltas must be finite and nonnegative, got inf"),
         ({"p": 1e309}, "p must be finite, got inf"),
         ({"epsilons": [1e309]}, "epsilons must be finite, got inf"),
+        ({"epsilons": [0.5, -0.5]}, "epsilons must lie in (0, 1], got -0.5"),
+        ({"epsilons": [2.0]}, "epsilons must lie in (0, 1], got 2.0"),
     ], ids=["nx_per_period", "ny", "limit_elements", "flux_stations_0",
             "flux_stations_negative", "limit_elements_float", "ny_string",
             "flux_stations_float", "cell_nx_bool", "cell_ny_float",
@@ -222,7 +233,8 @@ class TestParseConfig:
             "max_halvings_float", "max_newton_float", "residual_tol_bool",
             "deltas_string",
             "solver_typo", "load_value_bool", "residual_tol_inf",
-            "linear_tol_inf", "delta_inf", "p_inf", "eps_inf"])
+            "linear_tol_inf", "delta_inf", "p_inf", "eps_inf",
+            "eps_negative", "eps_above_one"])
     @pytest.mark.parametrize("command", ["study", "solve-eps", "cell"])
     def test_bad_size_is_config_error(self, tmp_path, capsys, monkeypatch,
                                       overrides, message, command):
@@ -255,6 +267,24 @@ class TestParseConfig:
         path = write_config(tmp_path / "cfg.json")
         assert main([command, "--config", path, flag, "inf", "--out",
                      str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("value", ["-0.5", "0"])
+    @pytest.mark.parametrize("command",
+                             ["study", "solve-eps", "solve-limit", "cell"])
+    def test_eps_override_outside_unit_interval_is_config_error(
+            self, tmp_path, capsys, monkeypatch, value, command):
+        """An eps override of 0 or below is refused with the config, on
+        every command, before the cell is solved: one line and exit 2,
+        not a limit solved from its forcing or NaN warnings and exit 3."""
+        def no_cell(config):
+            raise AssertionError("the cell was solved")
+
+        monkeypatch.setattr(study, "solve_config_cell", no_cell)
+        path = write_config(tmp_path / "cfg.json")
+        assert main([command, "--config", path, f"--eps={value}", "--out",
+                     str(tmp_path / "out")]) == EXIT_CONFIG
+        message = f"epsilons must lie in (0, 1], got {float(value)!r}"
         assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.parametrize("k", ["a", 1.5, 2.0, True, None])
@@ -293,13 +323,15 @@ class TestCommands:
         assert abs(summary["coeff_flux"] - 1.0) < 1e-10
         mesh = read_mesh(out / "cell_mesh.txt")
         nodes, phi = read_field(out / "cell_phi.txt")
-        assert len(phi) == mesh.num_nodes
+        # one record per distinct node: the last column is the first, and
+        # its nodes carry the first column's abscissa
+        assert len(phi) == mesh.num_nodes == 16 * 9
+        assert np.all(nodes[mesh.grid_nodes[-1], 0] == 0.0)
         assert np.abs(phi).max() < 1e-10
         # the file holds only the grid; what read_mesh builds from it is
         # the mesh the cell was solved on
         solved = study.solve_config_cell(parse_config(path)).mesh
-        for name in ("grid_x", "grid_heights", "grid_rows", "grid_nodes",
-                     "periodic_pairs"):
+        for name in ("grid_x", "grid_heights", "grid_rows", "grid_nodes"):
             assert np.array_equal(getattr(mesh, name), getattr(solved, name))
         for table in (oracles.nodes, oracles.triangles):
             assert np.array_equal(table(mesh), table(solved))
@@ -307,7 +339,7 @@ class TestCommands:
         assert edges.keys() == oracles.boundary_edges(solved).keys()
         for tag, solved_edges in oracles.boundary_edges(solved).items():
             assert np.array_equal(edges[tag], solved_edges)
-        assert np.array_equal(nodes, oracles.nodes(solved))
+        assert np.array_equal(nodes, oracles.nodes(solved)[:len(phi)])
 
     def test_solve_limit_unit_forcing(self, tmp_path):
         path = write_config(tmp_path / "cfg.json")

@@ -11,9 +11,8 @@ from oscthin.fem import (AssemblyError, Point, element_gradients,
                          integrate_load_fibers, load_vector, lp_norm, p_flux,
                          p_flux_inverse, p_flux_scalar)
 from oscthin.geometry import ProfileSpec, read_mesh, write_mesh
-from oscthin.homogenize import _CellFunctional, cell_constraints
-from oscthin.solve import (Reduction, constrained_linear_solve,
-                           linear_solve)
+from oscthin.homogenize import _CellFunctional
+from oscthin.solve import constrained_linear_solve, linear_solve
 from oscthin.study import (LoadSpec, _ThinFunctional, error_corrector,
                            solve_thin)
 
@@ -21,22 +20,23 @@ import oracles
 
 
 class TestElementGradient:
-    def test_reproduces_x1(self, small_cell_mesh):
-        u = oracles.nodes(small_cell_mesh)[:, 0].copy()
-        grads = element_gradients(small_cell_mesh, u)
+    def test_reproduces_x1(self, small_period_mesh):
+        u = oracles.nodes(small_period_mesh)[:, 0].copy()
+        grads = element_gradients(small_period_mesh, u)
         assert np.abs(grads - [1.0, 0.0]).max() < 1e-12
 
-    def test_constant_field(self, small_cell_mesh):
-        grads = element_gradients(small_cell_mesh, np.full(small_cell_mesh.num_nodes, 4.2))
+    def test_constant_field(self, small_period_mesh):
+        mesh = small_period_mesh
+        grads = element_gradients(mesh, np.full(mesh.num_nodes, 4.2))
         assert np.abs(grads).max() < 1e-12
 
-    def test_reproduces_general_linear(self, small_cell_mesh):
-        x1, x2 = oracles.nodes(small_cell_mesh).T
+    def test_reproduces_general_linear(self, small_period_mesh):
+        x1, x2 = oracles.nodes(small_period_mesh).T
         u = 3.0 * x1 + 2.0 * x2
-        grads = element_gradients(small_cell_mesh, u)
+        grads = element_gradients(small_period_mesh, u)
         assert np.abs(grads - [3.0, 2.0]).max() < 1e-11
         # one triangle through the oracle's hat-function gradients
-        idx, _, b, c = oracles.tri_geometry(small_cell_mesh)
+        idx, _, b, c = oracles.tri_geometry(small_period_mesh)
         single = [b[5] @ u[idx[5]], c[5] @ u[idx[5]]]
         assert single == pytest.approx([3.0, 2.0], abs=1e-11)
 
@@ -44,25 +44,26 @@ class TestElementGradient:
 class TestScaledGradient:
     """element_gradients with eps_weight: (d1, d2/eps_weight)."""
 
-    def test_identity_weight(self, small_cell_mesh):
-        x1, x2 = oracles.nodes(small_cell_mesh).T
-        grads = element_gradients(small_cell_mesh, x1 + x2, 1.0)
-        assert np.array_equal(grads, element_gradients(small_cell_mesh, x1 + x2))
+    def test_identity_weight(self, small_period_mesh):
+        x1, x2 = oracles.nodes(small_period_mesh).T
+        grads = element_gradients(small_period_mesh, x1 + x2, 1.0)
+        assert np.array_equal(grads,
+                              element_gradients(small_period_mesh, x1 + x2))
         assert np.allclose(grads, [1.0, 1.0])
 
-    def test_small_weight_amplifies_vertical(self, small_cell_mesh):
+    def test_small_weight_amplifies_vertical(self, small_period_mesh):
         """The second component is the plain one divided by the weight,
         bit for bit, and the first is untouched."""
-        x1, x2 = oracles.nodes(small_cell_mesh).T
-        plain = element_gradients(small_cell_mesh, x1 + x2)
-        grads = element_gradients(small_cell_mesh, x1 + x2, 0.1)
+        x1, x2 = oracles.nodes(small_period_mesh).T
+        plain = element_gradients(small_period_mesh, x1 + x2)
+        grads = element_gradients(small_period_mesh, x1 + x2, 0.1)
         assert np.allclose(grads, [1.0, 10.0])
         assert np.array_equal(grads[:, 0], plain[:, 0])
         assert np.array_equal(grads[:, 1], plain[:, 1] / 0.1)
 
-    def test_zero_vector(self, small_cell_mesh):
-        u = np.full(small_cell_mesh.num_nodes, 4.2)
-        assert np.all(element_gradients(small_cell_mesh, u, 0.25) == 0.0)
+    def test_zero_vector(self, small_period_mesh):
+        u = np.full(small_period_mesh.num_nodes, 4.2)
+        assert np.all(element_gradients(small_period_mesh, u, 0.25) == 0.0)
 
 
 class TestMonotoneFlux:
@@ -193,10 +194,13 @@ class TestAssembly:
         """A band stores the lower half only, which holds because the full
         jacobian (all nine blocks of every element) is symmetric; the
         band's matrix is that jacobian."""
+        mesh = small_cell_mesh
         rng = np.random.default_rng(7)
-        u = rng.normal(size=small_cell_mesh.num_nodes)
+        u = rng.normal(size=mesh.num_nodes)
         params = FluxParams(p=3.0, delta=1e-4)
-        full = oracles.coo_jacobian(small_cell_mesh, u, params).toarray()
+        full = oracles.fold_matrix(
+            oracles.coo_jacobian(mesh, oracles.unfold(mesh, u), params),
+            oracles.periodic_pairs(mesh)).toarray()
         assert np.abs(full - full.T).max() < 1e-12
         jac = oracles.band_matrix(Point(small_cell_mesh, u, params).jacobian())
         _assert_rel_close(jac.toarray(), full)
@@ -272,20 +276,21 @@ SLOPED_PROFILE = ProfileSpec(period=0.5, mean=1.0, cos_coeffs=(0.3,),
 
 
 def _grid_case(profile, case):
-    """A mesh, a field and the fold of one of the two layouts a point
-    meets: an eps 1/16 thin mesh and a ring-ordered 64x16 cell folded by
-    its Reduction; a case ending in _sloped takes SLOPED_PROFILE."""
+    """A mesh and a field on it of one of the two layouts a point meets:
+    an eps 1/16 thin mesh and a ring-ordered 64x16 cell, whose last column
+    is its first (the field periodic); a case ending in _sloped takes
+    SLOPED_PROFILE."""
     if case.endswith("_sloped"):
         profile, case = SLOPED_PROFILE, case[:-len("_sloped")]
     if case == "thin":
         mesh = build_thin_mesh(profile, 1.0 / 16, 16, 8)
         x1, x2 = oracles.nodes(mesh).T
-        return mesh, np.cos(np.pi * x1) * (1.0 + 0.3 * x2), None
+        return mesh, np.cos(np.pi * x1) * (1.0 + 0.3 * x2)
     mesh = build_cell_mesh(profile, 64, 16)
-    red = Reduction(mesh.num_nodes, cell_constraints(mesh))
-    x1, x2 = oracles.nodes(mesh).T
-    phi = red.expand(red.restrict(0.05 * np.sin(2.0 * np.pi * x1) * (1.0 + x2)))
-    return mesh, x1 + phi, red
+    x1, x2 = oracles.nodes(mesh)[:mesh.num_nodes].T
+    # no point where both gradient components vanish
+    return mesh, (np.cos(2.0 * np.pi * x1 / mesh.width) * (1.0 + 0.3 * x2)
+                  + 0.2 * x2)
 
 
 class TestAssemblyPlan:
@@ -295,25 +300,22 @@ class TestAssemblyPlan:
     @pytest.mark.parametrize("delta", [1e-2, 1e-8])
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_cell_flux_only_matches_oracle(self, reference_profile, p, delta):
+        """The cell's point at a periodic phi (the background slope added to
+        its gradient) against the oracles at x1 + phi in their unfolded
+        numbering: the same energy, the oracle residual folded and the
+        folded oracle jacobian, diagonal for diagonal."""
         mesh = build_cell_mesh(reference_profile, 32, 8)
-        red = Reduction(mesh.num_nodes, cell_constraints(mesh))
-        phi = np.random.default_rng(41).normal(size=red.n_reduced)
-        u = oracles.nodes(mesh)[:, 0] + 0.2 * red.expand(phi)
+        phi = 0.2 * np.random.default_rng(41).normal(size=mesh.num_nodes)
+        u = oracles.nodes(mesh)[:, 0] + oracles.unfold(mesh, phi)
         params = FluxParams(p=p, delta=delta)
-        point = Point(mesh, u, params, include_mass=False)
+        point = _CellFunctional(mesh, p).point(phi, delta)
         assert point.energy() == pytest.approx(
             oracles.energy(mesh, u, params, include_mass=False), rel=1e-13)
-        _assert_rel_close(
-            red.reduce_vector(point.residual()),
-            red.reduce_vector(oracles.residual(mesh, u, params,
-                                               include_mass=False)))
-        jac = point.jacobian()
+        _assert_rel_close(point.residual(), oracles.fold(
+            mesh, oracles.residual(mesh, u, params, include_mass=False)))
         ref = oracles.coo_jacobian(mesh, u, params, include_mass=False)
-        _assert_same_jacobian(jac, oracles.band(ref))
-        pairs = mesh.periodic_pairs
-        _assert_rel_close(
-            oracles.fold_matrix(oracles.band_matrix(jac), pairs).toarray(),
-            oracles.fold_matrix(ref, pairs).toarray())
+        _assert_same_jacobian(point.jacobian(), oracles.band(
+            oracles.fold_matrix(ref, oracles.periodic_pairs(mesh))))
 
     @pytest.mark.filterwarnings("error")
     def test_flux_only_oracle_forms_no_mass_tensor(self, reference_profile):
@@ -329,7 +331,7 @@ class TestAssemblyPlan:
                                      include_mass=False)
         scale = abs(ref).max()
         assert abs(ref - other).max() <= 1e-13 * scale
-        assert np.abs(ref @ np.ones(mesh.num_nodes)).max() <= 1e-13 * scale
+        assert np.abs(ref @ np.ones(len(u))).max() <= 1e-13 * scale
 
     @pytest.mark.parametrize("delta", [1e-2, 1e-8])
     @pytest.mark.parametrize("p", [1.5, 3.0])
@@ -356,7 +358,8 @@ class TestAssemblyPlan:
         mesh = (build_cell_mesh(reference_profile, 128, 32) if kind == "cell"
                 else build_thin_mesh(reference_profile, 1.0 / 16, 32, 16))
         w = load_vector(mesh, np.ones(mesh.num_nodes))
-        _assert_rel_close(w, oracles.lumped_masses(mesh), rtol=1e-15)
+        _assert_rel_close(w, oracles.fold(mesh, oracles.lumped_masses(mesh)),
+                          rtol=1e-15)
         assert w.sum() == pytest.approx(geometry.mesh_area(mesh), rel=1e-14)
 
     def test_nodal_load_matches_oracle(self, small_cell_mesh):
@@ -364,11 +367,11 @@ class TestAssemblyPlan:
         mesh = small_cell_mesh
         rng = np.random.default_rng(43)
         load = 0.5 + 0.1 * rng.normal(size=mesh.num_nodes)
-        u = rng.normal(size=mesh.num_nodes)
-        _assert_rel_close(fem.load_vector(mesh, load),
-                          -oracles.residual(mesh, np.zeros_like(u),
-                                            FluxParams(p=2.0, delta=1.0),
-                                            load, include_mass=False))
+        zero = np.zeros(len(oracles.nodes(mesh)))
+        _assert_rel_close(fem.load_vector(mesh, load), -oracles.fold(
+            mesh, oracles.residual(mesh, zero, FluxParams(p=2.0, delta=1.0),
+                                   oracles.unfold(mesh, load),
+                                   include_mass=False)))
 
     def test_solve_thin_builds_plan_and_load_once(self, reference_profile,
                                                   monkeypatch):
@@ -445,10 +448,13 @@ class TestAssemblyPlan:
     def test_grid_layouts_match_oracle(self, reference_profile, case, p,
                                        delta):
         """fem.Point on each layout against the oracle energy, residual and
-        COO jacobian, with and without the mass term; then the solves of
-        the problems as posed: thin with the mass term, cells flux-only on
-        the mean-zero hyperplane with a mean-zero right-hand side."""
-        mesh, u, red = _grid_case(reference_profile, case)
+        COO jacobian in the oracles' unfolded numbering, the residual and
+        jacobian folded (no change on a thin mesh), with and without the
+        mass term; then the solves of the problems as posed: thin with the
+        mass term, cells flux-only on the mean-zero hyperplane with a
+        mean-zero right-hand side."""
+        mesh, u = _grid_case(reference_profile, case)
+        full, pairs = oracles.unfold(mesh, u), oracles.periodic_pairs(mesh)
         params = FluxParams(p=p, delta=delta, eps_weight=mesh.eps or 1.0)
         load = LoadSpec(kind="cos_pi", x2_coeff=0.3)
         b = fem.load_vector(mesh, load)
@@ -456,25 +462,26 @@ class TestAssemblyPlan:
         for include_mass in (True, False):
             point = fem.Point(mesh, u, params, include_mass, b)
             assert point.energy() == pytest.approx(
-                oracles.energy(mesh, u, params, load, include_mass), rel=1e-13)
-            _assert_rel_close(point.residual(), oracles.residual(
-                mesh, u, params, load, include_mass))
-            band = point.jacobian(red)
-            matrix = oracles.coo_jacobian(mesh, u, params, include_mass)
-            if red is not None:
-                matrix = oracles.fold_matrix(matrix, mesh.periodic_pairs)
+                oracles.energy(mesh, full, params, load, include_mass),
+                rel=1e-13)
+            _assert_rel_close(point.residual(), oracles.fold(
+                mesh, oracles.residual(mesh, full, params, load,
+                                       include_mass)))
+            band = point.jacobian()
+            matrix = oracles.fold_matrix(
+                oracles.coo_jacobian(mesh, full, params, include_mass), pairs)
             for _ in range(3):
                 x = rng.normal(size=matrix.shape[0])
                 ax = matrix @ x
                 assert (np.linalg.norm(band @ x - ax)
                         <= 1e-13 * np.linalg.norm(ax))
         rhs = rng.normal(size=matrix.shape[0])
-        if red is None:
+        if mesh.domain_kind == "thin":
             x = linear_solve(fem.Point(mesh, u, params).jacobian(), rhs, 1e-12)
             expected = spla.spsolve(
                 oracles.coo_jacobian(mesh, u, params).tocsc(), rhs)
         else:
-            w = red.reduce_vector(oracles.lumped_masses(mesh))
+            w = oracles.fold(mesh, oracles.lumped_masses(mesh))
             rhs -= rhs.mean()
             x = constrained_linear_solve(band, rhs, w, 1e-12)
             expected = oracles.bordered_solve(matrix, rhs, w)
@@ -486,14 +493,13 @@ class TestGridPoint:
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_flux_jacobian_annihilates_constants(self, medium_cell_mesh, p):
-        """Each flux diagonal is minus its row sum, so the folded cell
+        """Each flux diagonal is minus its row sum, so the periodic cell
         jacobian times the ones vector vanishes to roundoff."""
         mesh = medium_cell_mesh
-        red = Reduction(mesh.num_nodes, cell_constraints(mesh))
-        x1, x2 = oracles.nodes(mesh).T
-        phi = red.expand(red.restrict(0.05 * np.sin(2.0 * np.pi * x1) * x2))
-        band = _CellFunctional(mesh, p).point(phi, 1e-8).jacobian(red)
-        ones = band @ np.ones(red.n_reduced)
+        x1, x2 = oracles.nodes(mesh)[:mesh.num_nodes].T
+        phi = 0.05 * np.sin(2.0 * np.pi * x1) * x2
+        band = _CellFunctional(mesh, p).point(phi, 1e-8).jacobian()
+        ones = band @ np.ones(mesh.num_nodes)
         assert np.abs(ones).max() <= 1e-14 * np.abs(band.rows[0]).max()
 
     def test_evaluation_order_gives_same_bits(self, reference_profile):
@@ -525,13 +531,13 @@ class TestColumnForms:
     @pytest.mark.parametrize("case", ["thin", "ring", "thin_sloped",
                                       "ring_sloped"])
     def test_gradient_and_areas_match_oracle(self, reference_profile, case):
-        mesh, u, _ = _grid_case(reference_profile, case)
+        mesh, u = _grid_case(reference_profile, case)
         plan = fem._plan(mesh)
         # the columns slope both ways, and s k reaches a tenth of a row
         assert plan.s.min() < 0.0 < plan.s.max()
         assert np.abs(plan.s).max() * mesh.grid_rows > 0.1 * plan.c.max()
         params = FluxParams(p=3.0, delta=1e-2, eps_weight=mesh.eps or 1.0)
-        *_, grad, _ = oracles._p1_fields(mesh, u, params)
+        *_, grad, _ = oracles._p1_fields(mesh, oracles.unfold(mesh, u), params)
         _assert_rel_close(element_gradients(mesh, u, params.eps_weight), grad,
                           rtol=1e-12)
         area = oracles.tri_geometry(mesh)[1]
@@ -571,8 +577,7 @@ class TestColumnForms:
         owned = sum(value.nbytes for name, value in vars(plan).items()
                     if isinstance(value, np.ndarray) and name != "node")
         assert owned <= 64 * (nx + ny)
-        (key, (_, _, where)), = plan._cache.items()
-        assert key == ("band", None)
+        _, _, where = plan._band
         assert where.dtype == np.int32
         assert where.size == mesh.num_nodes + plan.n_edges
 
@@ -612,19 +617,20 @@ class TestNorms:
         assert lp_norm(unit_square_mesh, u, 3.0) == pytest.approx(2.5, abs=1e-12)
 
     def test_linear_field_against_exact_integral(self, flat_profile):
-        mesh = build_cell_mesh(flat_profile, 32, 32)
+        mesh = build_thin_mesh(flat_profile, 1.0, 32, 32)
         u = oracles.nodes(mesh)[:, 0].copy()
         # integral of x1^2 over the unit square is 1/3
         assert lp_norm(mesh, u, 2.0) == pytest.approx(1.0 / np.sqrt(3.0), abs=1e-3)
 
-    def test_seminorm_of_linear_field(self, unit_square_mesh):
+    def test_seminorm_of_linear_field(self, flat_profile):
         """The L^p norm of a scaled gradient as the study measures it
         (error_corrector against a zero field)."""
-        x1, x2 = oracles.nodes(unit_square_mesh).T
+        mesh = build_thin_mesh(flat_profile, 1.0, 8, 8)
+        x1, x2 = oracles.nodes(mesh).T
         u = 3.0 * x1 + 2.0 * x2
-        gs = element_gradients(unit_square_mesh, u, 0.5)
+        gs = element_gradients(mesh, u, 0.5)
         expected = np.hypot(3.0, 4.0)   # scaled gradient (3, 2/0.5)
-        assert error_corrector(unit_square_mesh, gs, np.zeros(2),
+        assert error_corrector(mesh, gs, np.zeros(2),
                                3.0) == pytest.approx(expected, rel=1e-12)
 
 

@@ -71,9 +71,9 @@ class TestProfile:
 class TestCellMesh:
     def test_flat_2x2_counts(self, flat_profile):
         mesh = build_cell_mesh(flat_profile, 2, 2)
-        assert mesh.num_nodes == 9
+        assert mesh.num_nodes == 6      # the last column is the first
         assert mesh.num_triangles == 8
-        assert len(mesh.periodic_pairs) == 3
+        assert len(oracles.periodic_pairs(mesh)) == 3
         assert mesh_area(mesh) == pytest.approx(1.0, abs=1e-15)
 
     def test_area_against_quadrature_oracle(self, reference_profile):
@@ -105,8 +105,16 @@ class TestCellMesh:
         assert np.abs(x[:, 1] - reference_profile.evaluate(x[:, 0])).max() < 1e-12
 
     def test_periodic_pairs_match(self, reference_profile):
+        """The mesh numbers its last column as its first, and in the
+        oracles' unfolded numbering each node of the first column and its
+        copy lie one period apart at the same height."""
         mesh = build_cell_mesh(reference_profile, 24, 6)
-        left, right = mesh.periodic_pairs[:, 0], mesh.periodic_pairs[:, 1]
+        assert np.array_equal(mesh.grid_nodes[-1], mesh.grid_nodes[0])
+        assert np.array_equal(np.unique(mesh.grid_nodes),
+                              np.arange(mesh.num_nodes))
+        assert mesh.num_nodes == 24 * 7
+        pairs = oracles.periodic_pairs(mesh)
+        left, right = pairs[:, 0], pairs[:, 1]
         nodes = oracles.nodes(mesh)
         assert np.abs(nodes[left, 1] - nodes[right, 1]).max() < 1e-12
         dx = nodes[right, 0] - nodes[left, 0]
@@ -114,7 +122,7 @@ class TestCellMesh:
 
     def test_boundary_edges_close_up(self, reference_profile):
         mesh = build_cell_mesh(reference_profile, 9, 5)
-        counts = np.zeros(mesh.num_nodes, dtype=int)
+        counts = np.zeros(len(oracles.nodes(mesh)), dtype=int)
         for edges in oracles.boundary_edges(mesh).values():
             for a, b in edges:
                 counts[a] += 1
@@ -130,7 +138,8 @@ class TestCellMesh:
         ([0.0, 0.5, 0.5, 1.0], [1.0, 1.2, 0.8, 1.0], "strictly increase"),
         ([0.0, 0.5, 1.0], [1.0, -0.2, 1.0], "column 1 height -2.000e-01"),
         ([0.0, 0.5, 1.0], [1.0, 1.2, 0.8], "last column heights differ"),
-    ], ids=["abscissae", "height", "ends"])
+        ([0.0, 1.0], [1.0, 1.0], "two distinct columns"),
+    ], ids=["abscissae", "height", "ends", "one_column"])
     def test_bad_grid_refused(self, xs, heights, message):
         with pytest.raises(MeshingError, match=message) as info:
             Mesh("cell", xs, heights, 2)
@@ -327,7 +336,7 @@ def test_mesh_round_trip(tmp_path, reference_profile):
     back = read_mesh(path)
     assert np.array_equal(oracles.nodes(back), oracles.nodes(mesh))
     assert np.array_equal(oracles.triangles(back), oracles.triangles(mesh))
-    assert np.array_equal(back.periodic_pairs, mesh.periodic_pairs)
+    assert np.array_equal(back.grid_nodes, mesh.grid_nodes)
     assert back.domain_kind == mesh.domain_kind
     assert back.eps == mesh.eps
     for tag, edges in oracles.boundary_edges(mesh).items():
@@ -370,9 +379,10 @@ def test_closed_form_barycenters_match_oracle(reference_profile, kind):
 @pytest.mark.parametrize("kind", ["cell", "thin", "sin"])
 def test_grid_nodes_place_each_node(tmp_path, reference_profile, kind):
     """The grid node map puts node (i, j) at column i, row j, on a built
-    mesh and on its copy read back from disk, and triangle_vertices reads
-    the vertices of the oracle's triangles of it, sized by num_nodes and
-    num_triangles.  Every array a mesh stores or caches is read-only."""
+    mesh and on its copy read back from disk (a cell's last column at its
+    first), numbering num_nodes nodes, and triangle_vertices reads the
+    vertices of the oracle's triangles of it, sized by num_triangles.
+    Every array a mesh stores or caches is read-only."""
     sloped = ProfileSpec(period=0.5, mean=1.0, cos_coeffs=(0.1,),
                          sin_coeffs=(0.3, -0.05))
     mesh = {"cell": lambda: build_cell_mesh(reference_profile, 16, 4),
@@ -381,13 +391,16 @@ def test_grid_nodes_place_each_node(tmp_path, reference_profile, kind):
     write_mesh(mesh, tmp_path / "mesh.txt")
     rows = np.arange(mesh.grid_rows + 1) / mesh.grid_rows
     for m in (mesh, read_mesh(tmp_path / "mesh.txt")):
-        node = m.grid_nodes
-        assert not node.flags.writeable
+        assert not m.grid_nodes.flags.writeable
+        node = oracles.grid_nodes(m)
         nodes, triangles = oracles.nodes(m), oracles.triangles(m)
         x, y = nodes[node].transpose(2, 0, 1)
         assert np.array_equal(x, np.broadcast_to(mesh.grid_x[:, None], x.shape))
         assert np.array_equal(y, mesh.grid_heights[:, None] * rows)
-        assert nodes.shape == (m.num_nodes, 2)
+        distinct = len(m.grid_x) - (kind == "cell")
+        assert m.num_nodes == distinct * (m.grid_rows + 1)
+        assert np.array_equal(np.unique(m.grid_nodes), np.arange(m.num_nodes))
+        assert np.array_equal(node[:distinct], m.grid_nodes[:distinct])
         assert triangles.shape == (m.num_triangles, 3)
         every = np.arange(m.num_triangles)
         for axis in (0, 1):
@@ -396,7 +409,7 @@ def test_grid_nodes_place_each_node(tmp_path, reference_profile, kind):
         cached = [getattr(m, name) for name, attr in vars(Mesh).items()
                   if isinstance(attr, cached_property)]
         assert len(cached) >= 2     # both areas
-        for array in (m.grid_x, m.grid_heights, m.periodic_pairs, *cached):
+        for array in (m.grid_x, m.grid_heights, *cached):
             assert not array.flags.writeable
 
 
@@ -421,9 +434,11 @@ def test_mesh_off_the_grid_refused_at_read(tmp_path, reference_profile,
     mesh = SimpleNamespace(
         nodes=oracles.nodes(ring), triangles=oracles.triangles(ring),
         boundary_edges=oracles.boundary_edges(ring),
+        num_nodes=len(oracles.nodes(ring)),
+        periodic_pairs=oracles.periodic_pairs(ring),
         **{name: getattr(ring, name) for name in (
-            "domain_kind", "eps", "num_nodes", "num_triangles",
-            "periodic_pairs", "grid_x", "grid_heights", "grid_rows")})
+            "domain_kind", "eps", "num_triangles", "grid_x", "grid_heights",
+            "grid_rows")})
     tris = mesh.triangles
     if change == "swap":            # two lower triangles trade places
         tris[[0, 2]] = tris[[2, 0]]
@@ -438,7 +453,7 @@ def test_mesh_off_the_grid_refused_at_read(tmp_path, reference_profile,
         mesh.nodes, mesh.triangles = mesh.nodes[order], new[tris]
         mesh.boundary_edges = {tag: new[e]
                                for tag, e in mesh.boundary_edges.items()}
-        mesh.periodic_pairs = new[ring.periodic_pairs]
+        mesh.periodic_pairs = new[oracles.periodic_pairs(ring)]
     if change == "no_grid":
         mesh.grid_x = mesh.grid_heights = np.empty(0)
         mesh.grid_rows = 0
@@ -461,7 +476,7 @@ def test_mesh_file_is_header_and_grid(tmp_path, reference_profile):
     write_mesh(mesh, path)
     assert len(path.read_text().splitlines()) == len(mesh.grid_x) + 2 == 259
     back = read_mesh(path)
-    for name in ("grid_x", "grid_heights", "grid_nodes", "periodic_pairs"):
+    for name in ("grid_x", "grid_heights", "grid_nodes"):
         assert np.array_equal(getattr(back, name), getattr(mesh, name))
     assert (back.domain_kind, back.eps, back.grid_rows) == ("cell", None, 64)
 

@@ -1,4 +1,3 @@
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -6,15 +5,14 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from oscthin import (ConstraintSet, Limit1DProblem, SolveOptions,
-                     build_cell_mesh, build_thin_mesh, fem, geometry, solve)
-from oscthin.fem import FluxParams, Point, element_gradients
-from oscthin.homogenize import _CellFunctional, cell_constraints, solve_cell
+from oscthin import (Limit1DProblem, SolveOptions, build_cell_mesh,
+                     build_thin_mesh, fem, geometry, solve)
+from oscthin.fem import FluxParams, Point, element_gradients, load_vector
+from oscthin.homogenize import _CellFunctional, solve_cell
 from oscthin.limit1d import _LimitFunctional
 from oscthin.solve import (IndefiniteSystemError, LinearSolveError,
-                           NonConvergenceError, Reduction,
-                           constrained_linear_solve, linear_solve,
-                           newton_solve)
+                           NonConvergenceError, constrained_linear_solve,
+                           linear_solve, newton_solve)
 from oscthin.study import (LoadSpec, _ThinFunctional, error_corrector,
                            solve_thin)
 
@@ -22,11 +20,15 @@ import oracles
 
 
 def _cell_band(mesh, p):
-    """The cell's Reduction and its folded jacobian at delta 1e-8 for a
-    smooth periodic perturbation."""
-    red = Reduction(mesh.num_nodes, cell_constraints(mesh))
-    phi = 0.05 * np.sin(2.0 * np.pi * oracles.nodes(mesh)[:, 0])
-    return red, _CellFunctional(mesh, p).point(phi, 1e-8).jacobian(red)
+    """The cell's jacobian at delta 1e-8 for a smooth periodic
+    perturbation."""
+    phi = 0.05 * np.sin(2.0 * np.pi * oracles.nodes(mesh)[:mesh.num_nodes, 0])
+    return _CellFunctional(mesh, p).point(phi, 1e-8).jacobian()
+
+
+def _cell_weights(mesh):
+    """The oracle's hat-function integrals summed onto the cell's nodes."""
+    return oracles.fold(mesh, oracles.lumped_masses(mesh))
 
 
 class TestLinearSolve:
@@ -99,14 +101,16 @@ class TestLinearSolve:
     def test_folded_cell_jacobian_half_bandwidth(self, reference_profile,
                                                  nx, ny):
         """Ring-ordered cell columns keep every coupling of the periodic
-        fold within two columns of the diagonal, for odd and even nx."""
+        fold within two columns of the diagonal, for odd and even nx: in
+        the oracle jacobian folded and in the cell's band."""
         mesh = build_cell_mesh(reference_profile, nx, ny)
-        a = oracles.band_matrix(Point(mesh, oracles.nodes(mesh)[:, 0],
-                                      FluxParams(p=2.0), False).jacobian())
-        coo = oracles.fold_matrix(a, mesh.periodic_pairs).tocoo()
+        a = oracles.coo_jacobian(mesh, oracles.nodes(mesh)[:, 0],
+                                 FluxParams(p=2.0), include_mass=False)
+        coo = oracles.fold_matrix(a, oracles.periodic_pairs(mesh)).tocoo()
         assert (coo.col - coo.row).max() == 2 * ny + 3
-        red = Reduction(mesh.num_nodes, cell_constraints(mesh))
-        assert fem._plan(mesh).band(red)[0][-1] == 2 * ny + 3
+        band = Point(mesh, np.zeros(mesh.num_nodes), FluxParams(p=2.0),
+                     False).jacobian()
+        assert band.offsets[-1] == 2 * ny + 3
 
     def test_tall_columns_keep_the_band(self, reference_profile):
         """The band grows with the rows of a column, not with the mesh:
@@ -124,15 +128,13 @@ class TestLinearSolve:
     def test_constrained_solve_matches_bordered_lu(self, medium_cell_mesh,
                                                    p, delta):
         mesh = medium_cell_mesh
-        red = Reduction(mesh.num_nodes, cell_constraints(mesh))
-        x1, x2 = oracles.nodes(mesh).T
-        v = x1 + 0.05 * np.sin(2.0 * np.pi * x1) * (1.0 + x2)
-        a = oracles.fold_matrix(oracles.band_matrix(Point(
-            mesh, v, FluxParams(p=p, delta=delta), False).jacobian()),
-            mesh.periodic_pairs)
-        b = np.random.default_rng(16).normal(size=red.n_reduced)
+        x1, x2 = oracles.nodes(mesh)[:mesh.num_nodes].T
+        phi = 0.05 * np.sin(2.0 * np.pi * x1) * (1.0 + x2)
+        a = oracles.band_matrix(
+            _CellFunctional(mesh, p).point(phi, delta).jacobian())
+        b = np.random.default_rng(16).normal(size=mesh.num_nodes)
         b -= b.mean()
-        w = red.reduce_vector(oracles.lumped_masses(mesh))
+        w = _cell_weights(mesh)
         x = constrained_linear_solve(oracles.band(a), b, w, 1e-12)
         ref = oracles.bordered_solve(a, b, w)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
@@ -141,10 +143,10 @@ class TestLinearSolve:
     def test_constant_in_rhs_is_dropped(self, medium_cell_mesh, c):
         """a annihilates constants, so its range misses them: b and
         b + c 1 give the same step, the one for the mean-zero part."""
-        red, band = _cell_band(medium_cell_mesh, 3.0)
-        b = np.random.default_rng(18).normal(size=red.n_reduced)
+        band = _cell_band(medium_cell_mesh, 3.0)
+        b = np.random.default_rng(18).normal(size=medium_cell_mesh.num_nodes)
         b -= b.mean()
-        w = red.reduce_vector(oracles.lumped_masses(medium_cell_mesh))
+        w = _cell_weights(medium_cell_mesh)
         x = constrained_linear_solve(band, b, w, 1e-12)
         shifted = constrained_linear_solve(band, b + c, w, 1e-12)
         assert np.linalg.norm(shifted - x) <= 1e-10 * np.linalg.norm(x)
@@ -152,7 +154,7 @@ class TestLinearSolve:
 
     def test_constrained_solve_matches_dense_kkt(self):
         """A dense semidefinite a whose null space is the constants, the
-        property of the folded cell jacobian the step relies on, and a
+        property of the cell jacobian the step relies on, and a
         mean-zero b, the step's contract."""
         rng = np.random.default_rng(14)
         m = rng.normal(size=(40, 40))
@@ -238,10 +240,10 @@ class TestLinearSolve:
         band product; one more checks the row sums), and one solve in all
         when the first correction meets tol."""
         mesh = medium_cell_mesh
-        red, band = _cell_band(mesh, p)
-        b = np.random.default_rng(57).normal(size=red.n_reduced)
+        band = _cell_band(mesh, p)
+        b = np.random.default_rng(57).normal(size=mesh.num_nodes)
         b -= b.mean()
-        w = red.reduce_vector(oracles.lumped_masses(mesh))
+        w = _cell_weights(mesh)
         product, band_solve = solve.Band.__matmul__, solve.sla.cho_solve_banded
         products, shapes = [], []
 
@@ -260,7 +262,7 @@ class TestLinearSolve:
             shapes.clear()
             constrained_linear_solve(band, b, w, tol)
             assert len(shapes) in solves
-            assert shapes == [(red.n_reduced,)] * len(shapes)
+            assert shapes == [(mesh.num_nodes,)] * len(shapes)
             assert len(products) == len(shapes) + 1
 
     def test_constraint_orthogonal_to_ground_direction_solves(self):
@@ -324,19 +326,19 @@ class TestPlanBand:
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_folded_cell_band_matches_oracle(self, medium_cell_mesh, p, delta):
         mesh = medium_cell_mesh
-        red = Reduction(mesh.num_nodes, cell_constraints(mesh))
         x1, x2 = oracles.nodes(mesh).T
         phi = 0.05 * np.sin(2.0 * np.pi * x1) * (1.0 + x2)
-        band = _CellFunctional(mesh, p).point(phi, delta).jacobian(red)
+        band = _CellFunctional(mesh, p).point(
+            phi[:mesh.num_nodes], delta).jacobian()
         ref = oracles.fold_matrix(oracles.coo_jacobian(
             mesh, x1 + phi, FluxParams(p=p, delta=delta), include_mass=False),
-            mesh.periodic_pairs)
-        assert band.rows.shape[1] == red.n_reduced
+            oracles.periodic_pairs(mesh))
+        assert band.rows.shape[1] == mesh.num_nodes
         assert band.offsets[-1] == 2 * 16 + 3
         _assert_band_matches(band, ref, 53)
-        b = np.random.default_rng(54).normal(size=red.n_reduced)
+        b = np.random.default_rng(54).normal(size=mesh.num_nodes)
         b -= b.mean()
-        w = red.reduce_vector(oracles.lumped_masses(mesh))
+        w = _cell_weights(mesh)
         x = constrained_linear_solve(band, b, w, 1e-12)
         expected = oracles.bordered_solve(ref, b, w)
         assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
@@ -363,7 +365,7 @@ class TestPlanBand:
         """Band.factor hands cholesky_banded the band it wrote and gets
         the lower factor back in that memory; the factor solves the
         grounded matrix a + c e0 e0^T."""
-        red, band = _cell_band(medium_cell_mesh, 3.0)
+        band = _cell_band(medium_cell_mesh, 3.0)
         written, cholesky = [], solve.sla.cholesky_banded
 
         def recording(ab, **kwargs):
@@ -374,7 +376,7 @@ class TestPlanBand:
         c = band.rows[0, 0]
         factor, lower = band.factor(ground=c)
         assert lower is True and np.shares_memory(factor, written[0])
-        x = np.random.default_rng(58).normal(size=red.n_reduced)
+        x = np.random.default_rng(58).normal(size=medium_cell_mesh.num_nodes)
         b = band @ x
         b[0] += c * x[0]
         y = solve.sla.cho_solve_banded((factor, lower), b)
@@ -399,51 +401,10 @@ class TestPlanBand:
 
 
 class TestConstraints:
-    def test_no_constraints_is_identity(self):
-        red = Reduction(7, ConstraintSet())
-        u = np.arange(7.0)
-        assert np.array_equal(red.expand(red.restrict(u)), u)
-        assert red.restrict(u) is not u
-        assert red.n_reduced == 7 and not red.folded and red.key is None
-        assert red.expand(u) is u
-        assert red.reduce_vector(u) is u
-
-    def test_no_constraints_build_no_node_map(self):
-        """Without pairs nothing of the solve's length is allocated."""
-        n = 10 ** 6
-        tracemalloc.start()
-        try:
-            red = Reduction(n, ConstraintSet())
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < n
-        assert not hasattr(red, "keep") and not hasattr(red, "index")
-
-    def test_apply_constraints_folds_system(self):
-        a = sp.identity(4, format="csr")
-        b = np.ones(4)
-        pairs = np.array([[0, 3]])
-        red = Reduction(4, ConstraintSet(periodic_pairs=pairs))
-        ar, br = oracles.fold_matrix(a, pairs), red.reduce_vector(b)
-        assert ar.shape == (3, 3)
-        assert br[0] == 2.0  # leader accumulates the follower's entry
-
-    def test_expand_reduce_idempotent_on_constrained_field(self):
-        pairs = np.array([[0, 4], [1, 5]])
-        red = Reduction(6, ConstraintSet(periodic_pairs=pairs))
-        u = np.array([3.0, 7.0, 0.5, 2.0, 3.0, 7.0])
-        assert np.array_equal(red.expand(red.restrict(u)), u)
-
-    def test_chained_pairs_rejected(self):
-        pairs = np.array([[0, 1], [1, 2]])
-        with pytest.raises(ValueError, match="chain"):
-            Reduction(3, ConstraintSet(periodic_pairs=pairs))
-
     def test_constant_field_mean_shift_gives_zero(self, small_cell_mesh):
         mesh = small_cell_mesh
         u = np.full(mesh.num_nodes, 3.7)
-        w = cell_constraints(mesh).mean_weights
+        w = load_vector(mesh, np.ones(mesh.num_nodes))
         shifted = u - (w @ u) / geometry.mesh_area(mesh)
         assert np.abs(shifted).max() < 1e-12
 
@@ -480,11 +441,10 @@ class TestNewton:
         from oscthin.study import _ThinFunctional
         functional = _ThinFunctional(mesh, 3.0, load)
         opts = SolveOptions()
-        u1, _ = newton_solve(functional, np.zeros(mesh.num_nodes),
-                             ConstraintSet(), opts)
+        u1, _ = newton_solve(functional, np.zeros(mesh.num_nodes), opts=opts)
         rng = np.random.default_rng(21)
         init = 0.5 * rng.normal(size=mesh.num_nodes)
-        u2, _ = newton_solve(functional, init, ConstraintSet(), opts)
+        u2, _ = newton_solve(functional, init, opts=opts)
         gs = element_gradients(mesh, u1 - u2, mesh.eps)
         assert error_corrector(mesh, gs, np.zeros(2), 3.0) < 1e-6
 
@@ -526,51 +486,34 @@ class TestNewton:
                 return (self.u - 1.0 if self.problem.calls <= good_calls
                         else np.full(3, bad))
 
-            def jacobian(self, fold):
+            def jacobian(self):
                 return solve.Band(np.ones((1, 3)), np.array([0]))
 
         with pytest.raises(NonConvergenceError, match=f"after {good_calls} "):
-            newton_solve(Quadratic(), np.zeros(3), ConstraintSet(),
-                         SolveOptions(continuation_deltas=(1e-8,)))
-
-    def test_init_violating_constraints_rejected(self, small_cell_mesh):
-        constraints = cell_constraints(small_cell_mesh)
-        bad = np.zeros(small_cell_mesh.num_nodes)
-        bad[int(small_cell_mesh.periodic_pairs[0, 1])] = 1.0
-
-        class Dummy:
-            def energy(self, u, delta):
-                return 0.0
-
-        with pytest.raises(ValueError, match="periodicity"):
-            newton_solve(Dummy(), bad, constraints, SolveOptions())
-
-    def test_periodic_pairs_need_mean_constraint(self, small_cell_mesh):
-        constraints = ConstraintSet(
-            periodic_pairs=small_cell_mesh.periodic_pairs)
-
-        class Dummy:
-            def energy(self, u, delta):
-                return 0.0
-
-        with pytest.raises(ValueError, match="periodic_pairs require mean_weights"):
-            newton_solve(Dummy(), np.zeros(small_cell_mesh.num_nodes),
-                         constraints, SolveOptions())
+            newton_solve(Quadratic(), np.zeros(3),
+                         opts=SolveOptions(continuation_deltas=(1e-8,)))
 
     def test_jacobian_folded_otherwise_rejected(self, small_cell_mesh):
-        """A jacobian that ignores the fold of the constraints is refused
-        with both sizes named, before any linear solve."""
-        functional = _CellFunctional(small_cell_mesh, 2.0)
+        """A jacobian in another numbering than the field's, the oracles'
+        unfolded one with the cell's last column apart, is refused with
+        both sizes named, before any linear solve."""
+        mesh = small_cell_mesh
+        functional = _CellFunctional(mesh, 2.0)
+        unfolded = oracles.band(oracles.coo_jacobian(
+            mesh, oracles.nodes(mesh)[:, 0], FluxParams(p=2.0),
+            include_mass=False))
 
         class Unfolded:
             def point(self, phi, delta):
                 point = functional.point(phi, delta)
-                point.jacobian = lambda fold: fem.Point.jacobian(point)
+                point.jacobian = lambda: unfolded
                 return point
 
-        with pytest.raises(ValueError, match="jacobian has .* unknowns"):
-            newton_solve(Unfolded(), np.zeros(small_cell_mesh.num_nodes),
-                         cell_constraints(small_cell_mesh), SolveOptions())
+        n, full = mesh.num_nodes, len(oracles.nodes(mesh))
+        with pytest.raises(ValueError, match=f"jacobian has {full} unknowns, "
+                                             f"the field has {n}"):
+            newton_solve(Unfolded(), np.zeros(n),
+                         load_vector(mesh, np.ones(n)), SolveOptions())
 
     def test_no_point_outlives_its_step(self, reference_profile, monkeypatch):
         """A point is dropped once its jacobian is built, a rejected trial
@@ -601,8 +544,7 @@ class TestNewton:
         # the solve keeps its own copy of the start, not the caller's array
         starts = [np.zeros(mesh.num_nodes)]
         start = weakref.ref(starts[0])
-        _, diag = newton_solve(Tracked(), starts.pop(), ConstraintSet(),
-                               SolveOptions())
+        _, diag = newton_solve(Tracked(), starts.pop(), opts=SolveOptions())
         assert alive_at_solve == [0] * diag.total_iterations
         steps = [t for stage in diag.stages for t in stage.step_lengths]
         assert min(steps) < 1.0              # a trial was rejected
@@ -611,4 +553,5 @@ class TestNewton:
     def test_cell_solve_matches_dense_multiplier_oracle(self, small_cell_mesh):
         phi_oracle, _ = oracles.linear_periodic_cell(small_cell_mesh)
         cell = solve_cell(small_cell_mesh, 2.0)
-        assert np.abs(cell.phi - phi_oracle).max() < 1e-8
+        assert np.abs(oracles.unfold(small_cell_mesh, cell.phi)
+                      - phi_oracle).max() < 1e-8

@@ -320,16 +320,24 @@ class TestReportIO:
 
     def test_readers_reject_malformed_files_under_optimize(self, tmp_path):
         """The header and section checks are not asserts: python -O keeps
-        them."""
+        them.  A mesh header's eps token without '=', with a value that is
+        no number or with a NaN is refused naming the file, before the
+        (valid) grid is read."""
         (tmp_path / "study.csv").write_text("eps,level\n")
         (tmp_path / "mesh.txt").write_text("# oscthin mesh cell eps=\n"
                                            "# triangles 0\n")
+        bad_eps = ("eps", "eps=abc", "eps=nan")
+        for k, token in enumerate(bad_eps):
+            (tmp_path / f"eps{k}.txt").write_text(
+                f"# oscthin mesh thin {token}\n# grid 3 2\n"
+                "0 0.0 1.0\n1 0.5 1.0\n2 1.0 1.0\n")
         script = (
             "import sys\n"
             "from oscthin.geometry import read_mesh\n"
             "from oscthin.study import read_report_csv\n"
             "for read, name in ((read_report_csv, 'study.csv'),"
-            " (read_mesh, 'mesh.txt')):\n"
+            " (read_mesh, 'mesh.txt'), (read_mesh, 'eps0.txt'),"
+            " (read_mesh, 'eps1.txt'), (read_mesh, 'eps2.txt')):\n"
             "    try:\n"
             "        read(name)\n"
             "    except ValueError as exc:\n"
@@ -341,9 +349,12 @@ class TestReportIO:
                               text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         lines = done.stdout.splitlines()
-        assert len(lines) == 2
+        assert len(lines) == 5
         assert "expected header 'eps,level," in lines[0]
         assert "expected section '# grid', found '# triangles 0'" in lines[1]
+        for k, (line, token) in enumerate(zip(lines[2:], bad_eps)):
+            assert line == (f"eps{k}.txt: expected 'eps=' and a number in "
+                            f"(0, 1] or nothing, found {token!r}")
 
     def test_json_round_trip(self, flat_profile, tmp_path):
         config = tiny_config(flat_profile, LoadSpec(kind="cos_pi"))
