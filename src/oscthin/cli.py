@@ -10,6 +10,7 @@ error.  OSCTHIN_THREADS selects the worker count for parallel ladders
 """
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -51,24 +52,24 @@ def parse_config(path):
 
 
 def _apply_overrides(config, args):
+    changes = {}
     if args.p is not None:
-        config.p = args.p
+        changes["p"] = args.p
     if args.resolution is not None:
         r = args.resolution
         if r < 4:
             raise ConfigError("resolution must be at least 4")
-        config.cell_nx, config.cell_ny = 4 * r, r
-        config.thin_nx_per_period, config.thin_ny = r, max(2, r // 2)
+        changes.update(cell_nx=4 * r, cell_ny=r, thin_nx_per_period=r,
+                       thin_ny=max(2, r // 2))
     if args.eps is not None:
-        config.epsilons = (args.eps,)
+        changes["epsilons"] = (args.eps,)
     threads = os.environ.get(THREADS_ENV)
     if threads:
         if not threads.strip().isdecimal() or int(threads) < 1:
             raise ConfigError(f"{THREADS_ENV} must be a positive integer, "
                               f"got {threads!r}")
-        config.max_workers = int(threads)
-    config.__post_init__()
-    return config
+        changes["max_workers"] = int(threads)
+    return dataclasses.replace(config, **changes)
 
 
 def _field_path(out_dir, name):
@@ -116,12 +117,6 @@ def read_field(path):
     return data[:, :2], data[:, 2]
 
 
-def _pick_eps(config, args):
-    if args.eps is not None:
-        return args.eps
-    return min(config.epsilons)
-
-
 def _cmd_cell(config, args):
     cell = study.solve_config_cell(config)
     sys.stdout.write(homogenize.format_cell_summary(cell))
@@ -133,7 +128,7 @@ def _cmd_cell(config, args):
 
 
 def _cmd_solve_eps(config, args):
-    eps = _pick_eps(config, args)
+    eps = min(config.epsilons)      # --eps overrides the whole ladder
     geometry.tiling_periods(config.profile, eps)    # before the cell solve
     cell = study.solve_config_cell(config)
     mesh, u, diag, _, du0 = study.solve_eps(config, cell, eps)
@@ -153,7 +148,7 @@ def _cmd_solve_eps(config, args):
 
 
 def _cmd_solve_limit(config, args):
-    eps = _pick_eps(config, args)
+    eps = min(config.epsilons)      # --eps overrides the whole ladder
     cell = study.solve_config_cell(config)
     u0, diag = study.solve_limit(config, cell, eps)
     out = args.out or "."

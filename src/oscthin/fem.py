@@ -162,10 +162,10 @@ class _Plan:
 
     def band(self):
         """Band layout of the jacobian in node order: its offsets, size m
-        and the int32 position map, where in the rows of a solve.Band each
-        node's diagonal (node order) and then each edge goes: offset rank
-        times m plus the lower of the edge's two indices, built edge family
-        by edge family."""
+        and the int32 position map of the edges alone (the diagonal is the
+        rows' first m entries), where in the rows of a solve.Band each edge
+        goes: offset rank times m plus the lower of its two indices, built
+        edge family by edge family."""
         if self._band is None:
             m = self.size
             grid = self.node.astype(np.int32)
@@ -177,9 +177,8 @@ class _Plan:
             if len(offsets) * m >= 2 ** 31:
                 raise ValueError("the band does not fit int32 positions")
             rank = (np.cumsum(present, dtype=np.int32) - 1) * np.int32(m)
-            where = np.empty(m + self.n_edges, dtype=np.int32)
-            where[:m] = np.arange(m)
-            for (a, b), out in zip(_ends(grid), self.edge_views(where[m:])):
+            where = np.empty(self.n_edges, dtype=np.int32)
+            for (a, b), out in zip(_ends(grid), self.edge_views(where)):
                 np.minimum(a, b, out=out)
                 out += rank[np.abs(a - b)]
             where.flags.writeable = False
@@ -406,9 +405,9 @@ class Point:
             del mass
         offsets, m, where = plan.band()
         rows = np.zeros(len(offsets) * m)
-        np.add.at(rows, where[:m], plan.node_sum(edges=diag))
+        rows[:m] = plan.node_sum(edges=diag)
         del diag
-        np.add.at(rows, where[m:], off)
+        np.add.at(rows, where, off)
         return solve.Band(rows.reshape(len(offsets), m), offsets)
 
 

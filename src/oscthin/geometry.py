@@ -9,14 +9,13 @@ This keeps the left and right boundary layers identical, so a cell's
 last column can be its first, and makes point location inside the mesh a
 closed-form computation.  The column grid is the only form a mesh is
 stored or read in: triangle_vertices states the triangle numbering, and
-the fibers, the barycenters and the mesh file all read the grid.
+the fiber integrals, the barycenters and the mesh file all read the grid.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 
 class MeshingError(RuntimeError):
@@ -215,13 +214,9 @@ class Mesh:
     def barycenter_heights(self):
         """Barycenter height of every triangle (T,) in triangle order, by
         the same vertex sums over the node heights of grid_coordinates."""
-        ll, lr, ur, ul = quad_corners(self.grid_coordinates()[1].T)
+        g = self.grid_coordinates()[1].T
+        ll, lr, ur, ul = g[:-1, :-1], g[1:, :-1], g[1:, 1:], g[:-1, 1:]
         return np.stack([ll + lr + ur, ll + ur + ul], axis=-1).ravel() / 3.0
-
-
-def quad_corners(g):
-    """ll, lr, ur, ul of every quad of grid values g (nx+1, ny+1), as views."""
-    return g[:-1, :-1], g[1:, :-1], g[1:, 1:], g[:-1, 1:]
 
 
 def triangle_vertices(mesh, tris, axis):
@@ -288,40 +283,39 @@ def mesh_area(mesh):
     return float(mesh.areas.sum())
 
 
-def fiber_matrix(mesh, axis, values):
-    """CSR operator whose entry (k, t) is the length of the line
-    {x[axis] == values[k]} inside triangle t: its product with a per-triangle
-    field integrates the field along each fiber.
-
-    The column grid fixes what a fiber meets: a vertical one (axis 0) the
-    2*grid_rows triangles of one column, in closed form; a horizontal one
-    (axis 1) a band of rows per column, which alone is clipped against the
-    vertices triangle_vertices reads.  A value on a mesh line is shifted
-    once by 1e-9 times the largest of |value| and the coordinates of the
-    triangles it touches (fiber integrals are defined up to sets of measure
-    zero, so the nearby generic fiber is equivalent).
+def fiber_integrals(mesh, axis, values, field):
+    """Integral of the per-triangle field (T,) along each line
+    {x[axis] == values[k]} inside the mesh, zero for a line that misses
+    it; a field of another shape raises ValueError.  A vertical fiber
+    (axis 0) crosses the lower triangles of one column with one length and
+    the upper ones with another, so it is two column sums of the field; a
+    horizontal one (axis 1) meets a band of rows per column, which alone
+    is clipped against the vertices triangle_vertices reads.  A value on a
+    mesh line is shifted once by 1e-9 times the largest of |value| and the
+    coordinates of the triangles it touches (fiber integrals are defined
+    up to sets of measure zero, so the nearby generic fiber is equivalent).
     """
     values = np.atleast_1d(np.asarray(values, dtype=float))
-    fibers = _vertical_fibers if axis == 0 else _horizontal_fibers
-    rows, tris, lengths = fibers(mesh, values)
-    return sparse.csr_matrix((lengths, (rows, tris)),
-                             shape=(len(values), mesh.num_triangles))
-
-
-def _vertical_fibers(mesh, xv):
+    field = np.asarray(field, dtype=float)
+    if field.shape != (mesh.num_triangles,):
+        raise ValueError(f"field of shape {field.shape}, not one per triangle")
+    if axis == 1:
+        rows, tris, lengths = _horizontal_fibers(mesh, values)
+        return np.bincount(rows, lengths * field[tris], minlength=len(values))
     xs, hs, ny = mesh.grid_x, mesh.grid_heights, mesh.grid_rows
-    k = np.minimum(np.searchsorted(xs, xv), len(xs) - 1)
+    k = np.minimum(np.searchsorted(xs, values), len(xs) - 1)
     # abscissae are nonnegative and increasing, so line k+1 carries the
     # largest coordinate of the columns that touch line k
-    xv = xv + (xs[k] == xv) * 1e-9 * xs[np.minimum(k + 1, len(xs) - 1)]
+    xv = values + (xs[k] == values) * 1e-9 * xs[np.minimum(k + 1, len(xs) - 1)]
     inside = np.flatnonzero((xs[0] < xv) & (xv < xs[-1]))
     i = np.searchsorted(xs, xv[inside]) - 1
-    f = ((xv[inside] - xs[i]) / (xs[i + 1] - xs[i]))[:, None]
-    # in each quad the lower triangle holds f*h[i+1]/ny, the upper (1-f)*h[i]/ny
-    lengths = np.where(np.arange(2 * ny) % 2 == 0, f * hs[i + 1, None],
-                       (1.0 - f) * hs[i, None]) / ny
-    tris = 2 * ny * i[:, None] + np.arange(2 * ny)
-    return np.repeat(inside, 2 * ny), tris.ravel(), lengths.ravel()
+    f = (xv[inside] - xs[i]) / (xs[i + 1] - xs[i])
+    # the field summed over the rows of each column half (triangle
+    # 2(i*ny + j) + h), times the lengths f*h[i+1]/ny and (1-f)*h[i]/ny
+    lower, upper = field.reshape(-1, ny, 2).sum(axis=1)[i].T
+    out = np.zeros(len(xv))
+    out[inside] = (f * hs[i + 1] * lower + (1.0 - f) * hs[i] * upper) / ny
+    return out
 
 
 def _horizontal_fibers(mesh, levels):
@@ -424,31 +418,33 @@ def write_records(fh, columns, index=True):
         fh.write("\n".join(map(" ".join, zip(*parts))) + "\n")
 
 
-def read_records(fh, path, width, count=None):
+def read_records(fh, path, width, count=None, index=True):
     """The records left in fh, one per nonblank line, as written by
-    write_records: the row index then width numbers, returned as floats
-    (n, width) without the index.  A count other than count (or none at
-    all, when count is None), a record of another length or with a field
-    that is not a number, or an index out of sequence raises a one-line
-    ValueError naming path."""
+    write_records: the row index (unless index is False) then width
+    numbers, returned as floats (n, width) without the index.  A count
+    other than count (or none at all, when count is None), a record of
+    another length or with a field that is not a number, or an index out
+    of sequence raises a one-line ValueError naming path."""
     rows = [line.split() for line in fh if line.strip()]
     if (not rows) if count is None else len(rows) != count:
         raise ValueError(f"{path}: {len(rows)} records after the header, "
                          f"expected {'some' if count is None else count}")
-    data = np.empty((len(rows), width + 1))
+    lead = int(index)
+    data = np.empty((len(rows), lead + width))
     for k, row in enumerate(rows):
         try:
-            if len(row) != width + 1:
+            if len(row) != lead + width:
                 raise ValueError
             data[k] = row
         except ValueError:
-            raise ValueError(f"{path}: record {k} is not an index and "
-                             f"{width} numbers: {' '.join(row)!r}") from None
+            raise ValueError(f"{path}: record {k} is not "
+                             f"{'an index and ' * lead}{width} numbers: "
+                             f"{' '.join(row)!r}") from None
     out_of_sequence = np.flatnonzero(data[:, 0] != np.arange(len(rows)))
-    if out_of_sequence.size:
+    if index and out_of_sequence.size:
         k = int(out_of_sequence[0])
         raise ValueError(f"{path}: record {k} has index {rows[k][0]}")
-    return data[:, 1:]
+    return data[:, lead:]
 
 
 def write_mesh(mesh, path):

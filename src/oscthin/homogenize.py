@@ -177,11 +177,11 @@ def measure_identity_check(spec, n_levels=4096, n_samples=16384):
 def flux_density_height_integral(cell, grad_value, n_levels=4096):
     """Midpoint-rule integral over heights of the first flux component
     (the fiber averages do not depend on grad_value: pass an array of
-    values, and one operator serves them all)."""
+    values, and one set of fiber integrals serves them all)."""
     top = float(cell.mesh.grid_heights.max())
     levels = (np.arange(n_levels) + 0.5) * (top / n_levels)
-    fiber = geometry.fiber_matrix(cell.mesh, axis=1, values=levels)
-    fiber_sum = float((fiber @ cell.flux[:, 0]).sum()) / cell.mesh.width
+    fibers = geometry.fiber_integrals(cell.mesh, 1, levels, cell.flux[:, 0])
+    fiber_sum = float(fibers.sum()) / cell.mesh.width
     return fem.p_flux_scalar(grad_value, cell.p) * fiber_sum * (top / n_levels)
 
 
@@ -213,10 +213,15 @@ def write_cell_summary(cell, path):
 
 
 def read_cell_summary(path):
-    """Read a summary written by write_cell_summary into a dict of floats."""
+    """Read a summary written by write_cell_summary into a dict of floats,
+    or raise a one-line ValueError naming the file on a malformed line."""
     out = {}
     with open(path) as fh:
-        for line in fh:
-            key, value = line.split()
-            out[key] = float(value)
+        for n, line in enumerate(fh, start=1):
+            try:
+                key, value = line.split()
+                out[key] = float(value)
+            except ValueError:
+                raise ValueError(f"{path}: line {n} is not a key and a "
+                                 f"number: {line.strip()!r}") from None
     return out

@@ -147,9 +147,13 @@ def write_solution(values, path):
 
 
 def read_solution(path):
-    """Read a file written by write_solution: header line, then x/value pairs."""
+    """Read a file written by write_solution: header line, then x/value
+    pairs.  Records read_records refuses, or abscissae not running from 0
+    to 1 (a file cut short), raise a one-line ValueError naming the file."""
     with open(path) as fh:
         fh.readline()
-        rows = [line.split() for line in fh if line.strip()]
-    data = np.array(rows, dtype=float)
-    return data[:, 0], data[:, 1]
+        x, u = geometry.read_records(fh, path, 2, index=False).T
+    if x[0] != 0.0 or x[-1] != 1.0:
+        raise ValueError(f"{path}: abscissae run from {x[0]} to {x[-1]}, "
+                         "expected 0 to 1 (file cut short?)")
+    return x, u

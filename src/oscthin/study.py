@@ -386,14 +386,14 @@ def flux_profile(mesh, u_eps, p, eps, n1, gs=None):
 
     Integrates |grad_eps u|^(p-2) grad_eps u . (1,0) over each vertical
     fiber of the thin mesh; outside the domain the integrand extends by
-    zero, which the fiber operator realizes automatically.  gs is the
+    zero, which the fiber integrals realize automatically.  gs is the
     scaled gradient of u_eps if the caller holds it.
     """
     params = fem.FluxParams(p=p, delta=0.0, eps_weight=eps)
     if gs is None:
         gs = fem.element_gradients(mesh, u_eps, eps)
     a1 = fem.p_flux(gs, params)[:, 0]
-    return geometry.fiber_matrix(mesh, axis=0, values=flux_stations(n1)) @ a1
+    return geometry.fiber_integrals(mesh, 0, flux_stations(n1), a1)
 
 
 def flux_target(cell, du0, n1):

@@ -112,3 +112,16 @@ def test_a_cell_mesh_is_periodic(reference_profile):
     for name in ("Reduction", "ConstraintSet"):
         assert not hasattr(solve, name)
         assert name not in oscthin.__all__
+
+
+def test_no_sparse_matrix_is_built():
+    """The fibers are integrals and the jacobians bands: no module imports
+    scipy.sparse but solve, whose spla the benchmark's tracer wraps."""
+    users = set()
+    for module in _modules():
+        for value in vars(module).values():
+            origin = (value.__name__ if inspect.ismodule(value)
+                      else getattr(value, "__module__", None))
+            if isinstance(origin, str) and origin.startswith("scipy.sparse"):
+                users.add(module.__name__)
+    assert users == {"oscthin.solve"}

@@ -563,7 +563,8 @@ class TestColumnForms:
     def test_plan_holds_per_column_arrays(self, reference_profile):
         """Beside the node map (the mesh's own, transposed) a plan keeps
         per-column and per-row arrays, 48 bytes a column and 16 a row, and
-        the int32 band position map: the bound, 64 bytes a column and a
+        the int32 band position map of the edges alone (the diagonal is
+        the band's first row and needs no map): the bound, 64 bytes a column and a
         row, leaves a third of margin; per-triangle tables (the hat
         gradients alone were 48 bytes a triangle) cannot pass it."""
         mesh = build_thin_mesh(reference_profile, 1.0 / 32, 32, 16)
@@ -579,7 +580,7 @@ class TestColumnForms:
         assert owned <= 64 * (nx + ny)
         _, _, where = plan._band
         assert where.dtype == np.int32
-        assert where.size == mesh.num_nodes + plan.n_edges
+        assert where.size == plan.n_edges
 
     @pytest.mark.parametrize("call", ["first", "later"])
     def test_jacobian_peak_memory_per_triangle(self, reference_profile, call):

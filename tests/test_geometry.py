@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from oscthin import ProfileSpec, build_cell_mesh, build_thin_mesh, mesh_area
-from oscthin.geometry import (MeshingError, Mesh, fiber_matrix, locate_points,
-                              read_mesh, triangle_vertices, write_mesh)
+from oscthin.geometry import (MeshingError, Mesh, fiber_integrals,
+                              locate_points, read_mesh, triangle_vertices,
+                              write_mesh)
 from oscthin.study import flux_stations
 
 import oracles
@@ -201,53 +202,71 @@ class TestThinMesh:
         assert n_at[4] - 5 == 2 * (n_at[2] - 5)
 
 
-def fiber_lengths(mesh, axis, value):
-    """Nonzero fiber lengths of one fiber, from the fiber operator."""
-    return fiber_matrix(mesh, axis, [value]).data
+def fiber_length(mesh, axis, value):
+    """Length of one fiber inside the mesh: its integral of 1."""
+    ones = np.ones(mesh.num_triangles)
+    return fiber_integrals(mesh, axis, [value], ones)[0]
+
+
+def random_fields(mesh, count=3):
+    """Per-triangle fields of distinct random values, so that a segment
+    given to the wrong triangle changes the integral."""
+    rng = np.random.default_rng(7)
+    return rng.uniform(-1.0, 1.0, (count, mesh.num_triangles))
 
 
 class TestFiberSegments:
     def test_horizontal_fiber_spans_width(self, unit_square_mesh):
-        lengths = fiber_lengths(unit_square_mesh, axis=1, value=0.37)
-        assert lengths.sum() == pytest.approx(1.0, abs=1e-12)
+        length = fiber_length(unit_square_mesh, axis=1, value=0.37)
+        assert length == pytest.approx(1.0, abs=1e-12)
 
     def test_vertical_fiber_spans_height(self, unit_square_mesh):
-        lengths = fiber_lengths(unit_square_mesh, axis=0, value=0.61)
-        assert lengths.sum() == pytest.approx(1.0, abs=1e-12)
+        length = fiber_length(unit_square_mesh, axis=0, value=0.61)
+        assert length == pytest.approx(1.0, abs=1e-12)
 
     def test_fiber_above_domain_is_empty(self, unit_square_mesh):
-        fiber = fiber_matrix(unit_square_mesh, axis=1, values=[2.0])
-        assert fiber.shape == (1, unit_square_mesh.num_triangles)
-        assert fiber.nnz == 0
+        for field in random_fields(unit_square_mesh):
+            fiber = fiber_integrals(unit_square_mesh, 1, [2.0], field)
+            assert fiber.shape == (1,)
+            assert fiber[0] == 0.0
 
     def test_oscillating_fiber_length_matches_level_width(self, reference_profile):
         mesh = build_cell_mesh(reference_profile, 256, 16)
         # at height h the fiber length is the measure of {g > h}
         value = 1.2
-        lengths = fiber_lengths(mesh, axis=1, value=value)
+        length = fiber_length(mesh, axis=1, value=value)
         ys = np.linspace(0.0, 1.0, 1 << 16)
         oracle = float(np.mean(reference_profile.evaluate(ys) > value))
-        assert lengths.sum() == pytest.approx(oracle, abs=2e-3)
+        assert length == pytest.approx(oracle, abs=2e-3)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_field_of_another_size_refused(self, unit_square_mesh, axis):
+        field = np.ones(unit_square_mesh.num_triangles - 16)
+        with pytest.raises(ValueError, match=r"\(112,\), not one per triangle"):
+            fiber_integrals(unit_square_mesh, axis, [0.5], field)
 
     def test_edge_aligned_fiber_is_nudged(self, unit_square_mesh):
         # node rows sit at multiples of 1/8; the fiber must not double count
-        lengths = fiber_lengths(unit_square_mesh, axis=1, value=0.5)
-        assert lengths.sum() == pytest.approx(1.0, abs=1e-6)
+        length = fiber_length(unit_square_mesh, axis=1, value=0.5)
+        assert length == pytest.approx(1.0, abs=1e-6)
 
 
 class TestFiberMatrixOracle:
-    """fiber_matrix against the all-triangle clipper, row by row."""
+    """fiber_integrals against the all-triangle clipper's operator times
+    random per-triangle fields, fiber by fiber."""
 
     @staticmethod
     def assert_matches(mesh, axis, values):
         values = np.asarray(values, dtype=float)
-        fiber = fiber_matrix(mesh, axis, values)
         oracle = oracles.fiber_matrix(mesh, axis, values)
-        assert fiber.shape == oracle.shape == (len(values), mesh.num_triangles)
-        gap = abs(fiber - oracle).max(axis=1).toarray().ravel()
-        scale = abs(oracle).max(axis=1).toarray().ravel()
-        assert np.all(gap <= 1e-12 * scale)
-        assert np.array_equal(fiber.getnnz(axis=1), oracle.getnnz(axis=1))
+        assert oracle.shape == (len(values), mesh.num_triangles)
+        missed = oracle.getnnz(axis=1) == 0
+        for field in random_fields(mesh):
+            fibers = fiber_integrals(mesh, axis, values, field)
+            assert fibers.shape == (len(values),)
+            scale = abs(oracle) @ np.abs(field)
+            assert np.all(np.abs(fibers - oracle @ field) <= 1e-12 * scale)
+            assert np.all(fibers[missed] == 0.0)
 
     @pytest.mark.parametrize("eps", [0.5, 1.0 / 64])
     def test_thin_mesh_stations(self, reference_profile, eps):
@@ -271,7 +290,8 @@ class TestFiberMatrixOracle:
     def test_level_above_domain(self, reference_profile):
         mesh = build_cell_mesh(reference_profile, 32, 8)
         self.assert_matches(mesh, 1, [0.8, 1.6, 3.0])
-        assert fiber_matrix(mesh, 1, [1.6, 3.0]).nnz == 0
+        for field in random_fields(mesh):
+            assert np.all(fiber_integrals(mesh, 1, [1.6, 3.0], field) == 0.0)
 
 
 class TestLocatePoints:
@@ -346,7 +366,7 @@ def test_mesh_round_trip(tmp_path, reference_profile):
 @pytest.mark.parametrize("kind", ["cell", "thin"])
 def test_mesh_round_trip_keeps_column_grid(tmp_path, reference_profile, kind):
     """A mesh read back from disk still carries the column grid, so fiber
-    operators and point location give what they give on the original."""
+    integrals and point location give what they give on the original."""
     mesh = (build_cell_mesh(reference_profile, 32, 8) if kind == "cell"
             else build_thin_mesh(reference_profile, 0.25, 8, 4))
     write_mesh(mesh, tmp_path / "mesh.txt")
@@ -354,9 +374,9 @@ def test_mesh_round_trip_keeps_column_grid(tmp_path, reference_profile, kind):
     stations = np.linspace(0.0, mesh.width, 37)
     levels = np.linspace(0.05, 1.45, 23)
     for axis, values in ((0, stations), (1, levels)):
-        diff = fiber_matrix(back, axis, values) - fiber_matrix(mesh, axis,
-                                                                values)
-        assert diff.count_nonzero() == 0
+        for field in random_fields(mesh):
+            assert np.array_equal(fiber_integrals(back, axis, values, field),
+                                  fiber_integrals(mesh, axis, values, field))
     points = oracles.barycenters(mesh)
     assert np.array_equal(locate_points(back, points),
                           locate_points(mesh, points))

@@ -256,3 +256,20 @@ def test_cell_summary_round_trip(tmp_path, flat_profile):
     assert data["coeff_flux"] == cell.coeff_flux
     assert data["p"] == 2.0
     assert data["cell_measure"] == cell.cell_measure
+
+
+@pytest.mark.parametrize("line, number", [
+    ("coeff_flux 0.5 extra", 5), ("coeff_flux", 5), ("coeff_flux half", 5),
+    ("", 9)])
+def test_damaged_cell_summary_refused(tmp_path, flat_profile, line, number):
+    """A summary line that is not a key and a number is refused in one line
+    that names the file and the line."""
+    cell = solve_cell(build_cell_mesh(flat_profile, 8, 4), 2.0)
+    lines = format_cell_summary(cell).splitlines()
+    lines[number - 1:number] = [line]
+    path = tmp_path / "summary.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as info:
+        read_cell_summary(path)
+    assert str(info.value) == (f"{path}: line {number} is not a key and a "
+                               f"number: {line!r}")

@@ -177,3 +177,26 @@ def test_solution_round_trip(tmp_path):
     x, back = read_solution(path)
     assert np.array_equal(back, u)
     assert np.array_equal(x, grid(8))
+
+
+
+@pytest.mark.parametrize("keep, record, message", [
+    (5, None, "abscissae run from 0.0 to 0.375"),
+    (1, None, "0 records after the header"),
+    (9, "0.375", "record 3 is not 2 numbers: '0.375'"),
+    (9, "0.375 1.0 2.0", "record 3 is not 2 numbers: '0.375 1.0 2.0'"),
+    (9, "0.375 one", "record 3 is not 2 numbers: '0.375 one'"),
+], ids=["cut", "empty", "short", "long", "text"])
+def test_damaged_solution_refused(tmp_path, keep, record, message):
+    """A u0.csv cut after 4 of its 9 records, or with a record that is not
+    x and a value, is refused in one line that names the file."""
+    path = tmp_path / "u0.csv"
+    write_solution(np.ones(9), path)
+    lines = path.read_text().splitlines()[:keep]
+    if record is not None:
+        lines[4] = record
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as info:
+        read_solution(path)
+    assert str(info.value).startswith(f"{path}: ")
+    assert message in str(info.value) and "\n" not in str(info.value)

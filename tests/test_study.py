@@ -9,7 +9,7 @@ import pytest
 import oscthin
 from oscthin import (StudyConfig, build_cell_mesh, build_thin_mesh, geometry,
                      solve, solve_cell, study)
-from oscthin.fem import element_gradients
+from oscthin.fem import FluxParams, element_gradients, p_flux
 from oscthin.limit1d import nodal_derivative
 from oscthin.study import (LoadSpec, PartitionSpec, box_smooth, cell_response,
                            corrector_field, error_corrector, error_u,
@@ -218,6 +218,20 @@ class TestFlux:
         u, _ = solve_thin(mesh, 3.0, LoadSpec(kind="constant", value=1.0))
         profile = flux_profile(mesh, u, 3.0, 0.5, 20)
         assert np.abs(profile).max() < 1e-9
+
+    def test_profile_matches_fiber_oracle(self, reference_profile):
+        """The flux profile of a solved thin field equals the all-triangle
+        clipper's operator times the flux a1 at the 250 stations, 0.25 and
+        0.75 among them, which lie on column lines of 32 columns a period
+        (so a station not shifted off its line lands in the wrong column)."""
+        eps = 0.25
+        mesh = build_thin_mesh(reference_profile, eps, 32, 8)
+        u, _ = solve_thin(mesh, 3.0, LoadSpec(kind="cos_pi"))
+        a1 = p_flux(element_gradients(mesh, u, eps),
+                    FluxParams(p=3.0, eps_weight=eps))[:, 0]
+        oracle = oracles.fiber_matrix(mesh, 0, flux_stations(250)) @ a1
+        profile = flux_profile(mesh, u, 3.0, eps, 250)
+        assert np.abs(profile - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
     def test_flat_linear_profile_matches_target(self, flat_profile):
         eps = 0.25
