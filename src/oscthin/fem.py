@@ -25,6 +25,7 @@ nodal sums add the last column into the first.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from . import solve
 
@@ -433,7 +434,7 @@ def integrate_load_fibers(load, spec, eps, n_stations, quad_order=_FIBER_GAUSS_O
     """
     if n_stations < 2:
         raise ValueError("need at least 2 stations")
-    x, wts = np.polynomial.legendre.leggauss(quad_order)
+    x, wts = leggauss(quad_order)
     t = 0.5 * (x + 1.0)
     wts = 0.5 * wts
     stations = np.linspace(0.0, 1.0, n_stations)

@@ -192,19 +192,18 @@ def rescale_forcing(fhat_samples, cell_measure, period):
     return np.asarray(fhat_samples, dtype=float) * (period / cell_measure)
 
 
+_SUMMARY_KEYS = ("p", "period", "delta", "cell_measure", "coeff_flux",
+                 "coeff_energy", "residual", "newton_iterations")
+
+
 def format_cell_summary(cell):
     """One structured-text record per scalar output of a cell solve."""
-    lines = [
-        f"p {cell.p!r}",
-        f"period {cell.mesh.width!r}",
-        f"delta {cell.delta!r}",
-        f"cell_measure {cell.cell_measure!r}",
-        f"coeff_flux {cell.coeff_flux!r}",
-        f"coeff_energy {cell.coeff_energy!r}",
-        f"residual {cell.diagnostics.final_residual!r}",
-        f"newton_iterations {cell.diagnostics.total_iterations}",
-    ]
-    return "\n".join(lines) + "\n"
+    values = (cell.p, cell.mesh.width, cell.delta, cell.cell_measure,
+              cell.coeff_flux, cell.coeff_energy,
+              cell.diagnostics.final_residual,
+              cell.diagnostics.total_iterations)
+    return "".join(f"{key} {value!r}\n"
+                   for key, value in zip(_SUMMARY_KEYS, values))
 
 
 def write_cell_summary(cell, path):
@@ -214,7 +213,8 @@ def write_cell_summary(cell, path):
 
 def read_cell_summary(path):
     """Read a summary written by write_cell_summary into a dict of floats,
-    or raise a one-line ValueError naming the file on a malformed line."""
+    or raise a one-line ValueError naming the file on a malformed line or
+    a missing key."""
     out = {}
     with open(path) as fh:
         for n, line in enumerate(fh, start=1):
@@ -224,4 +224,7 @@ def read_cell_summary(path):
             except ValueError:
                 raise ValueError(f"{path}: line {n} is not a key and a "
                                  f"number: {line.strip()!r}") from None
+    missing = [key for key in _SUMMARY_KEYS if key not in out]
+    if missing:
+        raise ValueError(f"{path}: cell summary lacks {', '.join(missing)}")
     return out

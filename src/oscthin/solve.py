@@ -6,18 +6,52 @@ and shifted back onto the mean-zero hyperplane, so the systems stay
 symmetric and no penalty parameters or multipliers appear.  Periodic
 fields need nothing here: a cell mesh numbers its last column as its
 first.  Convergence is measured by the residual's Euclidean norm.  Every
-jacobian reaches the linear solvers as a Band.
+jacobian reaches the linear solvers as a Band, factored and solved by
+LAPACK's dpbtrf and dpbtrs.
 """
 
+import importlib.machinery
+import importlib.util
 import logging
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
-# kept importable as solve.spla: bench/spans.py wraps solve.spla.splu
-import scipy.sparse.linalg as spla  # noqa: F401
 
 logger = logging.getLogger(__name__)
+
+
+def _load_lapack():
+    """scipy's LAPACK extension module, loaded from its file.
+
+    The band solves need only dpbtrf and dpbtrs.  Importing scipy.linalg
+    for them would run its package __init__, whose array-API set-up costs
+    several times the extension's own load.  The module keeps its name,
+    so a later import of scipy.linalg reuses this one."""
+    import scipy
+    directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    path = os.path.join(directory,
+                        "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
+    if not os.path.isfile(path):
+        raise ImportError(f"scipy has no LAPACK extension _flapack in "
+                          f"{directory}")
+    spec = importlib.util.spec_from_file_location("scipy.linalg._flapack",
+                                                  path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_lapack = _load_lapack()
+
+
+def __getattr__(name):
+    """solve.spla: scipy.sparse.linalg, imported on first access.  The
+    benchmark's tracer wraps solve.spla.splu; nothing here calls it."""
+    if name == "spla":
+        import scipy.sparse.linalg
+        return scipy.sparse.linalg
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class SolveError(RuntimeError):
@@ -96,7 +130,7 @@ class Band:
     aligned as in LAPACK lower band storage: rows[k][j] = a[j + d, j] for
     j < n - d, the last d entries unused.  Products run over the stored
     diagonals only; factor writes them in one assignment into the
-    Fortran-ordered band that the lower cholesky_banded factors in place.
+    Fortran-ordered band that dpbtrf factors in place.
     """
 
     def __init__(self, rows, offsets):
@@ -110,8 +144,8 @@ class Band:
         return y
 
     def factor(self, ground=0.0):
-        """Lower banded Cholesky factor of a + ground * e0 e0^T, for
-        cho_solve_banded.  A nonpositive diagonal entry or a failed
+        """Lower banded Cholesky factor of a + ground * e0 e0^T in LAPACK
+        band storage, for dpbtrs.  A nonpositive diagonal entry or a failed
         Cholesky flags a matrix that lost definiteness (a bug upstream, not
         a condition to iterate through)."""
         ab = np.zeros((int(self.offsets[-1]) + 1, self.rows.shape[1]),
@@ -122,12 +156,14 @@ class Band:
         if ab[0, i] <= 0.0:
             raise IndefiniteSystemError(
                 f"nonpositive diagonal entry {ab[0, i]:.3e} at index {i}")
-        try:
-            return (sla.cholesky_banded(ab, overwrite_ab=True, lower=True,
-                                        check_finite=False), True)
-        except np.linalg.LinAlgError as exc:
+        c, info = _lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
+        if info > 0:
             raise IndefiniteSystemError(
-                f"banded Cholesky failed: {exc}") from exc
+                f"banded Cholesky failed: {info}-th leading minor not "
+                "positive definite")
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dpbtrf")
+        return c
 
 
 # refinement stalls at a relative residual of roughly eps * cond(a), which
@@ -155,7 +191,10 @@ def linear_solve(a, b, tol, ground=0.0):
     for _ in range(6):
         if rnorm <= tol * bnorm:
             break
-        x_new = x + sla.cho_solve_banded(factor, r, check_finite=False)
+        dx, info = _lapack.dpbtrs(factor, r, lower=1)
+        if info:
+            raise ValueError(f"illegal value in argument {-info} of dpbtrs")
+        x_new = x + dx
         r_new = b - a @ x_new
         rnorm_new = np.linalg.norm(r_new)
         stalled = not rnorm_new <= 0.5 * rnorm

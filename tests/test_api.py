@@ -5,7 +5,10 @@ export or a stated reason to exist."""
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from functools import cached_property
 
 import oscthin
@@ -115,8 +118,9 @@ def test_a_cell_mesh_is_periodic(reference_profile):
 
 
 def test_no_sparse_matrix_is_built():
-    """The fibers are integrals and the jacobians bands: no module imports
-    scipy.sparse but solve, whose spla the benchmark's tracer wraps."""
+    """The fibers are integrals and the jacobians bands: no module holds
+    anything of scipy.sparse.  solve.spla, which the benchmark's tracer
+    wraps, imports scipy.sparse.linalg when it is first read."""
     users = set()
     for module in _modules():
         for value in vars(module).values():
@@ -124,4 +128,23 @@ def test_no_sparse_matrix_is_built():
                       else getattr(value, "__module__", None))
             if isinstance(origin, str) and origin.startswith("scipy.sparse"):
                 users.add(module.__name__)
-    assert users == {"oscthin.solve"}
+    assert users == set()
+    import scipy.sparse.linalg
+    assert solve.spla is scipy.sparse.linalg
+
+
+def test_cli_import_leaves_scipy_linalg_and_sparse_out():
+    """The command line reaches LAPACK without importing scipy.linalg or
+    scipy.sparse, whose imports cost more than the rest of its start."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(root, "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("import sys, oscthin.cli; print(' '.join(sorted(name for name in "
+            "sys.modules if name in ('scipy.linalg', 'scipy.sparse') "
+            "or name.startswith('scipy.sparse.'))))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []

@@ -260,16 +260,22 @@ def test_cell_summary_round_trip(tmp_path, flat_profile):
 
 @pytest.mark.parametrize("line, number", [
     ("coeff_flux 0.5 extra", 5), ("coeff_flux", 5), ("coeff_flux half", 5),
-    ("", 9)])
+    ("", 9), (None, 5)])
 def test_damaged_cell_summary_refused(tmp_path, flat_profile, line, number):
     """A summary line that is not a key and a number is refused in one line
-    that names the file and the line."""
+    that names the file and the line; a summary cut before line number
+    (line None) in one line that names the file and the missing keys."""
     cell = solve_cell(build_cell_mesh(flat_profile, 8, 4), 2.0)
     lines = format_cell_summary(cell).splitlines()
-    lines[number - 1:number] = [line]
     path = tmp_path / "summary.txt"
+    if line is None:
+        del lines[number - 1:]
+        message = (f"{path}: cell summary lacks coeff_flux, coeff_energy, "
+                   "residual, newton_iterations")
+    else:
+        lines[number - 1:number] = [line]
+        message = f"{path}: line {number} is not a key and a number: {line!r}"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError) as info:
         read_cell_summary(path)
-    assert str(info.value) == (f"{path}: line {number} is not a key and a "
-                               f"number: {line!r}")
+    assert str(info.value) == message

@@ -1,7 +1,10 @@
+import sys
+import types
 import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -29,6 +32,14 @@ def _cell_band(mesh, p):
 def _cell_weights(mesh):
     """The oracle's hat-function integrals summed onto the cell's nodes."""
     return oracles.fold(mesh, oracles.lumped_masses(mesh))
+
+
+def _patch_lapack(monkeypatch, **routines):
+    """Give solve LAPACK routines by name through its own _lapack
+    attribute; scipy's shared extension module stays untouched."""
+    real = solve._lapack
+    monkeypatch.setattr(solve, "_lapack", types.SimpleNamespace(
+        **{"dpbtrf": real.dpbtrf, "dpbtrs": real.dpbtrs, **routines}))
 
 
 class TestLinearSolve:
@@ -66,8 +77,8 @@ class TestLinearSolve:
     def test_broken_factor_is_linear_solve_error(self, monkeypatch):
         """Band solves that never reduce the residual leave it above the
         ceiling after refinement: a LinearSolveError, not a solution."""
-        monkeypatch.setattr(solve.sla, "cho_solve_banded",
-                            lambda factor, r, **kw: np.zeros_like(r))
+        _patch_lapack(monkeypatch,
+                      dpbtrs=lambda factor, r, **kw: (np.zeros_like(r), 0))
         with pytest.raises(LinearSolveError, match="after refinement"):
             linear_solve(oracles.band(np.diag([2.0, 4.0])),
                          np.array([1.0, 1.0]), 1e-12)
@@ -209,7 +220,7 @@ class TestLinearSolve:
             - np.diag(np.ones(n - 1), -1)
         b = np.random.default_rng(3).normal(size=n)
         residuals, solves = [], []
-        product, band_solve = solve.Band.__matmul__, solve.sla.cho_solve_banded
+        product, band_solve = solve.Band.__matmul__, solve._lapack.dpbtrs
 
         def recording(band, x):
             y = product(band, x)
@@ -221,7 +232,7 @@ class TestLinearSolve:
             return band_solve(*args, **kwargs)
 
         monkeypatch.setattr(solve.Band, "__matmul__", recording)
-        monkeypatch.setattr(solve.sla, "cho_solve_banded", counting)
+        _patch_lapack(monkeypatch, dpbtrs=counting)
         x = linear_solve(oracles.band(a), b, 1e-12)
         assert len(residuals) == len(solves) and 2 <= len(solves) <= 6
         assert all(new <= 0.5 * old
@@ -244,7 +255,7 @@ class TestLinearSolve:
         b = np.random.default_rng(57).normal(size=mesh.num_nodes)
         b -= b.mean()
         w = _cell_weights(mesh)
-        product, band_solve = solve.Band.__matmul__, solve.sla.cho_solve_banded
+        product, band_solve = solve.Band.__matmul__, solve._lapack.dpbtrs
         products, shapes = [], []
 
         def counting_product(a, x):
@@ -256,7 +267,7 @@ class TestLinearSolve:
             return band_solve(factor, r, **kwargs)
 
         monkeypatch.setattr(solve.Band, "__matmul__", counting_product)
-        monkeypatch.setattr(solve.sla, "cho_solve_banded", counting_solve)
+        _patch_lapack(monkeypatch, dpbtrs=counting_solve)
         for tol, solves in ((1e-6, [1]), (1e-12, range(1, 7))):
             products.clear()
             shapes.clear()
@@ -362,24 +373,25 @@ class TestPlanBand:
 
     def test_factor_is_lower_and_in_place(self, monkeypatch,
                                           medium_cell_mesh):
-        """Band.factor hands cholesky_banded the band it wrote and gets
-        the lower factor back in that memory; the factor solves the
+        """Band.factor hands dpbtrf the band it wrote, asks for the lower
+        factor and gets it back in that memory; the factor solves the
         grounded matrix a + c e0 e0^T."""
         band = _cell_band(medium_cell_mesh, 3.0)
-        written, cholesky = [], solve.sla.cholesky_banded
+        written, lower, cholesky = [], [], solve._lapack.dpbtrf
 
         def recording(ab, **kwargs):
             written.append(ab)
+            lower.append(kwargs["lower"])
             return cholesky(ab, **kwargs)
 
-        monkeypatch.setattr(solve.sla, "cholesky_banded", recording)
+        _patch_lapack(monkeypatch, dpbtrf=recording)
         c = band.rows[0, 0]
-        factor, lower = band.factor(ground=c)
-        assert lower is True and np.shares_memory(factor, written[0])
+        factor = band.factor(ground=c)
+        assert lower == [1] and np.shares_memory(factor, written[0])
         x = np.random.default_rng(58).normal(size=medium_cell_mesh.num_nodes)
         b = band @ x
         b[0] += c * x[0]
-        y = solve.sla.cho_solve_banded((factor, lower), b)
+        y = scipy.linalg.cho_solve_banded((factor, True), b)
         assert np.linalg.norm(y - x) <= 1e-8 * np.linalg.norm(x)
 
     def test_point_matches_standalone_assembly(self, reference_profile):
@@ -398,6 +410,84 @@ class TestPlanBand:
         ref = Point(mesh, u, params, True, b).jacobian()
         assert np.array_equal(band.offsets, ref.offsets)
         assert np.array_equal(band.rows, ref.rows)
+
+
+def _lapack_band(profile, kind, p):
+    """A thin jacobian (eps 1/16, 32x16 per period) or a 128x32 cell
+    jacobian, and the ground that makes it SPD (the cell's constants)."""
+    if kind == "thin":
+        mesh = build_thin_mesh(profile, 1.0 / 16, 32, 16)
+        x1, x2 = oracles.nodes(mesh).T
+        u = np.cos(np.pi * x1) * (1.0 + 0.3 * x2) + 0.05 * np.sin(40.0 * x1)
+        params = FluxParams(p=p, delta=1e-8, eps_weight=mesh.eps)
+        return Point(mesh, u, params).jacobian(), 0.0
+    band = _cell_band(build_cell_mesh(profile, 128, 32), p)
+    return band, float(band.rows[0, 0])
+
+
+def _scipy_band_storage(band, ground):
+    """LAPACK lower band storage read off the band's CSR matrix."""
+    m = oracles.band_matrix(band)
+    n, kd = m.shape[0], int(band.offsets[-1])
+    ab = np.zeros((kd + 1, n))
+    for d in range(kd + 1):
+        ab[d, :n - d] = m.diagonal(-d)
+    ab[0, 0] += ground
+    return ab
+
+
+class TestLapackPath:
+    """The band solves call dpbtrf and dpbtrs themselves and agree bit for
+    bit with scipy.linalg's cholesky_banded and cho_solve_banded."""
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("kind", ["thin", "cell"])
+    def test_bit_identical_to_scipy_linalg(self, monkeypatch,
+                                           reference_profile, kind, p):
+        band, ground = _lapack_band(reference_profile, kind, p)
+        ref = scipy.linalg.cholesky_banded(_scipy_band_storage(band, ground),
+                                           lower=True)
+        assert np.array_equal(band.factor(ground), ref)
+        b = np.random.default_rng(59).normal(size=band.rows.shape[1])
+        b -= b.mean()
+        x = linear_solve(band, b, 1e-12, ground)
+        _patch_lapack(
+            monkeypatch,
+            dpbtrf=lambda ab, **kw: (scipy.linalg.cholesky_banded(
+                ab, overwrite_ab=True, lower=True, check_finite=False), 0),
+            dpbtrs=lambda c, r, **kw: (scipy.linalg.cho_solve_banded(
+                (c, True), r, check_finite=False), 0))
+        assert np.array_equal(x, linear_solve(band, b, 1e-12, ground))
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("kind", ["thin", "cell"])
+    def test_negative_pivot_names_leading_minor(self, reference_profile,
+                                                kind, p):
+        """A diagonal entry lowered to half its row's share of the factor
+        stays positive but makes that pivot negative: the first leading
+        minor that is not positive definite is the one that ends there."""
+        band, ground = _lapack_band(reference_profile, kind, p)
+        k = band.rows.shape[1] // 2
+        pivot = band.factor(ground)[0, k] ** 2
+        rows = band.rows.copy()
+        rows[0, k] = 0.5 * (band.rows[0, k] - pivot)
+        assert rows[0, k] > 0.0
+        with pytest.raises(IndefiniteSystemError) as info:
+            solve.Band(rows, band.offsets).factor(ground)
+        assert str(info.value) == (f"banded Cholesky failed: {k + 1}-th "
+                                   "leading minor not positive definite")
+
+    def test_missing_extension_is_one_line_import_error(self, monkeypatch,
+                                                        tmp_path):
+        """A scipy without the LAPACK extension is refused by name and
+        directory, with no second route to LAPACK."""
+        (tmp_path / "linalg").mkdir()
+        monkeypatch.setitem(sys.modules, "scipy", types.SimpleNamespace(
+            __file__=str(tmp_path / "__init__.py")))
+        with pytest.raises(ImportError) as info:
+            solve._load_lapack()
+        assert str(info.value) == ("scipy has no LAPACK extension _flapack "
+                                   f"in {tmp_path / 'linalg'}")
 
 
 class TestConstraints:
