@@ -77,14 +77,16 @@ class _CellFunctional:
 def solve_cell(mesh, p, opts=None):
     """Solve the periodic cell problem and package the scalar outputs.
 
-    The solve starts from the linear corrector: Newton on the p = 2
-    functional from zero at the target delta (the last continuation
-    delta), whose energy is quadratic, so one step solves it and at p = 2
-    it is the answer.  Any other p runs Newton from it at the target delta
-    twice: the second pass stops relative to the first's small residual,
-    not to the residual of the start.  On a SolveError the configured
-    continuation ladder from zero takes over.  The diagnostics hold every
-    stage run, abandoned ones included.
+    The solve starts from the p-predictor (_predicted_start): the linear
+    corrector phi_2, the p = 2 solution at the target delta (the last
+    continuation delta), and its first- and second-order continuations in
+    p, of which Newton starts from the one with the lowest energy at p.
+    At p = 2 phi_2 is the answer.  Any other p runs Newton from that start
+    at the target delta twice: the second pass stops relative to the
+    first's small residual, not to the residual of the start.  On a
+    SolveError the configured continuation ladder from zero takes over.
+    The diagnostics hold the predictor's stage and every Newton stage
+    run, abandoned ones included.
 
     The cell energy is shift invariant, so each Newton step keeps phi's
     mean zero (newton_solve's mean_weights).  The weights are the load
@@ -96,23 +98,24 @@ def solve_cell(mesh, p, opts=None):
     target = opts.final_delta
     diagnostics = solve.NewtonDiagnostics()
 
-    def newton(q, init, deltas):
+    def newton(init, deltas):
         phi, diag = solve.newton_solve(
-            _CellFunctional(mesh, q), init, weights,
+            _CellFunctional(mesh, p), init, weights,
             replace(opts, continuation_deltas=deltas))
         diagnostics.stages += diag.stages
         return phi
 
     try:
-        phi = newton(2.0, np.zeros(mesh.num_nodes), (target,))
-        if p != 2.0:
-            phi = newton(p, phi, (target, target))
+        phi, stage = _predicted_start(mesh, p, weights, opts)
+        diagnostics.stages.append(stage)
+        if p != 2.0 or not stage.converged:
+            phi = newton(phi, (target, target))
     except solve.SolveError as exc:
         diagnostics.stages += exc.diagnostics.stages
-        logger.info("cell p=%g: start from the linear corrector failed (%s: "
+        logger.info("cell p=%g: start from the p-predictor failed (%s: "
                     "%s); falling back to the ladder %s", p,
                     type(exc).__name__, exc, opts.continuation_deltas)
-        phi = newton(p, np.zeros(mesh.num_nodes), opts.continuation_deltas)
+        phi = newton(np.zeros(mesh.num_nodes), opts.continuation_deltas)
 
     measure = geometry.mesh_area(mesh)
     mean = float(weights @ phi) / measure
@@ -130,6 +133,99 @@ def solve_cell(mesh, p, opts=None):
             f"energy={cell.coeff_energy!r}")
     _agreed(cell.coeff_flux, cell.coeff_energy)
     return cell
+
+
+# the step in p of the central difference that gives the second-order term
+_P_STEP = 1e-2
+
+
+def _predicted_start(mesh, p, weights, opts):
+    """Newton's start at p from one factorization of the p = 2 jacobian,
+    and the predictor's stage of the diagnostics.
+
+    At p = 2 the cell jacobian J does not depend on phi (sigma = 1, and
+    the cell has no mass term), so its one factor, at the target delta,
+    serves three solves: the linear corrector phi_2, the Newton step from
+    zero as newton_solve takes it (refined against J, so at p = 2 it has
+    the ladder's bits); the tangent phi' = -J^-1 dR/dp(phi_2, 2); and the
+    second-order term phi'' = -J^-1 g''(0) with
+    g(s) = R(phi_2 + s phi', 2 + s), by a central difference of step
+    _P_STEP.  The last two are back-substitutions, so J goes before any
+    point is evaluated, and the factor goes before the candidates phi_2,
+    phi_2 + (p - 2) phi' and phi_2 + (p - 2) phi' + (p - 2)^2 phi''/2 are
+    evaluated at p; the one with the lowest energy there is returned
+    (phi_2 at p = 2).
+
+    The stage counts one iteration (none if zero meets residual_tol) and
+    one factorization, holds the p = 2 energies and residual norms, is
+    converged if phi_2 meets residual_tol, and its stop_reason names the
+    start chosen.  A SolveError leaves with the stage as its diagnostics,
+    the stop_reason naming the failure.
+    """
+    target = opts.final_delta
+    stage = solve.StageDiagnostics(delta=target)
+    linear = _CellFunctional(mesh, 2.0)
+    phi = np.zeros(mesh.num_nodes)
+    try:
+        point = linear.point(phi, target)
+        r = point.residual()
+        stage.energies.append(point.energy())
+        stage.residual_norms.append(float(np.linalg.norm(r)))
+        tol = opts.residual_tol * (1.0 + stage.residual_norms[0])
+        stage.factorizations = 1
+        jacobian, point = point.jacobian(), None
+        solve_linear = solve.constrained_solver(jacobian, weights)
+        if stage.residual_norms[0] > tol:
+            # newton_solve's full step from zero, refined against the band
+            phi = phi + solve_linear(-r, jacobian, opts.linear_tol)
+            stage.iterations = 1
+            stage.step_lengths.append(1.0)
+        del jacobian        # the later solves are back-substitutions
+        point = linear.point(phi, target)
+        if stage.iterations:
+            r = point.residual()
+            stage.energies.append(point.energy())
+            stage.residual_norms.append(float(np.linalg.norm(r)))
+        stage.converged = stage.residual_norms[-1] <= tol
+        phi = phi - (weights @ phi) / weights.sum()
+        candidates = {"linear": phi}
+        if p != 2.0:
+            tangent = solve_linear(-point.residual_dp())
+            point = None
+
+            def g(s):
+                return _CellFunctional(mesh, 2.0 + s).point(
+                    phi + s * tangent, target).residual()
+
+            h = _P_STEP
+            curvature = solve_linear((2.0 * r - g(h) - g(-h)) / (h * h))
+            first = phi + (p - 2.0) * tangent
+            candidates["first_order"] = first
+            candidates["second_order"] = (first + 0.5 * (p - 2.0) ** 2
+                                          * curvature)
+    except solve.SolveError as exc:
+        stage.stop_reason = type(exc).__name__
+        exc.diagnostics = solve.NewtonDiagnostics([stage])
+        raise
+    del solve_linear             # the p = 2 factor goes here
+    energies = {name: _energy_at(mesh, p, field, target)
+                for name, field in candidates.items()}
+    chosen = min(energies, key=energies.get)
+    stage.stop_reason = f"start={chosen}"
+    logger.info("cell p=%g: start energies %s; starting from %s", p,
+                ", ".join(f"{name}={e:.6e}" for name, e in energies.items()),
+                chosen)
+    return candidates[chosen], stage
+
+
+def _energy_at(mesh, p, phi, delta):
+    """Cell energy of phi at p, infinite where it overflows (a candidate
+    far from the solution at large p)."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _CellFunctional(mesh, p).point(phi, delta).energy()
+    except fem.AssemblyError:
+        return np.inf
 
 
 def _coefficient_pair(cell):

@@ -180,35 +180,57 @@ def linear_solve(a, b, tol, ground=0.0):
     with the band's own product: at most six band solves from x = 0,
     stopping at tol or at the first one that fails to halve the residual,
     keeping the better iterate.  At that floor, about eps * cond(a), a
-    residual above tol is accepted below _RESIDUAL_CEILING.
+    residual above tol is accepted below _RESIDUAL_CEILING.  A zero b is
+    solved without a factorization.
     """
     b = np.asarray(b, dtype=float)
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
+    if not b.any():
         return np.zeros_like(b)
+    return linear_solver(a, ground)(b, a, tol)
+
+
+def linear_solver(a, ground=0.0):
+    """The banded Cholesky factor of a + ground * e0 e0^T as a solve for
+    several right-hand sides: solve(b) is one back-substitution, and
+    solve(b, a, tol) is linear_solve's, refined against a.  The function
+    holds the factor, not a, so a caller that needs no more refinement
+    can let the band go."""
     factor = a.factor(ground)
-    x, r, rnorm = np.zeros_like(b), b, bnorm
-    for _ in range(6):
-        if rnorm <= tol * bnorm:
-            break
-        dx, info = _lapack.dpbtrs(factor, r, lower=1)
+
+    def back_substitute(r):
+        x, info = _lapack.dpbtrs(factor, r, lower=1)
         if info:
             raise ValueError(f"illegal value in argument {-info} of dpbtrs")
-        x_new = x + dx
-        r_new = b - a @ x_new
-        rnorm_new = np.linalg.norm(r_new)
-        stalled = not rnorm_new <= 0.5 * rnorm
-        if rnorm_new < rnorm:
-            x, r, rnorm = x_new, r_new, rnorm_new
-        if stalled:
-            break
-    if not rnorm <= max(tol, _RESIDUAL_CEILING) * bnorm:
-        raise LinearSolveError(
-            f"relative residual {rnorm / bnorm:.3e} above tol {tol:.1e} "
-            "after refinement")
-    if float(x @ (b - r)) < 0.0:        # x . a x
-        raise IndefiniteSystemError("negative curvature direction detected")
-    return x
+        return x
+
+    def solve(b, a=None, tol=None):
+        b = np.asarray(b, dtype=float)
+        bnorm = np.linalg.norm(b)
+        if bnorm == 0.0:
+            return np.zeros_like(b)
+        if a is None:
+            return back_substitute(b)
+        x, r, rnorm = np.zeros_like(b), b, bnorm
+        for _ in range(6):
+            if rnorm <= tol * bnorm:
+                break
+            x_new = x + back_substitute(r)
+            r_new = b - a @ x_new
+            rnorm_new = np.linalg.norm(r_new)
+            stalled = not rnorm_new <= 0.5 * rnorm
+            if rnorm_new < rnorm:
+                x, r, rnorm = x_new, r_new, rnorm_new
+            if stalled:
+                break
+        if not rnorm <= max(tol, _RESIDUAL_CEILING) * bnorm:
+            raise LinearSolveError(
+                f"relative residual {rnorm / bnorm:.3e} above tol {tol:.1e} "
+                "after refinement")
+        if float(x @ (b - r)) < 0.0:        # x . a x
+            raise IndefiniteSystemError("negative curvature direction detected")
+        return x
+
+    return solve
 
 
 def constrained_linear_solve(a, b, w, tol):
@@ -219,11 +241,20 @@ def constrained_linear_solve(a, b, w, tol):
     diagonal entry is minus its row sum), so its range is the complement
     of the constants: b - mean(b) projects b onto it, dropping the
     roundoff a shift-invariant energy's residual has along the constants.
-    One linear_solve grounded at c = a[0, 0] (a + c e0 e0^T is SPD when
-    constants are a's only null direction) solves the projected system,
-    and the shift by -(w . x) / (1 . w) meets the constraint.  Row sums
-    above _ROW_SUM_TOL of the largest diagonal entry, or 1 . w = 0, are an
-    IndefiniteSystemError."""
+    One linear_solver factorization grounded at c = a[0, 0] (a + c e0 e0^T
+    is SPD when constants are a's only null direction), refined against
+    a, solves the projected system, and the shift by -(w . x) / (1 . w)
+    meets the constraint.  Row sums above _ROW_SUM_TOL of the largest
+    diagonal entry, or 1 . w = 0, are an IndefiniteSystemError."""
+    return constrained_solver(a, w)(b, a, tol)
+
+
+def constrained_solver(a, w):
+    """constrained_linear_solve's factorization for several right-hand
+    sides: checks a and w, factors now and returns solve(b), one
+    back-substitution, or solve(b, a, tol), refined against a; both
+    project b and shift x as constrained_linear_solve does.  Like
+    linear_solver's, the function holds the factor, not a."""
     w = np.asarray(w, dtype=float)
     drift = np.abs(a @ np.ones(a.rows.shape[1])).max()
     scale = a.rows[0].max()
@@ -234,9 +265,14 @@ def constrained_linear_solve(a, b, w, tol):
     total = w.sum()
     if not abs(total) > _ROW_SUM_TOL * np.abs(w).sum():
         raise IndefiniteSystemError("singular constraint: 1 . w = 0")
-    b = np.asarray(b, dtype=float)
-    x = linear_solve(a, b - b.mean(), tol, ground=float(a.rows[0, 0]))
-    return x - (w @ x) / total
+    solve = linear_solver(a, ground=float(a.rows[0, 0]))
+
+    def constrained(b, a=None, tol=None):
+        b = np.asarray(b, dtype=float)
+        x = solve(b - b.mean(), a, tol)
+        return x - (w @ x) / total
+
+    return constrained
 
 
 @dataclass
@@ -291,6 +327,8 @@ def newton_solve(problem, init, mean_weights=None, opts=None):
     residual() and jacobian(), a Band of the same size.  A trial field is
     evaluated for its energy; the accepted one then gives the residual
     and the next jacobian, and is dropped before the next line search.
+    The field is held once: a stage's start and the previous step are
+    dropped before the next factorization.
     Given mean_weights (nodal quadrature weights), every Newton step keeps
     the weighted mean zero and the converged field is shifted by a
     constant so its mean vanishes; the energy must then be shift
@@ -310,84 +348,89 @@ def newton_solve(problem, init, mean_weights=None, opts=None):
         stage = StageDiagnostics(delta=delta)
         diagnostics.stages.append(stage)
         try:
-            u = _newton_stage(problem, w, u, stage, opts)
+            point = problem.point(u, delta)
+            energy = point.energy()
+            r = point.residual()
+            rnorm = _residual_norm(r, delta, stage.iterations)
+            stage.energies.append(energy)
+            stage.residual_norms.append(rnorm)
+            tol = opts.residual_tol * (1.0 + rnorm)
+            stage.stop_reason = "residual"
+            while rnorm > tol:
+                if stage.iterations >= opts.max_newton:
+                    raise NonConvergenceError(
+                        f"stage delta={delta:.1e}: residual {rnorm:.3e} above "
+                        f"{tol:.3e} after {opts.max_newton} Newton steps")
+                jac, point = point.jacobian(), None    # the point is spent
+                if jac.rows.shape[1] != len(u):
+                    raise ValueError(f"jacobian has {jac.rows.shape[1]} "
+                                     f"unknowns, the field has {len(u)}")
+                stage.factorizations += 1
+                if w is not None:
+                    step = constrained_linear_solve(jac, -r, w,
+                                                    opts.linear_tol)
+                else:
+                    step = linear_solve(jac, -r, opts.linear_tol)
+                del jac
+                slope = float(r @ step)   # directional derivative of energy
+                t, u, point, energy = _line_search(
+                    problem, u, step, energy, slope, stage, opts)
+                r = point.residual()
+                rnorm = _residual_norm(r, delta, stage.iterations + 1)
+                stage.iterations += 1
+                stage.energies.append(energy)
+                stage.residual_norms.append(rnorm)
+                stage.step_lengths.append(t)
+                logger.debug("newton stage=%g iter=%d energy=%.12e "
+                             "residual=%.3e step=%.3g",
+                             delta, stage.iterations, energy, rnorm, t)
+                # residual entries can sit on a roundoff floor above tol
+                # when the jacobian is stiff (p < 2 at tiny delta); a
+                # negligible full step means the iterate itself is
+                # converged to machine precision
+                negligible = t == 1.0 and (np.linalg.norm(step) <= 1e-12
+                                           * (1.0 + np.linalg.norm(u)))
+                del step                  # before the next factorization
+                if negligible:
+                    stage.stop_reason = "step"
+                    break
+            point = None        # before the next stage's first point
         except SolveError as exc:
             stage.stop_reason = type(exc).__name__
             exc.diagnostics = diagnostics
             raise
+        stage.converged = True
+        logger.info("newton stage=%g converged: iters=%d residual=%.3e",
+                    delta, stage.iterations, rnorm)
 
     if w is not None:
         u = u - (w @ u) / w.sum()
     return u, diagnostics
 
 
-def _newton_stage(problem, w, u, stage, opts):
-    """Newton at the stage's delta from u; the converged field."""
+def _line_search(problem, u, step, energy, slope, stage, opts):
+    """Armijo backtracking along step from u at the stage's delta: the
+    step length, the accepted trial, its point and its energy.  An ascent
+    direction is an IndefiniteSystemError, no acceptable length a
+    LineSearchStallError."""
     delta = stage.delta
-    point = problem.point(u, delta)
-    energy = point.energy()
-    r = point.residual()
-    rnorm = _residual_norm(r, delta, stage.iterations)
-    stage.energies.append(energy)
-    stage.residual_norms.append(rnorm)
-    tol = opts.residual_tol * (1.0 + rnorm)
-    stage.stop_reason = "residual"
-
-    while rnorm > tol:
-        if stage.iterations >= opts.max_newton:
-            raise NonConvergenceError(
-                f"stage delta={delta:.1e}: residual {rnorm:.3e} above "
-                f"{tol:.3e} after {opts.max_newton} Newton steps")
-        jac, point = point.jacobian(), None    # the point is spent
-        if jac.rows.shape[1] != len(u):
-            raise ValueError(f"jacobian has {jac.rows.shape[1]} unknowns, "
-                             f"the field has {len(u)}")
-        stage.factorizations += 1
-        if w is not None:
-            step = constrained_linear_solve(jac, -r, w, opts.linear_tol)
-        else:
-            step = linear_solve(jac, -r, opts.linear_tol)
-        del jac
-        slope = float(r @ step)        # directional derivative of energy
-        noise = 1e-14 * (abs(energy) + 1.0)
-        if slope > noise:
-            raise IndefiniteSystemError(
-                f"Newton step is an ascent direction (slope {slope:.3e})")
-        t = 1.0
-        for _ in range(opts.max_halvings + 1):
-            trial = u + t * step
-            point = problem.point(trial, delta)
-            trial_energy = point.energy()
-            # a predicted decrease below energy roundoff leaves the
-            # Armijo test blind: take the full step, the residual decides
-            if -slope <= noise or (trial_energy <= energy
-                                   + opts.ls_sufficient_decrease * t * slope):
-                break
-            t, point = t * opts.ls_backtrack, None   # drop the rejected trial
-        else:
-            raise LineSearchStallError(
-                f"line search stalled at stage delta={delta:.1e}, "
-                f"iteration {stage.iterations}: energy {energy:.6e}, "
-                f"residual {rnorm:.3e}, slope {slope:.3e}, "
-                f"last step length {t:.3e}")
-        u, energy = trial, trial_energy
-        r = point.residual()
-        rnorm = _residual_norm(r, delta, stage.iterations + 1)
-        stage.iterations += 1
-        stage.energies.append(energy)
-        stage.residual_norms.append(rnorm)
-        stage.step_lengths.append(t)
-        logger.debug(
-            "newton stage=%g iter=%d energy=%.12e residual=%.3e step=%.3g",
-        delta, stage.iterations, energy, rnorm, t)
-        # residual entries can sit on a roundoff floor above tol when the
-        # jacobian is stiff (p < 2 at tiny delta); a negligible full step
-        # means the iterate itself is converged to machine precision
-        if t == 1.0 and (np.linalg.norm(step)
-                         <= 1e-12 * (1.0 + np.linalg.norm(u))):
-            stage.stop_reason = "step"
-            break
-    stage.converged = True
-    logger.info("newton stage=%g converged: iters=%d residual=%.3e",
-                delta, stage.iterations, rnorm)
-    return u
+    noise = 1e-14 * (abs(energy) + 1.0)
+    if slope > noise:
+        raise IndefiniteSystemError(
+            f"Newton step is an ascent direction (slope {slope:.3e})")
+    t = 1.0
+    for _ in range(opts.max_halvings + 1):
+        trial = u + t * step
+        point = problem.point(trial, delta)
+        trial_energy = point.energy()
+        # a predicted decrease below energy roundoff leaves the Armijo
+        # test blind: take the full step, the residual decides
+        if -slope <= noise or (trial_energy <= energy
+                               + opts.ls_sufficient_decrease * t * slope):
+            return t, trial, point, trial_energy
+        t, point = t * opts.ls_backtrack, None   # drop the rejected trial
+    raise LineSearchStallError(
+        f"line search stalled at stage delta={delta:.1e}, "
+        f"iteration {stage.iterations}: energy {energy:.6e}, "
+        f"residual {stage.residual_norms[-1]:.3e}, slope {slope:.3e}, "
+        f"last step length {t:.3e}")

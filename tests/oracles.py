@@ -2,15 +2,18 @@
 
 Everything here is deliberately coded along a different path from the
 package: explicit matrices, per-triangle formulas, direct solves and
-searches over every triangle.
+searches over every triangle.  Where a solver's strategy changes, the
+strategy it replaced is kept here as the oracle of the new one.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import scipy.linalg
 from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
 
-from oscthin import fem, geometry, solve, study
+from oscthin import fem, geometry, homogenize, solve, study
 
 
 def grid_nodes(mesh):
@@ -143,6 +146,39 @@ def linear_periodic_cell(mesh):
     v = (x1 + phi)[idx]
     coeff = float((area * (v * b).sum(axis=1)).sum() / area.sum())
     return phi, coeff
+
+
+def linear_start_cell(mesh, p, opts=None):
+    """The cell solve started from the linear corrector alone: Newton on
+    the p = 2 functional from zero at the target delta, then Newton at p
+    from it at the target delta twice; on a SolveError the configured
+    ladder from zero.  A CellSolution whose diagnostics hold every stage
+    run (the start solve_cell took before its p-predictor)."""
+    opts = opts or solve.SolveOptions()
+    weights = fem.load_vector(mesh, np.ones(mesh.num_nodes))
+    target = opts.final_delta
+    diagnostics = solve.NewtonDiagnostics()
+
+    def newton(q, init, deltas):
+        phi, diag = solve.newton_solve(
+            homogenize._CellFunctional(mesh, q), init, weights,
+            replace(opts, continuation_deltas=deltas))
+        diagnostics.stages += diag.stages
+        return phi
+
+    try:
+        phi = newton(2.0, np.zeros(mesh.num_nodes), (target,))
+        if p != 2.0:
+            phi = newton(p, phi, (target, target))
+    except solve.SolveError as exc:
+        diagnostics.stages += exc.diagnostics.stages
+        phi = newton(p, np.zeros(mesh.num_nodes), opts.continuation_deltas)
+    cell = homogenize.CellSolution(
+        mesh=mesh, phi=phi, p=p, delta=target,
+        cell_measure=geometry.mesh_area(mesh), coeff_flux=0.0,
+        coeff_energy=0.0, diagnostics=diagnostics)
+    cell.coeff_flux, cell.coeff_energy = homogenize._coefficient_pair(cell)
+    return cell
 
 
 def linear_thin_solve(mesh, load_values):

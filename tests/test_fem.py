@@ -524,6 +524,60 @@ class TestGridPoint:
         assert other.energy() == energy
 
 
+class TestResidualDp:
+    """Point.residual_dp, the derivative of the residual in p at a fixed
+    field (the cell's p-predictor takes its tangent from it)."""
+
+    @pytest.mark.parametrize("case", ["thin", "cell_sloped"])
+    @pytest.mark.parametrize("p,delta", [(1.5, 1e-3), (2.0, 1e-8),
+                                         (3.0, 0.0)])
+    def test_matches_central_difference_in_p(self, reference_profile, case,
+                                             p, delta):
+        mesh, u = _grid_case(reference_profile, case)
+        thin = case == "thin"
+        b = load_vector(mesh, np.cos(u)) if thin else None
+
+        def point(q):
+            return Point(mesh, u, FluxParams(p=q, delta=delta,
+                                             eps_weight=0.7),
+                         include_mass=thin, load_vector=b,
+                         slope=0.0 if thin else 1.0)
+
+        h = 1e-4
+        fd = (point(p + h).residual() - point(p - h).residual()) / (2.0 * h)
+        exact = point(p).residual_dp()
+        assert np.linalg.norm(fd - exact) < 1e-7 * np.linalg.norm(exact)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_zero_gradient_at_delta_zero_is_finite(self, small_period_mesh,
+                                                   p):
+        """A triangle with zero gradient (and an edge with zero value) at
+        delta 0 contributes 0 ln 0, read as 0: the derivative is finite
+        and the one a field without those triangles has there."""
+        mesh = small_period_mesh
+        x1 = oracles.nodes(mesh)[:, 0]
+        u = np.maximum(x1 - 0.5, 0.0)      # flat, and zero, left of 1/2
+        point = Point(mesh, u, FluxParams(p=p, delta=0.0))
+        grads = element_gradients(mesh, u)
+        assert np.any((grads == 0.0).all(axis=1))
+        dp = point.residual_dp()
+        assert np.all(np.isfinite(dp))
+        # nodes whose every triangle and edge has a zero gradient and value
+        assert np.all(dp[x1 < 0.4] == 0.0)
+        h = 1e-5
+        fd = (Point(mesh, u, FluxParams(p=p + h)).residual()
+              - Point(mesh, u, FluxParams(p=p - h)).residual()) / (2.0 * h)
+        assert np.linalg.norm(fd - dp) < 1e-6 * np.linalg.norm(dp)
+
+    def test_load_does_not_depend_on_p(self, small_cell_mesh):
+        mesh = small_cell_mesh
+        u = np.cos(oracles.nodes(mesh)[:mesh.num_nodes, 0])
+        b = load_vector(mesh, np.ones(mesh.num_nodes))
+        params = FluxParams(p=3.0, delta=1e-2)
+        assert np.array_equal(Point(mesh, u, params, True, b).residual_dp(),
+                              Point(mesh, u, params, True).residual_dp())
+
+
 class TestColumnForms:
     """The per-column closed forms of the plan and the mesh against the
     per-triangle formulas of tests/oracles.py, and the memory they save."""

@@ -1,8 +1,11 @@
+import weakref
+
 import numpy as np
 import pytest
 
-from oscthin import (ProfileSpec, build_cell_mesh, geometry, homogenize,
-                     solve, solve_cell)
+from oscthin import (ProfileSpec, build_cell_mesh, fem, geometry,
+                     homogenize, solve, solve_cell)
+from oscthin.cli import write_field
 from oscthin.fem import load_vector, lp_norm, p_flux_scalar
 from oscthin.homogenize import (CellSolution, _CellFunctional,
                                 _coefficient_pair, effective_coefficient,
@@ -68,16 +71,17 @@ class TestOscillatingCell:
                                                             rel=1e-12)
 
     def test_large_p_cell_solves(self, reference_profile):
-        """p = 12 on the 128x32 reference cell: from the linear corrector,
-        whose jacobian diagonal spans 34 decades, the line search of the
-        first p = 12 stage stalls, and the ladder from zero, whose diagonal
-        spans up to sixteen decades, solves the cell; the coefficient is
-        the one the bordered sparse LU step gave."""
+        """p = 12 on the 128x32 reference cell: the predictor starts from
+        the linear corrector (its continuations have far more energy at
+        p = 12), whose jacobian diagonal spans 34 decades; the line search
+        of the first p = 12 stage stalls, and the ladder from zero, whose
+        diagonal spans up to sixteen decades, solves the cell; the
+        coefficient is the one the bordered sparse LU step gave."""
         cell = solve_cell(build_cell_mesh(reference_profile, 128, 32), 12.0)
         stages = cell.diagnostics.stages
         assert [s.iterations for s in stages] == [1, 0, 31, 18, 1]
         assert [s.stop_reason for s in stages[:2]] == [
-            "residual", "LineSearchStallError"]
+            "start=linear", "LineSearchStallError"]
         assert [s.converged for s in stages] == [True, False, True, True, True]
         assert cell.coeff_flux == pytest.approx(0.5894552498391834, rel=1e-10)
 
@@ -101,7 +105,7 @@ def _ladder_cell(mesh, p):
 
 
 class TestLinearStart:
-    """solve_cell starts from the linear corrector at the target delta and
+    """solve_cell starts from the p-predictor at the target delta and
     falls back to the continuation ladder from zero."""
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
@@ -137,15 +141,16 @@ class TestLinearStart:
         started, ladder_started = [], []
 
         def point(self, phi, delta):
-            """Points at p from the corrector: the start and the first
-            step's trial as they are, every later energy infinite."""
+            """Points at p from the predictor: its three candidates, the
+            start and the first step's trial as they are, every later
+            energy infinite."""
             made = real_point(self, phi, delta)
             if self.p == p and not ladder_started:
                 if not np.any(phi):            # the fallback starts at zero
                     ladder_started.append(True)
                 else:
                     started.append(True)
-                    if len(started) > 2:
+                    if len(started) > 3 + 2:
                         made.energy = lambda: np.inf
             return made
 
@@ -168,6 +173,158 @@ class TestLinearStart:
                 == 3 + ladder.diagnostics.factorizations)
         assert "LineSearchStallError" in caplog.text
         assert "falling back" in caplog.text
+
+
+class TestPredictor:
+    """The p-predictor against the start it replaced, kept as
+    oracles.linear_start_cell: Newton at p from the linear corrector."""
+
+    @pytest.mark.parametrize("resolution", [32, 64])
+    def test_linear_case_byte_identical(self, reference_profile, tmp_path,
+                                        resolution):
+        """At p = 2 the predictor's corrector is the answer, with the
+        bits, the residual and the count of the Newton step it replaced:
+        cell_summary.txt and cell_phi.txt are the same bytes."""
+        mesh = build_cell_mesh(reference_profile, 4 * resolution, resolution)
+        cell = solve_cell(mesh, 2.0)
+        oracle = oracles.linear_start_cell(mesh, 2.0)
+        assert format_cell_summary(cell) == format_cell_summary(oracle)
+        for name, solved in (("new", cell), ("old", oracle)):
+            write_field(mesh, solved.phi, tmp_path / f"{name}.txt")
+        assert ((tmp_path / "new.txt").read_bytes()
+                == (tmp_path / "old.txt").read_bytes())
+        [stage] = cell.diagnostics.stages
+        assert stage.stop_reason == "start=linear"
+        assert (stage.iterations, stage.factorizations) == (1, 1)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 5.0, 8.0])
+    def test_start_has_no_more_energy_than_the_corrector(
+            self, medium_cell_mesh, p):
+        """Newton at p starts from no more energy than the corrector; at
+        p 5 and 8 the continuations have far more, so the start is the
+        corrector and every count and bit is the oracle's."""
+        cell = solve_cell(medium_cell_mesh, p)
+        oracle = oracles.linear_start_cell(medium_cell_mesh, p)
+        predictor, first, *_ = cell.diagnostics.stages
+        corrector_energy = oracle.diagnostics.stages[1].energies[0]
+        if p < 5.0:
+            assert predictor.stop_reason in ("start=first_order",
+                                              "start=second_order")
+            assert first.energies[0] < corrector_energy
+            assert (cell.diagnostics.total_iterations
+                    < oracle.diagnostics.total_iterations)
+        else:
+            assert predictor.stop_reason == "start=linear"
+            assert first.energies[0] == corrector_energy
+            assert ([s.iterations for s in cell.diagnostics.stages]
+                    == [s.iterations for s in oracle.diagnostics.stages])
+            assert np.array_equal(cell.phi, oracle.phi)
+        assert cell.coeff_flux == pytest.approx(oracle.coeff_flux, abs=1e-10)
+
+    @pytest.mark.parametrize("p, most", [(1.5, 9), (3.0, 5)])
+    def test_fewer_factorizations_on_the_study_cell(self, reference_profile,
+                                                    p, most):
+        """The study's 128x32 cell: 9 factorizations at p = 1.5 and 5 at
+        p = 3, against the corrector start's 12 and 6, for the same
+        coefficients."""
+        mesh = build_cell_mesh(reference_profile, 128, 32)
+        cell = solve_cell(mesh, p)
+        oracle = oracles.linear_start_cell(mesh, p)
+        assert (cell.diagnostics.factorizations <= most
+                < oracle.diagnostics.factorizations)
+        assert abs(cell.coeff_flux - oracle.coeff_flux) <= 1e-10
+        assert abs(cell.coeff_energy - oracle.coeff_energy) <= 1e-10
+
+    @pytest.mark.parametrize("p", [1.9, 2.1])
+    def test_prediction_is_second_order(self, medium_cell_mesh, p):
+        """The chosen start's distance to the solution, relative to the
+        corrector's, shrinks like (p - 2)^2: the tangent and the
+        second-order term are both right."""
+        mesh = medium_cell_mesh
+        weights = load_vector(mesh, np.ones(mesh.num_nodes))
+        corrector = solve_cell(mesh, 2.0).phi
+
+        def ratio(q):
+            start, stage = homogenize._predicted_start(
+                mesh, q, weights, solve.SolveOptions())
+            assert stage.stop_reason == "start=second_order"
+            phi = solve_cell(mesh, q).phi
+            return (np.abs(start - phi).max()
+                    / np.abs(corrector - phi).max())
+
+        near, far = ratio(p), ratio(2.0 + 2.0 * (p - 2.0))
+        assert near < 1e-2
+        assert 3.0 < far / near < 5.0
+
+    def test_one_factor_at_a_time(self, medium_cell_mesh, monkeypatch):
+        """The predictor's three solves share one factorization, and every
+        factor is released before the next is made: the p = 2 factor is
+        gone before Newton at p begins.  No jacobian band is alive when a
+        point is evaluated, the predictor's included: its tangent and
+        second-order solves are back-substitutions, which need no band."""
+        factors, bands, points = [], [], []
+        real_factor = solve.Band.factor
+        real_jacobian = fem.Point.jacobian
+        real_point = _CellFunctional.point
+
+        def recording(self, ground=0.0):
+            assert all(ref() is None for ref in factors)
+            factor = real_factor(self, ground)
+            factors.append(weakref.ref(factor))
+            return factor
+
+        def jacobian(self):
+            band = real_jacobian(self)
+            bands.append(weakref.ref(band))
+            return band
+
+        def point(self, phi, delta):
+            points.append(self.p)
+            assert all(ref() is None for ref in bands)
+            return real_point(self, phi, delta)
+
+        monkeypatch.setattr(solve.Band, "factor", recording)
+        monkeypatch.setattr(fem.Point, "jacobian", jacobian)
+        monkeypatch.setattr(_CellFunctional, "point", point)
+        cell = solve_cell(medium_cell_mesh, 1.5)
+        assert len(factors) == cell.diagnostics.factorizations
+        assert cell.diagnostics.stages[0].factorizations == 1
+        assert 2.0 + homogenize._P_STEP in points
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_candidate_counts_as_infinite(self, reference_profile,
+                                                      caplog):
+        """At p = 80 the second-order candidate's energy overflows: it
+        counts as infinite, without a warning, and the start is the
+        corrector."""
+        mesh = build_cell_mesh(reference_profile, 32, 8)
+        weights = load_vector(mesh, np.ones(mesh.num_nodes))
+        with caplog.at_level("INFO", logger="oscthin.homogenize"):
+            start, stage = homogenize._predicted_start(
+                mesh, 80.0, weights, solve.SolveOptions())
+        assert "second_order=inf" in caplog.text
+        assert stage.stop_reason == "start=linear"
+        assert np.array_equal(start, oracles.linear_start_cell(mesh, 2.0).phi)
+
+    def test_predictor_stage_and_log(self, medium_cell_mesh, caplog):
+        """The predictor is the first stage: one step and one
+        factorization, converged, its stop_reason the start chosen; the
+        candidates' energies at p are logged at INFO."""
+        with caplog.at_level("INFO", logger="oscthin.homogenize"):
+            cell = solve_cell(medium_cell_mesh, 3.0)
+        predictor, *newton = cell.diagnostics.stages
+        assert (predictor.iterations, predictor.factorizations) == (1, 1)
+        assert predictor.converged
+        chosen = predictor.stop_reason.removeprefix("start=")
+        [message] = [r.getMessage() for r in caplog.records
+                     if "start energies" in r.getMessage()]
+        assert all(f"{name}=" in message
+                   for name in ("linear", "first_order", "second_order"))
+        assert message.endswith(f"starting from {chosen}")
+        assert (cell.diagnostics.total_iterations
+                == 1 + sum(s.iterations for s in newton))
+        assert (cell.diagnostics.factorizations
+                == 1 + sum(s.factorizations for s in newton))
 
 
 class TestMeasureIdentity:

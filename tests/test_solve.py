@@ -15,7 +15,8 @@ from oscthin.homogenize import _CellFunctional, solve_cell
 from oscthin.limit1d import _LimitFunctional
 from oscthin.solve import (IndefiniteSystemError, LinearSolveError,
                            NonConvergenceError, constrained_linear_solve,
-                           linear_solve, newton_solve)
+                           constrained_solver, linear_solve, linear_solver,
+                           newton_solve)
 from oscthin.study import (LoadSpec, _ThinFunctional, error_corrector,
                            solve_thin)
 
@@ -300,6 +301,69 @@ class TestLinearSolve:
                            match="singular constraint"):
             constrained_linear_solve(a, np.array([1.0, -1.0]),
                                      np.array([1.0, -1.0]), 1e-12)
+
+
+class TestSharedFactor:
+    """linear_solver and constrained_solver: one factorization serves
+    several right-hand sides.  Given the band and a tolerance a solve has
+    the bits of linear_solve's or constrained_linear_solve's; without, it
+    is one back-substitution, and the function does not keep the band."""
+
+    def test_constrained_solves_share_one_factor(self, medium_cell_mesh,
+                                                 monkeypatch):
+        band = _cell_band(medium_cell_mesh, 2.0)
+        w = _cell_weights(medium_cell_mesh)
+        rhs = np.random.default_rng(19).normal(
+            size=(3, medium_cell_mesh.num_nodes))
+        separate = [constrained_linear_solve(band, b, w, 1e-12) for b in rhs]
+        calls = []
+        real_factor = solve.Band.factor
+
+        def counting(self, ground=0.0):
+            calls.append(ground)
+            return real_factor(self, ground)
+
+        monkeypatch.setattr(solve.Band, "factor", counting)
+        solve_with = constrained_solver(band, w)
+        refined = [solve_with(b, band, 1e-12) for b in rhs]
+        single = [solve_with(b) for b in rhs]
+        assert calls == [band.rows[0, 0]]
+        for x, y, ref in zip(refined, single, separate):
+            assert np.array_equal(x, ref)
+            assert np.linalg.norm(y - ref) <= 1e-8 * np.linalg.norm(ref)
+            assert abs(w @ y) <= 1e-12 * np.abs(w).sum() * np.abs(y).max()
+        assert np.array_equal(solve_with(np.zeros(len(w))), np.zeros(len(w)))
+
+    def test_plain_solves_share_one_factor(self, reference_profile):
+        mesh = build_thin_mesh(reference_profile, 0.25, 8, 8)
+        band = _ThinFunctional(mesh, 3.0, LoadSpec(kind="cos_pi")).point(
+            np.ones(mesh.num_nodes), 1e-2).jacobian()
+        solve_with = linear_solver(band)
+        for seed in (20, 21):
+            b = np.random.default_rng(seed).normal(size=mesh.num_nodes)
+            ref = linear_solve(band, b, 1e-12)
+            assert np.array_equal(solve_with(b, band, 1e-12), ref)
+            assert (np.linalg.norm(solve_with(b) - ref)
+                    <= 1e-10 * np.linalg.norm(ref))
+
+    def test_the_band_is_not_kept(self, medium_cell_mesh):
+        """The solve holds the factor only: once the caller lets the band
+        go, it is freed, and back-substitutions go on."""
+        band = _cell_band(medium_cell_mesh, 2.0)
+        w = _cell_weights(medium_cell_mesh)
+        b = np.random.default_rng(22).normal(size=medium_cell_mesh.num_nodes)
+        ref = constrained_linear_solve(band, b, w, 1e-12)
+        solve_with, gone = constrained_solver(band, w), weakref.ref(band)
+        del band
+        assert gone() is None
+        assert np.linalg.norm(solve_with(b) - ref) <= 1e-8 * np.linalg.norm(ref)
+
+    def test_checks_come_before_the_factor(self):
+        """The constrained checks refuse a band before it is factored."""
+        a = oracles.band(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        with pytest.raises(IndefiniteSystemError,
+                           match="singular constraint"):
+            constrained_solver(a, np.array([1.0, -1.0]))
 
 
 def _assert_band_matches(band, ref, seed):
@@ -639,6 +703,38 @@ class TestNewton:
         steps = [t for stage in diag.stages for t in stage.step_lengths]
         assert min(steps) < 1.0              # a trial was rejected
         assert len(refs) > diag.total_iterations + len(diag.stages)
+
+    def test_one_field_and_no_step_at_each_factorization(
+            self, reference_profile, monkeypatch):
+        """When a step's system is factored, the current iterate is the
+        only field the solve holds: a stage's start and earlier iterates
+        are dropped, and so is the previous step."""
+        mesh = build_thin_mesh(reference_profile, 0.25, 8, 8)
+        functional = _ThinFunctional(mesh, 3.0, LoadSpec(kind="cos_pi"))
+        fields, steps, alive_at_factor = [], [], []
+
+        def alive(refs):
+            return sum(ref() is not None for ref in refs)
+
+        class Tracked:
+            def point(self, u, delta):
+                if not any(ref() is u for ref in fields):
+                    fields.append(weakref.ref(u))
+                return functional.point(u, delta)
+
+        real_solve = solve.linear_solve
+
+        def recording(a, b, tol):
+            alive_at_factor.append((alive(fields), alive(steps)))
+            step = real_solve(a, b, tol)
+            steps.append(weakref.ref(step))
+            return step
+
+        monkeypatch.setattr(solve, "linear_solve", recording)
+        _, diag = newton_solve(Tracked(), np.zeros(mesh.num_nodes),
+                               opts=SolveOptions())
+        assert sum(s.iterations > 0 for s in diag.stages) > 1
+        assert alive_at_factor == [(1, 0)] * diag.total_iterations
 
     def test_cell_solve_matches_dense_multiplier_oracle(self, small_cell_mesh):
         phi_oracle, _ = oracles.linear_periodic_cell(small_cell_mesh)
