@@ -233,15 +233,6 @@ def _ratio(p, den, delta):
     return np.divide(p - 2.0, den, out=np.zeros_like(den), where=den > 0.0)
 
 
-def _log_weight(base, weight):
-    """d/dp of the power weight base^((p-2)/2), ln(base) weight / 2, with
-    0 where base vanishes (0 ln 0 read as 0)."""
-    out = np.zeros_like(base)
-    np.log(base, out=out, where=base > 0.0)
-    out *= 0.5 * weight
-    return out
-
-
 def p_flux(xi, params):
     """Regularized monotone flux (delta^2 + |xi|^2)^((p-2)/2) xi."""
     xi = np.asarray(xi, dtype=float)
@@ -349,30 +340,8 @@ class Point:
         gradient in (dh, dv) is (c xi_1, psi) sigma/2 with
         psi = dx xi_2/w - s k xi_1; these coefficients go through the
         adjoint of the grid differences."""
-        res = self._weighted_residual(
-            self.sigma, self.mass_weight if self.include_mass else None)
-        if self.load_vector is not None:
-            res -= self.load_vector
-        return res
-
-    def residual_dp(self):
-        """Derivative of the residual in p at this field: the residual
-        with each power weight w = base^((p-2)/2) replaced by its
-        derivative ln(base) w / 2, read as 0 where base = delta^2 + |.|^2
-        vanishes (there the weight multiplies a zero vector).  The load
-        term does not depend on p."""
-        d2 = self.params.delta ** 2
-        mass = None
-        if self.include_mass:
-            mass = _log_weight(d2 + self.um * self.um, self.mass_weight)
-        return self._weighted_residual(
-            _log_weight(d2 + self.sq, self.sigma), mass)
-
-    def _weighted_residual(self, sigma, mass_weight):
-        """The residual's flux and mass terms with the given power weights
-        of the triangles and of the edges (None: no mass term)."""
         plan, mass = self.plan, None
-        flux = (0.5 * sigma) * self.xi       # in place from here on
+        flux = (0.5 * self.sigma) * self.xi       # in place from here on
         flux[1] *= plan.dx / self.params.eps_weight
         flux[1] -= plan.s * plan.k * flux[0]
         flux[0] *= plan.c
@@ -382,12 +351,15 @@ class Point:
             h += fh
             v += fv
         del flux
-        if mass_weight is not None:
-            mass = mass_weight * self.um
+        if self.include_mass:
+            mass = self.mass_weight * self.um
             _check_finite(mass, "mass term")
             # hat function k is 1/2 at the midpoints of the edges at k
             plan.weigh(mass, 0.5)
-        return plan.node_sum(mass, diffs)
+        res = plan.node_sum(mass, diffs)
+        if self.load_vector is not None:
+            res -= self.load_vector
+        return res
 
     def jacobian(self):
         """The jacobian's stencil scattered through the plan's position

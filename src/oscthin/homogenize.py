@@ -35,18 +35,16 @@ COEFF_FAILURE = 1e-4
 
 @dataclass
 class CellSolution:
-    """Converged cell solve plus the derived scalar data: phi is the
-    mean-zero periodic perturbation, cell_measure the triangulated cell
-    area, coeff_flux and coeff_energy the two discretizations of the
-    effective coefficient (agreeing to COEFF_AGREEMENT)."""
+    """Converged cell solve: phi is the mean-zero periodic perturbation.
+    The scalar data derive from it, each once: cell_measure the
+    triangulated cell area, coeff_flux and coeff_energy the two
+    discretizations of the effective coefficient (agreeing to
+    COEFF_AGREEMENT in a converged solve)."""
 
     mesh: geometry.Mesh
     phi: np.ndarray
     p: float
     delta: float
-    cell_measure: float
-    coeff_flux: float
-    coeff_energy: float
     diagnostics: solve.NewtonDiagnostics
 
     @cached_property
@@ -59,6 +57,23 @@ class CellSolution:
     def flux(self):
         """Per-triangle unregularized flux of v."""
         return fem.p_flux(self.gradients, fem.FluxParams(p=self.p))
+
+    @cached_property
+    def cell_measure(self):
+        return geometry.mesh_area(self.mesh)
+
+    @cached_property
+    def coeff_flux(self):
+        """Cell average of the flux's first component."""
+        return float((self.mesh.areas * self.flux[:, 0]).sum()
+                     / self.cell_measure)
+
+    @cached_property
+    def coeff_energy(self):
+        """Cell average of |grad v|^p, the energy form."""
+        sq = (self.gradients * self.gradients).sum(axis=1)
+        return float((self.mesh.areas * np.sqrt(sq) ** self.p).sum()
+                     / self.cell_measure)
 
 
 class _CellFunctional:
@@ -117,16 +132,12 @@ def solve_cell(mesh, p, opts=None):
                     type(exc).__name__, exc, opts.continuation_deltas)
         phi = newton(np.zeros(mesh.num_nodes), opts.continuation_deltas)
 
-    measure = geometry.mesh_area(mesh)
-    mean = float(weights @ phi) / measure
+    cell = CellSolution(mesh=mesh, phi=phi, p=p, delta=target,
+                        diagnostics=diagnostics)
+    mean = float(weights @ phi) / cell.cell_measure
     if abs(mean) > 1e-10:
         raise UnconvergedCellError(
             f"cell perturbation has nonzero mean {mean:.3e}")
-    cell = CellSolution(
-        mesh=mesh, phi=phi, p=p, delta=opts.final_delta,
-        cell_measure=measure, coeff_flux=0.0, coeff_energy=0.0,
-        diagnostics=diagnostics)
-    cell.coeff_flux, cell.coeff_energy = _coefficient_pair(cell)
     if cell.coeff_flux <= 0.0 or cell.coeff_energy <= 0.0:
         raise UnconvergedCellError(
             f"effective coefficient not positive: flux={cell.coeff_flux!r} "
@@ -135,7 +146,8 @@ def solve_cell(mesh, p, opts=None):
     return cell
 
 
-# the step in p of the central difference that gives the second-order term
+# the step in p of the central differences that give the tangent and the
+# second-order term
 _P_STEP = 1e-2
 
 
@@ -149,9 +161,12 @@ def _predicted_start(mesh, p, weights, opts):
     zero as newton_solve takes it (refined against J, so at p = 2 it has
     the ladder's bits); the tangent phi' = -J^-1 dR/dp(phi_2, 2); and the
     second-order term phi'' = -J^-1 g''(0) with
-    g(s) = R(phi_2 + s phi', 2 + s), by a central difference of step
-    _P_STEP.  The last two are back-substitutions, so J goes before any
-    point is evaluated, and the factor goes before the candidates phi_2,
+    g(s) = R(phi_2 + s phi', 2 + s).  dR/dp and g'' are central
+    differences of step h = _P_STEP of the one residual R(field, q):
+    (R(phi_2, 2 + h) - R(phi_2, 2 - h)) / 2h and
+    (g(h) - 2 g(0) + g(-h)) / h^2.  The last two solves are
+    back-substitutions, so J goes before any point is evaluated, and the
+    factor goes before the candidates phi_2,
     phi_2 + (p - 2) phi' and phi_2 + (p - 2) phi' + (p - 2)^2 phi''/2 are
     evaluated at p; the one with the lowest energy there is returned
     (phi_2 at p = 2).
@@ -181,24 +196,25 @@ def _predicted_start(mesh, p, weights, opts):
             stage.iterations = 1
             stage.step_lengths.append(1.0)
         del jacobian        # the later solves are back-substitutions
-        point = linear.point(phi, target)
         if stage.iterations:
+            point = linear.point(phi, target)
             r = point.residual()
             stage.energies.append(point.energy())
             stage.residual_norms.append(float(np.linalg.norm(r)))
+            point = None
         stage.converged = stage.residual_norms[-1] <= tol
         phi = phi - (weights @ phi) / weights.sum()
         candidates = {"linear": phi}
         if p != 2.0:
-            tangent = solve_linear(-point.residual_dp())
-            point = None
-
-            def g(s):
-                return _CellFunctional(mesh, 2.0 + s).point(
-                    phi + s * tangent, target).residual()
+            def residual(field, q):
+                return _CellFunctional(mesh, q).point(field, target).residual()
 
             h = _P_STEP
-            curvature = solve_linear((2.0 * r - g(h) - g(-h)) / (h * h))
+            tangent = solve_linear(
+                (residual(phi, 2.0 - h) - residual(phi, 2.0 + h)) / (2.0 * h))
+            curvature = solve_linear(
+                (2.0 * r - residual(phi + h * tangent, 2.0 + h)
+                 - residual(phi - h * tangent, 2.0 - h)) / (h * h))
             first = phi + (p - 2.0) * tangent
             candidates["first_order"] = first
             candidates["second_order"] = (first + 0.5 * (p - 2.0) ** 2
@@ -228,14 +244,6 @@ def _energy_at(mesh, p, phi, delta):
         return np.inf
 
 
-def _coefficient_pair(cell):
-    grads, area, p = cell.gradients, cell.mesh.areas, cell.p
-    sq = (grads * grads).sum(axis=1)
-    flux = (area * fem._power_weight(sq, p, 0.0) * grads[:, 0]).sum()
-    energy = (area * np.sqrt(sq) ** p).sum()
-    return float(flux / cell.cell_measure), float(energy / cell.cell_measure)
-
-
 def _agreed(flux, energy):
     """flux, unless the formulas disagree beyond COEFF_FAILURE: a bad solve."""
     if abs(flux - energy) > COEFF_FAILURE * abs(energy):
@@ -248,7 +256,7 @@ def effective_coefficient(cell):
     """Effective coefficient of the 1-D limit problem (flux form); both
     discretizations disagreeing beyond COEFF_FAILURE flags an unconverged
     cell solve and raises."""
-    return _agreed(*_coefficient_pair(cell))
+    return _agreed(cell.coeff_flux, cell.coeff_energy)
 
 
 def measure_identity_check(spec, n_levels=4096, n_samples=16384):

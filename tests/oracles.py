@@ -173,12 +173,8 @@ def linear_start_cell(mesh, p, opts=None):
     except solve.SolveError as exc:
         diagnostics.stages += exc.diagnostics.stages
         phi = newton(p, np.zeros(mesh.num_nodes), opts.continuation_deltas)
-    cell = homogenize.CellSolution(
-        mesh=mesh, phi=phi, p=p, delta=target,
-        cell_measure=geometry.mesh_area(mesh), coeff_flux=0.0,
-        coeff_energy=0.0, diagnostics=diagnostics)
-    cell.coeff_flux, cell.coeff_energy = homogenize._coefficient_pair(cell)
-    return cell
+    return homogenize.CellSolution(mesh=mesh, phi=phi, p=p, delta=target,
+                                   diagnostics=diagnostics)
 
 
 def linear_thin_solve(mesh, load_values):

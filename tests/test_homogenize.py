@@ -8,7 +8,7 @@ from oscthin import (ProfileSpec, build_cell_mesh, fem, geometry,
 from oscthin.cli import write_field
 from oscthin.fem import load_vector, lp_norm, p_flux_scalar
 from oscthin.homogenize import (CellSolution, _CellFunctional,
-                                _coefficient_pair, effective_coefficient,
+                                effective_coefficient,
                                 flux_density_height_integral,
                                 format_cell_summary, measure_identity_check,
                                 read_cell_summary, rescale_forcing,
@@ -45,18 +45,24 @@ class TestOscillatingCell:
 
     def test_solve_computes_the_coefficient_pair_once(self, monkeypatch,
                                                       small_cell_mesh):
-        """The agreement check reads the pair the solve stored."""
+        """The pair and the measure are cached on the cell, from the one
+        set of gradients the solve's checks formed: effective_coefficient
+        and the attributes read them without forming another."""
         calls = []
+        real = fem.element_gradients
 
-        def counting(cell):
-            calls.append(cell)
-            return _coefficient_pair(cell)
+        def counting(mesh, u, eps_weight=1.0):
+            calls.append(mesh)
+            return real(mesh, u, eps_weight)
 
-        monkeypatch.setattr(homogenize, "_coefficient_pair", counting)
+        monkeypatch.setattr(fem, "element_gradients", counting)
         cell = solve_cell(small_cell_mesh, 3.0)
         assert len(calls) == 1
+        assert {"gradients", "flux", "cell_measure", "coeff_flux",
+                "coeff_energy"} <= vars(cell).keys()
         assert effective_coefficient(cell) == cell.coeff_flux
-        assert len(calls) == 2
+        assert cell.cell_measure == geometry.mesh_area(small_cell_mesh)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_cell_solution_invariants(self, medium_cell_mesh, p):
@@ -96,12 +102,8 @@ def _ladder_cell(mesh, p):
     phi, diagnostics = solve.newton_solve(
         _CellFunctional(mesh, p), np.zeros(mesh.num_nodes),
         load_vector(mesh, np.ones(mesh.num_nodes)), solve.SolveOptions())
-    cell = CellSolution(mesh=mesh, phi=phi, p=p, delta=1e-8,
-                        cell_measure=geometry.mesh_area(mesh),
-                        coeff_flux=0.0, coeff_energy=0.0,
+    return CellSolution(mesh=mesh, phi=phi, p=p, delta=1e-8,
                         diagnostics=diagnostics)
-    cell.coeff_flux, cell.coeff_energy = _coefficient_pair(cell)
-    return cell
 
 
 class TestLinearStart:
@@ -221,13 +223,17 @@ class TestPredictor:
             assert np.array_equal(cell.phi, oracle.phi)
         assert cell.coeff_flux == pytest.approx(oracle.coeff_flux, abs=1e-10)
 
-    @pytest.mark.parametrize("p, most", [(1.5, 9), (3.0, 5)])
+    @pytest.mark.parametrize(
+        "p, most, nx",
+        [(1.5, 9, 128), (3.0, 5, 128), (1.5, 7, 256), (3.0, 5, 256)],
+        ids=["1.5-9", "3.0-5", "256x64-1.5-7", "256x64-3.0-5"])
     def test_fewer_factorizations_on_the_study_cell(self, reference_profile,
-                                                    p, most):
+                                                    p, most, nx):
         """The study's 128x32 cell: 9 factorizations at p = 1.5 and 5 at
-        p = 3, against the corrector start's 12 and 6, for the same
+        p = 3, against the corrector start's 12 and 6; the cell benchmark's
+        256x64 cell: 7 and 5, against 11 and 6; for the same
         coefficients."""
-        mesh = build_cell_mesh(reference_profile, 128, 32)
+        mesh = build_cell_mesh(reference_profile, nx, nx // 4)
         cell = solve_cell(mesh, p)
         oracle = oracles.linear_start_cell(mesh, p)
         assert (cell.diagnostics.factorizations <= most
@@ -290,6 +296,7 @@ class TestPredictor:
         assert len(factors) == cell.diagnostics.factorizations
         assert cell.diagnostics.stages[0].factorizations == 1
         assert 2.0 + homogenize._P_STEP in points
+        assert 2.0 - homogenize._P_STEP in points
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_candidate_counts_as_infinite(self, reference_profile,
