@@ -36,23 +36,16 @@ class AssemblyError(RuntimeError):
 
 @dataclass(frozen=True)
 class FluxParams:
-    """Exponent, regularization and gradient anisotropy of the flux.
-
-    eps_weight scales the second gradient component as (d1, d2/eps_weight);
-    use 1 for cell problems and the oscillation parameter for thin ones.
-    """
+    """Exponent and regularization of the flux."""
 
     p: float
     delta: float = 0.0
-    eps_weight: float = 1.0
 
     def __post_init__(self):
         if not self.p > 1.0:
             raise ValueError(f"p must exceed 1, got {self.p}")
         if self.delta < 0.0:
             raise ValueError(f"delta must be nonnegative, got {self.delta}")
-        if not self.eps_weight > 0.0:
-            raise ValueError(f"eps_weight must be positive, got {self.eps_weight}")
 
 
 def _ends(g):
@@ -74,8 +67,9 @@ class _Plan:
     (2, 1, nx) is b then a and k (2, ny, 1) is j then j + 1; the width dx
     and the slope s = b - a are (nx,).  A half holds one horizontal grid
     difference dh and one vertical dv (lower lr - ll and ur - lr, upper
-    ur - ul and ul - ll), and its gradient ((dh - s k dv/c)/dx, dv/c) is
-    affine in the row.
+    ur - ul and ul - ll), and its gradient ((dh - s k dv/c)/dx, dv/(c eps))
+    is affine in the row.  eps is the mesh's (1 if it has none, as a cell):
+    the plan is the one reader of the thin scaling (d1, d2/eps).
 
     Edge arrays are flat, the vertical, horizontal and diagonal edges in
     turn.  The band layout is cached on first use in one assignment.
@@ -83,6 +77,7 @@ class _Plan:
 
     def __init__(self, mesh):
         self.node = mesh.grid_nodes.T
+        self.eps = 1.0 if mesh.eps is None else mesh.eps
         self.size = mesh.num_nodes
         self._band = None
         self._shapes = [a.shape for a, _ in _ends(self.node)]
@@ -146,7 +141,7 @@ class _Plan:
         out[self.node[:, :g.shape[1]].T] = g.T
         return out
 
-    def gradient(self, g, eps_weight):
+    def gradient(self, g):
         """Scaled element gradient xi (2, 2, ny, nx) of grid values g from
         the grid differences of each half: constant fields give an exactly
         zero gradient, which the sublinear flux at p < 2 would otherwise
@@ -158,7 +153,7 @@ class _Plan:
         gy /= self.c
         gx -= self.s * self.k * gy
         gx /= self.dx
-        gy /= eps_weight
+        gy /= self.eps
         return xi
 
     def band(self):
@@ -204,11 +199,11 @@ def _gather(mesh, u):
     return u, plan, u[plan.node]
 
 
-def element_gradients(mesh, u, eps_weight=1.0):
+def element_gradients(mesh, u):
     """Constant gradient of the P1 interpolant on every triangle, (T, 2),
-    scaled to (d1, d2/eps_weight)."""
+    scaled to (d1, d2/eps) with the mesh's eps (1 on a cell)."""
     _, plan, g = _gather(mesh, u)
-    return plan.gradient(g, eps_weight).transpose(3, 2, 1, 0).reshape(-1, 2)
+    return plan.gradient(g).transpose(3, 2, 1, 0).reshape(-1, 2)
 
 
 def _power_weight(sq, p, delta):
@@ -310,7 +305,7 @@ class Point:
         self.params, self.include_mass = params, include_mass
         self.load_vector = load_vector
         p, delta, plan = params.p, params.delta, self.plan
-        self.xi = xi = plan.gradient(g, params.eps_weight)
+        self.xi = xi = plan.gradient(g)
         if slope:
             xi[0] += slope
         self.sq = xi[0] * xi[0] + xi[1] * xi[1]
@@ -336,13 +331,13 @@ class Point:
 
     def residual(self):
         """Gradient of the energy, one entry per node.  In a half's grid
-        differences xi is ((dh - s k dv/c)/dx, dv/(c w)), so the energy's
+        differences xi is ((dh - s k dv/c)/dx, dv/(c eps)), so the energy's
         gradient in (dh, dv) is (c xi_1, psi) sigma/2 with
-        psi = dx xi_2/w - s k xi_1; these coefficients go through the
+        psi = dx xi_2/eps - s k xi_1; these coefficients go through the
         adjoint of the grid differences."""
         plan, mass = self.plan, None
         flux = (0.5 * self.sigma) * self.xi       # in place from here on
-        flux[1] *= plan.dx / self.params.eps_weight
+        flux[1] *= plan.dx / plan.eps
         flux[1] -= plan.s * plan.k * flux[0]
         flux[0] *= plan.c
         _check_finite(flux.swapaxes(-1, -2), "flux")
@@ -370,7 +365,7 @@ class Point:
         differences (dh, dv) it is, with q = sigma/(2 dx) and the
         residual's psi,
             K_hh = q c (1 + r xi_1^2),   K_hv = q (r xi_1 psi - s k),
-            K_vv = q ((s k)^2 + (dx/w)^2 + r psi^2) / c,
+            K_vv = q ((s k)^2 + (dx/eps)^2 + r psi^2) / c,
         and its vertex pairs are K_hv - K_hh on the horizontal edge,
         K_hv - K_vv on the vertical one and -K_hv on the diagonal; it is
         summed onto the edges one half at a time.  The hat gradients sum to
@@ -384,10 +379,10 @@ class Point:
         plan = self.plan
         off = np.zeros(plan.n_edges)
         diagonal = plan.edge_views(off)[2]
-        stretch = (plan.dx / self.params.eps_weight) ** 2
+        stretch = (plan.dx / plan.eps) ** 2
         for half, (h, v) in enumerate(plan.halves(off)):
             sk, c, (xi1, xi2) = plan.s * plan.k[half], plan.c[half], self.xi[:, half]
-            psi = plan.dx / self.params.eps_weight * xi2 - sk * xi1
+            psi = plan.dx / plan.eps * xi2 - sk * xi1
             q = self.sigma[half] * (0.5 / plan.dx)
             qr = q * _ratio(p, delta * delta + self.sq[half], delta)
             k_hv = qr * xi1 * psi - q * sk
@@ -425,7 +420,7 @@ def lp_norm(mesh, u, p):
 _FIBER_GAUSS_ORDER = 12
 
 
-def integrate_load_fibers(load, spec, eps, n_stations, quad_order=_FIBER_GAUSS_ORDER):
+def integrate_load_fibers(load, spec, eps, n_stations):
     """Vertical fiber integrals of the load over the oscillating domain.
 
     Returns the fiberwise integral int_0^{g(x1/eps)} f(x1, x2) dx2 sampled
@@ -434,7 +429,7 @@ def integrate_load_fibers(load, spec, eps, n_stations, quad_order=_FIBER_GAUSS_O
     """
     if n_stations < 2:
         raise ValueError("need at least 2 stations")
-    x, wts = leggauss(quad_order)
+    x, wts = leggauss(_FIBER_GAUSS_ORDER)
     t = 0.5 * (x + 1.0)
     wts = 0.5 * wts
     stations = np.linspace(0.0, 1.0, n_stations)

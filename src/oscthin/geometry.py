@@ -104,7 +104,8 @@ class Mesh:
 
     grid_nodes   (nx+1, ny+1) int array, the node at column i, row j
     domain_kind  "cell" or "thin"
-    eps          oscillation parameter for thin meshes, None for cell meshes
+    eps          oscillation parameter of a thin mesh, which scales its
+                 gradient to (d1, d2/eps); None on a cell (refused there)
 
     No node or triangle table is kept (triangle_vertices states the
     triangle numbering); column_areas and areas are cached on first read.
@@ -150,6 +151,8 @@ class Mesh:
             if nx < 2:
                 raise MeshingError("a cell mesh needs at least two distinct "
                                    "columns")
+            if eps is not None:
+                raise MeshingError(f"a cell mesh takes no eps, got {eps!r}")
             slot = np.where(2 * slot <= nx, 2 * slot - 1, 2 * (nx - slot))
             slot[0] = slot[nx] = 0
         node = slot[:, None] * (ny + 1) + np.arange(ny + 1)

@@ -14,7 +14,7 @@ whose agreement certifies convergence of the cell solve.
 
 import logging
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -76,17 +76,10 @@ class CellSolution:
                      / self.cell_measure)
 
 
-class _CellFunctional:
-    """Flux-only energy of v = y1 + phi as points over phi."""
-
-    def __init__(self, mesh, p):
-        self.mesh = mesh
-        self.p = p
-
-    def point(self, phi, delta):
-        return fem.Point(self.mesh, phi,
-                         fem.FluxParams(p=self.p, delta=delta, eps_weight=1.0),
-                         include_mass=False, slope=1.0)
+def _cell_point(mesh, p, phi, delta):
+    """The flux-only energy of v = y1 + phi at phi."""
+    return fem.Point(mesh, phi, fem.FluxParams(p=p, delta=delta),
+                     include_mass=False, slope=1.0)
 
 
 def solve_cell(mesh, p, opts=None):
@@ -106,8 +99,11 @@ def solve_cell(mesh, p, opts=None):
     The cell energy is shift invariant, so each Newton step keeps phi's
     mean zero (newton_solve's mean_weights).  The weights are the load
     vector of f = 1, the hat functions' integrals (its rule is exact for
-    P1).
+    P1).  A mesh that is not a cell mesh is a ValueError.
     """
+    if mesh.domain_kind != "cell":
+        raise ValueError(f"solve_cell needs a cell mesh, got a "
+                         f"{mesh.domain_kind} one")
     opts = opts or solve.SolveOptions()
     weights = fem.load_vector(mesh, np.ones(mesh.num_nodes))
     target = opts.final_delta
@@ -115,7 +111,7 @@ def solve_cell(mesh, p, opts=None):
 
     def newton(init, deltas):
         phi, diag = solve.newton_solve(
-            _CellFunctional(mesh, p), init, weights,
+            partial(_cell_point, mesh, p), init, weights,
             replace(opts, continuation_deltas=deltas))
         diagnostics.stages += diag.stages
         return phi
@@ -179,10 +175,9 @@ def _predicted_start(mesh, p, weights, opts):
     """
     target = opts.final_delta
     stage = solve.StageDiagnostics(delta=target)
-    linear = _CellFunctional(mesh, 2.0)
     phi = np.zeros(mesh.num_nodes)
     try:
-        point = linear.point(phi, target)
+        point = _cell_point(mesh, 2.0, phi, target)
         r = point.residual()
         stage.energies.append(point.energy())
         stage.residual_norms.append(float(np.linalg.norm(r)))
@@ -197,7 +192,7 @@ def _predicted_start(mesh, p, weights, opts):
             stage.step_lengths.append(1.0)
         del jacobian        # the later solves are back-substitutions
         if stage.iterations:
-            point = linear.point(phi, target)
+            point = _cell_point(mesh, 2.0, phi, target)
             r = point.residual()
             stage.energies.append(point.energy())
             stage.residual_norms.append(float(np.linalg.norm(r)))
@@ -207,7 +202,7 @@ def _predicted_start(mesh, p, weights, opts):
         candidates = {"linear": phi}
         if p != 2.0:
             def residual(field, q):
-                return _CellFunctional(mesh, q).point(field, target).residual()
+                return _cell_point(mesh, q, field, target).residual()
 
             h = _P_STEP
             tangent = solve_linear(
@@ -239,7 +234,7 @@ def _energy_at(mesh, p, phi, delta):
     far from the solution at large p)."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            return _CellFunctional(mesh, p).point(phi, delta).energy()
+            return _cell_point(mesh, p, phi, delta).energy()
     except fem.AssemblyError:
         return np.inf
 

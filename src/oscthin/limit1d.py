@@ -9,6 +9,7 @@ two-point Gauss rule per element the load integrals are then exact.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -45,69 +46,59 @@ class Limit1DProblem:
         object.__setattr__(self, "forcing", forcing)
 
 
-class _LimitFunctional:
-    """Points of the discrete 1-D problem for the Newton driver."""
-
-    def __init__(self, prob):
-        self.prob = prob
-        self.h = 1.0 / prob.n
-        # forcing at the Gauss points of each element (exact interpolation)
-        self.f_gauss = self._gauss_values(prob.forcing)
-
-    def _gauss_values(self, u):
-        return (u[:-1, None] * (1.0 - _GAUSS_T)[None, :]
-                + u[1:, None] * _GAUSS_T[None, :])
-
-    def point(self, u, delta):
-        return _LimitPoint(self, u, delta)
+def _gauss_values(u):
+    """Nodal u at each element's Gauss points, (n, 2): exact for P1."""
+    return (u[:-1, None] * (1.0 - _GAUSS_T)[None, :]
+            + u[1:, None] * _GAUSS_T[None, :])
 
 
 class _LimitPoint:
     """Energy, residual and jacobian at one field, sharing its element
-    slopes, Gauss-point values and their power weights."""
+    slopes, Gauss-point values and their power weights; f_gauss is the
+    forcing at the Gauss points."""
 
-    def __init__(self, functional, u, delta):
-        self.f, self.delta = functional, delta
-        p = functional.prob.p
-        self.slopes = np.diff(u) / functional.h
-        self.ug = functional._gauss_values(u)
-        self.sigma = fem._power_weight(self.slopes ** 2, p, delta)
-        self.mass_weight = fem._power_weight(self.ug ** 2, p, delta)
+    def __init__(self, prob, f_gauss, u, delta):
+        self.prob, self.f_gauss, self.delta = prob, f_gauss, delta
+        self.h = 1.0 / prob.n
+        self.slopes = np.diff(u) / self.h
+        self.ug = _gauss_values(u)
+        self.sigma = fem._power_weight(self.slopes ** 2, prob.p, delta)
+        self.mass_weight = fem._power_weight(self.ug ** 2, prob.p, delta)
 
     def energy(self):
-        f, d2 = self.f, self.delta ** 2
-        p, q = f.prob.p, f.prob.coeff
+        d2, h = self.delta ** 2, self.h
+        p, q = self.prob.p, self.prob.coeff
         s, ug = self.slopes, self.ug
-        flux = f.h * (q / p) * ((d2 + s * s) * self.sigma)
-        dens = (d2 + ug * ug) * self.mass_weight / p - f.f_gauss * ug
-        return float(flux.sum() + (f.h * (dens @ _GAUSS_W)).sum())
+        flux = h * (q / p) * ((d2 + s * s) * self.sigma)
+        dens = (d2 + ug * ug) * self.mass_weight / p - self.f_gauss * ug
+        return float(flux.sum() + (h * (dens @ _GAUSS_W)).sum())
 
     def residual(self):
-        f = self.f
-        a = f.prob.coeff * self.sigma * self.slopes
-        res = np.zeros(f.prob.n + 1)
+        h = self.h
+        a = self.prob.coeff * self.sigma * self.slopes
+        res = np.zeros(self.prob.n + 1)
         res[:-1] -= a
         res[1:] += a
-        s = self.mass_weight * self.ug - f.f_gauss
-        res[:-1] += f.h * ((s * (1.0 - _GAUSS_T)[None, :]) @ _GAUSS_W)
-        res[1:] += f.h * ((s * _GAUSS_T[None, :]) @ _GAUSS_W)
+        s = self.mass_weight * self.ug - self.f_gauss
+        res[:-1] += h * ((s * (1.0 - _GAUSS_T)[None, :]) @ _GAUSS_W)
+        res[1:] += h * ((s * _GAUSS_T[None, :]) @ _GAUSS_W)
         return res
 
     def jacobian(self):
         """Tridiagonal: the diagonal and the subdiagonal of a solve.Band."""
-        f, delta = self.f, self.delta
-        p, q = f.prob.p, f.prob.coeff
+        delta, h = self.delta, self.h
+        p, q = self.prob.p, self.prob.coeff
         if p < 2.0 and delta == 0.0:
             raise ValueError("jacobian with p < 2 requires delta > 0")
         s, ug = self.slopes, self.ug
-        stiff = (q / f.h) * self.sigma * (
+        stiff = (q / h) * self.sigma * (
             1.0 + fem._ratio(p, delta * delta + s * s, delta) * s * s)
         mprime = self.mass_weight * (
             1.0 + fem._ratio(p, delta * delta + ug * ug, delta) * ug * ug)
         basis = np.stack([1.0 - _GAUSS_T, _GAUSS_T])
         mass = np.einsum("eg,ag,bg,g->eab", mprime, basis, basis,
-                         _GAUSS_W) * f.h
-        rows = np.zeros((2, f.prob.n + 1))
+                         _GAUSS_W) * h
+        rows = np.zeros((2, self.prob.n + 1))
         rows[0, :-1] += stiff + mass[:, 0, 0]
         rows[0, 1:] += stiff + mass[:, 1, 1]
         rows[1, :-1] = mass[:, 0, 1] - stiff
@@ -121,8 +112,9 @@ def solve_homogenized(prob, opts=None):
     problem well posed without constraints.
     """
     opts = opts or solve.SolveOptions()
-    functional = _LimitFunctional(prob)
-    return solve.newton_solve(functional, np.zeros(prob.n + 1), opts=opts)
+    return solve.newton_solve(
+        partial(_LimitPoint, prob, _gauss_values(prob.forcing)),
+        np.zeros(prob.n + 1), opts=opts)
 
 
 def nodal_derivative(values):

@@ -174,19 +174,19 @@ _RESIDUAL_CEILING = 1e-6
 _ROW_SUM_TOL = 1e-12
 
 
-def linear_solve(a, b, tol, ground=0.0):
+def linear_solve(a, b, tol):
     """Solve a x = b (a Band) to relative residual tol: banded Cholesky of
-    a + ground * e0 e0^T in the given node order, refined against a itself
-    with the band's own product: at most six band solves from x = 0,
-    stopping at tol or at the first one that fails to halve the residual,
-    keeping the better iterate.  At that floor, about eps * cond(a), a
+    a in the given node order, refined against a itself with the band's
+    own product: at most six band solves from x = 0, stopping at tol or
+    at the first one that fails to halve the residual, keeping the better
+    iterate.  At that floor, about eps * cond(a), a
     residual above tol is accepted below _RESIDUAL_CEILING.  A zero b is
     solved without a factorization.
     """
     b = np.asarray(b, dtype=float)
     if not b.any():
         return np.zeros_like(b)
-    return linear_solver(a, ground)(b, a, tol)
+    return linear_solver(a)(b, a, tol)
 
 
 def linear_solver(a, ground=0.0):
@@ -320,11 +320,12 @@ def _residual_norm(r, delta, iterations):
     return rnorm
 
 
-def newton_solve(problem, init, mean_weights=None, opts=None):
+def newton_solve(point, init, mean_weights=None, opts=None):
     """Damped Newton over the continuation ladder of regularizations.
 
-    ``problem.point(u, delta)`` evaluates a nodal field once for energy(),
-    residual() and jacobian(), a Band of the same size.  A trial field is
+    The problem is a function: ``point(u, delta)`` returns a nodal field
+    evaluated once for energy(), residual() and jacobian(), a Band of the
+    same size.  A trial field is
     evaluated for its energy; the accepted one then gives the residual
     and the next jacobian, and is dropped before the next line search.
     The field is held once: a stage's start and the previous step are
@@ -348,9 +349,9 @@ def newton_solve(problem, init, mean_weights=None, opts=None):
         stage = StageDiagnostics(delta=delta)
         diagnostics.stages.append(stage)
         try:
-            point = problem.point(u, delta)
-            energy = point.energy()
-            r = point.residual()
+            here = point(u, delta)
+            energy = here.energy()
+            r = here.residual()
             rnorm = _residual_norm(r, delta, stage.iterations)
             stage.energies.append(energy)
             stage.residual_norms.append(rnorm)
@@ -361,7 +362,7 @@ def newton_solve(problem, init, mean_weights=None, opts=None):
                     raise NonConvergenceError(
                         f"stage delta={delta:.1e}: residual {rnorm:.3e} above "
                         f"{tol:.3e} after {opts.max_newton} Newton steps")
-                jac, point = point.jacobian(), None    # the point is spent
+                jac, here = here.jacobian(), None      # the point is spent
                 if jac.rows.shape[1] != len(u):
                     raise ValueError(f"jacobian has {jac.rows.shape[1]} "
                                      f"unknowns, the field has {len(u)}")
@@ -373,9 +374,9 @@ def newton_solve(problem, init, mean_weights=None, opts=None):
                     step = linear_solve(jac, -r, opts.linear_tol)
                 del jac
                 slope = float(r @ step)   # directional derivative of energy
-                t, u, point, energy = _line_search(
-                    problem, u, step, energy, slope, stage, opts)
-                r = point.residual()
+                t, u, here, energy = _line_search(
+                    point, u, step, energy, slope, stage, opts)
+                r = here.residual()
                 rnorm = _residual_norm(r, delta, stage.iterations + 1)
                 stage.iterations += 1
                 stage.energies.append(energy)
@@ -394,7 +395,7 @@ def newton_solve(problem, init, mean_weights=None, opts=None):
                 if negligible:
                     stage.stop_reason = "step"
                     break
-            point = None        # before the next stage's first point
+            here = None         # before the next stage's first point
         except SolveError as exc:
             stage.stop_reason = type(exc).__name__
             exc.diagnostics = diagnostics
@@ -408,7 +409,7 @@ def newton_solve(problem, init, mean_weights=None, opts=None):
     return u, diagnostics
 
 
-def _line_search(problem, u, step, energy, slope, stage, opts):
+def _line_search(point, u, step, energy, slope, stage, opts):
     """Armijo backtracking along step from u at the stage's delta: the
     step length, the accepted trial, its point and its energy.  An ascent
     direction is an IndefiniteSystemError, no acceptable length a
@@ -421,14 +422,14 @@ def _line_search(problem, u, step, energy, slope, stage, opts):
     t = 1.0
     for _ in range(opts.max_halvings + 1):
         trial = u + t * step
-        point = problem.point(trial, delta)
-        trial_energy = point.energy()
+        at = point(trial, delta)
+        trial_energy = at.energy()
         # a predicted decrease below energy roundoff leaves the Armijo
         # test blind: take the full step, the residual decides
         if -slope <= noise or (trial_energy <= energy
                                + opts.ls_sufficient_decrease * t * slope):
-            return t, trial, point, trial_energy
-        t, point = t * opts.ls_backtrack, None   # drop the rejected trial
+            return t, trial, at, trial_energy
+        t, at = t * opts.ls_backtrack, None      # drop the rejected trial
     raise LineSearchStallError(
         f"line search stalled at stage delta={delta:.1e}, "
         f"iteration {stage.iterations}: energy {energy:.6e}, "

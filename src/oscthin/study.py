@@ -261,27 +261,16 @@ class StudyReport:
         return StudyReport(config=self.config, rows=rows)
 
 
-class _ThinFunctional:
-    """Anisotropic thin-problem points for the Newton driver; the load
-    term is linear in u, so its vector is built once."""
-
-    def __init__(self, mesh, p, load):
-        self.mesh = mesh
-        self.p = p
-        self.load_vector = fem.load_vector(mesh, load)
-
-    def point(self, u, delta):
-        params = fem.FluxParams(p=self.p, delta=delta, eps_weight=self.mesh.eps)
-        return fem.Point(self.mesh, u, params, load_vector=self.load_vector)
-
-
 def solve_thin(mesh, p, load, opts=None):
     """Converged thin-domain solution; the boundary condition is natural."""
     if mesh.eps is None:
         raise ValueError("solve_thin needs a thin mesh (eps attached)")
     opts = opts or solve.SolveOptions()
-    functional = _ThinFunctional(mesh, p, load)
-    return solve.newton_solve(functional, np.zeros(mesh.num_nodes), opts=opts)
+    b = fem.load_vector(mesh, load)
+    return solve.newton_solve(
+        lambda u, delta: fem.Point(mesh, u, fem.FluxParams(p, delta),
+                                   load_vector=b),
+        np.zeros(mesh.num_nodes), opts=opts)
 
 
 def solve_config_cell(config):
@@ -363,7 +352,7 @@ def error_u(mesh, u_eps, u0, p):
 
 def error_corrector(mesh, gs, c_field, p):
     """L^p distance between the scaled thin gradient gs (element_gradients
-    at eps_weight mesh.eps) and a per-triangle field."""
+    of the thin mesh) and a per-triangle field."""
     diff = gs - np.asarray(c_field, dtype=float)
     mag = np.sqrt((diff * diff).sum(axis=1))
     return float((mesh.areas * mag ** p).sum() ** (1.0 / p))
@@ -381,7 +370,7 @@ def flux_stations(n1):
     return (np.arange(n1) + 0.5) / n1
 
 
-def flux_profile(mesh, u_eps, p, eps, n1, gs=None):
+def flux_profile(mesh, u_eps, p, n1, gs=None):
     """First component of the fiber-integrated flux at each station.
 
     Integrates |grad_eps u|^(p-2) grad_eps u . (1,0) over each vertical
@@ -389,10 +378,9 @@ def flux_profile(mesh, u_eps, p, eps, n1, gs=None):
     zero, which the fiber integrals realize automatically.  gs is the
     scaled gradient of u_eps if the caller holds it.
     """
-    params = fem.FluxParams(p=p, delta=0.0, eps_weight=eps)
     if gs is None:
-        gs = fem.element_gradients(mesh, u_eps, eps)
-    a1 = fem.p_flux(gs, params)[:, 0]
+        gs = fem.element_gradients(mesh, u_eps)
+    a1 = fem.p_flux(gs, fem.FluxParams(p=p))[:, 0]
     return geometry.fiber_integrals(mesh, 0, flux_stations(n1), a1)
 
 
@@ -408,7 +396,7 @@ def flux_profiles(config, cell, mesh, u_eps, du0, gs=None):
     """Raw, smoothed (moving average over one oscillation period) and
     homogenized target flux profiles at the config's stations."""
     n1 = config.flux_stations
-    profile = flux_profile(mesh, u_eps, config.p, mesh.eps, n1, gs)
+    profile = flux_profile(mesh, u_eps, config.p, n1, gs)
     smoothed = box_smooth(profile, 1.0 / n1, mesh.eps * config.profile.period)
     return profile, smoothed, flux_target(cell, du0, n1)
 
@@ -447,7 +435,7 @@ def _study_rows_for_eps(config, cell, eps):
     mesh, u_eps, diag, u0, du0 = solve_eps(config, cell, eps)
 
     e_u = error_u(mesh, u_eps, u0, config.p)
-    gs = fem.element_gradients(mesh, u_eps, mesh.eps)
+    gs = fem.element_gradients(mesh, u_eps)
     e_naive = error_corrector(mesh, gs, naive_gradient_field(du0, mesh),
                               config.p)
 

@@ -7,6 +7,7 @@ strategy it replaced is kept here as the oracle of the new one.
 """
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -96,12 +97,18 @@ def tri_geometry(mesh):
     return idx, area, b, c
 
 
-def laplace_matrices(mesh, eps_weight=1.0):
-    """Sparse stiffness (with anisotropic weight) and P1 mass matrix, summed
-    from the 3x3 element matrices as COO triplets."""
+def eps_weight(mesh):
+    """The weight w of the scaled gradient (d1, d2/w): a thin mesh's eps,
+    1 on a cell."""
+    return 1.0 if mesh.eps is None else mesh.eps
+
+
+def laplace_matrices(mesh):
+    """Sparse stiffness (with the mesh's anisotropic weight) and P1 mass
+    matrix, summed from the 3x3 element matrices as COO triplets."""
     idx, area, b, c = tri_geometry(mesh)
     n = grid_nodes(mesh).size
-    w2 = eps_weight * eps_weight
+    w2 = eps_weight(mesh) ** 2
     rows, cols, stiff, mass = [], [], [], []
     for a_ in range(3):
         for b_ in range(3):
@@ -161,7 +168,7 @@ def linear_start_cell(mesh, p, opts=None):
 
     def newton(q, init, deltas):
         phi, diag = solve.newton_solve(
-            homogenize._CellFunctional(mesh, q), init, weights,
+            partial(homogenize._cell_point, mesh, q), init, weights,
             replace(opts, continuation_deltas=deltas))
         diagnostics.stages += diag.stages
         return phi
@@ -183,7 +190,7 @@ def linear_thin_solve(mesh, load_values):
     load_values are nodal samples; the load functional uses the consistent
     P1 mass matrix, the flux the anisotropic weight carried by the mesh.
     """
-    stiff, mass = laplace_matrices(mesh, eps_weight=mesh.eps)
+    stiff, mass = laplace_matrices(mesh)
     return sparse_linalg.spsolve((stiff + mass).tocsc(),
                                  mass @ np.asarray(load_values))
 
@@ -288,7 +295,7 @@ def fiber_matrix(mesh, axis, values, block=64):
         shape=(len(values), mesh.num_triangles))
 
 
-def _p1_fields(mesh, u, params):
+def _p1_fields(mesh, u):
     """Triangles, areas, hat gradients, scaled element gradients (T, 2) and
     midpoint values (T, 3) of a field; midpoint k lies opposite vertex k."""
     idx, area, b, c = tri_geometry(mesh)
@@ -296,7 +303,7 @@ def _p1_fields(mesh, u, params):
     d1 = uv[:, 1] - uv[:, 0]
     d2 = uv[:, 2] - uv[:, 0]
     grad = np.column_stack([d1 * b[:, 1] + d2 * b[:, 2],
-                            (d1 * c[:, 1] + d2 * c[:, 2]) / params.eps_weight])
+                            (d1 * c[:, 1] + d2 * c[:, 2]) / eps_weight(mesh)])
     um = 0.5 * (uv.sum(axis=1, keepdims=True) - uv)
     return idx, area, b, c, grad, um
 
@@ -317,7 +324,7 @@ def energy(mesh, u, params, load=None, include_mass=True):
     """Discrete energy with the load evaluated at the midpoints on every
     call, triangle by triangle (delta > 0)."""
     p, d2 = params.p, params.delta ** 2
-    _, area, _, _, grad, um = _p1_fields(mesh, u, params)
+    _, area, _, _, grad, um = _p1_fields(mesh, u)
     total = (area * (d2 + (grad * grad).sum(axis=1)) ** (p / 2.0) / p).sum()
     if include_mass:
         total += ((area / 3.0) * ((d2 + um * um) ** (p / 2.0)).sum(axis=1)
@@ -331,7 +338,7 @@ def energy(mesh, u, params, load=None, include_mass=True):
 def residual(mesh, u, params, load=None, include_mass=True):
     """Gradient of energy, accumulated vertex by vertex (delta > 0)."""
     p, d2 = params.p, params.delta ** 2
-    idx, area, b, c, grad, um = _p1_fields(mesh, u, params)
+    idx, area, b, c, grad, um = _p1_fields(mesh, u)
     a = fem.p_flux(grad, params)
     # hat function k is 1/2 at the two midpoints not opposite to k
     mid = np.zeros_like(um)
@@ -341,7 +348,7 @@ def residual(mesh, u, params, load=None, include_mass=True):
         mid -= load_at_midpoints(mesh, load)
     res = np.zeros(grid_nodes(mesh).size)
     for k in range(3):
-        flux = area * (a[:, 0] * b[:, k] + a[:, 1] * c[:, k] / params.eps_weight)
+        flux = area * (a[:, 0] * b[:, k] + a[:, 1] * c[:, k] / eps_weight(mesh))
         mass = area / 3.0 * 0.5 * (mid.sum(axis=1) - mid[:, k])
         np.add.at(res, idx[:, k], flux + mass)
     return res
@@ -351,8 +358,8 @@ def coo_jacobian(mesh, u, params, include_mass=True):
     """Derivative of residual from all nine blocks of every element matrix,
     summed by a COO-to-CSR conversion (delta > 0)."""
     p, d2 = params.p, params.delta ** 2
-    idx, area, b, c, grad, um = _p1_fields(mesh, u, params)
-    w = params.eps_weight
+    idx, area, b, c, grad, um = _p1_fields(mesh, u)
+    w = eps_weight(mesh)
     den = d2 + (grad * grad).sum(axis=1)
     sigma = den ** ((p - 2.0) / 2.0)
     ratio = (p - 2.0) / den

@@ -97,6 +97,74 @@ def test_member_allowlist_names_live_members():
     assert MEMBER_ALLOWLIST <= members
 
 
+def _definitions(tree):
+    """(name, how it is called, function node, leading arguments a call
+    does not pass) for every function at a module's top level and every
+    method of its classes: a method is called by its own name without
+    its first argument, a constructor by its class's name."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node.name, node, 0
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    called = node.name if item.name == "__init__" else item.name
+                    yield f"{node.name}.{item.name}", called, item, 1
+
+
+def _defaulted(function, skip):
+    """(name, position in a call or None) of each defaulted parameter."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for k, arg in enumerate(positional[first:], start=first):
+        yield arg.arg, k - skip
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _calls(tree):
+    """(callee name, positional arguments, keywords) of every call, a
+    functools.partial counted as a call of the function it binds."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func, args = node.func, node.args
+        name = getattr(func, "id", getattr(func, "attr", None))
+        if name == "partial" and args:
+            func, args = args[0], args[1:]
+            name = getattr(func, "id", getattr(func, "attr", None))
+        yield name, args, node.keywords
+
+
+def _sets(args, keywords, name, position):
+    """Whether a call's arguments pass the parameter."""
+    if any(k.arg in (name, None) for k in keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in args):
+        return True
+    return position is not None and len(args) > position
+
+
+def test_every_default_is_set_by_some_call():
+    """A defaulted parameter that no call in the package passes, by
+    keyword, by position or through functools.partial, is a knob with one
+    value: the value belongs in the body.  cli.main's argv and the
+    acceptance helpers are called from outside the package."""
+    trees = [ast.parse(inspect.getsource(module)) for module in _modules()]
+    calls = [call for tree in trees for call in _calls(tree)]
+    unset = [
+        f"{qualified}.{name}"
+        for tree in trees
+        for qualified, called, function, skip in _definitions(tree)
+        if qualified not in ("main", *ACCEPTANCE_HELPERS)
+        for name, position in _defaulted(function, skip)
+        if not any(callee == called and _sets(args, keywords, name, position)
+                   for callee, args, keywords in calls)]
+    assert unset == []
+
+
 def test_a_mesh_is_its_column_grid():
     """The column grid is the only mesh form: a mesh has no node,
     triangle or boundary-edge table, and no grid-to-triangle table is

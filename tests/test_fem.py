@@ -11,10 +11,9 @@ from oscthin.fem import (AssemblyError, Point, element_gradients,
                          integrate_load_fibers, load_vector, lp_norm, p_flux,
                          p_flux_inverse, p_flux_scalar)
 from oscthin.geometry import ProfileSpec, read_mesh, write_mesh
-from oscthin.homogenize import _CellFunctional
+from oscthin.homogenize import _cell_point
 from oscthin.solve import constrained_linear_solve, linear_solve
-from oscthin.study import (LoadSpec, _ThinFunctional, error_corrector,
-                           solve_thin)
+from oscthin.study import LoadSpec, error_corrector, solve_thin
 
 import oracles
 
@@ -42,28 +41,35 @@ class TestElementGradient:
 
 
 class TestScaledGradient:
-    """element_gradients with eps_weight: (d1, d2/eps_weight)."""
+    """element_gradients scales by the mesh's eps: (d1, d2/eps) on a thin
+    mesh, the plain gradient on a cell or at eps 1."""
 
     def test_identity_weight(self, small_period_mesh):
+        """At eps 1 the scaled gradient is the plain one."""
         x1, x2 = oracles.nodes(small_period_mesh).T
-        grads = element_gradients(small_period_mesh, x1 + x2, 1.0)
-        assert np.array_equal(grads,
-                              element_gradients(small_period_mesh, x1 + x2))
+        assert np.allclose(element_gradients(small_period_mesh, x1 + x2),
+                           [1.0, 1.0])
+
+    def test_small_weight_amplifies_vertical(self, reference_profile):
+        """The second component is the unscaled grid gradient (the same
+        grid without an eps) divided by eps, bit for bit, and the first
+        is untouched."""
+        mesh = build_thin_mesh(reference_profile, 0.1, 8, 4)
+        plain_mesh = geometry.Mesh("thin", mesh.grid_x, mesh.grid_heights,
+                                   mesh.grid_rows)
+        x1, x2 = oracles.nodes(mesh).T
+        u = x1 + 0.1 * x2
+        plain = element_gradients(plain_mesh, u)
+        grads = element_gradients(mesh, u)
+        assert np.allclose(plain, [1.0, 0.1])
         assert np.allclose(grads, [1.0, 1.0])
-
-    def test_small_weight_amplifies_vertical(self, small_period_mesh):
-        """The second component is the plain one divided by the weight,
-        bit for bit, and the first is untouched."""
-        x1, x2 = oracles.nodes(small_period_mesh).T
-        plain = element_gradients(small_period_mesh, x1 + x2)
-        grads = element_gradients(small_period_mesh, x1 + x2, 0.1)
-        assert np.allclose(grads, [1.0, 10.0])
         assert np.array_equal(grads[:, 0], plain[:, 0])
-        assert np.array_equal(grads[:, 1], plain[:, 1] / 0.1)
+        assert np.array_equal(grads[:, 1], plain[:, 1] / mesh.eps)
 
-    def test_zero_vector(self, small_period_mesh):
-        u = np.full(small_period_mesh.num_nodes, 4.2)
-        assert np.all(element_gradients(small_period_mesh, u, 0.25) == 0.0)
+    def test_zero_vector(self, reference_profile):
+        mesh = build_thin_mesh(reference_profile, 0.25, 8, 4)
+        u = np.full(mesh.num_nodes, 4.2)
+        assert np.all(element_gradients(mesh, u) == 0.0)
 
 
 class TestMonotoneFlux:
@@ -308,7 +314,7 @@ class TestAssemblyPlan:
         phi = 0.2 * np.random.default_rng(41).normal(size=mesh.num_nodes)
         u = oracles.nodes(mesh)[:, 0] + oracles.unfold(mesh, phi)
         params = FluxParams(p=p, delta=delta)
-        point = _CellFunctional(mesh, p).point(phi, delta)
+        point = _cell_point(mesh, p, phi, delta)
         assert point.energy() == pytest.approx(
             oracles.energy(mesh, u, params, include_mass=False), rel=1e-13)
         _assert_rel_close(point.residual(), oracles.fold(
@@ -337,18 +343,19 @@ class TestAssemblyPlan:
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_thin_mass_and_load_match_oracle(self, reference_profile, p,
                                              delta):
+        """A thin point scales its gradient by the mesh's eps, with no
+        weight passed: its energy, residual and jacobian are the oracle's
+        at the weight mesh.eps."""
         mesh, u, load = _thin_case(reference_profile)
-        params = FluxParams(p=p, delta=delta, eps_weight=mesh.eps)
-        e_ref = oracles.energy(mesh, u, params, load)
-        r_ref = oracles.residual(mesh, u, params, load)
-        functional = _ThinFunctional(mesh, p, load)
-        for point in (Point(mesh, u, params, True, load_vector(mesh, load)),
-                      functional.point(u, delta)):
-            assert point.energy() == pytest.approx(e_ref, rel=1e-13)
-            _assert_rel_close(point.residual(), r_ref)
-            _assert_same_jacobian(
-                point.jacobian(),
-                oracles.band(oracles.coo_jacobian(mesh, u, params)))
+        params = FluxParams(p=p, delta=delta)
+        point = Point(mesh, u, params, True, load_vector(mesh, load))
+        assert point.energy() == pytest.approx(
+            oracles.energy(mesh, u, params, load), rel=1e-13)
+        _assert_rel_close(point.residual(),
+                          oracles.residual(mesh, u, params, load))
+        _assert_same_jacobian(
+            point.jacobian(),
+            oracles.band(oracles.coo_jacobian(mesh, u, params)))
 
     @pytest.mark.parametrize("kind", ["cell", "thin"])
     def test_unit_load_is_lumped_mass(self, reference_profile, kind):
@@ -400,7 +407,7 @@ class TestAssemblyPlan:
         mesh, u, load = _thin_case(reference_profile)
         write_mesh(mesh, tmp_path / "thin.txt")
         back = read_mesh(tmp_path / "thin.txt")
-        params = FluxParams(p=3.0, delta=1e-2, eps_weight=mesh.eps)
+        params = FluxParams(p=3.0, delta=1e-2)
         new, ref = (Point(m, u, params, True, load_vector(m, load))
                     for m in (back, mesh))
         assert new.energy() == ref.energy()
@@ -409,7 +416,7 @@ class TestAssemblyPlan:
 
     def test_threads_building_one_plan_agree(self, reference_profile):
         mesh, u, load = _thin_case(reference_profile)   # fresh: no plan yet
-        params = FluxParams(p=1.5, delta=1e-2, eps_weight=mesh.eps)
+        params = FluxParams(p=1.5, delta=1e-2)
         workers = 4
         barrier = threading.Barrier(workers)
         results = [None] * workers
@@ -455,7 +462,7 @@ class TestAssemblyPlan:
         mean-zero right-hand side."""
         mesh, u = _grid_case(reference_profile, case)
         full, pairs = oracles.unfold(mesh, u), oracles.periodic_pairs(mesh)
-        params = FluxParams(p=p, delta=delta, eps_weight=mesh.eps or 1.0)
+        params = FluxParams(p=p, delta=delta)
         load = LoadSpec(kind="cos_pi", x2_coeff=0.3)
         b = fem.load_vector(mesh, load)
         rng = np.random.default_rng(61)
@@ -498,7 +505,7 @@ class TestGridPoint:
         mesh = medium_cell_mesh
         x1, x2 = oracles.nodes(mesh)[:mesh.num_nodes].T
         phi = 0.05 * np.sin(2.0 * np.pi * x1) * x2
-        band = _CellFunctional(mesh, p).point(phi, 1e-8).jacobian()
+        band = _cell_point(mesh, p, phi, 1e-8).jacobian()
         ones = band @ np.ones(mesh.num_nodes)
         assert np.abs(ones).max() <= 1e-14 * np.abs(band.rows[0]).max()
 
@@ -509,7 +516,7 @@ class TestGridPoint:
         mesh = build_thin_mesh(reference_profile, 0.25, 8, 4)
         x1, x2 = oracles.nodes(mesh).T
         u = np.cos(3.0 * x1) + x2
-        params = FluxParams(p=3.0, delta=1e-8, eps_weight=0.25)
+        params = FluxParams(p=3.0, delta=1e-8)
         trial = fem.Point(mesh, u, params)
         energy = trial.energy()
         residual = trial.residual()
@@ -536,10 +543,8 @@ class TestColumnForms:
         # the columns slope both ways, and s k reaches a tenth of a row
         assert plan.s.min() < 0.0 < plan.s.max()
         assert np.abs(plan.s).max() * mesh.grid_rows > 0.1 * plan.c.max()
-        params = FluxParams(p=3.0, delta=1e-2, eps_weight=mesh.eps or 1.0)
-        *_, grad, _ = oracles._p1_fields(mesh, oracles.unfold(mesh, u), params)
-        _assert_rel_close(element_gradients(mesh, u, params.eps_weight), grad,
-                          rtol=1e-12)
+        *_, grad, _ = oracles._p1_fields(mesh, oracles.unfold(mesh, u))
+        _assert_rel_close(element_gradients(mesh, u), grad, rtol=1e-12)
         area = oracles.tri_geometry(mesh)[1]
         _assert_rel_close(mesh.areas, area, rtol=1e-14)
         assert geometry.mesh_area(mesh) == pytest.approx(area.sum(), rel=1e-14)
@@ -553,8 +558,7 @@ class TestColumnForms:
         u[mesh.grid_nodes[2, 1]] = 1e200
         where = f"on triangle {2 * mesh.grid_rows}$"
         with np.errstate(over="ignore", invalid="ignore"):
-            point = fem.Point(mesh, u, FluxParams(p=3.0, delta=1e-8,
-                                                  eps_weight=mesh.eps))
+            point = fem.Point(mesh, u, FluxParams(p=3.0, delta=1e-8))
             with pytest.raises(AssemblyError, match="flux energy " + where):
                 point.energy()
             with pytest.raises(AssemblyError, match="flux " + where):
@@ -570,7 +574,7 @@ class TestColumnForms:
         mesh = build_thin_mesh(reference_profile, 1.0 / 32, 32, 16)
         x1, x2 = oracles.nodes(mesh).T
         u = np.cos(np.pi * x1) * (1.0 + x2)
-        params = FluxParams(p=3.0, delta=1e-8, eps_weight=mesh.eps)
+        params = FluxParams(p=3.0, delta=1e-8)
         fem.Point(mesh, u, params).jacobian()
         plan = fem._plan(mesh)
         assert np.shares_memory(plan.node, mesh.grid_nodes)
@@ -592,7 +596,7 @@ class TestColumnForms:
         mesh = build_thin_mesh(reference_profile, 1.0 / 32, 32, 16)
         x1, x2 = oracles.nodes(mesh).T
         u = np.cos(np.pi * x1) * (1.0 + x2)
-        params = FluxParams(p=3.0, delta=1e-8, eps_weight=mesh.eps)
+        params = FluxParams(p=3.0, delta=1e-8)
         if call == "later":
             fem.Point(mesh, u, params).jacobian()
         point = fem.Point(mesh, u, params)
@@ -626,10 +630,10 @@ class TestNorms:
     def test_seminorm_of_linear_field(self, flat_profile):
         """The L^p norm of a scaled gradient as the study measures it
         (error_corrector against a zero field)."""
-        mesh = build_thin_mesh(flat_profile, 1.0, 8, 8)
+        mesh = build_thin_mesh(flat_profile, 0.5, 4, 8)
         x1, x2 = oracles.nodes(mesh).T
         u = 3.0 * x1 + 2.0 * x2
-        gs = element_gradients(mesh, u, 0.5)
+        gs = element_gradients(mesh, u)
         expected = np.hypot(3.0, 4.0)   # scaled gradient (3, 2/0.5)
         assert error_corrector(mesh, gs, np.zeros(2),
                                3.0) == pytest.approx(expected, rel=1e-12)

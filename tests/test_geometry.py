@@ -135,15 +135,19 @@ class TestCellMesh:
         with pytest.raises(ValueError):
             build_cell_mesh(flat_profile, 1, 4)
 
-    @pytest.mark.parametrize("xs, heights, message", [
-        ([0.0, 0.5, 0.5, 1.0], [1.0, 1.2, 0.8, 1.0], "strictly increase"),
-        ([0.0, 0.5, 1.0], [1.0, -0.2, 1.0], "column 1 height -2.000e-01"),
-        ([0.0, 0.5, 1.0], [1.0, 1.2, 0.8], "last column heights differ"),
-        ([0.0, 1.0], [1.0, 1.0], "two distinct columns"),
-    ], ids=["abscissae", "height", "ends", "one_column"])
-    def test_bad_grid_refused(self, xs, heights, message):
+    @pytest.mark.parametrize("xs, heights, eps, message", [
+        ([0.0, 0.5, 0.5, 1.0], [1.0, 1.2, 0.8, 1.0], None,
+         "strictly increase"),
+        ([0.0, 0.5, 1.0], [1.0, -0.2, 1.0], None, "column 1 height -2.000e-01"),
+        ([0.0, 0.5, 1.0], [1.0, 1.2, 0.8], None, "last column heights differ"),
+        ([0.0, 1.0], [1.0, 1.0], None, "two distinct columns"),
+        # the thin scaling belongs to a thin mesh
+        ([0.0, 0.5, 1.0], [1.0, 1.5, 1.0], 0.5,
+         "a cell mesh takes no eps, got 0.5"),
+    ], ids=["abscissae", "height", "ends", "one_column", "eps"])
+    def test_bad_grid_refused(self, xs, heights, eps, message):
         with pytest.raises(MeshingError, match=message) as info:
-            Mesh("cell", xs, heights, 2)
+            Mesh("cell", xs, heights, 2, eps=eps)
         assert "\n" not in str(info.value)
 
 
@@ -538,6 +542,7 @@ def test_mesh_records_refused(tmp_path, reference_profile, change, message):
     ("# oscthin mesh", "# mesh", "expected header '# oscthin mesh"),
     ("# grid 5 2", "# grid 5", "expected section '# grid', found '# grid 5'"),
     ("# grid", "", "expected section '# grid', found 'end of file'"),
+    ("cell eps=", "cell eps=0.5", "a cell mesh takes no eps, got 0.5"),
 ])
 def test_malformed_mesh_rejected(tmp_path, reference_profile, old, new,
                                  message):
@@ -547,5 +552,6 @@ def test_malformed_mesh_rejected(tmp_path, reference_profile, old, new,
     # an empty replacement cuts the file at the grid line, leaving the header
     text = text.replace(old, new) if new else text[:text.index(old)]
     path.write_text(text)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message) as info:
         read_mesh(path)
+    assert str(info.value).startswith(f"{path}: ")

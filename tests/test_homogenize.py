@@ -1,14 +1,14 @@
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
 
-from oscthin import (ProfileSpec, build_cell_mesh, fem, geometry,
-                     homogenize, solve, solve_cell)
+from oscthin import (ProfileSpec, build_cell_mesh, build_thin_mesh, fem,
+                     geometry, homogenize, solve, solve_cell)
 from oscthin.cli import write_field
 from oscthin.fem import load_vector, lp_norm, p_flux_scalar
-from oscthin.homogenize import (CellSolution, _CellFunctional,
-                                effective_coefficient,
+from oscthin.homogenize import (CellSolution, effective_coefficient,
                                 flux_density_height_integral,
                                 format_cell_summary, measure_identity_check,
                                 read_cell_summary, rescale_forcing,
@@ -51,9 +51,9 @@ class TestOscillatingCell:
         calls = []
         real = fem.element_gradients
 
-        def counting(mesh, u, eps_weight=1.0):
+        def counting(mesh, u):
             calls.append(mesh)
-            return real(mesh, u, eps_weight)
+            return real(mesh, u)
 
         monkeypatch.setattr(fem, "element_gradients", counting)
         cell = solve_cell(small_cell_mesh, 3.0)
@@ -100,7 +100,7 @@ class TestOscillatingCell:
 def _ladder_cell(mesh, p):
     """The cell by the default continuation ladder from zero."""
     phi, diagnostics = solve.newton_solve(
-        _CellFunctional(mesh, p), np.zeros(mesh.num_nodes),
+        partial(homogenize._cell_point, mesh, p), np.zeros(mesh.num_nodes),
         load_vector(mesh, np.ones(mesh.num_nodes)), solve.SolveOptions())
     return CellSolution(mesh=mesh, phi=phi, p=p, delta=1e-8,
                         diagnostics=diagnostics)
@@ -139,15 +139,15 @@ class TestLinearStart:
         result bit for bit, and every step counted."""
         mesh, p = medium_cell_mesh, 3.0
         ladder = _ladder_cell(mesh, p)
-        real_point = _CellFunctional.point
+        real_point = homogenize._cell_point
         started, ladder_started = [], []
 
-        def point(self, phi, delta):
+        def point(mesh, q, phi, delta):
             """Points at p from the predictor: its three candidates, the
             start and the first step's trial as they are, every later
             energy infinite."""
-            made = real_point(self, phi, delta)
-            if self.p == p and not ladder_started:
+            made = real_point(mesh, q, phi, delta)
+            if q == p and not ladder_started:
                 if not np.any(phi):            # the fallback starts at zero
                     ladder_started.append(True)
                 else:
@@ -156,7 +156,7 @@ class TestLinearStart:
                         made.energy = lambda: np.inf
             return made
 
-        monkeypatch.setattr(_CellFunctional, "point", point)
+        monkeypatch.setattr(homogenize, "_cell_point", point)
         with caplog.at_level("INFO", logger="oscthin.homogenize"):
             cell = solve_cell(mesh, p)
         assert np.array_equal(cell.phi, ladder.phi)
@@ -271,7 +271,7 @@ class TestPredictor:
         factors, bands, points = [], [], []
         real_factor = solve.Band.factor
         real_jacobian = fem.Point.jacobian
-        real_point = _CellFunctional.point
+        real_point = homogenize._cell_point
 
         def recording(self, ground=0.0):
             assert all(ref() is None for ref in factors)
@@ -284,14 +284,14 @@ class TestPredictor:
             bands.append(weakref.ref(band))
             return band
 
-        def point(self, phi, delta):
-            points.append(self.p)
+        def point(mesh, q, phi, delta):
+            points.append(q)
             assert all(ref() is None for ref in bands)
-            return real_point(self, phi, delta)
+            return real_point(mesh, q, phi, delta)
 
         monkeypatch.setattr(solve.Band, "factor", recording)
         monkeypatch.setattr(fem.Point, "jacobian", jacobian)
-        monkeypatch.setattr(_CellFunctional, "point", point)
+        monkeypatch.setattr(homogenize, "_cell_point", point)
         cell = solve_cell(medium_cell_mesh, 1.5)
         assert len(factors) == cell.diagnostics.factorizations
         assert cell.diagnostics.stages[0].factorizations == 1
@@ -408,6 +408,15 @@ class TestForcingRescale:
     def test_bad_measure_rejected(self):
         with pytest.raises(ValueError):
             rescale_forcing(np.ones(3), 0.0, 1.0)
+
+
+def test_thin_mesh_refused(reference_profile):
+    """The cell problem is posed on a cell mesh only; a thin mesh, whose
+    gradient is scaled by its eps, is refused before any solve."""
+    mesh = build_thin_mesh(reference_profile, 0.25, 8, 4)
+    with pytest.raises(ValueError) as info:
+        solve_cell(mesh, 2.0)
+    assert str(info.value) == "solve_cell needs a cell mesh, got a thin one"
 
 
 def test_cell_summary_round_trip(tmp_path, flat_profile):

@@ -11,14 +11,13 @@ import scipy.sparse.linalg as spla
 from oscthin import (Limit1DProblem, SolveOptions, build_cell_mesh,
                      build_thin_mesh, fem, geometry, solve)
 from oscthin.fem import FluxParams, Point, element_gradients, load_vector
-from oscthin.homogenize import _CellFunctional, solve_cell
-from oscthin.limit1d import _LimitFunctional
+from oscthin.homogenize import _cell_point, solve_cell
+from oscthin.limit1d import _gauss_values, _LimitPoint
 from oscthin.solve import (IndefiniteSystemError, LinearSolveError,
                            NonConvergenceError, constrained_linear_solve,
                            constrained_solver, linear_solve, linear_solver,
                            newton_solve)
-from oscthin.study import (LoadSpec, _ThinFunctional, error_corrector,
-                           solve_thin)
+from oscthin.study import LoadSpec, error_corrector, solve_thin
 
 import oracles
 
@@ -27,7 +26,15 @@ def _cell_band(mesh, p):
     """The cell's jacobian at delta 1e-8 for a smooth periodic
     perturbation."""
     phi = 0.05 * np.sin(2.0 * np.pi * oracles.nodes(mesh)[:mesh.num_nodes, 0])
-    return _CellFunctional(mesh, p).point(phi, 1e-8).jacobian()
+    return _cell_point(mesh, p, phi, 1e-8).jacobian()
+
+
+def _thin_point(mesh, p, load):
+    """The thin problem's point function: u, delta -> its fem.Point, the
+    load vector built once."""
+    b = load_vector(mesh, load)
+    return lambda u, delta: Point(mesh, u, FluxParams(p=p, delta=delta),
+                                  load_vector=b)
 
 
 def _cell_weights(mesh):
@@ -91,8 +98,7 @@ class TestLinearSolve:
         mesh = build_thin_mesh(reference_profile, 1.0 / 16, 32, 16)
         x1, x2 = oracles.nodes(mesh).T
         u = np.cos(np.pi * x1) * (1.0 + 0.3 * x2) + 0.05 * np.sin(40.0 * x1)
-        band = Point(mesh, u, FluxParams(p=p, delta=delta,
-                                         eps_weight=mesh.eps)).jacobian()
+        band = Point(mesh, u, FluxParams(p=p, delta=delta)).jacobian()
         b = np.random.default_rng(15).normal(size=mesh.num_nodes)
         x = linear_solve(band, b, 1e-12)
         ref = spla.spsolve(oracles.band_matrix(band).tocsc(), b)
@@ -105,7 +111,7 @@ class TestLinearSolve:
         for ny in (2, 5, 16):
             mesh = build_thin_mesh(reference_profile, 1.0 / 4, 8, ny)
             band = Point(mesh, np.zeros(mesh.num_nodes),
-                         FluxParams(p=2.0, eps_weight=mesh.eps)).jacobian()
+                         FluxParams(p=2.0)).jacobian()
             assert band.offsets[-1] == ny + 2
             assert np.abs(band.rows[-1]).max() > 0.0
 
@@ -143,7 +149,7 @@ class TestLinearSolve:
         x1, x2 = oracles.nodes(mesh)[:mesh.num_nodes].T
         phi = 0.05 * np.sin(2.0 * np.pi * x1) * (1.0 + x2)
         a = oracles.band_matrix(
-            _CellFunctional(mesh, p).point(phi, delta).jacobian())
+            _cell_point(mesh, p, phi, delta).jacobian())
         b = np.random.default_rng(16).normal(size=mesh.num_nodes)
         b -= b.mean()
         w = _cell_weights(mesh)
@@ -336,7 +342,7 @@ class TestSharedFactor:
 
     def test_plain_solves_share_one_factor(self, reference_profile):
         mesh = build_thin_mesh(reference_profile, 0.25, 8, 8)
-        band = _ThinFunctional(mesh, 3.0, LoadSpec(kind="cos_pi")).point(
+        band = _thin_point(mesh, 3.0, LoadSpec(kind="cos_pi"))(
             np.ones(mesh.num_nodes), 1e-2).jacobian()
         solve_with = linear_solver(band)
         for seed in (20, 21):
@@ -387,9 +393,8 @@ class TestPlanBand:
         x1, x2 = oracles.nodes(mesh).T
         u = np.cos(np.pi * x1) * (1.0 + 0.3 * x2) + 0.05 * np.sin(40.0 * x1)
         load = LoadSpec(kind="cos_pi")
-        band = _ThinFunctional(mesh, p, load).point(u, delta).jacobian()
-        ref = oracles.coo_jacobian(
-            mesh, u, FluxParams(p=p, delta=delta, eps_weight=mesh.eps))
+        band = _thin_point(mesh, p, load)(u, delta).jacobian()
+        ref = oracles.coo_jacobian(mesh, u, FluxParams(p=p, delta=delta))
         assert list(band.offsets) == [0, 1, 17, 18]
         _assert_band_matches(band, ref, 51)
         b = np.random.default_rng(52).normal(size=mesh.num_nodes)
@@ -403,8 +408,7 @@ class TestPlanBand:
         mesh = medium_cell_mesh
         x1, x2 = oracles.nodes(mesh).T
         phi = 0.05 * np.sin(2.0 * np.pi * x1) * (1.0 + x2)
-        band = _CellFunctional(mesh, p).point(
-            phi[:mesh.num_nodes], delta).jacobian()
+        band = _cell_point(mesh, p, phi[:mesh.num_nodes], delta).jacobian()
         ref = oracles.fold_matrix(oracles.coo_jacobian(
             mesh, x1 + phi, FluxParams(p=p, delta=delta), include_mass=False),
             oracles.periodic_pairs(mesh))
@@ -426,7 +430,8 @@ class TestPlanBand:
         prob = Limit1DProblem(coeff=0.7, p=p, forcing=np.cos(np.pi * grid),
                               n=n)
         u = np.cos(np.pi * grid) + 0.1 * np.sin(9.0 * grid)
-        band = _LimitFunctional(prob).point(u, delta).jacobian()
+        band = _LimitPoint(prob, _gauss_values(prob.forcing), u,
+                           delta).jacobian()
         ref = oracles.limit_jacobian(prob, u, delta)
         assert list(band.offsets) == [0, 1]
         _assert_band_matches(band, ref, 55)
@@ -465,8 +470,8 @@ class TestPlanBand:
         x1, x2 = oracles.nodes(mesh).T
         u = np.cos(np.pi * x1) * (1.0 + 0.3 * x2) + 0.05 * np.sin(40.0 * x1)
         load = LoadSpec(kind="cos_pi", x2_coeff=0.3)
-        params = FluxParams(p=1.5, delta=1e-2, eps_weight=mesh.eps)
-        point = _ThinFunctional(mesh, 1.5, load).point(u, 1e-2)
+        params = FluxParams(p=1.5, delta=1e-2)
+        point = _thin_point(mesh, 1.5, load)(u, 1e-2)
         energy, band, res = point.energy(), point.jacobian(), point.residual()
         b = fem.load_vector(mesh, load)
         assert energy == Point(mesh, u, params, True, b).energy()
@@ -483,8 +488,7 @@ def _lapack_band(profile, kind, p):
         mesh = build_thin_mesh(profile, 1.0 / 16, 32, 16)
         x1, x2 = oracles.nodes(mesh).T
         u = np.cos(np.pi * x1) * (1.0 + 0.3 * x2) + 0.05 * np.sin(40.0 * x1)
-        params = FluxParams(p=p, delta=1e-8, eps_weight=mesh.eps)
-        return Point(mesh, u, params).jacobian(), 0.0
+        return Point(mesh, u, FluxParams(p=p, delta=1e-8)).jacobian(), 0.0
     band = _cell_band(build_cell_mesh(profile, 128, 32), p)
     return band, float(band.rows[0, 0])
 
@@ -514,14 +518,14 @@ class TestLapackPath:
         assert np.array_equal(band.factor(ground), ref)
         b = np.random.default_rng(59).normal(size=band.rows.shape[1])
         b -= b.mean()
-        x = linear_solve(band, b, 1e-12, ground)
+        x = linear_solver(band, ground)(b, band, 1e-12)
         _patch_lapack(
             monkeypatch,
             dpbtrf=lambda ab, **kw: (scipy.linalg.cholesky_banded(
                 ab, overwrite_ab=True, lower=True, check_finite=False), 0),
             dpbtrs=lambda c, r, **kw: (scipy.linalg.cho_solve_banded(
                 (c, True), r, check_finite=False), 0))
-        assert np.array_equal(x, linear_solve(band, b, 1e-12, ground))
+        assert np.array_equal(x, linear_solver(band, ground)(b, band, 1e-12))
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
     @pytest.mark.parametrize("kind", ["thin", "cell"])
@@ -590,16 +594,18 @@ class TestNewton:
                    zip(final.residual_norms, final.residual_norms[1:]))
 
     def test_solution_independent_of_init(self, reference_profile):
+        """solve_thin's field, from zero, and Newton's on the same point
+        function from a random start."""
         mesh = build_thin_mesh(reference_profile, 0.25, 8, 8)
         load = LoadSpec(kind="cos_pi")
-        from oscthin.study import _ThinFunctional
-        functional = _ThinFunctional(mesh, 3.0, load)
-        opts = SolveOptions()
-        u1, _ = newton_solve(functional, np.zeros(mesh.num_nodes), opts=opts)
+        u1, _ = solve_thin(mesh, 3.0, load)
+        point = _thin_point(mesh, 3.0, load)
+        assert np.array_equal(
+            newton_solve(point, np.zeros(mesh.num_nodes))[0], u1)
         rng = np.random.default_rng(21)
         init = 0.5 * rng.normal(size=mesh.num_nodes)
-        u2, _ = newton_solve(functional, init, opts=opts)
-        gs = element_gradients(mesh, u1 - u2, mesh.eps)
+        u2, _ = newton_solve(point, init, opts=SolveOptions())
+        gs = element_gradients(mesh, u1 - u2)
         assert error_corrector(mesh, gs, np.zeros(2), 3.0) < 1e-6
 
     def test_thin_solve_builds_no_mesh_arrays(self, reference_profile):
@@ -620,53 +626,62 @@ class TestNewton:
         """A residual norm of inf or NaN, at the start of a stage or after
         a step, is a failure and never counts as converged."""
 
-        class Quadratic:
-            # energy |u|^2/2 - sum(u); the residual turns non-finite after
-            # good_calls finite evaluations
-            calls = 0
+        # energy |u|^2/2 - sum(u); the residual turns non-finite after
+        # good_calls finite evaluations
+        calls = []
 
-            def point(self, u, delta):
-                return Point(self, u)
+        def residual(u):
+            calls.append(u)
+            return u - 1.0 if len(calls) <= good_calls else np.full(3, bad)
 
-        class Point:
-            def __init__(self, problem, u):
-                self.problem, self.u = problem, u
-
-            def energy(self):
-                return 0.5 * float(self.u @ self.u) - float(self.u.sum())
-
-            def residual(self):
-                self.problem.calls += 1
-                return (self.u - 1.0 if self.problem.calls <= good_calls
-                        else np.full(3, bad))
-
-            def jacobian(self):
-                return solve.Band(np.ones((1, 3)), np.array([0]))
+        def point(u, delta):
+            return types.SimpleNamespace(
+                energy=lambda: 0.5 * float(u @ u) - float(u.sum()),
+                residual=lambda: residual(u),
+                jacobian=lambda: solve.Band(np.ones((1, 3)), np.array([0])))
 
         with pytest.raises(NonConvergenceError, match=f"after {good_calls} "):
-            newton_solve(Quadratic(), np.zeros(3),
+            newton_solve(point, np.zeros(3),
                          opts=SolveOptions(continuation_deltas=(1e-8,)))
+
+    def test_point_is_a_bare_function(self):
+        """The problem is a function of (u, delta) that returns the point:
+        the quadratic energy (u - c) . D (u - c) / 2 takes one full Newton
+        step from zero to c in the first stage, and the later ones start
+        converged."""
+        target, scale = np.array([1.0, -2.0, 0.5]), np.array([1.0, 2.0, 4.0])
+
+        def point(u, delta):
+            r = scale * (u - target)
+            return types.SimpleNamespace(
+                energy=lambda: 0.5 * float(r @ (u - target)),
+                residual=lambda: r,
+                jacobian=lambda: solve.Band(scale[None, :].copy(),
+                                            np.array([0])))
+
+        u, diag = newton_solve(point, np.zeros(3))
+        assert np.abs(u - target).max() <= 1e-15
+        assert [s.iterations for s in diag.stages] == [1, 0, 0]
+        assert all(s.converged for s in diag.stages)
 
     def test_jacobian_folded_otherwise_rejected(self, small_cell_mesh):
         """A jacobian in another numbering than the field's, the oracles'
         unfolded one with the cell's last column apart, is refused with
         both sizes named, before any linear solve."""
         mesh = small_cell_mesh
-        functional = _CellFunctional(mesh, 2.0)
         unfolded = oracles.band(oracles.coo_jacobian(
             mesh, oracles.nodes(mesh)[:, 0], FluxParams(p=2.0),
             include_mass=False))
 
-        class Unfolded:
-            def point(self, phi, delta):
-                point = functional.point(phi, delta)
-                point.jacobian = lambda: unfolded
-                return point
+        def point(phi, delta):
+            at = _cell_point(mesh, 2.0, phi, delta)
+            at.jacobian = lambda: unfolded
+            return at
 
         n, full = mesh.num_nodes, len(oracles.nodes(mesh))
         with pytest.raises(ValueError, match=f"jacobian has {full} unknowns, "
                                              f"the field has {n}"):
-            newton_solve(Unfolded(), np.zeros(n),
+            newton_solve(point, np.zeros(n),
                          load_vector(mesh, np.ones(n)), SolveOptions())
 
     def test_no_point_outlives_its_step(self, reference_profile, monkeypatch):
@@ -675,18 +690,17 @@ class TestNewton:
         stage: no point is alive while another is built or while the
         linear system is solved, nor is the start field."""
         mesh = build_thin_mesh(reference_profile, 0.25, 8, 8)
-        functional = _ThinFunctional(mesh, 3.0, LoadSpec(kind="cos_pi"))
+        thin_point = _thin_point(mesh, 3.0, LoadSpec(kind="cos_pi"))
         refs, alive_at_solve = [], []
 
         def alive():
             return sum(ref() is not None for ref in refs)
 
-        class Tracked:
-            def point(self, u, delta):
-                assert alive() == 0 and start() is None
-                point = functional.point(u, delta)
-                refs.append(weakref.ref(point))
-                return point
+        def tracked(u, delta):
+            assert alive() == 0 and start() is None
+            point = thin_point(u, delta)
+            refs.append(weakref.ref(point))
+            return point
 
         real_solve = solve.linear_solve
 
@@ -698,7 +712,7 @@ class TestNewton:
         # the solve keeps its own copy of the start, not the caller's array
         starts = [np.zeros(mesh.num_nodes)]
         start = weakref.ref(starts[0])
-        _, diag = newton_solve(Tracked(), starts.pop(), opts=SolveOptions())
+        _, diag = newton_solve(tracked, starts.pop(), opts=SolveOptions())
         assert alive_at_solve == [0] * diag.total_iterations
         steps = [t for stage in diag.stages for t in stage.step_lengths]
         assert min(steps) < 1.0              # a trial was rejected
@@ -710,17 +724,16 @@ class TestNewton:
         only field the solve holds: a stage's start and earlier iterates
         are dropped, and so is the previous step."""
         mesh = build_thin_mesh(reference_profile, 0.25, 8, 8)
-        functional = _ThinFunctional(mesh, 3.0, LoadSpec(kind="cos_pi"))
+        thin_point = _thin_point(mesh, 3.0, LoadSpec(kind="cos_pi"))
         fields, steps, alive_at_factor = [], [], []
 
         def alive(refs):
             return sum(ref() is not None for ref in refs)
 
-        class Tracked:
-            def point(self, u, delta):
-                if not any(ref() is u for ref in fields):
-                    fields.append(weakref.ref(u))
-                return functional.point(u, delta)
+        def tracked(u, delta):
+            if not any(ref() is u for ref in fields):
+                fields.append(weakref.ref(u))
+            return thin_point(u, delta)
 
         real_solve = solve.linear_solve
 
@@ -731,7 +744,7 @@ class TestNewton:
             return step
 
         monkeypatch.setattr(solve, "linear_solve", recording)
-        _, diag = newton_solve(Tracked(), np.zeros(mesh.num_nodes),
+        _, diag = newton_solve(tracked, np.zeros(mesh.num_nodes),
                                opts=SolveOptions())
         assert sum(s.iterations > 0 for s in diag.stages) > 1
         assert alive_at_factor == [(1, 0)] * diag.total_iterations

@@ -182,8 +182,7 @@ class TestErrors:
         du0 = nodal_derivative(u0)
         part = PartitionSpec.dyadic(3, 1.0)
         c = corrector_field(du0, part, mesh, cell_response(cell, mesh))
-        err = error_corrector(mesh, element_gradients(mesh, u_eps, eps), c,
-                              2.0)
+        err = error_corrector(mesh, element_gradients(mesh, u_eps), c, 2.0)
 
         # independent route: dense thin solve, dense limit solve, the flat
         # corrector is (partition-averaged du0, 0)
@@ -195,8 +194,11 @@ class TestErrors:
         bary_x = oracles.barycenters(mesh)[:, 0]
         idx = np.clip(np.searchsorted(part.edges, bary_x, side="right") - 1,
                       0, len(part) - 1)
-        grads = element_gradients(mesh, u_oracle)
-        grads[:, 1] /= eps
+        # the scaled gradient (d1, d2/eps) from the hat-function gradients
+        tris, _, hat_x, hat_y = oracles.tri_geometry(mesh)
+        uv = u_oracle[tris]
+        grads = np.column_stack([(uv * hat_x).sum(axis=1),
+                                 (uv * hat_y).sum(axis=1) / eps])
         diff = grads - np.column_stack([avg[idx], np.zeros(len(idx))])
         mag = np.sqrt((diff * diff).sum(axis=1))
         err_oracle = float((mesh.areas * mag ** 2).sum() ** 0.5)
@@ -216,7 +218,7 @@ class TestFlux:
     def test_unit_load_zero_flux(self, flat_profile):
         mesh = build_thin_mesh(flat_profile, 0.5, 8, 4)
         u, _ = solve_thin(mesh, 3.0, LoadSpec(kind="constant", value=1.0))
-        profile = flux_profile(mesh, u, 3.0, 0.5, 20)
+        profile = flux_profile(mesh, u, 3.0, 20)
         assert np.abs(profile).max() < 1e-9
 
     def test_profile_matches_fiber_oracle(self, reference_profile):
@@ -227,10 +229,9 @@ class TestFlux:
         eps = 0.25
         mesh = build_thin_mesh(reference_profile, eps, 32, 8)
         u, _ = solve_thin(mesh, 3.0, LoadSpec(kind="cos_pi"))
-        a1 = p_flux(element_gradients(mesh, u, eps),
-                    FluxParams(p=3.0, eps_weight=eps))[:, 0]
+        a1 = p_flux(element_gradients(mesh, u), FluxParams(p=3.0))[:, 0]
         oracle = oracles.fiber_matrix(mesh, 0, flux_stations(250)) @ a1
-        profile = flux_profile(mesh, u, 3.0, eps, 250)
+        profile = flux_profile(mesh, u, 3.0, 250)
         assert np.abs(profile - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
     def test_flat_linear_profile_matches_target(self, flat_profile):
@@ -244,7 +245,7 @@ class TestFlux:
         u0, _ = solve_homogenized(
             Limit1DProblem(coeff=1.0, p=2.0, forcing=np.cos(np.pi * x), n=128))
         du0 = nodal_derivative(u0)
-        profile = flux_profile(mesh, u, 2.0, eps, 40)
+        profile = flux_profile(mesh, u, 2.0, 40)
         target = flux_target(cell, du0, 40)
         # flat case: the target is exactly max-height times the derivative
         du_at = np.interp(flux_stations(40), x, du0)
