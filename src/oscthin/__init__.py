@@ -11,7 +11,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 from .fem import FluxParams
 from .geometry import Mesh, ProfileSpec, build_cell_mesh, build_thin_mesh, mesh_area
-from .homogenize import CellSolution, effective_coefficient, solve_cell
+from .homogenize import CellSolution, solve_cell
 from .limit1d import Limit1DProblem, solve_homogenized
 from .solve import SolveOptions, newton_solve
 from .study import LoadSpec, PartitionSpec, StudyConfig, StudyReport, run_study
@@ -31,7 +31,6 @@ __all__ = [
     "StudyReport",
     "build_cell_mesh",
     "build_thin_mesh",
-    "effective_coefficient",
     "mesh_area",
     "newton_solve",
     "run_study",

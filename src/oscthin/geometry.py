@@ -105,7 +105,7 @@ class Mesh:
     grid_nodes   (nx+1, ny+1) int array, the node at column i, row j
     domain_kind  "cell" or "thin"
     eps          oscillation parameter of a thin mesh, which scales its
-                 gradient to (d1, d2/eps); None on a cell (refused there)
+                 gradient to (d1, d2/eps); required there, None on a cell
 
     No node or triangle table is kept (triangle_vertices states the
     triangle numbering); column_areas and areas are cached on first read.
@@ -155,6 +155,8 @@ class Mesh:
                 raise MeshingError(f"a cell mesh takes no eps, got {eps!r}")
             slot = np.where(2 * slot <= nx, 2 * slot - 1, 2 * (nx - slot))
             slot[0] = slot[nx] = 0
+        elif eps is None:
+            raise MeshingError("a thin mesh needs its eps")
         node = slot[:, None] * (ny + 1) + np.arange(ny + 1)
         self.domain_kind, self.eps = domain_kind, eps
         self.grid_x, self.grid_heights, self.grid_rows = xs, heights, ny

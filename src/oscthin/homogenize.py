@@ -1,4 +1,4 @@
-"""Periodic cell problem, effective coefficient and limit-problem data.
+"""Periodic cell problem and its effective coefficient.
 
 The cell unknown is the periodic mean-zero perturbation phi of the linear
 background y1: the total field v = y1 + phi carries a unit macroscopic
@@ -7,9 +7,9 @@ of the oscillating geometry.  y1 is not periodic, so it is no nodal field
 of the cell mesh: its gradient (1, 0) is added to that of phi on every
 triangle, where v's gradient is all the flux needs.
 
-The effective coefficient is reported through two discretizations of the
-same integral - the first-component flux average and the energy average -
-whose agreement certifies convergence of the cell solve.
+The effective coefficient q of the limit problem is coeff_flux, the
+first-component flux average.  The energy average discretizes the same
+integral; solve_cell refuses a cell whose two averages disagree.
 """
 
 import logging
@@ -87,8 +87,8 @@ def solve_cell(mesh, p, opts=None):
 
     The solve starts from the p-predictor (_predicted_start): the linear
     corrector phi_2, the p = 2 solution at the target delta (the last
-    continuation delta), and its first- and second-order continuations in
-    p, of which Newton starts from the one with the lowest energy at p.
+    continuation delta), or its second-order continuation in p, whichever
+    has the lower energy at p.
     At p = 2 phi_2 is the answer.  Any other p runs Newton from that start
     at the target delta twice: the second pass stops relative to the
     first's small residual, not to the residual of the start.  On a
@@ -99,7 +99,9 @@ def solve_cell(mesh, p, opts=None):
     The cell energy is shift invariant, so each Newton step keeps phi's
     mean zero (newton_solve's mean_weights).  The weights are the load
     vector of f = 1, the hat functions' integrals (its rule is exact for
-    P1).  A mesh that is not a cell mesh is a ValueError.
+    P1).  A mesh that is not a cell mesh is a ValueError; a nonzero mean
+    or a coefficient pair that is not positive or not agreed to
+    COEFF_FAILURE is an UnconvergedCellError.
     """
     if mesh.domain_kind != "cell":
         raise ValueError(f"solve_cell needs a cell mesh, got a "
@@ -134,11 +136,13 @@ def solve_cell(mesh, p, opts=None):
     if abs(mean) > 1e-10:
         raise UnconvergedCellError(
             f"cell perturbation has nonzero mean {mean:.3e}")
-    if cell.coeff_flux <= 0.0 or cell.coeff_energy <= 0.0:
-        raise UnconvergedCellError(
-            f"effective coefficient not positive: flux={cell.coeff_flux!r} "
-            f"energy={cell.coeff_energy!r}")
-    _agreed(cell.coeff_flux, cell.coeff_energy)
+    flux, energy = cell.coeff_flux, cell.coeff_energy
+    if flux <= 0.0 or energy <= 0.0:
+        raise UnconvergedCellError(f"effective coefficient not positive: "
+                                   f"flux={flux!r} energy={energy!r}")
+    if abs(flux - energy) > COEFF_FAILURE * energy:
+        raise UnconvergedCellError(f"coefficient formulas disagree: "
+                                   f"flux={flux!r} energy={energy!r}")
     return cell
 
 
@@ -162,10 +166,9 @@ def _predicted_start(mesh, p, weights, opts):
     (R(phi_2, 2 + h) - R(phi_2, 2 - h)) / 2h and
     (g(h) - 2 g(0) + g(-h)) / h^2.  The last two solves are
     back-substitutions, so J goes before any point is evaluated, and the
-    factor goes before the candidates phi_2,
-    phi_2 + (p - 2) phi' and phi_2 + (p - 2) phi' + (p - 2)^2 phi''/2 are
-    evaluated at p; the one with the lowest energy there is returned
-    (phi_2 at p = 2).
+    factor goes before the candidates phi_2 and
+    phi_2 + (p - 2) phi' + (p - 2)^2 phi''/2 are evaluated at p; the one
+    with the lower energy there is returned (phi_2 at p = 2).
 
     The stage counts one iteration (none if zero meets residual_tol) and
     one factorization, holds the p = 2 energies and residual norms, is
@@ -210,10 +213,8 @@ def _predicted_start(mesh, p, weights, opts):
             curvature = solve_linear(
                 (2.0 * r - residual(phi + h * tangent, 2.0 + h)
                  - residual(phi - h * tangent, 2.0 - h)) / (h * h))
-            first = phi + (p - 2.0) * tangent
-            candidates["first_order"] = first
-            candidates["second_order"] = (first + 0.5 * (p - 2.0) ** 2
-                                          * curvature)
+            candidates["second_order"] = (phi + (p - 2.0) * tangent
+                                          + 0.5 * (p - 2.0) ** 2 * curvature)
     except solve.SolveError as exc:
         stage.stop_reason = type(exc).__name__
         exc.diagnostics = solve.NewtonDiagnostics([stage])
@@ -237,21 +238,6 @@ def _energy_at(mesh, p, phi, delta):
             return _cell_point(mesh, p, phi, delta).energy()
     except fem.AssemblyError:
         return np.inf
-
-
-def _agreed(flux, energy):
-    """flux, unless the formulas disagree beyond COEFF_FAILURE: a bad solve."""
-    if abs(flux - energy) > COEFF_FAILURE * abs(energy):
-        raise UnconvergedCellError(
-            f"coefficient formulas disagree: flux={flux!r} energy={energy!r}")
-    return flux
-
-
-def effective_coefficient(cell):
-    """Effective coefficient of the 1-D limit problem (flux form); both
-    discretizations disagreeing beyond COEFF_FAILURE flags an unconverged
-    cell solve and raises."""
-    return _agreed(cell.coeff_flux, cell.coeff_energy)
 
 
 def measure_identity_check(spec, n_levels=4096, n_samples=16384):
@@ -282,13 +268,6 @@ def flux_density_height_integral(cell, grad_value, n_levels=4096):
     fibers = geometry.fiber_integrals(cell.mesh, 1, levels, cell.flux[:, 0])
     fiber_sum = float(fibers.sum()) / cell.mesh.width
     return fem.p_flux_scalar(grad_value, cell.p) * fiber_sum * (top / n_levels)
-
-
-def rescale_forcing(fhat_samples, cell_measure, period):
-    """Limit forcing: fiber load integrals scaled by period / cell measure."""
-    if cell_measure <= 0.0:
-        raise ValueError(f"cell measure must be positive, got {cell_measure}")
-    return np.asarray(fhat_samples, dtype=float) * (period / cell_measure)
 
 
 _SUMMARY_KEYS = ("p", "period", "delta", "cell_measure", "coeff_flux",

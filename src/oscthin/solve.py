@@ -103,8 +103,10 @@ class SolveOptions:
             if not 0.0 < value < np.inf:
                 raise ValueError(
                     f"{name} must be positive and finite, got {value!r}")
-        if self.max_newton < 1:
-            raise ValueError("max_newton must be at least 1")
+        for name, least in (("max_newton", 1), ("max_halvings", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, "
+                                 f"got {getattr(self, name)}")
         if not 0.0 < self.ls_backtrack < 1.0:
             raise ValueError("backtracking factor must lie in (0, 1)")
         if not 0.0 < self.ls_sufficient_decrease < 0.5:

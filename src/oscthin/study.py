@@ -35,6 +35,13 @@ def _number(key, value, integer=False):
     return value
 
 
+def _object(where, value):
+    """value if it is a JSON object, else ValueError naming where it sits."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be an object, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class PartitionSpec:
     """Partition of (0, 1) into cells of width period/2^level; the final
@@ -100,13 +107,14 @@ class LoadSpec:
             return base * (1.0 + self.x2_coeff * np.asarray(x2, dtype=float))
         return base
 
-    def to_dict(self):
-        return {"kind": self.kind, "value": self.value, "k": self.k,
-                "offset": self.offset, "x2_coeff": self.x2_coeff}
 
-    @classmethod
-    def from_dict(cls, data):
-        return cls(**data)
+# each config size: its StudyConfig field, its section of the config file
+# ("" the top level), its key there and its least value
+_SIZES = (("cell_nx", "cell_mesh", "nx", 2), ("cell_ny", "cell_mesh", "ny", 2),
+          ("thin_nx_per_period", "thin_mesh", "nx_per_period", 2),
+          ("thin_ny", "thin_mesh", "ny", 2), ("max_workers", "", "max_workers", 1),
+          ("limit_elements", "", "limit_elements", 2),
+          ("flux_stations", "", "flux_stations", 1))
 
 
 @dataclass
@@ -145,11 +153,9 @@ class StudyConfig:
         if not levels:
             raise ValueError("the partition ladder must not be empty")
         for key, value, least in (
-                ("cell_mesh.nx", self.cell_nx, 2), ("cell_mesh.ny", self.cell_ny, 2),
-                ("thin_mesh.nx_per_period", self.thin_nx_per_period, 2),
-                ("thin_mesh.ny", self.thin_ny, 2), ("max_workers", self.max_workers, 1),
-                ("limit_elements", self.limit_elements, 2),
-                ("flux_stations", self.flux_stations, 1),
+                *((f"{section}.{key}" if section else key,
+                   getattr(self, name), least)
+                  for name, section, key, least in _SIZES),
                 *(("partition_levels", level, 0) for level in levels)):
             if _number(key, value, integer=True) < least:
                 raise ValueError(f"{key} must be at least {least}, got {value}")
@@ -166,7 +172,7 @@ class StudyConfig:
         self.partition_levels = levels
 
     def to_dict(self):
-        return {
+        data = {
             "profile": {
                 "period": self.profile.period,
                 "mean": self.profile.mean,
@@ -174,22 +180,26 @@ class StudyConfig:
                 "sin_coeffs": list(self.profile.sin_coeffs),
             },
             "p": self.p,
-            "load": self.load.to_dict(),
+            "load": asdict(self.load),
             "epsilons": list(self.epsilons),
             "partition_levels": list(self.partition_levels),
-            "cell_mesh": {"nx": self.cell_nx, "ny": self.cell_ny},
-            "thin_mesh": {"nx_per_period": self.thin_nx_per_period,
-                          "ny": self.thin_ny},
-            "limit_elements": self.limit_elements,
-            "flux_stations": self.flux_stations,
             "solver": asdict(self.solver),
-            "max_workers": self.max_workers,
         }
+        for name, section, key, _ in _SIZES:
+            (data.setdefault(section, {}) if section else data)[key] = (
+                getattr(self, name))
+        return data
 
     @classmethod
     def from_dict(cls, data):
-        """Inverse of to_dict, which also fixes the keys it accepts."""
-        prof = data["profile"]
+        """Inverse of to_dict, which also fixes the keys it accepts.  The
+        config and each section must be a JSON object; the profile and
+        load sections are required."""
+        sections = {"": _object("config", data)}
+        for name in ("profile", "load", "cell_mesh", "thin_mesh", "solver"):
+            given = data[name] if name in ("profile", "load") else data.get(name, {})
+            sections[name] = _object(name, given)
+        prof = sections["profile"]
         profile = geometry.ProfileSpec(
             period=float(_number("profile.period", prof["period"])),
             mean=float(_number("profile.mean", prof["mean"])),
@@ -203,29 +213,22 @@ class StudyConfig:
                   if isinstance(defaults[key], tuple)
                   else _number(f"solver.{key}", val,
                                isinstance(defaults[key], int)))
-            for key, val in data.get("solver", {}).items() if key in defaults})
+            for key, val in sections["solver"].items() if key in defaults})
         # only the sizes given, so the field defaults are the one copy
-        cell, thin = data.get("cell_mesh", {}), data.get("thin_mesh", {})
-        sizes = {name: given[key] for name, given, key in (
-            ("cell_nx", cell, "nx"), ("cell_ny", cell, "ny"),
-            ("thin_nx_per_period", thin, "nx_per_period"), ("thin_ny", thin, "ny"),
-            ("limit_elements", data, "limit_elements"),
-            ("flux_stations", data, "flux_stations"),
-            ("max_workers", data, "max_workers")) if key in given}
+        sizes = {name: sections[section][key]
+                 for name, section, key, _ in _SIZES if key in sections[section]}
         config = cls(
             profile=profile,
             p=float(_number("p", data["p"])),
-            load=LoadSpec.from_dict(data["load"]),
+            load=LoadSpec(**sections["load"]),
             epsilons=tuple(data["epsilons"]),
             partition_levels=tuple(data["partition_levels"]),
             solver=solver,
             **sizes,
         )
-        # load keys are checked by the constructor they reach
         layout = config.to_dict()
-        for section in ("", "profile", "cell_mesh", "thin_mesh", "solver"):
-            given, known = ((data.get(section, {}), layout[section]) if section
-                            else (data, layout))
+        for section, given in sections.items():
+            known = layout[section] if section else layout
             unknown = sorted(set(given) - set(known))
             if unknown:
                 where = f" in {section}" if section else ""
@@ -284,36 +287,24 @@ def solve_limit(config, cell, eps):
     """Limit problem forced by the fiber load at eps: (u0, diagnostics)."""
     n1 = config.limit_elements
     fhat = fem.integrate_load_fibers(config.load, config.profile, eps, n1 + 1)
-    fbar = homogenize.rescale_forcing(fhat, cell.cell_measure,
-                                      config.profile.period)
+    fbar = fhat * (config.profile.period / cell.cell_measure)
     return limit1d.solve_homogenized(
         limit1d.Limit1DProblem(coeff=cell.coeff_flux, p=config.p,
                                forcing=fbar, n=n1), config.solver)
 
 
-def _cumulative_linear_integral(samples):
-    """Antiderivative data of the piecewise-linear interpolant on [0, 1]."""
+def partition_average(samples, part):
+    """Exact mean of the piecewise-linear interpolant of samples on [0, 1]
+    over each cell: differences of its antiderivative at the edges."""
+    samples = np.asarray(samples, dtype=float)
     n = len(samples) - 1
     h = 1.0 / n
     cum = np.concatenate([[0.0], np.cumsum(0.5 * h * (samples[:-1] + samples[1:]))])
-
-    def integral_to(t):
-        t = np.asarray(t, dtype=float)
-        k = np.clip((t * n).astype(np.int64), 0, n - 1)
-        frac = t - k * h
-        slope = (samples[k + 1] - samples[k]) * n
-        return cum[k] + samples[k] * frac + 0.5 * slope * frac * frac
-
-    return integral_to
-
-
-def partition_average(samples, part):
-    """Exact mean of the piecewise-linear interpolant over each cell."""
-    samples = np.asarray(samples, dtype=float)
-    integral_to = _cumulative_linear_integral(samples)
-    upper = integral_to(part.edges[1:])
-    lower = integral_to(part.edges[:-1])
-    return (upper - lower) / part.widths
+    k = np.clip((part.edges * n).astype(np.int64), 0, n - 1)
+    frac = part.edges - k * h
+    slope = (samples[k + 1] - samples[k]) * n
+    integral = cum[k] + samples[k] * frac + 0.5 * slope * frac * frac
+    return np.diff(integral) / part.widths
 
 
 def cell_response(cell, mesh):

@@ -1,6 +1,6 @@
 """The public surface of the package: every public top-level function or
-class, and every public method or property of a class, has a caller, an
-export or a stated reason to exist."""
+class, and every public method or property of a class, has a reader in
+the package or a stated reason to exist.  An export alone is no reason."""
 
 import ast
 import importlib
@@ -46,9 +46,12 @@ def _referenced_names(modules):
     return names
 
 
-def test_every_public_definition_is_used_or_exported():
+def test_every_public_definition_is_read_or_exempt():
+    """Package code reads every public function or class, unless it is a
+    text reader or writer or an acceptance helper: oscthin.__all__ does
+    not count as a reader."""
     modules = _modules()
-    used = _referenced_names(modules) | set(oscthin.__all__)
+    used = _referenced_names(modules)
     unused = [
         f"{module.__name__}.{name}"
         for module in modules

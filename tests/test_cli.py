@@ -224,6 +224,16 @@ class TestParseConfig:
         ({"epsilons": [1e309]}, "epsilons must be finite, got inf"),
         ({"epsilons": [0.5, -0.5]}, "epsilons must lie in (0, 1], got -0.5"),
         ({"epsilons": [2.0]}, "epsilons must lie in (0, 1], got 2.0"),
+        # every section is a JSON object
+        ({"solver": []}, "solver must be an object, got []"),
+        ({"solver": "abc"}, "solver must be an object, got 'abc'"),
+        ({"thin_mesh": "x"}, "thin_mesh must be an object, got 'x'"),
+        ({"cell_mesh": []}, "cell_mesh must be an object, got []"),
+        ({"profile": [1.0]}, "profile must be an object, got [1.0]"),
+        ({"load": "constant"}, "load must be an object, got 'constant'"),
+        # a negative count would stall every line search at step length 1
+        ({"solver": {"max_halvings": -1}},
+         "max_halvings must be at least 0, got -1"),
     ], ids=["nx_per_period", "ny", "limit_elements", "flux_stations_0",
             "flux_stations_negative", "limit_elements_float", "ny_string",
             "flux_stations_float", "cell_nx_bool", "cell_ny_float",
@@ -234,7 +244,9 @@ class TestParseConfig:
             "deltas_string",
             "solver_typo", "load_value_bool", "residual_tol_inf",
             "linear_tol_inf", "delta_inf", "p_inf", "eps_inf",
-            "eps_negative", "eps_above_one"])
+            "eps_negative", "eps_above_one", "solver_list", "solver_string",
+            "thin_mesh_string", "cell_mesh_list", "profile_list",
+            "load_string", "max_halvings_negative"])
     @pytest.mark.parametrize("command", ["study", "solve-eps", "cell"])
     def test_bad_size_is_config_error(self, tmp_path, capsys, monkeypatch,
                                       overrides, message, command):
@@ -295,6 +307,13 @@ class TestParseConfig:
                      str(tmp_path / "out")]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err == f"config error: load k must be an integer, got {k!r}\n"
+
+    def test_config_not_an_object_refused(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        assert main(["cell", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "config error: config must be an object, got [1, 2]\n"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -421,6 +440,16 @@ class TestCommands:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+
+    def test_unconverged_cell_exit_code(self, capsys):
+        """At p = 1.1 the 64x16 reference cell's coefficient formulas
+        disagree: exit 3 and one line that names both."""
+        assert main(["cell", "--config", REFERENCE_CONFIG, "--p", "1.1",
+                     "--resolution", "16"]) == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert err.startswith("solver error (cell): coefficient formulas "
+                              "disagree: flux=0.57428")
+        assert err.count("\n") == 1
 
     def test_bad_p_override_is_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path / "cfg.json")

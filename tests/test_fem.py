@@ -52,11 +52,11 @@ class TestScaledGradient:
 
     def test_small_weight_amplifies_vertical(self, reference_profile):
         """The second component is the unscaled grid gradient (the same
-        grid without an eps) divided by eps, bit for bit, and the first
-        is untouched."""
+        grid at eps 1) divided by eps, bit for bit, and the first is
+        untouched."""
         mesh = build_thin_mesh(reference_profile, 0.1, 8, 4)
         plain_mesh = geometry.Mesh("thin", mesh.grid_x, mesh.grid_heights,
-                                   mesh.grid_rows)
+                                   mesh.grid_rows, eps=1.0)
         x1, x2 = oracles.nodes(mesh).T
         u = x1 + 0.1 * x2
         plain = element_gradients(plain_mesh, u)

@@ -135,19 +135,23 @@ class TestCellMesh:
         with pytest.raises(ValueError):
             build_cell_mesh(flat_profile, 1, 4)
 
-    @pytest.mark.parametrize("xs, heights, eps, message", [
-        ([0.0, 0.5, 0.5, 1.0], [1.0, 1.2, 0.8, 1.0], None,
+    @pytest.mark.parametrize("kind, xs, heights, eps, message", [
+        ("cell", [0.0, 0.5, 0.5, 1.0], [1.0, 1.2, 0.8, 1.0], None,
          "strictly increase"),
-        ([0.0, 0.5, 1.0], [1.0, -0.2, 1.0], None, "column 1 height -2.000e-01"),
-        ([0.0, 0.5, 1.0], [1.0, 1.2, 0.8], None, "last column heights differ"),
-        ([0.0, 1.0], [1.0, 1.0], None, "two distinct columns"),
-        # the thin scaling belongs to a thin mesh
-        ([0.0, 0.5, 1.0], [1.0, 1.5, 1.0], 0.5,
+        ("cell", [0.0, 0.5, 1.0], [1.0, -0.2, 1.0], None,
+         "column 1 height -2.000e-01"),
+        ("cell", [0.0, 0.5, 1.0], [1.0, 1.2, 0.8], None,
+         "last column heights differ"),
+        ("cell", [0.0, 1.0], [1.0, 1.0], None, "two distinct columns"),
+        # the thin scaling belongs to a thin mesh, and only there
+        ("cell", [0.0, 0.5, 1.0], [1.0, 1.5, 1.0], 0.5,
          "a cell mesh takes no eps, got 0.5"),
-    ], ids=["abscissae", "height", "ends", "one_column", "eps"])
-    def test_bad_grid_refused(self, xs, heights, eps, message):
+        ("thin", [0.0, 0.5, 1.0], [1.0, 1.5, 1.0], None,
+         "a thin mesh needs its eps"),
+    ], ids=["abscissae", "height", "ends", "one_column", "eps", "thin_no_eps"])
+    def test_bad_grid_refused(self, kind, xs, heights, eps, message):
         with pytest.raises(MeshingError, match=message) as info:
-            Mesh("cell", xs, heights, 2, eps=eps)
+            Mesh(kind, xs, heights, 2, eps=eps)
         assert "\n" not in str(info.value)
 
 
@@ -543,6 +547,7 @@ def test_mesh_records_refused(tmp_path, reference_profile, change, message):
     ("# grid 5 2", "# grid 5", "expected section '# grid', found '# grid 5'"),
     ("# grid", "", "expected section '# grid', found 'end of file'"),
     ("cell eps=", "cell eps=0.5", "a cell mesh takes no eps, got 0.5"),
+    ("cell eps=", "thin eps=", "a thin mesh needs its eps"),
 ])
 def test_malformed_mesh_rejected(tmp_path, reference_profile, old, new,
                                  message):

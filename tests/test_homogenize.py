@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from oscthin import (ProfileSpec, build_cell_mesh, build_thin_mesh, fem,
-                     geometry, homogenize, solve, solve_cell)
+                     geometry, homogenize, limit1d, solve, solve_cell, study)
 from oscthin.cli import write_field
 from oscthin.fem import load_vector, lp_norm, p_flux_scalar
-from oscthin.homogenize import (CellSolution, effective_coefficient,
+from oscthin.homogenize import (CellSolution, UnconvergedCellError,
                                 flux_density_height_integral,
                                 format_cell_summary, measure_identity_check,
-                                read_cell_summary, rescale_forcing,
-                                write_cell_summary)
+                                read_cell_summary, write_cell_summary)
 
 import oracles
 
@@ -46,8 +45,8 @@ class TestOscillatingCell:
     def test_solve_computes_the_coefficient_pair_once(self, monkeypatch,
                                                       small_cell_mesh):
         """The pair and the measure are cached on the cell, from the one
-        set of gradients the solve's checks formed: effective_coefficient
-        and the attributes read them without forming another."""
+        set of gradients the solve's checks formed: the attributes read
+        them without forming another."""
         calls = []
         real = fem.element_gradients
 
@@ -60,7 +59,7 @@ class TestOscillatingCell:
         assert len(calls) == 1
         assert {"gradients", "flux", "cell_measure", "coeff_flux",
                 "coeff_energy"} <= vars(cell).keys()
-        assert effective_coefficient(cell) == cell.coeff_flux
+        assert cell.coeff_flux == vars(cell)["coeff_flux"]
         assert cell.cell_measure == geometry.mesh_area(small_cell_mesh)
         assert len(calls) == 1
 
@@ -73,8 +72,6 @@ class TestOscillatingCell:
         gap = abs(cell.coeff_flux - cell.coeff_energy) / cell.coeff_energy
         assert gap < 1e-6
         assert 0.0 < cell.coeff_flux < 1.0 - 1e-4
-        assert effective_coefficient(cell) == pytest.approx(cell.coeff_flux,
-                                                            rel=1e-12)
 
     def test_large_p_cell_solves(self, reference_profile):
         """p = 12 on the 128x32 reference cell: the predictor starts from
@@ -90,6 +87,17 @@ class TestOscillatingCell:
             "start=linear", "LineSearchStallError"]
         assert [s.converged for s in stages] == [True, False, True, True, True]
         assert cell.coeff_flux == pytest.approx(0.5894552498391834, rel=1e-10)
+
+    def test_disagreeing_formulas_refused(self, medium_cell_mesh):
+        """At p = 1.1 the solve on the 64x16 cell ends with flux 0.574286
+        and energy 0.574086, 3.5e-4 apart: beyond COEFF_FAILURE, an
+        unconverged cell, refused in one line naming both."""
+        with pytest.raises(UnconvergedCellError) as info:
+            solve_cell(medium_cell_mesh, 1.1)
+        message = str(info.value)
+        assert message.startswith("coefficient formulas disagree: flux=0.57428")
+        assert " energy=0.57408" in message
+        assert "\n" not in message
 
     def test_coefficient_self_convergence(self, reference_profile):
         coeffs = [solve_cell(build_cell_mesh(reference_profile, nx, nx // 4), 3.0).coeff_flux
@@ -143,7 +151,7 @@ class TestLinearStart:
         started, ladder_started = [], []
 
         def point(mesh, q, phi, delta):
-            """Points at p from the predictor: its three candidates, the
+            """Points at p from the predictor: its two candidates, the
             start and the first step's trial as they are, every later
             energy infinite."""
             made = real_point(mesh, q, phi, delta)
@@ -152,7 +160,7 @@ class TestLinearStart:
                     ladder_started.append(True)
                 else:
                     started.append(True)
-                    if len(started) > 3 + 2:
+                    if len(started) > 2 + 2:
                         made.energy = lambda: np.inf
             return made
 
@@ -203,15 +211,14 @@ class TestPredictor:
     def test_start_has_no_more_energy_than_the_corrector(
             self, medium_cell_mesh, p):
         """Newton at p starts from no more energy than the corrector; at
-        p 5 and 8 the continuations have far more, so the start is the
+        p 5 and 8 the continuation has far more, so the start is the
         corrector and every count and bit is the oracle's."""
         cell = solve_cell(medium_cell_mesh, p)
         oracle = oracles.linear_start_cell(medium_cell_mesh, p)
         predictor, first, *_ = cell.diagnostics.stages
         corrector_energy = oracle.diagnostics.stages[1].energies[0]
         if p < 5.0:
-            assert predictor.stop_reason in ("start=first_order",
-                                              "start=second_order")
+            assert predictor.stop_reason == "start=second_order"
             assert first.energies[0] < corrector_energy
             assert (cell.diagnostics.total_iterations
                     < oracle.diagnostics.total_iterations)
@@ -326,7 +333,8 @@ class TestPredictor:
         [message] = [r.getMessage() for r in caplog.records
                      if "start energies" in r.getMessage()]
         assert all(f"{name}=" in message
-                   for name in ("linear", "first_order", "second_order"))
+                   for name in ("linear", "second_order"))
+        assert "first_order" not in message
         assert message.endswith(f"starting from {chosen}")
         assert (cell.diagnostics.total_iterations
                 == 1 + sum(s.iterations for s in newton))
@@ -380,15 +388,38 @@ class TestFluxDensity:
         assert np.all(np.abs(lhs - rhs) < 1e-4 * np.abs(rhs))
 
 
-class TestForcingRescale:
-    def test_cell_average_maps_to_one(self, reference_profile):
-        measure = 1.0
-        fhat = np.full(9, measure / reference_profile.period)
-        fbar = rescale_forcing(fhat, measure, reference_profile.period)
-        assert np.allclose(fbar, 1.0)
+def _limit_forcing(monkeypatch, profile, load, eps=0.25):
+    """The forcing study.solve_limit gives the limit problem, on a 16x4
+    cell at p = 2."""
+    config = study.StudyConfig(profile=profile, p=2.0, load=load,
+                               epsilons=(eps,), partition_levels=(0,),
+                               limit_elements=64)
+    cell = solve_cell(build_cell_mesh(profile, 16, 4), 2.0)
+    problems = []
+    monkeypatch.setattr(limit1d, "solve_homogenized",
+                        lambda prob, opts: problems.append(prob))
+    study.solve_limit(config, cell, eps)
+    [problem] = problems
+    return problem.forcing, cell
 
-    def test_zero_maps_to_zero(self):
-        assert np.all(rescale_forcing(np.zeros(5), 1.3, 1.0) == 0.0)
+
+class TestForcingRescale:
+    """The limit forcing is the fiber load integral per cell area: scaled
+    by period / cell measure."""
+
+    def test_cell_average_maps_to_one(self, monkeypatch):
+        """A unit load on a flat profile of height 2 and period 0.5: fiber
+        integrals of 2 on a cell of measure 1, so a forcing of 1."""
+        profile = ProfileSpec(period=0.5, mean=2.0)
+        fbar, cell = _limit_forcing(monkeypatch, profile,
+                                    study.LoadSpec(kind="constant"))
+        assert cell.cell_measure == pytest.approx(1.0, rel=1e-14)
+        assert np.allclose(fbar, 1.0, rtol=1e-13)
+
+    def test_zero_maps_to_zero(self, monkeypatch, reference_profile):
+        fbar, _ = _limit_forcing(monkeypatch, reference_profile,
+                                 study.LoadSpec(kind="constant", value=0.0))
+        assert np.all(fbar == 0.0)
 
     def test_linear_load_recovers_slope_after_averaging(self, reference_profile):
         from oscthin.fem import integrate_load_fibers
@@ -398,16 +429,12 @@ class TestForcingRescale:
                                      reference_profile, eps, n + 1)
         ys = np.linspace(0.0, 1.0, 1 << 14)
         measure = np.trapezoid(reference_profile.evaluate(ys), ys)
-        fbar = rescale_forcing(fhat, measure, reference_profile.period)
+        fbar = fhat * (reference_profile.period / measure)
         # average over whole oscillation periods: the result tracks x1
         per = n // 16
         chunks = fbar[:-1].reshape(16, per).mean(axis=1)
         mids = (np.arange(16) + 0.5) / 16.0
         assert np.abs(chunks - mids).max() < 1e-2
-
-    def test_bad_measure_rejected(self):
-        with pytest.raises(ValueError):
-            rescale_forcing(np.ones(3), 0.0, 1.0)
 
 
 def test_thin_mesh_refused(reference_profile):

@@ -412,7 +412,7 @@ class TestLoadSpec:
 
     def test_round_trip(self):
         load = LoadSpec(kind="cos_pi", value=1.5, k=2)
-        assert LoadSpec.from_dict(load.to_dict()) == load
+        assert LoadSpec(**dataclasses.asdict(load)) == load
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
