@@ -1,12 +1,11 @@
 """Command-line front end: cell, solve-eps, solve-limit and study.
 
 One JSON config file describes a whole study; each command reads the
-sections it needs and ignores the rest.  Outputs are plain structured text
-or CSV so they diff cleanly and plot with any external tool.
+sections it needs and ignores the rest.  Outputs are structured text, CSV
+or JSON, so they diff cleanly and plot with any external tool.
 
 Exit codes: 0 success, 2 config error, 3 solver non-convergence, 4 I/O
-error.  OSCTHIN_THREADS selects the worker count for parallel ladders
-(default 1).
+error.
 """
 
 import argparse
@@ -25,8 +24,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_IO = 4
-
-THREADS_ENV = "OSCTHIN_THREADS"
 
 
 class ConfigError(ValueError):
@@ -63,12 +60,6 @@ def _apply_overrides(config, args):
                        thin_ny=max(2, r // 2))
     if args.eps is not None:
         changes["epsilons"] = (args.eps,)
-    threads = os.environ.get(THREADS_ENV)
-    if threads:
-        if not threads.strip().isdecimal() or int(threads) < 1:
-            raise ConfigError(f"{THREADS_ENV} must be a positive integer, "
-                              f"got {threads!r}")
-        changes["max_workers"] = int(threads)
     return dataclasses.replace(config, **changes)
 
 
@@ -152,7 +143,7 @@ def _cmd_solve_limit(config, args):
     cell = study.solve_config_cell(config)
     u0, diag = study.solve_limit(config, cell, eps)
     out = args.out or "."
-    limit1d.write_solution(u0, _field_path(out, "u0.csv"))
+    limit1d.write_solution(u0, _field_path(out, "u0.txt"))
     print(f"solved limit problem (coefficient {cell.coeff_flux!r}, "
           f"forcing from eps={eps!r}): {diag.total_iterations} Newton iterations")
     return EXIT_OK
@@ -161,7 +152,6 @@ def _cmd_solve_limit(config, args):
 def _cmd_study(config, args):
     report = study.run_study(config)
     out = args.out or "."
-    study.write_report_csv(report, _field_path(out, "study.csv"))
     study.write_report_json(report, _field_path(out, "study.json"))
     failed = [row for row in report.rows if row.status != "ok"]
     print(f"study finished: {len(report.rows)} rows "

@@ -104,8 +104,8 @@ class Mesh:
 
     grid_nodes   (nx+1, ny+1) int array, the node at column i, row j
     domain_kind  "cell" or "thin"
-    eps          oscillation parameter of a thin mesh, which scales its
-                 gradient to (d1, d2/eps); required there, None on a cell
+    eps          a thin mesh's oscillation parameter in (0, 1], which
+                 scales its gradient to (d1, d2/eps); None on a cell
 
     No node or triangle table is kept (triangle_vertices states the
     triangle numbering); column_areas and areas are cached on first read.
@@ -155,8 +155,8 @@ class Mesh:
                 raise MeshingError(f"a cell mesh takes no eps, got {eps!r}")
             slot = np.where(2 * slot <= nx, 2 * slot - 1, 2 * (nx - slot))
             slot[0] = slot[nx] = 0
-        elif eps is None:
-            raise MeshingError("a thin mesh needs its eps")
+        elif eps is None or not 0.0 < eps <= 1.0:   # NaN fails too
+            raise MeshingError(f"a thin mesh needs its eps in (0, 1]: {eps!r}")
         node = slot[:, None] * (ny + 1) + np.arange(ny + 1)
         self.domain_kind, self.eps = domain_kind, eps
         self.grid_x, self.grid_heights, self.grid_rows = xs, heights, ny
@@ -470,22 +470,22 @@ def read_mesh(path):
     record ``index x height`` per column; the mesh is built from these
     two.  A header or grid line out of place (a file of the older layout,
     whose node section comes first, among them), an eps that is not a
-    number in (0, 1], records read_records refuses (cut short, not
-    numeric, more or fewer than the columns) or a grid Mesh refuses raises
-    a one-line ValueError naming the file."""
+    number, records read_records refuses (cut short, not numeric, more or
+    fewer than the columns) or a grid or eps Mesh refuses raises a
+    one-line ValueError naming the file."""
     with open(path) as fh:
         header = fh.readline().split()
         if header[:3] != ["#", "oscthin", "mesh"] or len(header) != 5:
             raise ValueError(f"{path}: expected header '# oscthin mesh "
                              f"<kind> eps=...', found {' '.join(header)!r}")
-        key, sep, eps = header[4].partition("=")
+        key, sep, value = header[4].partition("=")
         try:
-            eps = float(eps) if eps else None
+            if key != "eps" or not sep:
+                raise ValueError
+            eps = float(value) if value else None
         except ValueError:
-            eps = np.nan
-        if key != "eps" or not sep or not (eps is None or 0.0 < eps <= 1.0):
-            raise ValueError(f"{path}: expected 'eps=' and a number in "
-                             f"(0, 1] or nothing, found {header[4]!r}")
+            raise ValueError(f"{path}: expected 'eps=' and a number or "
+                             f"nothing, found {header[4]!r}") from None
         line = fh.readline().split()
         if (line[:2] != ["#", "grid"] or len(line) != 4
                 or not (line[2] + line[3]).isdecimal()):

@@ -12,12 +12,10 @@ average at the oscillation scale - the discrete stand-in for testing
 against dual functions.
 """
 
-import csv
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -112,7 +110,7 @@ class LoadSpec:
 # ("" the top level), its key there and its least value
 _SIZES = (("cell_nx", "cell_mesh", "nx", 2), ("cell_ny", "cell_mesh", "ny", 2),
           ("thin_nx_per_period", "thin_mesh", "nx_per_period", 2),
-          ("thin_ny", "thin_mesh", "ny", 2), ("max_workers", "", "max_workers", 1),
+          ("thin_ny", "thin_mesh", "ny", 2),
           ("limit_elements", "", "limit_elements", 2),
           ("flux_stations", "", "flux_stations", 1))
 
@@ -133,7 +131,6 @@ class StudyConfig:
     limit_elements: int = 512
     flux_stations: int = 250
     solver: solve.SolveOptions = field(default_factory=solve.SolveOptions)
-    max_workers: int = 1
 
     def __post_init__(self):
         if not _number("p", self.p) > 1.0:
@@ -247,10 +244,7 @@ class StudyRow:
     flux_discrepancy: float
     newton_iterations: int
     wall_time: float
-    status: str = "ok"
-
-
-REPORT_COLUMNS = tuple(f.name for f in fields(StudyRow))
+    status: str
 
 
 @dataclass
@@ -445,14 +439,13 @@ def _study_rows_for_eps(config, cell, eps):
         eps=eps, level=level, node_count=mesh.num_nodes,
         err_u=e_u, err_corrector=e_c, err_naive=e_naive,
         flux_discrepancy=discrepancy,
-        newton_iterations=diag.total_iterations, wall_time=wall)
+        newton_iterations=diag.total_iterations, wall_time=wall, status="ok")
         for level, e_c in zip(config.partition_levels, corrector_errors)]
 
 
 def run_study(config):
     """Walk the oscillation ladder and aggregate the per-row measurements.
-    A failing entry is recorded in its rows' status and the study goes on;
-    rows come back in ladder order however the entries were scheduled.
+    A failing entry is recorded in its rows' status and the study goes on.
     An eps that does not tile the unit interval is a config error, raised
     (MeshingError) before the cell solve."""
     for eps in config.epsilons:
@@ -470,37 +463,8 @@ def run_study(config):
                              status=f"{type(exc).__name__}: {exc}")
                     for level in config.partition_levels]
 
-    if config.max_workers > 1:
-        with ThreadPoolExecutor(max_workers=config.max_workers) as pool:
-            chunks = list(pool.map(job, config.epsilons))
-    else:
-        chunks = [job(eps) for eps in config.epsilons]
-    rows = [row for chunk in chunks for row in chunk]
+    rows = [row for eps in config.epsilons for row in job(eps)]
     return StudyReport(config=config, rows=rows)
-
-
-def write_report_csv(report, path):
-    """Comma-separated report, one row per (eps, level) with a header row."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_COLUMNS)
-        for row in report.rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v
-                             for v in vars(row).values()])
-
-
-def read_report_csv(path):
-    """Rows of a written report as a list of StudyRow."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if tuple(header) != REPORT_COLUMNS:
-            raise ValueError(
-                f"{path}: expected header {','.join(REPORT_COLUMNS)!r}, "
-                f"found {','.join(header)!r}")
-        kinds = [f.type for f in fields(StudyRow)]
-        return [StudyRow(*(kind(v) for kind, v in zip(kinds, rec)))
-                for rec in reader]
 
 
 def write_report_json(report, path):
@@ -515,8 +479,16 @@ def write_report_json(report, path):
 
 
 def read_report_json(path):
-    with open(path) as fh:
-        payload = json.load(fh)
-    config = StudyConfig.from_dict(payload["config"])
-    rows = [StudyRow(**row) for row in payload["rows"]]
+    """Read a report written by write_report_json.  A file that is not a
+    JSON object of a valid config and rows, each an object of exactly the
+    StudyRow fields, raises a one-line ValueError naming the file."""
+    try:
+        with open(path) as fh:
+            payload = _object("report", json.load(fh))
+        config = StudyConfig.from_dict(payload["config"])
+        rows = [StudyRow(**_object("row", row)) for row in payload["rows"]]
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return StudyReport(config=config, rows=rows)

@@ -14,7 +14,7 @@ from oscthin.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, ConfigError, main,
 from oscthin.geometry import read_mesh, write_mesh, write_records
 from oscthin.limit1d import read_solution, write_solution
 from oscthin.homogenize import read_cell_summary
-from oscthin.study import read_report_csv, read_report_json
+from oscthin.study import read_report_json
 
 import oracles
 
@@ -51,12 +51,12 @@ def test_writers_match_row_by_row_format(reference_profile, tmp_path, kind):
     values = np.sin(3.0 * x1) * x2
     write_mesh(mesh, tmp_path / "mesh.txt")
     write_field(mesh, values, tmp_path / "field.txt")
-    write_solution(values, tmp_path / "u0.csv")
+    write_solution(values, tmp_path / "u0.txt")
     assert ((tmp_path / "mesh.txt").read_bytes()
             == oracles.row_by_row_mesh_text(mesh).encode())
     assert ((tmp_path / "field.txt").read_bytes()
             == oracles.row_by_row_field_text(mesh, values).encode())
-    assert ((tmp_path / "u0.csv").read_bytes()
+    assert ((tmp_path / "u0.txt").read_bytes()
             == oracles.row_by_row_solution_text(values).encode())
 
 
@@ -147,6 +147,7 @@ class TestParseConfig:
          "'cos_coef' in profile"),
         ({"cell_mesh": {"nx": 16, "nY": 8}}, "'nY' in cell_mesh"),
         ({"thin_mesh": {"nx": 8, "ny": 4}}, "'nx' in thin_mesh"),
+        ({"max_workers": 1}, "'max_workers'"),
     ])
     def test_unknown_key_rejected(self, tmp_path, overrides, key):
         path = write_config(tmp_path / "typo.json", **overrides)
@@ -180,8 +181,6 @@ class TestParseConfig:
          "cell_mesh.nx must be an integer, got True"),
         ({"cell_mesh": {"nx": 32, "ny": 8.0}},
          "cell_mesh.ny must be an integer, got 8.0"),
-        ({"max_workers": 0}, "max_workers must be at least 1, got 0"),
-        ({"max_workers": None}, "max_workers must be an integer, got None"),
         ({"partition_levels": [2.5]},
          "partition_levels must be an integer, got 2.5"),
         ({"partition_levels": [2, True]},
@@ -237,7 +236,7 @@ class TestParseConfig:
     ], ids=["nx_per_period", "ny", "limit_elements", "flux_stations_0",
             "flux_stations_negative", "limit_elements_float", "ny_string",
             "flux_stations_float", "cell_nx_bool", "cell_ny_float",
-            "max_workers_0", "max_workers_null", "level_float", "level_bool",
+            "level_float", "level_bool",
             "level_string", "level_past_mesh", "level_huge", "p_string",
             "eps_string", "eps_bool", "period_string", "cos_coeff_string",
             "max_halvings_float", "max_newton_float", "residual_tol_bool",
@@ -364,7 +363,8 @@ class TestCommands:
         path = write_config(tmp_path / "cfg.json")
         out = tmp_path / "out"
         assert main(["solve-limit", "--config", path, "--out", str(out)]) == EXIT_OK
-        x, u0 = read_solution(out / "u0.csv")
+        assert os.listdir(out) == ["u0.txt"]
+        x, u0 = read_solution(out / "u0.txt")
         assert np.abs(u0 - 1.0).max() < 1e-8
 
     def test_solve_eps_writes_solution_and_flux(self, tmp_path):
@@ -380,18 +380,18 @@ class TestCommands:
         assert np.abs(flux["flux"]).max() < 1e-8
 
     def test_study_constant_load_errors_vanish(self, tmp_path):
+        """The study writes its one report, study.json, and nothing else."""
         path = write_config(tmp_path / "cfg.json")
         out = tmp_path / "out"
         assert main(["study", "--config", path, "--out", str(out)]) == EXIT_OK
-        rows = read_report_csv(out / "study.csv")
+        assert os.listdir(out) == ["study.json"]
+        rows = read_report_json(out / "study.json").rows
         assert len(rows) == 2
         for row in rows:
             assert row.status == "ok"
             assert row.err_u < 1e-8
             assert row.err_corrector < 1e-8
             assert row.flux_discrepancy < 1e-8
-        report = read_report_json(out / "study.json")
-        assert report.rows == rows
 
     def test_study_outputs_deterministic(self, tmp_path):
         path = write_config(tmp_path / "cfg.json",
@@ -400,11 +400,10 @@ class TestCommands:
         assert main(["study", "--config", path, "--out", str(out1)]) == EXIT_OK
         assert main(["study", "--config", path, "--out", str(out2)]) == EXIT_OK
 
-        def masked(path):
-            rows = read_report_csv(path)
-            return [vars(r) | {"wall_time": 0.0} for r in rows]
+        def masked(out):
+            return read_report_json(out / "study.json").canonical().rows
 
-        assert masked(out1 / "study.csv") == masked(out2 / "study.csv")
+        assert masked(out1) == masked(out2)
 
     def test_study_at_coarsest_resolution(self, tmp_path):
         """At --resolution 4 the top barycenter of a coarse thin column lies
@@ -414,7 +413,7 @@ class TestCommands:
         out = tmp_path / "out"
         assert main(["study", "--config", REFERENCE_CONFIG, "--resolution",
                      "4", "--out", str(out)]) == EXIT_OK
-        rows = read_report_csv(out / "study.csv")
+        rows = read_report_json(out / "study.json").rows
         assert len(rows) == 12
         assert all(row.status == "ok" for row in rows)
 
@@ -512,22 +511,3 @@ class TestCommands:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout.split()
         assert out == [preset or "1", "1", "1"]
-
-    @pytest.mark.parametrize("threads", ["0", "-3", "abc", "2.5"])
-    def test_bad_thread_env_var_is_config_error(self, tmp_path, capsys,
-                                                monkeypatch, threads):
-        monkeypatch.setenv("OSCTHIN_THREADS", threads)
-        path = write_config(tmp_path / "cfg.json")
-        assert main(["study", "--config", path, "--out",
-                     str(tmp_path / "out")]) == EXIT_CONFIG
-        assert capsys.readouterr().err == (
-            f"config error: OSCTHIN_THREADS must be a positive integer, "
-            f"got {threads!r}\n")
-
-    def test_thread_env_var(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("OSCTHIN_THREADS", "2")
-        path = write_config(tmp_path / "cfg.json")
-        out = tmp_path / "out"
-        assert main(["study", "--config", path, "--out", str(out)]) == EXIT_OK
-        rows = read_report_csv(out / "study.csv")
-        assert [r.eps for r in rows] == [0.5, 0.25]

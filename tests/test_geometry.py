@@ -148,7 +148,12 @@ class TestCellMesh:
          "a cell mesh takes no eps, got 0.5"),
         ("thin", [0.0, 0.5, 1.0], [1.0, 1.5, 1.0], None,
          "a thin mesh needs its eps"),
-    ], ids=["abscissae", "height", "ends", "one_column", "eps", "thin_no_eps"])
+        *(("thin", [0.0, 0.5, 1.0], [1.0, 1.5, 1.0], eps,
+           re.escape(f"a thin mesh needs its eps in (0, 1]: {eps!r}"))
+          for eps in (0.0, -0.5, float("nan"), 2.0, float("inf"))),
+    ], ids=["abscissae", "height", "ends", "one_column", "eps", "thin_no_eps",
+            "thin_eps_0", "thin_eps_negative", "thin_eps_nan",
+            "thin_eps_above_one", "thin_eps_inf"])
     def test_bad_grid_refused(self, kind, xs, heights, eps, message):
         with pytest.raises(MeshingError, match=message) as info:
             Mesh(kind, xs, heights, 2, eps=eps)

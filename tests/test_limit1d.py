@@ -172,7 +172,7 @@ class TestValidation:
 def test_solution_round_trip(tmp_path):
     prob = Limit1DProblem(coeff=1.0, p=2.0, forcing=np.ones(9), n=8)
     u, _ = solve_homogenized(prob)
-    path = tmp_path / "u0.csv"
+    path = tmp_path / "u0.txt"
     write_solution(u, path)
     x, back = read_solution(path)
     assert np.array_equal(back, u)
@@ -188,9 +188,9 @@ def test_solution_round_trip(tmp_path):
     (9, "0.375 one", "record 3 is not 2 numbers: '0.375 one'"),
 ], ids=["cut", "empty", "short", "long", "text"])
 def test_damaged_solution_refused(tmp_path, keep, record, message):
-    """A u0.csv cut after 4 of its 9 records, or with a record that is not
+    """A u0.txt cut after 4 of its 9 records, or with a record that is not
     x and a value, is refused in one line that names the file."""
-    path = tmp_path / "u0.csv"
+    path = tmp_path / "u0.txt"
     write_solution(np.ones(9), path)
     lines = path.read_text().splitlines()[:keep]
     if record is not None:

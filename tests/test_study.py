@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -14,9 +15,8 @@ from oscthin.limit1d import nodal_derivative
 from oscthin.study import (LoadSpec, PartitionSpec, box_smooth, cell_response,
                            corrector_field, error_corrector, error_u,
                            flux_profile, flux_stations, flux_target,
-                           partition_average, read_report_csv,
-                           read_report_json, run_study, solve_config_cell,
-                           solve_thin, write_report_csv, write_report_json)
+                           partition_average, read_report_json, run_study,
+                           solve_config_cell, solve_thin, write_report_json)
 
 import oracles
 
@@ -27,6 +27,56 @@ def tiny_config(profile, load, p=3.0, epsilons=(0.5, 0.25), levels=(2,)):
         epsilons=epsilons, partition_levels=levels,
         cell_nx=16, cell_ny=8, thin_nx_per_period=8, thin_ny=4,
         limit_elements=64, flux_stations=50)
+
+
+# each way a study.json can be damaged, and what the refusal says after
+# the file's name; a config that names max_workers is of the older layout
+REPORT_DAMAGE = {
+    "not_json": "Expecting value: line 1 column 1 (char 0)",
+    "cut_short": "Expecting property name enclosed in double quotes",
+    "empty_object": "missing key 'config'",
+    "no_rows": "missing key 'rows'",
+    "list": "report must be an object, got []",
+    "row_number": "row must be an object, got 5",
+    "row_lacks_status": ("StudyRow.__init__() missing 1 required positional "
+                         "argument: 'status'"),
+    "row_adds_field": ("StudyRow.__init__() got an unexpected keyword "
+                       "argument 'extra'"),
+    "max_workers": "unknown config key 'max_workers'",
+}
+
+
+def write_damaged_reports(directory, profile):
+    """A one-row study.json damaged each REPORT_DAMAGE way, one file per
+    case named after it: {case: path}."""
+    row = study.StudyRow(eps=0.5, level=2, node_count=9, err_u=0.0,
+                         err_corrector=0.0, err_naive=0.0,
+                         flux_discrepancy=0.0, newton_iterations=1,
+                         wall_time=0.0, status="ok")
+    good = directory / "study.json"
+    write_report_json(study.StudyReport(
+        config=tiny_config(profile, LoadSpec(kind="cos_pi")), rows=[row]),
+        good)
+    text = good.read_text()
+    data = json.loads(text)
+    row = data["rows"][0]
+    texts = {"not_json": "not json", "cut_short": text[:text.index('"rows"')]}
+    payloads = {
+        "empty_object": {},
+        "no_rows": {"config": data["config"]},
+        "list": [],
+        "row_number": dict(data, rows=[5]),
+        "row_lacks_status": dict(data, rows=[
+            {k: v for k, v in row.items() if k != "status"}]),
+        "row_adds_field": dict(data, rows=[dict(row, extra=1)]),
+        "max_workers": dict(data, config=dict(data["config"], max_workers=1)),
+    }
+    paths = {}
+    for case in REPORT_DAMAGE:
+        paths[case] = directory / f"{case}.json"
+        paths[case].write_text(texts[case] if case in texts
+                               else json.dumps(payloads[case]))
+    return paths
 
 
 class TestPartition:
@@ -298,47 +348,34 @@ class TestStudy:
         assert all(r.status == "NonConvergenceError: stalled"
                    for r in by_eps[0.25])
 
-    def test_parallel_matches_serial(self, flat_profile):
-        config = tiny_config(flat_profile, LoadSpec(kind="cos_pi"))
-        serial = run_study(config)
-        config_par = tiny_config(flat_profile, LoadSpec(kind="cos_pi"))
-        config_par.max_workers = 2
-        parallel = run_study(config_par)
-        for a, b in zip(serial.canonical().rows, parallel.canonical().rows):
-            assert a == b
-
     def test_determinism(self, flat_profile, tmp_path):
         config = tiny_config(flat_profile, LoadSpec(kind="cos_pi"))
         first = run_study(config).canonical()
         second = run_study(config).canonical()
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_report_csv(first, p1)
-        write_report_csv(second, p2)
+        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+        write_report_json(first, p1)
+        write_report_json(second, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
 
 class TestReportIO:
-    def test_csv_round_trip(self, flat_profile, tmp_path):
-        config = tiny_config(flat_profile, LoadSpec(kind="cos_pi"))
-        report = run_study(config)
-        path = tmp_path / "study.csv"
-        write_report_csv(report, path)
-        rows = read_report_csv(path)
-        assert rows == report.rows
+    @pytest.mark.parametrize("case", REPORT_DAMAGE)
+    def test_damaged_report_refused(self, flat_profile, tmp_path, case):
+        path = write_damaged_reports(tmp_path, flat_profile)[case]
+        with pytest.raises(ValueError) as info:
+            read_report_json(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}: {REPORT_DAMAGE[case]}")
+        assert "\n" not in message
 
-    @pytest.mark.parametrize("text", ["", "eps,level\n0.5,2\n"])
-    def test_csv_bad_header_rejected(self, tmp_path, text):
-        path = tmp_path / "study.csv"
-        path.write_text(text)
-        with pytest.raises(ValueError, match="expected header 'eps,level,"):
-            read_report_csv(path)
-
-    def test_readers_reject_malformed_files_under_optimize(self, tmp_path):
-        """The header and section checks are not asserts: python -O keeps
-        them.  A mesh header's eps token without '=', with a value that is
-        no number or with a NaN is refused naming the file, before the
-        (valid) grid is read."""
-        (tmp_path / "study.csv").write_text("eps,level\n")
+    def test_readers_reject_malformed_files_under_optimize(self, tmp_path,
+                                                            flat_profile):
+        """The report, header and section checks are not asserts: python
+        -O keeps them.  Each damaged report is refused naming the file.  A
+        mesh header's eps token without '=' or with a value that is no
+        number is refused naming the file, before the (valid) grid is
+        read; a NaN is a number, which the thin mesh refuses."""
+        reports = write_damaged_reports(tmp_path, flat_profile)
         (tmp_path / "mesh.txt").write_text("# oscthin mesh cell eps=\n"
                                            "# triangles 0\n")
         bad_eps = ("eps", "eps=abc", "eps=nan")
@@ -346,30 +383,36 @@ class TestReportIO:
             (tmp_path / f"eps{k}.txt").write_text(
                 f"# oscthin mesh thin {token}\n# grid 3 2\n"
                 "0 0.0 1.0\n1 0.5 1.0\n2 1.0 1.0\n")
+        names = [path.name for path in reports.values()] + [
+            "mesh.txt", *(f"eps{k}.txt" for k in range(len(bad_eps)))]
         script = (
             "import sys\n"
             "from oscthin.geometry import read_mesh\n"
-            "from oscthin.study import read_report_csv\n"
-            "for read, name in ((read_report_csv, 'study.csv'),"
-            " (read_mesh, 'mesh.txt'), (read_mesh, 'eps0.txt'),"
-            " (read_mesh, 'eps1.txt'), (read_mesh, 'eps2.txt')):\n"
+            "from oscthin.study import read_report_json\n"
+            "for name in sys.argv[1:]:\n"
+            "    read = read_report_json if name.endswith('.json') "
+            "else read_mesh\n"
             "    try:\n"
             "        read(name)\n"
             "    except ValueError as exc:\n"
             "        print(exc)\n")
         src = os.path.dirname(os.path.dirname(oscthin.__file__))
         env = dict(os.environ, PYTHONPATH=src)
-        done = subprocess.run([sys.executable, "-O", "-c", script],
+        done = subprocess.run([sys.executable, "-O", "-c", script, *names],
                               cwd=tmp_path, env=env, capture_output=True,
                               text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         lines = done.stdout.splitlines()
-        assert len(lines) == 5
-        assert "expected header 'eps,level," in lines[0]
-        assert "expected section '# grid', found '# triangles 0'" in lines[1]
-        for k, (line, token) in enumerate(zip(lines[2:], bad_eps)):
-            assert line == (f"eps{k}.txt: expected 'eps=' and a number in "
-                            f"(0, 1] or nothing, found {token!r}")
+        assert len(lines) == len(names)
+        for line, (case, message) in zip(lines, REPORT_DAMAGE.items()):
+            assert line.startswith(f"{case}.json: {message}")
+        mesh_lines = lines[len(REPORT_DAMAGE):]
+        assert mesh_lines[0] == ("mesh.txt: expected section '# grid', "
+                                 "found '# triangles 0'")
+        for k, (line, token) in enumerate(zip(mesh_lines[1:3], bad_eps)):
+            assert line == (f"eps{k}.txt: expected 'eps=' and a number or "
+                            f"nothing, found {token!r}")
+        assert mesh_lines[3] == "eps2.txt: a thin mesh needs its eps in (0, 1]: nan"
 
     def test_json_round_trip(self, flat_profile, tmp_path):
         config = tiny_config(flat_profile, LoadSpec(kind="cos_pi"))
@@ -438,11 +481,11 @@ class TestConfigValidation:
         """A config that names no size gets the dataclass defaults."""
         data = tiny_config(reference_profile, LoadSpec(kind="cos_pi")).to_dict()
         for key in ("cell_mesh", "thin_mesh", "limit_elements",
-                    "flux_stations", "max_workers"):
+                    "flux_stations"):
             del data[key]
         config = StudyConfig.from_dict(data)
         assert config == StudyConfig(
             profile=config.profile, p=config.p, load=config.load,
             epsilons=config.epsilons, partition_levels=config.partition_levels,
             solver=config.solver)
-        assert (config.cell_nx, config.thin_ny, config.max_workers) == (128, 16, 1)
+        assert (config.cell_nx, config.thin_ny) == (128, 16)
