@@ -1,8 +1,9 @@
 """Command-line front end: cell, solve-eps, solve-limit and study.
 
 One JSON config file describes a whole study; each command reads the
-sections it needs and ignores the rest.  Outputs are structured text, CSV
-or JSON, so they diff cleanly and plot with any external tool.
+sections it needs and ignores the rest.  Array outputs are
+geometry.write_table tables, the report JSON and the cell summary ``name
+value`` lines, so they diff cleanly and plot with any external tool.
 
 Exit codes: 0 success, 2 config error, 3 solver non-convergence, 4 I/O
 error.
@@ -69,12 +70,10 @@ def _field_path(out_dir, name):
 
 
 def write_field(mesh, values, path):
-    """Nodal field export: a header ``index x1 x2 value nodes=<count>``,
-    then one record per node, index then coordinates then value, both
-    coordinates spread from the column grid to node order (a cell's last
-    column is its first, so its nodes carry the first column's).  Each
-    column's abscissa is formatted once.  values must hold one entry per
-    node (else ValueError)."""
+    """Nodal field export: a geometry.write_table table, one ``index x1 x2
+    value`` record per node, coordinates spread from the column grid (a
+    cell's last column is its first, its nodes at the first's abscissa,
+    each formatted once).  values needs one per node, else ValueError."""
     values = np.asarray(values, dtype=float)
     n = mesh.num_nodes
     if values.shape != (n,):
@@ -87,24 +86,13 @@ def write_field(mesh, values, path):
                         dtype=object)[:, None]
     x2 = np.empty(n)
     x2[node.T] = mesh.grid_coordinates()[1][:, :columns]
-    with open(path, "w") as fh:
-        fh.write(f"index x1 x2 value nodes={n}\n")
-        geometry.write_records(fh, (x1, x2, values))
+    geometry.write_table(path, ("x1", "x2", "value"), (x1, x2, values))
 
 
 def read_field(path):
-    """Read a field written by write_field: (nodes array, values array).
-    A header without its node count, or records geometry.read_records
-    refuses (other than that many among them), raises a one-line
-    ValueError naming the file."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        key, _, count = (header[4] if len(header) == 5 else "").partition("=")
-        if (header[:4] != ["index", "x1", "x2", "value"] or key != "nodes"
-                or not count.isdecimal()):
-            raise ValueError(f"{path}: expected header 'index x1 x2 value "
-                             f"nodes=<count>', found {' '.join(header)!r}")
-        data = geometry.read_records(fh, path, 3, int(count))
+    """Read a field written by write_field: (nodes array, values array);
+    a table geometry.read_table refuses raises its ValueError."""
+    data, _ = geometry.read_table(path, ("x1", "x2", "value"))
     return data[:, :2], data[:, 2]
 
 
@@ -124,14 +112,12 @@ def _cmd_solve_eps(config, args):
     cell = study.solve_config_cell(config)
     mesh, u, diag, _, du0 = study.solve_eps(config, cell, eps)
     profiles = study.flux_profiles(config, cell, mesh, u, du0)
-    stations = study.flux_stations(config.flux_stations)
 
     out = args.out or "."
     write_field(mesh, u, _field_path(out, "u_eps.txt"))
-    with open(_field_path(out, "flux_profile.csv"), "w") as fh:
-        fh.write("x1,flux,smoothed,target\n")
-        for rec in zip(stations, *profiles):
-            fh.write(",".join(repr(float(v)) for v in rec) + "\n")
+    geometry.write_table(_field_path(out, "flux_profile.txt"),
+                         ("x1", "flux", "smoothed", "target"),
+                         (study.flux_stations(config.flux_stations), *profiles))
     print(f"solved eps={eps!r}: {mesh.num_nodes} nodes, "
           f"{diag.total_iterations} Newton iterations, "
           f"final residual {diag.final_residual:.3e}")

@@ -396,104 +396,85 @@ def locate_points(mesh, points):
     return 2 * (i * ny + j) + upper
 
 
-# rows per formatted chunk of write_records
+# rows per formatted chunk of write_table
 _CHUNK = 2048
 
 
-def write_records(fh, columns, index=True):
-    """Write one line per row of equal-length columns (arrays or lists),
-    space separated and led by the row index unless index is False: float
-    arrays by repr, which round-trips, everything else by str.  Each
-    column is formatted once per chunk of _CHUNK rows and the chunk's rows
-    joined and written at once, in bounded memory.  Columns of unequal
-    length raise ValueError before anything is written."""
+def write_table(path, names, columns, **meta):
+    """Write equal-length array columns, one per name, to path as a table:
+    a header ``index``, the names, ``records=<count>`` and ``key=value``
+    per meta item, then per row its index and entries, space separated,
+    float arrays by repr (which round-trips), others by str.  Columns are
+    formatted and written _CHUNK rows at a time, in bounded memory.
+    Columns of unequal length, or not one per name, raise ValueError
+    before the file is opened."""
     n = len(columns[0])
-    if any(len(col) != n for col in columns):
-        raise ValueError("record columns differ in length: "
-                         f"{[len(col) for col in columns]}")
-    formats = [repr if np.asarray(col).dtype.kind == "f" else str
-               for col in columns]
-    for start in range(0, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
-        parts = [map(str, range(start, stop))] if index else []
-        for fmt, col in zip(formats, columns):
-            part = col[start:stop]
-            parts.append(map(fmt, part.tolist() if isinstance(part, np.ndarray)
-                             else part))
-        fh.write("\n".join(map(" ".join, zip(*parts))) + "\n")
+    if len(columns) != len(names) or any(len(col) != n for col in columns):
+        raise ValueError(f"{len(names)} names for record columns of "
+                         f"lengths {[len(col) for col in columns]}")
+    formats = [repr if col.dtype.kind == "f" else str for col in columns]
+    fields = [f"records={n}", *(f"{key}={value}" for key, value in meta.items())]
+    with open(path, "w") as fh:
+        fh.write(" ".join(["index", *names, *fields]) + "\n")
+        for start in range(0, n, _CHUNK):
+            stop = min(start + _CHUNK, n)
+            parts = [map(str, range(start, stop))]
+            for fmt, col in zip(formats, columns):
+                parts.append(map(fmt, col[start:stop].tolist()))
+            fh.write("\n".join(map(" ".join, zip(*parts))) + "\n")
 
 
-def read_records(fh, path, width, count=None, index=True):
-    """The records left in fh, one per nonblank line, as written by
-    write_records: the row index (unless index is False) then width
-    numbers, returned as floats (n, width) without the index.  A count
-    other than count (or none at all, when count is None), a record of
-    another length or with a field that is not a number, or an index out
-    of sequence raises a one-line ValueError naming path."""
-    rows = [line.split() for line in fh if line.strip()]
-    if (not rows) if count is None else len(rows) != count:
+def read_table(path, names):
+    """Read a table written by write_table with these column names:
+    (data, meta), the records' numbers (n, len(names)) without the index
+    and the header's other fields as strings.  A header of other names, a
+    field that is not key=value, no records=<count> or a count other than
+    the records', or a record other than its index and a number per name
+    raises a one-line ValueError naming path."""
+    with open(path) as fh:
+        header = fh.readline().split()
+        rows = [line.split() for line in fh if line.strip()]
+    lead = ["index", *names]
+    fields = [token.partition("=") for token in header[len(lead):]]
+    meta = {key: value for key, _, value in fields}
+    count = meta.pop("records", "")
+    if (header[:len(lead)] != lead or not count.isdecimal()
+            or not all(key and sep for key, sep, _ in fields)):
+        raise ValueError(f"{path}: expected header '{' '.join(lead)} records="
+                         f"<count> key=value ...', found {' '.join(header)!r}")
+    if len(rows) != int(count):
         raise ValueError(f"{path}: {len(rows)} records after the header, "
-                         f"expected {'some' if count is None else count}")
-    lead = int(index)
-    data = np.empty((len(rows), lead + width))
+                         f"expected {count}")
+    data = np.empty((len(rows), len(names)))
     for k, row in enumerate(rows):
         try:
-            if len(row) != lead + width:
+            if len(row) != len(lead):
                 raise ValueError
-            data[k] = row
+            data[k] = row[1:]
         except ValueError:
-            raise ValueError(f"{path}: record {k} is not "
-                             f"{'an index and ' * lead}{width} numbers: "
-                             f"{' '.join(row)!r}") from None
-    out_of_sequence = np.flatnonzero(data[:, 0] != np.arange(len(rows)))
-    if index and out_of_sequence.size:
-        k = int(out_of_sequence[0])
-        raise ValueError(f"{path}: record {k} has index {rows[k][0]}")
-    return data[:, lead:]
+            raise ValueError(f"{path}: record {k} is not an index and "
+                             f"{len(names)} numbers: {' '.join(row)!r}") from None
+        if row[0] != str(k):
+            raise ValueError(f"{path}: record {k} has index {row[0]}")
+    return data, meta
 
 
 def write_mesh(mesh, path):
-    """Structured-text mesh export of the header and the column grid; see
-    read_mesh for the exact format."""
-    with open(path, "w") as fh:
-        fh.write(f"# oscthin mesh {mesh.domain_kind}"
-                 f" eps={'' if mesh.eps is None else repr(mesh.eps)}\n"
-                 f"# grid {len(mesh.grid_x)} {mesh.grid_rows}\n")
-        write_records(fh, (mesh.grid_x, mesh.grid_heights))
+    """Table export of the column grid; see read_mesh for the format."""
+    write_table(path, ("x", "height"), (mesh.grid_x, mesh.grid_heights),
+                kind=mesh.domain_kind, rows=mesh.grid_rows,
+                eps="" if mesh.eps is None else repr(mesh.eps))
 
 
 def read_mesh(path):
-    """Read a mesh written by write_mesh.
-
-    Format: a header line ``# oscthin mesh <kind> eps=<eps or empty>``,
-    then the column grid, ``# grid <columns> <rows>`` followed by one
-    record ``index x height`` per column; the mesh is built from these
-    two.  A header or grid line out of place (a file of the older layout,
-    whose node section comes first, among them), an eps that is not a
-    number, records read_records refuses (cut short, not numeric, more or
-    fewer than the columns) or a grid or eps Mesh refuses raises a
-    one-line ValueError naming the file."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        if header[:3] != ["#", "oscthin", "mesh"] or len(header) != 5:
-            raise ValueError(f"{path}: expected header '# oscthin mesh "
-                             f"<kind> eps=...', found {' '.join(header)!r}")
-        key, sep, value = header[4].partition("=")
-        try:
-            if key != "eps" or not sep:
-                raise ValueError
-            eps = float(value) if value else None
-        except ValueError:
-            raise ValueError(f"{path}: expected 'eps=' and a number or "
-                             f"nothing, found {header[4]!r}") from None
-        line = fh.readline().split()
-        if (line[:2] != ["#", "grid"] or len(line) != 4
-                or not (line[2] + line[3]).isdecimal()):
-            raise ValueError(f"{path}: expected section '# grid', found "
-                             f"{' '.join(line) or 'end of file'!r}")
-        columns, rows = int(line[2]), int(line[3])
-        grid = read_records(fh, path, 2, columns)
+    """Read a mesh written by write_mesh: a table of one ``index x height``
+    record per grid column, with fields kind, rows and eps (empty on a
+    cell).  What read_table or Mesh refuses, or rows or eps not a number
+    (a missing field reads as empty), raises a ValueError naming the file."""
+    grid, meta = read_table(path, ("x", "height"))
+    kind, rows, eps = (meta.get(key, "") for key in ("kind", "rows", "eps"))
     try:
-        return Mesh(header[3], grid[:, 0], grid[:, 1], rows, eps=eps)
-    except MeshingError as exc:
+        return Mesh(kind, grid[:, 0], grid[:, 1], int(rows),
+                    eps=float(eps) if eps else None)
+    except (ValueError, MeshingError) as exc:
         raise ValueError(f"{path}: {exc}") from exc

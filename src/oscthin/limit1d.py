@@ -24,25 +24,22 @@ _GAUSS_W = np.array([0.5, 0.5])
 class Limit1DProblem:
     """Data of the limit problem: coefficient, exponent, forcing samples.
 
-    forcing holds n+1 nodal samples on the uniform grid over [0, 1].
+    forcing holds n+1 >= 3 nodal samples on the uniform grid over [0, 1].
     """
 
     coeff: float
     p: float
     forcing: np.ndarray
-    n: int
 
     def __post_init__(self):
         if not self.coeff > 0.0:
             raise ValueError(f"coefficient must be positive, got {self.coeff}")
         if not self.p > 1.0:
             raise ValueError(f"p must exceed 1, got {self.p}")
-        if self.n < 2:
-            raise ValueError(f"need at least 2 elements, got {self.n}")
         forcing = np.ascontiguousarray(self.forcing, dtype=float)
-        if forcing.shape != (self.n + 1,):
-            raise ValueError(
-                f"forcing needs {self.n + 1} samples, got {forcing.shape}")
+        if forcing.ndim != 1 or len(forcing) < 3:
+            raise ValueError("forcing needs at least 3 samples in one "
+                             f"dimension, got shape {forcing.shape}")
         object.__setattr__(self, "forcing", forcing)
 
 
@@ -59,7 +56,7 @@ class _LimitPoint:
 
     def __init__(self, prob, f_gauss, u, delta):
         self.prob, self.f_gauss, self.delta = prob, f_gauss, delta
-        self.h = 1.0 / prob.n
+        self.h = 1.0 / (len(u) - 1)
         self.slopes = np.diff(u) / self.h
         self.ug = _gauss_values(u)
         self.sigma = fem._power_weight(self.slopes ** 2, prob.p, delta)
@@ -76,7 +73,7 @@ class _LimitPoint:
     def residual(self):
         h = self.h
         a = self.prob.coeff * self.sigma * self.slopes
-        res = np.zeros(self.prob.n + 1)
+        res = np.zeros(len(self.ug) + 1)
         res[:-1] -= a
         res[1:] += a
         s = self.mass_weight * self.ug - self.f_gauss
@@ -98,7 +95,7 @@ class _LimitPoint:
         basis = np.stack([1.0 - _GAUSS_T, _GAUSS_T])
         mass = np.einsum("eg,ag,bg,g->eab", mprime, basis, basis,
                          _GAUSS_W) * h
-        rows = np.zeros((2, self.prob.n + 1))
+        rows = np.zeros((2, len(self.ug) + 1))
         rows[0, :-1] += stiff + mass[:, 0, 0]
         rows[0, 1:] += stiff + mass[:, 1, 1]
         rows[1, :-1] = mass[:, 0, 1] - stiff
@@ -114,7 +111,7 @@ def solve_homogenized(prob, opts=None):
     opts = opts or solve.SolveOptions()
     return solve.newton_solve(
         partial(_LimitPoint, prob, _gauss_values(prob.forcing)),
-        np.zeros(prob.n + 1), opts=opts)
+        np.zeros_like(prob.forcing), opts=opts)
 
 
 def nodal_derivative(values):
@@ -130,22 +127,18 @@ def nodal_derivative(values):
 
 
 def write_solution(values, path):
-    """Structured-text export of (abscissa, value) pairs."""
+    """Limit solution export: a geometry.write_table table ``index x u0``."""
     values = np.asarray(values, dtype=float)
-    grid = np.linspace(0.0, 1.0, len(values))
-    with open(path, "w") as fh:
-        fh.write("x u0\n")
-        geometry.write_records(fh, (grid, values), index=False)
+    geometry.write_table(path, ("x", "u0"),
+                         (np.linspace(0.0, 1.0, len(values)), values))
 
 
 def read_solution(path):
-    """Read a file written by write_solution: header line, then x/value
-    pairs.  Records read_records refuses, or abscissae not running from 0
-    to 1 (a file cut short), raise a one-line ValueError naming the file."""
-    with open(path) as fh:
-        fh.readline()
-        x, u = geometry.read_records(fh, path, 2, index=False).T
-    if x[0] != 0.0 or x[-1] != 1.0:
-        raise ValueError(f"{path}: abscissae run from {x[0]} to {x[-1]}, "
-                         "expected 0 to 1 (file cut short?)")
+    """Read a file written by write_solution: (abscissae, values).  A table
+    read_table refuses, or abscissae not from 0 to 1, raise ValueError."""
+    x, u = geometry.read_table(path, ("x", "u0"))[0].T
+    ends = x[:1].tolist() + x[-1:].tolist()
+    if ends != [0.0, 1.0]:
+        raise ValueError(f"{path}: abscissae run {ends}, expected [0.0, 1.0] "
+                         "(file cut short?)")
     return x, u

@@ -15,7 +15,7 @@ against dual functions.
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -42,10 +42,9 @@ def _object(where, value):
 
 @dataclass(frozen=True)
 class PartitionSpec:
-    """Partition of (0, 1) into cells of width period/2^level; the final
-    cell is the remainder when the width does not divide 1."""
+    """Partition of (0, 1) into cells between increasing edges; dyadic
+    cells have width period/2^level, the last the remainder, if any."""
 
-    level: int
     edges: np.ndarray
 
     @classmethod
@@ -57,7 +56,7 @@ class PartitionSpec:
         edges = np.arange(count + 1) * width
         # the last edge is 1: a remainder cell, or the rounded final edge
         edges = np.append(edges[edges < 1.0 - 1e-12], 1.0)
-        return cls(level=level, edges=edges)
+        return cls(edges)
 
     def __post_init__(self):
         edges = np.ascontiguousarray(self.edges, dtype=float)
@@ -284,7 +283,7 @@ def solve_limit(config, cell, eps):
     fbar = fhat * (config.profile.period / cell.cell_measure)
     return limit1d.solve_homogenized(
         limit1d.Limit1DProblem(coeff=cell.coeff_flux, p=config.p,
-                               forcing=fbar, n=n1), config.solver)
+                               forcing=fbar), config.solver)
 
 
 def partition_average(samples, part):
@@ -481,12 +480,19 @@ def write_report_json(report, path):
 def read_report_json(path):
     """Read a report written by write_report_json.  A file that is not a
     JSON object of a valid config and rows, each an object of exactly the
-    StudyRow fields, raises a one-line ValueError naming the file."""
+    StudyRow fields, numbers (integers where StudyRow says int, NaN too)
+    but a string status, raises a one-line ValueError naming the file."""
     try:
         with open(path) as fh:
             payload = _object("report", json.load(fh))
         config = StudyConfig.from_dict(payload["config"])
         rows = [StudyRow(**_object("row", row)) for row in payload["rows"]]
+        for row in rows:
+            for f in fields(StudyRow):
+                if f.type is not str:
+                    _number(f"row {f.name}", getattr(row, f.name), f.type is int)
+            if not isinstance(row.status, str):
+                raise ValueError(f"row status must be a string, got {row.status!r}")
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:

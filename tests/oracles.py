@@ -415,22 +415,23 @@ def containing_triangles(mesh, points, tol=1e-9):
     return np.minimum(np.minimum(l1, l2), 1.0 - l1 - l2) >= -tol
 
 
-def row_by_row_mesh_text(mesh):
-    """The mesh file format written one record at a time: the header and
-    the column grid."""
-    out = [f"# oscthin mesh {mesh.domain_kind}"
-           f" eps={'' if mesh.eps is None else repr(mesh.eps)}\n",
-           f"# grid {len(mesh.grid_x)} {mesh.grid_rows}\n"]
-    for k, x in enumerate(mesh.grid_x):
-        out.append(f"{k} {float(x)!r} {float(mesh.grid_heights[k])!r}\n")
+def row_by_row_table_text(names, columns, meta):
+    """The table file format written one record at a time: the header
+    (index, the names, the record count and the meta fields), then each
+    row's index and its entries by repr."""
+    fields = [f"records={len(columns[0])}",
+              *(f"{key}={value}" for key, value in meta.items())]
+    out = [" ".join(["index", *names, *fields]) + "\n"]
+    for k, row in enumerate(zip(*columns)):
+        out.append(" ".join([str(k), *(repr(float(v)) for v in row)]) + "\n")
     return "".join(out)
 
 
 def old_layout_mesh_text(mesh):
-    """The mesh file of the older layout, which read_mesh refuses: nodes,
-    triangles, boundary edges and periodic pairs before the column grid.
-    mesh holds the header fields, the grid and those four tables as
-    attributes."""
+    """The mesh file of an older layout, which read_mesh refuses: a
+    '# oscthin mesh' header, then nodes, triangles, boundary edges and
+    periodic pairs before the column grid.  mesh holds the header fields,
+    the grid and those four tables as attributes."""
     out = [f"# oscthin mesh {mesh.domain_kind}"
            f" eps={'' if mesh.eps is None else repr(mesh.eps)}\n",
            f"# nodes {mesh.num_nodes}\n"]
@@ -449,23 +450,9 @@ def old_layout_mesh_text(mesh):
     out.append(f"# periodic_pairs {len(mesh.periodic_pairs)}\n")
     for k, (a, b) in enumerate(mesh.periodic_pairs):
         out.append(f"{k} {a} {b}\n")
-    return "".join(out) + row_by_row_mesh_text(mesh).split("\n", 1)[1]
-
-
-def row_by_row_field_text(mesh, values):
-    """The nodal field file format written one record at a time: the
-    mesh's nodes only, a cell's shared ones at the first column."""
-    out = [f"index x1 x2 value nodes={mesh.num_nodes}\n"]
-    for k, (x, y) in enumerate(nodes(mesh)[:mesh.num_nodes]):
-        out.append(f"{k} {float(x)!r} {float(y)!r} {float(values[k])!r}\n")
-    return "".join(out)
-
-
-def row_by_row_solution_text(values):
-    """The limit solution file format written one record at a time."""
-    out = ["x u0\n"]
-    for x, v in zip(np.linspace(0.0, 1.0, len(values)), values):
-        out.append(f"{float(x)!r} {float(v)!r}\n")
+    out.append(f"# grid {len(mesh.grid_x)} {mesh.grid_rows}\n")
+    for k, (x, h) in enumerate(zip(mesh.grid_x, mesh.grid_heights)):
+        out.append(f"{k} {float(x)!r} {float(h)!r}\n")
     return "".join(out)
 
 
@@ -510,7 +497,7 @@ def band_matrix(a):
 def limit_jacobian(prob, u, delta):
     """Dense jacobian of the 1-D limit residual, element by element: the
     stiffness block and the two-point Gauss mass block of each element."""
-    n, p, d2 = prob.n, prob.p, delta ** 2
+    n, p, d2 = len(prob.forcing) - 1, prob.p, delta ** 2
     h = 1.0 / n
     gauss = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
     a = np.zeros((n + 1, n + 1))

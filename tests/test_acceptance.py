@@ -123,7 +123,7 @@ def test_criterion_05_constant_data_exactness(flat_unit_studies,
             u, _ = solve_thin(mesh, p, load)
             worst_u = max(worst_u, float(np.abs(u - 1.0).max()))
         u0, _ = solve_homogenized(
-            Limit1DProblem(coeff=1.0, p=p, forcing=np.ones(513), n=512))
+            Limit1DProblem(coeff=1.0, p=p, forcing=np.ones(513)))
         worst_u = max(worst_u, float(np.abs(u0 - 1.0).max()))
     ok = worst_col < 1e-8 and worst_u < 1e-8
     report(5, "constant data exactness", ok,
@@ -253,7 +253,7 @@ def test_criterion_11_discretization_consistency(reference_profile_):
     errors = []
     for n in (16, 32, 64, 128):
         prob = Limit1DProblem(coeff=MANUFACTURED_COEFF, p=3.0,
-                              forcing=manufactured_forcing(grid(n)), n=n)
+                              forcing=manufactured_forcing(grid(n)))
         u, _ = solve_homogenized(prob)
         errors.append(w1p_error(u, 3.0))
     ratios = [a / b for a, b in zip(errors, errors[1:])]

@@ -1,7 +1,5 @@
-import io
 import json
 import os
-import re
 import subprocess
 import sys
 
@@ -11,7 +9,7 @@ import pytest
 from oscthin import build_cell_mesh, build_thin_mesh, study
 from oscthin.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, ConfigError, main,
                          parse_config, read_field, write_field)
-from oscthin.geometry import read_mesh, write_mesh, write_records
+from oscthin.geometry import read_mesh, read_table, write_mesh, write_table
 from oscthin.limit1d import read_solution, write_solution
 from oscthin.homogenize import read_cell_summary
 from oscthin.study import read_report_json
@@ -42,9 +40,10 @@ def write_config(path, **overrides):
 
 @pytest.mark.parametrize("kind", ["cell", "thin"])
 def test_writers_match_row_by_row_format(reference_profile, tmp_path, kind):
-    """The bulk mesh, field and limit-solution writers give the bytes of
-    the row-by-row format; the cell has more nodes and triangles than one
-    written chunk."""
+    """The bulk mesh, field, limit-solution and flux-profile writers give
+    the bytes of the row-by-row table format; the cell has more nodes than
+    one written chunk.  The thin case's flux profile is that of a
+    solve-eps run at its mesh."""
     mesh = (build_cell_mesh(reference_profile, 64, 32) if kind == "cell"
             else build_thin_mesh(reference_profile, 0.25, 8, 4))
     x1, x2 = oracles.nodes(mesh)[:mesh.num_nodes].T
@@ -52,28 +51,49 @@ def test_writers_match_row_by_row_format(reference_profile, tmp_path, kind):
     write_mesh(mesh, tmp_path / "mesh.txt")
     write_field(mesh, values, tmp_path / "field.txt")
     write_solution(values, tmp_path / "u0.txt")
-    assert ((tmp_path / "mesh.txt").read_bytes()
-            == oracles.row_by_row_mesh_text(mesh).encode())
-    assert ((tmp_path / "field.txt").read_bytes()
-            == oracles.row_by_row_field_text(mesh, values).encode())
-    assert ((tmp_path / "u0.txt").read_bytes()
-            == oracles.row_by_row_solution_text(values).encode())
+    expected = {
+        "mesh.txt": (("x", "height"), (mesh.grid_x, mesh.grid_heights),
+                     {"kind": kind, "rows": mesh.grid_rows,
+                      "eps": "" if mesh.eps is None else repr(mesh.eps)}),
+        "field.txt": (("x1", "x2", "value"), (x1, x2, values), {}),
+        "u0.txt": (("x", "u0"), (np.linspace(0.0, 1.0, len(values)), values),
+                   {}),
+    }
+    if kind == "thin":
+        path = write_config(
+            tmp_path / "cfg.json", profile={"period": 1.0, "mean": 1.0,
+                                            "cos_coeffs": [0.5]},
+            load={"kind": "cos_pi"}, thin_mesh={"nx_per_period": 8, "ny": 4})
+        assert main(["solve-eps", "--config", path, "--eps", "0.25",
+                     "--out", str(tmp_path)]) == EXIT_OK
+        config = parse_config(path)
+        cell = study.solve_config_cell(config)
+        solved, u, _, _, du0 = study.solve_eps(config, cell, 0.25)
+        assert solved.num_nodes == mesh.num_nodes
+        expected["flux_profile.txt"] = (
+            ("x1", "flux", "smoothed", "target"),
+            (study.flux_stations(config.flux_stations),
+             *study.flux_profiles(config, cell, solved, u, du0)), {})
+    for name, (names, columns, meta) in expected.items():
+        text = oracles.row_by_row_table_text(names, columns, meta)
+        assert (tmp_path / name).read_bytes() == text.encode(), name
 
 
 @pytest.mark.parametrize("change", [-3, 3], ids=["short", "long"])
 def test_field_of_wrong_length_refused(reference_profile, tmp_path, change):
     """A field with 3 values too few or too many for the mesh's nodes is
-    refused before the file is opened, and so are record columns of
-    unequal length."""
+    refused before the file is opened, and so are table columns of
+    unequal length or not one per name."""
     mesh = build_cell_mesh(reference_profile, 8, 4)
     values = np.zeros(mesh.num_nodes + change)
     with pytest.raises(ValueError, match="40 nodes"):
         write_field(mesh, values, tmp_path / "field.txt")
+    with pytest.raises(ValueError, match="lengths"):
+        write_table(tmp_path / "field.txt", ("x1", "value"),
+                    (oracles.nodes(mesh)[:mesh.num_nodes, 0], values))
+    with pytest.raises(ValueError, match="1 names"):
+        write_table(tmp_path / "field.txt", ("x1",), (values, values))
     assert not (tmp_path / "field.txt").exists()
-    fh = io.StringIO()
-    with pytest.raises(ValueError, match="differ in length"):
-        write_records(fh, (oracles.nodes(mesh)[:mesh.num_nodes, 0], values))
-    assert fh.getvalue() == ""
 
 
 @pytest.mark.parametrize("change, message", [
@@ -83,14 +103,12 @@ def test_field_of_wrong_length_refused(reference_profile, tmp_path, change):
     ("long", "record 3 is not an index and 3 numbers: '3 0.25 0.0 3.0 7'"),
     ("header_only", "0 records after the header, expected 15"),
     ("cut", "14 records after the header, expected 15"),
-    ("no_count", "expected header 'index x1 x2 value nodes=<count>', "
-                 "found 'index x1 x2 value'"),
 ])
 def test_field_records_refused(reference_profile, tmp_path, change, message):
     """A field file cut short in its last record or at a record boundary,
     with a field that is not a number, a record repeated (under a count
-    that admits it) or too long, no record after the header, or a header
-    without the node count is refused in one line naming the file."""
+    that admits it) or too long, or no record after the header is refused
+    in one line naming the file."""
     mesh = build_thin_mesh(reference_profile, 1.0, 4, 2)
     path = tmp_path / "field.txt"
     write_field(mesh, np.arange(float(mesh.num_nodes)), path)
@@ -100,18 +118,16 @@ def test_field_records_refused(reference_profile, tmp_path, change, message):
     elif change == "non_numeric":
         lines[1] = "0 abc 1.5 0.0"
     elif change == "extra":
-        lines[0] = "index x1 x2 value nodes=16"
+        lines[0] = lines[0].replace("records=15", "records=16")
         lines.append(lines[-1])
     elif change == "long":
         lines[4] += " 7"
     elif change == "cut":
         lines = lines[:-1]
-    elif change == "no_count":
-        lines[0] = "index x1 x2 value"
     else:
         lines = lines[:1]
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=re.escape(message)) as info:
+    with pytest.raises(ValueError) as info:
         read_field(path)
     assert str(info.value) == f"{path}: {message}"
 
@@ -375,9 +391,10 @@ class TestCommands:
         assert code == EXIT_OK
         nodes, u = read_field(out / "u_eps.txt")
         assert np.abs(u - 1.0).max() < 1e-8
-        flux = np.genfromtxt(out / "flux_profile.csv", delimiter=",",
-                             names=True)
-        assert np.abs(flux["flux"]).max() < 1e-8
+        flux, meta = read_table(out / "flux_profile.txt",
+                                ("x1", "flux", "smoothed", "target"))
+        assert meta == {} and len(flux) == 50
+        assert np.abs(flux[:, 1]).max() < 1e-8
 
     def test_study_constant_load_errors_vanish(self, tmp_path):
         """The study writes its one report, study.json, and nothing else."""

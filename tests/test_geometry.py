@@ -8,8 +8,8 @@ import pytest
 
 from oscthin import ProfileSpec, build_cell_mesh, build_thin_mesh, mesh_area
 from oscthin.geometry import (MeshingError, Mesh, fiber_integrals,
-                              locate_points, read_mesh, triangle_vertices,
-                              write_mesh)
+                              locate_points, read_mesh, read_table,
+                              triangle_vertices, write_mesh, write_table)
 from oscthin.study import flux_stations
 
 import oracles
@@ -446,7 +446,8 @@ def test_grid_nodes_place_each_node(tmp_path, reference_profile, kind):
             assert not array.flags.writeable
 
 
-OLD_LAYOUT = "expected section '# grid', found '# nodes 45'"
+OLD_LAYOUT = ("expected header 'index x height records=<count> key=value "
+              "...', found '# oscthin mesh cell eps='")
 
 
 @pytest.mark.parametrize("change, message", [
@@ -456,7 +457,7 @@ OLD_LAYOUT = "expected section '# grid', found '# nodes 45'"
     ids=["old_layout", "swap", "rotate", "no_grid", "columns", "nudge"])
 def test_mesh_off_the_grid_refused_at_read(tmp_path, reference_profile,
                                            change, message):
-    """A mesh file of the older layout (nodes, triangles, boundary edges
+    """A mesh file of an older layout (nodes, triangles, boundary edges
     and periodic pairs before the grid) is refused when read, in one line
     naming the file, whatever those sections hold: as written, with two
     triangles swapped, a triangle's vertices rotated, a cell numbered
@@ -488,26 +489,25 @@ def test_mesh_off_the_grid_refused_at_read(tmp_path, reference_profile,
                                for tag, e in mesh.boundary_edges.items()}
         mesh.periodic_pairs = new[oracles.periodic_pairs(ring)]
     if change == "no_grid":
-        mesh.grid_x = mesh.grid_heights = np.empty(0)
-        mesh.grid_rows = 0
-        text = oracles.row_by_row_mesh_text(mesh)
+        text = oracles.row_by_row_table_text(
+            ("x", "height"), ([], []), {"kind": "cell", "rows": 0, "eps": ""})
     else:
         text = oracles.old_layout_mesh_text(mesh)
     path = tmp_path / "mesh.txt"
     path.write_text(text)
-    with pytest.raises(ValueError, match=message) as info:
+    with pytest.raises(ValueError, match=re.escape(message)) as info:
         read_mesh(path)
     assert str(info.value).startswith(f"{path}: ")
     assert "\n" not in str(info.value)
 
 
 def test_mesh_file_is_header_and_grid(tmp_path, reference_profile):
-    """The resolution-64 cell mesh file is the header, the grid line and
-    one line per column, and it reads back to the same grid."""
+    """The resolution-64 cell mesh file is the header and one line per
+    column, and it reads back to the same grid."""
     mesh = build_cell_mesh(reference_profile, 256, 64)
     path = tmp_path / "mesh.txt"
     write_mesh(mesh, path)
-    assert len(path.read_text().splitlines()) == len(mesh.grid_x) + 2 == 259
+    assert len(path.read_text().splitlines()) == len(mesh.grid_x) + 1 == 258
     back = read_mesh(path)
     for name in ("grid_x", "grid_heights", "grid_nodes"):
         assert np.array_equal(getattr(back, name), getattr(mesh, name))
@@ -523,9 +523,10 @@ def test_mesh_file_is_header_and_grid(tmp_path, reference_profile):
     ("header_only", "0 records after the header, expected 5"),
 ])
 def test_mesh_records_refused(tmp_path, reference_profile, change, message):
-    """Grid records cut short (a line or a field missing), with a field
-    that is not a number, more than the declared columns, out of sequence
-    or missing altogether are refused in one line naming the file."""
+    """A mesh file's grid records cut short (a line or a field missing),
+    with a field that is not a number, more than the declared columns, out
+    of sequence or missing altogether are refused in one line naming the
+    file."""
     path = tmp_path / "mesh.txt"
     write_mesh(build_cell_mesh(reference_profile, 4, 2), path)
     lines = path.read_text().splitlines()
@@ -534,34 +535,100 @@ def test_mesh_records_refused(tmp_path, reference_profile, change, message):
     elif change == "cut":
         lines[-1] = lines[-1].rsplit(" ", 1)[0]
     elif change == "non_numeric":
-        lines[2] = "0 abc 1.5"
+        lines[1] = "0 abc 1.5"
     elif change == "extra":
         lines.append("5 1.25 1.5")
     elif change == "index":
-        lines[4], lines[5] = lines[5], lines[4]
+        lines[3], lines[4] = lines[4], lines[3]
     else:
-        lines = lines[:2]
+        lines = lines[:1]
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=re.escape(message)) as info:
+    with pytest.raises(ValueError) as info:
         read_mesh(path)
     assert str(info.value) == f"{path}: {message}"
 
 
+# each way write_damaged_tables damages a five-record table, and the
+# message (after the file name) read_table refuses it with
+HEADER = "expected header 'index x height records=<count> key=value ...'"
+TABLE_DAMAGE = {
+    "short": "record 4 is not an index and 2 numbers: '4 1.0'",
+    "non_numeric": "record 0 is not an index and 2 numbers: '0 abc 1.5'",
+    "long": "record 2 is not an index and 2 numbers: '2 0.5 1.5 7'",
+    "index": "record 2 has index 3",
+    "count_high": "4 records after the header, expected 5",
+    "count_low": "6 records after the header, expected 5",
+    "header_only": "0 records after the header, expected 5",
+    "no_count": f"{HEADER}, found 'index x height unit=m'",
+    "names": f"{HEADER}, found 'index x h records=5 unit=m'",
+    "no_equals": f"{HEADER}, found 'index x height records=5 unit'",
+    "empty": f"{HEADER}, found ''",
+}
+
+
+def write_damaged_tables(directory):
+    """A five-record ``index x height`` table with the field unit=m,
+    damaged each TABLE_DAMAGE way, one file per case named after it:
+    {case: path}.  Cut short in its last record or by a record, with an
+    entry that is not a number, a record too long, two records swapped, a
+    record repeated, nothing after the header, a header without the
+    record count, with other names or with a field that is not key=value,
+    or empty."""
+    good = directory / "table.txt"
+    write_table(good, ("x", "height"),
+                (np.linspace(0.0, 1.0, 5), np.full(5, 1.5)), unit="m")
+    lines = good.read_text().splitlines()
+    header, records = lines[0], lines[1:]
+    damaged = {
+        "short": [header, *records[:-1], records[-1].rsplit(" ", 1)[0]],
+        "non_numeric": [header, "0 abc 1.5", *records[1:]],
+        "long": [header, *records[:2], records[2] + " 7", *records[3:]],
+        "index": [header, *records[:2], records[3], records[2], records[4]],
+        "count_high": [header, *records[:-1]],
+        "count_low": [header, *records, records[-1]],
+        "header_only": [header],
+        "no_count": [header.replace(" records=5", ""), *records],
+        "names": [header.replace(" height ", " h "), *records],
+        "no_equals": [header.replace("unit=m", "unit"), *records],
+        "empty": [],
+    }
+    paths = {}
+    for case in TABLE_DAMAGE:
+        paths[case] = directory / f"table_{case}.txt"
+        paths[case].write_text("".join(f"{line}\n" for line in damaged[case]))
+    return paths
+
+
+@pytest.mark.parametrize("case", TABLE_DAMAGE)
+def test_damaged_table_refused(tmp_path, case):
+    """A damaged table is refused in one line naming the file."""
+    path = write_damaged_tables(tmp_path)[case]
+    with pytest.raises(ValueError) as info:
+        read_table(path, ("x", "height"))
+    assert str(info.value) == f"{path}: {TABLE_DAMAGE[case]}"
+
+
 @pytest.mark.parametrize("old, new, message", [
-    ("# oscthin mesh", "# mesh", "expected header '# oscthin mesh"),
-    ("# grid 5 2", "# grid 5", "expected section '# grid', found '# grid 5'"),
-    ("# grid", "", "expected section '# grid', found 'end of file'"),
-    ("cell eps=", "cell eps=0.5", "a cell mesh takes no eps, got 0.5"),
-    ("cell eps=", "thin eps=", "a thin mesh needs its eps"),
-])
+    ("kind=cell", "kind=ring",
+     "mesh kind must be 'cell' or 'thin', got 'ring'"),
+    ("rows=2", "rows=two", "invalid literal for int() with base 10: 'two'"),
+    ("rows=2", "rows=0", "one row"),
+    ("eps=", "eps=abc", "could not convert string to float: 'abc'"),
+    ("eps=", "eps=0.5", "a cell mesh takes no eps, got 0.5"),
+    ("kind=cell", "kind=thin", "a thin mesh needs its eps"),
+    ("kind=cell rows=2 eps=", "kind=thin rows=2", "a thin mesh needs its eps"),
+], ids=["kind", "rows_text", "rows_zero", "eps_text", "cell_eps",
+        "thin_empty_eps", "thin_no_eps"])
 def test_malformed_mesh_rejected(tmp_path, reference_profile, old, new,
                                  message):
+    """A mesh header whose kind, rows or eps is not of its form, or that
+    Mesh refuses, is refused in one line naming the file."""
     path = tmp_path / "mesh.txt"
     write_mesh(build_cell_mesh(reference_profile, 4, 2), path)
     text = path.read_text()
-    # an empty replacement cuts the file at the grid line, leaving the header
-    text = text.replace(old, new) if new else text[:text.index(old)]
-    path.write_text(text)
-    with pytest.raises(ValueError, match=message) as info:
+    assert old in text
+    path.write_text(text.replace(old, new))
+    with pytest.raises(ValueError, match=re.escape(message)) as info:
         read_mesh(path)
     assert str(info.value).startswith(f"{path}: ")
+    assert "\n" not in str(info.value)

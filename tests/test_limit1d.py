@@ -18,13 +18,13 @@ class TestConstantData:
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     @pytest.mark.parametrize("coeff", [0.3, 1.0, 2.0])
     def test_unit_forcing_gives_unit_solution(self, p, coeff):
-        prob = Limit1DProblem(coeff=coeff, p=p, forcing=np.ones(33), n=32)
+        prob = Limit1DProblem(coeff=coeff, p=p, forcing=np.ones(33))
         u, _ = solve_homogenized(prob)
         assert np.abs(u - 1.0).max() < 1e-8
 
     def test_constant_forcing_balances_zeroth_order_term(self):
         # |u|^(p-2) u = c  =>  u = c^(1/(p-1))
-        prob = Limit1DProblem(coeff=0.7, p=3.0, forcing=np.full(33, 2.0), n=32)
+        prob = Limit1DProblem(coeff=0.7, p=3.0, forcing=np.full(33, 2.0))
         u, _ = solve_homogenized(prob)
         assert np.abs(u - np.sqrt(2.0)).max() < 1e-8
 
@@ -68,7 +68,7 @@ class TestManufacturedConvergence:
         errors = []
         for n in (16, 32, 64, 128):
             prob = Limit1DProblem(coeff=MANUFACTURED_COEFF, p=3.0,
-                                  forcing=manufactured_forcing(grid(n)), n=n)
+                                  forcing=manufactured_forcing(grid(n)))
             u, _ = solve_homogenized(prob)
             errors.append(w1p_error(u, 3.0))
         ratios = [a / b for a, b in zip(errors, errors[1:])]
@@ -81,7 +81,7 @@ class TestNeumannAndPositivity:
         for n in (16, 32, 64):
             x = grid(n)
             prob = Limit1DProblem(coeff=0.5, p=3.0,
-                                  forcing=np.cos(np.pi * x) + 2.0, n=n)
+                                  forcing=np.cos(np.pi * x) + 2.0)
             u, _ = solve_homogenized(prob)
             s = np.diff(u) * n
             slopes.append(max(abs(s[0]), abs(s[-1])))
@@ -91,14 +91,14 @@ class TestNeumannAndPositivity:
         rng = np.random.default_rng(23)
         for p in (1.5, 2.0, 3.0):
             forcing = rng.uniform(0.0, 2.0, size=17)
-            prob = Limit1DProblem(coeff=0.8, p=p, forcing=forcing, n=16)
+            prob = Limit1DProblem(coeff=0.8, p=p, forcing=forcing)
             u, _ = solve_homogenized(prob)
             assert u.min() > -1e-10
 
     def test_energy_never_increases(self):
         x = grid(64)
-        prob = Limit1DProblem(coeff=0.6, p=3.0, forcing=np.cos(np.pi * x) + 1.5,
-                              n=64)
+        prob = Limit1DProblem(coeff=0.6, p=3.0,
+                              forcing=np.cos(np.pi * x) + 1.5)
         _, diag = solve_homogenized(prob)
         for stage in diag.stages:
             assert np.all(np.diff(stage.energies)
@@ -107,7 +107,7 @@ class TestNeumannAndPositivity:
 
 class TestScaleInvariance:
     def test_constant_forcing_is_coefficient_independent(self):
-        prob = Limit1DProblem(coeff=1.0, p=3.0, forcing=np.ones(33), n=32)
+        prob = Limit1DProblem(coeff=1.0, p=3.0, forcing=np.ones(33))
         base, _ = solve_homogenized(prob)
         scaled, _ = solve_homogenized(replace(prob, coeff=2.0))
         assert np.abs(base - 1.0).max() < 1e-8
@@ -117,7 +117,7 @@ class TestScaleInvariance:
     def test_nonconstant_solution_moves_with_coefficient(self):
         x = grid(32)
         prob = Limit1DProblem(coeff=1.0, p=3.0,
-                              forcing=np.cos(np.pi * x) + 1.5, n=32)
+                              forcing=np.cos(np.pi * x) + 1.5)
         base, _ = solve_homogenized(prob)
         scaled, _ = solve_homogenized(replace(prob, coeff=2.0))
         assert np.abs(base - scaled).max() > 1e-6
@@ -127,10 +127,10 @@ class TestScaleInvariance:
         solution at the shared nodes by a discretization-sized amount."""
         x = grid(32)
         prob = Limit1DProblem(coeff=1.0, p=3.0,
-                              forcing=np.cos(np.pi * x) + 1.5, n=32)
+                              forcing=np.cos(np.pi * x) + 1.5)
         base, _ = solve_homogenized(prob)
         fine, _ = solve_homogenized(replace(
-            prob, forcing=np.interp(grid(64), x, prob.forcing), n=64))
+            prob, forcing=np.interp(grid(64), x, prob.forcing)))
         assert np.abs(base - fine[::2]).max() < 1e-3
 
 
@@ -138,7 +138,7 @@ class TestLinearOracle:
     def test_p2_matches_dense_tridiagonal_solve(self):
         x = grid(48)
         forcing = np.cos(np.pi * x) + 1.0
-        prob = Limit1DProblem(coeff=0.7, p=2.0, forcing=forcing, n=48)
+        prob = Limit1DProblem(coeff=0.7, p=2.0, forcing=forcing)
         u, _ = solve_homogenized(prob)
         ref = oracles.linear_limit_solve(0.7, forcing)
         assert np.abs(u - ref).max() < 1e-9
@@ -158,19 +158,22 @@ class TestDerivativeRecovery:
 class TestValidation:
     def test_bad_coefficient(self):
         with pytest.raises(ValueError):
-            Limit1DProblem(coeff=0.0, p=2.0, forcing=np.ones(5), n=4)
+            Limit1DProblem(coeff=0.0, p=2.0, forcing=np.ones(5))
 
     def test_bad_exponent(self):
         with pytest.raises(ValueError, match="p must exceed 1"):
-            Limit1DProblem(coeff=1.0, p=1.0, forcing=np.ones(5), n=4)
+            Limit1DProblem(coeff=1.0, p=1.0, forcing=np.ones(5))
 
     def test_mismatched_forcing(self):
-        with pytest.raises(ValueError):
-            Limit1DProblem(coeff=1.0, p=2.0, forcing=np.ones(5), n=8)
+        """The element count is read from the forcing, which must be 1-D
+        with at least 3 samples (2 elements)."""
+        for forcing in (np.ones(2), np.ones((3, 3)), np.ones(())):
+            with pytest.raises(ValueError, match="at least 3 samples"):
+                Limit1DProblem(coeff=1.0, p=2.0, forcing=forcing)
 
 
 def test_solution_round_trip(tmp_path):
-    prob = Limit1DProblem(coeff=1.0, p=2.0, forcing=np.ones(9), n=8)
+    prob = Limit1DProblem(coeff=1.0, p=2.0, forcing=np.ones(9))
     u, _ = solve_homogenized(prob)
     path = tmp_path / "u0.txt"
     write_solution(u, path)
@@ -180,21 +183,28 @@ def test_solution_round_trip(tmp_path):
 
 
 
-@pytest.mark.parametrize("keep, record, message", [
-    (5, None, "abscissae run from 0.0 to 0.375"),
-    (1, None, "0 records after the header"),
-    (9, "0.375", "record 3 is not 2 numbers: '0.375'"),
-    (9, "0.375 1.0 2.0", "record 3 is not 2 numbers: '0.375 1.0 2.0'"),
-    (9, "0.375 one", "record 3 is not 2 numbers: '0.375 one'"),
-], ids=["cut", "empty", "short", "long", "text"])
-def test_damaged_solution_refused(tmp_path, keep, record, message):
-    """A u0.txt cut after 4 of its 9 records, or with a record that is not
-    x and a value, is refused in one line that names the file."""
+@pytest.mark.parametrize("keep, line, text, message", [
+    (6, 0, "index x u0 records=5",
+     "abscissae run [0.0, 0.5], expected [0.0, 1.0]"),
+    (1, 0, None, "0 records after the header, expected 9"),
+    (10, 4, "3 0.375", "record 3 is not an index and 2 numbers: '3 0.375'"),
+    (10, 4, "3 0.375 1.0 2.0",
+     "record 3 is not an index and 2 numbers: '3 0.375 1.0 2.0'"),
+    (10, 4, "3 0.375 one",
+     "record 3 is not an index and 2 numbers: '3 0.375 one'"),
+    (10, 0, "x u0 records=9",
+     "expected header 'index x u0 records=<count> key=value"),
+], ids=["cut", "empty", "short", "long", "text", "header"])
+def test_damaged_solution_refused(tmp_path, keep, line, text, message):
+    """A u0.txt cut after 5 of its 9 records with its count set to match,
+    with no record, with a record that is not an index, x and a value, or
+    with a header of other names is refused in one line that names the
+    file."""
     path = tmp_path / "u0.txt"
     write_solution(np.ones(9), path)
     lines = path.read_text().splitlines()[:keep]
-    if record is not None:
-        lines[4] = record
+    if text is not None:
+        lines[line] = text
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError) as info:
         read_solution(path)

@@ -427,8 +427,7 @@ class TestPlanBand:
     def test_limit_band_matches_oracle(self, p, delta):
         n = 64
         grid = np.linspace(0.0, 1.0, n + 1)
-        prob = Limit1DProblem(coeff=0.7, p=p, forcing=np.cos(np.pi * grid),
-                              n=n)
+        prob = Limit1DProblem(coeff=0.7, p=p, forcing=np.cos(np.pi * grid))
         u = np.cos(np.pi * grid) + 0.1 * np.sin(9.0 * grid)
         band = _LimitPoint(prob, _gauss_values(prob.forcing), u,
                            delta).jacobian()

@@ -19,6 +19,7 @@ from oscthin.study import (LoadSpec, PartitionSpec, box_smooth, cell_response,
                            solve_config_cell, solve_thin, write_report_json)
 
 import oracles
+from test_geometry import TABLE_DAMAGE, write_damaged_tables
 
 
 def tiny_config(profile, load, p=3.0, epsilons=(0.5, 0.25), levels=(2,)):
@@ -43,6 +44,11 @@ REPORT_DAMAGE = {
     "row_adds_field": ("StudyRow.__init__() got an unexpected keyword "
                        "argument 'extra'"),
     "max_workers": "unknown config key 'max_workers'",
+    "eps_text": "row eps must be a number, got 'abc'",
+    "level_fraction": "row level must be an integer, got 2.5",
+    "err_null": "row err_u must be a number, got None",
+    "iterations_bool": "row newton_iterations must be an integer, got True",
+    "status_number": "row status must be a string, got 0",
 }
 
 
@@ -70,6 +76,12 @@ def write_damaged_reports(directory, profile):
             {k: v for k, v in row.items() if k != "status"}]),
         "row_adds_field": dict(data, rows=[dict(row, extra=1)]),
         "max_workers": dict(data, config=dict(data["config"], max_workers=1)),
+        "eps_text": dict(data, rows=[dict(row, eps="abc")]),
+        "level_fraction": dict(data, rows=[dict(row, level=2.5)]),
+        "err_null": dict(data, rows=[dict(row, err_u=None)]),
+        "iterations_bool": dict(data,
+                                rows=[dict(row, newton_iterations=True)]),
+        "status_number": dict(data, rows=[dict(row, status=0)]),
     }
     paths = {}
     for case in REPORT_DAMAGE:
@@ -228,7 +240,7 @@ class TestErrors:
         from oscthin.limit1d import solve_homogenized
         from oscthin import Limit1DProblem
         u0, _ = solve_homogenized(
-            Limit1DProblem(coeff=cell.coeff_flux, p=2.0, forcing=forcing, n=64))
+            Limit1DProblem(coeff=cell.coeff_flux, p=2.0, forcing=forcing))
         du0 = nodal_derivative(u0)
         part = PartitionSpec.dyadic(3, 1.0)
         c = corrector_field(du0, part, mesh, cell_response(cell, mesh))
@@ -293,7 +305,7 @@ class TestFlux:
         from oscthin.limit1d import solve_homogenized
         from oscthin import Limit1DProblem
         u0, _ = solve_homogenized(
-            Limit1DProblem(coeff=1.0, p=2.0, forcing=np.cos(np.pi * x), n=128))
+            Limit1DProblem(coeff=1.0, p=2.0, forcing=np.cos(np.pi * x)))
         du0 = nodal_derivative(u0)
         profile = flux_profile(mesh, u, 2.0, 40)
         target = flux_target(cell, du0, 40)
@@ -370,30 +382,32 @@ class TestReportIO:
 
     def test_readers_reject_malformed_files_under_optimize(self, tmp_path,
                                                             flat_profile):
-        """The report, header and section checks are not asserts: python
-        -O keeps them.  Each damaged report is refused naming the file.  A
-        mesh header's eps token without '=' or with a value that is no
-        number is refused naming the file, before the (valid) grid is
-        read; a NaN is a number, which the thin mesh refuses."""
+        """The report, table and mesh header checks are not asserts:
+        python -O keeps them.  Each damaged report and each damaged table
+        is refused naming the file.  A mesh header's eps token without '='
+        or with a value that is no number is refused naming the file; a
+        NaN is a number, which the thin mesh refuses."""
         reports = write_damaged_reports(tmp_path, flat_profile)
-        (tmp_path / "mesh.txt").write_text("# oscthin mesh cell eps=\n"
-                                           "# triangles 0\n")
+        tables = write_damaged_tables(tmp_path)
         bad_eps = ("eps", "eps=abc", "eps=nan")
         for k, token in enumerate(bad_eps):
             (tmp_path / f"eps{k}.txt").write_text(
-                f"# oscthin mesh thin {token}\n# grid 3 2\n"
+                f"index x height records=3 kind=thin rows=2 {token}\n"
                 "0 0.0 1.0\n1 0.5 1.0\n2 1.0 1.0\n")
-        names = [path.name for path in reports.values()] + [
-            "mesh.txt", *(f"eps{k}.txt" for k in range(len(bad_eps)))]
+        names = ([path.name for path in (*reports.values(), *tables.values())]
+                 + [f"eps{k}.txt" for k in range(len(bad_eps))])
         script = (
             "import sys\n"
-            "from oscthin.geometry import read_mesh\n"
+            "from oscthin.geometry import read_mesh, read_table\n"
             "from oscthin.study import read_report_json\n"
             "for name in sys.argv[1:]:\n"
-            "    read = read_report_json if name.endswith('.json') "
-            "else read_mesh\n"
             "    try:\n"
-            "        read(name)\n"
+            "        if name.endswith('.json'):\n"
+            "            read_report_json(name)\n"
+            "        elif name.startswith('table_'):\n"
+            "            read_table(name, ('x', 'height'))\n"
+            "        else:\n"
+            "            read_mesh(name)\n"
             "    except ValueError as exc:\n"
             "        print(exc)\n")
         src = os.path.dirname(os.path.dirname(oscthin.__file__))
@@ -404,15 +418,17 @@ class TestReportIO:
         assert done.returncode == 0, done.stderr
         lines = done.stdout.splitlines()
         assert len(lines) == len(names)
-        for line, (case, message) in zip(lines, REPORT_DAMAGE.items()):
-            assert line.startswith(f"{case}.json: {message}")
-        mesh_lines = lines[len(REPORT_DAMAGE):]
-        assert mesh_lines[0] == ("mesh.txt: expected section '# grid', "
-                                 "found '# triangles 0'")
-        for k, (line, token) in enumerate(zip(mesh_lines[1:3], bad_eps)):
-            assert line == (f"eps{k}.txt: expected 'eps=' and a number or "
-                            f"nothing, found {token!r}")
-        assert mesh_lines[3] == "eps2.txt: a thin mesh needs its eps in (0, 1]: nan"
+        expected = [*(f"{case}.json: {message}"
+                      for case, message in REPORT_DAMAGE.items()),
+                    *(f"table_{case}.txt: {message}"
+                      for case, message in TABLE_DAMAGE.items()),
+                    "eps0.txt: expected header 'index x height "
+                    "records=<count> key=value ...', found 'index x height "
+                    "records=3 kind=thin rows=2 eps'",
+                    "eps1.txt: could not convert string to float: 'abc'",
+                    "eps2.txt: a thin mesh needs its eps in (0, 1]: nan"]
+        for line, start in zip(lines, expected):
+            assert line.startswith(start)
 
     def test_json_round_trip(self, flat_profile, tmp_path):
         config = tiny_config(flat_profile, LoadSpec(kind="cos_pi"))
