@@ -70,30 +70,20 @@ def _field_path(out_dir, name):
 
 
 def write_field(mesh, values, path):
-    """Nodal field export: a geometry.write_table table, one ``index x1 x2
-    value`` record per node, coordinates spread from the column grid (a
-    cell's last column is its first, its nodes at the first's abscissa,
-    each formatted once).  values needs one per node, else ValueError."""
+    """Nodal field export: a geometry.write_table table, one ``index value``
+    record per node in node order (geometry.write_mesh places the nodes).
+    values needs one per node, else ValueError."""
     values = np.asarray(values, dtype=float)
-    n = mesh.num_nodes
-    if values.shape != (n,):
-        raise ValueError(f"a field on {n} nodes cannot take "
+    if values.shape != (mesh.num_nodes,):
+        raise ValueError(f"a field on {mesh.num_nodes} nodes cannot take "
                          f"values of shape {values.shape}")
-    columns = n // (mesh.grid_rows + 1)     # the distinct ones
-    node = mesh.grid_nodes[:columns]
-    x1 = np.empty(n, dtype=object)
-    x1[node] = np.array(list(map(repr, mesh.grid_x[:columns].tolist())),
-                        dtype=object)[:, None]
-    x2 = np.empty(n)
-    x2[node.T] = mesh.grid_coordinates()[1][:, :columns]
-    geometry.write_table(path, ("x1", "x2", "value"), (x1, x2, values))
+    geometry.write_table(path, ("value",), (values,))
 
 
 def read_field(path):
-    """Read a field written by write_field: (nodes array, values array);
-    a table geometry.read_table refuses raises its ValueError."""
-    data, _ = geometry.read_table(path, ("x1", "x2", "value"))
-    return data[:, :2], data[:, 2]
+    """Read a field written by write_field: its values; a table
+    geometry.read_table refuses raises its ValueError."""
+    return geometry.read_table(path, ("value",))[0][:, 0]
 
 
 def _cmd_cell(config, args):
@@ -114,6 +104,7 @@ def _cmd_solve_eps(config, args):
     profiles = study.flux_profiles(config, cell, mesh, u, du0)
 
     out = args.out or "."
+    geometry.write_mesh(mesh, _field_path(out, "thin_mesh.txt"))
     write_field(mesh, u, _field_path(out, "u_eps.txt"))
     geometry.write_table(_field_path(out, "flux_profile.txt"),
                          ("x1", "flux", "smoothed", "target"),

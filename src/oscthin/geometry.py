@@ -401,10 +401,10 @@ _CHUNK = 2048
 
 
 def write_table(path, names, columns, **meta):
-    """Write equal-length array columns, one per name, to path as a table:
-    a header ``index``, the names, ``records=<count>`` and ``key=value``
-    per meta item, then per row its index and entries, space separated,
-    float arrays by repr (which round-trips), others by str.  Columns are
+    """Write equal-length float array columns, one per name, to path as a
+    table: a header ``index``, the names, ``records=<count>`` and
+    ``key=value`` per meta item, then per row its index and entries, space
+    separated, each by repr (which round-trips).  Columns are
     formatted and written _CHUNK rows at a time, in bounded memory.
     Columns of unequal length, or not one per name, raise ValueError
     before the file is opened."""
@@ -412,15 +412,13 @@ def write_table(path, names, columns, **meta):
     if len(columns) != len(names) or any(len(col) != n for col in columns):
         raise ValueError(f"{len(names)} names for record columns of "
                          f"lengths {[len(col) for col in columns]}")
-    formats = [repr if col.dtype.kind == "f" else str for col in columns]
     fields = [f"records={n}", *(f"{key}={value}" for key, value in meta.items())]
     with open(path, "w") as fh:
         fh.write(" ".join(["index", *names, *fields]) + "\n")
         for start in range(0, n, _CHUNK):
             stop = min(start + _CHUNK, n)
-            parts = [map(str, range(start, stop))]
-            for fmt, col in zip(formats, columns):
-                parts.append(map(fmt, col[start:stop].tolist()))
+            parts = [map(str, range(start, stop)),
+                     *(map(repr, col[start:stop].tolist()) for col in columns)]
             fh.write("\n".join(map(" ".join, zip(*parts))) + "\n")
 
 

@@ -40,6 +40,14 @@ def _object(where, value):
     return value
 
 
+def _numbers(key, values, integer=False):
+    """values as a tuple of _number if a JSON list (or a tuple), else
+    ValueError naming the config key: a number or string is not iterated."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{key} must be a list, got {values!r}")
+    return tuple(_number(key, value, integer) for value in values)
+
+
 @dataclass(frozen=True)
 class PartitionSpec:
     """Partition of (0, 1) into cells between increasing edges; dyadic
@@ -134,7 +142,7 @@ class StudyConfig:
     def __post_init__(self):
         if not _number("p", self.p) > 1.0:
             raise ValueError(f"p must exceed 1, got {self.p}")
-        eps = tuple(float(_number("epsilons", e)) for e in self.epsilons)
+        eps = tuple(map(float, _numbers("epsilons", self.epsilons)))
         if not eps:
             raise ValueError("the oscillation ladder must not be empty")
         for key, value in (("p", self.p), *(("epsilons", e) for e in eps)):
@@ -145,7 +153,7 @@ class StudyConfig:
                 raise ValueError(f"epsilons must lie in (0, 1], got {value!r}")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("the oscillation ladder must be strictly decreasing")
-        levels = tuple(self.partition_levels)
+        levels = _numbers("partition_levels", self.partition_levels, True)
         if not levels:
             raise ValueError("the partition ladder must not be empty")
         for key, value, least in (
@@ -199,26 +207,28 @@ class StudyConfig:
         profile = geometry.ProfileSpec(
             period=float(_number("profile.period", prof["period"])),
             mean=float(_number("profile.mean", prof["mean"])),
-            **{key: tuple(_number(f"profile.{key}", a)
-                          for a in prof.get(key, ()))
+            **{key: _numbers(f"profile.{key}", prof.get(key, ()))
                for key in ("cos_coeffs", "sin_coeffs")})
         # each solver option takes the type of its default
         defaults = asdict(solve.SolveOptions())
         solver = solve.SolveOptions(**{
-            key: (tuple(_number(f"solver.{key}", d) for d in val)
+            key: (_numbers(f"solver.{key}", val)
                   if isinstance(defaults[key], tuple)
                   else _number(f"solver.{key}", val,
                                isinstance(defaults[key], int)))
             for key, val in sections["solver"].items() if key in defaults})
+        # known load keys only, so a typo meets the layout check below
+        load = {key: val for key, val in sections["load"].items()
+                if key in {f.name for f in fields(LoadSpec)}}
         # only the sizes given, so the field defaults are the one copy
         sizes = {name: sections[section][key]
                  for name, section, key, _ in _SIZES if key in sections[section]}
         config = cls(
             profile=profile,
             p=float(_number("p", data["p"])),
-            load=LoadSpec(**sections["load"]),
-            epsilons=tuple(data["epsilons"]),
-            partition_levels=tuple(data["partition_levels"]),
+            load=LoadSpec(**load),
+            epsilons=data["epsilons"],
+            partition_levels=data["partition_levels"],
             solver=solver,
             **sizes,
         )

@@ -55,7 +55,7 @@ def test_writers_match_row_by_row_format(reference_profile, tmp_path, kind):
         "mesh.txt": (("x", "height"), (mesh.grid_x, mesh.grid_heights),
                      {"kind": kind, "rows": mesh.grid_rows,
                       "eps": "" if mesh.eps is None else repr(mesh.eps)}),
-        "field.txt": (("x1", "x2", "value"), (x1, x2, values), {}),
+        "field.txt": (("value",), (values,), {}),
         "u0.txt": (("x", "u0"), (np.linspace(0.0, 1.0, len(values)), values),
                    {}),
     }
@@ -79,6 +79,27 @@ def test_writers_match_row_by_row_format(reference_profile, tmp_path, kind):
         assert (tmp_path / name).read_bytes() == text.encode(), name
 
 
+@pytest.mark.parametrize("kind", ["cell", "thin"])
+def test_mesh_and_field_give_every_node(reference_profile, tmp_path, kind):
+    """read_mesh and read_field give every node's (x1, x2, value) bit for
+    bit: the field on the grid, values[mesh.grid_nodes.T], lines up with
+    mesh.grid_coordinates(), a cell's last column taking its first's
+    values.  The cell has more nodes than one written chunk."""
+    mesh = (build_cell_mesh(reference_profile, 64, 32) if kind == "cell"
+            else build_thin_mesh(reference_profile, 0.25, 8, 4))
+    nodes = oracles.nodes(mesh)
+    values = np.sin(3.0 * nodes[:mesh.num_nodes, 0]) + nodes[:mesh.num_nodes, 1]
+    write_mesh(mesh, tmp_path / "mesh.txt")
+    write_field(mesh, values, tmp_path / "field.txt")
+    back = read_mesh(tmp_path / "mesh.txt")
+    x1, x2 = back.grid_coordinates()
+    got = np.stack([x1, x2, read_field(tmp_path / "field.txt")[back.grid_nodes.T]])
+    node = oracles.grid_nodes(mesh).T
+    expected = np.stack([nodes[node, 0], nodes[node, 1],
+                         oracles.unfold(mesh, values)[node]])
+    assert np.array_equal(got, expected)
+
+
 @pytest.mark.parametrize("change", [-3, 3], ids=["short", "long"])
 def test_field_of_wrong_length_refused(reference_profile, tmp_path, change):
     """A field with 3 values too few or too many for the mesh's nodes is
@@ -97,10 +118,10 @@ def test_field_of_wrong_length_refused(reference_profile, tmp_path, change):
 
 
 @pytest.mark.parametrize("change, message", [
-    ("short", "record 14 is not an index and 3 numbers: '14 1.0 1.5'"),
-    ("non_numeric", "record 0 is not an index and 3 numbers: '0 abc 1.5 0.0'"),
+    ("short", "record 14 is not an index and 1 numbers: '14'"),
+    ("non_numeric", "record 0 is not an index and 1 numbers: '0 abc'"),
     ("extra", "record 15 has index 14"),
-    ("long", "record 3 is not an index and 3 numbers: '3 0.25 0.0 3.0 7'"),
+    ("long", "record 3 is not an index and 1 numbers: '3 3.0 7'"),
     ("header_only", "0 records after the header, expected 15"),
     ("cut", "14 records after the header, expected 15"),
 ])
@@ -116,7 +137,7 @@ def test_field_records_refused(reference_profile, tmp_path, change, message):
     if change == "short":
         lines[-1] = lines[-1].rsplit(" ", 1)[0]
     elif change == "non_numeric":
-        lines[1] = "0 abc 1.5 0.0"
+        lines[1] = "0 abc"
     elif change == "extra":
         lines[0] = lines[0].replace("records=15", "records=16")
         lines.append(lines[-1])
@@ -164,6 +185,8 @@ class TestParseConfig:
         ({"cell_mesh": {"nx": 16, "nY": 8}}, "'nY' in cell_mesh"),
         ({"thin_mesh": {"nx": 8, "ny": 4}}, "'nx' in thin_mesh"),
         ({"max_workers": 1}, "'max_workers'"),
+        ({"load": {"kind": "constant", "value": 1.0, "kk": 2}},
+         "'kk' in load"),
     ])
     def test_unknown_key_rejected(self, tmp_path, overrides, key):
         path = write_config(tmp_path / "typo.json", **overrides)
@@ -216,6 +239,16 @@ class TestParseConfig:
          "profile.period must be a number, got '1.0'"),
         ({"profile": {"period": 1.0, "mean": 1.0, "cos_coeffs": ["0.5"]}},
          "profile.cos_coeffs must be a number, got '0.5'"),
+        # a list-valued key given one value is refused, not iterated
+        ({"epsilons": 0.5}, "epsilons must be a list, got 0.5"),
+        ({"partition_levels": "24"},
+         "partition_levels must be a list, got '24'"),
+        ({"profile": {"period": 1.0, "mean": 1.0, "cos_coeffs": "0.5"}},
+         "profile.cos_coeffs must be a list, got '0.5'"),
+        ({"profile": {"period": 1.0, "mean": 1.0, "sin_coeffs": 0.5}},
+         "profile.sin_coeffs must be a list, got 0.5"),
+        ({"solver": {"continuation_deltas": 1e-8}},
+         "solver.continuation_deltas must be a list, got 1e-08"),
         ({"solver": {"max_halvings": 2.5}},
          "solver.max_halvings must be an integer, got 2.5"),
         ({"solver": {"max_newton": 2.5}},
@@ -255,6 +288,8 @@ class TestParseConfig:
             "level_float", "level_bool",
             "level_string", "level_past_mesh", "level_huge", "p_string",
             "eps_string", "eps_bool", "period_string", "cos_coeff_string",
+            "eps_number", "levels_string", "cos_coeffs_string",
+            "sin_coeffs_number", "deltas_number",
             "max_halvings_float", "max_newton_float", "residual_tol_bool",
             "deltas_string",
             "solver_typo", "load_value_bool", "residual_tol_inf",
@@ -356,11 +391,11 @@ class TestCommands:
         summary = read_cell_summary(out / "cell_summary.txt")
         assert abs(summary["coeff_flux"] - 1.0) < 1e-10
         mesh = read_mesh(out / "cell_mesh.txt")
-        nodes, phi = read_field(out / "cell_phi.txt")
-        # one record per distinct node: the last column is the first, and
-        # its nodes carry the first column's abscissa
+        phi = read_field(out / "cell_phi.txt")
+        assert sorted(os.listdir(out)) == ["cell_mesh.txt", "cell_phi.txt",
+                                           "cell_summary.txt"]
+        # one record per distinct node: the last column is the first
         assert len(phi) == mesh.num_nodes == 16 * 9
-        assert np.all(nodes[mesh.grid_nodes[-1], 0] == 0.0)
         assert np.abs(phi).max() < 1e-10
         # the file holds only the grid; what read_mesh builds from it is
         # the mesh the cell was solved on
@@ -373,7 +408,6 @@ class TestCommands:
         assert edges.keys() == oracles.boundary_edges(solved).keys()
         for tag, solved_edges in oracles.boundary_edges(solved).items():
             assert np.array_equal(edges[tag], solved_edges)
-        assert np.array_equal(nodes, oracles.nodes(solved)[:len(phi)])
 
     def test_solve_limit_unit_forcing(self, tmp_path):
         path = write_config(tmp_path / "cfg.json")
@@ -389,7 +423,15 @@ class TestCommands:
         code = main(["solve-eps", "--config", path, "--eps", "0.5",
                      "--out", str(out)])
         assert code == EXIT_OK
-        nodes, u = read_field(out / "u_eps.txt")
+        assert sorted(os.listdir(out)) == ["flux_profile.txt", "thin_mesh.txt",
+                                           "u_eps.txt"]
+        mesh = read_mesh(out / "thin_mesh.txt")
+        # the mesh u_eps was solved on
+        built = build_thin_mesh(parse_config(path).profile, 0.5, 8, 4)
+        for name in ("domain_kind", "eps", "grid_x", "grid_heights", "grid_rows"):
+            assert np.array_equal(getattr(mesh, name), getattr(built, name))
+        u = read_field(out / "u_eps.txt")
+        assert len(u) == mesh.num_nodes
         assert np.abs(u - 1.0).max() < 1e-8
         flux, meta = read_table(out / "flux_profile.txt",
                                 ("x1", "flux", "smoothed", "target"))
