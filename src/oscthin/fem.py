@@ -210,11 +210,13 @@ def _power_weight(sq, p, delta):
     """(delta^2 + sq)^((p-2)/2) with the singular p<2, delta=0 case masked.
 
     The masked entries multiply a zero vector in every caller, so mapping
-    them to 0 realizes the continuous limit |xi|^(p-2) xi -> 0.
+    them to 0 realizes the continuous limit |xi|^(p-2) xi -> 0.  A weight
+    that overflows (large p) is inf, which _check_finite refuses.
     """
     base = delta * delta + np.asarray(sq, dtype=float)
     if p >= 2.0 or delta > 0.0:
-        return base ** ((p - 2.0) / 2.0)
+        with np.errstate(over="ignore"):
+            return base ** ((p - 2.0) / 2.0)
     out = np.zeros_like(base)
     pos = base > 0.0
     out[pos] = base[pos] ** ((p - 2.0) / 2.0)
@@ -233,11 +235,6 @@ def p_flux(xi, params):
     xi = np.asarray(xi, dtype=float)
     sq = (xi * xi).sum(axis=-1)
     return _power_weight(sq, params.p, params.delta)[..., None] * xi
-
-
-def p_flux_inverse(xi, p):
-    """Flux with the conjugate exponent p' = p/(p-1); inverts p_flux at delta=0."""
-    return p_flux(xi, FluxParams(p=p / (p - 1.0)))
 
 
 def p_flux_scalar(x, p):

@@ -8,8 +8,10 @@ holding equispaced nodes between the flat bottom and the profile graph.
 This keeps the left and right boundary layers identical, so a cell's
 last column can be its first, and makes point location inside the mesh a
 closed-form computation.  The column grid is the only form a mesh is
-stored or read in: triangle_vertices states the triangle numbering, and
-the fiber integrals, the barycenters and the mesh file all read the grid.
+stored or read in: quad (i, j) of column i and row j holds triangles
+2(i*ny + j) (ll, lr, ur) and 2(i*ny + j) + 1 (ll, ur, ul), and the
+vertical fiber integrals, the barycenters, point location and the mesh
+file all read the grid.
 """
 
 from dataclasses import dataclass, field
@@ -107,7 +109,7 @@ class Mesh:
     eps          a thin mesh's oscillation parameter in (0, 1], which
                  scales its gradient to (d1, d2/eps); None on a cell
 
-    No node or triangle table is kept (triangle_vertices states the
+    No node or triangle table is kept (the module docstring states the
     triangle numbering); column_areas and areas are cached on first read.
     Every array is read-only.
 
@@ -224,18 +226,6 @@ class Mesh:
         return np.stack([ll + lr + ur, ll + ur + ul], axis=-1).ravel() / 3.0
 
 
-def triangle_vertices(mesh, tris, axis):
-    """Coordinate axis (0: x1, 1: x2) of the vertices of triangles tris,
-    (len(tris), 3), read from grid_coordinates: triangle 2(i*ny + j) + h
-    of quad (i, j) is its lower half ll, lr, ur for h = 0 and its upper
-    half ll, ur, ul for h = 1 (split along the ll-ur diagonal, positively
-    oriented)."""
-    g = mesh.grid_coordinates()[axis]
-    q, h = np.divmod(tris, 2)
-    i, j = np.divmod(q, mesh.grid_rows)
-    return np.stack([g[j, i], g[j + h, i + 1], g[j + 1, i + 1 - h]], axis=-1)
-
-
 def build_cell_mesh(spec, nx, ny):
     """Mesh one period of the profile: columns in [0, period], rows up to
     g; the last column, the first one's periodic image, takes its height
@@ -288,25 +278,19 @@ def mesh_area(mesh):
     return float(mesh.areas.sum())
 
 
-def fiber_integrals(mesh, axis, values, field):
-    """Integral of the per-triangle field (T,) along each line
-    {x[axis] == values[k]} inside the mesh, zero for a line that misses
-    it; a field of another shape raises ValueError.  A vertical fiber
-    (axis 0) crosses the lower triangles of one column with one length and
-    the upper ones with another, so it is two column sums of the field; a
-    horizontal one (axis 1) meets a band of rows per column, which alone
-    is clipped against the vertices triangle_vertices reads.  A value on a
-    mesh line is shifted once by 1e-9 times the largest of |value| and the
-    coordinates of the triangles it touches (fiber integrals are defined
+def fiber_integrals(mesh, values, field):
+    """Integral of the per-triangle field (T,) along each vertical line
+    {x1 == values[k]} inside the mesh, zero for a line that misses it; a
+    field of another shape raises ValueError.  The line crosses the lower
+    triangles of one column with one length and the upper ones with
+    another, so it is two column sums of the field.  A value on a column
+    line is shifted right by a relative 1e-9 (fiber integrals are defined
     up to sets of measure zero, so the nearby generic fiber is equivalent).
     """
     values = np.atleast_1d(np.asarray(values, dtype=float))
     field = np.asarray(field, dtype=float)
     if field.shape != (mesh.num_triangles,):
         raise ValueError(f"field of shape {field.shape}, not one per triangle")
-    if axis == 1:
-        rows, tris, lengths = _horizontal_fibers(mesh, values)
-        return np.bincount(rows, lengths * field[tris], minlength=len(values))
     xs, hs, ny = mesh.grid_x, mesh.grid_heights, mesh.grid_rows
     k = np.minimum(np.searchsorted(xs, values), len(xs) - 1)
     # abscissae are nonnegative and increasing, so line k+1 carries the
@@ -321,56 +305,6 @@ def fiber_integrals(mesh, axis, values, field):
     out = np.zeros(len(xv))
     out[inside] = (f * hs[i + 1] * lower + (1.0 - f) * hs[i] * upper) / ny
     return out
-
-
-def _horizontal_fibers(mesh, levels):
-    for shifted in (False, True):
-        rows, tris, y = _level_candidates(mesh, levels)
-        s = y - levels[rows, None]
-        flat = (s == 0.0).sum(axis=1) >= 2      # an edge lies on the level
-        if not flat.any():
-            break
-        if shifted:
-            raise MeshingError(
-                f"fiber at {levels[rows[flat][0]]!r} lies on a mesh edge")
-        reach = np.maximum(np.abs(levels), 1e-30)
-        np.maximum.at(reach, rows, np.abs(y).max(axis=1))
-        levels = np.where(np.isin(np.arange(len(levels)), rows[flat]),
-                          levels + 1e-9 * reach, levels)
-    # the segment spans the points where the level meets the edges; fmin and
-    # fmax skip the NaN of the edges it does not meet
-    x = triangle_vertices(mesh, tris, 0)
-    left = right = np.full(len(tris), np.nan)
-    for k in range(3):
-        s0, s1 = s[:, k], s[:, k - 1]
-        t = s0 / np.where((s0 * s1 <= 0.0) & (s0 != s1), s0 - s1, np.nan)
-        pt = x[:, k] + t * (x[:, k - 1] - x[:, k])
-        left, right = np.fmin(left, pt), np.fmax(right, pt)
-    keep = right > left
-    return rows[keep], tris[keep], (right - left)[keep]
-
-
-def _level_candidates(mesh, levels):
-    """(level, triangle) pairs whose triangle spans the level, with the
-    triangle's vertex heights.  In column i the level h meets only rows
-    floor(h*ny/max(h_i, h_i+1)) to floor(h*ny/min(h_i, h_i+1)); one row of
-    slack on each side absorbs roundoff before the exact span test."""
-    hs, ny = mesh.grid_heights, mesh.grid_rows
-    scaled = levels[:, None] * ny
-    lo = np.maximum(np.floor(scaled / np.maximum(hs[:-1], hs[1:])) - 1, 0)
-    hi = np.minimum(np.floor(scaled / np.minimum(hs[:-1], hs[1:])) + 1, ny - 1)
-    # quad q = i*ny + j holds triangles 2q and 2q+1, so a band is one range
-    first = (2 * (np.arange(len(hs) - 1) * ny + lo)).astype(np.int64).ravel()
-    count = np.maximum(2 * (hi - lo + 1), 0).astype(np.int64).ravel()
-    pair = np.repeat(np.arange(count.size), count)
-    tris = (first[pair] + np.arange(pair.size)
-            - np.repeat(np.cumsum(count) - count, count))
-    rows = pair // (len(hs) - 1)
-    y = triangle_vertices(mesh, tris, 1)
-    h = levels[rows]
-    keep = ((np.fmin(np.fmin(y[:, 0], y[:, 1]), y[:, 2]) <= h)
-            & (h <= np.fmax(np.fmax(y[:, 0], y[:, 1]), y[:, 2])))
-    return rows[keep], tris[keep], y[keep]
 
 
 def locate_points(mesh, points):
@@ -450,8 +384,9 @@ def read_table(path, names):
                 raise ValueError
             data[k] = row[1:]
         except ValueError:
+            numbers = f"{len(names)} number" + "s" * (len(names) > 1)
             raise ValueError(f"{path}: record {k} is not an index and "
-                             f"{len(names)} numbers: {' '.join(row)!r}") from None
+                             f"{numbers}: {' '.join(row)!r}") from None
         if row[0] != str(k):
             raise ValueError(f"{path}: record {k} has index {row[0]}")
     return data, meta

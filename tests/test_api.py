@@ -16,12 +16,6 @@ from oscthin import geometry, solve
 
 # text readers and writers, called by users and by the tests
 IO_PREFIXES = ("read_", "write_", "format_", "parse_")
-# helpers that only the acceptance criteria call
-ACCEPTANCE_HELPERS = {
-    "p_flux_inverse",                   # criterion 10
-    "measure_identity_check",           # criterion 9
-    "flux_density_height_integral",     # criterion 8
-}
 # public class members that no code in the package reads, by reason
 MEMBER_ALLOWLIST = {
     # the report contract that the benchmark gate and the ROADMAP compare
@@ -48,8 +42,8 @@ def _referenced_names(modules):
 
 def test_every_public_definition_is_read_or_exempt():
     """Package code reads every public function or class, unless it is a
-    text reader or writer or an acceptance helper: oscthin.__all__ does
-    not count as a reader."""
+    text reader or writer: oscthin.__all__ does not count as a reader, and
+    a helper that only the tests call belongs in the tests."""
     modules = _modules()
     used = _referenced_names(modules)
     unused = [
@@ -60,15 +54,8 @@ def test_every_public_definition_is_read_or_exempt():
         and (inspect.isfunction(obj) or inspect.isclass(obj))
         and obj.__module__ == module.__name__
         and name not in used
-        and not name.startswith(IO_PREFIXES)
-        and name not in ACCEPTANCE_HELPERS]
+        and not name.startswith(IO_PREFIXES)]
     assert unused == []
-
-
-def test_acceptance_helpers_exist():
-    """The allowlist names live definitions, so it cannot go stale."""
-    defined = {name for module in _modules() for name in vars(module)}
-    assert ACCEPTANCE_HELPERS <= defined
 
 
 def _public_members(modules):
@@ -153,15 +140,15 @@ def _sets(args, keywords, name, position):
 def test_every_default_is_set_by_some_call():
     """A defaulted parameter that no call in the package passes, by
     keyword, by position or through functools.partial, is a knob with one
-    value: the value belongs in the body.  cli.main's argv and the
-    acceptance helpers are called from outside the package."""
+    value: the value belongs in the body.  cli.main's argv is passed from
+    outside the package."""
     trees = [ast.parse(inspect.getsource(module)) for module in _modules()]
     calls = [call for tree in trees for call in _calls(tree)]
     unset = [
         f"{qualified}.{name}"
         for tree in trees
         for qualified, called, function, skip in _definitions(tree)
-        if qualified not in ("main", *ACCEPTANCE_HELPERS)
+        if qualified != "main"
         for name, position in _defaulted(function, skip)
         if not any(callee == called and _sets(args, keywords, name, position)
                    for callee, args, keywords in calls)]
@@ -171,7 +158,8 @@ def test_every_default_is_set_by_some_call():
 def test_a_mesh_is_its_column_grid():
     """The column grid is the only mesh form: a mesh has no node,
     triangle or boundary-edge table, and no grid-to-triangle table is
-    built (geometry.triangle_vertices states the triangle numbering)."""
+    built (the geometry module's docstring states the triangle
+    numbering)."""
     for name in ("nodes", "triangles", "boundary_edges"):
         assert not hasattr(geometry.Mesh, name)
     assert not hasattr(geometry, "grid_triangles")

@@ -118,10 +118,10 @@ def test_field_of_wrong_length_refused(reference_profile, tmp_path, change):
 
 
 @pytest.mark.parametrize("change, message", [
-    ("short", "record 14 is not an index and 1 numbers: '14'"),
-    ("non_numeric", "record 0 is not an index and 1 numbers: '0 abc'"),
+    ("short", "record 14 is not an index and 1 number: '14'"),
+    ("non_numeric", "record 0 is not an index and 1 number: '0 abc'"),
     ("extra", "record 15 has index 14"),
-    ("long", "record 3 is not an index and 1 numbers: '3 3.0 7'"),
+    ("long", "record 3 is not an index and 1 number: '3 3.0 7'"),
     ("header_only", "0 records after the header, expected 15"),
     ("cut", "14 records after the header, expected 15"),
 ])
@@ -507,6 +507,23 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("solver error (cell): coefficient formulas "
                               "disagree: flux=0.57428")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, argv", [
+        ("cell", ["--p", "1e300"]),
+        ("solve-limit", ["--p", "1e300"]),
+        ("study", ["--p", "1e300"]),
+        ("cell", ["--p", "1e6", "--resolution", "4"]),
+    ], ids=["cell", "solve-limit", "study", "cell-1e6"])
+    def test_overflowing_p_exit_code(self, tmp_path, capsys, command, argv):
+        """A p whose flux overflows exits 3 with one line: the predictor's
+        (p - 2)^2 raises no OverflowError at p = 1e300, and the power
+        weight no numpy overflow warning (an error under the test
+        suite's warning filter) at p = 1e6."""
+        assert main([command, "--config", REFERENCE_CONFIG, *argv,
+                     "--out", str(tmp_path)]) == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert err.startswith(f"solver error ({command}): non-finite flux")
         assert err.count("\n") == 1
 
     def test_bad_p_override_is_config_error(self, tmp_path, capsys):

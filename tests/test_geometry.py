@@ -9,7 +9,7 @@ import pytest
 from oscthin import ProfileSpec, build_cell_mesh, build_thin_mesh, mesh_area
 from oscthin.geometry import (MeshingError, Mesh, fiber_integrals,
                               locate_points, read_mesh, read_table,
-                              triangle_vertices, write_mesh, write_table)
+                              write_mesh, write_table)
 from oscthin.study import flux_stations
 
 import oracles
@@ -215,10 +215,10 @@ class TestThinMesh:
         assert n_at[4] - 5 == 2 * (n_at[2] - 5)
 
 
-def fiber_length(mesh, axis, value):
-    """Length of one fiber inside the mesh: its integral of 1."""
+def fiber_length(mesh, value):
+    """Length of one vertical fiber inside the mesh: its integral of 1."""
     ones = np.ones(mesh.num_triangles)
-    return fiber_integrals(mesh, axis, [value], ones)[0]
+    return fiber_integrals(mesh, [value], ones)[0]
 
 
 def random_fields(mesh, count=3):
@@ -229,38 +229,37 @@ def random_fields(mesh, count=3):
 
 
 class TestFiberSegments:
-    def test_horizontal_fiber_spans_width(self, unit_square_mesh):
-        length = fiber_length(unit_square_mesh, axis=1, value=0.37)
-        assert length == pytest.approx(1.0, abs=1e-12)
-
     def test_vertical_fiber_spans_height(self, unit_square_mesh):
-        length = fiber_length(unit_square_mesh, axis=0, value=0.61)
+        length = fiber_length(unit_square_mesh, value=0.61)
         assert length == pytest.approx(1.0, abs=1e-12)
 
     def test_fiber_above_domain_is_empty(self, unit_square_mesh):
+        """A vertical fiber right of the domain misses it."""
         for field in random_fields(unit_square_mesh):
-            fiber = fiber_integrals(unit_square_mesh, 1, [2.0], field)
+            fiber = fiber_integrals(unit_square_mesh, [2.0], field)
             assert fiber.shape == (1,)
             assert fiber[0] == 0.0
 
     def test_oscillating_fiber_length_matches_level_width(self, reference_profile):
+        """The horizontal fibers of the flux identity (criterion 8) come
+        from the oracle's clipper: at height h its fiber length is the
+        measure of {g > h}."""
         mesh = build_cell_mesh(reference_profile, 256, 16)
-        # at height h the fiber length is the measure of {g > h}
         value = 1.2
-        length = fiber_length(mesh, axis=1, value=value)
+        length = oracles.fiber_matrix(mesh, 1, [value]).sum()
         ys = np.linspace(0.0, 1.0, 1 << 16)
         oracle = float(np.mean(reference_profile.evaluate(ys) > value))
         assert length == pytest.approx(oracle, abs=2e-3)
 
-    @pytest.mark.parametrize("axis", [0, 1])
-    def test_field_of_another_size_refused(self, unit_square_mesh, axis):
+    def test_field_of_another_size_refused(self, unit_square_mesh):
         field = np.ones(unit_square_mesh.num_triangles - 16)
         with pytest.raises(ValueError, match=r"\(112,\), not one per triangle"):
-            fiber_integrals(unit_square_mesh, axis, [0.5], field)
+            fiber_integrals(unit_square_mesh, [0.5], field)
 
     def test_edge_aligned_fiber_is_nudged(self, unit_square_mesh):
-        # node rows sit at multiples of 1/8; the fiber must not double count
-        length = fiber_length(unit_square_mesh, axis=1, value=0.5)
+        # column lines sit at multiples of 1/8; the fiber must not double
+        # count
+        length = fiber_length(unit_square_mesh, value=0.5)
         assert length == pytest.approx(1.0, abs=1e-6)
 
 
@@ -269,13 +268,13 @@ class TestFiberMatrixOracle:
     random per-triangle fields, fiber by fiber."""
 
     @staticmethod
-    def assert_matches(mesh, axis, values):
+    def assert_matches(mesh, values):
         values = np.asarray(values, dtype=float)
-        oracle = oracles.fiber_matrix(mesh, axis, values)
+        oracle = oracles.fiber_matrix(mesh, 0, values)
         assert oracle.shape == (len(values), mesh.num_triangles)
         missed = oracle.getnnz(axis=1) == 0
         for field in random_fields(mesh):
-            fibers = fiber_integrals(mesh, axis, values, field)
+            fibers = fiber_integrals(mesh, values, field)
             assert fibers.shape == (len(values),)
             scale = abs(oracle) @ np.abs(field)
             assert np.all(np.abs(fibers - oracle @ field) <= 1e-12 * scale)
@@ -287,24 +286,12 @@ class TestFiberMatrixOracle:
         stations = flux_stations(250)
         # 0.25 and 0.75 lie on column lines; so do both ends of the domain
         assert {0.25, 0.75} <= set(stations)
-        self.assert_matches(mesh, 0, np.concatenate(
+        self.assert_matches(mesh, np.concatenate(
             [stations, [0.0, 1.0, -0.5, 1.5]]))
 
-    def test_reference_cell_levels(self, reference_profile):
-        mesh = build_cell_mesh(reference_profile, 128, 32)
-        top = float(oracles.nodes(mesh)[:, 1].max())
-        self.assert_matches(mesh, 1, (np.arange(4096) + 0.5) * (top / 4096))
-
     def test_flat_profile_node_rows(self, unit_square_mesh):
-        rows = np.arange(9) / 8.0
-        self.assert_matches(unit_square_mesh, 1, rows)
-        self.assert_matches(unit_square_mesh, 0, rows)
-
-    def test_level_above_domain(self, reference_profile):
-        mesh = build_cell_mesh(reference_profile, 32, 8)
-        self.assert_matches(mesh, 1, [0.8, 1.6, 3.0])
-        for field in random_fields(mesh):
-            assert np.all(fiber_integrals(mesh, 1, [1.6, 3.0], field) == 0.0)
+        """Every column line of the unit square, its sides included."""
+        self.assert_matches(unit_square_mesh, np.arange(9) / 8.0)
 
 
 class TestLocatePoints:
@@ -385,11 +372,9 @@ def test_mesh_round_trip_keeps_column_grid(tmp_path, reference_profile, kind):
     write_mesh(mesh, tmp_path / "mesh.txt")
     back = read_mesh(tmp_path / "mesh.txt")
     stations = np.linspace(0.0, mesh.width, 37)
-    levels = np.linspace(0.05, 1.45, 23)
-    for axis, values in ((0, stations), (1, levels)):
-        for field in random_fields(mesh):
-            assert np.array_equal(fiber_integrals(back, axis, values, field),
-                                  fiber_integrals(mesh, axis, values, field))
+    for field in random_fields(mesh):
+        assert np.array_equal(fiber_integrals(back, stations, field),
+                              fiber_integrals(mesh, stations, field))
     points = oracles.barycenters(mesh)
     assert np.array_equal(locate_points(back, points),
                           locate_points(mesh, points))
@@ -413,9 +398,9 @@ def test_closed_form_barycenters_match_oracle(reference_profile, kind):
 def test_grid_nodes_place_each_node(tmp_path, reference_profile, kind):
     """The grid node map puts node (i, j) at column i, row j, on a built
     mesh and on its copy read back from disk (a cell's last column at its
-    first), numbering num_nodes nodes, and triangle_vertices reads the
-    vertices of the oracle's triangles of it, sized by num_triangles.
-    Every array a mesh stores or caches is read-only."""
+    first), numbering num_nodes nodes, and the oracle's triangles of it
+    number num_triangles.  Every array a mesh stores or caches is
+    read-only."""
     sloped = ProfileSpec(period=0.5, mean=1.0, cos_coeffs=(0.1,),
                          sin_coeffs=(0.3, -0.05))
     mesh = {"cell": lambda: build_cell_mesh(reference_profile, 16, 4),
@@ -435,10 +420,6 @@ def test_grid_nodes_place_each_node(tmp_path, reference_profile, kind):
         assert np.array_equal(np.unique(m.grid_nodes), np.arange(m.num_nodes))
         assert np.array_equal(node[:distinct], m.grid_nodes[:distinct])
         assert triangles.shape == (m.num_triangles, 3)
-        every = np.arange(m.num_triangles)
-        for axis in (0, 1):
-            assert np.array_equal(triangle_vertices(m, every, axis),
-                                  nodes[triangles, axis])
         cached = [getattr(m, name) for name, attr in vars(Mesh).items()
                   if isinstance(attr, cached_property)]
         assert len(cached) >= 2     # both areas
