@@ -10,11 +10,11 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 from .fem import FluxParams
-from .geometry import Mesh, ProfileSpec, build_cell_mesh, build_thin_mesh, mesh_area
+from .geometry import Mesh, ProfileSpec, build_cell_mesh, build_thin_mesh
 from .homogenize import CellSolution, solve_cell
 from .limit1d import Limit1DProblem, solve_homogenized
 from .solve import SolveOptions, newton_solve
-from .study import LoadSpec, PartitionSpec, StudyConfig, StudyReport, run_study
+from .study import LoadSpec, StudyConfig, StudyReport, run_study
 
 __version__ = "0.1.0"
 
@@ -24,14 +24,12 @@ __all__ = [
     "Limit1DProblem",
     "LoadSpec",
     "Mesh",
-    "PartitionSpec",
     "ProfileSpec",
     "SolveOptions",
     "StudyConfig",
     "StudyReport",
     "build_cell_mesh",
     "build_thin_mesh",
-    "mesh_area",
     "newton_solve",
     "run_study",
     "solve_cell",

@@ -25,7 +25,6 @@ nodal sums add the last column into the first.
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from . import solve
 
@@ -411,27 +410,3 @@ def lp_norm(mesh, u, p):
     _, plan, g = _gather(mesh, u)
     total = plan.weigh(np.abs(plan.edge_mean(g)) ** p).sum()
     return float(total ** (1.0 / p))
-
-
-# Gauss-Legendre rule used on every vertical fiber of the load integral
-_FIBER_GAUSS_ORDER = 12
-
-
-def integrate_load_fibers(load, spec, eps, n_stations):
-    """Vertical fiber integrals of the load over the oscillating domain.
-
-    Returns the fiberwise integral int_0^{g(x1/eps)} f(x1, x2) dx2 sampled
-    at n_stations uniformly spaced abscissae covering [0, 1].  The load must
-    be a broadcasting callable of (x1, x2).
-    """
-    if n_stations < 2:
-        raise ValueError("need at least 2 stations")
-    x, wts = leggauss(_FIBER_GAUSS_ORDER)
-    t = 0.5 * (x + 1.0)
-    wts = 0.5 * wts
-    stations = np.linspace(0.0, 1.0, n_stations)
-    heights = np.asarray(spec.evaluate(stations / eps))
-    x2 = heights[:, None] * t[None, :]
-    vals = np.asarray(load(stations[:, None], x2), dtype=float)
-    vals = np.broadcast_to(vals, x2.shape)
-    return heights * (vals * wts[None, :]).sum(axis=1)

@@ -273,11 +273,6 @@ def build_thin_mesh(spec, eps, nx_per_period, ny):
     return Mesh("thin", xs, heights, ny, eps=eps)
 
 
-def mesh_area(mesh):
-    """Total area of the triangulation (the discrete domain measure)."""
-    return float(mesh.areas.sum())
-
-
 def fiber_integrals(mesh, values, field):
     """Integral of the per-triangle field (T,) along each vertical line
     {x1 == values[k]} inside the mesh, zero for a line that misses it; a

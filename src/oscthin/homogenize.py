@@ -60,7 +60,7 @@ class CellSolution:
 
     @cached_property
     def cell_measure(self):
-        return geometry.mesh_area(self.mesh)
+        return float(self.mesh.areas.sum())
 
     @cached_property
     def coeff_flux(self):

@@ -48,36 +48,16 @@ def _numbers(key, values, integer=False):
     return tuple(_number(key, value, integer) for value in values)
 
 
-@dataclass(frozen=True)
-class PartitionSpec:
-    """Partition of (0, 1) into cells between increasing edges; dyadic
-    cells have width period/2^level, the last the remainder, if any."""
-
-    edges: np.ndarray
-
-    @classmethod
-    def dyadic(cls, level, period):
-        if level < 0:
-            raise ValueError(f"partition level must be >= 0, got {level}")
-        width = period * 2.0 ** (-level)
-        count = int(np.floor(1.0 / width + 1e-12))
-        edges = np.arange(count + 1) * width
-        # the last edge is 1: a remainder cell, or the rounded final edge
-        edges = np.append(edges[edges < 1.0 - 1e-12], 1.0)
-        return cls(edges)
-
-    def __post_init__(self):
-        edges = np.ascontiguousarray(self.edges, dtype=float)
-        if edges[0] != 0.0 or edges[-1] != 1.0 or np.any(np.diff(edges) <= 0):
-            raise ValueError("partition edges must increase from 0 to 1")
-        object.__setattr__(self, "edges", edges)
-
-    @property
-    def widths(self):
-        return np.diff(self.edges)
-
-    def __len__(self):
-        return len(self.edges) - 1
+def dyadic_edges(level, period):
+    """Edges of the partition of (0, 1) into cells of width
+    period/2^level, the last the remainder, if any."""
+    if level < 0:
+        raise ValueError(f"partition level must be >= 0, got {level}")
+    width = period * 2.0 ** (-level)
+    count = int(np.floor(1.0 / width + 1e-12))
+    edges = np.arange(count + 1) * width
+    # the last edge is 1: a remainder cell, or the rounded final edge
+    return np.append(edges[edges < 1.0 - 1e-12], 1.0)
 
 
 @dataclass(frozen=True)
@@ -100,17 +80,24 @@ class LoadSpec:
                 raise ValueError(f"load {name} must be finite")
         _number("load k", self.k, integer=True)
 
-    def __call__(self, x1, x2):
+    def _base(self, x1):
         x1 = np.asarray(x1, dtype=float)
         if self.kind == "constant":
-            base = np.full(x1.shape, self.value)
-        elif self.kind == "cos_pi":
-            base = self.value * np.cos(self.k * np.pi * x1)
-        else:
-            base = self.offset + self.value * x1
+            return np.full(x1.shape, self.value)
+        if self.kind == "cos_pi":
+            return self.value * np.cos(self.k * np.pi * x1)
+        return self.offset + self.value * x1
+
+    def __call__(self, x1, x2):
+        base = self._base(x1)
         if self.x2_coeff != 0.0:
             return base * (1.0 + self.x2_coeff * np.asarray(x2, dtype=float))
         return base
+
+    def fiber_integral(self, x1, height):
+        """int_0^height of the load in x2 at x1, exactly: the load is
+        linear in x2."""
+        return self._base(x1) * height * (1.0 + 0.5 * self.x2_coeff * height)
 
 
 # each config size: its StudyConfig field, its section of the config file
@@ -288,26 +275,26 @@ def solve_config_cell(config):
 
 def solve_limit(config, cell, eps):
     """Limit problem forced by the fiber load at eps: (u0, diagnostics)."""
-    n1 = config.limit_elements
-    fhat = fem.integrate_load_fibers(config.load, config.profile, eps, n1 + 1)
+    x1 = np.linspace(0.0, 1.0, config.limit_elements + 1)
+    fhat = config.load.fiber_integral(x1, config.profile.evaluate(x1 / eps))
     fbar = fhat * (config.profile.period / cell.cell_measure)
     return limit1d.solve_homogenized(
         limit1d.Limit1DProblem(coeff=cell.coeff_flux, p=config.p,
                                forcing=fbar), config.solver)
 
 
-def partition_average(samples, part):
+def partition_average(samples, edges):
     """Exact mean of the piecewise-linear interpolant of samples on [0, 1]
-    over each cell: differences of its antiderivative at the edges."""
+    over each cell between the edges: its antiderivative's differences."""
     samples = np.asarray(samples, dtype=float)
     n = len(samples) - 1
     h = 1.0 / n
     cum = np.concatenate([[0.0], np.cumsum(0.5 * h * (samples[:-1] + samples[1:]))])
-    k = np.clip((part.edges * n).astype(np.int64), 0, n - 1)
-    frac = part.edges - k * h
+    k = np.clip((edges * n).astype(np.int64), 0, n - 1)
+    frac = edges - k * h
     slope = (samples[k + 1] - samples[k]) * n
     integral = cum[k] + samples[k] * frac + 0.5 * slope * frac * frac
-    return np.diff(integral) / part.widths
+    return np.diff(integral) / np.diff(edges)
 
 
 def cell_response(cell, mesh):
@@ -324,14 +311,14 @@ def cell_response(cell, mesh):
     return cell.gradients[tri]
 
 
-def corrector_field(du0, part, mesh, response):
-    """Two-scale corrector gradient per thin-mesh triangle: the partition
-    average of the limit derivative at its barycenter (per column half)
-    times its cell response (see cell_response)."""
-    coeffs = partition_average(du0, part)
+def corrector_field(du0, edges, mesh, response):
+    """Two-scale corrector gradient per thin-mesh triangle: the average of
+    the limit derivative over the partition cell (between the edges) at its
+    barycenter (per column half) times its cell response (cell_response)."""
+    coeffs = partition_average(du0, edges)
     cell_idx = np.clip(
-        np.searchsorted(part.edges, mesh.barycenter_abscissae(), side="right")
-        - 1, 0, len(part) - 1)
+        np.searchsorted(edges, mesh.barycenter_abscissae(), side="right")
+        - 1, 0, len(edges) - 2)
     return mesh.per_triangle(coeffs[cell_idx])[:, None] * response
 
 
@@ -440,8 +427,8 @@ def _study_rows_for_eps(config, cell, eps):
     response = cell_response(cell, mesh)
     corrector_errors = []
     for level in config.partition_levels:
-        part = PartitionSpec.dyadic(level, config.profile.period)
-        c_field = corrector_field(du0, part, mesh, response)
+        edges = dyadic_edges(level, config.profile.period)
+        c_field = corrector_field(du0, edges, mesh, response)
         corrector_errors.append(error_corrector(mesh, gs, c_field, config.p))
     wall = time.perf_counter() - start
     return [StudyRow(

@@ -356,6 +356,18 @@ def _p1_fields(mesh, u):
     return idx, area, b, c, grad, um
 
 
+def load_fiber_integrals(load, heights, x1, order=12):
+    """int_0^heights load(x1, x2) dx2 by an order-point Gauss-Legendre rule
+    on each fiber, for any broadcasting callable load: the general rule
+    that LoadSpec.fiber_integral's closed form replaced."""
+    t, wts = np.polynomial.legendre.leggauss(order)
+    x1 = np.asarray(x1, dtype=float)[:, None]
+    heights = np.asarray(heights, dtype=float)
+    x2 = heights[:, None] * 0.5 * (t + 1.0)
+    vals = np.broadcast_to(np.asarray(load(x1, x2), dtype=float), x2.shape)
+    return heights * (vals * (0.5 * wts)).sum(axis=1)
+
+
 def load_at_midpoints(mesh, load):
     """The load at the three edge midpoints of every triangle, (T, 3):
     a callable of (x1, x2) evaluated there, or a nodal field interpolated."""
@@ -586,15 +598,15 @@ def bordered_solve(a, b, w):
     return sparse_linalg.spsolve(bordered, np.append(b, 0.0))[:len(b)]
 
 
-def corrector_field(cell, du0, part, eps, mesh):
+def corrector_field(cell, du0, edges, eps, mesh):
     """Corrector gradient with the cell response looked up afresh for the
     partition: the wrapped barycenters, the point location and the cell
     gradients, per call."""
-    coeffs = study.partition_average(du0, part)
+    coeffs = study.partition_average(du0, edges)
     bary = barycenters(mesh)
     cell_idx = np.clip(
-        np.searchsorted(part.edges, bary[:, 0], side="right") - 1,
-        0, len(part) - 1)
+        np.searchsorted(edges, bary[:, 0], side="right") - 1,
+        0, len(edges) - 2)
     period = cell.mesh.width
     wrapped_x = np.mod(bary[:, 0] / eps, period)
     wrapped_x = np.minimum(wrapped_x, np.nextafter(period, 0.0))

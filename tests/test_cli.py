@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -18,6 +19,29 @@ import oracles
 
 REFERENCE_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs",
                                 "reference.json")
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _readme_edge_claims():
+    """The README's edges-of-p bullets by their first quote (the command's
+    arguments): (exit code, the bullet's further quotes)."""
+    with open(README) as fh:
+        text = fh.read()
+    section = text[text.index("The edges of p are measured"):
+                   text.index("### Config file format")]
+    claims = {}
+    for bullet in section.split("\n* ")[1:]:
+        bullet = " ".join(bullet.split("\n\n")[0].split())
+        argv, *quotes = re.findall(r"`([^`]+)`", bullet)
+        claims[argv] = (int(re.search(r": exit (\d)", bullet).group(1)), quotes)
+    return claims
+
+
+def _assert_same_words_and_numbers(expected, actual):
+    assert NUMBER.split(actual) == NUMBER.split(expected)
+    for a, b in zip(NUMBER.findall(actual), NUMBER.findall(expected)):
+        assert float(a) == pytest.approx(float(b), rel=1e-12)
 
 
 def write_config(path, **overrides):
@@ -525,6 +549,36 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith(f"solver error ({command}): non-finite flux")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("claim", [
+        "--p 1.1", "--p 8", "solve-limit --resolution 4 --p 400"])
+    def test_readme_edges_of_p_reproduced(self, tmp_path, capsys, claim):
+        """The README's edges-of-p bullets, run through main on the
+        reference config (study unless the bullet names a command): the
+        exit code, and each quoted line in its words exactly and its
+        numbers to 1e-12 relative.  At p = 8 every row's stall line is
+        on stderr, the first one quoted, and stdout ends with the quoted
+        count."""
+        code, quotes = _readme_edge_claims()[claim]
+        command, *argv = (claim if not claim.startswith("--")
+                          else "study " + claim).split()
+        assert main([command, "--config", REFERENCE_CONFIG, *argv,
+                     "--out", str(tmp_path)]) == code
+        captured = capsys.readouterr()
+        lines = [line.strip() for line in captured.err.splitlines()]
+        if claim != "--p 8":
+            assert len(lines) == 1
+            _assert_same_words_and_numbers(quotes[0], lines[0])
+            return
+        first, finished = quotes
+        rows = int(NUMBER.findall(finished)[0])
+        assert finished == f"study finished: {rows} rows ({rows} failed)"
+        assert len(lines) == rows == 12
+        _assert_same_words_and_numbers(first, lines[0])
+        assert all("LineSearchStallError: line search stalled at stage "
+                   "delta=1.0e-02, iteration 0:" in line for line in lines)
+        last = captured.out.splitlines()[-1]
+        assert last == f"{finished}, written to {tmp_path}"
 
     def test_bad_p_override_is_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path / "cfg.json")

@@ -1,6 +1,7 @@
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +9,7 @@ import scipy.sparse.linalg as spla
 
 from oscthin import FluxParams, build_cell_mesh, build_thin_mesh, fem, geometry
 from oscthin.fem import (AssemblyError, Point, element_gradients,
-                         integrate_load_fibers, load_vector, lp_norm, p_flux,
-                         p_flux_scalar)
+                         load_vector, lp_norm, p_flux, p_flux_scalar)
 from oscthin.geometry import ProfileSpec, read_mesh, write_mesh
 from oscthin.homogenize import _cell_point
 from oscthin.solve import constrained_linear_solve, linear_solve
@@ -367,7 +367,7 @@ class TestAssemblyPlan:
         w = load_vector(mesh, np.ones(mesh.num_nodes))
         _assert_rel_close(w, oracles.fold(mesh, oracles.lumped_masses(mesh)),
                           rtol=1e-15)
-        assert w.sum() == pytest.approx(geometry.mesh_area(mesh), rel=1e-14)
+        assert w.sum() == pytest.approx(mesh.areas.sum(), rel=1e-14)
 
     def test_nodal_load_matches_oracle(self, small_cell_mesh):
         """At u = 0 and without the mass term the residual is -b."""
@@ -547,7 +547,7 @@ class TestColumnForms:
         _assert_rel_close(element_gradients(mesh, u), grad, rtol=1e-12)
         area = oracles.tri_geometry(mesh)[1]
         _assert_rel_close(mesh.areas, area, rtol=1e-14)
-        assert geometry.mesh_area(mesh) == pytest.approx(area.sum(), rel=1e-14)
+        assert mesh.areas.sum() == pytest.approx(area.sum(), rel=1e-14)
 
     def test_non_finite_flux_names_its_triangle(self, reference_profile):
         """A huge value at node (i, j) = (2, 1) overflows the flux of the
@@ -640,36 +640,52 @@ class TestNorms:
 
 
 class TestLoadFiberIntegrals:
+    """LoadSpec.fiber_integral, the closed form int_0^g f dx2 that forces
+    the limit problem, against closed forms and the Gauss-Legendre oracle."""
+
+    LOADS = [LoadSpec(kind="constant", value=1.7),
+             LoadSpec(kind="cos_pi", value=-0.8, k=3),
+             LoadSpec(kind="linear", value=2.0, offset=-0.5)]
+
     def test_unit_load_gives_profile(self, reference_profile):
-        eps = 0.25
-        fhat = integrate_load_fibers(lambda x, y: np.ones_like(y), reference_profile,
-                                     eps, 33)
         x = np.linspace(0.0, 1.0, 33)
-        assert np.abs(fhat - reference_profile.evaluate(x / eps)).max() < 1e-12
+        g = reference_profile.evaluate(x / 0.25)
+        fhat = LoadSpec(kind="constant").fiber_integral(x, g)
+        assert np.abs(fhat - g).max() < 1e-12
 
     def test_horizontal_load_scales_profile(self, reference_profile):
-        eps = 0.5
-        fhat = integrate_load_fibers(lambda x, y: x * np.ones_like(y),
-                                     reference_profile, eps, 17)
         x = np.linspace(0.0, 1.0, 17)
-        expected = x * reference_profile.evaluate(x / eps)
-        assert np.abs(fhat - expected).max() < 1e-12
+        g = reference_profile.evaluate(x / 0.5)
+        fhat = LoadSpec(kind="linear").fiber_integral(x, g)
+        assert np.abs(fhat - x * g).max() < 1e-12
 
     def test_vertical_dependence_integrated_exactly(self, reference_profile):
         # f = 1 + x2 integrates to g + g^2/2 on each fiber
-        eps = 0.5
-        fhat = integrate_load_fibers(lambda x, y: 1.0 + y, reference_profile,
-                                     eps, 17)
-        g = reference_profile.evaluate(np.linspace(0.0, 1.0, 17) / eps)
+        x = np.linspace(0.0, 1.0, 17)
+        g = reference_profile.evaluate(x / 0.5)
+        fhat = LoadSpec(kind="constant", x2_coeff=1.0).fiber_integral(x, g)
         assert np.abs(fhat - (g + 0.5 * g * g)).max() < 1e-12
 
     def test_mean_tends_to_cell_average(self, reference_profile):
-        eps = 1.0 / 64.0
-        n = 513
-        fhat = integrate_load_fibers(lambda x, y: np.ones_like(y),
-                                     reference_profile, eps, n)
-        x = np.linspace(0.0, 1.0, n)
+        x = np.linspace(0.0, 1.0, 513)
+        fhat = LoadSpec(kind="constant").fiber_integral(
+            x, reference_profile.evaluate(x * 64.0))
         mean = np.trapezoid(fhat, x)
         ys = np.linspace(0.0, 1.0, 1 << 14)
         cell_average = np.trapezoid(reference_profile.evaluate(ys), ys)
         assert abs(mean - cell_average) < 1e-3
+
+    @pytest.mark.parametrize("x2_coeff", [0.0, 1.3])
+    @pytest.mark.parametrize("load", LOADS, ids=lambda load: load.kind)
+    @pytest.mark.parametrize("harmonics", [(0.5,), (0.5, 0.2)],
+                             ids=["reference", "two_harmonic"])
+    def test_matches_gauss_oracle(self, load, x2_coeff, harmonics):
+        """Every load kind, flat and linear in x2, on the reference profile
+        and on 1 + 0.5 cos + 0.2 cos 2, to 1e-14 of the largest sample."""
+        load = replace(load, x2_coeff=x2_coeff)
+        profile = ProfileSpec(period=1.0, mean=1.0, cos_coeffs=harmonics)
+        x = np.linspace(0.0, 1.0, 257)
+        g = profile.evaluate(x * 16.0)
+        fhat = load.fiber_integral(x, g)
+        oracle = oracles.load_fiber_integrals(load, g, x)
+        assert np.abs(fhat - oracle).max() <= 1e-14 * np.abs(oracle).max()

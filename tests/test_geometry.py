@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oscthin import ProfileSpec, build_cell_mesh, build_thin_mesh, mesh_area
+from oscthin import ProfileSpec, build_cell_mesh, build_thin_mesh
 from oscthin.geometry import (MeshingError, Mesh, fiber_integrals,
                               locate_points, read_mesh, read_table,
                               write_mesh, write_table)
@@ -75,13 +75,13 @@ class TestCellMesh:
         assert mesh.num_nodes == 6      # the last column is the first
         assert mesh.num_triangles == 8
         assert len(oracles.periodic_pairs(mesh)) == 3
-        assert mesh_area(mesh) == pytest.approx(1.0, abs=1e-15)
+        assert mesh.areas.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_area_against_quadrature_oracle(self, reference_profile):
         mesh = build_cell_mesh(reference_profile, 64, 16)
         oracle = fine_profile_integral(reference_profile)
-        assert abs(mesh_area(mesh) - oracle) < 1e-3
-        assert mesh_area(mesh) == pytest.approx(1.0, abs=1e-3)
+        assert abs(mesh.areas.sum() - oracle) < 1e-3
+        assert mesh.areas.sum() == pytest.approx(1.0, abs=1e-3)
 
     def test_all_areas_positive(self, reference_profile):
         mesh = build_cell_mesh(reference_profile, 13, 7)
@@ -95,7 +95,7 @@ class TestCellMesh:
         spec = ProfileSpec(period=1.0, mean=1.0, cos_coeffs=(0.4,),
                            sin_coeffs=(0.15,))
         oracle = fine_profile_integral(spec)
-        errors = [abs(mesh_area(build_cell_mesh(spec, nx, nx // 4)) - oracle)
+        errors = [abs(build_cell_mesh(spec, nx, nx // 4).areas.sum() - oracle)
                   for nx in (16, 32, 64)]
         assert max(errors) < 1e-12
 
@@ -163,7 +163,7 @@ class TestCellMesh:
 class TestThinMesh:
     def test_flat_is_unit_square(self, flat_profile):
         mesh = build_thin_mesh(flat_profile, 0.5, 4, 4)
-        assert mesh_area(mesh) == pytest.approx(1.0, abs=1e-14)
+        assert mesh.areas.sum() == pytest.approx(1.0, abs=1e-14)
         x1, x2 = oracles.nodes(mesh).T
         assert x1.min() == 0.0 and x1.max() == 1.0
         assert x2.max() == pytest.approx(1.0, abs=1e-14)
@@ -181,12 +181,12 @@ class TestThinMesh:
         mesh = build_thin_mesh(reference_profile, eps, 32, 8)
         xs = np.linspace(0.0, 1.0, 1 << 15)
         oracle = float(np.trapezoid(reference_profile.evaluate(xs / eps), xs))
-        assert abs(mesh_area(mesh) - oracle) < 1e-3
+        assert abs(mesh.areas.sum() - oracle) < 1e-3
 
     def test_tiles_exactly(self, reference_profile):
         thin = build_thin_mesh(reference_profile, 0.125, 8, 4)
         cell = build_cell_mesh(reference_profile, 8, 4)
-        assert abs(mesh_area(thin) - mesh_area(cell) / reference_profile.period) < 1e-12
+        assert abs(thin.areas.sum() - cell.areas.sum() / reference_profile.period) < 1e-12
 
     def test_incommensurate_eps_rejected(self, reference_profile):
         with pytest.raises(MeshingError, match=r"1/\(m\*L\)"):

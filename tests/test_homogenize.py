@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oscthin import (ProfileSpec, build_cell_mesh, build_thin_mesh, fem,
-                     geometry, homogenize, limit1d, solve, solve_cell, study)
+                     homogenize, limit1d, solve, solve_cell, study)
 from oscthin.cli import parse_config, write_field
 from oscthin.fem import load_vector, lp_norm, p_flux_scalar
 from oscthin.homogenize import (CellSolution, UnconvergedCellError,
@@ -65,7 +65,7 @@ class TestOscillatingCell:
         assert {"gradients", "flux", "cell_measure", "coeff_flux",
                 "coeff_energy"} <= vars(cell).keys()
         assert cell.coeff_flux == vars(cell)["coeff_flux"]
-        assert cell.cell_measure == geometry.mesh_area(small_cell_mesh)
+        assert cell.cell_measure == small_cell_mesh.areas.sum()
         assert len(calls) == 1
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -450,11 +450,10 @@ class TestForcingRescale:
         assert np.all(fbar == 0.0)
 
     def test_linear_load_recovers_slope_after_averaging(self, reference_profile):
-        from oscthin.fem import integrate_load_fibers
-        eps = 1.0 / 16.0
         n = 512
-        fhat = integrate_load_fibers(lambda x, y: x * np.ones_like(y),
-                                     reference_profile, eps, n + 1)
+        x = np.linspace(0.0, 1.0, n + 1)
+        fhat = study.LoadSpec(kind="linear").fiber_integral(
+            x, reference_profile.evaluate(x * 16.0))
         ys = np.linspace(0.0, 1.0, 1 << 14)
         measure = np.trapezoid(reference_profile.evaluate(ys), ys)
         fbar = fhat * (reference_profile.period / measure)

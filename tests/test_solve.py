@@ -9,7 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from oscthin import (Limit1DProblem, SolveOptions, build_cell_mesh,
-                     build_thin_mesh, fem, geometry, solve)
+                     build_thin_mesh, fem, solve)
 from oscthin.fem import FluxParams, Point, element_gradients, load_vector
 from oscthin.homogenize import _cell_point, solve_cell
 from oscthin.limit1d import _gauss_values, _LimitPoint
@@ -562,7 +562,7 @@ class TestConstraints:
         mesh = small_cell_mesh
         u = np.full(mesh.num_nodes, 3.7)
         w = load_vector(mesh, np.ones(mesh.num_nodes))
-        shifted = u - (w @ u) / geometry.mesh_area(mesh)
+        shifted = u - (w @ u) / mesh.areas.sum()
         assert np.abs(shifted).max() < 1e-12
 
 

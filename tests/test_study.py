@@ -12,8 +12,8 @@ from oscthin import (StudyConfig, build_cell_mesh, build_thin_mesh, geometry,
                      solve, solve_cell, study)
 from oscthin.fem import FluxParams, element_gradients, p_flux
 from oscthin.limit1d import nodal_derivative
-from oscthin.study import (LoadSpec, PartitionSpec, box_smooth, cell_response,
-                           corrector_field, error_corrector, error_u,
+from oscthin.study import (LoadSpec, box_smooth, cell_response,
+                           corrector_field, dyadic_edges, error_corrector, error_u,
                            flux_profile, flux_stations, flux_target,
                            partition_average, read_report_json, run_study,
                            solve_config_cell, solve_thin, write_report_json)
@@ -93,36 +93,36 @@ def write_damaged_reports(directory, profile):
 
 class TestPartition:
     def test_dyadic_unit_period(self):
-        part = PartitionSpec.dyadic(2, 1.0)
-        assert len(part) == 4
-        assert np.allclose(part.widths, 0.25)
-        assert part.edges[0] == 0.0 and part.edges[-1] == 1.0
+        edges = dyadic_edges(2, 1.0)
+        assert len(edges) == 5
+        assert np.allclose(np.diff(edges), 0.25)
+        assert edges[0] == 0.0 and edges[-1] == 1.0
 
     def test_remainder_cell(self):
-        part = PartitionSpec.dyadic(2, 0.3)
-        assert np.allclose(part.widths[:-1], 0.075)
-        assert part.widths[-1] == pytest.approx(1.0 - 13 * 0.075)
-        assert part.edges[-1] == 1.0
+        edges = dyadic_edges(2, 0.3)
+        assert np.allclose(np.diff(edges)[:-1], 0.075)
+        assert np.diff(edges)[-1] == pytest.approx(1.0 - 13 * 0.075)
+        assert edges[-1] == 1.0
 
     def test_level_zero_single_cell(self):
-        part = PartitionSpec.dyadic(0, 1.0)
-        assert len(part) == 1
+        edges = dyadic_edges(0, 1.0)
+        assert len(edges) == 2
 
     def test_negative_level_rejected(self):
         with pytest.raises(ValueError):
-            PartitionSpec.dyadic(-1, 1.0)
+            dyadic_edges(-1, 1.0)
 
 
 class TestPartitionAverage:
     def test_constant_samples(self):
-        part = PartitionSpec.dyadic(3, 1.0)
-        avg = partition_average(np.full(65, 2.5), part)
+        edges = dyadic_edges(3, 1.0)
+        avg = partition_average(np.full(65, 2.5), edges)
         assert np.allclose(avg, 2.5)
 
     def test_linear_over_single_cell_is_midpoint(self):
-        part = PartitionSpec.dyadic(0, 1.0)
+        edges = dyadic_edges(0, 1.0)
         samples = 3.0 * np.linspace(0.0, 1.0, 33) - 1.0
-        avg = partition_average(samples, part)
+        avg = partition_average(samples, edges)
         assert avg[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_ladder_converges_to_pointwise_values(self):
@@ -130,9 +130,9 @@ class TestPartitionAverage:
         samples = np.sin(2.0 * np.pi * x)
         gaps = []
         for level in (2, 4, 6):
-            part = PartitionSpec.dyadic(level, 1.0)
-            avg = partition_average(samples, part)
-            mids = 0.5 * (part.edges[:-1] + part.edges[1:])
+            edges = dyadic_edges(level, 1.0)
+            avg = partition_average(samples, edges)
+            mids = 0.5 * (edges[:-1] + edges[1:])
             gaps.append(np.abs(avg - np.sin(2.0 * np.pi * mids)).max())
         assert gaps[0] > gaps[1] > gaps[2]
 
@@ -141,16 +141,16 @@ class TestCorrector:
     def test_flat_profile_constant_derivative(self, flat_profile):
         cell = solve_cell(build_cell_mesh(flat_profile, 8, 4), 3.0)
         mesh = build_thin_mesh(flat_profile, 0.25, 8, 4)
-        part = PartitionSpec.dyadic(2, 1.0)
+        edges = dyadic_edges(2, 1.0)
         du0 = np.full(65, 0.7)
-        c = corrector_field(du0, part, mesh, cell_response(cell, mesh))
+        c = corrector_field(du0, edges, mesh, cell_response(cell, mesh))
         assert np.abs(c - [0.7, 0.0]).max() < 1e-12
 
     def test_zero_derivative_gives_zero(self, reference_profile):
         cell = solve_cell(build_cell_mesh(reference_profile, 16, 8), 3.0)
         mesh = build_thin_mesh(reference_profile, 0.25, 8, 4)
-        part = PartitionSpec.dyadic(2, 1.0)
-        c = corrector_field(np.zeros(65), part, mesh,
+        edges = dyadic_edges(2, 1.0)
+        c = corrector_field(np.zeros(65), edges, mesh,
                             cell_response(cell, mesh))
         assert np.abs(c).max() == 0.0
 
@@ -160,9 +160,9 @@ class TestCorrector:
         cell = solve_cell(build_cell_mesh(reference_profile, 64, 16), 3.0)
         eps = 1.0 / 16.0
         mesh = build_thin_mesh(reference_profile, eps, 16, 8)
-        part = PartitionSpec.dyadic(4, 1.0)
+        edges = dyadic_edges(4, 1.0)
         d = 0.7
-        c = corrector_field(np.full(129, d), part, mesh,
+        c = corrector_field(np.full(129, d), edges, mesh,
                             cell_response(cell, mesh))
         mesh_avg = (mesh.areas[:, None] * c).sum(axis=0) / mesh.areas.sum()
         grads = element_gradients(cell.mesh, cell.phi) + [1.0, 0.0]
@@ -178,10 +178,10 @@ class TestCorrector:
         du0 = np.sin(3.0 * np.linspace(0.0, 1.0, 129))
         response = cell_response(cell, mesh)
         for level in (2, 4, 6):
-            part = PartitionSpec.dyadic(level, reference_profile.period)
+            edges = dyadic_edges(level, reference_profile.period)
             assert np.array_equal(
-                corrector_field(du0, part, mesh, response),
-                oracles.corrector_field(cell, du0, part, eps, mesh))
+                corrector_field(du0, edges, mesh, response),
+                oracles.corrector_field(cell, du0, edges, eps, mesh))
 
     def test_study_locates_points_once_per_mesh(self, reference_profile,
                                                 monkeypatch):
@@ -242,8 +242,8 @@ class TestErrors:
         u0, _ = solve_homogenized(
             Limit1DProblem(coeff=cell.coeff_flux, p=2.0, forcing=forcing))
         du0 = nodal_derivative(u0)
-        part = PartitionSpec.dyadic(3, 1.0)
-        c = corrector_field(du0, part, mesh, cell_response(cell, mesh))
+        edges = dyadic_edges(3, 1.0)
+        c = corrector_field(du0, edges, mesh, cell_response(cell, mesh))
         err = error_corrector(mesh, element_gradients(mesh, u_eps), c, 2.0)
 
         # independent route: dense thin solve, dense limit solve, the flat
@@ -252,10 +252,10 @@ class TestErrors:
             mesh, np.cos(np.pi * oracles.nodes(mesh)[:, 0]))
         u0_oracle = oracles.linear_limit_solve(1.0, forcing)
         du_oracle = nodal_derivative(u0_oracle)
-        avg = partition_average(du_oracle, part)
+        avg = partition_average(du_oracle, edges)
         bary_x = oracles.barycenters(mesh)[:, 0]
-        idx = np.clip(np.searchsorted(part.edges, bary_x, side="right") - 1,
-                      0, len(part) - 1)
+        idx = np.clip(np.searchsorted(edges, bary_x, side="right") - 1,
+                      0, len(edges) - 2)
         # the scaled gradient (d1, d2/eps) from the hat-function gradients
         tris, _, hat_x, hat_y = oracles.tri_geometry(mesh)
         uv = u_oracle[tris]
