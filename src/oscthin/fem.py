@@ -79,9 +79,10 @@ class _Plan:
         self.eps = 1.0 if mesh.eps is None else mesh.eps
         self.size = mesh.num_nodes
         self._band = None
-        self._shapes = [a.shape for a, _ in _ends(self.node)]
-        self._split = np.cumsum([np.prod(s) for s in self._shapes])
-        self.n_edges = int(self._split[-1])
+        shapes = [a.shape for a, _ in _ends(self.node)]
+        ends = np.cumsum([0] + [int(np.prod(s)) for s in shapes]).tolist()
+        self._parts = list(zip(ends[:-1], ends[1:], shapes))
+        self.n_edges = ends[-1]
         hs, ny = mesh.grid_heights, mesh.grid_rows
         self.dx = np.diff(mesh.grid_x)
         self.area = mesh.column_areas[:, None, :]
@@ -92,8 +93,8 @@ class _Plan:
     def edge_views(self, a):
         """The vertical (ny, nx+1), horizontal (ny+1, nx) and diagonal
         (ny, nx) parts of a flat edge array."""
-        return [e.reshape(s) for e, s
-                in zip(np.split(a, self._split[:-1]), self._shapes)]
+        return [a[start:stop].reshape(shape)
+                for start, stop, shape in self._parts]
 
     def halves(self, a):
         """The horizontal and the vertical edge of each half, lower then

@@ -87,8 +87,11 @@ def solve_cell(mesh, p, opts=None):
 
     The solve starts from the p-predictor (_predicted_start): the linear
     corrector phi_2, the p = 2 solution at the target delta (the last
-    continuation delta), or its second-order continuation in p, whichever
-    has the lower energy at p.
+    continuation delta), or its second- or third-order continuation in
+    p, whichever has the lowest energy at p.  The predictor of the last
+    geometry solved is kept, so a later solve of it at another p factors
+    nothing to start, and its diagnostics count only the work done in
+    that call.
     At p = 2 phi_2 is the answer.  Any other p runs Newton from that start
     at the target delta twice: the second pass stops relative to the
     first's small residual, not to the residual of the start.  On a
@@ -147,34 +150,106 @@ def solve_cell(mesh, p, opts=None):
 
 
 # the step in p of the central differences that give the tangent and the
-# second-order term
+# higher-order terms
 _P_STEP = 1e-2
+
+# the p = 2 predictor of the last cell geometry solved, under its
+# _predictor_key: its terms and its stage.  One entry, so a later solve of
+# that geometry at any p starts without factoring, and a solve of another
+# geometry replaces it.
+_PREDICTOR_MEMO = {}
+
+
+def _predictor_key(mesh, opts):
+    """What the p = 2 predictor depends on: the cell grid and the three
+    settings _p2_predictor reads."""
+    return (mesh.grid_x.tobytes(), mesh.grid_heights.tobytes(),
+            mesh.grid_rows, opts.final_delta, opts.residual_tol,
+            opts.linear_tol)
 
 
 def _predicted_start(mesh, p, weights, opts):
-    """Newton's start at p from one factorization of the p = 2 jacobian,
-    and the predictor's stage of the diagnostics.
+    """Newton's start at p and the predictor's stage of the diagnostics.
+
+    The p = 2 predictor (_p2_predictor) does not depend on p, so it is
+    taken from _PREDICTOR_MEMO when the memo holds this geometry and these
+    settings, and computed and kept there otherwise.  A reused stage counts
+    no iteration and no factorization; it keeps the p = 2 energies,
+    residual norms and convergence of the stage that computed it.  The
+    candidates (_candidates) are evaluated at p, and the one with the
+    lowest energy there is returned (phi_2 at p = 2); the stop_reason
+    names it, followed by ", reused" for a reused stage.  A SolveError
+    leaves with the stage as its diagnostics, the stop_reason naming the
+    failure, and nothing memoized.
+    """
+    key = _predictor_key(mesh, opts)
+    kept = _PREDICTOR_MEMO.get(key)
+    if kept is not None:
+        terms, done = kept
+        stage = replace(done, iterations=0, factorizations=0,
+                        energies=list(done.energies),
+                        residual_norms=list(done.residual_norms),
+                        step_lengths=[])
+        reused = ", reused"
+    else:
+        terms, stage = _p2_predictor(mesh, weights, opts)
+        _PREDICTOR_MEMO.clear()
+        _PREDICTOR_MEMO[key] = terms, stage
+        reused = ""
+    candidates = _candidates(terms, p)
+    energies = {name: _energy_at(mesh, p, field, opts.final_delta)
+                for name, field in candidates.items()}
+    chosen = min(energies, key=energies.get)
+    stage.stop_reason = f"start={chosen}{reused}"
+    logger.info("cell p=%g: start energies %s; starting from %s%s", p,
+                ", ".join(f"{name}={e:.6e}" for name, e in energies.items()),
+                chosen, reused)
+    return candidates[chosen], stage
+
+
+def _candidates(terms, p):
+    """The starts at p from the p = 2 terms (phi_2, phi', phi'', phi'''):
+    phi_2 alone at p = 2, and otherwise also its second- and third-order
+    continuations phi_2 + s phi' + s^2 phi''/2 (+ s^3 phi'''/6) in
+    s = p - 2."""
+    phi, tangent, curvature, third = terms
+    candidates = {"linear": phi.copy()}     # the memo keeps phi
+    if p != 2.0:
+        # at large p these overflow, and _energy_at rates them infinite
+        # (s ** 3 of a Python float would raise OverflowError instead)
+        with np.errstate(over="ignore", invalid="ignore"):
+            second = (phi + (p - 2.0) * tangent
+                      + 0.5 * (p - 2.0) * (p - 2.0) * curvature)
+            candidates["second_order"] = second
+            candidates["third_order"] = (
+                second + (p - 2.0) * (p - 2.0) * (p - 2.0) / 6.0 * third)
+    return candidates
+
+
+def _p2_predictor(mesh, weights, opts):
+    """The terms (phi_2, phi', phi'', phi''') of phi's expansion in p
+    about p = 2, from one factorization of the p = 2 jacobian, and their
+    stage of the diagnostics.
 
     At p = 2 the cell jacobian J does not depend on phi (sigma = 1, and
     the cell has no mass term), so its one factor, at the target delta,
-    serves three solves: the linear corrector phi_2, the Newton step from
+    serves four solves: the linear corrector phi_2, the Newton step from
     zero as newton_solve takes it (refined against J, so at p = 2 it has
-    the ladder's bits); the tangent phi' = -J^-1 dR/dp(phi_2, 2); and the
+    the ladder's bits); the tangent phi' = -J^-1 dR/dp(phi_2, 2); the
     second-order term phi'' = -J^-1 g''(0) with
-    g(s) = R(phi_2 + s phi', 2 + s).  dR/dp and g'' are central
-    differences of step h = _P_STEP of the one residual R(field, q):
-    (R(phi_2, 2 + h) - R(phi_2, 2 - h)) / 2h and
-    (g(h) - 2 g(0) + g(-h)) / h^2.  The last two solves are
-    back-substitutions, so J goes before any point is evaluated, and the
-    factor goes before the candidates phi_2 and
-    phi_2 + (p - 2) phi' + (p - 2)^2 phi''/2 are evaluated at p; the one
-    with the lower energy there is returned (phi_2 at p = 2).
+    g(s) = R(phi_2 + s phi', 2 + s); and the third-order term
+    phi''' = -J^-1 G'''(0) with G(s) = R(phi_2 + s phi' + s^2 phi''/2,
+    2 + s).  The derivatives are central differences of step
+    h = _P_STEP of the one residual R(field, q):
+    (R(phi_2, 2 + h) - R(phi_2, 2 - h)) / 2h, (g(h) - 2 g(0) + g(-h)) / h^2
+    and (G(2h) - 2 G(h) + 2 G(-h) - G(-2h)) / 2h^3.  The last three solves
+    are back-substitutions, so J goes before any point is evaluated, and
+    the factor goes on return.
 
     The stage counts one iteration (none if zero meets residual_tol) and
-    one factorization, holds the p = 2 energies and residual norms, is
-    converged if phi_2 meets residual_tol, and its stop_reason names the
-    start chosen.  A SolveError leaves with the stage as its diagnostics,
-    the stop_reason naming the failure.
+    one factorization, holds the p = 2 energies and residual norms and is
+    converged if phi_2 meets residual_tol.  A SolveError leaves with the
+    stage as its diagnostics, the stop_reason naming the failure.
     """
     target = opts.final_delta
     stage = solve.StageDiagnostics(delta=target)
@@ -202,35 +277,28 @@ def _predicted_start(mesh, p, weights, opts):
             point = None
         stage.converged = stage.residual_norms[-1] <= tol
         phi = phi - (weights @ phi) / weights.sum()
-        candidates = {"linear": phi}
-        if p != 2.0:
-            def residual(field, q):
-                return _cell_point(mesh, q, field, target).residual()
 
-            h = _P_STEP
-            tangent = solve_linear(
-                (residual(phi, 2.0 - h) - residual(phi, 2.0 + h)) / (2.0 * h))
-            curvature = solve_linear(
-                (2.0 * r - residual(phi + h * tangent, 2.0 + h)
-                 - residual(phi - h * tangent, 2.0 - h)) / (h * h))
-            # at large p this overflows, and _energy_at rates it infinite
-            with np.errstate(over="ignore", invalid="ignore"):
-                candidates["second_order"] = (
-                    phi + (p - 2.0) * tangent
-                    + 0.5 * (p - 2.0) * (p - 2.0) * curvature)
+        def residual(field, q):
+            return _cell_point(mesh, q, field, target).residual()
+
+        def path(s):
+            return residual(phi + s * tangent + 0.5 * s * s * curvature,
+                            2.0 + s)
+
+        h = _P_STEP
+        tangent = solve_linear(
+            (residual(phi, 2.0 - h) - residual(phi, 2.0 + h)) / (2.0 * h))
+        curvature = solve_linear(
+            (2.0 * r - residual(phi + h * tangent, 2.0 + h)
+             - residual(phi - h * tangent, 2.0 - h)) / (h * h))
+        third = solve_linear(
+            (2.0 * (path(h) - path(-h)) + path(-2.0 * h) - path(2.0 * h))
+            / (2.0 * h * h * h))
     except solve.SolveError as exc:
         stage.stop_reason = type(exc).__name__
         exc.diagnostics = solve.NewtonDiagnostics([stage])
         raise
-    del solve_linear             # the p = 2 factor goes here
-    energies = {name: _energy_at(mesh, p, field, target)
-                for name, field in candidates.items()}
-    chosen = min(energies, key=energies.get)
-    stage.stop_reason = f"start={chosen}"
-    logger.info("cell p=%g: start energies %s; starting from %s", p,
-                ", ".join(f"{name}={e:.6e}" for name, e in energies.items()),
-                chosen)
-    return candidates[chosen], stage
+    return (phi, tangent, curvature, third), stage
 
 
 def _energy_at(mesh, p, phi, delta):

@@ -92,13 +92,18 @@ class _LimitPoint:
             1.0 + fem._ratio(p, delta * delta + s * s, delta) * s * s)
         mprime = self.mass_weight * (
             1.0 + fem._ratio(p, delta * delta + ug * ug, delta) * ug * ug)
-        basis = np.stack([1.0 - _GAUSS_T, _GAUSS_T])
-        mass = np.einsum("eg,ag,bg,g->eab", mprime, basis, basis,
-                         _GAUSS_W) * h
+
+        def mass(a, b):
+            """The element mass block's entry for basis functions a and b
+            at the Gauss points, each product in the operands' order."""
+            t = mprime * a * b * _GAUSS_W
+            return (t[:, 0] + t[:, 1]) * h
+
+        left, right = 1.0 - _GAUSS_T, _GAUSS_T
         rows = np.zeros((2, len(self.ug) + 1))
-        rows[0, :-1] += stiff + mass[:, 0, 0]
-        rows[0, 1:] += stiff + mass[:, 1, 1]
-        rows[1, :-1] = mass[:, 0, 1] - stiff
+        rows[0, :-1] += stiff + mass(left, left)
+        rows[0, 1:] += stiff + mass(right, right)
+        rows[1, :-1] = mass(left, right) - stiff
         return solve.Band(rows, np.array([0, 1]))
 
 

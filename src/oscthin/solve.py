@@ -26,10 +26,13 @@ def _load_lapack():
 
     The band solves need only dpbtrf and dpbtrs.  Importing scipy.linalg
     for them would run its package __init__, whose array-API set-up costs
-    several times the extension's own load.  The module keeps its name,
-    so a later import of scipy.linalg reuses this one."""
-    import scipy
-    directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    several times the extension's own load, so scipy's directory is found
+    without importing scipy either.  The module keeps its name, so a later
+    import of scipy.linalg reuses this one."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ImportError("scipy is not installed")
+    directory = os.path.join(spec.submodule_search_locations[0], "linalg")
     path = os.path.join(directory,
                         "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
     if not os.path.isfile(path):

@@ -1,9 +1,16 @@
 # oscthin first: it sets the BLAS thread default, which only takes effect
 # if numpy is not imported yet (see oscthin/__init__.py)
-from oscthin import ProfileSpec, build_cell_mesh, build_thin_mesh
+from oscthin import ProfileSpec, build_cell_mesh, build_thin_mesh, homogenize
 
 import numpy as np
 import pytest
+
+
+@pytest.fixture(autouse=True)
+def fresh_cell_predictor():
+    """Each test starts with no cell predictor kept from another, so a
+    count of factorizations or points does not depend on test order."""
+    homogenize._PREDICTOR_MEMO.clear()
 
 
 @pytest.fixture(scope="session")

@@ -193,18 +193,20 @@ def test_no_sparse_matrix_is_built():
 
 
 def test_cli_import_leaves_scipy_linalg_and_sparse_out():
-    """The command line reaches LAPACK without importing scipy.linalg or
-    scipy.sparse, whose imports cost more than the rest of its start.  It
-    runs the ladder serially, writes no CSV report and integrates the load
-    over its fibers in closed form, so concurrent.futures, csv and
-    numpy.polynomial are not imported either."""
+    """The command line reaches LAPACK without importing scipy,
+    scipy.linalg or scipy.sparse, whose imports cost more than the rest of
+    its start: it finds scipy's directory without running its package
+    __init__.  It runs the ladder serially, writes no CSV report and
+    integrates the load over its fibers in closed form, so
+    concurrent.futures, csv and numpy.polynomial are not imported
+    either."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(root, "src")]
         + [p for p in [env.get("PYTHONPATH")] if p])
     code = ("import sys, oscthin.cli; print(' '.join(sorted(name for name in "
-            "sys.modules if name in ('scipy.linalg', 'scipy.sparse', "
+            "sys.modules if name in ('scipy', 'scipy.linalg', 'scipy.sparse', "
             "'concurrent.futures', 'csv', 'numpy.polynomial') "
             "or name.startswith('scipy.sparse.'))))")
     done = subprocess.run([sys.executable, "-c", code], env=env,

@@ -541,9 +541,9 @@ class TestCommands:
     ], ids=["cell", "solve-limit", "study", "cell-1e6"])
     def test_overflowing_p_exit_code(self, tmp_path, capsys, command, argv):
         """A p whose flux overflows exits 3 with one line: the predictor's
-        (p - 2)^2 raises no OverflowError at p = 1e300, and the power
-        weight no numpy overflow warning (an error under the test
-        suite's warning filter) at p = 1e6."""
+        (p - 2)^2 and (p - 2)^3 raise no OverflowError at p = 1e300, and
+        the power weight no numpy overflow warning (an error under the
+        test suite's warning filter) at p = 1e6."""
         assert main([command, "--config", REFERENCE_CONFIG, *argv,
                      "--out", str(tmp_path)]) == EXIT_SOLVER
         err = capsys.readouterr().err

@@ -495,6 +495,25 @@ class TestAssemblyPlan:
         assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
+@pytest.mark.parametrize("kind", ["cell", "thin"])
+def test_edge_views_are_the_split_views(reference_profile, kind):
+    """The plan's edge views slice precomputed bounds: the parts np.split
+    gives, in their shapes, and views of the flat array, which weigh
+    writes through."""
+    mesh = (build_cell_mesh(reference_profile, 12, 5) if kind == "cell"
+            else build_thin_mesh(reference_profile, 0.25, 6, 5))
+    plan = fem._plan(mesh)
+    a = np.random.default_rng(3).normal(size=plan.n_edges)
+    shapes = [(5, 13), (6, 12), (5, 12)] if kind == "cell" else [
+        (5, 25), (6, 24), (5, 24)]
+    bounds = np.cumsum([np.prod(s) for s in shapes])[:-1]
+    views = plan.edge_views(a)
+    assert [v.shape for v in views] == shapes
+    for view, part, shape in zip(views, np.split(a, bounds), shapes):
+        assert np.array_equal(view, part.reshape(shape))
+        assert np.shares_memory(view, a)
+
+
 class TestGridPoint:
     """Properties of fem.Point on the column grid."""
 

@@ -8,7 +8,7 @@ import pytest
 
 from oscthin import (ProfileSpec, build_cell_mesh, build_thin_mesh, fem,
                      homogenize, limit1d, solve, solve_cell, study)
-from oscthin.cli import parse_config, write_field
+from oscthin.cli import main, parse_config, write_field
 from oscthin.fem import load_vector, lp_norm, p_flux_scalar
 from oscthin.homogenize import (CellSolution, UnconvergedCellError,
                                 format_cell_summary, read_cell_summary,
@@ -156,7 +156,7 @@ class TestLinearStart:
         started, ladder_started = [], []
 
         def point(mesh, q, phi, delta):
-            """Points at p from the predictor: its two candidates, the
+            """Points at p from the predictor: its three candidates, the
             start and the first step's trial as they are, every later
             energy infinite."""
             made = real_point(mesh, q, phi, delta)
@@ -165,7 +165,7 @@ class TestLinearStart:
                     ladder_started.append(True)
                 else:
                     started.append(True)
-                    if len(started) > 2 + 2:
+                    if len(started) > 3 + 2:
                         made.energy = lambda: np.inf
             return made
 
@@ -216,14 +216,14 @@ class TestPredictor:
     def test_start_has_no_more_energy_than_the_corrector(
             self, medium_cell_mesh, p):
         """Newton at p starts from no more energy than the corrector; at
-        p 5 and 8 the continuation has far more, so the start is the
+        p 5 and 8 the continuations have far more, so the start is the
         corrector and every count and bit is the oracle's."""
         cell = solve_cell(medium_cell_mesh, p)
         oracle = oracles.linear_start_cell(medium_cell_mesh, p)
         predictor, first, *_ = cell.diagnostics.stages
         corrector_energy = oracle.diagnostics.stages[1].energies[0]
         if p < 5.0:
-            assert predictor.stop_reason == "start=second_order"
+            assert predictor.stop_reason == "start=third_order"
             assert first.energies[0] < corrector_energy
             assert (cell.diagnostics.total_iterations
                     < oracle.diagnostics.total_iterations)
@@ -237,13 +237,13 @@ class TestPredictor:
 
     @pytest.mark.parametrize(
         "p, most, nx",
-        [(1.5, 9, 128), (3.0, 5, 128), (1.5, 7, 256), (3.0, 5, 256)],
-        ids=["1.5-9", "3.0-5", "256x64-1.5-7", "256x64-3.0-5"])
+        [(1.5, 8, 128), (3.0, 5, 128), (1.5, 5, 256), (3.0, 5, 256)],
+        ids=["1.5-8", "3.0-5", "256x64-1.5-5", "256x64-3.0-5"])
     def test_fewer_factorizations_on_the_study_cell(self, reference_profile,
                                                     p, most, nx):
-        """The study's 128x32 cell: 9 factorizations at p = 1.5 and 5 at
+        """The study's 128x32 cell: 8 factorizations at p = 1.5 and 5 at
         p = 3, against the corrector start's 12 and 6; the cell benchmark's
-        256x64 cell: 7 and 5, against 11 and 6; for the same
+        256x64 cell: 5 and 5, against 11 and 6; for the same
         coefficients."""
         mesh = build_cell_mesh(reference_profile, nx, nx // 4)
         cell = solve_cell(mesh, p)
@@ -253,26 +253,44 @@ class TestPredictor:
         assert abs(cell.coeff_flux - oracle.coeff_flux) <= 1e-10
         assert abs(cell.coeff_energy - oracle.coeff_energy) <= 1e-10
 
+    @staticmethod
+    def _candidate_ratio(mesh, p, name):
+        """The distance of the named candidate at p to the solution at p,
+        relative to the corrector's."""
+        weights = load_vector(mesh, np.ones(mesh.num_nodes))
+        terms, _ = homogenize._p2_predictor(mesh, weights,
+                                            solve.SolveOptions())
+        corrector = terms[0]
+        start = homogenize._candidates(terms, p)[name]
+        phi = solve_cell(mesh, p).phi
+        return np.abs(start - phi).max() / np.abs(corrector - phi).max()
+
     @pytest.mark.parametrize("p", [1.9, 2.1])
     def test_prediction_is_second_order(self, medium_cell_mesh, p):
-        """The chosen start's distance to the solution, relative to the
-        corrector's, shrinks like (p - 2)^2: the tangent and the
-        second-order term are both right."""
-        mesh = medium_cell_mesh
-        weights = load_vector(mesh, np.ones(mesh.num_nodes))
-        corrector = solve_cell(mesh, 2.0).phi
-
-        def ratio(q):
-            start, stage = homogenize._predicted_start(
-                mesh, q, weights, solve.SolveOptions())
-            assert stage.stop_reason == "start=second_order"
-            phi = solve_cell(mesh, q).phi
-            return (np.abs(start - phi).max()
-                    / np.abs(corrector - phi).max())
-
-        near, far = ratio(p), ratio(2.0 + 2.0 * (p - 2.0))
+        """The second-order candidate's distance to the solution,
+        relative to the corrector's, shrinks like (p - 2)^2: the tangent
+        and the second-order term are both right."""
+        near, far = (self._candidate_ratio(medium_cell_mesh, q,
+                                           "second_order")
+                     for q in (p, 2.0 + 2.0 * (p - 2.0)))
         assert near < 1e-2
         assert 3.0 < far / near < 5.0
+
+    @pytest.mark.parametrize("p", [1.9, 2.1])
+    def test_prediction_is_third_order(self, medium_cell_mesh, p):
+        """The chosen start near p = 2 is the third-order candidate, and
+        its distance to the solution, relative to the corrector's, shrinks
+        like (p - 2)^3 (measured: 4.6e-4 at p 1.9 and 2.1, far/near 8.3
+        and 7.7)."""
+        mesh = medium_cell_mesh
+        weights = load_vector(mesh, np.ones(mesh.num_nodes))
+        _, stage = homogenize._predicted_start(mesh, p, weights,
+                                               solve.SolveOptions())
+        assert stage.stop_reason == "start=third_order"
+        near, far = (self._candidate_ratio(mesh, q, "third_order")
+                     for q in (p, 2.0 + 2.0 * (p - 2.0)))
+        assert near < 1e-3
+        assert 6.0 < far / near < 10.0
 
     def test_one_factor_at_a_time(self, medium_cell_mesh, monkeypatch):
         """The predictor's three solves share one factorization, and every
@@ -344,6 +362,7 @@ class TestPredictor:
         config = parse_config(os.path.join(ROOT, "configs", "reference.json"))
         assert (config.cell_nx, config.cell_ny) == (128, 32)
         for p, factorizations, coeff in rows:
+            homogenize._PREDICTOR_MEMO.clear()      # one p per geometry
             cell = study.solve_config_cell(replace(config, p=p))
             assert cell.diagnostics.factorizations == factorizations, p
             assert cell.coeff_flux == pytest.approx(coeff, rel=1e-12), p
@@ -361,13 +380,101 @@ class TestPredictor:
         [message] = [r.getMessage() for r in caplog.records
                      if "start energies" in r.getMessage()]
         assert all(f"{name}=" in message
-                   for name in ("linear", "second_order"))
+                   for name in ("linear", "second_order", "third_order"))
         assert "first_order" not in message
         assert message.endswith(f"starting from {chosen}")
         assert (cell.diagnostics.total_iterations
                 == 1 + sum(s.iterations for s in newton))
         assert (cell.diagnostics.factorizations
                 == 1 + sum(s.factorizations for s in newton))
+
+
+class TestPredictorMemo:
+    """The p = 2 predictor of the last cell geometry solved is kept, so a
+    later solve of that geometry at another p factors nothing to start."""
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_reused_solve_is_a_fresh_one(self, reference_profile, p):
+        """After a p = 1.5 solve, a solve of the same geometry (meshed
+        again) at p has the fresh solve's bits, and its predictor stage
+        counts no iteration and no factorization."""
+        def mesh():
+            return build_cell_mesh(reference_profile, 64, 16)
+
+        fresh = solve_cell(mesh(), p)
+        homogenize._PREDICTOR_MEMO.clear()
+        solve_cell(mesh(), 1.5)
+        reused = solve_cell(mesh(), p)
+        assert np.array_equal(reused.phi, fresh.phi)
+        assert reused.coeff_flux == fresh.coeff_flux
+        assert reused.coeff_energy == fresh.coeff_energy
+        stage, *newton = reused.diagnostics.stages
+        first = fresh.diagnostics.stages[0]
+        assert (stage.iterations, stage.factorizations) == (0, 0)
+        assert stage.stop_reason == first.stop_reason + ", reused"
+        assert stage.residual_norms == first.residual_norms
+        assert stage.converged
+        assert ([(s.iterations, s.factorizations) for s in newton]
+                == [(s.iterations, s.factorizations)
+                    for s in fresh.diagnostics.stages[1:]])
+        assert (reused.diagnostics.factorizations
+                == fresh.diagnostics.factorizations - 1)
+
+    @pytest.mark.parametrize("change", [
+        "grid_x", "grid_heights", "grid_rows", "final_delta",
+        "residual_tol", "linear_tol"])
+    def test_another_geometry_or_setting_misses(self, reference_profile,
+                                                change):
+        """A cell that differs in its grid, or a solve that differs in a
+        setting the predictor reads, factors its own p = 2 jacobian, and
+        it replaces the one entry kept."""
+        opts = solve.SolveOptions()
+        mesh = build_cell_mesh(reference_profile, 32, 8)
+        other, other_opts = mesh, opts
+        if change == "grid_x":
+            other = build_cell_mesh(replace(reference_profile, period=2.0),
+                                    32, 8)
+        elif change == "grid_heights":
+            other = build_cell_mesh(replace(reference_profile, mean=1.5),
+                                    32, 8)
+        elif change == "grid_rows":
+            other = build_cell_mesh(reference_profile, 32, 9)
+        else:
+            other_opts = replace(opts, **{
+                "final_delta": {"continuation_deltas": (1e-2, 1e-7)},
+                "residual_tol": {"residual_tol": 1e-11},
+                "linear_tol": {"linear_tol": 1e-13}}[change])
+        assert (homogenize._predictor_key(other, other_opts)
+                != homogenize._predictor_key(mesh, opts))
+        for m, o in ((mesh, opts), (other, other_opts), (mesh, opts)):
+            cell = solve_cell(m, 3.0, o)
+            assert cell.diagnostics.stages[0].factorizations == 1
+        assert len(homogenize._PREDICTOR_MEMO) == 1
+
+    def test_cell_benchmark_pass_factors_nine_times(self, tmp_path,
+                                                    monkeypatch):
+        """`cell --resolution 64` at p 1.5 then 3 in one process begins
+        5 + 4 band factorizations, counted by the diagnostics and by the
+        band's own factor calls."""
+        counts, cells = [], []
+        real_factor, real_solve_cell = solve.Band.factor, homogenize.solve_cell
+
+        def factor(self, ground=0.0):
+            counts.append(1)
+            return real_factor(self, ground)
+
+        def solve_and_keep(*args, **kwargs):
+            cells.append(real_solve_cell(*args, **kwargs))
+            return cells[-1]
+
+        monkeypatch.setattr(solve.Band, "factor", factor)
+        monkeypatch.setattr(homogenize, "solve_cell", solve_and_keep)
+        config = os.path.join(ROOT, "configs", "reference.json")
+        for p in ("1.5", "3"):
+            assert main(["cell", "--config", config, "--resolution", "64",
+                             "--p", p, "--out", str(tmp_path / p)]) == 0
+        assert [c.diagnostics.factorizations for c in cells] == [5, 4]
+        assert len(counts) == 9
 
 
 class TestMeasureIdentity:

@@ -3,8 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oscthin import Limit1DProblem
-from oscthin.limit1d import (nodal_derivative, read_solution,
+from oscthin import Limit1DProblem, fem
+from oscthin.limit1d import (_GAUSS_T, _GAUSS_W, _gauss_values, _LimitPoint,
+                             nodal_derivative, read_solution,
                              solve_homogenized, write_solution)
 
 import oracles
@@ -142,6 +143,37 @@ class TestLinearOracle:
         u, _ = solve_homogenized(prob)
         ref = oracles.linear_limit_solve(0.7, forcing)
         assert np.abs(u - ref).max() < 1e-9
+
+
+def _einsum_jacobian_rows(point):
+    """The limit jacobian's band rows with the element mass blocks from
+    one four-operand einsum, the form _LimitPoint.jacobian replaced."""
+    delta, h = point.delta, point.h
+    p, q = point.prob.p, point.prob.coeff
+    s, ug = point.slopes, point.ug
+    stiff = (q / h) * point.sigma * (
+        1.0 + fem._ratio(p, delta * delta + s * s, delta) * s * s)
+    mprime = point.mass_weight * (
+        1.0 + fem._ratio(p, delta * delta + ug * ug, delta) * ug * ug)
+    basis = np.stack([1.0 - _GAUSS_T, _GAUSS_T])
+    mass = np.einsum("eg,ag,bg,g->eab", mprime, basis, basis, _GAUSS_W) * h
+    rows = np.zeros((2, len(ug) + 1))
+    rows[0, :-1] += stiff + mass[:, 0, 0]
+    rows[0, 1:] += stiff + mass[:, 1, 1]
+    rows[1, :-1] = mass[:, 0, 1] - stiff
+    return rows
+
+
+@pytest.mark.parametrize("delta", [1e-2, 1e-8])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_jacobian_mass_blocks_keep_the_einsum_bits(p, delta):
+    """The jacobian's explicit Gauss-point products give the bits of the
+    einsum they replaced."""
+    rng = np.random.default_rng(5)
+    prob = Limit1DProblem(coeff=0.63, p=p, forcing=rng.normal(size=129))
+    point = _LimitPoint(prob, _gauss_values(prob.forcing),
+                        rng.normal(size=129), delta)
+    assert np.array_equal(point.jacobian().rows, _einsum_jacobian_rows(point))
 
 
 class TestDerivativeRecovery:

@@ -1,3 +1,4 @@
+import importlib.machinery
 import sys
 import types
 import weakref
@@ -547,14 +548,25 @@ class TestLapackPath:
     def test_missing_extension_is_one_line_import_error(self, monkeypatch,
                                                         tmp_path):
         """A scipy without the LAPACK extension is refused by name and
-        directory, with no second route to LAPACK."""
+        directory, with no second route to LAPACK: the directory is the
+        one find_spec gives for scipy."""
         (tmp_path / "linalg").mkdir()
-        monkeypatch.setitem(sys.modules, "scipy", types.SimpleNamespace(
-            __file__=str(tmp_path / "__init__.py")))
+        spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        spec.submodule_search_locations = [str(tmp_path)]
+        monkeypatch.setitem(sys.modules, "scipy",
+                            types.SimpleNamespace(__spec__=spec))
         with pytest.raises(ImportError) as info:
             solve._load_lapack()
         assert str(info.value) == ("scipy has no LAPACK extension _flapack "
                                    f"in {tmp_path / 'linalg'}")
+
+    def test_missing_scipy_is_one_line_import_error(self, monkeypatch):
+        """No scipy to find is refused in one line, not an AttributeError
+        on a missing spec."""
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        with pytest.raises(ImportError) as info:
+            solve._load_lapack()
+        assert str(info.value) == "scipy is not installed"
 
 
 class TestConstraints:
