@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import fem, geometry, homogenize, limit1d, solve, study
+from . import geometry, homogenize, limit1d, solve, study
 from .geometry import MeshingError
 
 EXIT_OK = 0
@@ -179,8 +179,7 @@ def main(argv=None):
     except (ConfigError, MeshingError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (solve.SolveError, homogenize.UnconvergedCellError,
-            fem.AssemblyError) as exc:
+    except solve.SolveError as exc:
         print(f"solver error ({args.command}): {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except OSError as exc:

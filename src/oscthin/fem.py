@@ -29,7 +29,7 @@ import numpy as np
 from . import solve
 
 
-class AssemblyError(RuntimeError):
+class AssemblyError(solve.SolveError):
     """Raised when assembly meets a non-finite intermediate value."""
 
 
@@ -211,7 +211,7 @@ def _power_weight(sq, p, delta):
 
     The masked entries multiply a zero vector in every caller, so mapping
     them to 0 realizes the continuous limit |xi|^(p-2) xi -> 0.  A weight
-    that overflows (large p) is inf, which _check_finite refuses.
+    that overflows (large p) is inf, an infinite energy or AssemblyError.
     """
     base = delta * delta + np.asarray(sq, dtype=float)
     if p >= 2.0 or delta > 0.0:
@@ -286,6 +286,9 @@ def _check_finite(values, what):
         raise AssemblyError(f"non-finite {what}{where}")
 
 
+_by_value = np.errstate(over="ignore", invalid="ignore")  # Point checks values
+
+
 class Point:
     """A field evaluated once for its energy, residual and jacobian on the
     plan's column grid: one gather of the grid values, per triangle the
@@ -296,6 +299,7 @@ class Point:
     linear background slope * x1 added to the field, so xi is that of
     slope * x1 + u (the cell's unit macroscopic gradient, slope 1)."""
 
+    @_by_value
     def __init__(self, mesh, u, params, include_mass=True, load_vector=None,
                  slope=0.0):
         self.u, self.plan, g = _gather(mesh, u)
@@ -311,21 +315,20 @@ class Point:
             self.um = plan.edge_mean(g)
             self.mass_weight = _power_weight(self.um * self.um, p, delta)
 
+    @_by_value
     def energy(self):
-        """int (1/p)(d^2+|xi|^2)^(p/2) [+ (1/p)(d^2+u^2)^(p/2)] - b . u."""
+        """int (1/p)(d^2+|xi|^2)^(p/2) [+ (1/p)(d^2+u^2)^(p/2)] - b . u,
+        +inf where that is not finite: a line search rejects the trial."""
         p, d2, plan = self.params.p, self.params.delta ** 2, self.plan
-        flux = (plan.area / p) * ((d2 + self.sq) * self.sigma)
-        _check_finite(flux.swapaxes(-1, -2), "flux energy")
-        total = flux.sum()
+        total = ((plan.area / p) * ((d2 + self.sq) * self.sigma)).sum()
         if self.include_mass:
-            mass = plan.weigh((d2 + self.um * self.um) * self.mass_weight,
-                              1.0 / p)
-            _check_finite(mass, "mass energy")
-            total += mass.sum()
+            total += plan.weigh((d2 + self.um * self.um) * self.mass_weight,
+                                1.0 / p).sum()
         if self.load_vector is not None:
             total -= self.load_vector @ self.u
-        return float(total)
+        return float(total) if np.isfinite(total) else np.inf
 
+    @_by_value
     def residual(self):
         """Gradient of the energy, one entry per node.  In a half's grid
         differences xi is ((dh - s k dv/c)/dx, dv/(c eps)), so the energy's
@@ -353,6 +356,7 @@ class Point:
             res -= self.load_vector
         return res
 
+    @_by_value
     def jacobian(self):
         """The jacobian's stencil scattered through the plan's position
         map: a solve.Band.

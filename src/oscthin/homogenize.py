@@ -23,7 +23,7 @@ from . import fem, geometry, solve
 logger = logging.getLogger(__name__)
 
 
-class UnconvergedCellError(RuntimeError):
+class UnconvergedCellError(solve.SolveError):
     """The two effective-coefficient formulas disagree beyond tolerance."""
 
 
@@ -197,7 +197,7 @@ def _predicted_start(mesh, p, weights, opts):
         _PREDICTOR_MEMO[key] = terms, stage
         reused = ""
     candidates = _candidates(terms, p)
-    energies = {name: _energy_at(mesh, p, field, opts.final_delta)
+    energies = {name: _cell_point(mesh, p, field, opts.final_delta).energy()
                 for name, field in candidates.items()}
     chosen = min(energies, key=energies.get)
     stage.stop_reason = f"start={chosen}{reused}"
@@ -211,18 +211,17 @@ def _candidates(terms, p):
     """The starts at p from the p = 2 terms (phi_2, phi', phi'', phi'''):
     phi_2 alone at p = 2, and otherwise also its second- and third-order
     continuations phi_2 + s phi' + s^2 phi''/2 (+ s^3 phi'''/6) in
-    s = p - 2."""
+    s = p - 2, each unless it overflows (at large p)."""
     phi, tangent, curvature, third = terms
     candidates = {"linear": phi.copy()}     # the memo keeps phi
     if p != 2.0:
-        # at large p these overflow, and _energy_at rates them infinite
-        # (s ** 3 of a Python float would raise OverflowError instead)
+        s = p - 2.0     # s ** 3 would raise OverflowError at large p
         with np.errstate(over="ignore", invalid="ignore"):
-            second = (phi + (p - 2.0) * tangent
-                      + 0.5 * (p - 2.0) * (p - 2.0) * curvature)
-            candidates["second_order"] = second
-            candidates["third_order"] = (
-                second + (p - 2.0) * (p - 2.0) * (p - 2.0) / 6.0 * third)
+            second = phi + s * tangent + 0.5 * s * s * curvature
+            starts = {"second_order": second,
+                      "third_order": second + s * s * s / 6.0 * third}
+        candidates.update({name: start for name, start in starts.items()
+                           if np.isfinite(start).all()})
     return candidates
 
 
@@ -299,16 +298,6 @@ def _p2_predictor(mesh, weights, opts):
         exc.diagnostics = solve.NewtonDiagnostics([stage])
         raise
     return (phi, tangent, curvature, third), stage
-
-
-def _energy_at(mesh, p, phi, delta):
-    """Cell energy of phi at p, infinite where it overflows (a candidate
-    far from the solution at large p)."""
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _cell_point(mesh, p, phi, delta).energy()
-    except fem.AssemblyError:
-        return np.inf
 
 
 _SUMMARY_KEYS = ("p", "period", "delta", "cell_measure", "coeff_flux",

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from oscthin import build_cell_mesh, build_thin_mesh, study
-from oscthin.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, ConfigError, main,
-                         parse_config, read_field, write_field)
+from oscthin.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SOLVER,
+                         ConfigError, main, parse_config, read_field,
+                         write_field)
 from oscthin.geometry import read_mesh, read_table, write_mesh, write_table
 from oscthin.limit1d import read_solution, write_solution
-from oscthin.homogenize import read_cell_summary
+from oscthin.homogenize import COEFF_AGREEMENT, read_cell_summary
 from oscthin.study import read_report_json
 
 import oracles
@@ -505,6 +506,26 @@ class TestCommands:
         assert main(["cell", "--config", path]) == EXIT_CONFIG
         assert "p must exceed 1" in capsys.readouterr().err
 
+    def test_resolution_below_four_is_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path / "cfg.json")
+        assert main(["cell", "--config", path, "--resolution", "3"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: resolution must be at least 4\n")
+
+    @pytest.mark.parametrize("where", ["out", "config"])
+    def test_io_error_exit_code(self, tmp_path, capsys, where):
+        """An --out that names an existing file, or a --config that names
+        a directory, exits 4 with one line."""
+        path = write_config(tmp_path / "cfg.json")
+        existing = tmp_path / "existing"
+        existing.write_text("")
+        argv = (["--config", path, "--out", str(existing)] if where == "out"
+                else ["--config", str(tmp_path)])
+        assert main(["cell", *argv]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error (cell): ")
+        assert err.count("\n") == 1
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("load, message", [
@@ -540,23 +561,36 @@ class TestCommands:
         ("cell", ["--p", "1e6", "--resolution", "4"]),
     ], ids=["cell", "solve-limit", "study", "cell-1e6"])
     def test_overflowing_p_exit_code(self, tmp_path, capsys, command, argv):
-        """A p whose flux overflows exits 3 with one line: the predictor's
-        (p - 2)^2 and (p - 2)^3 raise no OverflowError at p = 1e300, and
-        the power weight no numpy overflow warning (an error under the
-        test suite's warning filter) at p = 1e6."""
-        assert main([command, "--config", REFERENCE_CONFIG, *argv,
-                     "--out", str(tmp_path)]) == EXIT_SOLVER
-        err = capsys.readouterr().err
-        assert err.startswith(f"solver error ({command}): non-finite flux")
-        assert err.count("\n") == 1
+        """A p whose flux overflows raises no numpy warning (an error
+        under the test suite's warning filter), and the predictor's
+        (p - 2)^2 and (p - 2)^3 no OverflowError.  At p = 1e300 the flux
+        overflows at every start: exit 3 with one line.  At p = 1e6 on
+        the 16x4 cell the predictor's starts overflow, and the ladder from
+        zero converges, its overflowing trials rejected: exit 0 with
+        coefficients that agree."""
+        code = main([command, "--config", REFERENCE_CONFIG, *argv,
+                     "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        if "1e6" in argv:
+            assert code == EXIT_OK and captured.err == ""
+            summary = read_cell_summary(tmp_path / "cell_summary.txt")
+            assert (abs(summary["coeff_flux"] - summary["coeff_energy"])
+                    <= COEFF_AGREEMENT * summary["coeff_energy"])
+            return
+        assert code == EXIT_SOLVER
+        assert captured.err.startswith(
+            f"solver error ({command}): non-finite flux")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("claim", [
-        "--p 1.1", "--p 8", "solve-limit --resolution 4 --p 400"])
+        "--p 1.1", "--p 8", "--p 1e300", "cell --resolution 4 --p 1e6",
+        "solve-limit --resolution 4 --p 400", "cell --p 400"])
     def test_readme_edges_of_p_reproduced(self, tmp_path, capsys, claim):
         """The README's edges-of-p bullets, run through main on the
         reference config (study unless the bullet names a command): the
         exit code, and each quoted line in its words exactly and its
-        numbers to 1e-12 relative.  At p = 8 every row's stall line is
+        numbers to 1e-12 relative.  On exit 0 stderr is empty and the
+        quote is a line of stdout.  At p = 8 every row's stall line is
         on stderr, the first one quoted, and stdout ends with the quoted
         count."""
         code, quotes = _readme_edge_claims()[claim]
@@ -566,6 +600,13 @@ class TestCommands:
                      "--out", str(tmp_path)]) == code
         captured = capsys.readouterr()
         lines = [line.strip() for line in captured.err.splitlines()]
+        if code == EXIT_OK:
+            assert lines == []
+            key = quotes[0].split()[0]
+            [line] = [line for line in captured.out.splitlines()
+                      if line.split()[0] == key]
+            _assert_same_words_and_numbers(quotes[0], line)
+            return
         if claim != "--p 8":
             assert len(lines) == 1
             _assert_same_words_and_numbers(quotes[0], lines[0])

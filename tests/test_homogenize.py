@@ -21,7 +21,7 @@ ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 class TestFlatCell:
     # at p = 1e300 the predictor's second-order candidate, 0 * inf, is
-    # NaN without a warning, and the linear start is the answer
+    # NaN without a warning and dropped, and the linear start is the answer
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 1e300])
     def test_flat_profile_is_exact(self, flat_profile, p):
         mesh = build_cell_mesh(flat_profile, 16, 8)
@@ -188,6 +188,45 @@ class TestLinearStart:
                 == 3 + ladder.diagnostics.factorizations)
         assert "LineSearchStallError" in caplog.text
         assert "falling back" in caplog.text
+
+    def test_predictor_failure_falls_back_to_the_ladder(self,
+                                                        medium_cell_mesh,
+                                                        monkeypatch):
+        """An IndefiniteSystemError from the p = 2 predictor's one
+        factorization leaves with the predictor's stage, and the ladder
+        from zero solves the cell: its result bit for bit, nothing kept
+        in the memo."""
+        mesh, p = medium_cell_mesh, 3.0
+        ladder = _ladder_cell(mesh, p)
+        real_solver, calls = solve.constrained_solver, []
+
+        def failing_once(a, w):
+            calls.append(True)
+            if len(calls) == 1:
+                raise solve.IndefiniteSystemError("refused")
+            return real_solver(a, w)
+
+        monkeypatch.setattr(solve, "constrained_solver", failing_once)
+        cell = solve_cell(mesh, p)
+        predictor, *rest = cell.diagnostics.stages
+        assert predictor.stop_reason == "IndefiniteSystemError"
+        assert predictor.factorizations == 1 and not predictor.converged
+        assert ([(s.delta, s.iterations) for s in rest]
+                == [(s.delta, s.iterations) for s in ladder.diagnostics.stages])
+        assert np.array_equal(cell.phi, ladder.phi)
+        assert homogenize._PREDICTOR_MEMO == {}
+
+    def test_overflow_at_large_p_fails_in_the_ladder(self, reference_profile):
+        """At p = 400 the residual at the predictor's start overflows on
+        the 128x32 reference cell, and the ladder takes over: its 1e-2
+        stage converges, its 1e-4 stage meets a jacobian that is not
+        positive definite, and the error carries the ladder's stages."""
+        with pytest.raises(solve.IndefiniteSystemError,
+                           match="228-th leading minor") as info:
+            solve_cell(build_cell_mesh(reference_profile, 128, 32), 400.0)
+        stages = info.value.diagnostics.stages
+        assert [(s.delta, s.converged, s.stop_reason) for s in stages] == [
+            (1e-2, True, "residual"), (1e-4, False, "IndefiniteSystemError")]
 
 
 class TestPredictor:

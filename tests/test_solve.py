@@ -655,6 +655,21 @@ class TestNewton:
             newton_solve(point, np.zeros(3),
                          opts=SolveOptions(continuation_deltas=(1e-8,)))
 
+    def test_assembly_error_carries_diagnostics(self, reference_profile):
+        """An AssemblyError is a SolveError: raised by a point inside
+        newton_solve, it leaves with the diagnostics so far, the failed
+        stage last and named by the error's class."""
+        mesh = build_thin_mesh(reference_profile, 0.25, 8, 4)
+        u = np.zeros(mesh.num_nodes)
+        u[mesh.grid_nodes[2, 1]] = 1e200
+        with pytest.raises(fem.AssemblyError,
+                           match="^non-finite flux on triangle") as info:
+            newton_solve(_thin_point(mesh, 3.0, np.ones(mesh.num_nodes)), u)
+        assert isinstance(info.value, solve.SolveError)
+        [stage] = info.value.diagnostics.stages
+        assert (stage.delta, stage.iterations, stage.converged,
+                stage.stop_reason) == (1e-2, 0, False, "AssemblyError")
+
     def test_point_is_a_bare_function(self):
         """The problem is a function of (u, delta) that returns the point:
         the quadratic energy (u - c) . D (u - c) / 2 takes one full Newton

@@ -321,6 +321,13 @@ class TestFlux:
         inner = slice(10, 91)
         assert np.abs(sm[inner] - vals[inner]).max() < 1e-12
 
+    def test_box_smooth_window_under_one_station_is_a_copy(self):
+        """A window under one station spacing, as at eps 1/256, leaves the
+        values as they are, in a copy."""
+        vals = np.array([1.0, -2.0, 3.0])
+        sm = box_smooth(vals, 0.1, 0.09)
+        assert np.array_equal(sm, vals) and not np.shares_memory(sm, vals)
+
     def test_box_smooth_flattens_oscillation(self):
         x = np.linspace(0.0, 1.0, 400, endpoint=False)
         vals = np.sin(2.0 * np.pi * 20 * x)
