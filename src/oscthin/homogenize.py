@@ -161,20 +161,19 @@ _PREDICTOR_MEMO = {}
 
 
 def _predictor_key(mesh, opts):
-    """What the p = 2 predictor depends on: the cell grid and the three
-    settings _p2_predictor reads."""
+    """What the p = 2 predictor depends on: the cell grid and the target
+    delta."""
     return (mesh.grid_x.tobytes(), mesh.grid_heights.tobytes(),
-            mesh.grid_rows, opts.final_delta, opts.residual_tol,
-            opts.linear_tol)
+            mesh.grid_rows, opts.final_delta)
 
 
 def _predicted_start(mesh, p, weights, opts):
     """Newton's start at p and the predictor's stage of the diagnostics.
 
     The p = 2 predictor (_p2_predictor) does not depend on p, so it is
-    taken from _PREDICTOR_MEMO when the memo holds this geometry and these
-    settings, and computed and kept there otherwise.  A reused stage counts
-    no iteration and no factorization; it keeps the p = 2 energies,
+    taken from _PREDICTOR_MEMO when the memo holds this geometry and this
+    target delta, and computed and kept there otherwise.  A reused stage
+    counts no iteration and no factorization; it keeps the p = 2 energies,
     residual norms and convergence of the stage that computed it.  The
     candidates (_candidates) are evaluated at p, and the one with the
     lowest energy there is returned (phi_2 at p = 2); the stop_reason
@@ -245,10 +244,10 @@ def _p2_predictor(mesh, weights, opts):
     are back-substitutions, so J goes before any point is evaluated, and
     the factor goes on return.
 
-    The stage counts one iteration (none if zero meets residual_tol) and
-    one factorization, holds the p = 2 energies and residual norms and is
-    converged if phi_2 meets residual_tol.  A SolveError leaves with the
-    stage as its diagnostics, the stop_reason naming the failure.
+    The stage counts one iteration (none if zero meets solve.RESIDUAL_TOL)
+    and one factorization, holds the p = 2 energies and residual norms and
+    is converged if phi_2 meets that tolerance.  A SolveError leaves with
+    the stage as its diagnostics, the stop_reason naming the failure.
     """
     target = opts.final_delta
     stage = solve.StageDiagnostics(delta=target)
@@ -258,13 +257,13 @@ def _p2_predictor(mesh, weights, opts):
         r = point.residual()
         stage.energies.append(point.energy())
         stage.residual_norms.append(float(np.linalg.norm(r)))
-        tol = opts.residual_tol * (1.0 + stage.residual_norms[0])
+        tol = solve.RESIDUAL_TOL * (1.0 + stage.residual_norms[0])
         stage.factorizations = 1
         jacobian, point = point.jacobian(), None
         solve_linear = solve.constrained_solver(jacobian, weights)
         if stage.residual_norms[0] > tol:
             # newton_solve's full step from zero, refined against the band
-            phi = phi + solve_linear(-r, jacobian, opts.linear_tol)
+            phi = phi + solve_linear(-r, jacobian, solve.LINEAR_TOL)
             stage.iterations = 1
             stage.step_lengths.append(1.0)
         del jacobian        # the later solves are back-substitutions

@@ -3,8 +3,8 @@
 P1 elements on a uniform grid with the same damped Newton driver and the
 same flux regularization as the 2-D solves, so the quantities being
 compared across the pipeline share one discretization convention.  The
-forcing arrives as nodal samples (it comes out of fiber quadrature, not a
-closed form) and is treated as its piecewise-linear interpolant; with the
+forcing arrives as nodal samples (of LoadSpec.fiber_integral, a closed
+form) and is treated as its piecewise-linear interpolant; with the
 two-point Gauss rule per element the load integrals are then exact.
 """
 

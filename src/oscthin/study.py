@@ -150,6 +150,13 @@ class StudyConfig:
                 *(("partition_levels", level, 0) for level in levels)):
             if _number(key, value, integer=True) < least:
                 raise ValueError(f"{key} must be at least {least}, got {value}")
+        # the finest thin mesh's nodes on its band's four diagonals within
+        # the int32 positions of fem._Plan.band
+        nodes = (self.thin_nx_per_period / min(eps) / self.profile.period
+                 + 1) * (self.thin_ny + 1)
+        if not 4 * nodes < 2 ** 31:
+            raise ValueError(f"eps={min(eps)!r} needs {nodes:.4g} thin-mesh "
+                             "nodes, more than the solver's 2^29 - 1")
         # no partition cell narrower than a column half of the finest thin
         # mesh: 2^level/period cells against 2 nx_per_period/(eps period)
         most = math.floor(
@@ -199,10 +206,8 @@ class StudyConfig:
         # each solver option takes the type of its default
         defaults = asdict(solve.SolveOptions())
         solver = solve.SolveOptions(**{
-            key: (_numbers(f"solver.{key}", val)
-                  if isinstance(defaults[key], tuple)
-                  else _number(f"solver.{key}", val,
-                               isinstance(defaults[key], int)))
+            key: (_numbers if isinstance(defaults[key], tuple) else _number)(
+                f"solver.{key}", val)
             for key, val in sections["solver"].items() if key in defaults})
         # known load keys only, so a typo meets the layout check below
         load = {key: val for key, val in sections["load"].items()

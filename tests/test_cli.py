@@ -45,6 +45,10 @@ def _assert_same_words_and_numbers(expected, actual):
         assert float(a) == pytest.approx(float(b), rel=1e-12)
 
 
+# an override that drops the key from the written config
+MISSING = object()
+
+
 def write_config(path, **overrides):
     data = {
         "profile": {"period": 1.0, "mean": 1.0, "cos_coeffs": [], "sin_coeffs": []},
@@ -58,6 +62,7 @@ def write_config(path, **overrides):
         "flux_stations": 50,
     }
     data.update(overrides)
+    data = {key: value for key, value in data.items() if value is not MISSING}
     with open(path, "w") as fh:
         json.dump(data, fh)
     return str(path)
@@ -274,12 +279,22 @@ class TestParseConfig:
          "profile.sin_coeffs must be a list, got 0.5"),
         ({"solver": {"continuation_deltas": 1e-8}},
          "solver.continuation_deltas must be a list, got 1e-08"),
+        # Newton's fixed settings are no config keys: one given, whatever
+        # its value, is refused by name
         ({"solver": {"max_halvings": 2.5}},
-         "solver.max_halvings must be an integer, got 2.5"),
+         "unknown config key 'max_halvings' in solver"),
         ({"solver": {"max_newton": 2.5}},
-         "solver.max_newton must be an integer, got 2.5"),
+         "unknown config key 'max_newton' in solver"),
         ({"solver": {"residual_tol": True}},
-         "solver.residual_tol must be a number, got True"),
+         "unknown config key 'residual_tol' in solver"),
+        ({"solver": {"residual_tol": 1e309}},
+         "unknown config key 'residual_tol' in solver"),
+        ({"solver": {"linear_tol": 1e309}},
+         "unknown config key 'linear_tol' in solver"),
+        ({"solver": {"max_halvings": -1}},
+         "unknown config key 'max_halvings' in solver"),
+        ({"solver": {"ls_sufficient_decrease": 0.25}},
+         "unknown config key 'ls_sufficient_decrease' in solver"),
         ({"solver": {"continuation_deltas": ["0.01", "1e-8"]}},
          "solver.continuation_deltas must be a number, got '0.01'"),
         ({"solver": {"max_newtons": 3}},
@@ -287,10 +302,6 @@ class TestParseConfig:
         ({"load": {"kind": "constant", "value": True}},
          "load value must be a number, got True"),
         # 1e309 overflows to inf, in the config file as here
-        ({"solver": {"residual_tol": 1e309}},
-         "residual_tol must be positive and finite, got inf"),
-        ({"solver": {"linear_tol": 1e309}},
-         "linear_tol must be positive and finite, got inf"),
         ({"solver": {"continuation_deltas": [1e-2, 1e309]}},
          "continuation_deltas must be finite and nonnegative, got inf"),
         ({"p": 1e309}, "p must be finite, got inf"),
@@ -304,9 +315,17 @@ class TestParseConfig:
         ({"cell_mesh": []}, "cell_mesh must be an object, got []"),
         ({"profile": [1.0]}, "profile must be an object, got [1.0]"),
         ({"load": "constant"}, "load must be an object, got 'constant'"),
-        # a negative count would stall every line search at step length 1
-        ({"solver": {"max_halvings": -1}},
-         "max_halvings must be at least 0, got -1"),
+        ({"p": MISSING}, "config is missing or mistypes a field: 'p'"),
+        ({"profile": MISSING},
+         "config is missing or mistypes a field: 'profile'"),
+        ({"epsilons": []}, "the oscillation ladder must not be empty"),
+        ({"partition_levels": []}, "the partition ladder must not be empty"),
+        ({"solver": {"continuation_deltas": []}},
+         "continuation_deltas must not be empty"),
+        ({"solver": {"ls_backtrack": 1.0}},
+         "ls_backtrack must lie in (0, 1), got 1.0"),
+        ({"solver": {"ls_backtrack": 0}},
+         "ls_backtrack must lie in (0, 1), got 0"),
     ], ids=["nx_per_period", "ny", "limit_elements", "flux_stations_0",
             "flux_stations_negative", "limit_elements_float", "ny_string",
             "flux_stations_float", "cell_nx_bool", "cell_ny_float",
@@ -316,12 +335,15 @@ class TestParseConfig:
             "eps_number", "levels_string", "cos_coeffs_string",
             "sin_coeffs_number", "deltas_number",
             "max_halvings_float", "max_newton_float", "residual_tol_bool",
-            "deltas_string",
-            "solver_typo", "load_value_bool", "residual_tol_inf",
-            "linear_tol_inf", "delta_inf", "p_inf", "eps_inf",
+            "residual_tol_inf", "linear_tol_inf", "max_halvings_negative",
+            "sufficient_decrease", "deltas_string",
+            "solver_typo", "load_value_bool",
+            "delta_inf", "p_inf", "eps_inf",
             "eps_negative", "eps_above_one", "solver_list", "solver_string",
             "thin_mesh_string", "cell_mesh_list", "profile_list",
-            "load_string", "max_halvings_negative"])
+            "load_string", "p_missing", "profile_missing", "eps_empty",
+            "levels_empty", "deltas_empty", "backtrack_one",
+            "backtrack_zero"])
     @pytest.mark.parametrize("command", ["study", "solve-eps", "cell"])
     def test_bad_size_is_config_error(self, tmp_path, capsys, monkeypatch,
                                       overrides, message, command):
@@ -654,6 +676,22 @@ class TestCommands:
         assert err.startswith("config error: eps=0.3 does not tile")
         assert err.count("\n") == 1
         assert cells == [] and not out.exists()
+
+    @pytest.mark.parametrize("command", ["study", "solve-eps"])
+    def test_eps_too_small_to_mesh_is_config_error(self, tmp_path, capsys,
+                                                   monkeypatch, command):
+        """An eps whose thin mesh has more nodes than the solver's band
+        addresses stops with one line naming eps and the node count,
+        before the cell solve."""
+        cells = []
+        monkeypatch.setattr(study, "solve_config_cell", cells.append)
+        path = write_config(tmp_path / "cfg.json")
+        assert main([command, "--config", path, "--eps", "1e-300",
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: eps=1e-300 needs 4e+301 thin-mesh nodes, more "
+            "than the solver's 2^29 - 1\n")
+        assert cells == []
 
     def test_p_override(self, tmp_path, capsys):
         path = write_config(tmp_path / "cfg.json")

@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 import tracemalloc
@@ -73,6 +74,14 @@ class TestScaledGradient:
 
 
 class TestMonotoneFlux:
+    @pytest.mark.parametrize("p, delta, message", [
+        (1.0, 0.0, "p must exceed 1, got 1.0"),
+        (0.5, 0.0, "p must exceed 1, got 0.5"),
+        (3.0, -1e-8, "delta must be nonnegative, got -1e-08")])
+    def test_params_refused(self, p, delta, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FluxParams(p=p, delta=delta)
+
     def test_zero_maps_to_zero(self):
         for p in (1.5, 2.0, 4.0):
             out = p_flux(np.zeros(2), FluxParams(p=p))

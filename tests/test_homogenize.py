@@ -460,13 +460,12 @@ class TestPredictorMemo:
                 == fresh.diagnostics.factorizations - 1)
 
     @pytest.mark.parametrize("change", [
-        "grid_x", "grid_heights", "grid_rows", "final_delta",
-        "residual_tol", "linear_tol"])
+        "grid_x", "grid_heights", "grid_rows", "final_delta"])
     def test_another_geometry_or_setting_misses(self, reference_profile,
                                                 change):
-        """A cell that differs in its grid, or a solve that differs in a
-        setting the predictor reads, factors its own p = 2 jacobian, and
-        it replaces the one entry kept."""
+        """A cell that differs in its grid, or a solve that differs in its
+        target delta, factors its own p = 2 jacobian, and it replaces the
+        one entry kept."""
         opts = solve.SolveOptions()
         mesh = build_cell_mesh(reference_profile, 32, 8)
         other, other_opts = mesh, opts
@@ -479,10 +478,7 @@ class TestPredictorMemo:
         elif change == "grid_rows":
             other = build_cell_mesh(reference_profile, 32, 9)
         else:
-            other_opts = replace(opts, **{
-                "final_delta": {"continuation_deltas": (1e-2, 1e-7)},
-                "residual_tol": {"residual_tol": 1e-11},
-                "linear_tol": {"linear_tol": 1e-13}}[change])
+            other_opts = replace(opts, continuation_deltas=(1e-2, 1e-7))
         assert (homogenize._predictor_key(other, other_opts)
                 != homogenize._predictor_key(mesh, opts))
         for m, o in ((mesh, opts), (other, other_opts), (mesh, opts)):

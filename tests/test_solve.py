@@ -626,9 +626,39 @@ class TestNewton:
         _, diag = solve_thin(mesh, 3.0, LoadSpec(kind="cos_pi"))
         assert diag.total_iterations > 0
 
-    def test_max_newton_exceeded_raises(self, medium_cell_mesh):
-        opts = SolveOptions(max_newton=2, continuation_deltas=(1e-8,))
-        with pytest.raises(NonConvergenceError):
+    def test_solve_thin_refuses_a_cell_mesh(self, small_cell_mesh):
+        with pytest.raises(ValueError, match="needs a thin mesh"):
+            solve_thin(small_cell_mesh, 3.0, LoadSpec(kind="constant"))
+
+    def test_ascent_direction_is_indefinite(self, monkeypatch):
+        """A step along which the energy rises is refused by the line
+        search before any trial, and the error leaves newton_solve with
+        the diagnostics, the failed stage named by the error's class."""
+        trials = []
+
+        def point(u, delta):
+            trials.append(u)
+            return types.SimpleNamespace(
+                energy=lambda: 0.5 * float(u @ u) - float(u.sum()),
+                residual=lambda: u - 1.0,
+                jacobian=lambda: solve.Band(np.ones((1, 3)), np.array([0])))
+
+        # the step up the residual, not down it
+        monkeypatch.setattr(solve, "linear_solve", lambda a, b, tol: -b)
+        with pytest.raises(IndefiniteSystemError,
+                           match="^Newton step is an ascent direction "
+                                 r"\(slope 3\.000e\+00\)$") as info:
+            newton_solve(point, np.zeros(3))
+        [stage] = info.value.diagnostics.stages
+        assert (stage.iterations, stage.factorizations, stage.converged,
+                stage.stop_reason) == (0, 1, False, "IndefiniteSystemError")
+        assert len(trials) == 1     # the start; no trial was evaluated
+
+    def test_max_newton_exceeded_raises(self, medium_cell_mesh,
+                                        monkeypatch):
+        monkeypatch.setattr(solve, "MAX_NEWTON", 2)
+        opts = SolveOptions(continuation_deltas=(1e-8,))
+        with pytest.raises(NonConvergenceError, match="after 2 Newton steps"):
             solve_cell(medium_cell_mesh, 3.0, opts)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])

@@ -452,9 +452,7 @@ class TestReportIO:
         with, every field set away from its default."""
         config = tiny_config(flat_profile, LoadSpec(kind="cos_pi"))
         config.solver = solve.SolveOptions(
-            residual_tol=1e-9, max_newton=40, ls_backtrack=0.3,
-            ls_sufficient_decrease=0.2, max_halvings=40,
-            continuation_deltas=(1e-3, 1e-8), linear_tol=1e-11)
+            ls_backtrack=0.3, continuation_deltas=(1e-3, 1e-8))
         default = solve.SolveOptions()
         assert all(getattr(config.solver, f.name) != getattr(default, f.name)
                    for f in dataclasses.fields(default))
