@@ -98,7 +98,6 @@ def _cmd_cell(config, args):
 
 def _cmd_solve_eps(config, args):
     eps = min(config.epsilons)      # --eps overrides the whole ladder
-    geometry.tiling_periods(config.profile, eps)    # before the cell solve
     cell = study.solve_config_cell(config)
     mesh, u, diag, _, du0 = study.solve_eps(config, cell, eps)
     profiles = study.flux_profiles(config, cell, mesh, u, du0)

@@ -27,6 +27,10 @@ class UnconvergedCellError(solve.SolveError):
     """The two effective-coefficient formulas disagree beyond tolerance."""
 
 
+# the regularization every cell solution is reported at: the last delta of
+# the solver's ladder
+TARGET_DELTA = solve.SolveOptions().final_delta
+
 # agreement of the two coefficient formulas expected from a converged solve,
 # and the looser threshold treated as evidence the solve is broken
 COEFF_AGREEMENT = 1e-6
@@ -82,20 +86,22 @@ def _cell_point(mesh, p, phi, delta):
                      include_mass=False, slope=1.0)
 
 
-def solve_cell(mesh, p, opts=None):
+def solve_cell(mesh, p):
     """Solve the periodic cell problem and package the scalar outputs.
 
     The solve starts from the p-predictor (_predicted_start): the linear
-    corrector phi_2, the p = 2 solution at the target delta (the last
-    continuation delta), or its second- or third-order continuation in
-    p, whichever has the lowest energy at p.  The predictor of the last
+    corrector phi_2, the p = 2 solution at TARGET_DELTA (the last delta
+    of the solver's ladder), or its second- or third-order continuation
+    in p, whichever has the lowest energy at p.  The predictor of the last
     geometry solved is kept, so a later solve of it at another p factors
     nothing to start, and its diagnostics count only the work done in
     that call.
     At p = 2 phi_2 is the answer.  Any other p runs Newton from that start
-    at the target delta twice: the second pass stops relative to the
+    at TARGET_DELTA twice: the second pass stops relative to the
     first's small residual, not to the residual of the start.  On a
-    SolveError the configured continuation ladder from zero takes over.
+    SolveError the solver's default ladder from zero takes over.  Both
+    ladders reach newton_solve as its SolveOptions; no caller chooses
+    them.
     The diagnostics hold the predictor's stage and every Newton stage
     run, abandoned ones included.
 
@@ -109,31 +115,30 @@ def solve_cell(mesh, p, opts=None):
     if mesh.domain_kind != "cell":
         raise ValueError(f"solve_cell needs a cell mesh, got a "
                          f"{mesh.domain_kind} one")
-    opts = opts or solve.SolveOptions()
     weights = fem.load_vector(mesh, np.ones(mesh.num_nodes))
-    target = opts.final_delta
     diagnostics = solve.NewtonDiagnostics()
 
-    def newton(init, deltas):
+    def newton(init, opts):
         phi, diag = solve.newton_solve(
-            partial(_cell_point, mesh, p), init, weights,
-            replace(opts, continuation_deltas=deltas))
+            partial(_cell_point, mesh, p), init, weights, opts)
         diagnostics.stages += diag.stages
         return phi
 
     try:
-        phi, stage = _predicted_start(mesh, p, weights, opts)
+        phi, stage = _predicted_start(mesh, p, weights)
         diagnostics.stages.append(stage)
         if p != 2.0 or not stage.converged:
-            phi = newton(phi, (target, target))
+            phi = newton(phi, solve.SolveOptions(
+                continuation_deltas=(TARGET_DELTA, TARGET_DELTA)))
     except solve.SolveError as exc:
         diagnostics.stages += exc.diagnostics.stages
+        ladder = solve.SolveOptions()
         logger.info("cell p=%g: start from the p-predictor failed (%s: "
                     "%s); falling back to the ladder %s", p,
-                    type(exc).__name__, exc, opts.continuation_deltas)
-        phi = newton(np.zeros(mesh.num_nodes), opts.continuation_deltas)
+                    type(exc).__name__, exc, ladder.continuation_deltas)
+        phi = newton(np.zeros(mesh.num_nodes), ladder)
 
-    cell = CellSolution(mesh=mesh, phi=phi, p=p, delta=target,
+    cell = CellSolution(mesh=mesh, phi=phi, p=p, delta=TARGET_DELTA,
                         diagnostics=diagnostics)
     mean = float(weights @ phi) / cell.cell_measure
     if abs(mean) > 1e-10:
@@ -160,19 +165,19 @@ _P_STEP = 1e-2
 _PREDICTOR_MEMO = {}
 
 
-def _predictor_key(mesh, opts):
-    """What the p = 2 predictor depends on: the cell grid and the target
-    delta."""
+def _predictor_key(mesh):
+    """What the p = 2 predictor depends on: the cell grid (its delta is
+    TARGET_DELTA)."""
     return (mesh.grid_x.tobytes(), mesh.grid_heights.tobytes(),
-            mesh.grid_rows, opts.final_delta)
+            mesh.grid_rows)
 
 
-def _predicted_start(mesh, p, weights, opts):
+def _predicted_start(mesh, p, weights):
     """Newton's start at p and the predictor's stage of the diagnostics.
 
     The p = 2 predictor (_p2_predictor) does not depend on p, so it is
-    taken from _PREDICTOR_MEMO when the memo holds this geometry and this
-    target delta, and computed and kept there otherwise.  A reused stage
+    taken from _PREDICTOR_MEMO when the memo holds this geometry, and
+    computed and kept there otherwise.  A reused stage
     counts no iteration and no factorization; it keeps the p = 2 energies,
     residual norms and convergence of the stage that computed it.  The
     candidates (_candidates) are evaluated at p, and the one with the
@@ -181,7 +186,7 @@ def _predicted_start(mesh, p, weights, opts):
     leaves with the stage as its diagnostics, the stop_reason naming the
     failure, and nothing memoized.
     """
-    key = _predictor_key(mesh, opts)
+    key = _predictor_key(mesh)
     kept = _PREDICTOR_MEMO.get(key)
     if kept is not None:
         terms, done = kept
@@ -191,12 +196,12 @@ def _predicted_start(mesh, p, weights, opts):
                         step_lengths=[])
         reused = ", reused"
     else:
-        terms, stage = _p2_predictor(mesh, weights, opts)
+        terms, stage = _p2_predictor(mesh, weights)
         _PREDICTOR_MEMO.clear()
         _PREDICTOR_MEMO[key] = terms, stage
         reused = ""
     candidates = _candidates(terms, p)
-    energies = {name: _cell_point(mesh, p, field, opts.final_delta).energy()
+    energies = {name: _cell_point(mesh, p, field, TARGET_DELTA).energy()
                 for name, field in candidates.items()}
     chosen = min(energies, key=energies.get)
     stage.stop_reason = f"start={chosen}{reused}"
@@ -224,13 +229,13 @@ def _candidates(terms, p):
     return candidates
 
 
-def _p2_predictor(mesh, weights, opts):
+def _p2_predictor(mesh, weights):
     """The terms (phi_2, phi', phi'', phi''') of phi's expansion in p
     about p = 2, from one factorization of the p = 2 jacobian, and their
     stage of the diagnostics.
 
     At p = 2 the cell jacobian J does not depend on phi (sigma = 1, and
-    the cell has no mass term), so its one factor, at the target delta,
+    the cell has no mass term), so its one factor, at TARGET_DELTA,
     serves four solves: the linear corrector phi_2, the Newton step from
     zero as newton_solve takes it (refined against J, so at p = 2 it has
     the ladder's bits); the tangent phi' = -J^-1 dR/dp(phi_2, 2); the
@@ -249,11 +254,10 @@ def _p2_predictor(mesh, weights, opts):
     is converged if phi_2 meets that tolerance.  A SolveError leaves with
     the stage as its diagnostics, the stop_reason naming the failure.
     """
-    target = opts.final_delta
-    stage = solve.StageDiagnostics(delta=target)
+    stage = solve.StageDiagnostics(delta=TARGET_DELTA)
     phi = np.zeros(mesh.num_nodes)
     try:
-        point = _cell_point(mesh, 2.0, phi, target)
+        point = _cell_point(mesh, 2.0, phi, TARGET_DELTA)
         r = point.residual()
         stage.energies.append(point.energy())
         stage.residual_norms.append(float(np.linalg.norm(r)))
@@ -268,7 +272,7 @@ def _p2_predictor(mesh, weights, opts):
             stage.step_lengths.append(1.0)
         del jacobian        # the later solves are back-substitutions
         if stage.iterations:
-            point = _cell_point(mesh, 2.0, phi, target)
+            point = _cell_point(mesh, 2.0, phi, TARGET_DELTA)
             r = point.residual()
             stage.energies.append(point.energy())
             stage.residual_norms.append(float(np.linalg.norm(r)))
@@ -277,7 +281,7 @@ def _p2_predictor(mesh, weights, opts):
         phi = phi - (weights @ phi) / weights.sum()
 
         def residual(field, q):
-            return _cell_point(mesh, q, field, target).residual()
+            return _cell_point(mesh, q, field, TARGET_DELTA).residual()
 
         def path(s):
             return residual(phi + s * tangent + 0.5 * s * s * curvature,

@@ -107,16 +107,15 @@ class _LimitPoint:
         return solve.Band(rows, np.array([0, 1]))
 
 
-def solve_homogenized(prob, opts=None):
+def solve_homogenized(prob):
     """Nodal solution of the limit problem plus solver diagnostics.
 
     The Neumann conditions are natural, and the zeroth-order term makes the
     problem well posed without constraints.
     """
-    opts = opts or solve.SolveOptions()
     return solve.newton_solve(
         partial(_LimitPoint, prob, _gauss_values(prob.forcing)),
-        np.zeros_like(prob.forcing), opts=opts)
+        np.zeros_like(prob.forcing))
 
 
 def nodal_derivative(values):

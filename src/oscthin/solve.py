@@ -95,12 +95,14 @@ SUFFICIENT_DECREASE = 0.25
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """The Newton settings a caller varies: solve_cell walks its own
-    ladder, (target, target), from its p-predictor, and the benchmark's
-    halving counter reads ls_backtrack, the line search's step factor.
-    continuation_deltas is walked front to back, each stage warm-starting
-    the next; the last entry is the regularization the solution is
-    reported at."""
+    """newton_solve's regularization ladder and line-search step factor,
+    its argument only: no config key or solve function takes them, and
+    the defaults are the one copy of both.  homogenize.solve_cell passes
+    (TARGET_DELTA, TARGET_DELTA) from its p-predictor and the default
+    ladder on its fallback; the benchmark's halving counter reads
+    ls_backtrack there.  continuation_deltas is walked front to back,
+    each stage warm-starting the next; the last entry is the
+    regularization the solution is reported at."""
 
     ls_backtrack: float = 0.5
     continuation_deltas: tuple = (1e-2, 1e-4, 1e-8)

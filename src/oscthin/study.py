@@ -15,7 +15,7 @@ against dual functions.
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -124,7 +124,6 @@ class StudyConfig:
     thin_ny: int = 16
     limit_elements: int = 512
     flux_stations: int = 250
-    solver: solve.SolveOptions = field(default_factory=solve.SolveOptions)
 
     def __post_init__(self):
         if not _number("p", self.p) > 1.0:
@@ -138,11 +137,18 @@ class StudyConfig:
         for value in eps:
             if not 0.0 < value <= 1.0:
                 raise ValueError(f"epsilons must lie in (0, 1], got {value!r}")
+            try:
+                geometry.tiling_periods(self.profile, value)
+            except geometry.MeshingError as exc:    # a config error
+                raise ValueError(str(exc)) from None
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("the oscillation ladder must be strictly decreasing")
         levels = _numbers("partition_levels", self.partition_levels, True)
         if not levels:
             raise ValueError("the partition ladder must not be empty")
+        if len(set(levels)) < len(levels):
+            raise ValueError("partition_levels must not repeat a level, got "
+                             f"{list(levels)}")
         for key, value, least in (
                 *((f"{section}.{key}" if section else key,
                    getattr(self, name), least)
@@ -181,7 +187,6 @@ class StudyConfig:
             "load": asdict(self.load),
             "epsilons": list(self.epsilons),
             "partition_levels": list(self.partition_levels),
-            "solver": asdict(self.solver),
         }
         for name, section, key, _ in _SIZES:
             (data.setdefault(section, {}) if section else data)[key] = (
@@ -194,7 +199,7 @@ class StudyConfig:
         config and each section must be a JSON object; the profile and
         load sections are required."""
         sections = {"": _object("config", data)}
-        for name in ("profile", "load", "cell_mesh", "thin_mesh", "solver"):
+        for name in ("profile", "load", "cell_mesh", "thin_mesh"):
             given = data[name] if name in ("profile", "load") else data.get(name, {})
             sections[name] = _object(name, given)
         prof = sections["profile"]
@@ -203,12 +208,6 @@ class StudyConfig:
             mean=float(_number("profile.mean", prof["mean"])),
             **{key: _numbers(f"profile.{key}", prof.get(key, ()))
                for key in ("cos_coeffs", "sin_coeffs")})
-        # each solver option takes the type of its default
-        defaults = asdict(solve.SolveOptions())
-        solver = solve.SolveOptions(**{
-            key: (_numbers if isinstance(defaults[key], tuple) else _number)(
-                f"solver.{key}", val)
-            for key, val in sections["solver"].items() if key in defaults})
         # known load keys only, so a typo meets the layout check below
         load = {key: val for key, val in sections["load"].items()
                 if key in {f.name for f in fields(LoadSpec)}}
@@ -221,7 +220,6 @@ class StudyConfig:
             load=LoadSpec(**load),
             epsilons=data["epsilons"],
             partition_levels=data["partition_levels"],
-            solver=solver,
             **sizes,
         )
         layout = config.to_dict()
@@ -259,23 +257,22 @@ class StudyReport:
         return StudyReport(config=self.config, rows=rows)
 
 
-def solve_thin(mesh, p, load, opts=None):
+def solve_thin(mesh, p, load):
     """Converged thin-domain solution; the boundary condition is natural."""
     if mesh.eps is None:
         raise ValueError("solve_thin needs a thin mesh (eps attached)")
-    opts = opts or solve.SolveOptions()
     b = fem.load_vector(mesh, load)
     return solve.newton_solve(
         lambda u, delta: fem.Point(mesh, u, fem.FluxParams(p, delta),
                                    load_vector=b),
-        np.zeros(mesh.num_nodes), opts=opts)
+        np.zeros(mesh.num_nodes))
 
 
 def solve_config_cell(config):
     """Cell problem of a config, on its cell mesh."""
     mesh = geometry.build_cell_mesh(config.profile, config.cell_nx,
                                     config.cell_ny)
-    return homogenize.solve_cell(mesh, config.p, config.solver)
+    return homogenize.solve_cell(mesh, config.p)
 
 
 def solve_limit(config, cell, eps):
@@ -285,7 +282,7 @@ def solve_limit(config, cell, eps):
     fbar = fhat * (config.profile.period / cell.cell_measure)
     return limit1d.solve_homogenized(
         limit1d.Limit1DProblem(coeff=cell.coeff_flux, p=config.p,
-                               forcing=fbar), config.solver)
+                               forcing=fbar))
 
 
 def partition_average(samples, edges):
@@ -411,7 +408,7 @@ def solve_eps(config, cell, eps):
     limit solution and its nodal derivative."""
     mesh = geometry.build_thin_mesh(config.profile, eps,
                                     config.thin_nx_per_period, config.thin_ny)
-    u_eps, diag = solve_thin(mesh, config.p, config.load, config.solver)
+    u_eps, diag = solve_thin(mesh, config.p, config.load)
     u0, _ = solve_limit(config, cell, eps)
     return mesh, u_eps, diag, u0, limit1d.nodal_derivative(u0)
 
@@ -446,11 +443,7 @@ def _study_rows_for_eps(config, cell, eps):
 
 def run_study(config):
     """Walk the oscillation ladder and aggregate the per-row measurements.
-    A failing entry is recorded in its rows' status and the study goes on.
-    An eps that does not tile the unit interval is a config error, raised
-    (MeshingError) before the cell solve."""
-    for eps in config.epsilons:
-        geometry.tiling_periods(config.profile, eps)
+    A failing entry is recorded in its rows' status and the study goes on."""
     cell = solve_config_cell(config)
 
     def job(eps):

@@ -6,7 +6,6 @@ searches over every triangle.  Where a solver's strategy changes, the
 strategy it replaced is kept here as the oracle of the new one.
 """
 
-from dataclasses import replace
 from functools import lru_cache, partial
 
 import numpy as np
@@ -155,21 +154,20 @@ def linear_periodic_cell(mesh):
     return phi, coeff
 
 
-def linear_start_cell(mesh, p, opts=None):
+def linear_start_cell(mesh, p):
     """The cell solve started from the linear corrector alone: Newton on
     the p = 2 functional from zero at the target delta, then Newton at p
-    from it at the target delta twice; on a SolveError the configured
-    ladder from zero.  A CellSolution whose diagnostics hold every stage
-    run (the start solve_cell took before its p-predictor)."""
-    opts = opts or solve.SolveOptions()
+    from it at the target delta twice; on a SolveError the solver's
+    default ladder from zero.  A CellSolution whose diagnostics hold every
+    stage run (the start solve_cell took before its p-predictor)."""
     weights = fem.load_vector(mesh, np.ones(mesh.num_nodes))
-    target = opts.final_delta
+    target = solve.SolveOptions().final_delta
     diagnostics = solve.NewtonDiagnostics()
 
     def newton(q, init, deltas):
         phi, diag = solve.newton_solve(
             partial(homogenize._cell_point, mesh, q), init, weights,
-            replace(opts, continuation_deltas=deltas))
+            solve.SolveOptions(continuation_deltas=deltas))
         diagnostics.stages += diag.stages
         return phi
 
@@ -179,7 +177,8 @@ def linear_start_cell(mesh, p, opts=None):
             phi = newton(p, phi, (target, target))
     except solve.SolveError as exc:
         diagnostics.stages += exc.diagnostics.stages
-        phi = newton(p, np.zeros(mesh.num_nodes), opts.continuation_deltas)
+        phi = newton(p, np.zeros(mesh.num_nodes),
+                     solve.SolveOptions().continuation_deltas)
     return homogenize.CellSolution(mesh=mesh, phi=phi, p=p, delta=target,
                                    diagnostics=diagnostics)
 

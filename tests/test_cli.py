@@ -183,6 +183,28 @@ def test_field_records_refused(reference_profile, tmp_path, change, message):
     assert str(info.value) == f"{path}: {message}"
 
 
+# Newton's settings are no config keys: a solver section, the layout of
+# earlier versions, is refused by name whatever it holds
+SOLVER_SECTIONS = {
+    "deltas_number": {"continuation_deltas": 1e-8},
+    "max_halvings_float": {"max_halvings": 2.5},
+    "max_newton_float": {"max_newton": 2.5},
+    "residual_tol_bool": {"residual_tol": True},
+    "residual_tol_inf": {"residual_tol": 1e309},
+    "linear_tol_inf": {"linear_tol": 1e309},
+    "max_halvings_negative": {"max_halvings": -1},
+    "sufficient_decrease": {"ls_sufficient_decrease": 0.25},
+    "deltas_string": {"continuation_deltas": ["0.01", "1e-8"]},
+    "solver_typo": {"max_newtons": 3},
+    "delta_inf": {"continuation_deltas": [1e-2, 1e309]},
+    "solver_list": [],
+    "solver_string": "abc",
+    "deltas_empty": {"continuation_deltas": []},
+    "backtrack_one": {"ls_backtrack": 1.0},
+    "backtrack_zero": {"ls_backtrack": 0},
+}
+
+
 class TestParseConfig:
     def test_reference_config_parses_to_documented_values(self):
         config = parse_config(REFERENCE_CONFIG)
@@ -194,7 +216,16 @@ class TestParseConfig:
         assert config.partition_levels == (2, 4, 6)
         assert (config.cell_nx, config.cell_ny) == (128, 32)
         assert (config.thin_nx_per_period, config.thin_ny) == (32, 16)
-        assert config.solver.continuation_deltas == (1e-2, 1e-4, 1e-8)
+
+    def test_readme_example_is_the_reference_config(self):
+        """The README's config example, the first json block under its
+        "Config file format" heading, is configs/reference.json."""
+        with open(README) as fh:
+            text = fh.read()
+        section = text[text.index("### Config file format"):]
+        block = section[section.index("```json\n") + len("```json\n"):]
+        with open(REFERENCE_CONFIG) as fh:
+            assert json.loads(block[:block.index("```")]) == json.load(fh)
 
     def test_p_of_one_rejected(self, tmp_path):
         path = write_config(tmp_path / "bad.json", p=1.0)
@@ -277,40 +308,14 @@ class TestParseConfig:
          "profile.cos_coeffs must be a list, got '0.5'"),
         ({"profile": {"period": 1.0, "mean": 1.0, "sin_coeffs": 0.5}},
          "profile.sin_coeffs must be a list, got 0.5"),
-        ({"solver": {"continuation_deltas": 1e-8}},
-         "solver.continuation_deltas must be a list, got 1e-08"),
-        # Newton's fixed settings are no config keys: one given, whatever
-        # its value, is refused by name
-        ({"solver": {"max_halvings": 2.5}},
-         "unknown config key 'max_halvings' in solver"),
-        ({"solver": {"max_newton": 2.5}},
-         "unknown config key 'max_newton' in solver"),
-        ({"solver": {"residual_tol": True}},
-         "unknown config key 'residual_tol' in solver"),
-        ({"solver": {"residual_tol": 1e309}},
-         "unknown config key 'residual_tol' in solver"),
-        ({"solver": {"linear_tol": 1e309}},
-         "unknown config key 'linear_tol' in solver"),
-        ({"solver": {"max_halvings": -1}},
-         "unknown config key 'max_halvings' in solver"),
-        ({"solver": {"ls_sufficient_decrease": 0.25}},
-         "unknown config key 'ls_sufficient_decrease' in solver"),
-        ({"solver": {"continuation_deltas": ["0.01", "1e-8"]}},
-         "solver.continuation_deltas must be a number, got '0.01'"),
-        ({"solver": {"max_newtons": 3}},
-         "unknown config key 'max_newtons' in solver"),
         ({"load": {"kind": "constant", "value": True}},
          "load value must be a number, got True"),
         # 1e309 overflows to inf, in the config file as here
-        ({"solver": {"continuation_deltas": [1e-2, 1e309]}},
-         "continuation_deltas must be finite and nonnegative, got inf"),
         ({"p": 1e309}, "p must be finite, got inf"),
         ({"epsilons": [1e309]}, "epsilons must be finite, got inf"),
         ({"epsilons": [0.5, -0.5]}, "epsilons must lie in (0, 1], got -0.5"),
         ({"epsilons": [2.0]}, "epsilons must lie in (0, 1], got 2.0"),
         # every section is a JSON object
-        ({"solver": []}, "solver must be an object, got []"),
-        ({"solver": "abc"}, "solver must be an object, got 'abc'"),
         ({"thin_mesh": "x"}, "thin_mesh must be an object, got 'x'"),
         ({"cell_mesh": []}, "cell_mesh must be an object, got []"),
         ({"profile": [1.0]}, "profile must be an object, got [1.0]"),
@@ -320,12 +325,10 @@ class TestParseConfig:
          "config is missing or mistypes a field: 'profile'"),
         ({"epsilons": []}, "the oscillation ladder must not be empty"),
         ({"partition_levels": []}, "the partition ladder must not be empty"),
-        ({"solver": {"continuation_deltas": []}},
-         "continuation_deltas must not be empty"),
-        ({"solver": {"ls_backtrack": 1.0}},
-         "ls_backtrack must lie in (0, 1), got 1.0"),
-        ({"solver": {"ls_backtrack": 0}},
-         "ls_backtrack must lie in (0, 1), got 0"),
+        ({"partition_levels": [2, 4, 4]},
+         "partition_levels must not repeat a level, got [2, 4, 4]"),
+        *(({"solver": section}, "unknown config key 'solver'")
+          for section in SOLVER_SECTIONS.values()),
     ], ids=["nx_per_period", "ny", "limit_elements", "flux_stations_0",
             "flux_stations_negative", "limit_elements_float", "ny_string",
             "flux_stations_float", "cell_nx_bool", "cell_ny_float",
@@ -333,17 +336,11 @@ class TestParseConfig:
             "level_string", "level_past_mesh", "level_huge", "p_string",
             "eps_string", "eps_bool", "period_string", "cos_coeff_string",
             "eps_number", "levels_string", "cos_coeffs_string",
-            "sin_coeffs_number", "deltas_number",
-            "max_halvings_float", "max_newton_float", "residual_tol_bool",
-            "residual_tol_inf", "linear_tol_inf", "max_halvings_negative",
-            "sufficient_decrease", "deltas_string",
-            "solver_typo", "load_value_bool",
-            "delta_inf", "p_inf", "eps_inf",
-            "eps_negative", "eps_above_one", "solver_list", "solver_string",
+            "sin_coeffs_number", "load_value_bool", "p_inf", "eps_inf",
+            "eps_negative", "eps_above_one",
             "thin_mesh_string", "cell_mesh_list", "profile_list",
             "load_string", "p_missing", "profile_missing", "eps_empty",
-            "levels_empty", "deltas_empty", "backtrack_one",
-            "backtrack_zero"])
+            "levels_empty", "levels_repeated", *SOLVER_SECTIONS])
     @pytest.mark.parametrize("command", ["study", "solve-eps", "cell"])
     def test_bad_size_is_config_error(self, tmp_path, capsys, monkeypatch,
                                       overrides, message, command):
@@ -648,29 +645,18 @@ class TestCommands:
         assert main(["cell", "--config", path, "--p", "1.0"]) == EXIT_CONFIG
         assert "p must exceed 1" in capsys.readouterr().err
 
-    def test_bad_eps_override_is_config_error(self, tmp_path, capsys,
-                                              monkeypatch):
-        """solve-eps checks that eps tiles the unit interval before it
-        solves the cell, and stops with one line."""
-        def no_cell(config):
-            raise AssertionError("the cell was solved")
-
-        monkeypatch.setattr(study, "solve_config_cell", no_cell)
-        path = write_config(tmp_path / "cfg.json")
-        assert main(["solve-eps", "--config", path, "--eps", "0.3"]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("config error: eps=0.3 does not tile")
-        assert err.count("\n") == 1
-
-    def test_study_non_tiling_eps_is_config_error(self, tmp_path, capsys,
-                                                  monkeypatch):
-        """An eps that does not tile the unit interval stops the study
-        with one line before the cell solve, and no report is written."""
+    @pytest.mark.parametrize("command",
+                             ["study", "solve-eps", "solve-limit", "cell"])
+    def test_non_tiling_eps_is_config_error(self, tmp_path, capsys,
+                                            monkeypatch, command):
+        """An eps that does not tile the unit interval is refused with the
+        config, on every command: one line and exit 2, before the cell
+        solve, and no output written."""
         cells = []
         monkeypatch.setattr(study, "solve_config_cell", cells.append)
         path = write_config(tmp_path / "cfg.json")
         out = tmp_path / "out"
-        assert main(["study", "--config", path, "--eps", "0.3",
+        assert main([command, "--config", path, "--eps", "0.3",
                      "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error: eps=0.3 does not tile")

@@ -648,6 +648,12 @@ class TestNorms:
         u = np.full(unit_square_mesh.num_nodes, -2.5)
         assert lp_norm(unit_square_mesh, u, 3.0) == pytest.approx(2.5, abs=1e-12)
 
+    def test_exponent_below_one_refused(self, unit_square_mesh):
+        u = np.ones(unit_square_mesh.num_nodes)
+        with pytest.raises(ValueError,
+                           match=r"^lp_norm needs p >= 1, got 0\.5$"):
+            lp_norm(unit_square_mesh, u, 0.5)
+
     def test_linear_field_against_exact_integral(self, flat_profile):
         mesh = build_thin_mesh(flat_profile, 1.0, 32, 32)
         u = oracles.nodes(mesh)[:, 0].copy()

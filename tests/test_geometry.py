@@ -196,6 +196,13 @@ class TestThinMesh:
         with pytest.raises(ValueError):
             build_thin_mesh(reference_profile, 1.5, 8, 4)
 
+    @pytest.mark.parametrize("nx_per_period, ny", [(1, 4), (8, 1)])
+    def test_size_below_two_rejected(self, reference_profile, nx_per_period,
+                                     ny):
+        with pytest.raises(ValueError, match="^thin mesh needs nx_per_period "
+                                             ">= 2 and ny >= 2$"):
+            build_thin_mesh(reference_profile, 0.25, nx_per_period, ny)
+
     def test_mesh_retains_only_its_grid(self, reference_profile):
         """Building a thin mesh keeps its column grid and node map and
         nothing per triangle: at most 16 bytes a node stay allocated."""

@@ -104,6 +104,31 @@ class TestOscillatingCell:
         assert " energy=0.57408" in message
         assert "\n" not in message
 
+    def test_nonzero_mean_refused(self, monkeypatch, small_cell_mesh):
+        """A perturbation whose mean is not zero, here the p = 2 start
+        shifted by one, is an unconverged cell, not a coefficient."""
+        real = homogenize._predicted_start
+
+        def shifted(mesh, p, weights):
+            phi, stage = real(mesh, p, weights)
+            return phi + 1.0, stage
+
+        monkeypatch.setattr(homogenize, "_predicted_start", shifted)
+        with pytest.raises(UnconvergedCellError,
+                           match=r"^cell perturbation has nonzero mean "
+                                 r"1\.000e\+00$"):
+            solve_cell(small_cell_mesh, 2.0)
+
+    def test_nonpositive_coefficient_refused(self, monkeypatch,
+                                             small_cell_mesh):
+        """A flux average that is not positive is refused before the
+        formulas are compared."""
+        monkeypatch.setattr(CellSolution, "coeff_flux", 0.0)
+        with pytest.raises(UnconvergedCellError,
+                           match=r"^effective coefficient not positive: "
+                                 r"flux=0\.0 energy=0\.\d+$"):
+            solve_cell(small_cell_mesh, 2.0)
+
     def test_coefficient_self_convergence(self, reference_profile):
         coeffs = [solve_cell(build_cell_mesh(reference_profile, nx, nx // 4), 3.0).coeff_flux
                   for nx in (16, 32, 64)]
@@ -297,8 +322,7 @@ class TestPredictor:
         """The distance of the named candidate at p to the solution at p,
         relative to the corrector's."""
         weights = load_vector(mesh, np.ones(mesh.num_nodes))
-        terms, _ = homogenize._p2_predictor(mesh, weights,
-                                            solve.SolveOptions())
+        terms, _ = homogenize._p2_predictor(mesh, weights)
         corrector = terms[0]
         start = homogenize._candidates(terms, p)[name]
         phi = solve_cell(mesh, p).phi
@@ -323,8 +347,7 @@ class TestPredictor:
         and 7.7)."""
         mesh = medium_cell_mesh
         weights = load_vector(mesh, np.ones(mesh.num_nodes))
-        _, stage = homogenize._predicted_start(mesh, p, weights,
-                                               solve.SolveOptions())
+        _, stage = homogenize._predicted_start(mesh, p, weights)
         assert stage.stop_reason == "start=third_order"
         near, far = (self._candidate_ratio(mesh, q, "third_order")
                      for q in (p, 2.0 + 2.0 * (p - 2.0)))
@@ -376,8 +399,7 @@ class TestPredictor:
         mesh = build_cell_mesh(reference_profile, 32, 8)
         weights = load_vector(mesh, np.ones(mesh.num_nodes))
         with caplog.at_level("INFO", logger="oscthin.homogenize"):
-            start, stage = homogenize._predicted_start(
-                mesh, 80.0, weights, solve.SolveOptions())
+            start, stage = homogenize._predicted_start(mesh, 80.0, weights)
         assert "second_order=inf" in caplog.text
         assert stage.stop_reason == "start=linear"
         assert np.array_equal(start, oracles.linear_start_cell(mesh, 2.0).phi)
@@ -459,30 +481,24 @@ class TestPredictorMemo:
         assert (reused.diagnostics.factorizations
                 == fresh.diagnostics.factorizations - 1)
 
-    @pytest.mark.parametrize("change", [
-        "grid_x", "grid_heights", "grid_rows", "final_delta"])
+    @pytest.mark.parametrize("change", ["grid_x", "grid_heights", "grid_rows"])
     def test_another_geometry_or_setting_misses(self, reference_profile,
                                                 change):
-        """A cell that differs in its grid, or a solve that differs in its
-        target delta, factors its own p = 2 jacobian, and it replaces the
-        one entry kept."""
-        opts = solve.SolveOptions()
+        """A cell that differs in its grid factors its own p = 2 jacobian,
+        and it replaces the one entry kept."""
         mesh = build_cell_mesh(reference_profile, 32, 8)
-        other, other_opts = mesh, opts
         if change == "grid_x":
             other = build_cell_mesh(replace(reference_profile, period=2.0),
                                     32, 8)
         elif change == "grid_heights":
             other = build_cell_mesh(replace(reference_profile, mean=1.5),
                                     32, 8)
-        elif change == "grid_rows":
-            other = build_cell_mesh(reference_profile, 32, 9)
         else:
-            other_opts = replace(opts, continuation_deltas=(1e-2, 1e-7))
-        assert (homogenize._predictor_key(other, other_opts)
-                != homogenize._predictor_key(mesh, opts))
-        for m, o in ((mesh, opts), (other, other_opts), (mesh, opts)):
-            cell = solve_cell(m, 3.0, o)
+            other = build_cell_mesh(reference_profile, 32, 9)
+        assert (homogenize._predictor_key(other)
+                != homogenize._predictor_key(mesh))
+        for m in (mesh, other, mesh):
+            cell = solve_cell(m, 3.0)
             assert cell.diagnostics.stages[0].factorizations == 1
         assert len(homogenize._PREDICTOR_MEMO) == 1
 
@@ -567,7 +583,7 @@ def _limit_forcing(monkeypatch, profile, load, eps=0.25):
     cell = solve_cell(build_cell_mesh(profile, 16, 4), 2.0)
     problems = []
     monkeypatch.setattr(limit1d, "solve_homogenized",
-                        lambda prob, opts: problems.append(prob))
+                        lambda prob: problems.append(prob))
     study.solve_limit(config, cell, eps)
     [problem] = problems
     return problem.forcing, cell

@@ -196,6 +196,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="p must exceed 1"):
             Limit1DProblem(coeff=1.0, p=1.0, forcing=np.ones(5))
 
+    def test_unregularized_jacobian_below_p2_refused(self):
+        """At p < 2 the jacobian needs delta > 0: its weight |u'|^(p-2)
+        has no bound at a zero slope."""
+        prob = Limit1DProblem(coeff=1.0, p=1.5, forcing=np.ones(5))
+        point = _LimitPoint(prob, _gauss_values(prob.forcing),
+                            1.0 + grid(4), 0.0)
+        with pytest.raises(ValueError,
+                           match=r"^jacobian with p < 2 requires delta > 0$"):
+            point.jacobian()
+
     def test_mismatched_forcing(self):
         """The element count is read from the forcing, which must be 1-D
         with at least 3 samples (2 elements)."""

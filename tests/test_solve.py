@@ -545,6 +545,18 @@ class TestLapackPath:
         assert str(info.value) == (f"banded Cholesky failed: {k + 1}-th "
                                    "leading minor not positive definite")
 
+    @pytest.mark.parametrize("routine", ["dpbtrf", "dpbtrs"])
+    def test_illegal_argument_is_value_error(self, monkeypatch, routine):
+        """A negative info, LAPACK's report of an illegal argument, is a
+        ValueError naming the argument and the routine, not a factor or a
+        solution."""
+        _patch_lapack(monkeypatch,
+                      **{routine: lambda first, *args, **kw: (first, -3)})
+        with pytest.raises(ValueError, match="^illegal value in argument 3 "
+                                             f"of {routine}$"):
+            linear_solve(oracles.band(np.diag([2.0, 4.0])),
+                         np.array([1.0, 1.0]), 1e-12)
+
     def test_missing_extension_is_one_line_import_error(self, monkeypatch,
                                                         tmp_path):
         """A scipy without the LAPACK extension is refused by name and
@@ -657,9 +669,24 @@ class TestNewton:
     def test_max_newton_exceeded_raises(self, medium_cell_mesh,
                                         monkeypatch):
         monkeypatch.setattr(solve, "MAX_NEWTON", 2)
-        opts = SolveOptions(continuation_deltas=(1e-8,))
         with pytest.raises(NonConvergenceError, match="after 2 Newton steps"):
-            solve_cell(medium_cell_mesh, 3.0, opts)
+            solve_cell(medium_cell_mesh, 3.0)
+
+    @pytest.mark.parametrize("options, message", [
+        ({"continuation_deltas": ()}, "continuation_deltas must not be empty"),
+        ({"continuation_deltas": (1e-2, np.inf)},
+         "continuation_deltas must be finite and nonnegative, got inf"),
+        ({"continuation_deltas": (-1e-8,)},
+         "continuation_deltas must be finite and nonnegative, got -1e-08"),
+        ({"ls_backtrack": 0}, "ls_backtrack must lie in (0, 1), got 0"),
+        ({"ls_backtrack": 1.0}, "ls_backtrack must lie in (0, 1), got 1.0"),
+    ], ids=["deltas_empty", "delta_inf", "delta_negative", "backtrack_zero",
+            "backtrack_one"])
+    def test_solve_options_refused(self, options, message):
+        """newton_solve's options are checked when they are built."""
+        with pytest.raises(ValueError) as info:
+            SolveOptions(**options)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     @pytest.mark.parametrize("good_calls", [0, 1])

@@ -31,7 +31,8 @@ def tiny_config(profile, load, p=3.0, epsilons=(0.5, 0.25), levels=(2,)):
 
 
 # each way a study.json can be damaged, and what the refusal says after
-# the file's name; a config that names max_workers is of the older layout
+# the file's name; a config that names max_workers or solver is of an
+# older layout
 REPORT_DAMAGE = {
     "not_json": "Expecting value: line 1 column 1 (char 0)",
     "cut_short": "Expecting property name enclosed in double quotes",
@@ -44,6 +45,8 @@ REPORT_DAMAGE = {
     "row_adds_field": ("StudyRow.__init__() got an unexpected keyword "
                        "argument 'extra'"),
     "max_workers": "unknown config key 'max_workers'",
+    "solver": "unknown config key 'solver'",
+    "eps_not_tiling": "eps=0.3 does not tile (0,1)",
     "eps_text": "row eps must be a number, got 'abc'",
     "level_fraction": "row level must be an integer, got 2.5",
     "err_null": "row err_u must be a number, got None",
@@ -76,6 +79,11 @@ def write_damaged_reports(directory, profile):
             {k: v for k, v in row.items() if k != "status"}]),
         "row_adds_field": dict(data, rows=[dict(row, extra=1)]),
         "max_workers": dict(data, config=dict(data["config"], max_workers=1)),
+        "solver": dict(data, config=dict(
+            data["config"],
+            solver={"continuation_deltas": [0.01, 0.0001, 1e-08]})),
+        "eps_not_tiling": dict(data, config=dict(data["config"],
+                                                 epsilons=[0.3])),
         "eps_text": dict(data, rows=[dict(row, eps="abc")]),
         "level_fraction": dict(data, rows=[dict(row, level=2.5)]),
         "err_null": dict(data, rows=[dict(row, err_u=None)]),
@@ -447,20 +455,6 @@ class TestReportIO:
         assert back.config.to_dict() == report.config.to_dict()
 
 
-    def test_json_keeps_every_solver_option(self, flat_profile, tmp_path):
-        """study.json reads back with the solver options the config ran
-        with, every field set away from its default."""
-        config = tiny_config(flat_profile, LoadSpec(kind="cos_pi"))
-        config.solver = solve.SolveOptions(
-            ls_backtrack=0.3, continuation_deltas=(1e-3, 1e-8))
-        default = solve.SolveOptions()
-        assert all(getattr(config.solver, f.name) != getattr(default, f.name)
-                   for f in dataclasses.fields(default))
-        path = tmp_path / "study.json"
-        write_report_json(study.StudyReport(config=config, rows=[]), path)
-        assert read_report_json(path).config.solver == config.solver
-
-
 class TestLoadSpec:
     def test_kinds(self):
         x = np.array([0.0, 0.5])
@@ -507,6 +501,5 @@ class TestConfigValidation:
         config = StudyConfig.from_dict(data)
         assert config == StudyConfig(
             profile=config.profile, p=config.p, load=config.load,
-            epsilons=config.epsilons, partition_levels=config.partition_levels,
-            solver=config.solver)
+            epsilons=config.epsilons, partition_levels=config.partition_levels)
         assert (config.cell_nx, config.thin_ny) == (128, 16)
