@@ -107,7 +107,7 @@ def _cmd_solve_eps(config, args):
     write_field(mesh, u, _field_path(out, "u_eps.txt"))
     geometry.write_table(_field_path(out, "flux_profile.txt"),
                          ("x1", "flux", "smoothed", "target"),
-                         (study.flux_stations(config.flux_stations), *profiles))
+                         (study.STATIONS, *profiles))
     print(f"solved eps={eps!r}: {mesh.num_nodes} nodes, "
           f"{diag.total_iterations} Newton iterations, "
           f"final residual {diag.final_residual:.3e}")

@@ -28,6 +28,9 @@ import numpy as np
 
 from . import solve
 
+# the int32 positions of a band's map: its diagonals times its nodes stay below
+BAND_POSITIONS = 2 ** 31
+
 
 class AssemblyError(solve.SolveError):
     """Raised when assembly meets a non-finite intermediate value."""
@@ -170,7 +173,7 @@ class _Plan:
             for a, b in _ends(grid):
                 present[np.abs(a - b)] = True
             offsets = np.flatnonzero(present)
-            if len(offsets) * m >= 2 ** 31:
+            if len(offsets) * m >= BAND_POSITIONS:
                 raise ValueError("the band does not fit int32 positions")
             rank = (np.cumsum(present, dtype=np.int32) - 1) * np.int32(m)
             where = np.empty(self.n_edges, dtype=np.int32)

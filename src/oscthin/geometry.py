@@ -24,10 +24,10 @@ class MeshingError(RuntimeError):
     """Raised when a mesh cannot be built or fails a geometric invariant."""
 
 
-# dense sampling used to bracket the profile extrema; the exact extremum is
+# dense sampling used to bracket the profile minimum; the exact minimum is
 # only needed to gate validation, not for any quadrature
-_EXTREMUM_SAMPLES = 1 << 14
-_EXTREMUM_ROUNDS = 3
+_MINIMUM_SAMPLES = 1 << 14
+_MINIMUM_ROUNDS = 3
 
 
 def _fourier_eval(y, period, mean, cos_coeffs, sin_coeffs):
@@ -43,13 +43,12 @@ def _fourier_eval(y, period, mean, cos_coeffs, sin_coeffs):
     return out
 
 
-def _refine_extremum(fun, lo, hi, rounds, mode):
-    """Zoom into [lo, hi] a few times and return the refined extremum."""
-    pick = np.argmin if mode == "min" else np.argmax
-    for _ in range(rounds):
+def _refine_minimum(fun, lo, hi):
+    """Zoom into [lo, hi] a few times and return the refined minimum."""
+    for _ in range(_MINIMUM_ROUNDS):
         ys = np.linspace(lo, hi, 1025)
         vals = fun(ys)
-        i = int(pick(vals))
+        i = int(np.argmin(vals))
         lo = ys[max(i - 1, 0)]
         hi = ys[min(i + 1, len(ys) - 1)]
     return float(vals[i])
@@ -62,8 +61,8 @@ class ProfileSpec:
                        + sum_k sin_coeffs[k-1]*sin(2 pi k y / period).
 
     Such series are exactly periodic, smooth and serializable, and dense
-    sampling certifies their positivity: ``minimum`` and ``maximum`` are
-    computed at construction, which fails unless the minimum is positive.
+    sampling certifies their positivity: ``minimum`` is computed at
+    construction, which fails unless it is positive.
     """
 
     period: float
@@ -71,7 +70,6 @@ class ProfileSpec:
     cos_coeffs: tuple = ()
     sin_coeffs: tuple = ()
     minimum: float = field(init=False, default=0.0)
-    maximum: float = field(init=False, default=0.0)
 
     def __post_init__(self):
         if not np.isfinite(self.period) or self.period <= 0.0:
@@ -80,15 +78,11 @@ class ProfileSpec:
         object.__setattr__(self, "sin_coeffs", tuple(float(b) for b in self.sin_coeffs))
         if not np.all(np.isfinite([self.mean, *self.cos_coeffs, *self.sin_coeffs])):
             raise ValueError("profile mean and coefficients must be finite")
-        h = self.period / _EXTREMUM_SAMPLES
-        ys = np.arange(_EXTREMUM_SAMPLES) * h
-        vals = self.evaluate(ys)
-        gmin, gmax = (_refine_extremum(self.evaluate, ys[i] - h, ys[i] + h,
-                                       _EXTREMUM_ROUNDS, mode)
-                      for i, mode in ((int(np.argmin(vals)), "min"),
-                                      (int(np.argmax(vals)), "max")))
+        h = self.period / _MINIMUM_SAMPLES
+        ys = np.arange(_MINIMUM_SAMPLES) * h
+        i = int(np.argmin(self.evaluate(ys)))
+        gmin = _refine_minimum(self.evaluate, ys[i] - h, ys[i] + h)
         object.__setattr__(self, "minimum", gmin)
-        object.__setattr__(self, "maximum", gmax)
         if gmin <= 0.0:
             raise ValueError(
                 f"profile must stay positive: sampled minimum {gmin:.6g} <= 0")
@@ -245,7 +239,8 @@ def tiling_periods(spec, eps):
     if not (0.0 < eps <= 1.0):
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
     m_real = 1.0 / (eps * spec.period)
-    m = int(round(m_real))
+    # a subnormal eps * period overflows: no whole count of periods
+    m = int(round(m_real)) if np.isfinite(m_real) else 0
     if m < 1 or abs(m_real - m) > 1e-9 * max(1.0, m_real):
         raise MeshingError(
             f"eps={eps!r} does not tile (0,1): it must equal 1/(m*L) with "

@@ -100,13 +100,17 @@ class LoadSpec:
         return self._base(x1) * height * (1.0 + 0.5 * self.x2_coeff * height)
 
 
-# each config size: its StudyConfig field, its section of the config file
-# ("" the top level), its key there and its least value
+# each config size: its StudyConfig field, its section of the config file,
+# its key there and its least value
 _SIZES = (("cell_nx", "cell_mesh", "nx", 2), ("cell_ny", "cell_mesh", "ny", 2),
           ("thin_nx_per_period", "thin_mesh", "nx_per_period", 2),
-          ("thin_ny", "thin_mesh", "ny", 2),
-          ("limit_elements", "", "limit_elements", 2),
-          ("flux_stations", "", "flux_stations", 1))
+          ("thin_ny", "thin_mesh", "ny", 2))
+
+# elements of the 1-D limit grid, and the fiber stations of the flux
+# profiles: the midpoints of 250 equal cells of (0, 1)
+LIMIT_ELEMENTS = 512
+STATIONS = (np.arange(250) + 0.5) / 250
+STATIONS.flags.writeable = False
 
 
 @dataclass
@@ -122,8 +126,6 @@ class StudyConfig:
     cell_ny: int = 32
     thin_nx_per_period: int = 32
     thin_ny: int = 16
-    limit_elements: int = 512
-    flux_stations: int = 250
 
     def __post_init__(self):
         if not _number("p", self.p) > 1.0:
@@ -150,19 +152,24 @@ class StudyConfig:
             raise ValueError("partition_levels must not repeat a level, got "
                              f"{list(levels)}")
         for key, value, least in (
-                *((f"{section}.{key}" if section else key,
-                   getattr(self, name), least)
+                *((f"{section}.{key}", getattr(self, name), least)
                   for name, section, key, least in _SIZES),
                 *(("partition_levels", level, 0) for level in levels)):
             if _number(key, value, integer=True) < least:
                 raise ValueError(f"{key} must be at least {least}, got {value}")
-        # the finest thin mesh's nodes on its band's four diagonals within
-        # the int32 positions of fem._Plan.band
-        nodes = (self.thin_nx_per_period / min(eps) / self.profile.period
-                 + 1) * (self.thin_ny + 1)
-        if not 4 * nodes < 2 ** 31:
-            raise ValueError(f"eps={min(eps)!r} needs {nodes:.4g} thin-mesh "
-                             "nodes, more than the solver's 2^29 - 1")
+        # each mesh's nodes on its band's diagonals within the positions of
+        # fem._Plan.band: four on the finest thin mesh, up to eight on the
+        # ring-ordered cell (0, 1, ny..ny+2 and 2ny+1..2ny+3)
+        thin = (self.thin_nx_per_period / min(eps) / self.profile.period
+                + 1) * (self.thin_ny + 1)
+        for what, kind, nodes, diagonals in (
+                (f"eps={min(eps)!r}", "thin", thin, 4),
+                (f"cell_mesh {self.cell_nx}x{self.cell_ny}", "cell",
+                 self.cell_nx * (self.cell_ny + 1), 8)):
+            if not diagonals * nodes < fem.BAND_POSITIONS:
+                bits = (fem.BAND_POSITIONS // diagonals).bit_length() - 1
+                raise ValueError(f"{what} needs {nodes:.4g} {kind}-mesh nodes,"
+                                 f" more than the solver's 2^{bits} - 1")
         # no partition cell narrower than a column half of the finest thin
         # mesh: 2^level/period cells against 2 nx_per_period/(eps period)
         most = math.floor(
@@ -189,8 +196,7 @@ class StudyConfig:
             "partition_levels": list(self.partition_levels),
         }
         for name, section, key, _ in _SIZES:
-            (data.setdefault(section, {}) if section else data)[key] = (
-                getattr(self, name))
+            data.setdefault(section, {})[key] = getattr(self, name)
         return data
 
     @classmethod
@@ -277,7 +283,7 @@ def solve_config_cell(config):
 
 def solve_limit(config, cell, eps):
     """Limit problem forced by the fiber load at eps: (u0, diagnostics)."""
-    x1 = np.linspace(0.0, 1.0, config.limit_elements + 1)
+    x1 = np.linspace(0.0, 1.0, LIMIT_ELEMENTS + 1)
     fhat = config.load.fiber_integral(x1, config.profile.evaluate(x1 / eps))
     fbar = fhat * (config.profile.period / cell.cell_measure)
     return limit1d.solve_homogenized(
@@ -348,13 +354,8 @@ def naive_gradient_field(du0, mesh):
     return np.column_stack([vals, np.zeros_like(vals)])
 
 
-def flux_stations(n1):
-    """Interior station grid used for flux profiles (midpoints of n1 cells)."""
-    return (np.arange(n1) + 0.5) / n1
-
-
-def flux_profile(mesh, u_eps, p, n1, gs=None):
-    """First component of the fiber-integrated flux at each station.
+def flux_profile(mesh, u_eps, p, gs=None):
+    """First component of the fiber-integrated flux at each of STATIONS.
 
     Integrates |grad_eps u|^(p-2) grad_eps u . (1,0) over each vertical
     fiber of the thin mesh; outside the domain the integrand extends by
@@ -364,43 +365,46 @@ def flux_profile(mesh, u_eps, p, n1, gs=None):
     if gs is None:
         gs = fem.element_gradients(mesh, u_eps)
     a1 = fem.p_flux(gs, fem.FluxParams(p=p))[:, 0]
-    return geometry.fiber_integrals(mesh, flux_stations(n1), a1)
+    return geometry.fiber_integrals(mesh, STATIONS, a1)
 
 
-def flux_target(cell, du0, n1):
+def flux_target(cell, du0):
     """Homogenized flux the profiles converge to, at the same stations."""
     grid = np.linspace(0.0, 1.0, len(du0))
-    du_at = np.interp(flux_stations(n1), grid, np.asarray(du0, dtype=float))
+    du_at = np.interp(STATIONS, grid, np.asarray(du0, dtype=float))
     scale = cell.coeff_flux * cell.cell_measure / cell.mesh.width
     return scale * fem.p_flux_scalar(du_at, cell.p)
 
 
 def flux_profiles(config, cell, mesh, u_eps, du0, gs=None):
     """Raw, smoothed (moving average over one oscillation period) and
-    homogenized target flux profiles at the config's stations."""
-    n1 = config.flux_stations
-    profile = flux_profile(mesh, u_eps, config.p, n1, gs)
-    smoothed = box_smooth(profile, 1.0 / n1, mesh.eps * config.profile.period)
-    return profile, smoothed, flux_target(cell, du0, n1)
+    homogenized target flux profiles at STATIONS."""
+    profile = flux_profile(mesh, u_eps, config.p, gs)
+    smoothed = box_smooth(profile, mesh.eps * config.profile.period)
+    return profile, smoothed, flux_target(cell, du0)
 
 
-def box_smooth(values, spacing, window):
-    """Moving average with a box kernel, truncated and renormalized at the ends."""
+def box_smooth(values, window):
+    """Moving average with a box kernel of the given width, truncated and
+    renormalized at the ends, of values at the midpoints of len(values)
+    equal cells of (0, 1)."""
     values = np.asarray(values, dtype=float)
+    n = len(values)
+    spacing = 1.0 / n
     half = int(round(0.5 * window / spacing))
     if half < 1:
         return values.copy()
-    n = len(values)
     cum = np.concatenate([[0.0], np.cumsum(values)])
     lo = np.clip(np.arange(n) - half, 0, n)
     hi = np.clip(np.arange(n) + half + 1, 0, n)
     return (cum[hi] - cum[lo]) / (hi - lo)
 
 
-def _dual_norm(values, spacing, p):
-    """Discrete L^q norm with q = p/(p-1) on a uniform station grid."""
+def _dual_norm(values, p):
+    """Discrete L^q norm with q = p/(p-1) of values at the midpoints of
+    len(values) equal cells of (0, 1)."""
     q = p / (p - 1.0)
-    return float((spacing * np.abs(values) ** q).sum() ** (1.0 / q))
+    return float((1.0 / len(values) * np.abs(values) ** q).sum() ** (1.0 / q))
 
 
 def solve_eps(config, cell, eps):
@@ -423,8 +427,7 @@ def _study_rows_for_eps(config, cell, eps):
                               config.p)
 
     _, smoothed, target = flux_profiles(config, cell, mesh, u_eps, du0, gs)
-    discrepancy = _dual_norm(smoothed - target, 1.0 / config.flux_stations,
-                             config.p)
+    discrepancy = _dual_norm(smoothed - target, config.p)
 
     response = cell_response(cell, mesh)
     corrector_errors = []

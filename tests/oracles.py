@@ -320,16 +320,17 @@ def measure_identity_check(spec, n_levels=4096, n_samples=16384):
     """Both sides of the identity  L * int_0^gmax fraction(h) dh = |cell|
     (acceptance criterion 9).
 
-    The left side integrates the sampled level fraction over heights
-    (midpoint rule); the right side is the period times the mean profile
-    height by fine trapezoid quadrature.  The caller asserts agreement.
+    The left side integrates the sampled level fraction over heights up
+    to the largest sample, gmax (midpoint rule); the right side is the
+    period times the mean profile height by fine trapezoid quadrature.
+    The caller asserts agreement.
     """
     ys = (np.arange(n_samples) + 0.5) * (spec.period / n_samples)
     gs = np.sort(np.asarray(spec.evaluate(ys)))
-    levels = (np.arange(n_levels) + 0.5) * (spec.maximum / n_levels)
+    levels = (np.arange(n_levels) + 0.5) * (gs[-1] / n_levels)
     above = n_samples - np.searchsorted(gs, levels, side="right")
     fraction_integral = float(
-        spec.period * (above / n_samples).sum() * (spec.maximum / n_levels))
+        spec.period * (above / n_samples).sum() * (gs[-1] / n_levels))
 
     yt = np.linspace(0.0, spec.period, (1 << 14) + 1)
     area = float(np.trapezoid(spec.evaluate(yt), yt))

@@ -50,8 +50,7 @@ def reference_config(profile, p, load):
     return StudyConfig(
         profile=profile, p=p, load=load,
         epsilons=EPSILONS, partition_levels=LEVELS,
-        cell_nx=128, cell_ny=32, thin_nx_per_period=32, thin_ny=16,
-        limit_elements=512, flux_stations=250)
+        cell_nx=128, cell_ny=32, thin_nx_per_period=32, thin_ny=16)
 
 
 @pytest.fixture(scope="module")

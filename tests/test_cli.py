@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from oscthin import build_cell_mesh, build_thin_mesh, study
+from oscthin import build_cell_mesh, build_thin_mesh, geometry, study
 from oscthin.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SOLVER,
                          ConfigError, main, parse_config, read_field,
                          write_field)
@@ -58,8 +58,6 @@ def write_config(path, **overrides):
         "partition_levels": [2],
         "cell_mesh": {"nx": 16, "ny": 8},
         "thin_mesh": {"nx_per_period": 8, "ny": 4},
-        "limit_elements": 64,
-        "flux_stations": 50,
     }
     data.update(overrides)
     data = {key: value for key, value in data.items() if value is not MISSING}
@@ -102,7 +100,7 @@ def test_writers_match_row_by_row_format(reference_profile, tmp_path, kind):
         assert solved.num_nodes == mesh.num_nodes
         expected["flux_profile.txt"] = (
             ("x1", "flux", "smoothed", "target"),
-            (study.flux_stations(config.flux_stations),
+            (study.STATIONS,
              *study.flux_profiles(config, cell, solved, u, du0)), {})
     for name, (names, columns, meta) in expected.items():
         text = oracles.row_by_row_table_text(names, columns, meta)
@@ -269,14 +267,14 @@ class TestParseConfig:
          "thin_mesh.nx_per_period must be at least 2, got 1"),
         ({"thin_mesh": {"nx_per_period": 8, "ny": 1}},
          "thin_mesh.ny must be at least 2, got 1"),
-        ({"limit_elements": 1}, "limit_elements must be at least 2, got 1"),
-        ({"flux_stations": 0}, "flux_stations must be at least 1, got 0"),
-        ({"flux_stations": -3}, "flux_stations must be at least 1, got -3"),
-        ({"limit_elements": 64.9},
-         "limit_elements must be an integer, got 64.9"),
+        # the limit grid and the flux stations are constants of the study
+        ({"limit_elements": 1}, "unknown config key 'limit_elements'"),
+        ({"flux_stations": 0}, "unknown config key 'flux_stations'"),
+        ({"flux_stations": -3}, "unknown config key 'flux_stations'"),
+        ({"limit_elements": 64.9}, "unknown config key 'limit_elements'"),
         ({"thin_mesh": {"nx_per_period": 8, "ny": "8"}},
          "thin_mesh.ny must be an integer, got '8'"),
-        ({"flux_stations": 2.5}, "flux_stations must be an integer, got 2.5"),
+        ({"flux_stations": 2.5}, "unknown config key 'flux_stations'"),
         ({"cell_mesh": {"nx": True, "ny": 8}},
          "cell_mesh.nx must be an integer, got True"),
         ({"cell_mesh": {"nx": 32, "ny": 8.0}},
@@ -479,7 +477,7 @@ class TestCommands:
         assert np.abs(u - 1.0).max() < 1e-8
         flux, meta = read_table(out / "flux_profile.txt",
                                 ("x1", "flux", "smoothed", "target"))
-        assert meta == {} and len(flux) == 50
+        assert meta == {} and np.array_equal(flux[:, 0], study.STATIONS)
         assert np.abs(flux[:, 1]).max() < 1e-8
 
     def test_study_constant_load_errors_vanish(self, tmp_path):
@@ -602,7 +600,8 @@ class TestCommands:
         assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("claim", [
-        "--p 1.1", "--p 8", "--p 1e300", "cell --resolution 4 --p 1e6",
+        "--p 1.1", "--p 8", "solve-limit --p 8", "--p 1e300",
+        "cell --resolution 4 --p 1e6",
         "solve-limit --resolution 4 --p 400", "cell --p 400"])
     def test_readme_edges_of_p_reproduced(self, tmp_path, capsys, claim):
         """The README's edges-of-p bullets, run through main on the
@@ -678,6 +677,46 @@ class TestCommands:
             "config error: eps=1e-300 needs 4e+301 thin-mesh nodes, more "
             "than the solver's 2^29 - 1\n")
         assert cells == []
+
+    @pytest.mark.parametrize("cell_mesh, argv, message", [
+        ({"nx": 1000000, "ny": 100000}, [],
+         "cell_mesh 1000000x100000 needs 1e+11 cell-mesh nodes"),
+        ({"nx": 16, "ny": 8}, ["--resolution", "10000"],
+         "cell_mesh 40000x10000 needs 4e+08 cell-mesh nodes")],
+        ids=["config", "resolution"])
+    @pytest.mark.parametrize("command",
+                             ["study", "solve-eps", "solve-limit", "cell"])
+    def test_cell_mesh_too_large_is_config_error(self, tmp_path, capsys,
+                                                 monkeypatch, cell_mesh, argv,
+                                                 message, command):
+        """A cell mesh with more nodes than its band of up to eight
+        diagonals addresses is refused with the config, in the file and
+        after --resolution: one line, before any cell mesh is built."""
+        def no_mesh(*args):
+            raise AssertionError("a cell mesh was built")
+
+        monkeypatch.setattr(geometry, "build_cell_mesh", no_mesh)
+        path = write_config(tmp_path / "cfg.json", cell_mesh=cell_mesh)
+        assert main([command, "--config", path, *argv,
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: {message}, more than the solver's 2^28 - 1\n")
+
+    @pytest.mark.parametrize("command",
+                             ["study", "solve-eps", "solve-limit", "cell"])
+    def test_subnormal_period_is_config_error(self, tmp_path, capsys,
+                                              command):
+        """A period so small that 1/(eps period) overflows tiles no whole
+        count of periods: one line and exit 2, not a traceback."""
+        path = write_config(tmp_path / "cfg.json",
+                            profile={"period": 1e-320, "mean": 1.0})
+        assert main([command, "--config", path,
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: eps=0.5 does not tile (0,1): "
+                              "it must equal 1/(m*L) with integer m >= 1 "
+                              "and L=1e-320 ")
+        assert err.count("\n") == 1
 
     def test_p_override(self, tmp_path, capsys):
         path = write_config(tmp_path / "cfg.json")

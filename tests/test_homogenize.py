@@ -578,8 +578,7 @@ def _limit_forcing(monkeypatch, profile, load, eps=0.25):
     """The forcing study.solve_limit gives the limit problem, on a 16x4
     cell at p = 2."""
     config = study.StudyConfig(profile=profile, p=2.0, load=load,
-                               epsilons=(eps,), partition_levels=(0,),
-                               limit_elements=64)
+                               epsilons=(eps,), partition_levels=(0,))
     cell = solve_cell(build_cell_mesh(profile, 16, 4), 2.0)
     problems = []
     monkeypatch.setattr(limit1d, "solve_homogenized",

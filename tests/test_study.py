@@ -14,7 +14,7 @@ from oscthin.fem import FluxParams, element_gradients, p_flux
 from oscthin.limit1d import nodal_derivative
 from oscthin.study import (LoadSpec, box_smooth, cell_response,
                            corrector_field, dyadic_edges, error_corrector, error_u,
-                           flux_profile, flux_stations, flux_target,
+                           STATIONS, flux_profile, flux_target,
                            partition_average, read_report_json, run_study,
                            solve_config_cell, solve_thin, write_report_json)
 
@@ -26,13 +26,12 @@ def tiny_config(profile, load, p=3.0, epsilons=(0.5, 0.25), levels=(2,)):
     return StudyConfig(
         profile=profile, p=p, load=load,
         epsilons=epsilons, partition_levels=levels,
-        cell_nx=16, cell_ny=8, thin_nx_per_period=8, thin_ny=4,
-        limit_elements=64, flux_stations=50)
+        cell_nx=16, cell_ny=8, thin_nx_per_period=8, thin_ny=4)
 
 
 # each way a study.json can be damaged, and what the refusal says after
-# the file's name; a config that names max_workers or solver is of an
-# older layout
+# the file's name; a config that names max_workers, solver, limit_elements
+# or flux_stations is of an older layout
 REPORT_DAMAGE = {
     "not_json": "Expecting value: line 1 column 1 (char 0)",
     "cut_short": "Expecting property name enclosed in double quotes",
@@ -46,6 +45,8 @@ REPORT_DAMAGE = {
                        "argument 'extra'"),
     "max_workers": "unknown config key 'max_workers'",
     "solver": "unknown config key 'solver'",
+    "limit_elements": "unknown config key 'limit_elements'",
+    "flux_stations": "unknown config key 'flux_stations'",
     "eps_not_tiling": "eps=0.3 does not tile (0,1)",
     "eps_text": "row eps must be a number, got 'abc'",
     "level_fraction": "row level must be an integer, got 2.5",
@@ -82,6 +83,10 @@ def write_damaged_reports(directory, profile):
         "solver": dict(data, config=dict(
             data["config"],
             solver={"continuation_deltas": [0.01, 0.0001, 1e-08]})),
+        "limit_elements": dict(data, config=dict(data["config"],
+                                                 limit_elements=512)),
+        "flux_stations": dict(data, config=dict(data["config"],
+                                                flux_stations=250)),
         "eps_not_tiling": dict(data, config=dict(data["config"],
                                                  epsilons=[0.3])),
         "eps_text": dict(data, rows=[dict(row, eps="abc")]),
@@ -288,7 +293,7 @@ class TestFlux:
     def test_unit_load_zero_flux(self, flat_profile):
         mesh = build_thin_mesh(flat_profile, 0.5, 8, 4)
         u, _ = solve_thin(mesh, 3.0, LoadSpec(kind="constant", value=1.0))
-        profile = flux_profile(mesh, u, 3.0, 20)
+        profile = flux_profile(mesh, u, 3.0)
         assert np.abs(profile).max() < 1e-9
 
     def test_profile_matches_fiber_oracle(self, reference_profile):
@@ -300,8 +305,8 @@ class TestFlux:
         mesh = build_thin_mesh(reference_profile, eps, 32, 8)
         u, _ = solve_thin(mesh, 3.0, LoadSpec(kind="cos_pi"))
         a1 = p_flux(element_gradients(mesh, u), FluxParams(p=3.0))[:, 0]
-        oracle = oracles.fiber_matrix(mesh, 0, flux_stations(250)) @ a1
-        profile = flux_profile(mesh, u, 3.0, 250)
+        oracle = oracles.fiber_matrix(mesh, 0, STATIONS) @ a1
+        profile = flux_profile(mesh, u, 3.0)
         assert np.abs(profile - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
     def test_flat_linear_profile_matches_target(self, flat_profile):
@@ -315,31 +320,31 @@ class TestFlux:
         u0, _ = solve_homogenized(
             Limit1DProblem(coeff=1.0, p=2.0, forcing=np.cos(np.pi * x)))
         du0 = nodal_derivative(u0)
-        profile = flux_profile(mesh, u, 2.0, 40)
-        target = flux_target(cell, du0, 40)
+        profile = flux_profile(mesh, u, 2.0)
+        target = flux_target(cell, du0)
         # flat case: the target is exactly max-height times the derivative
-        du_at = np.interp(flux_stations(40), x, du0)
+        du_at = np.interp(STATIONS, x, du0)
         assert np.abs(target - du_at).max() < 1e-12
         assert np.abs(profile - target).max() < 2e-2 * np.abs(du0).max()
 
     def test_box_smooth_preserves_linear(self):
-        x = np.linspace(0.0, 1.0, 101)
+        x = (np.arange(100) + 0.5) / 100
         vals = 2.0 * x + 1.0
-        sm = box_smooth(vals, x[1] - x[0], 0.1)
-        inner = slice(10, 91)
+        sm = box_smooth(vals, 0.1)
+        inner = slice(10, 90)
         assert np.abs(sm[inner] - vals[inner]).max() < 1e-12
 
     def test_box_smooth_window_under_one_station_is_a_copy(self):
         """A window under one station spacing, as at eps 1/256, leaves the
         values as they are, in a copy."""
         vals = np.array([1.0, -2.0, 3.0])
-        sm = box_smooth(vals, 0.1, 0.09)
+        sm = box_smooth(vals, 0.3)      # stations 1/3 apart
         assert np.array_equal(sm, vals) and not np.shares_memory(sm, vals)
 
     def test_box_smooth_flattens_oscillation(self):
-        x = np.linspace(0.0, 1.0, 400, endpoint=False)
+        x = (np.arange(400) + 0.5) / 400
         vals = np.sin(2.0 * np.pi * 20 * x)
-        sm = box_smooth(vals, x[1] - x[0], 0.05)  # window = one full period
+        sm = box_smooth(vals, 0.05)  # window = one full period
         # edge windows are truncated, so judge the interior
         assert np.abs(sm[10:-10]).max() < np.abs(vals).max() * 0.1
 
@@ -349,8 +354,7 @@ class TestStudy:
         config = StudyConfig(
             profile=reference_profile, p=3.0, load=LoadSpec(kind="cos_pi"),
             epsilons=(0.5, 0.25, 0.125), partition_levels=(2, 4),
-            cell_nx=32, cell_ny=8, thin_nx_per_period=16, thin_ny=8,
-            limit_elements=128, flux_stations=100)
+            cell_nx=32, cell_ny=8, thin_nx_per_period=16, thin_ny=8)
         report = run_study(config)
         err_u = [row.err_u for row in report.rows if row.level == 2]
         assert err_u[0] > err_u[1] > err_u[2]
@@ -495,8 +499,7 @@ class TestConfigValidation:
     def test_absent_sizes_take_field_defaults(self, reference_profile):
         """A config that names no size gets the dataclass defaults."""
         data = tiny_config(reference_profile, LoadSpec(kind="cos_pi")).to_dict()
-        for key in ("cell_mesh", "thin_mesh", "limit_elements",
-                    "flux_stations"):
+        for key in ("cell_mesh", "thin_mesh"):
             del data[key]
         config = StudyConfig.from_dict(data)
         assert config == StudyConfig(

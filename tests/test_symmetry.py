@@ -56,8 +56,7 @@ def test_load_scaling(reference_profile, p, thin_rtol, limit_rtol):
     config = StudyConfig(
         profile=reference_profile, p=p, load=LoadSpec(kind="cos_pi"),
         epsilons=(eps,), partition_levels=(2,), cell_nx=32, cell_ny=16,
-        thin_nx_per_period=32, thin_ny=16, limit_elements=512,
-        flux_stations=50)
+        thin_nx_per_period=32, thin_ny=16)
     cell = study.solve_config_cell(config)
     scaled = replace(config, load=LoadSpec(kind="cos_pi", value=lam))
     for solution, rtol in (
